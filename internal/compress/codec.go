@@ -11,8 +11,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Codec transforms byte blocks. Implementations must be deterministic and
@@ -27,6 +29,24 @@ type Codec interface {
 	Decode(dst, src []byte) ([]byte, error)
 	// Cost returns the codec's CPU cost model.
 	Cost() CostModel
+}
+
+// Int64Decoder is implemented by the codecs whose blocks are int64 streams
+// (Delta, Bitpack). DecodeInt64s appends the block's values to dst without
+// materialising the little-endian byte image Decode produces; the two agree
+// value for value, and a block whose image is not whole int64s is
+// ErrCorrupt here.
+type Int64Decoder interface {
+	DecodeInt64s(dst []int64, src []byte) ([]int64, error)
+}
+
+// StringDecoder is implemented by the codecs whose blocks are string
+// streams (Dict). DecodeStrings appends the block's strings to dst,
+// allocating one string per distinct symbol instead of one per cell. tab,
+// when non-nil, carries symbol strings from one block of a column to the
+// next so a scan stops allocating once it has seen the column's domain.
+type StringDecoder interface {
+	DecodeStrings(dst []string, src []byte, tab *SymbolTable) ([]string, error)
 }
 
 // CostModel gives the cycles charged per byte. Encode cost is per input
@@ -49,6 +69,23 @@ func decodeBudget(srcLen int) int {
 		b = 1 << 20
 	}
 	return b
+}
+
+// grow extends dst by n bytes of unspecified content, reallocating only
+// when its capacity is short: a caller that pre-sized dst pays nothing.
+func grow(dst []byte, n int) []byte {
+	return slices.Grow(dst, n)[:len(dst)+n]
+}
+
+// appendLE64s appends vals as 8-byte little-endian words.
+func appendLE64s(dst []byte, vals []int64) []byte {
+	base := len(dst)
+	dst = grow(dst, 8*len(vals))
+	out := dst[base:]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[i*8:i*8+8], uint64(v))
+	}
+	return dst
 }
 
 var registry = map[string]Codec{}
@@ -113,6 +150,15 @@ func putUvarint(dst []byte, x uint64) []byte {
 		x >>= 7
 	}
 	return append(dst, byte(x))
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
 }
 
 func uvarint(src []byte) (uint64, int) {

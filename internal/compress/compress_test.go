@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// putLE64 appends one little-endian word: how the tests build int columns.
+func putLE64(dst []byte, v int64) []byte { return appendLE64s(dst, []int64{v}) }
+
 func allCodecs() []Codec { return []Codec{Raw, RLE, Delta, Bitpack, Dict, LZ} }
 
 func roundTrip(t *testing.T, c Codec, src []byte) {

@@ -1,5 +1,7 @@
 package compress
 
+import "slices"
+
 // Dict is a dictionary codec for streams of length-prefixed strings (the
 // wire format the table layer uses for string columns): it collects the
 // distinct strings of a block into a symbol table and replaces each
@@ -37,6 +39,15 @@ func parseStrings(src []byte) (vals [][]byte, ok bool) {
 
 func (dictCodec) Encode(dst, src []byte) []byte {
 	vals, ok := parseStrings(src)
+	if ok {
+		// A stream with a padded (non-canonical) length prefix parses, but
+		// would not come back byte for byte: it is stored verbatim too.
+		size := 0
+		for _, v := range vals {
+			size += uvarintLen(uint64(len(v))) + len(v)
+		}
+		ok = size == len(src)
+	}
 	if !ok {
 		dst = append(dst, rawMarker)
 		return append(dst, src...)
@@ -62,49 +73,134 @@ func (dictCodec) Encode(dst, src []byte) []byte {
 	return dst
 }
 
-func (dictCodec) Decode(dst, src []byte) ([]byte, error) {
+// SymbolTable is the decode-side state a reader keeps per dictionary
+// column: the current block's symbols as strings, and the symbol strings
+// of earlier blocks so a low-cardinality column allocates its domain once
+// per scan, not once per block. The zero value is ready to use. Interned
+// strings are individual allocations shared by the cells that carry them,
+// so a retained cell pins its own symbol and nothing else.
+type SymbolTable struct {
+	syms   []string
+	intern map[string]string
+}
+
+// maxInterned bounds both which blocks intern (those with at most this
+// many symbols: a categorical domain, not a near-unique column) and how
+// many strings a table holds on to.
+const maxInterned = 1024
+
+// str returns b as a string, shared with earlier blocks when interning.
+func (t *SymbolTable) str(b []byte, intern bool) string {
+	if !intern {
+		return string(b)
+	}
+	if s, ok := t.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t.intern == nil {
+		t.intern = make(map[string]string)
+	}
+	if len(t.intern) < maxInterned {
+		t.intern[s] = s
+	}
+	return s
+}
+
+// DecodeStrings implements StringDecoder. It holds Dict's decode loop.
+func (dictCodec) DecodeStrings(dst []string, src []byte, tab *SymbolTable) ([]string, error) {
 	if len(src) == 0 {
 		return dst, nil
 	}
 	switch src[0] {
 	case rawMarker:
-		return append(dst, src[1:]...), nil
+		// Stored verbatim: one string per cell, as the table layer would
+		// parse it. Encode never writes this for a string column.
+		vals, ok := parseStrings(src[1:])
+		if !ok {
+			return dst, ErrCorrupt
+		}
+		for _, v := range vals {
+			dst = append(dst, string(v))
+		}
+		return dst, nil
 	case dictMarker:
 		src = src[1:]
 	default:
 		return dst, ErrCorrupt
 	}
+	// Every symbol and every value takes at least one byte, which bounds
+	// both counts by the input before anything is sized from them.
 	nsym, k := uvarint(src)
-	if k <= 0 {
+	if k <= 0 || nsym > uint64(len(src)-k) {
 		return dst, ErrCorrupt
 	}
 	src = src[k:]
-	symbols := make([][]byte, 0, nsym)
+	intern := tab != nil && nsym <= maxInterned
+	if tab == nil {
+		tab = &SymbolTable{}
+	}
+	syms := slices.Grow(tab.syms[:0], int(nsym))
 	for i := uint64(0); i < nsym; i++ {
 		n, k := uvarint(src)
-		if k <= 0 || uint64(len(src[k:])) < n {
+		if k <= 0 || n > uint64(len(src)-k) {
 			return dst, ErrCorrupt
 		}
-		symbols = append(symbols, src[k:k+int(n)])
+		syms = append(syms, tab.str(src[k:k+int(n)], intern))
 		src = src[k+int(n):]
 	}
+	tab.syms = syms
 	nvals, k := uvarint(src)
-	if k <= 0 {
+	if k <= 0 || nvals > uint64(len(src)-k) {
 		return dst, ErrCorrupt
 	}
 	src = src[k:]
-	for i := uint64(0); i < nvals; i++ {
-		idx, k := uvarint(src)
-		if k <= 0 || idx >= uint64(len(symbols)) {
-			return dst, ErrCorrupt
+	base := len(dst)
+	dst = slices.Grow(dst, int(nvals))[:base+int(nvals)]
+	out := dst[base:]
+	for i := range out {
+		// Nearly every index is one byte; that case stays in the loop.
+		var idx uint64
+		if len(src) > 0 && src[0] < 0x80 {
+			idx, k = uint64(src[0]), 1
+		} else if idx, k = uvarint(src); k <= 0 {
+			return dst[:base], ErrCorrupt
+		}
+		if idx >= uint64(len(syms)) {
+			return dst[:base], ErrCorrupt
 		}
 		src = src[k:]
-		s := symbols[idx]
-		dst = putUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+		out[i] = syms[idx]
 	}
 	if len(src) != 0 {
-		return dst, ErrCorrupt
+		return dst[:base], ErrCorrupt
+	}
+	return dst, nil
+}
+
+// Decode re-expands the block through DecodeStrings into the
+// length-prefixed stream it was encoded from.
+func (c dictCodec) Decode(dst, src []byte) ([]byte, error) {
+	if len(src) > 0 && src[0] == rawMarker {
+		return append(dst, src[1:]...), nil
+	}
+	strs, err := c.DecodeStrings(nil, src, nil)
+	if err != nil {
+		return dst, err
+	}
+	// A value is one index byte in the block but a whole symbol in the
+	// output, so the expansion is checked against the budget before the
+	// output is sized.
+	size, budget := 0, decodeBudget(len(src))
+	for _, s := range strs {
+		if size += uvarintLen(uint64(len(s))) + len(s); size > budget {
+			return dst, ErrCorrupt
+		}
+	}
+	dst = slices.Grow(dst, size)
+	for _, s := range strs {
+		dst = putUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
 	return dst, nil
 }

@@ -66,15 +66,17 @@ func (lzCodec) Encode(dst, src []byte) []byte {
 
 func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 	base := len(dst)
-	budget := decodeBudget(len(src))
+	budget := uint64(decodeBudget(len(src)))
 	for {
+		produced := uint64(len(dst) - base)
 		litLen, k := uvarint(src)
-		if k <= 0 || uint64(len(src[k:])) < litLen {
+		if k <= 0 || litLen > uint64(len(src)-k) || litLen > budget-produced {
 			return dst, ErrCorrupt
 		}
 		src = src[k:]
 		dst = append(dst, src[:litLen]...)
 		src = src[litLen:]
+		produced += litLen
 
 		mlen, k := uvarint(src)
 		if k <= 0 {
@@ -92,13 +94,19 @@ func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 			return dst, ErrCorrupt
 		}
 		src = src[k:]
-		pos := len(dst) - int(off)
-		if off == 0 || pos < base || mlen > uint64(budget-(len(dst)-base)) {
+		// Compared unsigned: an offset of 2^63 or more must not wrap into
+		// a plausible position.
+		if off == 0 || off > produced || mlen > budget-produced {
 			return dst, ErrCorrupt
 		}
-		// Byte-wise copy: matches may overlap themselves (run encoding).
-		for j := uint64(0); j < mlen; j++ {
-			dst = append(dst, dst[pos+int(j)])
+		// A match may overlap itself (run encoding), so the bytes written
+		// so far are copied repeatedly, doubling each time, rather than
+		// the whole match at once.
+		start := len(dst)
+		pos := start - int(off)
+		dst = grow(dst, int(mlen))
+		for n := 0; n < int(mlen); {
+			n += copy(dst[start+n:], dst[pos:start+n])
 		}
 	}
 }

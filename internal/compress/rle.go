@@ -1,5 +1,7 @@
 package compress
 
+import "slices"
+
 // RLE is a byte-level run-length codec: the stream is a sequence of
 // (run length varint, value byte) pairs. Column-major integer data is full
 // of long zero runs (high-order bytes), which is why RLE is a classic
@@ -24,25 +26,20 @@ func (rleCodec) Encode(dst, src []byte) []byte {
 }
 
 func (rleCodec) Decode(dst, src []byte) ([]byte, error) {
-	budget := decodeBudget(len(src))
-	produced := 0
+	budget := uint64(decodeBudget(len(src)))
 	for len(src) > 0 {
 		n, k := uvarint(src)
-		if k <= 0 || k >= len(src)+1 {
+		if k <= 0 || k == len(src) || n == 0 || n > budget {
 			return dst, ErrCorrupt
 		}
-		src = src[k:]
-		if len(src) == 0 {
-			return dst, ErrCorrupt
-		}
-		v := src[0]
-		src = src[1:]
-		if n == 0 || n > uint64(budget-produced) {
-			return dst, ErrCorrupt
-		}
-		produced += int(n)
-		for ; n > 0; n-- {
-			dst = append(dst, v)
+		v := src[k]
+		src = src[k+1:]
+		budget -= n
+		start := len(dst)
+		dst = grow(dst, int(n))
+		run := dst[start:]
+		for i := range run {
+			run[i] = v
 		}
 	}
 	return dst, nil
@@ -69,12 +66,6 @@ func le64(b []byte) int64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
 }
 
-func putLE64(dst []byte, v int64) []byte {
-	u := uint64(v)
-	return append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
 func (deltaCodec) Encode(dst, src []byte) []byte {
 	n := len(src) / 8
 	tail := src[n*8:]
@@ -89,31 +80,79 @@ func (deltaCodec) Encode(dst, src []byte) []byte {
 	return append(dst, tail...)
 }
 
-func (deltaCodec) Decode(dst, src []byte) ([]byte, error) {
+// decodeInts is Delta's decode loop: it appends the block's values to dst
+// and returns the raw tail that follows them.
+func (deltaCodec) decodeInts(dst []int64, src []byte) ([]int64, []byte, error) {
 	n, k := uvarint(src)
-	if k <= 0 {
-		return dst, ErrCorrupt
+	// Every value takes at least one byte, which bounds n by the input
+	// before anything is sized from it.
+	if k <= 0 || n > uint64(len(src)-k) {
+		return dst, nil, ErrCorrupt
 	}
 	src = src[k:]
+	base := len(dst)
+	dst = slices.Grow(dst, int(n))[:base+int(n)]
+	out := dst[base:]
 	var prev int64
-	for i := uint64(0); i < n; i++ {
-		u, k := uvarint(src)
-		if k <= 0 {
-			return dst, ErrCorrupt
+	for i := range out {
+		// Nearly every delta is one byte; that case stays in the loop.
+		var u uint64
+		if len(src) > 0 && src[0] < 0x80 {
+			u, k = uint64(src[0]), 1
+		} else if u, k = uvarint(src); k <= 0 {
+			return dst[:base], nil, ErrCorrupt
 		}
 		src = src[k:]
 		prev += unzigzag(u)
-		dst = putLE64(dst, prev)
+		out[i] = prev
 	}
+	tail, err := rawTail(src)
+	return dst, tail, err
+}
+
+// rawTail parses the (length, bytes) suffix the int64 codecs keep for
+// input that is not a whole number of words.
+func rawTail(src []byte) ([]byte, error) {
 	tn, k := uvarint(src)
-	if k <= 0 {
-		return dst, ErrCorrupt
+	if k <= 0 || uint64(len(src)-k) != tn {
+		return nil, ErrCorrupt
 	}
-	src = src[k:]
-	if uint64(len(src)) != tn {
-		return dst, ErrCorrupt
+	return src[k:], nil
+}
+
+// decodeWords is Decode for the int64 codecs, expressed over their typed
+// loop: the values are decoded once, then laid out as little-endian words
+// with the raw tail behind them.
+func decodeWords(dst, src []byte, decodeInts func(dst []int64, src []byte) ([]int64, []byte, error)) ([]byte, error) {
+	vals, tail, err := decodeInts(nil, src)
+	if err != nil {
+		return dst, err
 	}
-	return append(dst, src...), nil
+	return append(appendLE64s(dst, vals), tail...), nil
+}
+
+// decodeWholeWords is DecodeInt64s for the int64 codecs: the typed loop,
+// then the raw tail read as words too — exactly the values Decode's byte
+// image holds — or ErrCorrupt when the tail is not whole words.
+func decodeWholeWords(dst []int64, src []byte, decodeInts func(dst []int64, src []byte) ([]int64, []byte, error)) ([]int64, error) {
+	base := len(dst)
+	dst, tail, err := decodeInts(dst, src)
+	if err != nil || len(tail)%8 != 0 {
+		return dst[:base], ErrCorrupt
+	}
+	for ; len(tail) > 0; tail = tail[8:] {
+		dst = append(dst, le64(tail))
+	}
+	return dst, nil
+}
+
+func (c deltaCodec) Decode(dst, src []byte) ([]byte, error) {
+	return decodeWords(dst, src, c.decodeInts)
+}
+
+// DecodeInt64s implements Int64Decoder.
+func (c deltaCodec) DecodeInt64s(dst []int64, src []byte) ([]int64, error) {
+	return decodeWholeWords(dst, src, c.decodeInts)
 }
 
 func (deltaCodec) Cost() CostModel {
@@ -188,73 +227,69 @@ func (bitpackCodec) Encode(dst, src []byte) []byte {
 	return append(dst, tail...)
 }
 
-func (bitpackCodec) Decode(dst, src []byte) ([]byte, error) {
+// decodeInts is Bitpack's decode loop: it appends the block's values to
+// dst and returns the raw tail that follows them.
+func (bitpackCodec) decodeInts(dst []int64, src []byte) ([]int64, []byte, error) {
 	n, k := uvarint(src)
-	if k <= 0 {
-		return dst, ErrCorrupt
+	// A frame of up to 128 values takes at least two bytes (minimum and
+	// width), which bounds n by the input before anything is sized from it.
+	if k <= 0 || n > 64*uint64(len(src)-k) {
+		return dst, nil, ErrCorrupt
 	}
 	src = src[k:]
-	for f := uint64(0); f < n; f += bpFrame {
-		hi := f + bpFrame
-		if hi > n {
-			hi = n
-		}
-		cnt := int(hi - f)
+	base := len(dst)
+	dst = slices.Grow(dst, int(n))[:base+int(n)]
+	for out := dst[base:]; len(out) > 0; {
+		frame := out[:min(bpFrame, len(out))]
+		out = out[len(frame):]
 		zl, k := uvarint(src)
-		if k <= 0 {
-			return dst, ErrCorrupt
+		if k <= 0 || k == len(src) {
+			return dst[:base], nil, ErrCorrupt
 		}
-		src = src[k:]
 		lo := unzigzag(zl)
-		if len(src) == 0 {
-			return dst, ErrCorrupt
-		}
-		width := int(src[0])
-		src = src[1:]
+		width := uint(src[k])
+		src = src[k+1:]
 		if width == 255 { // raw frame
-			if len(src) < cnt*8 {
-				return dst, ErrCorrupt
+			if len(src) < len(frame)*8 {
+				return dst[:base], nil, ErrCorrupt
 			}
-			dst = append(dst, src[:cnt*8]...)
-			src = src[cnt*8:]
+			for i := range frame {
+				frame[i] = le64(src[i*8 : i*8+8])
+			}
+			src = src[len(frame)*8:]
 			continue
 		}
-		if width > 56 {
-			return dst, ErrCorrupt
-		}
-		nbytes := (cnt*width + 7) / 8
-		if len(src) < nbytes {
-			return dst, ErrCorrupt
+		nbytes := (len(frame)*int(width) + 7) / 8
+		if width > 56 || len(src) < nbytes {
+			return dst[:base], nil, ErrCorrupt
 		}
 		var acc uint64
 		var bits uint
 		bi := 0
-		mask := uint64(1)<<uint(width) - 1
-		if width == 64 {
-			mask = ^uint64(0)
-		}
-		for i := 0; i < cnt; i++ {
-			for bits < uint(width) {
+		mask := uint64(1)<<width - 1
+		for i := range frame {
+			for bits < width {
 				acc |= uint64(src[bi]) << bits
 				bi++
 				bits += 8
 			}
-			off := acc & mask
-			acc >>= uint(width)
-			bits -= uint(width)
-			dst = putLE64(dst, lo+int64(off))
+			frame[i] = lo + int64(acc&mask)
+			acc >>= width
+			bits -= width
 		}
 		src = src[nbytes:]
 	}
-	tn, k := uvarint(src)
-	if k <= 0 {
-		return dst, ErrCorrupt
-	}
-	src = src[k:]
-	if uint64(len(src)) != tn {
-		return dst, ErrCorrupt
-	}
-	return append(dst, src...), nil
+	tail, err := rawTail(src)
+	return dst, tail, err
+}
+
+func (c bitpackCodec) Decode(dst, src []byte) ([]byte, error) {
+	return decodeWords(dst, src, c.decodeInts)
+}
+
+// DecodeInt64s implements Int64Decoder.
+func (c bitpackCodec) DecodeInt64s(dst []int64, src []byte) ([]int64, error) {
+	return decodeWholeWords(dst, src, c.decodeInts)
 }
 
 func (bitpackCodec) Cost() CostModel {

@@ -4,6 +4,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"energydb/internal/table"
 )
@@ -44,4 +45,41 @@ func (inv *vecPoolInv) onGet(v *table.Vector) {
 		panic(fmt.Sprintf("exec: VecPool vector %p mutated after Put (len %d at Put, %d now): the old holder kept writing to pooled memory", v, want, got))
 	}
 	delete(inv.released, v)
+}
+
+// Sentinels a retired scan scratch is overwritten with.
+const (
+	poisonWord   = 0x5a5a5a5a5a5a5a5a
+	poisonByte   = 0x5a
+	poisonString = "\x00poisoned"
+	poisonSel    = 0x5a5a5a5a // far past any block: indexing through it panics
+)
+
+// retire is the checking version of the scan-scratch hand-over, called at
+// the top of every scan Next and at Close. The volcano contract says the
+// previous block's batch is dead at that point; the release build reuses
+// its memory for the next block, which a consumer that illegally kept the
+// batch (or a slice of one of its vectors) would see as plausible rows of
+// the wrong block. Here the old memory is overwritten with sentinels, to
+// its full capacity, and abandoned — the next block decodes into fresh
+// memory — so such a consumer reads poison, every time, whatever the data.
+func (sc *scanScratch) retire() {
+	if sc.read != nil {
+		for _, v := range sc.read.Vecs {
+			poison(v.I, poisonWord)
+			poison(v.F, math.Float64frombits(poisonWord))
+			poison(v.S, poisonString)
+		}
+	}
+	poison(sc.raw, poisonByte)
+	poison(sc.sel, poisonSel)
+	*sc = scanScratch{}
+}
+
+// poison overwrites s to its full capacity with v.
+func poison[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }

@@ -39,8 +39,7 @@ type ColumnScan struct {
 	cancel  bool
 	ready   *sim.Mailbox[blockMsg]
 	credits *sim.Mailbox[int]
-	sel     []int32      // reusable selection vector
-	view    *table.Batch // reusable output view batch
+	scratch scanScratch // reusable decode memory, this scan's alone
 }
 
 // blockMsg is one delivery from a scan reader process: a fetched block
@@ -117,6 +116,7 @@ func (s *ColumnScan) start(ctx *Ctx) {
 
 // Next implements Operator.
 func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
+	s.scratch.retire() // the previous block's batch is dead from here on
 	if s.eof {
 		return nil, nil
 	}
@@ -134,34 +134,41 @@ func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 		return nil, nil
 	}
 	s.credits.Put(1)
-
-	read := table.NewBatch(s.readSch, 0)
+	read, err := s.decode(b)
+	if err != nil {
+		return nil, err
+	}
 	var logicalBytes int64
-	for i, ci := range s.ReadCols {
-		blk := s.ST.cols[ci][b]
-		raw, err := s.ST.Codecs[ci].Decode(nil, blk.enc)
-		if err != nil {
-			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
-		}
+	for _, ci := range s.ReadCols {
+		blk := &s.ST.cols[ci][b]
 		// Real decompression cost: decode cycles per logical byte.
 		ctx.ChargeBytes(blk.rawSize, s.ST.Codecs[ci].Cost().DecodeCyclesPerByte)
-		v, err := table.DecodeVector(s.ST.Tab.Schema.Cols[ci].Type, raw, blk.hi-blk.lo)
-		if err != nil {
-			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
-		}
-		read.Vecs[i] = v
 		logicalBytes += blk.rawSize
 	}
-	lo, hi := s.ST.blockSpan(b)
-	read.SetRows(hi - lo)
 	// Scanner work proper: predicate + projection over the logical bytes.
 	ctx.ChargeBytes(logicalBytes, ctx.Costs.ScanCyclesPerByte)
 	ctx.TouchDRAM(logicalBytes)
-	return applyPredEmit(ctx, read, s.Pred, s.Emit, s.schema, &s.sel, &s.view), nil
+	return s.scratch.emit(ctx, read, s.Pred, s.Emit, s.schema), nil
+}
+
+// decode refills the scan's scratch batch with block b of the read
+// columns. It is host work only — no simulated time passes — so Next
+// charges for it afterwards.
+func (s *ColumnScan) decode(b int) (*table.Batch, error) {
+	lo, hi := s.ST.blockSpan(b)
+	read := s.scratch.batch(s.readSch, hi-lo)
+	for i, ci := range s.ReadCols {
+		if err := s.scratch.column(i, s.ST.Codecs[ci], &s.ST.cols[ci][b]); err != nil {
+			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
+		}
+	}
+	read.SetRows(hi - lo)
+	return read, nil
 }
 
 // Close implements Operator. Closing early cancels the reader process.
 func (s *ColumnScan) Close(ctx *Ctx) error {
+	s.scratch.release()
 	if s.started && !s.eof {
 		s.cancel = true
 		// Unblock the reader if it is waiting for credit, and release any
@@ -202,8 +209,7 @@ type RowScan struct {
 	cancel  bool
 	ready   *sim.Mailbox[blockMsg]
 	credits *sim.Mailbox[int]
-	sel     []int32      // reusable selection vector
-	view    *table.Batch // reusable output view batch
+	scratch scanScratch // reusable decode memory, this scan's alone
 }
 
 // NewRowScan builds a row-store scan; emit positions index the source
@@ -336,6 +342,8 @@ func (s *RowScan) start(ctx *Ctx) {
 
 // Next implements Operator.
 func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
+	s.scratch.retire() // the previous block's batch is dead from here on
+
 	var bi int // placement block index (errors name the on-disk block)
 	switch {
 	case s.Morsels != nil:
@@ -381,7 +389,7 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 		bi = s.next
 		s.next++
 	}
-	blk := s.ST.rows[bi]
+	blk := &s.ST.rows[bi]
 
 	if s.Morsels == nil && s.Window <= 0 {
 		// Unpipelined path: fetch pages through the pool when attached.
@@ -410,19 +418,31 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 		}
 	}
 
-	raw, err := s.ST.RowCodec.Decode(nil, blk.enc)
+	full, err := s.decode(bi)
 	if err != nil {
-		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
+		return nil, err
 	}
 	ctx.ChargeBytes(blk.rawSize, s.ST.RowCodec.Cost().DecodeCyclesPerByte)
-	full, err := table.DecodeRows(s.ST.Tab.Schema, raw, blk.hi-blk.lo)
-	if err != nil {
-		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
-	}
 	// Row stores pay tuple-parsing cost on top of the scan work.
 	ctx.ChargeBytes(blk.rawSize, ctx.Costs.ScanCyclesPerByte+ctx.Costs.RowParseCyclesPerByte)
 	ctx.TouchDRAM(blk.rawSize)
-	return applyPredEmit(ctx, full, s.Pred, s.Emit, s.schema, &s.sel, &s.view), nil
+	return s.scratch.emit(ctx, full, s.Pred, s.Emit, s.schema), nil
+}
+
+// decode refills the scan's scratch batch with the tuples of block bi.
+// It is host work only — no simulated time passes — so Next charges for it
+// afterwards.
+func (s *RowScan) decode(bi int) (*table.Batch, error) {
+	blk := &s.ST.rows[bi]
+	raw, err := s.scratch.expand(s.ST.RowCodec, blk)
+	if err != nil {
+		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
+	}
+	full := s.scratch.batch(s.ST.Tab.Schema, blk.hi-blk.lo)
+	if err := table.DecodeRowsInto(full, raw, blk.hi-blk.lo); err != nil {
+		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
+	}
+	return full, nil
 }
 
 // Close implements Operator. An early close lets the streaming reader run
@@ -430,6 +450,7 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 // reader blocked on credits is released explicitly. Remaining ready
 // notifications are drained.
 func (s *RowScan) Close(ctx *Ctx) error {
+	s.scratch.release()
 	s.cancel = true
 	if s.started {
 		if s.Morsels != nil && !s.eof {
@@ -457,35 +478,4 @@ func iotaSel(scratch *[]int32, n int) []int32 {
 		s[i] = int32(i)
 	}
 	return s
-}
-
-// applyPredEmit filters batch rows with pred and projects emit positions.
-// The output columns are always views of in's vectors; when only some
-// rows survive, the surviving selection vector rides on the batch instead
-// of being gathered here — compaction is deferred to the consumer's
-// materialisation boundary. view holds the caller's reusable output view
-// and scratch its reusable selection vector (both aliased by the returned
-// batch, which is valid until the caller's next call).
-func applyPredEmit(ctx *Ctx, in *table.Batch, pred Pred, emit []int, schema *table.Schema, scratch *[]int32, view **table.Batch) *table.Batch {
-	n := in.Rows()
-	sel := iotaSel(scratch, n)
-	if pred != nil {
-		sel = pred.Eval(ctx, in, sel)
-	}
-	if *view == nil {
-		*view = &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(emit))}
-	}
-	o := *view
-	for oi, e := range emit {
-		o.Vecs[oi] = in.Vecs[e]
-	}
-	if len(sel) == n || len(emit) == 0 {
-		// All rows survive, or there are no columns to select over: a
-		// plain batch with explicit cardinality (zero-column batches never
-		// carry a selection).
-		o.SetRows(len(sel))
-	} else {
-		o.SetSel(sel)
-	}
-	return o
 }

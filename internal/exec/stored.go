@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"energydb/internal/compress"
 	"energydb/internal/storage"
@@ -73,6 +74,7 @@ func PlaceColumnMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRo
 		cols: make([][]block, len(t.Schema.Cols)),
 	}
 	n := t.Rows()
+	var raw, buf []byte // wire image and encoder output, reused block to block
 	for ci := range t.Schema.Cols {
 		v := t.Column(ci)
 		for lo := 0; lo < n; lo += blockRows {
@@ -80,8 +82,9 @@ func PlaceColumnMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRo
 			if hi > n {
 				hi = n
 			}
-			raw := v.EncodeBytes(nil, lo, hi)
-			enc := codecs[ci].Encode(nil, raw)
+			raw = v.EncodeBytes(slices.Grow(raw[:0], int(v.ByteSize(lo, hi))), lo, hi)
+			buf = codecs[ci].Encode(buf[:0], raw)
+			enc := slices.Clone(buf) // the block keeps exactly its bytes
 			off := vol.AllocExtent(int64(len(enc)))
 			st.cols[ci] = append(st.cols[ci], block{
 				lo: lo, hi: hi, enc: enc, rawSize: int64(len(raw)),
@@ -106,14 +109,16 @@ func PlaceRowMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRows 
 		BlockRows: blockRows, RowCodec: codec,
 	}
 	n := t.Rows()
+	var raw, buf []byte // wire image and encoder output, reused block to block
 	for lo := 0; lo < n; lo += blockRows {
 		hi := lo + blockRows
 		if hi > n {
 			hi = n
 		}
 		b := t.Slice(lo, hi)
-		raw := b.EncodeRows(nil, 0, b.Rows())
-		enc := codec.Encode(nil, raw)
+		raw = b.EncodeRows(slices.Grow(raw[:0], int(b.ByteSize())), 0, b.Rows())
+		buf = codec.Encode(buf[:0], raw)
+		enc := slices.Clone(buf) // the block keeps exactly its bytes
 		off := vol.AllocExtent(int64(len(enc)))
 		st.rows = append(st.rows, block{
 			lo: lo, hi: hi, enc: enc, rawSize: int64(len(raw)),

@@ -1,8 +1,11 @@
 package table
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file defines the wire encodings shared by the column store, the
@@ -48,26 +51,28 @@ func readUvarint(src []byte) (uint64, int) {
 	return 0, 0
 }
 
-func appendLE64(dst []byte, u uint64) []byte {
-	return append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
-func readLE64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+// appendWords extends dst by n 8-byte words and returns it along with the
+// new words, for the caller to fill.
+func appendWords(dst []byte, n int) (all, words []byte) {
+	base := len(dst)
+	dst = slices.Grow(dst, 8*n)[:base+8*n]
+	return dst, dst[base:]
 }
 
 // EncodeBytes appends the wire form of elements [lo, hi) of v to dst.
 func (v *Vector) EncodeBytes(dst []byte, lo, hi int) []byte {
 	switch v.Type.Physical() {
 	case PhysInt:
-		for _, x := range v.I[lo:hi] {
-			dst = appendLE64(dst, uint64(x))
+		var out []byte
+		dst, out = appendWords(dst, hi-lo)
+		for i, x := range v.I[lo:hi] {
+			binary.LittleEndian.PutUint64(out[i*8:i*8+8], uint64(x))
 		}
 	case PhysFloat:
-		for _, x := range v.F[lo:hi] {
-			dst = appendLE64(dst, math.Float64bits(x))
+		var out []byte
+		dst, out = appendWords(dst, hi-lo)
+		for i, x := range v.F[lo:hi] {
+			binary.LittleEndian.PutUint64(out[i*8:i*8+8], math.Float64bits(x))
 		}
 	default:
 		for _, s := range v.S[lo:hi] {
@@ -81,38 +86,74 @@ func (v *Vector) EncodeBytes(dst []byte, lo, hi int) []byte {
 // DecodeVector parses n values of type t from data, which must contain
 // exactly n encoded values.
 func DecodeVector(t Type, data []byte, n int) (*Vector, error) {
-	v := NewVector(t, n)
-	switch t.Physical() {
-	case PhysInt:
-		if len(data) != n*8 {
-			return nil, fmt.Errorf("table: int column of %d values needs %d bytes, have %d", n, n*8, len(data))
-		}
-		for i := 0; i < n; i++ {
-			v.I = append(v.I, int64(readLE64(data[i*8:])))
-		}
-	case PhysFloat:
-		if len(data) != n*8 {
-			return nil, fmt.Errorf("table: float column of %d values needs %d bytes, have %d", n, n*8, len(data))
-		}
-		for i := 0; i < n; i++ {
-			v.F = append(v.F, math.Float64frombits(readLE64(data[i*8:])))
-		}
-	default:
-		off := 0
-		for i := 0; i < n; i++ {
-			l, k := readUvarint(data[off:])
-			if k <= 0 || l > uint64(len(data)) || off+k+int(l) > len(data) {
-				return nil, fmt.Errorf("table: corrupt string column at value %d", i)
-			}
-			off += k
-			v.S = append(v.S, string(data[off:off+int(l)]))
-			off += int(l)
-		}
-		if off != len(data) {
-			return nil, fmt.Errorf("table: %d trailing bytes after string column", len(data)-off)
-		}
+	v := NewVector(t, 0)
+	if err := DecodeVectorInto(v, data, n); err != nil {
+		return nil, err
 	}
 	return v, nil
+}
+
+// DecodeVectorInto refills v in place with the n values of v.Type encoded
+// in data, which must contain exactly n encoded values. v's backing array
+// is reused when large enough, so whatever v held is overwritten; on error
+// v is left empty. n is checked against data before anything is sized from
+// it.
+func DecodeVectorInto(v *Vector, data []byte, n int) error {
+	v.Reset()
+	switch v.Type.Physical() {
+	case PhysInt:
+		if n < 0 || len(data)/8 != n || len(data)%8 != 0 {
+			return fmt.Errorf("table: int column of %d values needs 8 bytes each, have %d", n, len(data))
+		}
+		v.I = slices.Grow(v.I, n)[:n]
+		for i := range v.I {
+			v.I[i] = int64(binary.LittleEndian.Uint64(data[i*8 : i*8+8]))
+		}
+	case PhysFloat:
+		if n < 0 || len(data)/8 != n || len(data)%8 != 0 {
+			return fmt.Errorf("table: float column of %d values needs 8 bytes each, have %d", n, len(data))
+		}
+		v.F = slices.Grow(v.F, n)[:n]
+		for i := range v.F {
+			v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8 : i*8+8]))
+		}
+	default:
+		// Every string takes at least its length byte.
+		if n < 0 || n > len(data) {
+			return fmt.Errorf("table: string column of %d values in %d bytes", n, len(data))
+		}
+		v.S = slices.Grow(v.S, n)
+		off := 0
+		for i := 0; i < n; i++ {
+			s, k, err := readString(data[off:])
+			if err != nil {
+				v.Reset()
+				return fmt.Errorf("table: string column value %d: %w", i, err)
+			}
+			v.S = append(v.S, s)
+			off += k
+		}
+		if off != len(data) {
+			v.Reset()
+			return fmt.Errorf("table: %d trailing bytes after string column", len(data)-off)
+		}
+	}
+	return nil
+}
+
+// errCorruptString reports a length prefix that is malformed or runs past
+// the end of the data.
+var errCorruptString = errors.New("corrupt string")
+
+// readString parses one wire string from the front of src, returning it
+// and the bytes it took.
+func readString(src []byte) (string, int, error) {
+	l, k := readUvarint(src)
+	if k <= 0 || l > uint64(len(src)-k) {
+		return "", 0, errCorruptString
+	}
+	end := k + int(l)
+	return string(src[k:end]), end, nil
 }
 
 // EncodeRows appends the row-major wire form of batch rows [lo, hi): each
@@ -126,7 +167,15 @@ func (b *Batch) EncodeRows(dst []byte, lo, hi int) []byte {
 	}
 	for r := lo; r < hi; r++ {
 		for _, v := range b.Vecs {
-			dst = v.EncodeBytes(dst, r, r+1)
+			switch v.Type.Physical() {
+			case PhysInt:
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I[r]))
+			case PhysFloat:
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F[r]))
+			default:
+				dst = appendUvarint(dst, uint64(len(v.S[r])))
+				dst = append(dst, v.S[r]...)
+			}
 		}
 	}
 	return dst
@@ -134,37 +183,78 @@ func (b *Batch) EncodeRows(dst []byte, lo, hi int) []byte {
 
 // DecodeRows parses n rows in the EncodeRows format into a fresh batch.
 func DecodeRows(s *Schema, data []byte, n int) (*Batch, error) {
-	b := NewBatch(s, n)
+	b := NewBatch(s, 0)
+	if err := DecodeRowsInto(b, data, n); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// DecodeRowsInto refills b in place with the n rows of b.Schema encoded in
+// data in the EncodeRows format. b's vectors are reused when large enough,
+// so whatever b held is overwritten; on error b is left empty. n is
+// checked against data before anything is sized from it.
+func DecodeRowsInto(b *Batch, data []byte, n int) error {
+	b.Reset()
+	if err := decodeRows(b, data, n); err != nil {
+		b.Reset()
+		return err
+	}
+	b.SetRows(n)
+	return nil
+}
+
+func decodeRows(b *Batch, data []byte, n int) error {
+	minRow := 0 // the fewest bytes one row can take
+	for _, v := range b.Vecs {
+		if v.Type.Physical() == PhysString {
+			minRow++
+		} else {
+			minRow += 8
+		}
+	}
+	if n < 0 || (minRow > 0 && n > len(data)/minRow) {
+		return fmt.Errorf("table: %d rows of at least %d bytes in %d bytes", n, minRow, len(data))
+	}
+	for _, v := range b.Vecs {
+		switch v.Type.Physical() {
+		case PhysInt:
+			v.I = slices.Grow(v.I, n)[:n]
+		case PhysFloat:
+			v.F = slices.Grow(v.F, n)[:n]
+		default:
+			v.S = slices.Grow(v.S, n)
+		}
+	}
 	off := 0
-	for r := 0; r < n; r++ {
-		for ci, c := range s.Cols {
-			switch c.Type.Physical() {
+	// A schema without columns has rows without bytes: nothing to parse.
+	for r := 0; r < n && minRow > 0; r++ {
+		for ci, v := range b.Vecs {
+			switch v.Type.Physical() {
 			case PhysInt:
 				if off+8 > len(data) {
-					return nil, fmt.Errorf("table: truncated row %d col %d", r, ci)
+					return fmt.Errorf("table: truncated row %d col %d", r, ci)
 				}
-				b.Vecs[ci].I = append(b.Vecs[ci].I, int64(readLE64(data[off:])))
+				v.I[r] = int64(binary.LittleEndian.Uint64(data[off : off+8]))
 				off += 8
 			case PhysFloat:
 				if off+8 > len(data) {
-					return nil, fmt.Errorf("table: truncated row %d col %d", r, ci)
+					return fmt.Errorf("table: truncated row %d col %d", r, ci)
 				}
-				b.Vecs[ci].F = append(b.Vecs[ci].F, math.Float64frombits(readLE64(data[off:])))
+				v.F[r] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
 				off += 8
 			default:
-				l, k := readUvarint(data[off:])
-				if k <= 0 || l > uint64(len(data)) || off+k+int(l) > len(data) {
-					return nil, fmt.Errorf("table: corrupt string in row %d col %d", r, ci)
+				s, k, err := readString(data[off:])
+				if err != nil {
+					return fmt.Errorf("table: row %d col %d: %w", r, ci, err)
 				}
+				v.S = append(v.S, s)
 				off += k
-				b.Vecs[ci].S = append(b.Vecs[ci].S, string(data[off:off+int(l)]))
-				off += int(l)
 			}
 		}
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("table: %d trailing bytes after %d rows", len(data)-off, n)
+		return fmt.Errorf("table: %d trailing bytes after %d rows", len(data)-off, n)
 	}
-	b.SetRows(n)
-	return b, nil
+	return nil
 }

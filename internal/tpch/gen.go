@@ -183,8 +183,10 @@ func round2(f float64) float64 {
 
 // DefaultCodecs picks a per-column codec the way a column store's
 // physical designer would: deltas for monotone keys, bit-packing for
-// small-domain ints and dates, dictionaries for categorical strings, raw
-// for incompressible floats.
+// small-domain ints and dates, dictionaries for strings, and LZ for
+// floats — TPC-H's are low-cardinality (quantities, discounts, taxes) or
+// share their high-order bytes (prices), so a byte-level matcher finds
+// what a numeric codec would not.
 func DefaultCodecs(s *table.Schema) []compress.Codec {
 	out := make([]compress.Codec, len(s.Cols))
 	for i, c := range s.Cols {
