@@ -25,6 +25,16 @@ import (
 	"energydb/internal/wal"
 )
 
+// Simulated-time constants no configuration varies.
+const (
+	// walTimeout bounds commit latency when a group-commit batch
+	// (WALBatch > 1) fills slowly.
+	walTimeout = 0.005
+	// retryBackoff is the delay before a statement's first retry after a
+	// transient device fault; it doubles per attempt.
+	retryBackoff = 0.002
+)
+
 // Config selects the simulated hardware and engine policies.
 type Config struct {
 	// Server is the machine to simulate; see hw.DL785, hw.ScanRig,
@@ -73,9 +83,10 @@ type Config struct {
 	DVFS bool
 
 	// ReGrant lets a running query widen when a completion frees cores
-	// and nothing is queued: the query replans at the wider grant and
-	// restarts its pipeline from the last restart point (results are
-	// unaffected; work done so far stays on its energy account).
+	// and nothing is queued: the freed cores are offered to the query's
+	// live exchange, which absorbs them in place by adding fragments
+	// against its morsel dispenser (results are unaffected, nothing is
+	// redone); a serial plan declines and the cores stay free.
 	ReGrant bool
 
 	// DRAMWattPerByte overrides the energy model's memory holding power;
@@ -84,16 +95,13 @@ type Config struct {
 
 	// WALBatch enables a group-commit log on the last device with the
 	// given batching factor (0 disables the WAL).
-	WALBatch   int
-	WALTimeout float64
+	WALBatch int
 
 	// RetryMax is how many times a query is re-executed after a
 	// transient device fault (fault.ErrTransientIO) before the error is
-	// surfaced; 0 disables retry. RetryBackoff is the first retry's
-	// simulated-time delay, doubled per attempt (default 2 ms when
-	// RetryMax > 0).
-	RetryMax     int
-	RetryBackoff float64
+	// surfaced; 0 disables retry. Retries back off in simulated time,
+	// retryBackoff doubled per attempt.
+	RetryMax int
 
 	// Variants restricts which physical placements are built and offered
 	// to the optimizer (subset of "col/default", "col/raw", "row/raw");
@@ -228,14 +236,12 @@ func Open(cfg Config) (*DB, error) {
 		inflight:    map[int64]*Rows{},
 		pvotes:      map[int64]int{},
 	}
-	if cfg.RetryMax > 0 && cfg.RetryBackoff == 0 {
-		db.cfg.RetryBackoff = 0.002
-	}
 	if cfg.WALBatch > 0 {
-		if cfg.WALTimeout == 0 && cfg.WALBatch > 1 {
-			cfg.WALTimeout = 0.005 // bound commit latency when batches trickle
+		timeout := 0.0
+		if cfg.WALBatch > 1 {
+			timeout = walTimeout
 		}
-		db.Log = wal.NewLog(srv.Eng, logDev, cfg.WALBatch, cfg.WALTimeout)
+		db.Log = wal.NewLog(srv.Eng, logDev, cfg.WALBatch, timeout)
 	}
 	db.Env = db.buildEnv()
 	return db, nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"energydb/internal/compress"
 	"energydb/internal/exec"
 	"energydb/internal/fault"
 	"energydb/internal/hw"
@@ -415,5 +416,87 @@ func TestDeadDeviceFailsQueries(t *testing.T) {
 	}
 	if live := db.Srv.Eng.Live(); live != 0 {
 		t.Fatalf("%d live process(es) after device death: %v", live, db.Srv.Eng.LiveNames())
+	}
+}
+
+// rotting is a codec whose stored blocks stop decoding once *bad is set —
+// a block gone bad on the volume, injected without reaching into exec's
+// private block bytes.
+type rotting struct {
+	compress.Codec
+	bad *bool
+}
+
+func (c rotting) Decode(dst, src []byte) ([]byte, error) {
+	if *c.bad {
+		return dst, compress.ErrCorrupt
+	}
+	return c.Codec.Decode(dst, src)
+}
+
+// TestCorruptBlockFailsOnlyItsStatement: a block that fails to decode
+// under a serial plan (one core: every breaker drains one fragment inline)
+// fails that statement, typed, and nothing else — another session's
+// statement on the same DB completes and the engine drains clean. Before
+// the tree was closed on every exit path, the failed statement's scan
+// reader stayed parked forever and Drain reported sim.ErrDeadlock for
+// every session.
+func TestCorruptBlockFailsOnlyItsStatement(t *testing.T) {
+	for name, query := range map[string]string{
+		"agg":  sumQuery,
+		"join": "SELECT COUNT(*) AS n FROM orders, lineitem WHERE o_orderkey = l_orderkey",
+		"sort": "SELECT l_orderkey FROM lineitem ORDER BY l_orderkey",
+	} {
+		spec := hw.SmallServer(4)
+		spec.CPU.Cores = 1
+		db, err := Open(Config{Server: spec, Objective: opt.MinTime, PageBytes: 16 << 10, BlockRows: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadTinyTPCH(t, db, 0.002)
+		want, err := db.Exec(query) // places the tables
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := false
+		for _, rel := range db.Catalog.Names() {
+			pl, err := db.Catalog.Get(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range pl.Variants {
+				codecs := make([]compress.Codec, len(v.ST.Codecs))
+				for i, c := range v.ST.Codecs {
+					codecs[i] = rotting{c, &bad}
+				}
+				v.ST.Codecs = codecs
+				if v.ST.RowCodec != nil {
+					v.ST.RowCodec = rotting{v.ST.RowCodec, &bad}
+				}
+			}
+		}
+
+		bad = true
+		failed, err := db.Session().Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := failed.Result(); !errors.Is(err, compress.ErrCorrupt) {
+			t.Fatalf("%s: error = %v, want compress.ErrCorrupt", name, err)
+		}
+		bad = false
+		healthy, err := db.Session().Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Drain(); err != nil {
+			t.Fatalf("%s: drain after a corrupt block: %v", name, err)
+		}
+		if n, err := healthy.RowCount(); err != nil || n != want.RowCount {
+			t.Fatalf("%s: second session got %d rows, %v; want %d", name, n, err, want.RowCount)
+		}
+		if live := db.Srv.Eng.Live(); live != 0 {
+			t.Fatalf("%s: %d live process(es) after drain: %v", name, live, db.Srv.Eng.LiveNames())
+		}
 	}
 }

@@ -277,8 +277,6 @@ type Rows struct {
 
 	err      error
 	plan     *opt.Plan
-	nextPlan *opt.Plan     // wider plan accepted through a re-grant offer
-	restart  bool          // restart the pipeline on nextPlan at the next batch boundary
 	widener  *exec.Widener // live pipeline's in-place widening hook
 	schema   *table.Schema
 	acct     *energy.Account
@@ -530,22 +528,9 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 			acct := db.Attr.Begin(energy.Seconds(p.Now()))
 			r.acct = acct
 			p.SetOwner(acct)
-			backoff := db.cfg.RetryBackoff
+			backoff := retryBackoff
 			for attempt := 0; ; attempt++ {
 				r.err = db.executeRows(p, r, plan)
-				if r.err == errRestartPlan {
-					// A re-grant widened the query: drop the (empty) partial
-					// state and re-execute on the wider plan, same account —
-					// the narrow attempt's joules stay billed to this query.
-					plan = r.nextPlan
-					r.plan, r.nextPlan = plan, nil
-					if db.cfg.DVFS {
-						db.votePState(r.id, plan.PState)
-					}
-					r.batches, r.pos, r.cur, r.rowCount = nil, 0, nil, 0
-					r.err = nil
-					continue
-				}
 				if r.err == nil || r.cancel ||
 					!fault.IsTransient(r.err) || attempt >= db.cfg.RetryMax {
 					break
@@ -582,15 +567,10 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 	r.finish(p.Now())
 }
 
-// errRestartPlan is the executeRows sentinel for a re-grant pipeline
-// restart: the query accepted a wider grant and must re-execute on
-// r.nextPlan. It never escapes runQuery.
-var errRestartPlan = errors.New("core: pipeline restarting on a wider grant")
-
 // executeRows drives the operator tree, buffering (or discarding) each
-// produced batch; r.cancel stops it at the next batch boundary, and
-// r.restart (a re-grant widening) tears the pipeline down there and asks
-// runQuery to re-execute on the wider plan.
+// produced batch; r.cancel stops it at the next batch boundary. The tree
+// is closed on every exit path, a failed Open included, so no reader
+// process outlives a failed statement.
 func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 	ctx := db.NewCtx(p)
 	r.widener = ctx.Widen
@@ -599,21 +579,10 @@ func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 		return err
 	}
 	r.schema = op.Schema()
-	if err := op.Open(ctx); err != nil {
-		return err
-	}
-	for !r.cancel {
-		if r.restart {
-			r.restart = false
-			_ = op.Close(ctx)
-			return errRestartPlan
-		}
-		b, err := op.Next(ctx)
-		if err != nil {
-			_ = op.Close(ctx)
-			return err
-		}
-		if b == nil {
+	err = op.Open(ctx)
+	for err == nil && !r.cancel {
+		var b *table.Batch
+		if b, err = op.Next(ctx); err != nil || b == nil {
 			break
 		}
 		if b.Rows() == 0 {
@@ -624,54 +593,24 @@ func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 			r.batches = append(r.batches, b.Clone()) // producers reuse buffers
 		}
 	}
-	return op.Close(ctx)
+	if cerr := op.Close(ctx); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // widenOffer is the re-grant callback: a completion left free cores with
 // nothing queued, and the admission controller offers them to this
-// running query. The cheap path widens the running pipeline in place: a
-// fragmented exchange absorbs the cores by spawning extra fragments
-// against its live morsel dispenser, so no work is redone and the result
-// is unchanged (fragments only change which worker claims which morsel).
-// Only when no running exchange can absorb the cores does the query fall
-// back to a full replan-and-restart — and that restart point is "before
-// the first batch", which keeps the result bit-identical to the narrow
-// run (deterministic plans at every DOP) at the cost of redoing the
-// narrow work already billed to this query's account. It returns the
+// running query. A fragmented exchange absorbs them in place by spawning
+// extra fragments against its live morsel dispenser, so no work is redone
+// and the result is unchanged (fragments only change which worker claims
+// which morsel); a plan with no live exchange declines. It returns the
 // cores accepted; the controller moves them onto the ticket's grant.
 func (db *DB) widenOffer(r *Rows, free int) int {
-	if r.done || r.cancel || r.restart || r.err != nil || free <= 0 {
+	if r.done || r.cancel || r.err != nil {
 		return 0
 	}
-	if n := r.widener.Offer(free); n > 0 {
-		return n
-	}
-	if r.rowCount > 0 {
-		return 0
-	}
-	// Replanning re-places dirty tables; declining is safer than placing
-	// from event context mid-run (and a dirty table would invalidate the
-	// running plan anyway).
-	for _, a := range r.stmt.query.Tables {
-		if db.dirty[r.stmt.query.Rels[a]] {
-			return 0
-		}
-	}
-	cur := r.ticket.Granted
-	budget := 0.0
-	if r.deadline > 0 {
-		budget = r.deadline - db.Srv.Eng.Now()
-		if budget <= 0 {
-			return 0
-		}
-	}
-	wide, err := r.stmt.planFor(cur+free, budget)
-	if err != nil || wide.MaxDOP() <= cur {
-		return 0
-	}
-	r.nextPlan = wide
-	r.restart = true
-	return wide.MaxDOP() - cur
+	return r.widener.Offer(free)
 }
 
 // finish settles the query's Result and releases chained statements.

@@ -37,15 +37,12 @@ type AggSpec struct {
 // Output order is deterministic (sorted by group key values) so results
 // are reproducible at any degree of parallelism.
 //
-// The serial plan is the one-fragment, one-partition special case of the
-// partitioned parallel aggregation: with In set (Frags nil) the input is
-// drained inline into a single aggTable; with Frags set, each fragment
-// pipeline runs in its own simulated process under the RunFragments
-// barrier exchange, aggregating its morsel stream into a thread-local
-// partial table, and a partition-wise merge phase — the binary group keys
-// hash-partition the group space into disjoint slices, one merge process
-// per partition — combines the partials. Both paths share every per-row
-// code path (aggTable.absorb) and the output stage.
+// The input is a fragment set run under the barrier exchange: every
+// fragment aggregates its share into a table of its own (HashAgg is the
+// exchange's Sink), and a partition-wise merge phase — the binary group
+// keys hash-partition the group space into disjoint slices, one merge
+// process per partition — combines the partials. A serial plan is the set
+// of one fragment: one table, drained inline, nothing to merge.
 //
 // Group keys are a collision-free binary encoding of the raw column
 // values — fixed 8 bytes for int- and float-class columns, length-prefixed
@@ -54,22 +51,15 @@ type AggSpec struct {
 // per aggregate, indexed by group id) and updated from the raw typed
 // slices without boxing.
 type HashAgg struct {
-	In      Operator   // serial input; ignored when Frags is set
-	Frags   []Operator // parallel fragment pipelines sharing Queue
-	Queue   *Morsels   // shared dispenser behind Frags; reset on Open
+	Frags   Fragments // the input pipeline
 	GroupBy []int
 	Aggs    []AggSpec
 
-	// Spawn, when set, constructs one more fragment over Queue so a
-	// mid-pipeline re-grant can widen the running accumulation barrier
-	// (see Ctx.Widen); the late worker gets its own partial table, merged
-	// with the rest after the barrier.
-	Spawn func() (Operator, error)
-
 	schema *table.Schema
-	ins    *table.Schema // input schema (In's or the fragments')
-	tab    *aggTable     // merged result after Open
-	order  []int32       // group ids in output order
+	locals []*aggTable  // per-worker partial tables while Open runs
+	local0 [1]*aggTable // backing for the first, so a serial plan allocates no slice
+	tab    *aggTable    // merged result after Open
+	order  []int32      // group ids in output order
 	next   int
 }
 
@@ -101,86 +91,41 @@ func aggSchema(ins *table.Schema, groupBy []int, aggs []AggSpec) *table.Schema {
 	return table.NewSchema(ins.Name, cols...)
 }
 
-// NewHashAgg builds a serial grouping aggregation over in.
-func NewHashAgg(in Operator, groupBy []int, aggs []AggSpec) *HashAgg {
-	return &HashAgg{In: in, GroupBy: groupBy, Aggs: aggs,
-		ins: in.Schema(), schema: aggSchema(in.Schema(), groupBy, aggs)}
-}
-
-// NewPartitionedHashAgg builds a partitioned parallel aggregation over
-// len(frags) fragment pipelines sharing the queue dispenser. The fragments
-// must produce identical schemas and be exclusively owned (they run
-// concurrently and may not share mutable state such as predicate scratch).
-func NewPartitionedHashAgg(frags []Operator, queue *Morsels, groupBy []int, aggs []AggSpec) *HashAgg {
-	if len(frags) == 0 {
-		panic("exec: partitioned HashAgg needs at least one fragment")
-	}
-	return &HashAgg{Frags: frags, Queue: queue, GroupBy: groupBy, Aggs: aggs,
-		ins: frags[0].Schema(), schema: aggSchema(frags[0].Schema(), groupBy, aggs)}
+// NewHashAgg builds a grouping aggregation over the fragment set in.
+func NewHashAgg(in Fragments, groupBy []int, aggs []AggSpec) *HashAgg {
+	return &HashAgg{Frags: in, GroupBy: groupBy, Aggs: aggs,
+		schema: aggSchema(in.Schema(), groupBy, aggs)}
 }
 
 // Schema implements Operator.
 func (h *HashAgg) Schema() *table.Schema { return h.schema }
 
-// Open implements Operator: it drains the input — inline for the serial
-// path, under the barrier exchange for the partitioned one — merges the
-// partial tables partition-wise, and fixes the output order.
+// AddWorker implements Sink: worker w aggregates into a table of its own.
+func (h *HashAgg) AddWorker(w int) {
+	h.locals = append(h.locals, newAggTable(h.Frags.Schema(), h.GroupBy, h.Aggs))
+}
+
+// Absorb implements Sink.
+func (h *HashAgg) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
+	h.locals[w].absorb(wctx, b)
+	return true
+}
+
+// Open implements Operator: it drains the input under the barrier
+// exchange, merges the partial tables partition-wise, and fixes the
+// output order.
 func (h *HashAgg) Open(ctx *Ctx) error {
 	h.next = 0
 	h.order = nil
 	h.tab = nil
-	if len(h.Frags) == 0 {
-		t := newAggTable(h.ins, h.GroupBy, h.Aggs)
-		if err := h.In.Open(ctx); err != nil {
-			return err
-		}
-		for {
-			b, err := h.In.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			t.absorb(ctx, b)
-		}
-		if err := h.In.Close(ctx); err != nil {
-			return err
-		}
-		h.tab = t
-	} else {
-		if h.Queue != nil {
-			h.Queue.Reset()
-		}
-		locals := make([]*aggTable, len(h.Frags))
-		for i := range locals {
-			locals[i] = newAggTable(h.ins, h.GroupBy, h.Aggs)
-		}
-		sink := func(w int, wctx *Ctx, b *table.Batch) error {
-			locals[w].absorb(wctx, b)
-			return nil
-		}
-		var spawn func(w int) (Operator, error)
-		if h.Spawn != nil {
-			spawn = func(w int) (Operator, error) {
-				op, err := h.Spawn()
-				if err != nil || op == nil {
-					return nil, err
-				}
-				for len(locals) <= w {
-					locals = append(locals, newAggTable(h.ins, h.GroupBy, h.Aggs))
-				}
-				return op, nil
-			}
-		}
-		if err := RunFragmentsWiden(ctx, "hashagg", h.Frags, sink, spawn, h.Queue); err != nil {
-			return err
-		}
-		tab, err := mergePartitioned(ctx, h.ins, h.GroupBy, h.Aggs, locals)
-		if err != nil {
-			return err
-		}
-		h.tab = tab
+	h.locals = h.local0[:0]
+	err := RunFragments(ctx, "hashagg", h.Frags, h)
+	if err == nil {
+		h.tab, err = mergePartitioned(ctx, h.Frags.Schema(), h.GroupBy, h.Aggs, h.locals)
+	}
+	h.locals, h.local0[0] = nil, nil
+	if err != nil {
+		return err
 	}
 	h.order = make([]int32, len(h.tab.keys))
 	for i := range h.order {
@@ -226,8 +171,8 @@ func mergePartitioned(ctx *Ctx, ins *table.Schema, groupBy []int, specs []AggSpe
 	return out, nil
 }
 
-// aggTable is the grouping state shared by the serial and partitioned
-// aggregation paths: the group hash table, boxed output keys, and columnar
+// aggTable is one worker's (or, after the merge, the whole operator's)
+// grouping state: the group hash table, boxed output keys, and columnar
 // per-group aggregate state.
 type aggTable struct {
 	groupBy []int

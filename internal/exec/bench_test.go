@@ -109,7 +109,7 @@ func BenchmarkHashAggGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg := NewHashAgg(&Values{Tab: tab}, []int{0}, []AggSpec{
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}), []int{0}, []AggSpec{
 			{Func: Count, As: "n"},
 			{Func: Sum, Col: 1, As: "s"},
 			{Func: Min, Col: 1, As: "lo"},
@@ -374,7 +374,7 @@ func BenchmarkParallelHashAgg(b *testing.B) {
 				eng.Go("query", func(p *sim.Proc) {
 					ctx := NewCtx(p, cpu)
 					frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, dop, 0)
-					agg := NewPartitionedHashAgg(frags, q, []int{0}, specs)
+					agg := partitionedAgg(frags, q, []int{0}, specs)
 					n, err := RowCount(ctx, agg)
 					if err != nil {
 						b.Error(err)
@@ -415,7 +415,7 @@ func BenchmarkParallelJoinBuild(b *testing.B) {
 				eng.Go("query", func(p *sim.Proc) {
 					ctx := NewCtx(p, cpu)
 					frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, dop, 0)
-					j := NewPartitionedHashJoin(frags, q, &Values{Tab: probeT}, 0, 0, dop)
+					j := partitionedJoin(frags, q, &Values{Tab: probeT}, 0, 0, dop)
 					n, err := RowCount(ctx, j)
 					if err != nil {
 						b.Error(err)
@@ -459,7 +459,7 @@ func BenchmarkParallelFilterPipeline(b *testing.B) {
 						frags[i] = &Filter{In: frags[i],
 							Pred: &ColConst{Col: 1, Op: Lt, Val: table.IntVal(500)}}
 					}
-					agg := NewHashAgg(NewParallel(frags, q), nil,
+					agg := NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), nil,
 						[]AggSpec{{Func: Count, As: "n"}, {Func: Sum, Col: 1, As: "s"}})
 					if _, err := RowCount(ctx, agg); err != nil {
 						b.Error(err)
@@ -498,11 +498,11 @@ func BenchmarkParallelProbe(b *testing.B) {
 				eng.Go("query", func(p *sim.Proc) {
 					ctx := NewCtx(p, cpu)
 					frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, dop, 0)
-					sb := NewSharedBuild(&Values{Tab: build}, nil, nil, 0, 1)
+					sb := NewSharedBuild(OneFragment(&Values{Tab: build}), 0, 1)
 					for i := range frags {
 						frags[i] = NewProber(sb, frags[i], 0)
 					}
-					n, err := RowCount(ctx, NewParallel(frags, q))
+					n, err := RowCount(ctx, NewParallel(NewFragments(frags, q, nil)))
 					if err != nil {
 						b.Error(err)
 					}

@@ -303,7 +303,7 @@ func TestSelectedBatchesIntoJoinsAndAggs(t *testing.T) {
 		if nl, err = RowCount(ctx, NewNestedLoopJoin(&Values{Tab: keys, BatchRows: 128}, filtered(), 0, 0)); err != nil {
 			t.Error(err)
 		}
-		agg := NewHashAgg(filtered(), nil, []AggSpec{
+		agg := NewHashAgg(OneFragment(filtered()), nil, []AggSpec{
 			{Func: Count, As: "n"}, {Func: Sum, Col: 3, As: "s"},
 		})
 		res, err := Collect(ctx, agg)

@@ -8,132 +8,265 @@ import (
 	"energydb/internal/table"
 )
 
-// This file is the exchange layer: the primitives that move work and data
-// across simulated-process boundaries so whole pipelines — not just scans —
-// can run in parallel. Three shapes cover the executor's needs:
+// This file is the exchange layer: it runs a pipeline compiled n ways —
+// a Fragments set — across simulated processes. One fragment runner owns
+// everything about the workers (start, stop, mid-run widening, error
+// fan-in); what differs between exchanges is only the Sink their batches
+// go to:
 //
-//   - Parallel (parallel.go) is the streaming exchange: DOP fragments feed
-//     one consumer through a completion-order merge, batch by batch.
-//   - RunFragments is the barrier exchange: DOP fragment pipelines run to
-//     completion, each absorbed by a per-worker sink inside the worker's
-//     own process; control returns when every fragment has exited. It is
-//     the accumulation phase of partitioned aggregation and join builds.
-//   - ParDo is plain task parallelism for the phases after the barrier
-//     (partition-wise merges, per-partition hash-table builds).
+//   - a barrier sink (RunFragments) absorbs every batch inside the worker
+//     that produced it, and control returns when all fragments have
+//     exited — the accumulation phase of aggregation, join builds and
+//     sorts;
+//   - the streaming sink (Parallel, parallel.go) hands each batch to one
+//     consumer and parks the worker until the consumer is done with it.
+//
+// Serial execution is the set of one fragment: it runs inline on the
+// caller's process and spawns nothing, exactly as ParDo does for n == 1,
+// so a serial plan and a DOP-1 plan are the same code, events and joules.
+// ParDo is plain task parallelism for the phases after a barrier
+// (partition-wise merges, per-partition hash-table builds).
 //
 // Ownership across an exchange boundary follows one rule (see CONTRACT.md):
 // a batch never crosses a process boundary while its producer may still
 // mutate it — sinks run inside the producing worker, and anything that
 // outlives the worker is copied into state the next phase owns.
 
-// fragDone is a worker-exit notification.
-type fragDone struct {
-	w   int
-	err error
+// Fragments is one pipeline compiled into one or more fragment operator
+// trees, each exclusively owned by the worker that runs it. Fragments of a
+// set of several divide their input through the shared Queue dispenser; a
+// set of one is a serial pipeline and usually owns its whole input (Queue
+// nil). The zero value is not a valid set.
+type Fragments struct {
+	// first and rest, not one slice: every pipeline breaker of every
+	// serial plan holds a set of one, which this way allocates nothing.
+	first Operator
+	rest  []Operator
+
+	// Queue is the morsel dispenser the fragments share; the exchange
+	// running the set resets it at the start of every run.
+	Queue *Morsels
+
+	// Spawn, when set, constructs one more fragment over Queue, so a
+	// re-grant can widen the running set (see Widener): the late fragment
+	// claims morsels from the same live dispenser and the result is
+	// unchanged — only more cores race through the remainder.
+	Spawn func() (Operator, error)
 }
 
-// RunFragments runs each fragment pipeline to completion in its own
-// simulated process and feeds every non-empty batch it produces to
-// sink(w, wctx, batch), called in worker w's process so CPU charged by the
-// sink lands on that worker's core, concurrently with its siblings.
-//
-// The batch passed to sink is owned by the fragment and valid only for the
-// duration of the call; a sink that keeps rows must copy them into
-// worker-local state (per-worker accumulators need no locking — the sim
-// engine interleaves processes deterministically, one at a time).
-//
-// An error from any fragment or sink stops the remaining workers at their
-// next batch boundary; RunFragments blocks until every worker has exited
-// and returns the first error in completion order. Fragments sharing a
-// Morsels dispenser must have it Reset by the caller beforehand.
-func RunFragments(ctx *Ctx, name string, frags []Operator, sink func(w int, wctx *Ctx, b *table.Batch) error) error {
-	return runFragments(ctx, name, frags, sink, nil, nil)
+// OneFragment is the serial set: op alone, owning its whole input.
+func OneFragment(op Operator) Fragments { return Fragments{first: op} }
+
+// NewFragments is the set of ops sharing queue. The fragments must
+// produce identical schemas and share no mutable state (predicate
+// scratch, fused kernels); spawn may be nil.
+func NewFragments(ops []Operator, queue *Morsels, spawn func() (Operator, error)) Fragments {
+	if len(ops) == 0 {
+		panic("exec: a fragment set needs at least one fragment")
+	}
+	return Fragments{first: ops[0], rest: ops[1:], Queue: queue, Spawn: spawn}
 }
 
-// RunFragmentsWiden is RunFragments plus mid-run widening: while the
-// barrier is live and the shared queue still has unclaimed morsels, a
-// re-grant offer (Ctx.Widen) spawns spawn(w) as one more fragment worker
-// against the live dispenser. spawn sees the new worker's index w before
-// the worker starts, so the caller grows per-worker sink state (e.g. a
-// fresh partial aggregation table) first. Results are unchanged by
-// construction: fragment count never affects the merged result (see
-// CONTRACT.md), widening only changes which core drains which morsel.
-func RunFragmentsWiden(ctx *Ctx, name string, frags []Operator, sink func(w int, wctx *Ctx, b *table.Batch) error, spawn func(w int) (Operator, error), queue *Morsels) error {
-	return runFragments(ctx, name, frags, sink, spawn, queue)
-}
+// Len is the number of fragments compiled into the set.
+func (f Fragments) Len() int { return 1 + len(f.rest) }
 
-func runFragments(ctx *Ctx, name string, frags []Operator, sink func(w int, wctx *Ctx, b *table.Batch) error, spawn func(w int) (Operator, error), queue *Morsels) error {
-	eng := ctx.P.Engine()
-	done := sim.NewMailbox[fragDone](eng, name+":done")
-	stop := false
-	spawned := 0
-	start := func(i int, frag Operator) *sim.Proc {
-		return eng.Go(fmt.Sprintf("%s:w%d", name, i), func(wp *sim.Proc) {
-			wctx := *ctx
-			wctx.P = wp
-			err := frag.Open(&wctx)
-			if err == nil {
-				for !stop {
-					var b *table.Batch
-					b, err = frag.Next(&wctx)
-					if err != nil || b == nil {
-						break
-					}
-					if b.Rows() == 0 {
-						continue
-					}
-					if err = sink(i, &wctx, b); err != nil {
-						break
-					}
-				}
-				if cerr := frag.Close(&wctx); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				stop = true
-			}
-			done.Put(fragDone{w: i, err: err})
-		})
+// Schema is the schema every fragment produces.
+func (f Fragments) Schema() *table.Schema { return f.first.Schema() }
+
+// Map puts wrap(fragment) in place of every fragment, and composes wrap
+// into Spawn so fragments added later run the same wrapped pipeline.
+func (f Fragments) Map(wrap func(in Operator) (Operator, error)) (Fragments, error) {
+	var err error
+	if f.first, err = wrap(f.first); err != nil {
+		return f, err
 	}
-	for _, frag := range frags {
-		start(spawned, frag)
-		spawned++
-	}
-	registered := false
-	if spawn != nil && queue != nil && ctx.Widen != nil {
-		// Widening applies from scheduler event context, so new workers
-		// take their attribution owner from the coordinator, captured here.
-		owner := ctx.P.Owner()
-		registered = ctx.Widen.Register(func(extra int) int {
-			accepted := 0
-			for accepted < extra && !stop && queue.Remaining() > 0 {
-				frag, err := spawn(spawned)
-				if err != nil || frag == nil {
-					break
-				}
-				p := start(spawned, frag)
-				p.SetOwner(owner)
-				spawned++
-				accepted++
-			}
-			return accepted
-		})
-	}
-	// The coordinator is parked in done.Get whenever a widening offer can
-	// fire, so spawned only grows while the loop below still has workers to
-	// wait for; once all workers have exited the queue is drained and
-	// further offers are declined.
-	var first error
-	for fin := 0; fin < spawned; fin++ {
-		if d := done.Get(ctx.P); d.err != nil && first == nil {
-			first = d.err
+	for i, in := range f.rest {
+		if f.rest[i], err = wrap(in); err != nil {
+			return f, err
 		}
 	}
-	if registered {
-		ctx.Widen.Deregister()
+	if inner := f.Spawn; inner != nil {
+		f.Spawn = func() (Operator, error) {
+			in, err := inner()
+			if err != nil || in == nil {
+				return nil, err
+			}
+			return wrap(in)
+		}
 	}
-	return first
+	return f, nil
+}
+
+// Stream returns the set as one operator: the Parallel merge over its
+// fragments, or — a serial pipeline being its own stream — the single
+// fragment itself. (A lone fragment that claims from a dispenser still
+// gets the merge, which resets the dispenser on re-open.)
+func (f Fragments) Stream() Operator {
+	if len(f.rest) == 0 && f.Queue == nil {
+		return f.first
+	}
+	return NewParallel(f)
+}
+
+// Sink is where a running fragment set's batches go.
+type Sink interface {
+	// AddWorker prepares the sink's state for worker w before w starts.
+	// Workers are numbered from 0 in start order; a worker added by a
+	// widening offer arrives here from scheduler event context.
+	AddWorker(w int)
+	// Absorb consumes one non-empty batch inside worker w's process, so
+	// CPU it charges lands on that worker's core. The batch is owned by the
+	// fragment and valid only for the duration of the call: a sink that
+	// keeps rows copies them into state of its own (per-worker state needs
+	// no locking — the engine runs one process at a time). Returning false
+	// stops worker w.
+	Absorb(w int, wctx *Ctx, b *table.Batch) bool
+}
+
+// runFragment drives one fragment on wctx's process: it feeds the sink
+// until the stream ends, the sink declines or *stop trips, and closes the
+// fragment on every exit path — a pipeline that fails part-way never
+// leaves a scan reader parked on its credits.
+func runFragment(wctx *Ctx, frag Operator, w int, sink Sink, stop *bool) error {
+	err := frag.Open(wctx)
+	for err == nil && !*stop {
+		var b *table.Batch
+		if b, err = frag.Next(wctx); err != nil || b == nil {
+			break
+		}
+		if b.Rows() > 0 && !sink.Absorb(w, wctx, b) {
+			break
+		}
+	}
+	if cerr := frag.Close(wctx); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// fragMsg is one message from a fragment worker: a batch handed to the
+// streaming consumer, or the worker's exit (done) with its error.
+type fragMsg struct {
+	batch *table.Batch
+	w     int
+	err   error
+	done  bool
+}
+
+// fragRunner owns the workers of one running fragment set: each fragment
+// in its own simulated process against a private copy of the
+// coordinator's context, so its CPU charges land on its own core (workers
+// inherit the coordinator's attribution owner at spawn — sim.Engine.Go).
+// Every worker reports its exit on out. The first failure trips stop,
+// which the others see at their next batch boundary.
+type fragRunner struct {
+	ctx        *Ctx
+	name       string
+	frags      Fragments
+	sink       Sink
+	out        *sim.Mailbox[fragMsg]
+	started    int // workers started so far: the next worker's index
+	live       int // workers that have not reported their exit
+	stop       bool
+	failed     error // first error in completion order
+	registered bool  // holding the Ctx.Widen slot
+}
+
+// start launches one worker per fragment. A set compiled more than one
+// way with a Spawn hook then takes the context's widening slot, to be
+// offered freed cores while it runs.
+func (r *fragRunner) start(ctx *Ctx, name string, frags Fragments, sink Sink) {
+	*r = fragRunner{ctx: ctx, name: name, frags: frags, sink: sink,
+		out: sim.NewMailbox[fragMsg](ctx.P.Engine(), name+":out")}
+	r.startWorker(frags.first)
+	for _, frag := range frags.rest {
+		r.startWorker(frag)
+	}
+	if frags.Len() > 1 && frags.Spawn != nil && frags.Queue != nil {
+		// Offers arrive from scheduler event context, so late workers take
+		// their attribution owner from the coordinator, captured here.
+		owner := ctx.P.Owner()
+		r.registered = ctx.Widen.Register(func(extra int) int { return r.widen(owner, extra) })
+	}
+}
+
+func (r *fragRunner) startWorker(frag Operator) *sim.Proc {
+	w := r.started
+	r.started++
+	r.live++
+	r.sink.AddWorker(w)
+	return r.ctx.P.Engine().Go(fmt.Sprintf("%s:w%d", r.name, w), func(wp *sim.Proc) {
+		wctx := *r.ctx
+		wctx.P = wp
+		err := runFragment(&wctx, frag, w, r.sink, &r.stop)
+		if err != nil {
+			r.stop = true
+		}
+		r.out.Put(fragMsg{w: w, err: err, done: true})
+	})
+}
+
+// widen absorbs up to extra freed cores by spawning fragments against the
+// live dispenser. Offers are declined once the run is failing, finished or
+// the dispenser is drained — a late worker would only pay start-up cost to
+// find no morsels left. Results are unchanged by construction: fragment
+// count never affects them (see CONTRACT.md), widening only changes which
+// core drains which morsel.
+func (r *fragRunner) widen(owner any, extra int) int {
+	accepted := 0
+	for accepted < extra && !r.stop && r.live > 0 && r.frags.Queue.Remaining() > 0 {
+		frag, err := r.frags.Spawn()
+		if err != nil || frag == nil {
+			break
+		}
+		r.startWorker(frag).SetOwner(owner)
+		accepted++
+	}
+	return accepted
+}
+
+// recv blocks for the next worker message, settling exits as they arrive.
+func (r *fragRunner) recv(p *sim.Proc) fragMsg {
+	m := r.out.Get(p)
+	if m.done {
+		r.live--
+		if m.err != nil && r.failed == nil {
+			r.failed = m.err
+		}
+	}
+	return m
+}
+
+// release gives the widening slot back; later offers are declined.
+func (r *fragRunner) release() {
+	if r.registered {
+		r.ctx.Widen.Deregister()
+		r.registered = false
+	}
+}
+
+// RunFragments is the barrier exchange: it runs every fragment of the set
+// to completion, feeding its batches to sink, and returns the first error
+// in completion order once all fragments have exited and been closed. A
+// failure stops the others at their next batch boundary.
+func RunFragments(ctx *Ctx, name string, frags Fragments, sink Sink) error {
+	if frags.Queue != nil {
+		frags.Queue.Reset()
+	}
+	if frags.Len() == 1 {
+		sink.AddWorker(0)
+		stop := false
+		return runFragment(ctx, frags.first, 0, sink, &stop)
+	}
+	var r fragRunner
+	r.start(ctx, name, frags, sink)
+	// The coordinator is parked here whenever a widening offer can fire,
+	// so live only grows while there are still workers to wait for.
+	for r.live > 0 {
+		r.recv(ctx.P)
+	}
+	r.release()
+	return r.failed
 }
 
 // ParDo runs n tasks, each in its own simulated process, and blocks until
@@ -146,13 +279,13 @@ func ParDo(ctx *Ctx, name string, n int, task func(i int, wctx *Ctx) error) erro
 		return task(0, ctx)
 	}
 	eng := ctx.P.Engine()
-	done := sim.NewMailbox[fragDone](eng, name+":done")
+	done := sim.NewMailbox[fragMsg](eng, name+":done")
 	for i := 0; i < n; i++ {
 		i := i
 		eng.Go(fmt.Sprintf("%s:p%d", name, i), func(wp *sim.Proc) {
 			wctx := *ctx
 			wctx.P = wp
-			done.Put(fragDone{w: i, err: task(i, &wctx)})
+			done.Put(fragMsg{w: i, err: task(i, &wctx)})
 		})
 	}
 	var first error

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -26,6 +28,87 @@ func colScanFrags(st *StoredTable, readCols, emit []int, newPred func() Pred, do
 		frags[i] = cs
 	}
 	return frags, q
+}
+
+// partitionedAgg is the aggregation over frags sharing q.
+func partitionedAgg(frags []Operator, q *Morsels, groupBy []int, aggs []AggSpec) *HashAgg {
+	return NewHashAgg(NewFragments(frags, q, nil), groupBy, aggs)
+}
+
+// partitionedJoin is the hash join whose build side runs as frags sharing
+// q, hash-partitioned partitions ways.
+func partitionedJoin(frags []Operator, q *Morsels, probe Operator, buildKey, probeKey, partitions int) *Prober {
+	return NewProber(NewSharedBuild(NewFragments(frags, q, nil), buildKey, partitions), probe, probeKey)
+}
+
+// anchor is what one pipeline shape measured at the commit before serial
+// execution became the one-fragment case of the fragment runner (8065757),
+// on newParRig(4, 3) over ordersLike placed column-major in 1024-row raw
+// blocks: simulated seconds and wall-meter joules as float64 bits, and
+// fingerprint64 of the collected result. Serial and DOP-1 forms are one
+// code path now, so comparing them with each other proves nothing; these
+// constants are the outside reference that trips if the inline path
+// drifts.
+type anchor struct{ elapsed, joules, fp uint64 }
+
+var parentAnchors = map[string]anchor{
+	"agg":       {0x3f7e2574df55c12e, 0x3fd6222f51b58da1, 0xa570c0f29984261f},
+	"joinbuild": {0x3f7460728f1c45ba, 0x3fcdc7c4eccb3691, 0x7c34e1e7d919d4e4},
+	"filter":    {0x3f6e39848ea32411, 0x3fc694c54975bfce, 0x4f1de9d21fdcc42b},
+	"probe":     {0x3f74548757b99149, 0x3fcd9e6eb22bfe58, 0xfad45a014ad326d6},
+	"sort":      {0x3f7687ee970e2d18, 0x3fd0d9440bc4cd85, 0x3db145873d436ade},
+}
+
+// fingerprint64 hashes a result row by row, column by column, with full
+// float bits.
+func fingerprint64(tab *table.Table) uint64 {
+	h := fnv.New64a()
+	for i := 0; i < tab.Rows(); i++ {
+		for c := range tab.Schema.Cols {
+			switch v := tab.Column(c); {
+			case v.I != nil:
+				fmt.Fprintf(h, "%d|", v.I[i])
+			case v.F != nil:
+				fmt.Fprintf(h, "%x|", math.Float64bits(v.F[i]))
+			default:
+				fmt.Fprintf(h, "%s|", v.S[i])
+			}
+		}
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// checkAnchor runs mk's pipeline over a fresh placement of ordersLike(rows)
+// and holds its model clock and result to the named parent anchor.
+func checkAnchor(t *testing.T, name, form string, rows int, mk func(st *StoredTable) Operator) {
+	t.Helper()
+	r := newParRig(4, 3)
+	st, err := PlaceColumnMajor(ordersLike(rows), r.vol, 1, 1024, rawCodecs(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *table.Table
+	elapsed := r.run(t, func(ctx *Ctx) {
+		if got, err = Collect(ctx, mk(st)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		return
+	}
+	joules := float64(r.meter.TotalEnergy(energy.Seconds(elapsed)))
+	want := parentAnchors[name]
+	if math.Float64bits(elapsed) != want.elapsed || math.Float64bits(joules) != want.joules {
+		t.Errorf("%s/%s: model clock %.9f s %.9f J, parent recorded %.9f s %.9f J", name, form,
+			elapsed, joules, math.Float64frombits(want.elapsed), math.Float64frombits(want.joules))
+	}
+	if fp := fingerprint64(got); fp != want.fp {
+		t.Errorf("%s/%s: result fingerprint %#x, parent recorded %#x", name, form, fp, want.fp)
+	}
+	if live := r.eng.Live(); live != 0 {
+		t.Errorf("%s/%s: %d processes still live", name, form, live)
+	}
 }
 
 // TestMorselTailDistribution pins the skew-aware sizing: full-size morsels
@@ -111,7 +194,7 @@ func TestPartitionedAggMatchesSerial(t *testing.T) {
 		}
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
-			agg := NewHashAgg(NewColumnScan(st, read, emit, newPred()), groupBy, aggSpecsExact())
+			agg := NewHashAgg(OneFragment(NewColumnScan(st, read, emit, newPred())), groupBy, aggSpecsExact())
 			got, err = Collect(ctx, agg)
 			if err != nil {
 				t.Error(err)
@@ -129,7 +212,7 @@ func TestPartitionedAggMatchesSerial(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, read, emit, newPred, dop, 2)
-			agg := NewPartitionedHashAgg(frags, q, groupBy, aggSpecsExact())
+			agg := partitionedAgg(frags, q, groupBy, aggSpecsExact())
 			got, err = Collect(ctx, agg)
 			if err != nil {
 				t.Error(err)
@@ -142,55 +225,23 @@ func TestPartitionedAggMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionedAggDOP1BitIdentical: one fragment, one partition is the
-// serial code path — even order-sensitive float sums must match bit for
-// bit, because the single worker drains morsels in exactly serial order.
-func TestPartitionedAggDOP1BitIdentical(t *testing.T) {
-	tab := ordersLike(12000)
-	read := []int{1, 3, 5} // o_custkey, o_totalprice, o_orderpriority
-	emit := []int{0, 1, 2}
+// TestOneFragmentAggMatchesParent: the aggregation over one fragment —
+// the serial scan, or a lone fragment claiming from a dispenser —
+// reproduces what the parent's serial HashAgg measured, order-sensitive
+// float sum included.
+func TestOneFragmentAggMatchesParent(t *testing.T) {
 	specs := []AggSpec{
 		{Func: Sum, Col: 1, As: "sum_price"}, // float sum: order-sensitive
 		{Func: Count, As: "n"},
 	}
-	run := func(partitioned bool) *table.Table {
-		r := newParRig(4, 3)
-		st, err := PlaceColumnMajor(tab, r.vol, 1, 1024, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		r.run(t, func(ctx *Ctx) {
-			var agg *HashAgg
-			if partitioned {
-				frags, q := colScanFrags(st, read, emit, nil, 1, 2)
-				agg = NewPartitionedHashAgg(frags, q, []int{2}, specs)
-			} else {
-				agg = NewHashAgg(NewColumnScan(st, read, emit, nil), []int{2}, specs)
-			}
-			got, err = Collect(ctx, agg)
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		return got
-	}
-	want, got := run(false), run(true)
-	if want.Rows() != got.Rows() {
-		t.Fatalf("rows: %d vs %d", want.Rows(), got.Rows())
-	}
-	for c := range want.Schema.Cols {
-		for i := 0; i < want.Rows(); i++ {
-			wv, gv := want.Column(c).Value(i), got.Column(c).Value(i)
-			if wv.Type.Physical() == table.PhysFloat {
-				if wv.F != gv.F { // bitwise, not tolerance
-					t.Fatalf("row %d col %d: %v != %v", i, c, wv.F, gv.F)
-				}
-			} else if wv.Compare(gv) != 0 {
-				t.Fatalf("row %d col %d: %v != %v", i, c, wv, gv)
-			}
-		}
-	}
+	read, emit := []int{1, 3, 5}, []int{0, 1, 2} // o_custkey, o_totalprice, o_orderpriority
+	checkAnchor(t, "agg", "serial", 12000, func(st *StoredTable) Operator {
+		return NewHashAgg(OneFragment(NewColumnScan(st, read, emit, nil)), []int{2}, specs)
+	})
+	checkAnchor(t, "agg", "dispenser", 12000, func(st *StoredTable) Operator {
+		frags, q := colScanFrags(st, read, emit, nil, 1, 2)
+		return partitionedAgg(frags, q, []int{2}, specs)
+	})
 }
 
 // TestPartitionedAggEmptyInput: a partitioned aggregation over an empty
@@ -210,7 +261,7 @@ func TestPartitionedAggEmptyInput(t *testing.T) {
 			if grouped {
 				gb = []int{0}
 			}
-			agg := NewPartitionedHashAgg(frags, q, gb, []AggSpec{{Func: Count, As: "n"}, {Func: Sum, Col: 1, As: "s"}})
+			agg := partitionedAgg(frags, q, gb, []AggSpec{{Func: Count, As: "n"}, {Func: Sum, Col: 1, As: "s"}})
 			got, err = Collect(ctx, agg)
 			if err != nil {
 				t.Error(err)
@@ -247,7 +298,7 @@ func TestPartitionedAggDeterministic(t *testing.T) {
 			frags, q := colScanFrags(st, []int{1, 2, 3}, []int{0, 1, 2}, func() Pred {
 				return &ColConst{Col: 2, Op: Gt, Val: table.FloatVal(20000)}
 			}, 4, 2)
-			agg := NewPartitionedHashAgg(frags, q, []int{1}, aggSpecsExact2())
+			agg := partitionedAgg(frags, q, []int{1}, aggSpecsExact2())
 			got, err = Collect(ctx, agg)
 			if err != nil {
 				t.Error(err)
@@ -286,7 +337,7 @@ func TestPartitionedAggEarlyCloseUnderLimit(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, 4, 2)
-		agg := NewPartitionedHashAgg(frags, q, []int{1}, []AggSpec{{Func: Count, As: "n"}})
+		agg := partitionedAgg(frags, q, []int{1}, []AggSpec{{Func: Count, As: "n"}})
 		n, err := RowCount(ctx, &Limit{In: agg, N: 3})
 		if err != nil {
 			t.Error(err)
@@ -311,7 +362,7 @@ func TestPartitionedAggChargesManyCores(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, 4, 2)
-		agg := NewPartitionedHashAgg(frags, q, []int{1}, []AggSpec{{Func: Sum, Col: 0, As: "s"}})
+		agg := partitionedAgg(frags, q, []int{1}, []AggSpec{{Func: Sum, Col: 0, As: "s"}})
 		if _, err := RowCount(ctx, agg); err != nil {
 			t.Error(err)
 		}
@@ -340,7 +391,7 @@ func TestPartitionedAggFragmentError(t *testing.T) {
 			cs.Morsels = q
 			frags = append(frags, cs)
 		}
-		agg := NewPartitionedHashAgg(frags, q, nil, []AggSpec{{Func: Count, As: "n"}})
+		agg := partitionedAgg(frags, q, nil, []AggSpec{{Func: Count, As: "n"}})
 		_, err := Run(ctx, agg)
 		if !errors.Is(err, errExploded) {
 			t.Errorf("err = %v, want fragment error", err)
@@ -401,7 +452,7 @@ func TestPartitionedJoinBuildMatchesSerial(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, read, emit, nil, dop, 2)
-			j := NewPartitionedHashJoin(frags, q, &Values{Tab: dim}, 0, 0, dop)
+			j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, dop)
 			batches, err := Run(ctx, j)
 			if err != nil {
 				t.Error(err)
@@ -416,34 +467,22 @@ func TestPartitionedJoinBuildMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionedJoinBuildDOP1BitIdentical: one build fragment, one
-// partition reproduces the serial join bit for bit, output order included.
-func TestPartitionedJoinBuildDOP1BitIdentical(t *testing.T) {
-	orders := ordersLike(8000)
+// TestOneFragmentJoinBuildMatchesParent: one build fragment, one
+// partition reproduces the parent's serial HashJoin, output order
+// included; so does the sort above one scan.
+func TestOneFragmentJoinBuildMatchesParent(t *testing.T) {
+	read, emit := []int{0, 3}, []int{0, 1}
 	dim := joinFixture(8000)
-	run := func(partitioned bool) *table.Table {
-		r := newParRig(4, 3)
-		st, err := PlaceColumnMajor(orders, r.vol, 1, 1024, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		r.run(t, func(ctx *Ctx) {
-			var j *HashJoin
-			if partitioned {
-				frags, q := colScanFrags(st, []int{0, 3}, []int{0, 1}, nil, 1, 2)
-				j = NewPartitionedHashJoin(frags, q, &Values{Tab: dim}, 0, 0, 1)
-			} else {
-				j = NewHashJoin(NewColumnScan(st, []int{0, 3}, []int{0, 1}, nil), &Values{Tab: dim}, 0, 0)
-			}
-			got, err = Collect(ctx, j)
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		return got
-	}
-	tablesEqual(t, run(false), run(true))
+	checkAnchor(t, "joinbuild", "serial", 8000, func(st *StoredTable) Operator {
+		return NewHashJoin(NewColumnScan(st, read, emit, nil), &Values{Tab: dim}, 0, 0)
+	})
+	checkAnchor(t, "joinbuild", "dispenser", 8000, func(st *StoredTable) Operator {
+		frags, q := colScanFrags(st, read, emit, nil, 1, 2)
+		return partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 1)
+	})
+	checkAnchor(t, "sort", "serial", 8000, func(st *StoredTable) Operator {
+		return &Sort{In: NewColumnScan(st, read, emit, nil), Keys: []SortKey{{Col: 1, Desc: true}}}
+	})
 }
 
 // TestPartitionedJoinEmptyBuild: an empty build side joins to nothing and
@@ -458,7 +497,7 @@ func TestPartitionedJoinEmptyBuild(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0}, []int{0}, nil, 4, 2)
-		j := NewPartitionedHashJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+		j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
 		n, err := RowCount(ctx, j)
 		if err != nil {
 			t.Error(err)
@@ -485,7 +524,7 @@ func TestPartitionedJoinEarlyCloseUnderLimit(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0, 3}, []int{0, 1}, nil, 4, 2)
-		j := NewPartitionedHashJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+		j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
 		n, err := RowCount(ctx, &Limit{In: j, N: 50})
 		if err != nil {
 			t.Error(err)
@@ -513,7 +552,7 @@ func TestPartitionedJoinDeterministic(t *testing.T) {
 		var got *table.Table
 		elapsed := r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, []int{0, 3}, []int{0, 1}, nil, 4, 2)
-			j := NewPartitionedHashJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+			j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
 			batches, err := Run(ctx, j)
 			if err != nil {
 				t.Error(err)
@@ -551,7 +590,7 @@ func TestPartitionedJoinNegativeZeroKey(t *testing.T) {
 	build.AppendRow(table.FloatVal(0), table.IntVal(1000))       // +0.0 on the build side
 	probe.AppendRow(table.FloatVal(negZero), table.IntVal(2000)) // -0.0 probes it
 
-	count := func(mk func() *HashJoin) int64 {
+	count := func(mk func() *Prober) int64 {
 		r := newParRig(4, 2)
 		var n int64
 		r.run(t, func(ctx *Ctx) {
@@ -563,16 +602,16 @@ func TestPartitionedJoinNegativeZeroKey(t *testing.T) {
 		})
 		return n
 	}
-	serial := count(func() *HashJoin {
+	serial := count(func() *Prober {
 		return NewHashJoin(&Values{Tab: build}, &Values{Tab: probe}, 0, 0)
 	})
 	// Values doesn't morsel, so fragments must cover disjoint row sets:
 	// one real fragment plus one over an empty table keeps the build rows
 	// exact while still exercising the multi-fragment, multi-partition path.
-	par := count(func() *HashJoin {
+	par := count(func() *Prober {
 		empty := table.NewTable(fs)
 		frags := []Operator{&Values{Tab: build}, &Values{Tab: empty}}
-		return NewPartitionedHashJoin(frags, nil, &Values{Tab: probe}, 0, 0, 4)
+		return partitionedJoin(frags, nil, &Values{Tab: probe}, 0, 0, 4)
 	})
 	if serial != par {
 		t.Fatalf("partitioned join found %d rows, serial %d (±0.0 keys must match)", par, serial)

@@ -418,7 +418,7 @@ func TestHashAgg(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: tab},
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}),
 			[]int{2}, // group by o_orderstatus
 			[]AggSpec{
 				{Func: Count, As: "n"},
@@ -467,7 +467,7 @@ func TestHashAggGlobalNoRows(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: empty}, nil, []AggSpec{{Func: Count, As: "n"}})
+		agg := NewHashAgg(OneFragment(&Values{Tab: empty}), nil, []AggSpec{{Func: Count, As: "n"}})
 		var err error
 		got, err = Collect(ctx, agg)
 		if err != nil {

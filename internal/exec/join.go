@@ -26,90 +26,19 @@ func joinSchema(name string, l, r *table.Schema) *table.Schema {
 	return table.NewSchema(name, cols...)
 }
 
-// HashJoin is an equi-join that materialises the build side into in-memory
-// hash tables and streams the probe side. It is fast but holds the whole
-// build relation in memory — the power-hungry choice §4.1 calls out: hash
-// join "relies on using a large chunk of memory ... From a power
-// perspective, these are expensive operations and may tip the balance in
-// favor of nested-loop join".
-//
-// The serial plan is the one-fragment, one-partition special case of the
-// partitioned parallel build: with Build set (BuildFrags nil) the build
-// side drains inline into a single partition; with BuildFrags set, each
-// fragment pipeline runs in its own simulated process under the
-// RunFragments barrier exchange, hash-partitioning its rows by key into
-// per-worker per-partition row stores, and the per-partition typed hash
-// tables are then built concurrently (one process per partition). The
-// probe side routes through the same partitioning: each probe key hashes
-// to the partition whose table can hold it.
-//
-// Hash tables are typed on the key column's physical class (raw int64,
-// float64 or string keys — int-class types share the int64 table, which
-// is what normalises Int64/Date/Decimal keys across relations), and the
-// probe inner loop only accumulates (buildRow, probeRow) index pairs;
-// output rows are materialised with one batch-level gather per side.
-type HashJoin struct {
-	Build      Operator   // serial build input; ignored when BuildFrags is set
-	BuildFrags []Operator // parallel build fragment pipelines sharing BuildQueue
-	BuildQueue *Morsels   // shared dispenser behind BuildFrags; reset on Open
-	Probe      Operator
-	BuildKey   int // column index in the build schema
-	ProbeKey   int // column index in Probe's schema
-	Partitions int // build hash partitions, rounded up to a power of two; <= 1 builds one table
-
-	schema *table.Schema
-	bs     *buildState // immutable build result (see probe.go)
-	pc     probeCursor // streaming probe state shared with Prober
-}
-
-// NewHashJoin builds a serial hash join of two operators on single key
-// columns.
-func NewHashJoin(build, probe Operator, buildKey, probeKey int) *HashJoin {
-	return &HashJoin{
-		Build: build, Probe: probe, BuildKey: buildKey, ProbeKey: probeKey,
-		schema: joinSchema("hashjoin", build.Schema(), probe.Schema()),
-	}
-}
-
-// NewPartitionedHashJoin builds a hash join whose build side runs as
-// len(frags) parallel fragment pipelines sharing the queue dispenser,
-// partitioned partitions-ways. The fragments must produce identical
-// schemas and be exclusively owned.
-func NewPartitionedHashJoin(frags []Operator, queue *Morsels, probe Operator, buildKey, probeKey, partitions int) *HashJoin {
-	if len(frags) == 0 {
-		panic("exec: partitioned HashJoin needs at least one build fragment")
-	}
-	return &HashJoin{
-		BuildFrags: frags, BuildQueue: queue, Probe: probe,
-		BuildKey: buildKey, ProbeKey: probeKey, Partitions: partitions,
-		schema: joinSchema("hashjoin", frags[0].Schema(), probe.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *table.Schema { return j.schema }
-
-// MemBytes reports the hash-table working set after Open; the optimizer's
-// energy model charges DRAM power for it.
-func (j *HashJoin) MemBytes() int64 {
-	if j.bs == nil {
-		return 0
-	}
-	return j.bs.bytes
-}
-
-// buildSchema is the build side's input schema.
-func (j *HashJoin) buildSchema() *table.Schema {
-	if j.BuildFrags != nil {
-		return j.BuildFrags[0].Schema()
-	}
-	return j.Build.Schema()
+// NewHashJoin is the hash equi-join of two operators on single key
+// columns: a Prober streaming probe against the SharedBuild of build (see
+// probe.go). It is fast but holds the whole build relation in memory — the
+// power-hungry choice §4.1 calls out: hash join "relies on using a large
+// chunk of memory ... From a power perspective, these are expensive
+// operations and may tip the balance in favor of nested-loop join".
+func NewHashJoin(build, probe Operator, buildKey, probeKey int) *Prober {
+	return NewProber(NewSharedBuild(OneFragment(build), buildKey, 1), probe, probeKey)
 }
 
 // buildPartitioner routes build-side rows into per-partition materialised
 // row stores by the hash of their key — the same hash the probe side uses
-// to route lookups. One partition appends whole batches (the serial path's
-// behaviour, bit for bit).
+// to route lookups. One partition appends whole batches.
 type buildPartitioner struct {
 	key    int
 	nparts uint32
@@ -173,23 +102,6 @@ func (bp *buildPartitioner) absorb(ctx *Ctx, b *table.Batch) {
 	}
 }
 
-// Open implements Operator: it runs the build — inline for the serial
-// path, under the barrier exchange for the fragmented one (see
-// runJoinBuild in probe.go) — then opens the probe. A failed build frees
-// its partial state before surfacing, so an aborted query does not pin
-// the materialised build side for the Rows' lifetime.
-func (j *HashJoin) Open(ctx *Ctx) error {
-	bs, err := runJoinBuild(ctx, j.buildSchema(), j.Build, j.BuildFrags, j.BuildQueue, j.BuildKey, j.Partitions)
-	if err != nil {
-		j.bs = nil
-		return err
-	}
-	j.bs = bs
-	j.pc = probeCursor{in: j.Probe, key: j.ProbeKey, schema: j.schema,
-		bsel: j.pc.bsel, psel: j.pc.psel, out: j.pc.out}
-	return j.Probe.Open(ctx)
-}
-
 // probeHT probes one typed hash table with the probe batch's key column,
 // honouring a selection vector when one rides on the batch (sel == nil
 // probes every physical row). Matching (build, probe) physical index
@@ -233,18 +145,6 @@ func probePartHT[T comparable](hts []map[T][]int32, hash func(T) uint32, mask ui
 		}
 	}
 	return bsel, psel
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Ctx) (*table.Batch, error) {
-	return j.pc.next(ctx, j.bs)
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close(ctx *Ctx) error {
-	j.bs = nil
-	j.pc.out = nil
-	return j.Probe.Close(ctx)
 }
 
 // NestedLoopJoin is the block nested-loop equi-join: for every outer

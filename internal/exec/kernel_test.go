@@ -25,7 +25,7 @@ func TestHashAggNulByteGroupsDistinct(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: tab}, []int{0, 1},
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}), []int{0, 1},
 			[]AggSpec{{Func: Count, As: "n"}, {Func: Sum, Col: 2, As: "s"}})
 		var err error
 		got, err = Collect(ctx, agg)
@@ -62,7 +62,7 @@ func TestHashAggIntFloatKeysDistinct(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: tab}, []int{0, 1}, []AggSpec{{Func: Count, As: "n"}})
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}), []int{0, 1}, []AggSpec{{Func: Count, As: "n"}})
 		var err error
 		got, err = Collect(ctx, agg)
 		if err != nil {
@@ -81,7 +81,7 @@ func TestHashAggOutputSortedByKey(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: tab}, []int{1}, []AggSpec{{Func: Count, As: "n"}})
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}), []int{1}, []AggSpec{{Func: Count, As: "n"}})
 		var err error
 		got, err = Collect(ctx, agg)
 		if err != nil {
@@ -108,7 +108,7 @@ func TestHashAggSumAvgOverStringYieldsZero(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: tab}, []int{0},
+		agg := NewHashAgg(OneFragment(&Values{Tab: tab}), []int{0},
 			[]AggSpec{{Func: Sum, Col: 1, As: "s"}, {Func: Avg, Col: 1, As: "a"}})
 		var err error
 		got, err = Collect(ctx, agg)
@@ -241,7 +241,7 @@ func TestHashAggReadsThroughSelection(t *testing.T) {
 	r := newRig(1)
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Filter{In: &Values{Tab: tab}, Pred: pred}, []int{0}, specs)
+		agg := NewHashAgg(OneFragment(&Filter{In: &Values{Tab: tab}, Pred: pred}), []int{0}, specs)
 		var err error
 		got, err = Collect(ctx, agg)
 		if err != nil {
@@ -257,7 +257,7 @@ func TestHashAggReadsThroughSelection(t *testing.T) {
 	r2 := newRig(1)
 	var want *table.Table
 	r2.run(t, func(ctx *Ctx) {
-		agg := NewHashAgg(&Values{Tab: compact}, []int{0}, specs)
+		agg := NewHashAgg(OneFragment(&Values{Tab: compact}), []int{0}, specs)
 		var err error
 		want, err = Collect(ctx, agg)
 		if err != nil {

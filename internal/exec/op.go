@@ -18,7 +18,7 @@ import (
 // Cardinality is explicit: Batch.Rows() is authoritative even for
 // zero-column batches (count-only plans produce them). A batch may carry
 // a deferred selection (Batch.Sel) instead of being compacted by the
-// producer; consumers either compose it (Filter, Project, HashJoin's
+// producer; consumers either compose it (Filter, Project, the hash join's
 // probe) or resolve it once at their materialisation boundary (join
 // build, aggregation, sort, output) via the selection-aware Batch
 // mutators.

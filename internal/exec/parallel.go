@@ -78,22 +78,12 @@ func (m *Morsels) Remaining() int {
 	return 0
 }
 
-// parItem is one message from a scan fragment to the merge point.
-type parItem struct {
-	batch *table.Batch // nil on done/error items
-	w     int          // producing worker index
-	err   error
-	done  bool // worker exited (err, if any, rides along)
-}
-
-// Parallel is the streaming flavour of the exchange layer (see
-// exchange.go): it runs DOP fragment operators, each in its own simulated
-// process, and merges their batches into one stream in completion order.
-// Pipelines that accumulate rather than stream (partitioned aggregation,
-// join builds) use the RunFragments barrier exchange instead.
+// Parallel is the streaming sink of the exchange layer (see exchange.go):
+// the fragment runner's workers hand their batches to one consumer, which
+// merges them into a single stream in completion order.
 //
-// Contract. Every fragment is a scan over the same stored table whose
-// Morsels field points at one shared dispenser, so together the fragments
+// Contract. Every fragment is a pipeline over the same stored table whose
+// scan points at the set's shared dispenser, so together the fragments
 // cover each block exactly once; which fragment produces which block is
 // decided dynamically but deterministically (the engine interleaves
 // processes in a fixed order). Each fragment charges CPU work through its
@@ -110,132 +100,41 @@ type parItem struct {
 // order — exactly the guarantee scans already give (blocks complete in
 // I/O order), so every downstream operator works unchanged.
 type Parallel struct {
-	Frags []Operator // fragments sharing one Morsels dispenser
-	Queue *Morsels   // the shared dispenser; reset on Open
-
-	// Spawn, when set, constructs one more fragment over Queue, letting a
-	// mid-pipeline re-grant widen the running merge (see Ctx.Widen): the
-	// new fragment claims morsels from the same live dispenser, so the
-	// result is unchanged — only more cores race through the remainder.
-	Spawn func() (Operator, error)
-
-	schema     *table.Schema
-	out        *sim.Mailbox[parItem]
-	acks       []*sim.Mailbox[bool] // per worker: true = consumed, false = cancel
-	live       int                  // workers not yet exited
-	last       int                  // worker owed an ack at the next Next, or -1
-	started    bool
-	failed     error
-	registered bool // holding the Ctx.Widen slot
+	frags   Fragments
+	run     fragRunner
+	acks    []*sim.Mailbox[bool] // per worker: true = consumed, false = cancel
+	last    int                  // worker owed an ack at the next Next, or -1
+	started bool
 }
 
-// NewParallel builds the merge over fragments that share queue. The
-// fragments must produce identical schemas; each must be exclusively owned
-// (fragments run concurrently and may not share mutable state such as
-// predicate scratch).
-func NewParallel(frags []Operator, queue *Morsels) *Parallel {
-	if len(frags) == 0 {
-		panic("exec: Parallel needs at least one fragment")
-	}
-	return &Parallel{Frags: frags, Queue: queue, schema: frags[0].Schema()}
-}
+// NewParallel builds the merge over a fragment set.
+func NewParallel(frags Fragments) *Parallel { return &Parallel{frags: frags} }
 
 // Schema implements Operator.
-func (s *Parallel) Schema() *table.Schema { return s.schema }
+func (s *Parallel) Schema() *table.Schema { return s.frags.Schema() }
 
 // Open implements Operator. Workers start lazily on first Next so that an
 // Open/Close pair without iteration (and re-opens by nested-loop joins)
 // spawns no processes.
 func (s *Parallel) Open(ctx *Ctx) error {
-	if s.Queue != nil {
-		s.Queue.Reset()
+	if s.frags.Queue != nil {
+		s.frags.Queue.Reset()
 	}
 	s.started = false
-	s.live = 0
 	s.last = -1
-	s.failed = nil
 	return nil
 }
 
-func (s *Parallel) start(ctx *Ctx) {
-	s.started = true
-	eng := ctx.P.Engine()
-	s.out = sim.NewMailbox[parItem](eng, "parallel:out")
-	s.acks = s.acks[:0]
-	s.live = 0
-	for _, frag := range s.Frags {
-		s.startWorker(ctx, eng, frag)
-	}
-	if s.Spawn != nil && ctx.Widen != nil {
-		owner := ctx.P.Owner()
-		s.registered = ctx.Widen.Register(func(extra int) int {
-			return s.widen(ctx, eng, owner, extra)
-		})
-	}
+// AddWorker implements Sink: worker w gets its acknowledgement channel.
+func (s *Parallel) AddWorker(w int) {
+	s.acks = append(s.acks, sim.NewMailbox[bool](s.run.ctx.P.Engine(), fmt.Sprintf("parallel:ack%d", w)))
 }
 
-// startWorker spawns the next fragment worker (index len(s.acks)).
-func (s *Parallel) startWorker(ctx *Ctx, eng *sim.Engine, frag Operator) *sim.Proc {
-	i := len(s.acks)
-	s.acks = append(s.acks, sim.NewMailbox[bool](eng, fmt.Sprintf("parallel:ack%d", i)))
-	s.live++
-	return eng.Go(fmt.Sprintf("parallel:w%d", i), func(wp *sim.Proc) {
-		// Each worker executes its fragment against a private context
-		// whose process is the worker itself: CPU charges land on a
-		// core of the shared CPU concurrently with the other workers.
-		// (The worker inherits the consumer's attribution owner at
-		// spawn — sim.Engine.Go — so the whole tree charges one
-		// account.)
-		wctx := *ctx
-		wctx.P = wp
-		err := frag.Open(&wctx)
-		if err == nil {
-			for {
-				var b *table.Batch
-				b, err = frag.Next(&wctx)
-				if err != nil || b == nil {
-					break
-				}
-				if b.Rows() == 0 {
-					continue
-				}
-				s.out.Put(parItem{batch: b, w: i})
-				if !s.acks[i].Get(wp) {
-					break // consumer closed early
-				}
-			}
-			if cerr := frag.Close(&wctx); err == nil {
-				err = cerr
-			}
-		}
-		s.out.Put(parItem{w: i, err: err, done: true})
-	})
-}
-
-// widen is the re-grant hook: it absorbs up to extra freed cores by
-// spawning additional fragments against the live morsel dispenser. It
-// runs from scheduler event context (not a query process), so the new
-// workers take their attribution owner from the consumer, captured at
-// registration. Offers are declined once the merge is failing, finished,
-// or the dispenser is nearly drained — late extra workers would only pay
-// startup cost to find no morsels left.
-func (s *Parallel) widen(ctx *Ctx, eng *sim.Engine, owner any, extra int) int {
-	accepted := 0
-	for accepted < extra {
-		if !s.started || s.failed != nil || s.live == 0 || s.Queue == nil || s.Queue.Remaining() == 0 {
-			break
-		}
-		frag, err := s.Spawn()
-		if err != nil || frag == nil {
-			break
-		}
-		// Keep Frags in sync so a later re-open keeps the wider shape.
-		s.Frags = append(s.Frags, frag)
-		p := s.startWorker(ctx, eng, frag)
-		p.SetOwner(owner)
-		accepted++
-	}
-	return accepted
+// Absorb implements Sink: hand the batch to the consumer and park until it
+// is acknowledged; a false acknowledgement means the consumer closed.
+func (s *Parallel) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
+	s.run.out.Put(fragMsg{batch: b, w: w})
+	return s.acks[w].Get(wctx.P)
 }
 
 // Next implements Operator. It releases the previously returned batch back
@@ -245,48 +144,41 @@ func (s *Parallel) widen(ctx *Ctx, eng *sim.Engine, owner any, extra int) int {
 // rest of the table first.
 func (s *Parallel) Next(ctx *Ctx) (*table.Batch, error) {
 	if !s.started {
-		s.start(ctx)
+		s.started = true
+		s.acks = s.acks[:0]
+		s.run.start(ctx, "parallel", s.frags, s)
 	}
 	if s.last >= 0 {
 		s.acks[s.last].Put(true)
 		s.last = -1
 	}
-	for s.live > 0 {
-		it := s.out.Get(ctx.P)
-		if it.done {
-			s.live--
-			if it.err != nil && s.failed == nil {
-				s.failed = it.err
-			}
-			if s.failed != nil {
-				s.cancelWorkers(ctx)
-				return nil, s.failed
-			}
-			continue
+	for s.run.live > 0 {
+		m := s.run.recv(ctx.P)
+		if !m.done {
+			s.last = m.w
+			return m.batch, nil
 		}
-		s.last = it.w
-		return it.batch, nil
+		if s.run.failed != nil {
+			s.cancelWorkers(ctx)
+			break
+		}
 	}
-	return nil, s.failed
+	return nil, s.run.failed
 }
 
 // cancelWorkers tells every outstanding worker to stop and drains them to
-// exit, leaving no process blocked in the engine.
+// exit, leaving no process blocked in the engine. Cancellation travels on
+// the acknowledgements alone: a worker the consumer has already released
+// still runs to its next hand-off before it sees the refusal.
 func (s *Parallel) cancelWorkers(ctx *Ctx) {
 	if s.last >= 0 {
 		s.acks[s.last].Put(false)
 		s.last = -1
 	}
-	for s.live > 0 {
-		it := s.out.Get(ctx.P)
-		if it.done {
-			s.live--
-			if it.err != nil && s.failed == nil {
-				s.failed = it.err
-			}
-			continue
+	for s.run.live > 0 {
+		if m := s.run.recv(ctx.P); !m.done {
+			s.acks[m.w].Put(false)
 		}
-		s.acks[it.w].Put(false)
 	}
 }
 
@@ -294,14 +186,11 @@ func (s *Parallel) cancelWorkers(ctx *Ctx) {
 // them, so an early close (LIMIT, error upstream) leaves no process
 // blocked in the engine.
 func (s *Parallel) Close(ctx *Ctx) error {
-	if s.registered {
-		ctx.Widen.Deregister()
-		s.registered = false
-	}
 	if !s.started {
 		return nil
 	}
+	s.run.release()
 	s.cancelWorkers(ctx)
 	s.started = false
-	return s.failed
+	return s.run.failed
 }

@@ -54,7 +54,7 @@ func parallelColScan(st *StoredTable, readCols, emit []int, newPred func() Pred,
 		cs.Morsels = q
 		frags[i] = cs
 	}
-	return NewParallel(frags, q)
+	return NewParallel(NewFragments(frags, q, nil))
 }
 
 // sortByCol orders batches' rows by an int64 column for order-insensitive
@@ -288,7 +288,7 @@ func TestParallelRowScanMatchesSerial(t *testing.T) {
 			rs.Morsels = q
 			frags[i] = rs
 		}
-		return NewParallel(frags, q)
+		return NewParallel(NewFragments(frags, q, nil))
 	})
 	tablesEqual(t, serial, par)
 }
@@ -384,7 +384,7 @@ func TestParallelFragmentErrorFailsFast(t *testing.T) {
 			cs.Morsels = q
 			frags = append(frags, cs)
 		}
-		_, err := Run(ctx, NewParallel(frags, q))
+		_, err := Run(ctx, NewParallel(NewFragments(frags, q, nil)))
 		if !errors.Is(err, errExploded) {
 			t.Errorf("err = %v, want fragment error", err)
 		}

@@ -26,13 +26,12 @@ func filterFrags(st *StoredTable, readCols, emit []int, newPred func() Pred, dop
 	return frags, q
 }
 
-// TestParallelFilterDOP1BitIdentical: one filter fragment under the
-// Parallel merge is the serial pipeline in different clothes — even an
-// order-sensitive float sum above it must match bit for bit.
-func TestParallelFilterDOP1BitIdentical(t *testing.T) {
-	tab := ordersLike(12000)
-	read := []int{1, 3} // o_custkey, o_totalprice
-	emit := []int{0, 1}
+// TestOneFragmentFilterMatchesParent: one filter fragment — the serial
+// pipeline, or the same fragment in a worker under the Parallel merge —
+// feeds the aggregation above it exactly what the parent's serial pipeline
+// did, order-sensitive float sum included.
+func TestOneFragmentFilterMatchesParent(t *testing.T) {
+	read, emit := []int{1, 3}, []int{0, 1} // o_custkey, o_totalprice
 	newPred := func() Pred {
 		return &ColConst{Col: 1, Op: Lt, Val: table.FloatVal(70000)}
 	}
@@ -40,44 +39,14 @@ func TestParallelFilterDOP1BitIdentical(t *testing.T) {
 		{Func: Sum, Col: 1, As: "sum_price"}, // float sum: order-sensitive
 		{Func: Count, As: "n"},
 	}
-	run := func(fragmented bool) *table.Table {
-		r := newParRig(4, 3)
-		st, err := PlaceColumnMajor(tab, r.vol, 1, 1024, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		r.run(t, func(ctx *Ctx) {
-			var in Operator
-			if fragmented {
-				frags, q := filterFrags(st, read, emit, newPred, 1, 2)
-				in = NewParallel(frags, q)
-			} else {
-				in = &Filter{In: NewColumnScan(st, read, emit, nil), Pred: newPred()}
-			}
-			got, err = Collect(ctx, NewHashAgg(in, []int{0}, specs))
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		return got
-	}
-	want, got := run(false), run(true)
-	if want.Rows() != got.Rows() {
-		t.Fatalf("rows: %d vs %d", want.Rows(), got.Rows())
-	}
-	for c := range want.Schema.Cols {
-		for i := 0; i < want.Rows(); i++ {
-			wv, gv := want.Column(c).Value(i), got.Column(c).Value(i)
-			if wv.Type.Physical() == table.PhysFloat {
-				if wv.F != gv.F { // bitwise, not tolerance
-					t.Fatalf("row %d col %d: %v != %v", i, c, wv.F, gv.F)
-				}
-			} else if wv.Compare(gv) != 0 {
-				t.Fatalf("row %d col %d: %v != %v", i, c, wv, gv)
-			}
-		}
-	}
+	checkAnchor(t, "filter", "serial", 12000, func(st *StoredTable) Operator {
+		in := &Filter{In: NewColumnScan(st, read, emit, nil), Pred: newPred()}
+		return NewHashAgg(OneFragment(in), []int{0}, specs)
+	})
+	checkAnchor(t, "filter", "merge", 12000, func(st *StoredTable) Operator {
+		frags, q := filterFrags(st, read, emit, newPred, 1, 2)
+		return NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), []int{0}, specs)
+	})
 }
 
 // TestParallelFilterMatchesSerialAnyDOP: fragmented filter pipelines at
@@ -101,7 +70,7 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			f := &Filter{In: NewColumnScan(st, read, emit, nil), Pred: newPred()}
-			got, err = Collect(ctx, NewHashAgg(f, groupBy, aggSpecsExact()))
+			got, err = Collect(ctx, NewHashAgg(OneFragment(f), groupBy, aggSpecsExact()))
 			if err != nil {
 				t.Error(err)
 			}
@@ -118,7 +87,7 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := filterFrags(st, read, emit, newPred, dop, 2)
-			got, err = Collect(ctx, NewHashAgg(NewParallel(frags, q), groupBy, aggSpecsExact()))
+			got, err = Collect(ctx, NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), groupBy, aggSpecsExact()))
 			if err != nil {
 				t.Error(err)
 			}
@@ -135,41 +104,26 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 // PJoin.BuildFragments produces.
 func proberFrags(st *StoredTable, dim *table.Table, readCols, emit []int, probeKey, dop, morselBlocks int) ([]Operator, *Morsels) {
 	frags, q := colScanFrags(st, readCols, emit, nil, dop, morselBlocks)
-	sb := NewSharedBuild(&Values{Tab: dim}, nil, nil, 0, 1)
+	sb := NewSharedBuild(OneFragment(&Values{Tab: dim}), 0, 1)
 	for i := range frags {
 		frags[i] = NewProber(sb, frags[i], probeKey)
 	}
 	return frags, q
 }
 
-// TestParallelProbeDOP1BitIdentical: one Prober under the Parallel merge
-// reproduces the serial HashJoin bit for bit, output order included.
-func TestParallelProbeDOP1BitIdentical(t *testing.T) {
-	orders := ordersLike(8000)
+// TestOneFragmentProbeMatchesParent: one Prober — NewHashJoin's, or one
+// in a worker under the Parallel merge — reproduces the parent's serial
+// HashJoin, output order included.
+func TestOneFragmentProbeMatchesParent(t *testing.T) {
+	read, emit := []int{0, 3}, []int{0, 1}
 	dim := joinFixture(8000)
-	run := func(fragmented bool) *table.Table {
-		r := newParRig(4, 3)
-		st, err := PlaceColumnMajor(orders, r.vol, 1, 1024, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		r.run(t, func(ctx *Ctx) {
-			var j Operator
-			if fragmented {
-				frags, q := proberFrags(st, dim, []int{0, 3}, []int{0, 1}, 0, 1, 2)
-				j = NewParallel(frags, q)
-			} else {
-				j = NewHashJoin(&Values{Tab: dim}, NewColumnScan(st, []int{0, 3}, []int{0, 1}, nil), 0, 0)
-			}
-			got, err = Collect(ctx, j)
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		return got
-	}
-	tablesEqual(t, run(false), run(true))
+	checkAnchor(t, "probe", "serial", 8000, func(st *StoredTable) Operator {
+		return NewHashJoin(&Values{Tab: dim}, NewColumnScan(st, read, emit, nil), 0, 0)
+	})
+	checkAnchor(t, "probe", "merge", 8000, func(st *StoredTable) Operator {
+		frags, q := proberFrags(st, dim, read, emit, 0, 1, 2)
+		return NewParallel(NewFragments(frags, q, nil))
+	})
 }
 
 // TestParallelProbeMatchesSerialAnyDOP: DOP probers over one shared
@@ -209,7 +163,7 @@ func TestParallelProbeMatchesSerialAnyDOP(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := proberFrags(st, dim, read, emit, 0, dop, 2)
-			par := NewParallel(frags, q)
+			par := NewParallel(NewFragments(frags, q, nil))
 			batches, err := Run(ctx, par)
 			if err != nil {
 				t.Error(err)
@@ -237,7 +191,7 @@ func TestParallelProbeChargesManyCores(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := proberFrags(st, dim, []int{0, 3}, []int{0, 1}, 0, 4, 2)
-		if _, err := RowCount(ctx, NewParallel(frags, q)); err != nil {
+		if _, err := RowCount(ctx, NewParallel(NewFragments(frags, q, nil))); err != nil {
 			t.Error(err)
 		}
 	})
@@ -259,7 +213,7 @@ func TestParallelProbeEarlyCloseUnderLimit(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := proberFrags(st, dim, []int{0, 3}, []int{0, 1}, 0, 4, 2)
-		n, err := RowCount(ctx, &Limit{In: NewParallel(frags, q), N: 25})
+		n, err := RowCount(ctx, &Limit{In: NewParallel(NewFragments(frags, q, nil)), N: 25})
 		if err != nil {
 			t.Error(err)
 		}
@@ -285,7 +239,7 @@ func TestParallelProbeFragmentError(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		q := NewMorsels(st.NumBlocks(), 2)
-		sb := NewSharedBuild(&Values{Tab: dim}, nil, nil, 0, 1)
+		sb := NewSharedBuild(OneFragment(&Values{Tab: dim}), 0, 1)
 		bad := &errAfterOne{sch: table.NewSchema("orders", orders.Schema.Cols[0])}
 		frags := []Operator{NewProber(sb, bad, 0)}
 		for i := 0; i < 3; i++ {
@@ -293,7 +247,7 @@ func TestParallelProbeFragmentError(t *testing.T) {
 			cs.Morsels = q
 			frags = append(frags, NewProber(sb, cs, 0))
 		}
-		_, err := Run(ctx, NewParallel(frags, q))
+		_, err := Run(ctx, NewParallel(NewFragments(frags, q, nil)))
 		if !errors.Is(err, errExploded) {
 			t.Errorf("err = %v, want fragment error", err)
 		}
@@ -322,12 +276,11 @@ func TestParallelWidenMidStream(t *testing.T) {
 		accepted := 0
 		r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, read, emit, nil, 2, 2)
-			par := NewParallel(frags, q)
-			par.Spawn = func() (Operator, error) {
+			par := NewParallel(NewFragments(frags, q, func() (Operator, error) {
 				cs := NewColumnScan(st, read, emit, nil)
 				cs.Morsels = q
 				return cs, nil
-			}
+			}))
 			if err := par.Open(ctx); err != nil {
 				t.Error(err)
 				return
@@ -402,12 +355,11 @@ func TestPartitionedAggWidensMidRun(t *testing.T) {
 		elapsed := r.run(t, func(ctx *Ctx) {
 			widen = ctx.Widen
 			frags, q := colScanFrags(st, read, emit, nil, 2, 2)
-			agg := NewPartitionedHashAgg(frags, q, groupBy, specs)
-			agg.Spawn = func() (Operator, error) {
+			agg := NewHashAgg(NewFragments(frags, q, func() (Operator, error) {
 				cs := NewColumnScan(st, read, emit, nil)
 				cs.Morsels = q
 				return cs, nil
-			}
+			}), groupBy, specs)
 			got, err = Collect(ctx, agg)
 			if err != nil {
 				t.Error(err)

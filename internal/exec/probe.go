@@ -8,11 +8,10 @@ import (
 	"energydb/internal/table"
 )
 
-// This file is the probe side of parallel hash joins. The build phase
-// produces an immutable buildState; any number of probe pipelines — the
-// serial HashJoin, or DOP Prober fragments sharing a morsel dispenser —
-// stream against it concurrently. SharedBuild is the run-once latch that
-// lets the fragments share one build.
+// This file is the hash join: a SharedBuild materialises the build side
+// once into an immutable buildState, and any number of Probers — one for a
+// serial plan, DOP of them sharing a morsel dispenser for a fragmented
+// probe — stream against it concurrently.
 
 // buildState is the materialised, immutable result of a hash-join build:
 // the concatenated build-side batch plus the per-partition typed hash
@@ -27,66 +26,53 @@ type buildState struct {
 	bytes  int64
 }
 
-// runJoinBuild drains the build side — inline on the caller's process for
-// the serial path (frags nil), under the barrier exchange for the
-// fragmented one — then builds the per-partition typed hash tables
-// (concurrently when the build was fragmented).
-func runJoinBuild(ctx *Ctx, bschema *table.Schema, build Operator, frags []Operator, queue *Morsels, buildKey, partitions int) (*buildState, error) {
-	nparts := 1
-	if partitions > 1 {
-		nparts = ceilPow2(partitions)
+// AddWorker implements Sink: build worker w hash-partitions its rows by
+// key into row stores of its own.
+func (sb *SharedBuild) AddWorker(w int) {
+	sb.locals = append(sb.locals, newBuildPartitioner(sb.Build.Schema(), sb.Key, sb.nparts()))
+}
+
+// Absorb implements Sink.
+func (sb *SharedBuild) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
+	sb.locals[w].absorb(wctx, b)
+	return true
+}
+
+// nparts is the number of hash partitions, a power of two.
+func (sb *SharedBuild) nparts() uint32 {
+	if sb.Partitions > 1 {
+		return uint32(ceilPow2(sb.Partitions))
 	}
+	return 1
+}
+
+// runJoinBuild drains the build fragments under the barrier exchange into
+// per-worker partitioned row stores, then builds the per-partition typed
+// hash tables, one process per partition.
+func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
+	nparts := int(sb.nparts())
 	bs := &buildState{nparts: uint32(nparts)}
 
 	// Phase 1: drain build pipelines into per-worker partitioned row stores.
-	var locals []*buildPartitioner
-	if frags == nil {
-		bp := newBuildPartitioner(bschema, buildKey, bs.nparts)
-		if err := build.Open(ctx); err != nil {
-			return nil, err
-		}
-		for {
-			b, err := build.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			bp.absorb(ctx, b)
-		}
-		if err := build.Close(ctx); err != nil {
-			return nil, err
-		}
-		locals = []*buildPartitioner{bp}
-	} else {
-		if queue != nil {
-			queue.Reset()
-		}
-		locals = make([]*buildPartitioner, len(frags))
-		for i := range locals {
-			locals[i] = newBuildPartitioner(bschema, buildKey, bs.nparts)
-		}
-		if err := RunFragments(ctx, "hashjoin:build", frags, func(w int, wctx *Ctx, b *table.Batch) error {
-			locals[w].absorb(wctx, b)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	sb.locals = sb.local0[:0]
+	defer func() { sb.locals, sb.local0[0] = nil, nil }()
+	if err := RunFragments(ctx, "hashjoin:build", sb.Build, sb); err != nil {
+		return nil, err
 	}
+	locals := sb.locals
 
 	// Phase 2: concatenate the workers' shares of each partition (worker
 	// order within a partition, partitions in order) into one build batch,
-	// recording every partition's global row span. The serial path (one
-	// worker, one partition) adopts the materialised rows as-is — absorb
-	// already copied them once.
+	// recording every partition's global row span. One worker with one
+	// partition adopts the materialised rows as-is — absorb already copied
+	// them once.
 	spans := make([][2]int, nparts)
 	if len(locals) == 1 && nparts == 1 {
 		bs.buildB = locals[0].parts[0]
 		locals[0].parts[0] = nil
 		spans[0] = [2]int{0, bs.buildB.Rows()}
 	} else {
-		bs.buildB = table.NewBatch(bschema, 0)
+		bs.buildB = table.NewBatch(sb.Build.Schema(), 0)
 		for p := 0; p < nparts; p++ {
 			lo := bs.buildB.Rows()
 			for _, l := range locals {
@@ -104,11 +90,11 @@ func runJoinBuild(ctx *Ctx, bschema *table.Schema, build Operator, frags []Opera
 			bs.bytes, ctx.MemBudgetBytes, fault.ErrMemBudget)
 	}
 
-	// Phase 3: build each partition's typed hash table over its row span —
-	// one process per partition when the build was fragmented, inline for
-	// the serial plan. Values are global buildB row indexes, so the probe
-	// and output paths are partition-agnostic.
-	kv := bs.buildB.Vecs[buildKey]
+	// Phase 3: build each partition's typed hash table over its row span,
+	// one process per partition (a single partition builds inline). Values
+	// are global buildB row indexes, so the probe and output paths are
+	// partition-agnostic.
+	kv := bs.buildB.Vecs[sb.Key]
 	phys := kv.Type.Physical()
 	switch phys {
 	case table.PhysInt:
@@ -118,7 +104,7 @@ func runJoinBuild(ctx *Ctx, bschema *table.Schema, build Operator, frags []Opera
 	default:
 		bs.htS = make([]map[string][]int32, nparts)
 	}
-	buildPart := func(p int) {
+	err := ParDo(ctx, "hashjoin:tables", nparts, func(p int, _ *Ctx) error {
 		lo, hi := spans[p][0], spans[p][1]
 		switch phys {
 		case table.PhysInt:
@@ -140,18 +126,10 @@ func runJoinBuild(ctx *Ctx, bschema *table.Schema, build Operator, frags []Opera
 			}
 			bs.htS[p] = ht
 		}
-	}
-	if frags != nil && nparts > 1 {
-		if err := ParDo(ctx, "hashjoin:tables", nparts, func(p int, wctx *Ctx) error {
-			buildPart(p)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		for p := 0; p < nparts; p++ {
-			buildPart(p)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return bs, nil
 }
@@ -181,99 +159,42 @@ func (bs *buildState) probeInto(pb *table.Batch, probeKey int, bsel, psel []int3
 	}
 }
 
-// probeCursor is the streaming probe state shared by the serial HashJoin
-// and the parallel Prober: a probe input, reusable match scratch and a
-// reusable output batch.
-type probeCursor struct {
-	in         Operator
-	key        int
-	schema     *table.Schema
-	bsel, psel []int32
-	out        *table.Batch
-}
-
-// next pulls probe batches until one matches (or EOF), materialising the
-// matched pairs with one batch-level gather per side. The returned batch
-// is valid until the following next call, per the operator contract.
-func (pc *probeCursor) next(ctx *Ctx, bs *buildState) (*table.Batch, error) {
-	for {
-		pb, err := pc.in.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if pb == nil {
-			return nil, nil
-		}
-		ctx.ChargeRows(pb.Rows(), ctx.Costs.HashProbeCyclesPerRow)
-		bsel, psel := bs.probeInto(pb, pc.key, pc.bsel[:0], pc.psel[:0])
-		pc.bsel, pc.psel = bsel, psel
-		if len(psel) == 0 {
-			continue
-		}
-		ctx.ChargeRows(len(psel), ctx.Costs.JoinOutputCyclesPerRow)
-		if pc.out == nil {
-			pc.out = table.NewBatch(pc.schema, len(psel))
-		}
-		pc.out.Reset()
-		nb := len(bs.buildB.Vecs)
-		for c, v := range bs.buildB.Vecs {
-			pc.out.Vecs[c].AppendGather(v, bsel)
-		}
-		for c, v := range pb.Vecs {
-			pc.out.Vecs[nb+c].AppendGather(v, psel)
-		}
-		pc.out.SetRows(len(psel))
-		return pc.out, nil
-	}
-}
-
 // SharedBuild runs a hash-join build side exactly once per pipeline run on
-// behalf of any number of parallel probe fragments (Prober). The first
-// prober to open runs the build in its own process — siblings opening
-// concurrently park on a condition until the tables exist — and the last
-// prober to close drops the state, so a re-opened pipeline (a nested-loop
-// rescan) rebuilds, matching the serial HashJoin's re-Open semantics.
-// With BuildFrags set the build itself runs fragmented and partitioned,
-// composing build- and probe-side parallelism.
+// behalf of any number of probe fragments (Prober). The first prober to
+// open runs the build in its own process — siblings opening concurrently
+// park on a condition until the tables exist — and the last prober to
+// close drops the state, so a re-opened pipeline (a nested-loop rescan)
+// rebuilds. A build compiled into several fragments runs them under the
+// barrier exchange, composing build- and probe-side parallelism.
 type SharedBuild struct {
-	Build      Operator   // serial build input; ignored when BuildFrags is set
-	BuildFrags []Operator // parallel build fragment pipelines sharing BuildQueue
-	BuildQueue *Morsels   // shared dispenser behind BuildFrags; reset per build
-	Key        int        // build-key column in the build schema
-	Partitions int        // hash partitions; <= 1 builds one table
+	Build      Fragments // the build-side pipeline
+	Key        int       // build-key column in the build schema
+	Partitions int       // hash partitions, rounded up to a power of two; <= 1 builds one table
 
-	schema   *table.Schema
+	locals   []*buildPartitioner  // per-worker row stores while the build runs
+	local0   [1]*buildPartitioner // backing for the first, so a serial build allocates no slice
 	bs       *buildState
 	building bool
-	cond     *sim.Cond
+	cond     *sim.Cond // made when a second prober first has to wait
 	opens    int
 	err      error // sticky: a failed build fails every prober of the run
 }
 
-// NewSharedBuild wraps a build side for sharing across probe fragments.
-// Pass either a serial build operator, or fragment pipelines plus their
-// queue (build is then ignored).
-func NewSharedBuild(build Operator, frags []Operator, queue *Morsels, key, partitions int) *SharedBuild {
-	sb := &SharedBuild{Build: build, BuildFrags: frags, BuildQueue: queue,
-		Key: key, Partitions: partitions}
-	if frags != nil {
-		sb.schema = frags[0].Schema()
-	} else {
-		sb.schema = build.Schema()
-	}
-	return sb
+// NewSharedBuild wraps a build side for its probers.
+func NewSharedBuild(build Fragments, key, partitions int) *SharedBuild {
+	return &SharedBuild{Build: build, Key: key, Partitions: partitions}
 }
 
 // Schema is the build side's schema.
-func (sb *SharedBuild) Schema() *table.Schema { return sb.schema }
+func (sb *SharedBuild) Schema() *table.Schema { return sb.Build.Schema() }
 
 // acquire returns the shared build state, running the build if this is
 // the first prober in. Callers that get an error must not release.
 func (sb *SharedBuild) acquire(ctx *Ctx) (*buildState, error) {
-	if sb.cond == nil {
-		sb.cond = sim.NewCond(ctx.P.Engine(), "hashjoin:sharedbuild")
-	}
 	for sb.building {
+		if sb.cond == nil {
+			sb.cond = sim.NewCond(ctx.P.Engine(), "hashjoin:sharedbuild")
+		}
 		sb.cond.Wait(ctx.P)
 	}
 	if sb.err != nil {
@@ -281,9 +202,11 @@ func (sb *SharedBuild) acquire(ctx *Ctx) (*buildState, error) {
 	}
 	if sb.bs == nil {
 		sb.building = true
-		bs, err := runJoinBuild(ctx, sb.schema, sb.Build, sb.BuildFrags, sb.BuildQueue, sb.Key, sb.Partitions)
+		bs, err := sb.runJoinBuild(ctx)
 		sb.building = false
-		sb.cond.Broadcast()
+		if sb.cond != nil {
+			sb.cond.Broadcast()
+		}
 		if err != nil {
 			sb.err = err
 			return nil, err
@@ -304,23 +227,24 @@ func (sb *SharedBuild) release() {
 	}
 }
 
-// Prober is one probe-side fragment of a parallel hash join: it streams
-// its private share of the probe pipeline (fragments divide the table via
-// a shared morsel dispenser upstream) against the join's shared build
-// state. The serial HashJoin is semantically the one-prober special case
-// of this shape; DOP probers under a Parallel merge produce the same
-// multiset of rows with probe and output CPU spread across cores.
+// Prober is the probe side of a hash join: it streams its probe pipeline
+// against the join's shared build state. A serial join is one Prober; a
+// fragmented probe is DOP of them under a Parallel merge (the fragments
+// divide the probe table via a shared morsel dispenser upstream),
+// producing the same multiset of rows with probe and output CPU spread
+// across cores.
 type Prober struct {
 	SB       *SharedBuild
-	In       Operator // probe fragment pipeline
+	In       Operator // probe pipeline
 	ProbeKey int      // column index in In's schema
 
-	schema *table.Schema
-	bs     *buildState
-	pc     probeCursor
+	schema     *table.Schema
+	bs         *buildState
+	bsel, psel []int32      // reusable match scratch
+	out        *table.Batch // reusable output batch
 }
 
-// NewProber builds one probe fragment over a shared build.
+// NewProber builds one probe pipeline over a shared build.
 func NewProber(sb *SharedBuild, in Operator, probeKey int) *Prober {
 	return &Prober{SB: sb, In: in, ProbeKey: probeKey,
 		schema: joinSchema("hashjoin", sb.Schema(), in.Schema())}
@@ -329,15 +253,15 @@ func NewProber(sb *SharedBuild, in Operator, probeKey int) *Prober {
 // Schema implements Operator.
 func (p *Prober) Schema() *table.Schema { return p.schema }
 
-// Open implements Operator.
+// Open implements Operator. A failed build has freed its partial state
+// before surfacing, so an aborted query does not pin the materialised
+// build side for the Rows' lifetime.
 func (p *Prober) Open(ctx *Ctx) error {
 	bs, err := p.SB.acquire(ctx)
 	if err != nil {
 		return err
 	}
 	p.bs = bs
-	p.pc = probeCursor{in: p.In, key: p.ProbeKey, schema: p.schema,
-		bsel: p.pc.bsel, psel: p.pc.psel, out: p.pc.out}
 	if err := p.In.Open(ctx); err != nil {
 		p.SB.release()
 		p.bs = nil
@@ -346,9 +270,37 @@ func (p *Prober) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator: it pulls probe batches until one matches (or
+// EOF), materialising the matched pairs with one batch-level gather per
+// side. The returned batch is valid until the following Next, per the
+// operator contract.
 func (p *Prober) Next(ctx *Ctx) (*table.Batch, error) {
-	return p.pc.next(ctx, p.bs)
+	for {
+		pb, err := p.In.Next(ctx)
+		if err != nil || pb == nil {
+			return nil, err
+		}
+		ctx.ChargeRows(pb.Rows(), ctx.Costs.HashProbeCyclesPerRow)
+		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.bsel[:0], p.psel[:0])
+		p.bsel, p.psel = bsel, psel
+		if len(psel) == 0 {
+			continue
+		}
+		ctx.ChargeRows(len(psel), ctx.Costs.JoinOutputCyclesPerRow)
+		if p.out == nil {
+			p.out = table.NewBatch(p.schema, len(psel))
+		}
+		p.out.Reset()
+		nb := len(p.bs.buildB.Vecs)
+		for c, v := range p.bs.buildB.Vecs {
+			p.out.Vecs[c].AppendGather(v, bsel)
+		}
+		for c, v := range pb.Vecs {
+			p.out.Vecs[nb+c].AppendGather(v, psel)
+		}
+		p.out.SetRows(len(psel))
+		return p.out, nil
+	}
 }
 
 // Close implements Operator.
@@ -358,6 +310,6 @@ func (p *Prober) Close(ctx *Ctx) error {
 		p.SB.release()
 		p.bs = nil
 	}
-	p.pc.out = nil
+	p.out = nil
 	return err
 }

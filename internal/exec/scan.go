@@ -21,8 +21,8 @@ import (
 //
 // A scan owns the whole table by default. When Morsels points at a shared
 // dispenser the scan is one fragment of a parallel scan: its reader claims
-// block ranges from the dispenser instead, and together the fragments
-// under one Parallel operator cover every block exactly once.
+// block ranges from the dispenser instead, and together the fragments of
+// the set cover every block exactly once.
 type ColumnScan struct {
 	ST       *StoredTable
 	ReadCols []int    // source column indexes fetched (projection ∪ predicate columns)
@@ -79,8 +79,8 @@ func NewColumnScan(st *StoredTable, readCols, emit []int, pred Pred) *ColumnScan
 func (s *ColumnScan) Schema() *table.Schema { return s.schema }
 
 // Open implements Operator. A shared Morsels dispenser is NOT reset here:
-// sibling fragments claim from the same queue and the Parallel operator
-// owns its reset.
+// sibling fragments claim from the same queue and the exchange running
+// them owns its reset.
 func (s *ColumnScan) Open(ctx *Ctx) error {
 	s.nblocks = s.ST.NumBlocks()
 	s.eof = false
@@ -100,8 +100,8 @@ func (s *ColumnScan) start(ctx *Ctx) {
 	}
 	// Fetch all projected columns' pages for each block in one parallel
 	// batch so every device works at once.
-	s.ready, s.credits = startMorselReader(ctx, fmt.Sprintf("colscan:%s", st.Tab.Schema.Name),
-		s.Window, st.Vol, morsels, func() bool { return s.cancel },
+	s.ready, s.credits = startMorselReader(ctx, "colscan:"+st.Tab.Schema.Name,
+		s.Window, st.Vol, morsels, &s.cancel,
 		func(b int, pages []int64) []int64 {
 			for _, ci := range s.ReadCols {
 				blk := st.cols[ci][b]
@@ -230,7 +230,7 @@ func NewRowScan(st *StoredTable, emit []int, pred Pred) *RowScan {
 func (s *RowScan) Schema() *table.Schema { return s.schema }
 
 // Open implements Operator. As with ColumnScan, a shared Morsels
-// dispenser is reset by the owning Parallel operator, not here.
+// dispenser is reset by the exchange running the fragments, not here.
 func (s *RowScan) Open(ctx *Ctx) error {
 	s.next = 0
 	s.eof = false
@@ -245,8 +245,8 @@ func (s *RowScan) Open(ctx *Ctx) error {
 func (s *RowScan) startMorsels(ctx *Ctx) {
 	s.started = true
 	st := s.ST
-	s.ready, s.credits = startMorselReader(ctx, fmt.Sprintf("rowscan:%s", st.Tab.Schema.Name),
-		s.Window, st.Vol, s.Morsels, func() bool { return s.cancel },
+	s.ready, s.credits = startMorselReader(ctx, "rowscan:"+st.Tab.Schema.Name,
+		s.Window, st.Vol, s.Morsels, &s.cancel,
 		func(b int, pages []int64) []int64 {
 			blk := st.rows[b]
 			plo, phi := st.Vol.PageSpan(blk.byteLo, blk.byteHi)
@@ -264,16 +264,17 @@ func (s *RowScan) startMorsels(ctx *Ctx) {
 // the block's pages via pageList, fetch them in one vectored request and
 // announce the block on ready; when the dispenser runs dry a sentinel
 // (b < 0) marks end of stream. A device error is announced the same way
-// (b < 0 with err set) and ends the reader. Cancellation is checked
-// after every credit, so a closing consumer can always release a parked
-// reader with a single credit.
-func startMorselReader(ctx *Ctx, name string, window int, vol *storage.Volume, morsels *Morsels, cancelled func() bool, pageList func(b int, pages []int64) []int64) (ready *sim.Mailbox[blockMsg], credits *sim.Mailbox[int]) {
+// (b < 0 with err set) and ends the reader. The scan's cancel flag is
+// checked after every credit, so a closing consumer can always release a
+// parked reader with a single credit.
+func startMorselReader(ctx *Ctx, name string, window int, vol *storage.Volume, morsels *Morsels, cancel *bool, pageList func(b int, pages []int64) []int64) (ready *sim.Mailbox[blockMsg], credits *sim.Mailbox[int]) {
 	if window <= 0 {
 		window = 2
 	}
 	eng := ctx.P.Engine()
-	ready = sim.NewMailbox[blockMsg](eng, name+":ready")
-	credits = sim.NewMailbox[int](eng, name+":credits")
+	// The reader process carries the table's name; its mailboxes need not.
+	ready = sim.NewMailbox[blockMsg](eng, "scan:ready")
+	credits = sim.NewMailbox[int](eng, "scan:credits")
 	for i := 0; i < window; i++ {
 		credits.Put(1)
 	}
@@ -286,7 +287,7 @@ func startMorselReader(ctx *Ctx, name string, window int, vol *storage.Volume, m
 			}
 			for b := lo; b < hi; b++ {
 				credits.Get(rp)
-				if cancelled() {
+				if *cancel {
 					return
 				}
 				pages = pageList(b, pages[:0])
@@ -325,7 +326,7 @@ func (s *RowScan) start(ctx *Ctx) {
 		}
 	}
 	window := s.Window * 32 // pages in flight
-	eng.Go(fmt.Sprintf("rowscan:%s", st.Tab.Schema.Name), func(rp *sim.Proc) {
+	eng.Go("rowscan:"+st.Tab.Schema.Name, func(rp *sim.Proc) {
 		err := st.Vol.Scan(rp, firstPage, lastPage, window, func(pg int64) {
 			for _, b := range blocksOf[pg] {
 				remaining[b]--

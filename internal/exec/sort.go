@@ -29,8 +29,9 @@ type Sort struct {
 	In   Operator
 	Keys []SortKey
 
-	out  *table.Batch
-	next int
+	out   *table.Batch
+	bytes int64 // materialised input size of the last Open
+	next  int
 	// Spills reports how many runs were spilled during the last Open.
 	Spills int
 }
@@ -65,28 +66,25 @@ func cmpOrd[T int64 | float64 | string](x, y T) int {
 	}
 }
 
-// Open implements Operator: it fully sorts the input.
+// AddWorker implements Sink; the one input fragment needs no state.
+func (s *Sort) AddWorker(w int) {}
+
+// Absorb implements Sink: it materialises one input batch.
+func (s *Sort) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
+	s.bytes += b.ByteSize()
+	wctx.TouchDRAM(b.ByteSize())
+	s.out.AppendBatch(b)
+	return true
+}
+
+// Open implements Operator: it drains the input under the barrier exchange
+// and fully sorts it.
 func (s *Sort) Open(ctx *Ctx) error {
-	if err := s.In.Open(ctx); err != nil {
-		return err
-	}
 	s.out = table.NewBatch(s.In.Schema(), 0)
+	s.bytes = 0
 	s.next = 0
 	s.Spills = 0
-	var bytes int64
-	for {
-		b, err := s.In.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		bytes += b.ByteSize()
-		ctx.TouchDRAM(b.ByteSize())
-		s.out.AppendBatch(b)
-	}
-	if err := s.In.Close(ctx); err != nil {
+	if err := RunFragments(ctx, "sort", OneFragment(s.In), s); err != nil {
 		return err
 	}
 
@@ -123,10 +121,10 @@ func (s *Sort) Open(ctx *Ctx) error {
 	}
 
 	// External-sort spill charge: write all runs, read them back to merge.
-	if ctx.MemBudgetBytes > 0 && bytes > ctx.MemBudgetBytes && ctx.Temp != nil {
-		runs := int((bytes + ctx.MemBudgetBytes - 1) / ctx.MemBudgetBytes)
+	if ctx.MemBudgetBytes > 0 && s.bytes > ctx.MemBudgetBytes && ctx.Temp != nil {
+		runs := int((s.bytes + ctx.MemBudgetBytes - 1) / ctx.MemBudgetBytes)
 		s.Spills = runs
-		firstPage, pages := ctx.Temp.AllocBytes(bytes)
+		firstPage, pages := ctx.Temp.AllocBytes(s.bytes)
 		for pg := firstPage; pg < firstPage+pages; pg++ {
 			if err := ctx.Temp.WritePage(ctx.P, pg); err != nil {
 				return fmt.Errorf("exec: sort spill: %w", err)

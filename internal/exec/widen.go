@@ -1,8 +1,8 @@
 package exec
 
-// Widener is the mid-pipeline re-grant hook. A fragmented exchange that
-// can absorb extra workers while running (the streaming Parallel merge,
-// the partitioned aggregation barrier) registers an apply callback when
+// Widener is the mid-pipeline re-grant hook. The fragment runner of an
+// exchange that can absorb extra workers while running (a set compiled
+// more than one way, with a Spawn hook) registers an apply callback when
 // it starts and deregisters when it finishes; the session offers freed
 // cores through Offer. Accepting an offer adds fragments to the live
 // morsel dispenser — no restart, no result change (fragment count never

@@ -16,7 +16,7 @@ import (
 // Two shapes are flagged:
 //
 //  1. A fragment factory (any func literal returning exec.Operator, the
-//     shape of PScan.BuildFragments' mk and Parallel.Spawn) that
+//     shape of PScan.BuildFragments' mk and exec.Fragments.Spawn) that
 //     captures a Pred, *FusedExpr, or *exec.Ctx declared outside the
 //     literal: the factory runs once per fragment, so the capture is
 //     shared across all of them. Fresh construction inside the literal

@@ -82,51 +82,29 @@ func colIndex(cols []ColRef, c ColRef) int {
 	return -1
 }
 
-// fragPipeline is a compiled set of parallel fragment pipelines sharing
-// one morsel dispenser, plus a Spawn hook that constructs one more
-// identical fragment over the same dispenser — the mid-pipeline widening
-// path (exec.Parallel.Spawn / exec.HashAgg.Spawn) uses it to absorb
-// re-granted cores into a running exchange without restarting the query.
-type fragPipeline struct {
-	Frags []exec.Operator
-	Queue *exec.Morsels
-	Spawn func() (exec.Operator, error)
-}
-
 // fragSource is implemented by physical nodes that can compile themselves
 // into dop parallel fragment pipelines sharing one morsel dispenser, so
-// exchange consumers — the Parallel streaming merge, partitioned
-// aggregation and partitioned join builds — can parallelise the whole
-// pipeline above the scan rather than just the scan itself: scans,
-// filters, projections and hash-join probe sides all fragment. Fewer
-// fragments than dop may come back when the table has too few blocks.
+// exchange consumers — the Parallel streaming merge, aggregation and join
+// builds — can parallelise the whole pipeline above the scan rather than
+// just the scan itself: scans, filters, projections and hash-join probe
+// sides all fragment. Fewer fragments than dop come back when the input
+// cannot divide that far — down to the one-fragment set, which is the
+// node's serial operator tree.
 type fragSource interface {
-	BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error)
+	BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
 }
 
-// wrapFrags applies a per-fragment operator constructor over every
-// fragment of a child pipeline and composes it into the Spawn hook, so
-// the whole wrapped pipeline — not just the scan — runs inside each
-// present and future worker.
-func wrapFrags(fp *fragPipeline, wrap func(in exec.Operator) (exec.Operator, error)) (*fragPipeline, error) {
-	for i, f := range fp.Frags {
-		w, err := wrap(f)
-		if err != nil {
-			return nil, err
-		}
-		fp.Frags[i] = w
+// buildFragments compiles n dop ways when it can fragment and dop asks
+// for it, and otherwise into the one-fragment set of its serial tree.
+func buildFragments(ctx *exec.Ctx, n PhysNode, dop int) (exec.Fragments, error) {
+	if fs, ok := n.(fragSource); ok && dop > 1 {
+		return fs.BuildFragments(ctx, dop)
 	}
-	inner := fp.Spawn
-	if inner != nil {
-		fp.Spawn = func() (exec.Operator, error) {
-			f, err := inner()
-			if err != nil || f == nil {
-				return nil, err
-			}
-			return wrap(f)
-		}
+	op, err := n.Build(ctx)
+	if err != nil {
+		return exec.Fragments{}, err
 	}
-	return fp, nil
+	return exec.OneFragment(op), nil
 }
 
 // PScan scans one placement variant with pushed-down predicates, possibly
@@ -166,90 +144,74 @@ func (s *PScan) Cost() Cost { return s.cost }
 // MaxDOP implements PhysNode.
 func (s *PScan) MaxDOP() int { return max(1, s.DOP) }
 
-// Build implements PhysNode. DOP > 1 builds DOP scan fragments sharing one
-// morsel dispenser under a Parallel merge; each fragment gets its own
-// predicate instance (predicates carry evaluation scratch).
+// Build implements PhysNode: the scan's fragments under a Parallel merge,
+// or the serial scan itself when DOP (or the table) is too small to split.
 func (s *PScan) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	dop := s.DOP
-	if nb := s.Variant.ST.NumBlocks(); dop > nb {
-		dop = nb
+	fr, err := s.BuildFragments(ctx, s.DOP)
+	if err != nil {
+		return nil, err
 	}
-	if dop > 1 {
-		fp, err := s.BuildFragments(ctx, dop)
-		if err != nil {
-			return nil, err
-		}
-		par := exec.NewParallel(fp.Frags, fp.Queue)
-		par.Spawn = fp.Spawn
-		return par, nil
-	}
+	return fr.Stream(), nil
+}
+
+// scanOp constructs one scan over the variant with its own predicate
+// instance (predicates carry evaluation scratch): a fragment claiming
+// blocks from queue, or with a nil queue the serial scan of the whole
+// table.
+func (s *PScan) scanOp(queue *exec.Morsels) (exec.Operator, error) {
 	if s.Variant.ST.Layout == exec.ColumnMajor {
 		pred, err := s.execPred()
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewColumnScan(s.Variant.ST, s.Read, s.Emit, pred), nil
+		cs := exec.NewColumnScan(s.Variant.ST, s.Read, s.Emit, pred)
+		cs.Morsels = queue
+		return cs, nil
 	}
 	rowPred, err := s.execPredFull()
 	if err != nil {
 		return nil, err
 	}
-	rs := exec.NewRowScan(s.Variant.ST, s.rowEmit(), rowPred)
-	rs.Window = 4 // planner scans are big: pipeline with readahead
-	return rs, nil
-}
-
-// rowEmit maps Emit positions (within Read) to full source schema
-// positions, which is what row scans project by.
-func (s *PScan) rowEmit() []int {
+	// Row scans project by full source schema positions.
 	emit := make([]int, len(s.Emit))
 	for i, e := range s.Emit {
 		emit[i] = s.Read[e]
 	}
-	return emit
+	rs := exec.NewRowScan(s.Variant.ST, emit, rowPred)
+	rs.Morsels = queue
+	rs.Window = 4 // planner scans are big: pipeline with readahead
+	if queue != nil {
+		rs.Window = 2 // per-fragment readahead; dop fragments stream at once
+	}
+	return rs, nil
 }
 
-// BuildFragments implements fragSource: dop scan fragments sharing one
-// fresh morsel dispenser, each with its own predicate instance (predicates
-// carry evaluation scratch). The caller owns wiring them under an
-// exchange — a Parallel merge, a partitioned aggregation or a partitioned
-// join build — and resetting the dispenser on re-open.
-func (s *PScan) BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error) {
-	if nb := s.Variant.ST.NumBlocks(); dop > nb {
+// BuildFragments implements fragSource: up to dop scan fragments sharing
+// one fresh morsel dispenser. The caller owns wiring them under an
+// exchange, which resets the dispenser on re-open.
+func (s *PScan) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	nb := s.Variant.ST.NumBlocks()
+	if dop > nb {
 		dop = nb
 	}
-	if dop < 1 {
-		dop = 1
-	}
-	queue := exec.NewMorsels(s.Variant.ST.NumBlocks(), 0)
-	mk := func() (exec.Operator, error) {
-		if s.Variant.ST.Layout == exec.ColumnMajor {
-			pred, err := s.execPred()
-			if err != nil {
-				return nil, err
-			}
-			cs := exec.NewColumnScan(s.Variant.ST, s.Read, s.Emit, pred)
-			cs.Morsels = queue
-			return cs, nil
-		}
-		rowPred, err := s.execPredFull()
+	if dop <= 1 {
+		op, err := s.scanOp(nil)
 		if err != nil {
-			return nil, err
+			return exec.Fragments{}, err
 		}
-		rs := exec.NewRowScan(s.Variant.ST, s.rowEmit(), rowPred)
-		rs.Window = 2 // per-fragment readahead; dop fragments stream at once
-		rs.Morsels = queue
-		return rs, nil
+		return exec.OneFragment(op), nil
 	}
+	queue := exec.NewMorsels(nb, 0)
+	mk := func() (exec.Operator, error) { return s.scanOp(queue) }
 	frags := make([]exec.Operator, dop)
 	for i := range frags {
 		f, err := mk()
 		if err != nil {
-			return nil, err
+			return exec.Fragments{}, err
 		}
 		frags[i] = f
 	}
-	return &fragPipeline{Frags: frags, Queue: queue, Spawn: mk}, nil
+	return exec.NewFragments(frags, queue, mk), nil
 }
 
 // execPred translates the pushed predicates to positions within Read.
@@ -346,103 +308,46 @@ func (j *PJoin) MaxDOP() int {
 	return max(j.BuildDOP, j.ProbeDOP, j.Left.MaxDOP(), j.Right.MaxDOP())
 }
 
-// Build implements PhysNode. A hash join with ProbeDOP > 1 over a
-// fragmentable probe side compiles into probe fragments over one shared
-// build under a Parallel merge (see BuildFragments). A hash join with
-// BuildDOP > 1 over a fragmentable build side compiles the build pipeline
-// into fragments under the partitioned build — the fragments
-// hash-partition rows by key and the per-partition tables build
-// concurrently; the probe routes through the same partitioning.
+// Build implements PhysNode: the join's fragments (see BuildFragments)
+// under a Parallel merge, or the one serial join itself.
 func (j *PJoin) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	if j.Algo == "hash" && j.ProbeDOP > 1 {
-		if _, ok := j.Right.(fragSource); ok {
-			fp, err := j.BuildFragments(ctx, j.ProbeDOP)
-			if err != nil {
-				return nil, err
-			}
-			if len(fp.Frags) > 1 {
-				par := exec.NewParallel(fp.Frags, fp.Queue)
-				par.Spawn = fp.Spawn
-				return par, nil
-			}
-			// Too few blocks to fragment the probe: fall through and build
-			// the serial shape (discarding the unopened fragment set).
-		}
-	}
-	if j.Algo == "hash" && j.BuildDOP > 1 {
-		if fs, ok := j.Left.(fragSource); ok {
-			fp, err := fs.BuildFragments(ctx, j.BuildDOP)
-			if err != nil {
-				return nil, err
-			}
-			if len(fp.Frags) > 1 {
-				r, err := j.Right.Build(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return exec.NewPartitionedHashJoin(fp.Frags, fp.Queue, r, j.LeftCol, j.RightCol, len(fp.Frags)), nil
-			}
-		}
-	}
-	l, err := j.Left.Build(ctx)
+	fr, err := j.BuildFragments(ctx, j.ProbeDOP)
 	if err != nil {
 		return nil, err
 	}
-	r, err := j.Right.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if j.Algo == "hash" {
-		return exec.NewHashJoin(l, r, j.LeftCol, j.RightCol), nil
-	}
-	return exec.NewNestedLoopJoin(l, r, j.LeftCol, j.RightCol), nil
-}
-
-// sharedBuild compiles the join's build side once for all probe
-// fragments: partitioned and fragmented when BuildDOP asks for it and the
-// build side can fragment, serial otherwise.
-func (j *PJoin) sharedBuild(ctx *exec.Ctx) (*exec.SharedBuild, error) {
-	if j.BuildDOP > 1 {
-		if ls, ok := j.Left.(fragSource); ok {
-			lfp, err := ls.BuildFragments(ctx, j.BuildDOP)
-			if err != nil {
-				return nil, err
-			}
-			if len(lfp.Frags) > 1 {
-				return exec.NewSharedBuild(nil, lfp.Frags, lfp.Queue, j.LeftCol, len(lfp.Frags)), nil
-			}
-		}
-	}
-	l, err := j.Left.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewSharedBuild(l, nil, nil, j.LeftCol, 1), nil
+	return fr.Stream(), nil
 }
 
 // BuildFragments implements fragSource for the probe side of a hash join:
-// the probe pipeline fragments over the shared morsel dispenser and every
+// the probe pipeline fragments over its shared morsel dispenser and every
 // fragment probes one shared build state, run once by the first fragment
-// to open (exec.SharedBuild). Probe and join-output CPU thereby run
-// inside the fragments at the swept DOP; build-side parallelism composes
-// via BuildDOP.
-func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error) {
+// to open (exec.SharedBuild). Probe and join-output CPU thereby run inside
+// the fragments at the swept DOP. The build side composes: it compiles
+// BuildDOP ways, its fragments hash-partitioning rows by key so the
+// per-partition tables build concurrently and the probe routes through the
+// same partitioning. A nested-loop join does not fragment.
+func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
 	if j.Algo != "hash" {
-		return nil, fmt.Errorf("opt: %s join cannot fragment its probe side", j.Algo)
+		l, err := j.Left.Build(ctx)
+		if err != nil {
+			return exec.Fragments{}, err
+		}
+		r, err := j.Right.Build(ctx)
+		if err != nil {
+			return exec.Fragments{}, err
+		}
+		return exec.OneFragment(exec.NewNestedLoopJoin(l, r, j.LeftCol, j.RightCol)), nil
 	}
-	rs, ok := j.Right.(fragSource)
-	if !ok {
-		return nil, fmt.Errorf("opt: probe input %T cannot fragment", j.Right)
-	}
-	fp, err := rs.BuildFragments(ctx, dop)
+	build, err := buildFragments(ctx, j.Left, j.BuildDOP)
 	if err != nil {
-		return nil, err
+		return exec.Fragments{}, err
 	}
-	sb, err := j.sharedBuild(ctx)
+	probe, err := buildFragments(ctx, j.Right, dop)
 	if err != nil {
-		return nil, err
+		return exec.Fragments{}, err
 	}
-	return wrapFrags(fp, func(in exec.Operator) (exec.Operator, error) {
+	sb := exec.NewSharedBuild(build, j.LeftCol, build.Len())
+	return probe.Map(func(in exec.Operator) (exec.Operator, error) {
 		return exec.NewProber(sb, in, j.RightCol), nil
 	})
 }
@@ -525,16 +430,12 @@ func (f *PFilter) wrap(in exec.Operator) (exec.Operator, error) {
 // pipeline gets its own Filter with a fresh predicate instance, so the
 // residual filter's per-row CPU runs inside the fragments at the swept
 // DOP instead of as a serial stage above the exchange.
-func (f *PFilter) BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error) {
-	fs, ok := f.In.(fragSource)
-	if !ok {
-		return nil, fmt.Errorf("opt: filter input %T cannot fragment", f.In)
-	}
-	fp, err := fs.BuildFragments(ctx, dop)
+func (f *PFilter) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	fr, err := buildFragments(ctx, f.In, dop)
 	if err != nil {
-		return nil, err
+		return fr, err
 	}
-	return wrapFrags(fp, f.wrap)
+	return fr.Map(f.wrap)
 }
 
 func (f *PFilter) explain(b *strings.Builder, indent string) {
@@ -599,16 +500,12 @@ func (p *PProject) wrap(in exec.Operator) (exec.Operator, error) {
 // BuildFragments implements fragSource: the child's fragments each get
 // their own copy of the projection, so the whole scan→project pipeline
 // runs inside every worker.
-func (p *PProject) BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error) {
-	fs, ok := p.In.(fragSource)
-	if !ok {
-		return nil, fmt.Errorf("opt: project input %T cannot fragment", p.In)
-	}
-	fp, err := fs.BuildFragments(ctx, dop)
+func (p *PProject) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	fr, err := buildFragments(ctx, p.In, dop)
 	if err != nil {
-		return nil, err
+		return fr, err
 	}
-	return wrapFrags(fp, p.wrap)
+	return fr.Map(p.wrap)
 }
 
 func buildScalar(e *ExprIR, cols []ColRef) (exec.Scalar, error) {
@@ -667,24 +564,12 @@ func (a *PAgg) Cost() Cost { return a.cost }
 // MaxDOP implements PhysNode.
 func (a *PAgg) MaxDOP() int { return max(a.DOP, a.In.MaxDOP()) }
 
-// Build implements PhysNode. DOP > 1 over a fragmentable input compiles
-// the whole input pipeline into fragments under the partitioned parallel
-// aggregation (thread-local partial tables, partition-wise merge).
+// Build implements PhysNode: the input pipeline compiles DOP ways under
+// the aggregation's barrier exchange (per-fragment partial tables,
+// partition-wise merge); DOP <= 1, or an input that cannot fragment, is
+// the one-fragment set.
 func (a *PAgg) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	if a.DOP > 1 {
-		if fs, ok := a.In.(fragSource); ok {
-			fp, err := fs.BuildFragments(ctx, a.DOP)
-			if err != nil {
-				return nil, err
-			}
-			if len(fp.Frags) > 1 {
-				ha := exec.NewPartitionedHashAgg(fp.Frags, fp.Queue, a.Group, a.Aggs)
-				ha.Spawn = fp.Spawn
-				return ha, nil
-			}
-		}
-	}
-	in, err := a.In.Build(ctx)
+	in, err := buildFragments(ctx, a.In, a.DOP)
 	if err != nil {
 		return nil, err
 	}
