@@ -47,5 +47,5 @@ func main() {
 	fmt.Printf("\nsimulated elapsed: %v   energy: %v   efficiency: %.3g rows/J\n",
 		res.Elapsed, res.Joules, float64(res.Efficiency()))
 	fmt.Println("\nper-component breakdown:")
-	fmt.Print(res.Report)
+	fmt.Print(db.EnergyReport())
 }

@@ -25,7 +25,9 @@ type Codec interface {
 	Name() string
 	// Encode appends the encoded form of src to dst and returns it.
 	Encode(dst, src []byte) []byte
-	// Decode appends the decoded form of src to dst and returns it.
+	// Decode appends the decoded form of src to dst and returns it. It may
+	// write anywhere in dst's spare capacity, also past the length it
+	// returns: pre-sizing dst saves the decoder its growth steps.
 	Decode(dst, src []byte) ([]byte, error)
 	// Cost returns the codec's CPU cost model.
 	Cost() CostModel
@@ -41,12 +43,19 @@ type Int64Decoder interface {
 }
 
 // StringDecoder is implemented by the codecs whose blocks are string
-// streams (Dict). DecodeStrings appends the block's strings to dst,
-// allocating one string per distinct symbol instead of one per cell. tab,
-// when non-nil, carries symbol strings from one block of a column to the
-// next so a scan stops allocating once it has seen the column's domain.
+// streams (Dict). DecodeStrings appends one cell per value of the block to
+// dst, allocating one string per distinct symbol instead of one per cell.
+// tab, when non-nil, carries symbol strings from one block of a column to
+// the next so a scan stops allocating once it has seen the column's domain.
+//
+// sel, when non-nil, is an ascending list of the cell positions the caller
+// will read: only those cells are written, and only the symbols they name
+// become strings. The other cells are still appended — the result has one
+// cell per value either way — but keep whatever dst's backing array held.
+// The whole block is parsed and checked whatever sel says, so the error
+// result does not depend on it.
 type StringDecoder interface {
-	DecodeStrings(dst []string, src []byte, tab *SymbolTable) ([]string, error)
+	DecodeStrings(dst []string, src []byte, tab *SymbolTable, sel []int32) ([]string, error)
 }
 
 // CostModel gives the cycles charged per byte. Encode cost is per input

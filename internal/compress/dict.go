@@ -74,14 +74,21 @@ func (dictCodec) Encode(dst, src []byte) []byte {
 }
 
 // SymbolTable is the decode-side state a reader keeps per dictionary
-// column: the current block's symbols as strings, and the symbol strings
-// of earlier blocks so a low-cardinality column allocates its domain once
-// per scan, not once per block. The zero value is ready to use. Interned
-// strings are individual allocations shared by the cells that carry them,
-// so a retained cell pins its own symbol and nothing else.
+// column: the current block's symbols, and the symbol strings of earlier
+// blocks, so a low-cardinality column allocates its domain once per scan,
+// not once per block. The zero value is ready to use. Interned strings are
+// individual allocations shared by the cells that carry them, so a retained
+// cell pins its own symbol and nothing else.
 type SymbolTable struct {
-	syms   []string
+	syms   []symbol
 	intern map[string]string
+}
+
+// symbol is one entry of a block's dictionary: where its length prefix
+// lies in the block, and its string once a wanted cell has named it.
+type symbol struct {
+	str string // "" until then
+	at  int
 }
 
 // maxInterned bounds both which blocks intern (those with at most this
@@ -107,11 +114,58 @@ func (t *SymbolTable) str(b []byte, intern bool) string {
 	return s
 }
 
+// symbol makes symbol idx of the block src a string, the first time a
+// wanted cell names it. Its length prefix was validated when the symbols
+// were located.
+func (t *SymbolTable) symbol(src []byte, idx uint64, intern bool) string {
+	sym := &t.syms[idx]
+	n, k := uvarint(src[sym.at:])
+	if n == 0 {
+		return ""
+	}
+	sym.str = t.str(src[sym.at+k:sym.at+k+int(n)], intern)
+	return sym.str
+}
+
+// skipIndexes checks n cell indexes of a block of nsym symbols, starting
+// at src[p:], and returns the offset past them, or -1 if one is malformed
+// or names no symbol.
+func skipIndexes(src []byte, p, n int, nsym uint64) int {
+	for ; n > 0; n-- {
+		// Nearly every index is one byte.
+		if p < len(src) && uint64(src[p]) < min(nsym, 0x80) {
+			p++
+			continue
+		}
+		idx, k := uvarint(src[p:])
+		if k <= 0 || idx >= nsym {
+			return -1
+		}
+		p += k
+	}
+	return p
+}
+
+// nextRun returns the first run [lo, hi) of consecutive positions in the
+// ascending sel[k:], cut off at n, and the k to pass for the run after it;
+// the run is [n, n) when no position below n is left.
+func nextRun(sel []int32, k, n int) (lo, hi, next int) {
+	if k >= len(sel) || int(sel[k]) >= n {
+		return n, n, len(sel)
+	}
+	lo, hi = int(sel[k]), int(sel[k])+1
+	for k++; hi < n && k < len(sel) && int(sel[k]) == hi; k++ {
+		hi++
+	}
+	return lo, hi, k
+}
+
 // DecodeStrings implements StringDecoder. It holds Dict's decode loop.
-func (dictCodec) DecodeStrings(dst []string, src []byte, tab *SymbolTable) ([]string, error) {
+func (dictCodec) DecodeStrings(dst []string, src []byte, tab *SymbolTable, sel []int32) ([]string, error) {
 	if len(src) == 0 {
 		return dst, nil
 	}
+	base, picked := len(dst), 0
 	switch src[0] {
 	case rawMarker:
 		// Stored verbatim: one string per cell, as the table layer would
@@ -120,59 +174,82 @@ func (dictCodec) DecodeStrings(dst []string, src []byte, tab *SymbolTable) ([]st
 		if !ok {
 			return dst, ErrCorrupt
 		}
-		for _, v := range vals {
-			dst = append(dst, string(v))
+		dst = slices.Grow(dst, len(vals))[:base+len(vals)]
+		for i := 0; i < len(vals); {
+			lo, hi := i, len(vals)
+			if sel != nil {
+				lo, hi, picked = nextRun(sel, picked, len(vals))
+			}
+			for i = lo; i < hi; i++ {
+				dst[base+i] = string(vals[i])
+			}
 		}
 		return dst, nil
 	case dictMarker:
-		src = src[1:]
 	default:
 		return dst, ErrCorrupt
 	}
 	// Every symbol and every value takes at least one byte, which bounds
 	// both counts by the input before anything is sized from them.
-	nsym, k := uvarint(src)
-	if k <= 0 || nsym > uint64(len(src)-k) {
+	p := 1
+	nsym, k := uvarint(src[p:])
+	if k <= 0 || nsym > uint64(len(src)-p-k) {
 		return dst, ErrCorrupt
 	}
-	src = src[k:]
+	p += k
 	intern := tab != nil && nsym <= maxInterned
 	if tab == nil {
 		tab = &SymbolTable{}
 	}
-	syms := slices.Grow(tab.syms[:0], int(nsym))
-	for i := uint64(0); i < nsym; i++ {
-		n, k := uvarint(src)
-		if k <= 0 || n > uint64(len(src)-k) {
+	// Symbols are located and checked here, and become strings below.
+	syms := slices.Grow(tab.syms[:0], int(nsym))[:nsym]
+	tab.syms = syms
+	for i := range syms {
+		n, k := uvarint(src[p:])
+		if k <= 0 || n > uint64(len(src)-p-k) {
 			return dst, ErrCorrupt
 		}
-		syms = append(syms, tab.str(src[k:k+int(n)], intern))
-		src = src[k+int(n):]
+		syms[i] = symbol{at: p}
+		p += k + int(n)
 	}
-	tab.syms = syms
-	nvals, k := uvarint(src)
-	if k <= 0 || nvals > uint64(len(src)-k) {
+	nvals, k := uvarint(src[p:])
+	if k <= 0 || nvals > uint64(len(src)-p-k) {
 		return dst, ErrCorrupt
 	}
-	src = src[k:]
-	base := len(dst)
+	p += k
 	dst = slices.Grow(dst, int(nvals))[:base+int(nvals)]
 	out := dst[base:]
-	for i := range out {
-		// Nearly every index is one byte; that case stays in the loop.
-		var idx uint64
-		if len(src) > 0 && src[0] < 0x80 {
-			idx, k = uint64(src[0]), 1
-		} else if idx, k = uvarint(src); k <= 0 {
+	// Cells are taken a run at a time: out[lo:hi] is the next run of wanted
+	// cells, and the cells before it are checked and passed over. Without a
+	// selection the block is one run.
+	for i := 0; i < len(out); {
+		lo, hi := i, len(out)
+		if sel != nil {
+			lo, hi, picked = nextRun(sel, picked, len(out))
+		}
+		if p = skipIndexes(src, p, lo-i, nsym); p < 0 {
 			return dst[:base], ErrCorrupt
 		}
-		if idx >= uint64(len(syms)) {
-			return dst[:base], ErrCorrupt
+		for i = lo; i < hi; i++ {
+			// Nearly every index is one byte; that case stays in the loop.
+			var idx uint64
+			if p < len(src) && src[p] < 0x80 {
+				idx, k = uint64(src[p]), 1
+			} else if idx, k = uvarint(src[p:]); k <= 0 {
+				return dst[:base], ErrCorrupt
+			}
+			if idx >= nsym {
+				return dst[:base], ErrCorrupt
+			}
+			p += k
+			s := syms[idx].str
+			if s == "" {
+				s = tab.symbol(src, idx, intern)
+			}
+			out[i] = s
 		}
-		src = src[k:]
-		out[i] = syms[idx]
 	}
-	if len(src) != 0 {
+	if p != len(src) {
 		return dst[:base], ErrCorrupt
 	}
 	return dst, nil
@@ -184,7 +261,7 @@ func (c dictCodec) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) > 0 && src[0] == rawMarker {
 		return append(dst, src[1:]...), nil
 	}
-	strs, err := c.DecodeStrings(nil, src, nil)
+	strs, err := c.DecodeStrings(nil, src, nil, nil)
 	if err != nil {
 		return dst, err
 	}

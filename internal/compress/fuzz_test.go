@@ -3,6 +3,8 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -17,6 +19,20 @@ var (
 	dictHugeSymCount = []byte{0xD1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 )
 
+// Three inputs that only the paths new with selection-driven decode get
+// wrong when one of their checks is dropped: an LZ stream cut off right
+// after an 8-byte literal run (a fast token must not read its headers past
+// the input), an LZ stream whose general token stops 8 bytes short of the
+// decode budget and is followed by 16-byte fast tokens (which must honour
+// the budget too), and a dictionary block whose middle cell names a symbol
+// that does not exist (it is corrupt also when no selected cell is near).
+var (
+	lzCutAfterLiterals = []byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}
+	lzFastPastBudget   = append(putUvarint([]byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}, 1<<20-16),
+		8, 0, 16, 8, 0, 16, 8, 0, 16, 8, 0, 16, 8, 0, 0)
+	dictBadSkippedIndex = []byte{dictMarker, 1, 1, 'a', 3, 0, 5, 0}
+)
+
 func TestDecodeCrashersReturnErrCorrupt(t *testing.T) {
 	if _, err := LZ.Decode(nil, lzWrappedOffset); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("LZ.Decode of a wrapped offset: err = %v, want ErrCorrupt", err)
@@ -24,7 +40,15 @@ func TestDecodeCrashersReturnErrCorrupt(t *testing.T) {
 	if _, err := Dict.Decode(nil, dictHugeSymCount); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Dict.Decode of a huge symbol count: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := Dict.(StringDecoder).DecodeStrings(nil, dictHugeSymCount, nil); !errors.Is(err, ErrCorrupt) {
+	for name, in := range map[string][]byte{"cut after its literals": lzCutAfterLiterals, "past its budget": lzFastPastBudget} {
+		if _, err := LZ.Decode(make([]byte, 0, 2<<20), in); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("LZ.Decode of a stream %s, with room to spare: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := Dict.(StringDecoder).DecodeStrings(nil, dictBadSkippedIndex, nil, []int32{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Dict.DecodeStrings of a bad index in an unselected cell: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := Dict.(StringDecoder).DecodeStrings(nil, dictHugeSymCount, nil, nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Dict.DecodeStrings of a huge symbol count: err = %v, want ErrCorrupt", err)
 	}
 	// A legal-looking count the input cannot back must fail before it
@@ -50,11 +74,59 @@ func stringStream(vals ...string) []byte {
 	return out
 }
 
+// lzDecodeReference is LZ's decode loop as it was before the fast token:
+// three uvarint headers and an append per token, nothing else. The fuzz
+// target holds lzCodec.Decode to it, output and error-ness.
+func lzDecodeReference(dst, src []byte) ([]byte, error) {
+	base := len(dst)
+	budget := uint64(decodeBudget(len(src)))
+	for {
+		produced := uint64(len(dst) - base)
+		litLen, k := uvarint(src)
+		if k <= 0 || litLen > uint64(len(src)-k) || litLen > budget-produced {
+			return dst, ErrCorrupt
+		}
+		src = src[k:]
+		dst = append(dst, src[:litLen]...)
+		src = src[litLen:]
+		produced += litLen
+
+		mlen, k := uvarint(src)
+		if k <= 0 {
+			return dst, ErrCorrupt
+		}
+		src = src[k:]
+		if mlen == 0 {
+			if len(src) != 0 {
+				return dst, ErrCorrupt
+			}
+			return dst, nil
+		}
+		off, k := uvarint(src)
+		if k <= 0 {
+			return dst, ErrCorrupt
+		}
+		src = src[k:]
+		if off == 0 || off > produced || mlen > budget-produced {
+			return dst, ErrCorrupt
+		}
+		start := len(dst)
+		pos := start - int(off)
+		dst = grow(dst, int(mlen))
+		for n := 0; n < int(mlen); {
+			n += copy(dst[start+n:], dst[pos:start+n])
+		}
+	}
+}
+
 // FuzzCodecDecode holds every registered codec to the decode layer's
 // contract on arbitrary bytes: Decode never panics and never exceeds
-// decodeBudget; Decode(Encode(x)) == x; and a typed entry point yields
-// exactly the values Decode followed by table.DecodeVector would, also
-// when appending to a dirty, reused destination.
+// decodeBudget; Decode(Encode(x)) == x; decoding into a dirty destination
+// with room to spare — where LZ's fast token runs — gives what decoding
+// into nil does, and for LZ what the reference loop does; and a typed entry
+// point yields exactly the values Decode followed by table.DecodeVector
+// would, also when appending to a dirty, reused destination and, for
+// strings, under any selection.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add(lzWrappedOffset)
 	f.Add(dictHugeSymCount)
@@ -66,6 +138,9 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Add(c.Encode(nil, strs))
 		f.Add(c.Encode(nil, append(slices.Clone(ints), 1, 2, 3))) // a raw tail
 	}
+	f.Add(lzCutAfterLiterals)
+	f.Add(lzFastPastBudget)
+	f.Add(dictBadSkippedIndex)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range allCodecs() {
 			out, err := c.Decode(nil, data)
@@ -79,6 +154,18 @@ func FuzzCodecDecode(f *testing.F) {
 			if again, aerr := c.Decode([]byte("pre"), data); (aerr == nil) != (err == nil) ||
 				(err == nil && !bytes.Equal(again, append([]byte("pre"), out...))) {
 				t.Fatalf("%s: appending decode differs from decode into nil", c.Name())
+			}
+			// A scan's destination: reused, so full of another block's
+			// bytes, and pre-sized, so nothing need grow.
+			room := bytes.Repeat([]byte{0xa5}, 3+len(out)+32)
+			if sized, serr := c.Decode(append(room[:0], "pre"...), data); (serr == nil) != (err == nil) ||
+				(err == nil && !bytes.Equal(sized, append([]byte("pre"), out...))) {
+				t.Fatalf("%s: decode into a dirty pre-sized destination differs from decode into nil (err %v / %v)", c.Name(), serr, err)
+			}
+			if c == LZ {
+				if ref, rerr := lzDecodeReference(nil, data); (rerr == nil) != (err == nil) || (err == nil && !bytes.Equal(ref, out)) {
+					t.Fatalf("lz: Decode differs from the reference loop (err %v / %v)", err, rerr)
+				}
 			}
 			switch dec := c.(type) {
 			case Int64Decoder:
@@ -117,14 +204,15 @@ func checkInt64s(t *testing.T, name string, dec Int64Decoder, data, out []byte, 
 // for another block, with (out, err) = Decode(nil, data).
 func checkStrings(t *testing.T, name string, dec StringDecoder, data, out []byte, err error) {
 	var tab SymbolTable
-	if _, perr := dec.DecodeStrings(nil, Dict.Encode(nil, stringStream("stale", "F", "stale")), &tab); perr != nil {
+	if _, perr := dec.DecodeStrings(nil, Dict.Encode(nil, stringStream("stale", "F", "stale")), &tab, nil); perr != nil {
 		t.Fatal(perr)
 	}
 	dirty := append(make([]string, 0, 64), "kept")
-	got, terr := dec.DecodeStrings(dirty, data, &tab)
+	got, terr := dec.DecodeStrings(dirty, data, &tab, nil)
 	if len(got) < 1 || got[0] != "kept" {
 		t.Fatalf("%s: DecodeStrings clobbered the destination's prefix", name)
 	}
+	checkSelections(t, name, dec, data, &tab, slices.Clone(got[1:]), terr)
 	var want *table.Vector
 	if err == nil {
 		if vals, ok := parseStrings(out); !ok {
@@ -153,5 +241,57 @@ func checkStrings(t *testing.T, name string, dec StringDecoder, data, out []byte
 	}
 	if !slices.Equal(got[1:], want.S) {
 		t.Fatalf("%s: DecodeStrings values differ from Decode+DecodeVector", name)
+	}
+}
+
+// checkSelections holds DecodeStrings under a selection to the full decode
+// (full, ferr) of the same block: for no cell, one cell, every cell and a
+// random subset, the selected cells equal the full decode's, the others
+// keep what the destination held, and the error result is the same. The
+// selections are drawn from the input, so a crasher replays.
+func checkSelections(t *testing.T, name string, dec StringDecoder, data []byte, tab *SymbolTable, full []string, ferr error) {
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	n := len(full)
+	every, some := make([]int32, n), []int32{}
+	for i := range every {
+		every[i] = int32(i)
+		if rng.Intn(3) == 0 {
+			some = append(some, int32(i))
+		}
+	}
+	sels := [][]int32{{}, every, some}
+	if n > 0 {
+		sels = append(sels, []int32{int32(rng.Intn(n))})
+	}
+	const untouched = "\x00untouched"
+	for _, sel := range sels {
+		dst := make([]string, 1+n+4)
+		for i := range dst {
+			dst[i] = untouched
+		}
+		dst[0] = "kept"
+		got, err := dec.DecodeStrings(dst[:1], data, tab, sel)
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("%s: DecodeStrings selecting %d of %d cells: err = %v, selecting all: %v", name, len(sel), n, err, ferr)
+		}
+		if err != nil {
+			continue
+		}
+		if len(got) != 1+n || got[0] != "kept" {
+			t.Fatalf("%s: DecodeStrings selecting %d cells returned %d cells of %d, prefix %q", name, len(sel), len(got)-1, n, got[0])
+		}
+		k := 0
+		for i, s := range got[1:] {
+			want := untouched
+			if k < len(sel) && int(sel[k]) == i {
+				want = full[i]
+				k++
+			}
+			if s != want {
+				t.Fatalf("%s: DecodeStrings selecting %d of %d cells: cell %d = %q, want %q", name, len(sel), n, i, s, want)
+			}
+		}
 	}
 }

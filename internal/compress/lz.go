@@ -1,5 +1,7 @@
 package compress
 
+import "encoding/binary"
+
 // LZ is a byte-oriented LZ77 codec in the LZ4 spirit: a greedy hash-chain
 // match finder producing (literal run, match) tokens. It is the "heavy"
 // general-purpose codec of the catalog — the role played by the commercial
@@ -64,39 +66,81 @@ func (lzCodec) Encode(dst, src []byte) []byte {
 	return dst
 }
 
+// The fast token of Decode: every header a single byte (the offset one or
+// two), a literal run of at most lzFastLit bytes and a match of at most
+// lzFastMatch bytes from at least 8 bytes back — what a column of floats
+// compresses to, one token per value or so. Such a token is decoded with
+// three fixed-size moves; lzFastSrc is the most input that reads (length,
+// 8 literal bytes, length, two offset bytes) and lzFastDst the most output
+// it writes.
+const (
+	lzFastLit   = 8
+	lzFastMatch = 16
+	lzFastSrc   = 1 + lzFastLit + 1 + 2
+	lzFastDst   = lzFastLit + lzFastMatch
+)
+
 func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 	base := len(dst)
-	budget := uint64(decodeBudget(len(src)))
+	budget := decodeBudget(len(src))
+	// buf[:d] is the output so far, buf[d:] dst's spare capacity, src[s:]
+	// the input left.
+	buf, d, s := dst[:cap(dst)], len(dst), 0
 	for {
-		produced := uint64(len(dst) - base)
-		litLen, k := uvarint(src)
-		if k <= 0 || litLen > uint64(len(src)-k) || litLen > budget-produced {
+		if s+lzFastSrc <= len(src) && d+lzFastDst <= len(buf) && d-base+lzFastDst <= budget && src[s] <= lzFastLit {
+			// Move 8 literal bytes whatever the run's length: the match
+			// overwrites the excess.
+			binary.LittleEndian.PutUint64(buf[d:], binary.LittleEndian.Uint64(src[s+1:]))
+			e, p := d+int(src[s]), s+1+int(src[s])
+			mlen, off := int(src[p]), int(src[p+1])
+			p += 2
+			if off >= 0x80 {
+				// A third offset byte leaves off at 1<<14 or more.
+				off = off&0x7f | int(src[p])<<7
+				p++
+			}
+			if 0 < mlen && mlen <= lzFastMatch && 8 <= off && off < 1<<14 && off <= e-base {
+				// At this distance two 8-byte moves copy what a byte by
+				// byte copy would, overlapping or not.
+				binary.LittleEndian.PutUint64(buf[e:], binary.LittleEndian.Uint64(buf[e-off:]))
+				binary.LittleEndian.PutUint64(buf[e+8:], binary.LittleEndian.Uint64(buf[e-off+8:]))
+				d, s = e+mlen, p
+				continue
+			}
+			// Anything else — the end marker, a multi-byte header, a long
+			// or close match, a bad offset — is the general token's, which
+			// starts over from the token's first byte.
+		}
+		dst, in := buf[:d], src[s:]
+		produced := uint64(d - base)
+		litLen, k := uvarint(in)
+		if k <= 0 || litLen > uint64(len(in)-k) || litLen > uint64(budget)-produced {
 			return dst, ErrCorrupt
 		}
-		src = src[k:]
-		dst = append(dst, src[:litLen]...)
-		src = src[litLen:]
+		in = in[k:]
+		dst = append(dst, in[:litLen]...)
+		in = in[litLen:]
 		produced += litLen
 
-		mlen, k := uvarint(src)
+		mlen, k := uvarint(in)
 		if k <= 0 {
 			return dst, ErrCorrupt
 		}
-		src = src[k:]
+		in = in[k:]
 		if mlen == 0 {
-			if len(src) != 0 {
+			if len(in) != 0 {
 				return dst, ErrCorrupt
 			}
 			return dst, nil
 		}
-		off, k := uvarint(src)
+		off, k := uvarint(in)
 		if k <= 0 {
 			return dst, ErrCorrupt
 		}
-		src = src[k:]
+		in = in[k:]
 		// Compared unsigned: an offset of 2^63 or more must not wrap into
 		// a plausible position.
-		if off == 0 || off > produced || mlen > budget-produced {
+		if off == 0 || off > produced || mlen > uint64(budget)-produced {
 			return dst, ErrCorrupt
 		}
 		// A match may overlap itself (run encoding), so the bytes written
@@ -108,6 +152,7 @@ func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 		for n := 0; n < int(mlen); {
 			n += copy(dst[start+n:], dst[pos:start+n])
 		}
+		buf, d, s = dst[:cap(dst)], len(dst), len(src)-len(in)
 	}
 }
 

@@ -494,7 +494,6 @@ type Result struct {
 	Plan    *opt.Plan
 	Elapsed energy.Seconds // submission to completion (includes Wait)
 	Joules  energy.Joules  // whole-server energy during the query's window
-	Report  string         // per-component breakdown (empty for discarded queries)
 
 	// Attributed is this query's share of the server's energy: the
 	// marginal joules its own processes were charged plus an idle-floor

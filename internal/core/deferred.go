@@ -127,3 +127,9 @@ func (db *DB) Ledger() (meterJ, unattributedJ energy.Joules) {
 	db.Attr.Settle(now)
 	return db.Srv.Meter.TotalEnergy(now), db.Attr.Unattributed()
 }
+
+// EnergyReport formats the whole server's per-component energy breakdown,
+// from time 0 to the current simulated time, as a small text table.
+func (db *DB) EnergyReport() string {
+	return db.Srv.Meter.Report(energy.Seconds(db.Srv.Eng.Now()))
+}

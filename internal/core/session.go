@@ -625,12 +625,6 @@ func (r *Rows) finish(now float64) {
 		Granted:  r.granted,
 		RowCount: r.rowCount,
 	}
-	if !r.discard {
-		// The per-component breakdown is a formatted string over every
-		// device trace; throughput drivers that discard their rows do not
-		// read it, so do not pay for it per query.
-		res.Report = meter.Report(endT)
-	}
 	if r.acct != nil {
 		res.Attributed = r.acct.Attributed()
 		res.Marginal = r.acct.Direct()

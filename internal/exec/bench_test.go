@@ -11,6 +11,7 @@ import (
 	"energydb/internal/sim"
 	"energydb/internal/storage"
 	"energydb/internal/table"
+	"energydb/internal/tpch"
 )
 
 // benchCtx returns a Ctx with all simulated-hardware cost constants zeroed,
@@ -530,9 +531,15 @@ func BenchmarkParallelProbe(b *testing.B) {
 // nothing (TestScanDecodeSteadyStateAllocs pins that); what allocs/op
 // shows is the first pass amortised over b.N.
 //
-// Before → after the scan scratch (before: Decode(nil, …) growing by
-// doubling, then a fresh vector per column per block), alternating runs of
-// both builds on the 2-vCPU development box, go1.24, -cpu 1, medians:
+// The point/* cases are the short-statement shape instead: one op is one
+// fresh scan of the one customer block of SF 0.005 (750 rows) behind
+// c_custkey = K, which keeps one row, with c_name (Dict, 750 symbols) or
+// c_acctbal (LZ floats) as the column decoded late. allocs/op there is what
+// a point lookup pays per statement, scratch included.
+//
+// Before → after the scan scratch (PR 15; before: Decode(nil, …) growing
+// by doubling, then a fresh vector per column per block), alternating runs
+// of both builds on the 2-vCPU development box, go1.24, -cpu 1, medians:
 //
 //	          before                          after
 //	delta      828 µs/op   575 MB/s     212 allocs    129 µs/op  3 686 MB/s  0 allocs
@@ -541,14 +548,32 @@ func BenchmarkParallelProbe(b *testing.B) {
 //	lz       1 953 µs/op   244 MB/s     194 allocs  1 319 µs/op    362 MB/s  0 allocs
 //	raw        342 µs/op 1 394 MB/s      48 allocs    103 µs/op  4 627 MB/s  0 allocs
 //
-// LZ is the floor that is left: about one (0 literals, 8-byte match,
-// 2-byte offset) token per float, so the token loop, not memory, bounds it.
+// Before → after selection-driven decode and LZ's fast token (PR 17),
+// measured the same way (seven alternating runs of both builds, a noisier
+// day: the box's other tenants move every row by ±10 %):
+//
+//	            before                         after
+//	delta        149 µs/op  3 202 MB/s    0 allocs    155 µs/op  3 081 MB/s   0 allocs
+//	bitpack      300 µs/op  1 592 MB/s    0 allocs    289 µs/op  1 652 MB/s   0 allocs
+//	dict         216 µs/op  1 459 MB/s    0 allocs    200 µs/op  1 580 MB/s   0 allocs
+//	lz         1 431 µs/op    333 MB/s    0 allocs    864 µs/op    552 MB/s   0 allocs
+//	raw          112 µs/op  4 253 MB/s    0 allocs    120 µs/op  3 977 MB/s   0 allocs
+//	point/dict   121 µs/op              785 allocs     22 µs/op              19 allocs
+//	point/lz    22.6 µs/op               18 allocs   18.1 µs/op              15 allocs
+//
+// LZ's token loop was not the floor it was taken for: the stream is about
+// one token per float (0–3 literal bytes, a 4–16 byte match, one-byte
+// length headers), and the loop spent its time in three uvarint calls, an
+// append, a grow and a memmove per token. With those tokens decoded by
+// fixed-size moves a lineitem float block (64 KB) takes 45–60 µs, from
+// about 140. A point lookup used to make a string of every c_name in the
+// block; it makes one.
 func BenchmarkColumnScanDecode(b *testing.B) {
 	li := lineitemBlocks(b)
 	ctx := benchCtx()
 	for _, c := range decodeCases {
 		b.Run(c.name, func(b *testing.B) {
-			scan, logical := columnDecodeScan(b, li, c)
+			scan, logical := columnDecodeScan(b, li, c, "", nil)
 			nblocks := scan.ST.NumBlocks()
 			b.SetBytes(logical)
 			b.ReportAllocs()
@@ -562,13 +587,35 @@ func BenchmarkColumnScanDecode(b *testing.B) {
 			}
 		})
 	}
+	cust := tpch.Generate(0.005, 2009).Tables["customer"]
+	for _, c := range []decodeCase{
+		{"point/dict", "c_name", compress.Dict},
+		{"point/lz", "c_acctbal", compress.LZ},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			first, _ := columnDecodeScan(b, cust, c, "c_custkey", &ColConst{Col: 0, Op: Eq, Val: table.IntVal(377)})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan := NewColumnScan(first.ST, first.ReadCols, first.Emit, first.Pred)
+				if out, err := scan.decodeEmit(ctx, 0); err != nil {
+					b.Fatal(err)
+				} else if out.Rows() != 1 {
+					b.Fatalf("%d rows, want 1", out.Rows())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRowScanDecode is the same for the row layout: lineitem's numeric
 // columns as 8 row-major blocks, raw (the engine's row placement) and LZ.
-// Before → after, measured as above: raw 2 630 → 1 685 µs/op (1 632 →
-// 2 548 MB/s, 168 → 0 allocs), lz 16 340 → 12 882 µs/op (262 → 333 MB/s,
-// 402 → 0 allocs).
+// Before → after the scan scratch (PR 15), measured as above: raw 2 630 →
+// 1 685 µs/op (1 632 → 2 548 MB/s, 168 → 0 allocs), lz 16 340 →
+// 12 882 µs/op (262 → 333 MB/s, 402 → 0 allocs). With LZ's fast token
+// (PR 17): lz 14 114 → 10 082 µs/op (304 → 426 MB/s); raw, whose path it
+// does not touch, read 1 460 → 1 861 µs/op in those runs while single runs
+// of either build ranged over 1 660–2 760 — memory-bound and unresolved.
 func BenchmarkRowScanDecode(b *testing.B) {
 	li := lineitemBlocks(b)
 	ctx := benchCtx()

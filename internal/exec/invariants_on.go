@@ -76,6 +76,35 @@ func (sc *scanScratch) retire() {
 	*sc = scanScratch{}
 }
 
+// poisonUnselected is the checking version of the selection-driven scan's
+// "unspecified cells" rule, called before a block's batch is handed out:
+// every cell of a late column (bit i of late: column i) outside the
+// ascending selection sel is overwritten with a sentinel, whether its
+// codec happened to decode it or not, so a consumer that reads a
+// deselected cell reads poison under every codec and every data set.
+func (sc *scanScratch) poisonUnselected(late uint64, sel []int32) {
+	for i, v := range sc.read.Vecs {
+		if late>>uint(i)&1 != 0 {
+			poisonOutside(v.I, sel, poisonWord)
+			poisonOutside(v.F, sel, math.Float64frombits(poisonWord))
+			poisonOutside(v.S, sel, poisonString)
+		}
+	}
+}
+
+// poisonOutside overwrites with v the cells of s that the ascending sel
+// does not list.
+func poisonOutside[T any](s []T, sel []int32, v T) {
+	k := 0
+	for i := range s {
+		if k < len(sel) && int(sel[k]) == i {
+			k++
+			continue
+		}
+		s[i] = v
+	}
+}
+
 // poison overwrites s to its full capacity with v.
 func poison[T any](s []T, v T) {
 	s = s[:cap(s)]

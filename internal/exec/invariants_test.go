@@ -3,6 +3,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"energydb/internal/compress"
@@ -120,5 +121,90 @@ func TestScanPoisonsRetainedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, r, NewRowScan(st, []int{1, 5}, pred()), 0, 1)
+	})
+}
+
+// TestScanPoisonsUnselectedCells arms the selection-driven scan's
+// "unspecified cells" rule: in the batch a filtered scan hands out, every
+// cell of a late column outside the selection reads as poison — whatever
+// its codec decoded — while the selected cells, and the predicate's own
+// column throughout, hold the table's values. A block with no survivor is
+// poison all over and still has its physical rows.
+func TestScanPoisonsUnselectedCells(t *testing.T) {
+	tab := ordersLike(3000)
+	r := newRig(2)
+	st, err := PlaceColumnMajor(tab, r.vol, 1, 1024, []compress.Codec{
+		compress.Delta, compress.Bitpack, compress.Dict, compress.LZ, compress.Bitpack, compress.Dict, compress.Raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := []int{0, 1, 3, 5, 6} // key; then late: Bitpack ints, LZ floats, Dict and Raw strings
+	// Nothing of block 0 (keys 1..1024), a run of block 1, a run and the
+	// last row of block 2.
+	keep := func(key int64) bool { return key > 1024 && key <= 1100 || key > 2100 && key <= 2200 || key == 3000 }
+	k := func(op CmpOp, v int64) Pred { return &ColConst{Col: 0, Op: op, Val: table.IntVal(v)} }
+	scan := NewColumnScan(st, read, []int{0, 1, 2, 3, 4}, &Or{Preds: []Pred{
+		&And{Preds: []Pred{k(Gt, 1024), k(Le, 1100)}},
+		&And{Preds: []Pred{k(Gt, 2100), k(Le, 2200)}},
+		k(Eq, 3000),
+	}})
+	if scan.late != 0b11110 {
+		t.Fatalf("late mask %#b, want every column but the key", scan.late)
+	}
+	r.run(t, func(ctx *Ctx) {
+		if err := scan.Open(ctx); err != nil {
+			t.Error(err)
+			return
+		}
+		for blk := 0; ; blk++ {
+			b, err := scan.Next(ctx)
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			if b == nil {
+				if blk != 3 {
+					t.Errorf("%d blocks, want 3", blk)
+				}
+				break
+			}
+			lo := blk * 1024
+			n := min(1024, tab.Rows()-lo)
+			if blk == 0 && b.Rows() != 0 {
+				t.Errorf("block 0 keeps %d rows, want none", b.Rows())
+			}
+			for c, v := range b.Vecs {
+				if v.Len() != n {
+					t.Fatalf("block %d column %d has %d cells, want %d", blk, c, v.Len(), n)
+				}
+			}
+			selected := make([]bool, n)
+			for _, i := range b.Sel {
+				selected[i] = true
+			}
+			for i := 0; i < n; i++ {
+				key := tab.Column(0).I[lo+i]
+				if selected[i] != keep(key) {
+					t.Fatalf("block %d row %d (key %d): selected = %v", blk, i, key, selected[i])
+				}
+				if b.Vecs[0].I[i] != key {
+					t.Fatalf("block %d row %d: the predicate's column reads %d, want %d", blk, i, b.Vecs[0].I[i], key)
+				}
+				wantI, wantF := tab.Column(1).I[lo+i], tab.Column(3).F[lo+i]
+				wantS5, wantS6 := tab.Column(5).S[lo+i], tab.Column(6).S[lo+i]
+				if !selected[i] {
+					wantI, wantF = poisonWord, math.Float64frombits(poisonWord)
+					wantS5, wantS6 = poisonString, poisonString
+				}
+				if gotI, gotF, gotS5, gotS6 := b.Vecs[1].I[i], b.Vecs[2].F[i], b.Vecs[3].S[i], b.Vecs[4].S[i]; gotI != wantI ||
+					math.Float64bits(gotF) != math.Float64bits(wantF) || gotS5 != wantS5 || gotS6 != wantS6 {
+					t.Fatalf("block %d row %d (selected %v): late cells read %#x %v %q %q, want %#x %v %q %q",
+						blk, i, selected[i], gotI, gotF, gotS5, gotS6, wantI, wantF, wantS5, wantS6)
+				}
+			}
+		}
+		if err := scan.Close(ctx); err != nil {
+			t.Error(err)
+		}
 	})
 }

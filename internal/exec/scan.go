@@ -14,6 +14,17 @@ import (
 // the codec's decode cycles), a predicate filters rows, and Emit selects
 // the output columns.
 //
+// Decoding is selection-driven, as in the read-optimised scanner of
+// [HLA+06] (see ctx.go): per block, the columns the predicate reads are
+// decoded first and the predicate runs over them; the other ("late")
+// columns are decoded afterwards, and only as far as the surviving rows
+// need — not at all when none survived, and for dictionary strings only
+// the surviving cells. Cells of a late column outside the selection hold
+// unspecified values, though every vector keeps the block's row count
+// (CONTRACT.md, "Scan scratch lifetime"). This is host work: the simulated
+// machine is charged for decoding every read column of every block either
+// way, before the predicate, so the model clock does not see it.
+//
 // I/O is pipelined: a background reader process fetches block b+1..b+W
 // while the consumer decodes and processes block b, so elapsed time tends
 // to max(I/O, CPU) — the overlap the paper's Figure 2 assumes ("by
@@ -33,6 +44,7 @@ type ColumnScan struct {
 
 	schema  *table.Schema
 	readSch *table.Schema
+	late    uint64 // bit i: ReadCols[i] is decoded after Pred, which does not read it
 	nblocks int
 	eof     bool
 	started bool
@@ -72,7 +84,52 @@ func NewColumnScan(st *StoredTable, readCols, emit []int, pred Pred) *ColumnScan
 		Pred:     pred,
 		schema:   table.NewSchema(st.Tab.Schema.Name, cols...),
 		readSch:  table.NewSchema(st.Tab.Schema.Name, readCs...),
+		late:     lateCols(pred, len(readCols)),
 	}
+}
+
+// lateCols returns the mask of the ncols read-column positions pred does
+// not read. No predicate, one of a type predCols does not know, or more
+// columns than the mask has bits leaves no column late: every column is
+// then decoded before the predicate.
+func lateCols(pred Pred, ncols int) uint64 {
+	if pred == nil || ncols > 64 {
+		return 0
+	}
+	early, ok := predCols(pred)
+	if !ok {
+		return 0
+	}
+	return ^early & (1<<uint(ncols) - 1)
+}
+
+// predCols returns the mask of the batch columns p reads; ok is false when
+// p contains a predicate whose columns are not known here.
+func predCols(p Pred) (mask uint64, ok bool) {
+	switch p := p.(type) {
+	case *ColConst:
+		return 1 << uint(p.Col), true
+	case *ColCol:
+		return 1<<uint(p.Left) | 1<<uint(p.Right), true
+	case *And:
+		return predsCols(p.Preds)
+	case *Or:
+		return predsCols(p.Preds)
+	case *Not:
+		return predCols(p.Pred)
+	}
+	return 0, false
+}
+
+func predsCols(ps []Pred) (mask uint64, ok bool) {
+	for _, q := range ps {
+		m, ok := predCols(q)
+		if !ok {
+			return 0, false
+		}
+		mask |= m
+	}
+	return mask, true
 }
 
 // Schema implements Operator.
@@ -134,7 +191,7 @@ func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 		return nil, nil
 	}
 	s.credits.Put(1)
-	read, err := s.decode(b)
+	read, err := s.decode(b, s.late, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,22 +205,47 @@ func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 	// Scanner work proper: predicate + projection over the logical bytes.
 	ctx.ChargeBytes(logicalBytes, ctx.Costs.ScanCyclesPerByte)
 	ctx.TouchDRAM(logicalBytes)
-	return s.scratch.emit(ctx, read, s.Pred, s.Emit, s.schema), nil
+	return s.emit(ctx, b, read)
 }
 
-// decode refills the scan's scratch batch with block b of the read
-// columns. It is host work only — no simulated time passes — so Next
-// charges for it afterwards.
-func (s *ColumnScan) decode(b int) (*table.Batch, error) {
+// decode refills the scan's scratch batch with block b of the read columns
+// bar those in the skip mask, which are sized to the block and otherwise
+// left as they are. A non-nil sel lists the rows the caller will read. It
+// is host work only — no simulated time passes — and Next charges for
+// every read column, whichever call decodes it and however far.
+func (s *ColumnScan) decode(b int, skip uint64, sel []int32) (*table.Batch, error) {
 	lo, hi := s.ST.blockSpan(b)
 	read := s.scratch.batch(s.readSch, hi-lo)
 	for i, ci := range s.ReadCols {
-		if err := s.scratch.column(i, s.ST.Codecs[ci], &s.ST.cols[ci][b]); err != nil {
+		if skip>>uint(i)&1 != 0 {
+			s.scratch.size(i, hi-lo)
+			continue
+		}
+		if err := s.scratch.column(i, s.ST.Codecs[ci], &s.ST.cols[ci][b], sel); err != nil {
 			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
 		}
 	}
 	read.SetRows(hi - lo)
 	return read, nil
+}
+
+// emit runs the predicate over block b, decoded into read as far as the
+// predicate needs, then decodes the late columns for the rows that
+// survived — none: not at all; all of them: no selection to honour — and
+// projects.
+func (s *ColumnScan) emit(ctx *Ctx, b int, read *table.Batch) (*table.Batch, error) {
+	sel := s.scratch.filter(ctx, read, s.Pred)
+	if s.late != 0 && len(sel) > 0 {
+		want := sel
+		if len(sel) == read.Rows() {
+			want = nil
+		}
+		if _, err := s.decode(b, ^s.late, want); err != nil {
+			return nil, err
+		}
+	}
+	s.scratch.poisonUnselected(s.late, sel)
+	return s.scratch.project(read, sel, s.Emit, s.schema), nil
 }
 
 // Close implements Operator. Closing early cancels the reader process.
@@ -427,7 +509,7 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 	// Row stores pay tuple-parsing cost on top of the scan work.
 	ctx.ChargeBytes(blk.rawSize, ctx.Costs.ScanCyclesPerByte+ctx.Costs.RowParseCyclesPerByte)
 	ctx.TouchDRAM(blk.rawSize)
-	return s.scratch.emit(ctx, full, s.Pred, s.Emit, s.schema), nil
+	return s.scratch.project(full, s.scratch.filter(ctx, full, s.Pred), s.Emit, s.schema), nil
 }
 
 // decode refills the scan's scratch batch with the tuples of block bi.

@@ -29,7 +29,6 @@ type scanScratch struct {
 func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 	if sc.read == nil {
 		sc.read = table.NewBatch(schema, rows)
-		sc.syms = make([]compress.SymbolTable, len(schema.Cols))
 	}
 	return sc.read
 }
@@ -44,8 +43,10 @@ func (sc *scanScratch) expand(codec compress.Codec, blk *block) ([]byte, error) 
 
 // column refills column i of the decode target from blk. A codec that can
 // write typed memory does (ints under Delta/Bitpack, strings under Dict);
-// any other pairing expands to bytes first.
-func (sc *scanScratch) column(i int, codec compress.Codec, blk *block) error {
+// any other pairing expands to bytes first. A non-nil sel lists, ascending,
+// the rows that will be read: dictionary strings are materialised for those
+// cells alone, while the sequential codecs decode the whole block anyway.
+func (sc *scanScratch) column(i int, codec compress.Codec, blk *block, sel []int32) error {
 	v, n := sc.read.Vecs[i], blk.hi-blk.lo
 	got := n
 	var err error
@@ -53,7 +54,10 @@ func (sc *scanScratch) column(i int, codec compress.Codec, blk *block) error {
 		v.I, err = dec.DecodeInt64s(v.I[:0], blk.enc)
 		got = len(v.I)
 	} else if dec, ok := codec.(compress.StringDecoder); ok && v.Type.Physical() == table.PhysString {
-		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &sc.syms[i])
+		if sc.syms == nil { // a scan that reads no dictionary column needs none
+			sc.syms = make([]compress.SymbolTable, len(sc.read.Vecs))
+		}
+		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &sc.syms[i], sel)
 		got = len(v.S)
 	} else {
 		var raw []byte
@@ -67,24 +71,43 @@ func (sc *scanScratch) column(i int, codec compress.Codec, blk *block) error {
 	return err
 }
 
+// size gives column i of the decode target n cells without filling them:
+// they hold whatever the backing array did. Every vector of a batch has
+// the block's row count, decoded or not.
+func (sc *scanScratch) size(i, n int) {
+	switch v := sc.read.Vecs[i]; v.Type.Physical() {
+	case table.PhysInt:
+		v.I = slices.Grow(v.I[:0], n)[:n]
+	case table.PhysFloat:
+		v.F = slices.Grow(v.F[:0], n)[:n]
+	default:
+		v.S = slices.Grow(v.S[:0], n)[:n]
+	}
+}
+
 // release lets go of everything at Close.
 func (sc *scanScratch) release() {
 	sc.retire()
 	*sc = scanScratch{}
 }
 
-// emit filters in's rows with pred and projects the emit positions. The
+// filter returns the rows of in that pred keeps, ascending, in the
+// scratch's selection vector.
+func (sc *scanScratch) filter(ctx *Ctx, in *table.Batch, pred Pred) []int32 {
+	sel := iotaSel(&sc.sel, in.Rows())
+	if pred != nil {
+		sel = pred.Eval(ctx, in, sel)
+	}
+	return sel
+}
+
+// project returns the emit positions of in over the rows in sel. The
 // output columns are always views of in's vectors; when only some rows
 // survive, the surviving selection vector rides on the batch instead of
 // being gathered here — compaction is deferred to the consumer's
 // materialisation boundary. The returned batch aliases the scratch and is
 // valid until the scan's next Next.
-func (sc *scanScratch) emit(ctx *Ctx, in *table.Batch, pred Pred, emit []int, schema *table.Schema) *table.Batch {
-	n := in.Rows()
-	sel := iotaSel(&sc.sel, n)
-	if pred != nil {
-		sel = pred.Eval(ctx, in, sel)
-	}
+func (sc *scanScratch) project(in *table.Batch, sel []int32, emit []int, schema *table.Schema) *table.Batch {
 	if sc.view == nil {
 		sc.view = &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(emit))}
 	}
@@ -92,7 +115,7 @@ func (sc *scanScratch) emit(ctx *Ctx, in *table.Batch, pred Pred, emit []int, sc
 	for oi, e := range emit {
 		o.Vecs[oi] = in.Vecs[e]
 	}
-	if len(sel) == n || len(emit) == 0 {
+	if len(sel) == in.Rows() || len(emit) == 0 {
 		// All rows survive, or there are no columns to select over: a
 		// plain batch with explicit cardinality (zero-column batches never
 		// carry a selection).

@@ -62,7 +62,7 @@ func TestScanDecodeMatchesGenericDecode(t *testing.T) {
 			for b := 0; b < st.NumBlocks(); b++ {
 				for ci, col := range tab.Schema.Cols {
 					blk := &st.cols[ci][b]
-					if err := sc.column(ci, codec, blk); err != nil {
+					if err := sc.column(ci, codec, blk, nil); err != nil {
 						t.Fatalf("%s.%s under %s, block %d: %v", name, col.Name, codec.Name(), b, err)
 					}
 					raw, err := codec.Decode(nil, blk.enc)
@@ -132,18 +132,28 @@ func lineitemBlocks(tb testing.TB) *table.Table {
 	return li
 }
 
-// columnDecodeScan places li with codec on the named column and returns a
-// scan reading only that column, plus the column's logical bytes.
-func columnDecodeScan(tb testing.TB, li *table.Table, c decodeCase) (*ColumnScan, int64) {
+// columnDecodeScan places t with codec on the named column and returns a
+// scan reading only that column, plus the column's logical bytes. With a
+// predicate — over batch column 0, which is then predCol under its default
+// codec — the scan reads predCol as well and the named column is its late
+// column.
+func columnDecodeScan(tb testing.TB, t *table.Table, c decodeCase, predCol string, pred Pred) (*ColumnScan, int64) {
 	tb.Helper()
-	ci := li.Schema.MustColIndex(c.col)
-	codecs := tpch.DefaultCodecs(li.Schema)
+	ci := t.Schema.MustColIndex(c.col)
+	codecs := tpch.DefaultCodecs(t.Schema)
 	codecs[ci] = c.codec
-	st, err := PlaceColumnMajor(li, newRig(1).vol, 1, 8192, codecs)
+	st, err := PlaceColumnMajor(t, newRig(1).vol, 1, 8192, codecs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return NewColumnScan(st, []int{ci}, []int{0}, nil), st.ColRawBytes(ci)
+	if pred == nil {
+		return NewColumnScan(st, []int{ci}, []int{0}, nil), st.ColRawBytes(ci)
+	}
+	scan := NewColumnScan(st, []int{t.Schema.MustColIndex(predCol), ci}, []int{0, 1}, pred)
+	if scan.late != 0b10 {
+		tb.Fatalf("%s behind a predicate on %s: late mask %#b, want it late", c.col, predCol, scan.late)
+	}
+	return scan, st.ColRawBytes(ci)
 }
 
 // numericOnly copies t's int- and float-class columns into a new table:
@@ -182,11 +192,11 @@ func rowDecodeScan(tb testing.TB, li *table.Table, codec compress.Codec) *RowSca
 // charges (which park the process): decode into the scratch, then filter
 // and project.
 func (s *ColumnScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
-	read, err := s.decode(b)
+	read, err := s.decode(b, s.late, nil)
 	if err != nil {
 		return nil, err
 	}
-	return s.scratch.emit(ctx, read, s.Pred, s.Emit, s.schema), nil
+	return s.emit(ctx, b, read)
 }
 
 func (s *RowScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
@@ -194,14 +204,15 @@ func (s *RowScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.scratch.emit(ctx, full, s.Pred, s.Emit, s.schema), nil
+	return s.scratch.project(full, s.scratch.filter(ctx, full, s.Pred), s.Emit, s.schema), nil
 }
 
 // TestScanDecodeSteadyStateAllocs pins the point of the scan scratch: once
 // a scan has decoded each block shape once, decoding a block — everything
 // Next does after the block's pages are in, bar charging for it —
 // allocates nothing, for int, float and dictionary columns and for numeric
-// rows.
+// rows — also when a predicate keeps a few rows of every block and the
+// column is decoded late, for those rows.
 func TestScanDecodeSteadyStateAllocs(t *testing.T) {
 	li := lineitemBlocks(t)
 	ctx := benchCtx()
@@ -221,8 +232,11 @@ func TestScanDecodeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for _, c := range decodeCases {
-		scan, _ := columnDecodeScan(t, li, c)
+		scan, _ := columnDecodeScan(t, li, c, "", nil)
 		steady("column/"+c.name, scan.ST.NumBlocks(), func(b int) (*table.Batch, error) { return scan.decodeEmit(ctx, b) })
+		// Seventh lines: a few rows in a hundred, some in every block.
+		late, _ := columnDecodeScan(t, li, c, "l_linenumber", &ColConst{Col: 0, Op: Eq, Val: table.IntVal(7)})
+		steady("column/"+c.name+"/selective", late.ST.NumBlocks(), func(b int) (*table.Batch, error) { return late.decodeEmit(ctx, b) })
 	}
 	for _, codec := range []compress.Codec{compress.Raw, compress.LZ} {
 		scan := rowDecodeScan(t, li, codec)

@@ -634,3 +634,65 @@ func TestSharedPlanCacheAcrossConnections(t *testing.T) {
 		t.Fatalf("post-insert reuse: %d hits / %d misses, want 2/2", h, m)
 	}
 }
+
+// BenchmarkShortStatements is the host cost of the three short statement
+// shapes of the eeperf wire_short workload — a customer point filter, a
+// small aggregate over one customer's orders, a nation lookup — prepared
+// once and executed over the wire protocol on an in-process pipe, on the
+// workload's data (TPC-H SF 0.005, seed 2009) and machine. eeperf takes no
+// -cpuprofile and a PR that claims a gain may not edit it; this is where
+// that workload's floor is profiled:
+//
+//	go test ./internal/server -run '^$' -bench ShortStatements -cpu 1 \
+//		-cpuprofile cpu.out -memprofile mem.out -memprofilerate 1
+func BenchmarkShortStatements(b *testing.B) {
+	db, err := core.Open(core.Config{Server: hw.SmallServer(4)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tab := range tpch.Generate(0.005, 2009).Tables {
+		if err := db.LoadTable(tab); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := server.New(db)
+	defer srv.Close()
+	c, err := client.New(srv.Pipe(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Session()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	for _, shape := range []struct{ name, text string }{
+		{"point", "SELECT c_name, c_acctbal, c_mktsegment FROM customer WHERE c_custkey = 377"},
+		{"aggregate", "SELECT COUNT(*) AS n, SUM(o_totalprice) AS s FROM orders WHERE o_custkey = 377"},
+		{"lookup", "SELECT n_name, n_regionkey FROM nation WHERE n_nationkey = 7"},
+	} {
+		st, err := sess.Prepare(shape.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func() {
+			rows, err := st.Query()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tab, _, err := rows.Collect(); err != nil {
+				b.Fatal(err)
+			} else if tab.Rows() != 1 {
+				b.Fatalf("%s: %d rows, want 1", shape.name, tab.Rows())
+			}
+		}
+		run() // places the table; the plan is cached from here on
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
