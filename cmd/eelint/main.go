@@ -2,216 +2,44 @@
 // suite in internal/lint over the packages matching its arguments and
 // reports every contract violation with file:line positions.
 //
-// Standalone:
-//
 //	go run ./cmd/eelint ./...          # whole module, test files included
 //	go run ./cmd/eelint ./internal/exec
 //
 // Exit status is 1 when any diagnostic is reported, 0 on a clean tree.
-//
-// The binary also speaks the `go vet -vettool` unit-checker protocol
-// (invoked per compilation unit with a *.cfg JSON file and -V=full for
-// tool identification), so CI and editors can run it through vet:
-//
-//	go build -o eelint ./cmd/eelint
-//	go vet -vettool=$(pwd)/eelint ./...
-//
-// In vet mode packages arrive pre-typechecked via export data, so the
-// suite runs without re-loading the module from source.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"strings"
 
 	"energydb/internal/lint"
 )
 
 func main() {
-	versionFlag := flag.Bool("V", false, "print version (vet tool protocol)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: eelint [packages]\n       eelint <unit>.cfg   (go vet -vettool mode)\n")
-		flag.PrintDefaults()
-	}
-	// The vet protocol probes the tool with -V=full (identification) and
-	// -flags (JSON list of tool flags, of which the suite has none).
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Printf("eelint version v1.0.0\n")
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
+		fmt.Fprintf(os.Stderr, "usage: eelint [packages]\n")
 	}
 	flag.Parse()
-	if *versionFlag {
-		fmt.Printf("eelint version v1.0.0\n")
-		return
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetMode(args[0]))
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(standalone(args))
-}
-
-func standalone(patterns []string) int {
 	loader, err := lint.NewLoader("")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
+		os.Exit(2)
 	}
 	diags, err := loader.LoadAndRun(lint.Suite(), patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
+		os.Exit(2)
 	}
 	for _, d := range diags {
 		fmt.Printf("%s\n", d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "eelint: %d contract violation(s)\n", len(diags))
-		return 1
+		os.Exit(1)
 	}
-	return 0
-}
-
-// vetCfg is the unit-checker configuration cmd/go writes for -vettool
-// invocations (a subset of the fields; unknown fields are ignored).
-type vetCfg struct {
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// vetMode analyzes one compilation unit described by cfgPath, printing
-// diagnostics as the JSON tree cmd/go expects and exiting 2 when any
-// are found (the unit-checker convention).
-func vetMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var cfg vetCfg
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "eelint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The protocol requires the facts file regardless of findings; the
-	// suite exports no facts, so it is empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	diags, err := analyzeUnit(&cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "eelint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	if len(diags) == 0 {
-		return 0
-	}
-	printVetJSON(os.Stdout, cfg.ImportPath, diags)
-	return 2
-}
-
-// analyzeUnit typechecks the unit's files against the export data cmd/go
-// compiled for its dependencies, then runs the suite.
-func analyzeUnit(cfg *vetCfg) ([]lint.Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	compilerImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{
-		Importer:    mappedImporter{imp: compilerImporter, m: cfg.ImportMap},
-		FakeImportC: true,
-	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	lp := &lint.Package{
-		Path:  strings.TrimSuffix(cfg.ImportPath, "_test"),
-		Fset:  fset,
-		Files: files,
-		Types: pkg,
-		Info:  info,
-	}
-	return lint.RunAnalyzers(lp, lint.Suite())
-}
-
-// mappedImporter applies the unit's ImportMap (vendoring, test variants)
-// before delegating to the export-data importer.
-type mappedImporter struct {
-	imp types.Importer
-	m   map[string]string
-}
-
-func (mi mappedImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := mi.m[path]; ok {
-		path = mapped
-	}
-	return mi.imp.Import(path)
-}
-
-// printVetJSON emits diagnostics in the {"pkg": {"analyzer": [...]}}
-// shape cmd/go parses from unit checkers.
-func printVetJSON(w io.Writer, importPath string, diags []lint.Diagnostic) {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := make(map[string][]jsonDiag)
-	for _, d := range diags {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-			Posn:    d.Pos.String(),
-			Message: d.Message,
-		})
-	}
-	out := map[string]map[string][]jsonDiag{importPath: byAnalyzer}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	_ = enc.Encode(out)
 }

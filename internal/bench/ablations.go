@@ -108,23 +108,18 @@ func RunJoinFlip() (*JoinFlipResult, error) {
 	return res, nil
 }
 
+// joinAlgoOf reports the algorithm of the first join under n, in
+// pre-order, or "" when the plan has none.
 func joinAlgoOf(n opt.PhysNode) string {
-	switch v := n.(type) {
-	case *opt.PJoin:
-		return v.Algo
-	case *opt.PFilter:
-		return joinAlgoOf(v.In)
-	case *opt.PProject:
-		return joinAlgoOf(v.In)
-	case *opt.PAgg:
-		return joinAlgoOf(v.In)
-	case *opt.PSort:
-		return joinAlgoOf(v.In)
-	case *opt.PLimit:
-		return joinAlgoOf(v.In)
-	default:
-		return ""
+	if j, ok := n.(*opt.PJoin); ok {
+		return j.Algo
 	}
+	for _, c := range n.Children() {
+		if algo := joinAlgoOf(c); algo != "" {
+			return algo
+		}
+	}
+	return ""
 }
 
 // joinCostsUnder reports the model joules of the best hash and best NL

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"regexp"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 
 	"energydb/internal/energy"
 	"energydb/internal/opt"
+	"energydb/internal/sql"
 	"energydb/internal/tpch"
 )
 
@@ -509,5 +511,59 @@ func TestSessionClosedRejects(t *testing.T) {
 	}
 	if _, err := sess.Prepare(tpch.Q6); err == nil {
 		t.Fatal("prepare on closed session should fail")
+	}
+}
+
+// TestTypeErrorFailsAtPrepare: a statement that does not type-check is
+// refused by Prepare (and Query, Explain, DB.Exec and DB.Plan, which bind
+// the same way) with sql.ErrType, before admission — no ticket, no energy
+// account, no process — and the session goes on serving. At 9d264a0 the
+// first two texts bound, and panicked the process on their first batch;
+// the other two answered "" and 0.
+func TestTypeErrorFailsAtPrepare(t *testing.T) {
+	db := smallDB(t, opt.MinTime)
+	loadTinyTPCH(t, db, 0.002)
+	sess := db.Session()
+	for _, q := range []string{
+		"SELECT c_name + 1 AS x FROM customer",
+		"SELECT 'x' + 1 AS z FROM customer",
+		"SELECT SUM(c_name) AS s FROM customer",
+		"SELECT AVG(c_name) AS s FROM customer",
+	} {
+		if _, err := sess.Prepare(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Prepare(%q): error %v, want sql.ErrType", q, err)
+		}
+		if _, err := sess.Query(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Query(%q): error %v, want sql.ErrType", q, err)
+		}
+		if _, err := sess.Explain(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Explain(%q): error %v, want sql.ErrType", q, err)
+		}
+		if _, err := db.Exec(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Exec(%q): error %v, want sql.ErrType", q, err)
+		}
+		if _, err := db.Plan(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Plan(%q): error %v, want sql.ErrType", q, err)
+		}
+	}
+	if st := db.SchedStats(); st.Submitted != 0 {
+		t.Errorf("%d tickets submitted for statements that never bound", st.Submitted)
+	}
+	if n := db.Attr.Active(); n != 0 {
+		t.Errorf("%d energy accounts open", n)
+	}
+	if live := db.Srv.Eng.Live(); live != 0 {
+		t.Errorf("%d processes live", live)
+	}
+	rows, err := sess.Query("SELECT MIN(c_name) AS lo, COUNT(*) AS n FROM customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rows.Collect()
+	if err != nil || res.Rows.Rows() != 1 || res.Rows.Column(1).I[0] == 0 {
+		t.Fatalf("the session's next statement: %v, err %v", res, err)
+	}
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }

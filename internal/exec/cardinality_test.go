@@ -141,10 +141,8 @@ func TestFilterChainPushdown(t *testing.T) {
 }
 
 // TestProjectComposesSelection: a projection between filters must forward
-// a dense-enough incoming selection instead of compacting (below
-// compactDensity the gather is the better trade — see
-// TestProjectCompactsSparseSelection), and arithmetic over a selected
-// batch must produce values aligned with the survivors.
+// an incoming selection instead of compacting, and arithmetic over a
+// selected batch must produce values aligned with the survivors.
 func TestProjectComposesSelection(t *testing.T) {
 	tab := ordersLike(2000)
 	r := newRig(1)
@@ -152,10 +150,10 @@ func TestProjectComposesSelection(t *testing.T) {
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
 		// Gt 700 leaves the partial batch (keys 513..1024) at 324/512
-		// survivors — above the compaction threshold.
+		// survivors.
 		f := &Filter{In: &Values{Tab: tab, BatchRows: 512},
 			Pred: &ColConst{Col: 0, Op: Gt, Val: table.IntVal(700)}}
-		p := NewProject(f,
+		p := mustProject(t, f,
 			[]Scalar{&ColRef{Col: 0}, &Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}}},
 			[]string{"k", "double_price"})
 		probe.In = p
@@ -183,21 +181,21 @@ func TestProjectComposesSelection(t *testing.T) {
 	}
 }
 
-// TestProjectFusedSparseSelection: a fused arithmetic kernel is
-// selection-aware, so even a far-below-compactDensity selection rides
-// through the projection uncompacted (no gather, no wasted arithmetic
-// on deselected rows) and the values still line up row for row.
+// TestProjectFusedSparseSelection: the arithmetic kernel is
+// selection-aware, so even a very sparse selection rides through the
+// projection uncompacted (no gather, no arithmetic on deselected rows)
+// and the values still line up row for row.
 func TestProjectFusedSparseSelection(t *testing.T) {
 	tab := ordersLike(2000)
 	r := newRig(1)
 	probe := &selProbe{}
 	var got *table.Table
 	r.run(t, func(ctx *Ctx) {
-		// Gt 1000 leaves batch 513..1024 at 24/512 survivors — far below
-		// compactDensity, but the fused kernel evaluates only selected rows.
+		// Gt 1000 leaves batch 513..1024 at 24/512 survivors; the kernel
+		// evaluates only those.
 		f := &Filter{In: &Values{Tab: tab, BatchRows: 512},
 			Pred: &ColConst{Col: 0, Op: Gt, Val: table.IntVal(1000)}}
-		p := NewProject(f,
+		p := mustProject(t, f,
 			[]Scalar{&ColRef{Col: 0}, &Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}}},
 			[]string{"k", "double_price"})
 		probe.In = p
@@ -212,52 +210,6 @@ func TestProjectFusedSparseSelection(t *testing.T) {
 	}
 	if probe.selected == 0 {
 		t.Fatal("fused projection compacted the sparse selection instead of composing it")
-	}
-	for i := 0; i < got.Rows(); i++ {
-		k := got.Column(0).I[i]
-		if k <= 1000 {
-			t.Fatalf("row %d: key %d failed the filter", i, k)
-		}
-		wantP := tab.Column(3).F[k-1] * 2
-		if got.Column(1).F[i] != wantP {
-			t.Fatalf("row %d: price %v, want %v", i, got.Column(1).F[i], wantP)
-		}
-	}
-}
-
-// opaqueScalar hides a Scalar from the fusion pass, forcing the
-// node-at-a-time fallback (and, for sparse selections, the projection's
-// pre-arithmetic compaction).
-type opaqueScalar struct{ Scalar }
-
-// TestProjectCompactsSparseUnfused: when fusion declines a tree (here an
-// Arith over an opaque child), a below-compactDensity selection is still
-// gathered once before evaluation, so the fallback path doesn't burn
-// per-node arithmetic on deselected rows.
-func TestProjectCompactsSparseUnfused(t *testing.T) {
-	tab := ordersLike(2000)
-	r := newRig(1)
-	probe := &selProbe{}
-	var got *table.Table
-	r.run(t, func(ctx *Ctx) {
-		f := &Filter{In: &Values{Tab: tab, BatchRows: 512},
-			Pred: &ColConst{Col: 0, Op: Gt, Val: table.IntVal(1000)}}
-		p := NewProject(f,
-			[]Scalar{&ColRef{Col: 0},
-				&Arith{Op: Mul, L: &opaqueScalar{&ColRef{Col: 3}}, R: &Const{Val: table.FloatVal(2)}}},
-			[]string{"k", "double_price"})
-		probe.In = p
-		var err error
-		got, err = Collect(ctx, probe)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if got.Rows() != 1000 {
-		t.Fatalf("rows = %d, want 1000", got.Rows())
-	}
-	if probe.selected != 0 {
-		t.Fatalf("sparse selection rode through the unfused projection uncompacted (%d selected batches)", probe.selected)
 	}
 	for i := 0; i < got.Rows(); i++ {
 		k := got.Column(0).I[i]

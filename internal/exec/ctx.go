@@ -16,7 +16,6 @@ import (
 	"energydb/internal/hw"
 	"energydb/internal/sim"
 	"energydb/internal/storage"
-	"energydb/internal/table"
 )
 
 // CostParams are the CPU cost constants (cycles per unit of work) charged
@@ -71,67 +70,16 @@ type Ctx struct {
 	// VectorSize is the preferred rows per batch for non-scan operators.
 	VectorSize int
 
-	// Scratch recycles per-operator scratch vectors (scalar expression
-	// outputs) across the operators of one query. Worker contexts copied
-	// from this one share the pool by pointer; the engine's one-process-
-	// at-a-time discipline makes that sound. Nil is allowed — operators
-	// fall back to allocating.
-	Scratch *VecPool
-
 	// Widen, when non-nil, lets a live fragmented exchange accept extra
-	// cores mid-pipeline (see Widener). Shared by pointer with worker
-	// contexts like Scratch.
+	// cores mid-pipeline (see Widener). Worker contexts copied from this
+	// one share it by pointer.
 	Widen *Widener
 }
 
 // NewCtx builds a context with default costs and vector size.
 func NewCtx(p *sim.Proc, cpu *hw.CPU) *Ctx {
 	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts(), VectorSize: 4096,
-		Scratch: &VecPool{}, Widen: &Widener{}}
-}
-
-// VecPool is a free list of scratch vectors. Operators acquire a vector
-// once (typically on first batch) and keep it for their lifetime,
-// resetting it per batch — so the pool's job is recycling across
-// operator instances (pipeline restarts, per-fragment expression
-// copies), not per-batch churn.
-type VecPool struct {
-	free []*table.Vector
-	inv  vecPoolInv // lifecycle assertions; no-op unless built with -tags ee_invariants
-}
-
-// Get returns a reusable vector retyped to t, or a fresh one with the
-// given capacity when none of the right physical class is free.
-func (p *VecPool) Get(t table.Type, capacity int) *table.Vector {
-	for i, v := range p.free {
-		if v.Type.Physical() == t.Physical() {
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			p.inv.onGet(v)
-			v.Type = t
-			v.Reset()
-			return v
-		}
-	}
-	return table.NewVector(t, capacity)
-}
-
-// Put returns a vector to the free list. The caller gives up ownership:
-// touching v after Put is a contract violation (the pool may hand it to
-// another operator), caught under the ee_invariants build tag.
-func (p *VecPool) Put(v *table.Vector) {
-	if v != nil {
-		p.inv.onPut(v)
-		p.free = append(p.free, v)
-	}
-}
-
-// scratchVec acquires a scratch vector through the context's pool, or
-// allocates when the context has none (hand-built test contexts).
-func scratchVec(ctx *Ctx, t table.Type, capacity int) *table.Vector {
-	if ctx != nil && ctx.Scratch != nil {
-		return ctx.Scratch.Get(t, capacity)
-	}
-	return table.NewVector(t, capacity)
+		Widen: &Widener{}}
 }
 
 // ChargeBytes charges byte-proportional CPU work.

@@ -47,6 +47,16 @@ func (r *rig) run(t *testing.T, fn func(ctx *Ctx)) float64 {
 	return r.eng.Now()
 }
 
+// mustProject is NewProject for expressions the test knows compile.
+func mustProject(t testing.TB, in Operator, exprs []Scalar, names []string) *Project {
+	t.Helper()
+	p, err := NewProject(in, exprs, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // ordersLike builds a small deterministic table shaped like TPC-H ORDERS.
 func ordersLike(n int) *table.Table {
 	s := table.NewSchema("orders",
@@ -274,7 +284,7 @@ func TestFilterAndProject(t *testing.T) {
 	r.run(t, func(ctx *Ctx) {
 		src := &Values{Tab: tab, BatchRows: 256}
 		f := &Filter{In: src, Pred: &ColConst{Col: 0, Op: Le, Val: table.IntVal(10)}}
-		p := NewProject(f,
+		p := mustProject(t, f,
 			[]Scalar{&ColRef{Col: 0}, &Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}}},
 			[]string{"k", "double_price"})
 		var err error

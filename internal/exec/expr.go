@@ -294,49 +294,21 @@ func (p *Not) Eval(ctx *Ctx, b *table.Batch, sel []int32) []int32 {
 
 func (p *Not) String() string { return "NOT " + p.Pred.String() }
 
-// Scalar is a per-row expression producing a vector; projections and
-// aggregate inputs use it. EvalInto evaluates over the batch's physical
-// rows (the full vectors), so a selection riding on the batch composes
-// onto the result unchanged.
+// Scalar is a per-row expression tree: a ColRef, a Const or an Arith.
+// A tree is plain immutable data — nothing in it evaluates or carries
+// scratch, so fragments may share one — and NewProject compiles it into
+// the kernel that does (fuse.go).
 type Scalar interface {
-	Type(s *table.Schema) table.Type
-	EvalInto(ctx *Ctx, b *table.Batch) *table.Vector
 	String() string
 }
 
-// ColRef reads a column through unchanged.
+// ColRef is a column of the input, passed through unchanged.
 type ColRef struct{ Col int }
-
-// Type implements Scalar.
-func (e *ColRef) Type(s *table.Schema) table.Type { return s.Cols[e.Col].Type }
-
-// EvalInto implements Scalar.
-func (e *ColRef) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector { return b.Vecs[e.Col] }
 
 func (e *ColRef) String() string { return fmt.Sprintf("col%d", e.Col) }
 
-// Const produces a constant vector.
-type Const struct {
-	Val table.Value
-
-	scratch *table.Vector
-}
-
-// Type implements Scalar.
-func (e *Const) Type(*table.Schema) table.Type { return e.Val.Type }
-
-// EvalInto implements Scalar. The output vector is node-local scratch,
-// reused per batch (valid until the producer's next Next, per the
-// operator contract).
-func (e *Const) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
-	n := b.PhysRows()
-	if e.scratch == nil {
-		e.scratch = scratchVec(ctx, e.Val.Type, n)
-	}
-	e.scratch.Reset()
-	e.scratch.AppendN(e.Val, n)
-	return e.scratch
-}
+// Const is a constant.
+type Const struct{ Val table.Value }
 
 func (e *Const) String() string { return e.Val.String() }
 
@@ -360,88 +332,10 @@ func (o ArithOp) String() string {
 type Arith struct {
 	Op   ArithOp
 	L, R Scalar
-
-	scratch *table.Vector
-}
-
-// Type implements Scalar.
-func (e *Arith) Type(s *table.Schema) table.Type {
-	if e.Op == Div {
-		return table.Float64
-	}
-	lt, rt := e.L.Type(s), e.R.Type(s)
-	if lt.Physical() == table.PhysFloat || rt.Physical() == table.PhysFloat {
-		return table.Float64
-	}
-	return lt
-}
-
-// EvalInto implements Scalar. This is the node-at-a-time fallback path
-// (FuseScalar compiles whole trees out of it); its output vector is
-// node-local scratch reused per batch.
-func (e *Arith) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
-	ctx.ChargeRows(b.Rows(), ctx.Costs.ProjectCyclesPerRow)
-	l := e.L.EvalInto(ctx, b)
-	r := e.R.EvalInto(ctx, b)
-	n := b.PhysRows()
-	if e.scratch == nil {
-		e.scratch = scratchVec(ctx, e.Type(b.Schema), n)
-	}
-	e.scratch.Reset()
-	out := e.scratch
-	if out.Type.Physical() == table.PhysFloat {
-		for i := 0; i < n; i++ {
-			out.F = append(out.F, arithF(e.Op, numAsF(l, i), numAsF(r, i)))
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out.I = append(out.I, arithI(e.Op, l.I[i], r.I[i]))
-	}
-	return out
 }
 
 func (e *Arith) String() string {
 	return fmt.Sprintf("(%s %v %s)", e.L, e.Op, e.R)
-}
-
-func numAsF(v *table.Vector, i int) float64 {
-	if v.Type.Physical() == table.PhysFloat {
-		return v.F[i]
-	}
-	return float64(v.I[i])
-}
-
-func arithF(op ArithOp, a, b float64) float64 {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	default:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
-}
-
-func arithI(op ArithOp, a, b int64) int64 {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	default:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
 }
 
 // TruePred matches every row (no per-row charge: it does no work).

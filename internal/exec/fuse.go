@@ -1,20 +1,22 @@
 package exec
 
 import (
+	"fmt"
+
+	"energydb/internal/fault"
 	"energydb/internal/table"
 )
 
-// This file is the scalar expression fusion pass. Arith trees evaluate
-// one node at a time through Scalar.EvalInto, each node allocating a
-// fresh output vector per batch and visiting every physical row even
-// when a selection has dropped most of them. FuseScalar compiles such a
-// tree into a single typed kernel — a flat postorder register program —
-// that runs one pass per instruction over reused scratch buffers
-// (Filter-style: acquired once, recycled across batches) and touches
-// only selected rows. Results are bit-identical to node-at-a-time
-// evaluation: the same promotion rule (Div and int/float mixes go
-// float64, integer ops wrap), the same div-by-zero-yields-zero, and the
-// same per-element operation order.
+// This file is the scalar expression evaluator — the only one. A
+// projection's expressions arrive as plain trees (Scalar) and NewProject
+// compiles each into a FusedExpr: a bare column is a pass-through of the
+// child's vector, a bare constant is a vector filled once and resliced
+// per batch, and an arithmetic tree is a single typed kernel — a flat
+// postorder register program that runs one pass per instruction over
+// kernel-owned register banks and touches only selected rows. Div and
+// int/float mixes go float64, integer ops wrap, division by zero yields
+// zero, and every element sees the operations in tree order. A string
+// operand of an arithmetic node is a compile error.
 
 // fuseArgKind says where an instruction operand comes from.
 type fuseArgKind uint8
@@ -42,41 +44,41 @@ type fuseInstr struct {
 	l, r  fuseArg
 }
 
-// FusedExpr is a Scalar whose whole Arith tree evaluates in one kernel.
+// FusedExpr is one compiled scalar expression.
 type FusedExpr struct {
-	orig  Scalar // the tree it was compiled from (String, Type)
-	prog  []fuseInstr
-	typ   table.Type
-	nI    int // int64 register bank size
-	nF    int // float64 register bank size
-	nodes int // Arith nodes fused (charging matches node-at-a-time)
-
-	regsI [][]int64
-	regsF [][]float64
-	out   *table.Vector
-	iota  []int32
+	col int     // the input column a bare column reference passes through
+	k   *kernel // nil for a bare column
 }
 
-// FuseScalar compiles e into a fused kernel when it is an arithmetic
-// tree over column references and numeric constants. ok=false (string
-// operands, non-Arith roots, unknown Scalar impls) means keep e as-is.
-func FuseScalar(e Scalar, s *table.Schema) (*FusedExpr, bool) {
-	root, isArith := e.(*Arith)
-	if !isArith {
-		return nil, false
-	}
+// kernel is what evaluating a constant or an arithmetic tree needs. It
+// owns the memory its result lives in, so a result is valid until the
+// kernel's next EvalInto and a kernel belongs to one fragment.
+type kernel struct {
+	val   table.Value // the constant, when prog is empty
+	prog  []fuseInstr
+	regsI [][]int64
+	regsF [][]float64
+	iota  []int32
+	out   table.Vector // header over the last register, or the constant's cells
+}
+
+// compileScalar compiles e against the input schema s and reports the
+// type of its result.
+func compileScalar(e Scalar, s *table.Schema) (FusedExpr, table.Type, error) {
 	c := fuseCompiler{s: s}
-	arg, ok := c.compile(root)
-	if !ok || arg.kind != fuseReg {
-		return nil, false
+	root, typ, err := c.compile(e)
+	if err != nil {
+		return FusedExpr{}, 0, err
 	}
-	f := &FusedExpr{
-		orig: e, prog: c.prog, typ: root.Type(s),
-		nI: c.maxI, nF: c.maxF, nodes: len(c.prog),
+	if root.kind == fuseCol {
+		return FusedExpr{col: root.idx}, typ, nil
 	}
-	f.regsI = make([][]int64, f.nI)
-	f.regsF = make([][]float64, f.nF)
-	return f, true
+	k := &kernel{prog: c.prog, regsI: make([][]int64, c.maxI), regsF: make([][]float64, c.maxF)}
+	k.out.Type = typ
+	if v, ok := e.(*Const); ok {
+		k.val = v.Val
+	}
+	return FusedExpr{k: k}, typ, nil
 }
 
 // fuseCompiler walks the tree postorder, allocating registers with a
@@ -89,32 +91,29 @@ type fuseCompiler struct {
 	maxI, maxF int
 }
 
-func (c *fuseCompiler) compile(e Scalar) (fuseArg, bool) {
+// compile returns where e's value comes from and its type. A leaf may be
+// of any type — a projection passes strings through — but arithmetic is
+// numeric, so a string under an Arith is refused here rather than met by
+// a typed loop.
+func (c *fuseCompiler) compile(e Scalar) (fuseArg, table.Type, error) {
 	switch v := e.(type) {
 	case *ColRef:
-		switch c.s.Cols[v.Col].Type.Physical() {
-		case table.PhysInt:
-			return fuseArg{kind: fuseCol, idx: v.Col}, true
-		case table.PhysFloat:
-			return fuseArg{kind: fuseCol, idx: v.Col, float: true}, true
-		}
-		return fuseArg{}, false
+		t := c.s.Cols[v.Col].Type
+		return fuseArg{kind: fuseCol, idx: v.Col, float: t.Physical() == table.PhysFloat}, t, nil
 	case *Const:
-		switch v.Val.Type.Physical() {
-		case table.PhysInt:
-			return fuseArg{kind: fuseConst, ci: v.Val.I}, true
-		case table.PhysFloat:
-			return fuseArg{kind: fuseConst, cf: v.Val.F, float: true}, true
-		}
-		return fuseArg{}, false
+		return fuseArg{kind: fuseConst, ci: v.Val.I, cf: v.Val.F,
+			float: v.Val.Type.Physical() == table.PhysFloat}, v.Val.Type, nil
 	case *Arith:
-		l, ok := c.compile(v.L)
-		if !ok {
-			return fuseArg{}, false
+		l, lt, err := c.compile(v.L)
+		if err != nil {
+			return fuseArg{}, 0, err
 		}
-		r, ok := c.compile(v.R)
-		if !ok {
-			return fuseArg{}, false
+		r, rt, err := c.compile(v.R)
+		if err != nil {
+			return fuseArg{}, 0, err
+		}
+		if lt.Physical() == table.PhysString || rt.Physical() == table.PhysString {
+			return fuseArg{}, 0, fmt.Errorf("exec: %w: %v %v %v in %v", fault.ErrType, lt, v.Op, rt, v)
 		}
 		// Child registers die here; the stack discipline frees them
 		// before the destination is allocated, so a chain reuses one
@@ -124,9 +123,12 @@ func (c *fuseCompiler) compile(e Scalar) (fuseArg, bool) {
 		float := v.Op == Div || l.float || r.float
 		dst := c.alloc(float)
 		c.prog = append(c.prog, fuseInstr{op: v.Op, float: float, dst: dst, l: l, r: r})
-		return fuseArg{kind: fuseReg, idx: dst, float: float}, true
+		if float {
+			lt = table.Float64
+		}
+		return fuseArg{kind: fuseReg, idx: dst, float: float}, lt, nil
 	}
-	return fuseArg{}, false
+	return fuseArg{}, 0, fmt.Errorf("exec: cannot compile scalar %T", e)
 }
 
 func (c *fuseCompiler) free(a fuseArg) {
@@ -155,14 +157,9 @@ func (c *fuseCompiler) alloc(float bool) int {
 	return c.liveI - 1
 }
 
-// Type implements Scalar.
-func (e *FusedExpr) Type(*table.Schema) table.Type { return e.typ }
-
-func (e *FusedExpr) String() string { return e.orig.String() }
-
 // fOpd is a float-class operand resolved against one batch: exactly one
 // of f/i is non-nil (column or register data, integers converted at
-// read, matching numAsF), else the constant c applies.
+// read), else the constant c applies.
 type fOpd struct {
 	f []float64
 	i []int64
@@ -192,7 +189,7 @@ func (o *iOpd) at(idx int32) int64 {
 	return o.c
 }
 
-func (e *FusedExpr) resolveF(a fuseArg, b *table.Batch) fOpd {
+func (k *kernel) resolveF(a fuseArg, b *table.Batch) fOpd {
 	switch a.kind {
 	case fuseCol:
 		v := b.Vecs[a.idx]
@@ -202,9 +199,9 @@ func (e *FusedExpr) resolveF(a fuseArg, b *table.Batch) fOpd {
 		return fOpd{i: v.I}
 	case fuseReg:
 		if a.float {
-			return fOpd{f: e.regsF[a.idx]}
+			return fOpd{f: k.regsF[a.idx]}
 		}
-		return fOpd{i: e.regsI[a.idx]}
+		return fOpd{i: k.regsI[a.idx]}
 	default:
 		if a.float {
 			return fOpd{c: a.cf}
@@ -213,62 +210,88 @@ func (e *FusedExpr) resolveF(a fuseArg, b *table.Batch) fOpd {
 	}
 }
 
-func (e *FusedExpr) resolveI(a fuseArg, b *table.Batch) iOpd {
+func (k *kernel) resolveI(a fuseArg, b *table.Batch) iOpd {
 	switch a.kind {
 	case fuseCol:
 		return iOpd{i: b.Vecs[a.idx].I}
 	case fuseReg:
-		return iOpd{i: e.regsI[a.idx]}
+		return iOpd{i: k.regsI[a.idx]}
 	default:
 		return iOpd{c: a.ci}
 	}
 }
 
-// EvalInto implements Scalar. The kernel iterates the batch's selection
-// (or the identity when dense), writing results at physical positions so
-// an incoming Batch.Sel composes onto the output unchanged; deselected
-// positions hold stale scratch values that no selection-honouring
-// consumer reads. The charge equals node-at-a-time evaluation: one
-// ProjectCyclesPerRow per fused node per selected row.
+// EvalInto evaluates the expression over b and returns a vector of
+// b.PhysRows() cells. A bare column and a bare constant charge nothing;
+// a program charges one ProjectCyclesPerRow per Arith node per selected
+// row, in one call. The program iterates the batch's selection (or the
+// identity when dense), writing results at physical positions so an
+// incoming Batch.Sel composes onto the output unchanged; deselected
+// positions hold stale register values that no selection-honouring
+// consumer reads — and it never reads a deselected input cell either.
 func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
-	ctx.ChargeRows(b.Rows(), float64(e.nodes)*ctx.Costs.ProjectCyclesPerRow)
+	k := e.k
+	if k == nil {
+		return b.Vecs[e.col]
+	}
 	n := b.PhysRows()
+	if len(k.prog) == 0 {
+		switch k.out.Type.Physical() {
+		case table.PhysInt:
+			k.out.I = constCells(k.out.I, k.val.I, n)
+		case table.PhysFloat:
+			k.out.F = constCells(k.out.F, k.val.F, n)
+		default:
+			k.out.S = constCells(k.out.S, k.val.S, n)
+		}
+		return &k.out
+	}
+	ctx.ChargeRows(b.Rows(), float64(len(k.prog))*ctx.Costs.ProjectCyclesPerRow)
 	sel := b.Sel
 	if sel == nil {
-		sel = iotaSel(&e.iota, n)
+		sel = iotaSel(&k.iota, n)
 	}
-	for i := range e.regsI {
-		if cap(e.regsI[i]) < n {
-			e.regsI[i] = make([]int64, n)
+	for i := range k.regsI {
+		if cap(k.regsI[i]) < n {
+			k.regsI[i] = make([]int64, n)
 		}
-		e.regsI[i] = e.regsI[i][:n]
+		k.regsI[i] = k.regsI[i][:n]
 	}
-	for i := range e.regsF {
-		if cap(e.regsF[i]) < n {
-			e.regsF[i] = make([]float64, n)
+	for i := range k.regsF {
+		if cap(k.regsF[i]) < n {
+			k.regsF[i] = make([]float64, n)
 		}
-		e.regsF[i] = e.regsF[i][:n]
+		k.regsF[i] = k.regsF[i][:n]
 	}
-	for k := range e.prog {
-		ins := &e.prog[k]
+	for i := range k.prog {
+		ins := &k.prog[i]
 		if ins.float {
-			l, r := e.resolveF(ins.l, b), e.resolveF(ins.r, b)
-			fusedLoopF(ins.op, e.regsF[ins.dst], &l, &r, sel)
+			l, r := k.resolveF(ins.l, b), k.resolveF(ins.r, b)
+			fusedLoopF(ins.op, k.regsF[ins.dst], &l, &r, sel)
 		} else {
-			l, r := e.resolveI(ins.l, b), e.resolveI(ins.r, b)
-			fusedLoopI(ins.op, e.regsI[ins.dst], &l, &r, sel)
+			l, r := k.resolveI(ins.l, b), k.resolveI(ins.r, b)
+			fusedLoopI(ins.op, k.regsI[ins.dst], &l, &r, sel)
 		}
 	}
-	if e.out == nil {
-		e.out = &table.Vector{Type: e.typ}
-	}
-	last := &e.prog[len(e.prog)-1]
-	if last.float {
-		e.out.F = e.regsF[last.dst]
+	if last := &k.prog[len(k.prog)-1]; last.float {
+		k.out.F = k.regsF[last.dst]
 	} else {
-		e.out.I = e.regsI[last.dst]
+		k.out.I = k.regsI[last.dst]
 	}
-	return e.out
+	return &k.out
+}
+
+// constCells returns n cells of c. The cells are written once, when s
+// is first too short, and allocated exactly, so every cell s can be
+// resliced to already holds c.
+func constCells[T any](s []T, c T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+		for i := range s {
+			s[i] = c
+		}
+	}
+	return s[:n]
 }
 
 // fusedLoopF runs one float64 instruction over the selected rows, the
@@ -299,8 +322,7 @@ func fusedLoopF(op ArithOp, dst []float64, l, r *fOpd, sel []int32) {
 }
 
 // fusedLoopI runs one wrapping int64 instruction over the selected rows.
-// Div never lands here: the compiler promotes it to float64, matching
-// Arith.Type.
+// Div never lands here: the compiler promotes it to float64.
 func fusedLoopI(op ArithOp, dst []int64, l, r *iOpd, sel []int32) {
 	switch op {
 	case Add:

@@ -2,50 +2,7 @@
 
 package exec
 
-import (
-	"fmt"
-	"math"
-
-	"energydb/internal/table"
-)
-
-// vecPoolInv is the checking version of the VecPool lifecycle hooks,
-// compiled in with -tags ee_invariants (CI's race job uses it). It
-// enforces the ownership half of the scratch-vector contract:
-//
-//   - double Put: returning the same vector twice would hand one buffer
-//     to two operators, which then silently overwrite each other.
-//   - use after Put: a Put transfers ownership to the pool, so any
-//     append/reset by the old holder while the vector sits in the free
-//     list is a write to memory someone else may now own. Detected by
-//     snapshotting Len() at Put and comparing at Get.
-//
-// Violations panic: they are programming errors in operator code, never
-// data-dependent conditions.
-type vecPoolInv struct {
-	released map[*table.Vector]int // pooled vector -> Len() snapshot at Put
-}
-
-func (inv *vecPoolInv) onPut(v *table.Vector) {
-	if inv.released == nil {
-		inv.released = make(map[*table.Vector]int)
-	}
-	if _, dup := inv.released[v]; dup {
-		panic(fmt.Sprintf("exec: VecPool double Put of vector %p", v))
-	}
-	inv.released[v] = v.Len()
-}
-
-func (inv *vecPoolInv) onGet(v *table.Vector) {
-	want, ok := inv.released[v]
-	if !ok {
-		return // entered the free list before checking was enabled
-	}
-	if got := v.Len(); got != want {
-		panic(fmt.Sprintf("exec: VecPool vector %p mutated after Put (len %d at Put, %d now): the old holder kept writing to pooled memory", v, want, got))
-	}
-	delete(inv.released, v)
-}
+import "math"
 
 // Sentinels a retired scan scratch is overwritten with.
 const (

@@ -10,51 +10,6 @@ import (
 	"energydb/internal/table"
 )
 
-func mustPanic(t *testing.T, want string, fn func()) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatalf("expected panic (%s), got none", want)
-		}
-	}()
-	fn()
-}
-
-func TestVecPoolDoublePutPanics(t *testing.T) {
-	p := &VecPool{}
-	v := table.NewVector(table.Int64, 8)
-	p.Put(v)
-	mustPanic(t, "double Put", func() { p.Put(v) })
-}
-
-func TestVecPoolUseAfterPutPanics(t *testing.T) {
-	p := &VecPool{}
-	v := table.NewVector(table.Int64, 8)
-	p.Put(v)
-	// The old holder keeps appending to a vector the pool now owns.
-	v.Append(table.Value{Type: table.Int64, I: 42})
-	mustPanic(t, "use after Put", func() { p.Get(table.Int64, 8) })
-}
-
-func TestVecPoolCleanLifecycle(t *testing.T) {
-	p := &VecPool{}
-	v := table.NewVector(table.Int64, 8)
-	v.Append(table.Value{Type: table.Int64, I: 1})
-	p.Put(v)
-	got := p.Get(table.Int64, 8)
-	if got != v {
-		t.Fatalf("expected the pooled vector back")
-	}
-	if got.Len() != 0 {
-		t.Fatalf("Get must hand out a reset vector, len = %d", got.Len())
-	}
-	// A full Put/Get round trip re-arms cleanly.
-	p.Put(got)
-	if again := p.Get(table.Int64, 8); again != v {
-		t.Fatalf("expected the pooled vector back on the second cycle")
-	}
-}
-
 // TestScanPoisonsRetainedBatch keeps a scan's batch across Next on purpose
 // — the batch, one of its vectors, a slice of a vector's values and its
 // selection — and expects every one of them to read as poison afterwards,

@@ -68,46 +68,35 @@ func (f *Filter) Next(ctx *Ctx) (*table.Batch, error) {
 // Close implements Operator.
 func (f *Filter) Close(ctx *Ctx) error { return f.In.Close(ctx) }
 
-// compactDensity is the selection density below which Project compacts a
-// selected input batch before evaluating arithmetic: Arith kernels run
-// over physical rows, so once fewer than half the rows are selected the
-// one-off gather is cheaper than the arithmetic wasted on deselected rows.
-const compactDensity = 0.5
-
 // Project evaluates scalar expressions into a new batch.
 type Project struct {
-	In    Operator
-	Exprs []Scalar
-	Names []string
+	In Operator
 
-	schema  *table.Schema
-	arith   bool         // some unfused expression does per-row arithmetic
-	scratch *table.Batch // reusable compaction buffer for sparse selections
-	out     *table.Batch // reused output batch header
+	schema *table.Schema
+	exprs  []FusedExpr
+	out    *table.Batch // reused output batch header
 }
 
-// NewProject builds a projection; names label the output columns.
-// Arithmetic expression trees are compiled into fused kernels here
-// (FuseScalar); only trees the fusion pass declines keep the
-// node-at-a-time path and its sparse-selection compaction.
-func NewProject(in Operator, exprs []Scalar, names []string) *Project {
+// NewProject builds a projection of in; names label the output columns.
+// Every expression is compiled here (compileScalar), so one that cannot
+// be evaluated — a string under arithmetic — is an error now, not a
+// failure on the first batch.
+func NewProject(in Operator, exprs []Scalar, names []string) (*Project, error) {
 	if len(exprs) != len(names) {
-		panic(fmt.Sprintf("exec: %d exprs, %d names", len(exprs), len(names)))
+		return nil, fmt.Errorf("exec: %d exprs, %d names", len(exprs), len(names))
 	}
-	compiled := make([]Scalar, len(exprs))
-	copy(compiled, exprs)
+	compiled := make([]FusedExpr, len(exprs))
 	cols := make([]table.Column, len(exprs))
-	arith := false
-	for i, e := range compiled {
-		if f, ok := FuseScalar(e, in.Schema()); ok {
-			compiled[i] = f
-		} else if _, ok := e.(*Arith); ok {
-			arith = true
+	for i, e := range exprs {
+		expr, typ, err := compileScalar(e, in.Schema())
+		if err != nil {
+			return nil, err
 		}
-		cols[i] = table.Col(names[i], compiled[i].Type(in.Schema()))
+		compiled[i] = expr
+		cols[i] = table.Col(names[i], typ)
 	}
-	return &Project{In: in, Exprs: compiled, Names: names, arith: arith,
-		schema: table.NewSchema(in.Schema().Name, cols...)}
+	return &Project{In: in, exprs: compiled,
+		schema: table.NewSchema(in.Schema().Name, cols...)}, nil
 }
 
 // Schema implements Operator.
@@ -116,36 +105,23 @@ func (p *Project) Schema() *table.Schema { return p.schema }
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error { return p.In.Open(ctx) }
 
-// Next implements Operator. Expressions evaluate over the child's
-// physical rows; an incoming selection is normally not compacted here but
+// Next implements Operator. Expressions evaluate the child's selected
+// rows in place: an incoming selection is never compacted here but
 // composed onto the output batch, so filter→project chains stay
-// gather-free. The exception is a very sparse selection feeding
-// arithmetic: below compactDensity the batch is gathered once into a
-// scratch buffer first, so Arith kernels stop burning cycles on rows a
-// filter already dropped.
+// gather-free however sparse the selection.
 func (p *Project) Next(ctx *Ctx) (*table.Batch, error) {
 	b, err := p.In.Next(ctx)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if p.arith && b.Sel != nil {
-		if phys := b.PhysRows(); phys > 0 && float64(b.Rows()) < compactDensity*float64(phys) {
-			if p.scratch == nil {
-				p.scratch = table.NewBatch(p.In.Schema(), b.Rows())
-			}
-			p.scratch.Reset()
-			p.scratch.AppendBatch(b)
-			b = p.scratch
-		}
-	}
 	if p.out == nil {
-		p.out = &table.Batch{Schema: p.schema, Vecs: make([]*table.Vector, len(p.Exprs))}
+		p.out = &table.Batch{Schema: p.schema, Vecs: make([]*table.Vector, len(p.exprs))}
 	}
 	out := p.out
-	for i, e := range p.Exprs {
-		out.Vecs[i] = e.EvalInto(ctx, b)
+	for i := range p.exprs {
+		out.Vecs[i] = p.exprs[i].EvalInto(ctx, b)
 	}
-	if b.Sel != nil && len(p.Exprs) > 0 {
+	if b.Sel != nil && len(p.exprs) > 0 {
 		out.SetSel(b.Sel)
 	} else {
 		out.SetRows(b.Rows())
@@ -155,7 +131,6 @@ func (p *Project) Next(ctx *Ctx) (*table.Batch, error) {
 
 // Close implements Operator.
 func (p *Project) Close(ctx *Ctx) error {
-	p.scratch = nil
 	p.out = nil
 	return p.In.Close(ctx)
 }

@@ -45,6 +45,12 @@ var (
 	// ErrCrashed marks work lost to a whole-engine crash: every
 	// in-flight statement at crash time fails with it.
 	ErrCrashed = errors.New("engine crashed")
+
+	// ErrType marks a statement that does not type-check — arithmetic or
+	// SUM/AVG over a string, a comparison across physical classes. It is
+	// refused at bind, before admission: nothing runs and nothing is
+	// billed. Not retryable.
+	ErrType = errors.New("type error")
 )
 
 // IsTransient reports whether err is worth retrying: only transient I/O

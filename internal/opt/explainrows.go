@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"fmt"
+	"strings"
 
 	"energydb/internal/table"
 )
@@ -34,56 +34,17 @@ func (p *Plan) ExplainRows() *table.Table {
 	if ps == "" {
 		ps = "P0"
 	}
-	var walk func(n PhysNode, indent string)
-	row := func(indent, op, detail string, dop int, c Cost) {
+	walk(p.Root, 0, func(n PhysNode, depth int) {
+		op, detail, _ := n.describe()
+		c := n.Cost()
 		out.AppendRow(
-			table.StrVal(indent+op),
+			table.StrVal(strings.Repeat("  ", depth)+op),
 			table.StrVal(detail),
-			table.IntVal(int64(dop)),
+			table.IntVal(int64(n.MaxDOP())),
 			table.StrVal(ps),
 			table.FloatVal(c.Seconds*1000),
 			table.FloatVal(c.Joules),
 		)
-	}
-	walk = func(n PhysNode, indent string) {
-		switch x := n.(type) {
-		case *PScan:
-			detail := fmt.Sprintf("%s (%s) rows≈%.0f", x.Alias, x.Variant.Name, x.card)
-			for _, pr := range x.Preds {
-				detail += fmt.Sprintf(" [%v]", pr)
-			}
-			row(indent, "scan", detail, x.MaxDOP(), x.cost)
-		case *PJoin:
-			row(indent, x.Algo+" join",
-				fmt.Sprintf("on L.%d = R.%d rows≈%.0f", x.LeftCol, x.RightCol, x.card),
-				x.MaxDOP(), x.cost)
-			walk(x.Left, indent+"  ")
-			walk(x.Right, indent+"  ")
-		case *PFilter:
-			detail := fmt.Sprintf("rows≈%.0f", x.card)
-			for _, pr := range x.Preds {
-				detail += fmt.Sprintf(" [%v]", pr)
-			}
-			row(indent, "filter", detail, x.MaxDOP(), x.cost)
-			walk(x.In, indent+"  ")
-		case *PProject:
-			row(indent, "project", fmt.Sprintf("%d exprs", len(x.Exprs)), x.MaxDOP(), x.cost)
-			walk(x.In, indent+"  ")
-		case *PAgg:
-			row(indent, "agg",
-				fmt.Sprintf("groups≈%.0f aggs=%d", x.card, len(x.Aggs)),
-				x.MaxDOP(), x.cost)
-			walk(x.In, indent+"  ")
-		case *PSort:
-			row(indent, "sort", fmt.Sprintf("keys=%d", len(x.Keys)), x.MaxDOP(), x.cost)
-			walk(x.In, indent+"  ")
-		case *PLimit:
-			row(indent, "limit", fmt.Sprintf("%d", x.N), x.MaxDOP(), x.In.Cost())
-			walk(x.In, indent+"  ")
-		default:
-			row(indent, fmt.Sprintf("%T", n), "", n.MaxDOP(), n.Cost())
-		}
-	}
-	walk(p.Root, "")
+	})
 	return out
 }

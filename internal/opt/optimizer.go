@@ -442,50 +442,52 @@ type pipeWork struct {
 
 // pipelineWork decomposes n's cost when its whole pipeline can fragment
 // end to end: a PScan leaf under any stack of PFilter, PProject and
-// hash-PJoin probe sides. It mirrors fragSource — shapes it declines
-// cannot BuildFragments either — and prices filter and probe CPU inside
-// the fragmented pipeline (divided by DOP alongside the scan) instead of
-// as a serial tax above the exchange.
+// hash-PJoin probe sides — the nodes that implement fragSource, each
+// pricing its own per-row CPU inside the fragmented pipeline (divided by
+// DOP alongside the scan) instead of as a serial tax above the exchange.
 func (o *optimizer) pipelineWork(n PhysNode) (pipeWork, bool) {
-	env := o.env
-	switch v := n.(type) {
-	case *PScan:
-		w := o.scanWork(v.Variant.ST, v.Read, float64(v.Variant.ST.Tab.Rows()), len(v.Preds))
-		return pipeWork{scan: w, src: v}, true
-	case *PFilter:
-		pw, ok := o.pipelineWork(v.In)
-		if !ok {
-			return pw, false
-		}
-		pw.extraCPU += v.In.Card() * float64(len(v.Preds)) * env.Costs.FilterCyclesPerRow / env.CPUFreqHz
-		return pw, true
-	case *PProject:
-		pw, ok := o.pipelineWork(v.In)
-		if !ok {
-			return pw, false
-		}
-		pw.extraCPU += v.In.Card() * float64(len(v.Exprs)) * env.Costs.ProjectCyclesPerRow / env.CPUFreqHz
-		return pw, true
-	case *PJoin:
-		if v.Algo != "hash" {
-			return pipeWork{}, false
-		}
-		pw, ok := o.pipelineWork(v.Right)
-		if !ok {
-			return pw, false
-		}
-		pw.extraCPU += (v.Right.Card()*env.Costs.HashProbeCyclesPerRow +
-			v.Card()*env.Costs.JoinOutputCyclesPerRow) / env.CPUFreqHz
-		// The build side runs to completion before the probe streams: a
-		// serial prefix priced at the build input's own cost plus table
-		// insertion, with its tables resident for the rest of the pipeline.
-		bsecs := v.Left.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
-		pw.prefix = pw.prefix.Add(v.Left.Cost()).Add(Cost{
-			Seconds: bsecs, Joules: bsecs * env.CPUWattPerCore})
-		pw.memBytes += v.Left.Card() * v.Left.RowBytes()
-		return pw, true
+	if fs, ok := n.(fragSource); ok {
+		return fs.pipelineWork(o)
 	}
 	return pipeWork{}, false
+}
+
+func (s *PScan) pipelineWork(o *optimizer) (pipeWork, bool) {
+	w := o.scanWork(s.Variant.ST, s.Read, float64(s.Variant.ST.Tab.Rows()), len(s.Preds))
+	return pipeWork{scan: w, src: s}, true
+}
+
+func (f *PFilter) pipelineWork(o *optimizer) (pipeWork, bool) {
+	pw, ok := o.pipelineWork(f.In)
+	pw.extraCPU += f.In.Card() * float64(len(f.Preds)) * o.env.Costs.FilterCyclesPerRow / o.env.CPUFreqHz
+	return pw, ok
+}
+
+func (p *PProject) pipelineWork(o *optimizer) (pipeWork, bool) {
+	pw, ok := o.pipelineWork(p.In)
+	pw.extraCPU += p.In.Card() * float64(len(p.Exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz
+	return pw, ok
+}
+
+func (j *PJoin) pipelineWork(o *optimizer) (pipeWork, bool) {
+	env := o.env
+	if j.Algo != "hash" {
+		return pipeWork{}, false
+	}
+	pw, ok := o.pipelineWork(j.Right)
+	if !ok {
+		return pw, false
+	}
+	pw.extraCPU += (j.Right.Card()*env.Costs.HashProbeCyclesPerRow +
+		j.Card()*env.Costs.JoinOutputCyclesPerRow) / env.CPUFreqHz
+	// The build side runs to completion before the probe streams: a
+	// serial prefix priced at the build input's own cost plus table
+	// insertion, with its tables resident for the rest of the pipeline.
+	bsecs := j.Left.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
+	pw.prefix = pw.prefix.Add(j.Left.Cost()).Add(Cost{
+		Seconds: bsecs, Joules: bsecs * env.CPUWattPerCore})
+	pw.memBytes += j.Left.Card() * j.Left.RowBytes()
+	return pw, true
 }
 
 // scanCost prices a dop-way scan of the given columns of st.
@@ -737,21 +739,11 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 
 // collectJoinPreds gathers the equality predicates a join tree applies.
 func collectJoinPreds(n PhysNode, out map[string]bool) {
-	switch v := n.(type) {
-	case *PJoin:
-		out[v.Pred.String()] = true
-		collectJoinPreds(v.Left, out)
-		collectJoinPreds(v.Right, out)
-	case *PFilter:
-		collectJoinPreds(v.In, out)
-	case *PProject:
-		collectJoinPreds(v.In, out)
-	case *PAgg:
-		collectJoinPreds(v.In, out)
-	case *PSort:
-		collectJoinPreds(v.In, out)
-	case *PLimit:
-		collectJoinPreds(v.In, out)
+	if j, ok := n.(*PJoin); ok {
+		out[j.Pred.String()] = true
+	}
+	for _, c := range n.Children() {
+		collectJoinPreds(c, out)
 	}
 }
 

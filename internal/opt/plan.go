@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -69,7 +70,14 @@ type PhysNode interface {
 	// an under-report here would oversubscribe the free pool.
 	MaxDOP() int
 	Build(ctx *exec.Ctx) (exec.Operator, error)
-	explain(b *strings.Builder, indent string)
+	// Children lists the node's inputs in the order EXPLAIN shows them;
+	// every walk over a plan goes through it.
+	Children() []PhysNode
+	// describe is the node's one rendering for EXPLAIN: the operator name
+	// and detail are ExplainRows' first two columns, notes the
+	// annotations only Explain's text carries (cols=, dop=, build_dop=,
+	// probe_dop=), each with a leading space.
+	describe() (op, detail, notes string)
 }
 
 // colIndex locates a ColRef in a node's output, or -1.
@@ -92,6 +100,10 @@ func colIndex(cols []ColRef, c ColRef) int {
 // node's serial operator tree.
 type fragSource interface {
 	BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
+	// pipelineWork decomposes the node's cost for the DOP sweep when its
+	// whole pipeline fragments end to end; ok=false means BuildFragments
+	// would not fragment it either (see pipeWork).
+	pipelineWork(o *optimizer) (pw pipeWork, ok bool)
 }
 
 // buildFragments compiles n dop ways when it can fragment and dop asks
@@ -157,10 +169,17 @@ func (s *PScan) Build(ctx *exec.Ctx) (exec.Operator, error) {
 // scanOp constructs one scan over the variant with its own predicate
 // instance (predicates carry evaluation scratch): a fragment claiming
 // blocks from queue, or with a nil queue the serial scan of the whole
-// table.
+// table. A column scan's predicate addresses positions within Read, a
+// row scan's — like its projection — the full source schema.
 func (s *PScan) scanOp(queue *exec.Morsels) (exec.Operator, error) {
+	schema := s.Variant.ST.Tab.Schema
 	if s.Variant.ST.Layout == exec.ColumnMajor {
-		pred, err := s.execPred()
+		pred, err := lowerPreds(s.Preds, func(c ColRef) (int, error) {
+			if i := slices.Index(s.Read, schema.ColIndex(c.Col)); i >= 0 {
+				return i, nil
+			}
+			return 0, fmt.Errorf("opt: predicate column %q not fetched", c.Col)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -168,11 +187,15 @@ func (s *PScan) scanOp(queue *exec.Morsels) (exec.Operator, error) {
 		cs.Morsels = queue
 		return cs, nil
 	}
-	rowPred, err := s.execPredFull()
+	rowPred, err := lowerPreds(s.Preds, func(c ColRef) (int, error) {
+		if i := schema.ColIndex(c.Col); i >= 0 {
+			return i, nil
+		}
+		return 0, fmt.Errorf("opt: unknown predicate column %q", c.Col)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Row scans project by full source schema positions.
 	emit := make([]int, len(s.Emit))
 	for i, e := range s.Emit {
 		emit[i] = s.Read[e]
@@ -214,65 +237,12 @@ func (s *PScan) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
 	return exec.NewFragments(frags, queue, mk), nil
 }
 
-// execPred translates the pushed predicates to positions within Read.
-func (s *PScan) execPred() (exec.Pred, error) {
-	return s.buildPred(func(col string) (int, error) {
-		srcIdx := s.Variant.ST.Tab.Schema.ColIndex(col)
-		for i, r := range s.Read {
-			if r == srcIdx {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("opt: predicate column %q not fetched", col)
-	})
-}
+// Children implements PhysNode.
+func (s *PScan) Children() []PhysNode { return nil }
 
-// execPredFull translates predicates to full source schema positions.
-func (s *PScan) execPredFull() (exec.Pred, error) {
-	return s.buildPred(func(col string) (int, error) {
-		i := s.Variant.ST.Tab.Schema.ColIndex(col)
-		if i < 0 {
-			return 0, fmt.Errorf("opt: unknown predicate column %q", col)
-		}
-		return i, nil
-	})
-}
-
-func (s *PScan) buildPred(pos func(string) (int, error)) (exec.Pred, error) {
-	if len(s.Preds) == 0 {
-		return nil, nil
-	}
-	var terms []exec.Pred
-	for _, p := range s.Preds {
-		i, err := pos(p.Left.Col)
-		if err != nil {
-			return nil, err
-		}
-		if p.IsJoin {
-			j, err := pos(p.Right.Col)
-			if err != nil {
-				return nil, err
-			}
-			terms = append(terms, &exec.ColCol{Left: i, Right: j, Op: p.Op})
-			continue
-		}
-		terms = append(terms, &exec.ColConst{Col: i, Op: p.Op, Val: p.Val})
-	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return &exec.And{Preds: terms}, nil
-}
-
-func (s *PScan) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sscan %s (%s) cols=%d rows≈%.0f %v", indent, s.Alias, s.Variant.Name, len(s.Emit), s.card, s.cost)
-	if s.DOP > 1 {
-		fmt.Fprintf(b, " dop=%d", s.DOP)
-	}
-	for _, p := range s.Preds {
-		fmt.Fprintf(b, " [%v]", p)
-	}
-	b.WriteByte('\n')
+func (s *PScan) describe() (op, detail, notes string) {
+	detail = fmt.Sprintf("%s (%s) rows≈%.0f%s", s.Alias, s.Variant.Name, s.card, predList(s.Preds))
+	return "scan", detail, fmt.Sprintf(" cols=%d", len(s.Emit)) + dopNote("dop", s.DOP)
 }
 
 // PJoin is a binary join (hash or block nested-loop).
@@ -352,17 +322,12 @@ func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
 	})
 }
 
-func (j *PJoin) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%s%s join on L.%d = R.%d rows≈%.0f %v", indent, j.Algo, j.LeftCol, j.RightCol, j.card, j.cost)
-	if j.BuildDOP > 1 {
-		fmt.Fprintf(b, " build_dop=%d", j.BuildDOP)
-	}
-	if j.ProbeDOP > 1 {
-		fmt.Fprintf(b, " probe_dop=%d", j.ProbeDOP)
-	}
-	b.WriteByte('\n')
-	j.Left.explain(b, indent+"  ")
-	j.Right.explain(b, indent+"  ")
+// Children implements PhysNode.
+func (j *PJoin) Children() []PhysNode { return []PhysNode{j.Left, j.Right} }
+
+func (j *PJoin) describe() (op, detail, notes string) {
+	return j.Algo + " join", fmt.Sprintf("on L.%d = R.%d rows≈%.0f", j.LeftCol, j.RightCol, j.card),
+		dopNote("build_dop", j.BuildDOP) + dopNote("probe_dop", j.ProbeDOP)
 }
 
 // PFilter applies residual predicates above a join.
@@ -403,25 +368,14 @@ func (f *PFilter) Build(ctx *exec.Ctx) (exec.Operator, error) {
 // share one).
 func (f *PFilter) wrap(in exec.Operator) (exec.Operator, error) {
 	cols := f.In.Columns()
-	var terms []exec.Pred
-	for _, p := range f.Preds {
-		li := colIndex(cols, p.Left)
-		if li < 0 {
-			return nil, fmt.Errorf("opt: residual column %v not in scope", p.Left)
+	pred, err := lowerPreds(f.Preds, func(c ColRef) (int, error) {
+		if i := colIndex(cols, c); i >= 0 {
+			return i, nil
 		}
-		if p.IsJoin {
-			ri := colIndex(cols, p.Right)
-			if ri < 0 {
-				return nil, fmt.Errorf("opt: residual column %v not in scope", p.Right)
-			}
-			terms = append(terms, &exec.ColCol{Left: li, Right: ri, Op: p.Op})
-		} else {
-			terms = append(terms, &exec.ColConst{Col: li, Op: p.Op, Val: p.Val})
-		}
-	}
-	var pred exec.Pred = &exec.And{Preds: terms}
-	if len(terms) == 1 {
-		pred = terms[0]
+		return 0, fmt.Errorf("opt: residual column %v not in scope", c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &exec.Filter{In: in, Pred: pred}, nil
 }
@@ -438,13 +392,11 @@ func (f *PFilter) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
 	return fr.Map(f.wrap)
 }
 
-func (f *PFilter) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sfilter rows≈%.0f %v", indent, f.card, f.cost)
-	for _, p := range f.Preds {
-		fmt.Fprintf(b, " [%v]", p)
-	}
-	b.WriteByte('\n')
-	f.In.explain(b, indent+"  ")
+// Children implements PhysNode.
+func (f *PFilter) Children() []PhysNode { return []PhysNode{f.In} }
+
+func (f *PFilter) describe() (op, detail, notes string) {
+	return "filter", fmt.Sprintf("rows≈%.0f%s", f.card, predList(f.Preds)), ""
 }
 
 // PProject evaluates scalar expressions.
@@ -478,13 +430,17 @@ func (p *PProject) Build(ctx *exec.Ctx) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.wrap(in)
+	exprs, err := p.scalars()
+	if err != nil {
+		return nil, err
+	}
+	return p.wrap(in, exprs)
 }
 
-// wrap puts this projection over one input operator with fresh scalar
-// instances (expression trees are stateless today, but fragments must not
-// share operators regardless).
-func (p *PProject) wrap(in exec.Operator) (exec.Operator, error) {
+// scalars lowers the projection's expressions to executor trees. A tree
+// is immutable, so one set serves every fragment: each fragment's
+// Project compiles its own kernels from it.
+func (p *PProject) scalars() ([]exec.Scalar, error) {
 	cols := p.In.Columns()
 	exprs := make([]exec.Scalar, len(p.Exprs))
 	for i, e := range p.Exprs {
@@ -494,7 +450,16 @@ func (p *PProject) wrap(in exec.Operator) (exec.Operator, error) {
 		}
 		exprs[i] = ex
 	}
-	return exec.NewProject(in, exprs, p.Names), nil
+	return exprs, nil
+}
+
+// wrap puts this projection over one input operator.
+func (p *PProject) wrap(in exec.Operator, exprs []exec.Scalar) (exec.Operator, error) {
+	proj, err := exec.NewProject(in, exprs, p.Names)
+	if err != nil {
+		return nil, err
+	}
+	return proj, nil
 }
 
 // BuildFragments implements fragSource: the child's fragments each get
@@ -505,9 +470,14 @@ func (p *PProject) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error
 	if err != nil {
 		return fr, err
 	}
-	return fr.Map(p.wrap)
+	exprs, err := p.scalars()
+	if err != nil {
+		return fr, err
+	}
+	return fr.Map(func(in exec.Operator) (exec.Operator, error) { return p.wrap(in, exprs) })
 }
 
+// buildScalar lowers one ExprIR to an executor tree over cols.
 func buildScalar(e *ExprIR, cols []ColRef) (exec.Scalar, error) {
 	switch {
 	case e.Col != nil:
@@ -531,9 +501,40 @@ func buildScalar(e *ExprIR, cols []ColRef) (exec.Scalar, error) {
 	}
 }
 
-func (p *PProject) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sproject %d exprs %v\n", indent, len(p.Exprs), p.cost)
-	p.In.explain(b, indent+"  ")
+// lowerPreds lowers a conjunction of PredIRs to one executor predicate
+// (nil when there is none), with pos giving each column's position in the
+// batches the predicate will see. Every call builds a fresh instance.
+func lowerPreds(preds []PredIR, pos func(ColRef) (int, error)) (exec.Pred, error) {
+	if len(preds) == 0 {
+		return nil, nil
+	}
+	terms := make([]exec.Pred, len(preds))
+	for k, p := range preds {
+		i, err := pos(p.Left)
+		if err != nil {
+			return nil, err
+		}
+		if !p.IsJoin {
+			terms[k] = &exec.ColConst{Col: i, Op: p.Op, Val: p.Val}
+			continue
+		}
+		j, err := pos(p.Right)
+		if err != nil {
+			return nil, err
+		}
+		terms[k] = &exec.ColCol{Left: i, Right: j, Op: p.Op}
+	}
+	if len(terms) == 1 {
+		return terms[0], nil
+	}
+	return &exec.And{Preds: terms}, nil
+}
+
+// Children implements PhysNode.
+func (p *PProject) Children() []PhysNode { return []PhysNode{p.In} }
+
+func (p *PProject) describe() (op, detail, notes string) {
+	return "project", fmt.Sprintf("%d exprs", len(p.Exprs)), ""
 }
 
 // PAgg groups and aggregates.
@@ -576,13 +577,11 @@ func (a *PAgg) Build(ctx *exec.Ctx) (exec.Operator, error) {
 	return exec.NewHashAgg(in, a.Group, a.Aggs), nil
 }
 
-func (a *PAgg) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sagg groups≈%.0f aggs=%d %v", indent, a.card, len(a.Aggs), a.cost)
-	if a.DOP > 1 {
-		fmt.Fprintf(b, " dop=%d", a.DOP)
-	}
-	b.WriteByte('\n')
-	a.In.explain(b, indent+"  ")
+// Children implements PhysNode.
+func (a *PAgg) Children() []PhysNode { return []PhysNode{a.In} }
+
+func (a *PAgg) describe() (op, detail, notes string) {
+	return "agg", fmt.Sprintf("groups≈%.0f aggs=%d", a.card, len(a.Aggs)), dopNote("dop", a.DOP)
 }
 
 // PSort orders rows.
@@ -617,9 +616,11 @@ func (s *PSort) Build(ctx *exec.Ctx) (exec.Operator, error) {
 	return &exec.Sort{In: in, Keys: s.Keys}, nil
 }
 
-func (s *PSort) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%ssort keys=%d %v\n", indent, len(s.Keys), s.cost)
-	s.In.explain(b, indent+"  ")
+// Children implements PhysNode.
+func (s *PSort) Children() []PhysNode { return []PhysNode{s.In} }
+
+func (s *PSort) describe() (op, detail, notes string) {
+	return "sort", fmt.Sprintf("keys=%d", len(s.Keys)), ""
 }
 
 // PLimit truncates output.
@@ -652,9 +653,29 @@ func (l *PLimit) Build(ctx *exec.Ctx) (exec.Operator, error) {
 	return &exec.Limit{In: in, N: l.N}, nil
 }
 
-func (l *PLimit) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%slimit %d\n", indent, l.N)
-	l.In.explain(b, indent+"  ")
+// Children implements PhysNode.
+func (l *PLimit) Children() []PhysNode { return []PhysNode{l.In} }
+
+func (l *PLimit) describe() (op, detail, notes string) {
+	return "limit", fmt.Sprintf("%d", l.N), ""
+}
+
+// predList renders pushed or residual predicates for describe.
+func predList(preds []PredIR) string {
+	var b strings.Builder
+	for _, p := range preds {
+		fmt.Fprintf(&b, " [%v]", p)
+	}
+	return b.String()
+}
+
+// dopNote is the " name=N" annotation of a degree of parallelism worth
+// showing, and nothing for a serial one.
+func dopNote(name string, dop int) string {
+	if dop <= 1 {
+		return ""
+	}
+	return fmt.Sprintf(" %s=%d", name, dop)
 }
 
 // Plan is a costed, buildable physical plan.
@@ -679,6 +700,15 @@ func (p *Plan) Build(ctx *exec.Ctx) (exec.Operator, error) { return p.Root.Build
 // the free pool once the plan is chosen.
 func (p *Plan) MaxDOP() int { return p.Root.MaxDOP() }
 
+// walk visits n's subtree in pre-order, depth counted from n: the one
+// traversal both EXPLAIN renderings are made from.
+func walk(n PhysNode, depth int, visit func(n PhysNode, depth int)) {
+	visit(n, depth)
+	for _, c := range n.Children() {
+		walk(c, depth+1, visit)
+	}
+}
+
 // Explain renders the plan as an indented tree with per-node costs.
 func (p *Plan) Explain() string {
 	var b strings.Builder
@@ -687,6 +717,9 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&b, " pstate=%s", p.PStateName)
 	}
 	b.WriteString("\n")
-	p.Root.explain(&b, "")
+	walk(p.Root, 0, func(n PhysNode, depth int) {
+		op, detail, notes := n.describe()
+		fmt.Fprintf(&b, "%s%s %s %v%s\n", strings.Repeat("  ", depth), op, detail, n.Cost(), notes)
+	})
 	return b.String()
 }

@@ -14,6 +14,7 @@ import (
 	"energydb/internal/fault"
 	"energydb/internal/hw"
 	"energydb/internal/server"
+	"energydb/internal/sql"
 	"energydb/internal/table"
 	"energydb/internal/tpch"
 	"energydb/internal/wire"
@@ -189,6 +190,62 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 	}
 	if _, err := sess.Query(tpch.Q6); err != nil {
 		t.Fatalf("connection dead after statement error: %v", err)
+	}
+}
+
+// TestTypeErrorOverTheWire: a statement that does not type-check — the
+// string arithmetic that panicked the whole server at 9d264a0, SUM and AVG
+// of a string that answered garbage — comes back from Prepare as an error
+// frame the client classifies with errors.Is(err, sql.ErrType); the
+// tenant's connection stays usable, another tenant's statement on another
+// connection completes, and the drain is clean.
+func TestTypeErrorOverTheWire(t *testing.T) {
+	db := openTPCH(t, 0.01)
+	srv := server.New(db)
+	defer srv.Close()
+	open := func(tenant string) (*client.DB, *client.Session) {
+		c, err := client.New(srv.Pipe(), tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, sess
+	}
+	a, sessA := open("acme")
+	defer a.Close()
+	b, sessB := open("globex")
+	defer b.Close()
+
+	for _, q := range []string{
+		"SELECT c_name + 1 AS x FROM customer",
+		"SELECT 'x' + 1 AS z FROM customer",
+		"SELECT SUM(c_name) AS s FROM customer",
+		"SELECT AVG(c_name) AS s FROM customer",
+	} {
+		if _, err := sessA.Prepare(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Prepare(%q): error %v, want sql.ErrType", q, err)
+		}
+		if _, err := sessA.Query(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Query(%q): error %v, want sql.ErrType", q, err)
+		}
+	}
+	for _, sess := range []*client.Session{sessB, sessA} {
+		rows, err := sess.Query(tpch.Q6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab, _, err := rows.Collect(); err != nil || tab.Rows() != 1 {
+			t.Fatalf("statement after the type errors: %v, err %v", tab, err)
+		}
+	}
+	if err := b.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if live := db.Srv.Eng.Live(); live != 0 {
+		t.Fatalf("%d processes live after the drain", live)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"energydb/internal/exec"
+	"energydb/internal/fault"
 	"energydb/internal/opt"
 	"energydb/internal/table"
 )
@@ -12,6 +13,12 @@ import (
 // ErrDuplicateAlias is the sentinel Bind wraps when two FROM items share an
 // alias; match with errors.Is, not the message.
 var ErrDuplicateAlias = errors.New("sql: duplicate alias")
+
+// ErrType is the sentinel Bind wraps for every statement that does not
+// type-check: arithmetic or SUM/AVG over a string, a comparison across
+// physical classes, a literal a column cannot take. It is the engine-wide
+// fault.ErrType, so errors.Is sees it on both sides of the wire.
+var ErrType = fault.ErrType
 
 // SchemaLookup resolves a relation name to its schema.
 type SchemaLookup func(rel string) (*table.Schema, bool)
@@ -108,7 +115,7 @@ func (b *binder) run() (*opt.Query, error) {
 			aggIdx++
 			q.Outputs = append(q.Outputs, opt.OutputIR{Agg: ag, As: as})
 		default:
-			e, err := b.bindExpr(item.Expr)
+			e, _, err := b.bindExpr(item.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -245,7 +252,7 @@ func (b *binder) bindPred(w WherePred) (*opt.PredIR, error) {
 			return nil, err
 		}
 		if lt.Physical() != rt.Physical() {
-			return nil, fmt.Errorf("sql: cannot compare %v with %v", lt, rt)
+			return nil, fmt.Errorf("sql: %w: cannot compare %v with %v", ErrType, lt, rt)
 		}
 		return &opt.PredIR{Left: l, Op: op, Right: r, IsJoin: true}, nil
 	}
@@ -271,7 +278,7 @@ func coerce(v table.Value, target table.Type) (table.Value, error) {
 	case target.Physical() == table.PhysInt && v.Type == table.Float64:
 		return table.Value{Type: target, I: int64(v.F)}, nil
 	default:
-		return v, fmt.Errorf("sql: cannot use %v literal for %v column", v.Type, target)
+		return v, fmt.Errorf("sql: %w: cannot use %v literal for %v column", ErrType, v.Type, target)
 	}
 }
 
@@ -293,9 +300,12 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 	}
 	out := &opt.AggIR{Func: fn}
 	if !a.Star {
-		e, err := b.bindExpr(a.Arg)
+		e, t, err := b.bindExpr(a.Arg)
 		if err != nil {
 			return nil, err
+		}
+		if (fn == exec.Sum || fn == exec.Avg) && t.Physical() == table.PhysString {
+			return nil, fmt.Errorf("sql: %w: %s of a %v", ErrType, a.Func, t)
 		}
 		out.Arg = e
 	} else if fn != exec.Count {
@@ -304,25 +314,28 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 	return out, nil
 }
 
-func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, error) {
+// bindExpr resolves a scalar expression and reports its type, by the
+// executor's promotion rule: / and int-float mixes are float64, integer
+// arithmetic keeps its left operand's type. Arithmetic is numeric only.
+func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 	switch {
 	case e.Col != nil:
-		c, _, err := b.resolve(*e.Col)
+		c, t, err := b.resolve(*e.Col)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return &opt.ExprIR{Col: &c}, nil
+		return &opt.ExprIR{Col: &c}, t, nil
 	case e.Lit != nil:
 		v := *e.Lit
-		return &opt.ExprIR{Const: &v}, nil
+		return &opt.ExprIR{Const: &v}, v.Type, nil
 	default:
-		l, err := b.bindExpr(e.L)
+		l, lt, err := b.bindExpr(e.L)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r, err := b.bindExpr(e.R)
+		r, rt, err := b.bindExpr(e.R)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var op exec.ArithOp
 		switch e.Op {
@@ -335,8 +348,14 @@ func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, error) {
 		case "/":
 			op = exec.Div
 		default:
-			return nil, fmt.Errorf("sql: unknown arithmetic operator %q", e.Op)
+			return nil, 0, fmt.Errorf("sql: unknown arithmetic operator %q", e.Op)
 		}
-		return &opt.ExprIR{Op: op, L: l, R: r}, nil
+		if lt.Physical() == table.PhysString || rt.Physical() == table.PhysString {
+			return nil, 0, fmt.Errorf("sql: %w: %v %s %v", ErrType, lt, e.Op, rt)
+		}
+		if op == exec.Div || lt.Physical() == table.PhysFloat || rt.Physical() == table.PhysFloat {
+			lt = table.Float64
+		}
+		return &opt.ExprIR{Op: op, L: l, R: r}, lt, nil
 	}
 }

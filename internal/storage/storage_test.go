@@ -216,68 +216,6 @@ func TestScanEmptyRange(t *testing.T) {
 	}
 }
 
-func TestPrefetcherBurstsCreateIdleGaps(t *testing.T) {
-	// A slow consumer with burst prefetching should let the disk spin down
-	// between bursts; with trickle fetching it never can.
-	run := func(burst int) (spinDowns int64, joules float64) {
-		e, m := sim.NewEngine(), energy.NewMeter()
-		d := hw.NewDisk(e, m, "d0", hw.Cheetah15K())
-		d.SpinDownAfter = 8
-		v := NewVolume("v", Striped, testPage, []BlockDevice{d})
-		pf := NewPrefetcher(v, 0, 200, burst)
-		e.Go("consumer", func(p *sim.Proc) {
-			for {
-				if _, ok, _ := pf.Next(p); !ok {
-					return
-				}
-				p.Sleep(0.5) // slow consumer: 0.5s of downstream work per page
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return d.Stats().SpinDowns, float64(m.ComponentEnergy("d0", energy.Seconds(e.Now())))
-	}
-	trickleSpins, trickleJ := run(1)
-	burstSpins, burstJ := run(100)
-	// Each run ends with one trailing spin-down after the last I/O; only
-	// the burst run should also spin down mid-workload.
-	if trickleSpins > 1 {
-		t.Fatalf("trickle fetch allowed %d spin-downs", trickleSpins)
-	}
-	if burstSpins < 2 {
-		t.Fatalf("burst fetch never let the disk spin down mid-run (%d)", burstSpins)
-	}
-	if burstJ >= trickleJ {
-		t.Fatalf("burst prefetch should save disk energy: burst=%v trickle=%v", burstJ, trickleJ)
-	}
-}
-
-func TestPrefetcherDeliversAll(t *testing.T) {
-	e, m := sim.NewEngine(), energy.NewMeter()
-	v := NewVolume("v", Striped, testPage, ssdArray(e, m, 2))
-	pf := NewPrefetcher(v, 3, 17, 5)
-	var got []int64
-	e.Go("c", func(p *sim.Proc) {
-		for {
-			pg, ok, _ := pf.Next(p)
-			if !ok {
-				break
-			}
-			got = append(got, pg)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 14 || got[0] != 3 || got[13] != 16 {
-		t.Fatalf("delivered %v", got)
-	}
-	if pf.Bursts() != 3 { // ceil(14/5)
-		t.Fatalf("bursts = %d, want 3", pf.Bursts())
-	}
-}
-
 func TestVolumeValidation(t *testing.T) {
 	e, m := sim.NewEngine(), energy.NewMeter()
 	mustPanic := func(name string, fn func()) {

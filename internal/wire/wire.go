@@ -113,6 +113,7 @@ const (
 	CodeMemBudget
 	CodeCrashed
 	CodeProtocol // malformed frame or unknown id
+	CodeType
 )
 
 // ErrProtocol is the sentinel wrapped by protocol-level wire errors.
@@ -137,6 +138,8 @@ func CodeFor(err error) uint32 {
 		return CodeCrashed
 	case errors.Is(err, ErrProtocol):
 		return CodeProtocol
+	case errors.Is(err, fault.ErrType):
+		return CodeType
 	default:
 		return CodeGeneric
 	}
@@ -159,6 +162,8 @@ func sentinelFor(code uint32) error {
 		return fault.ErrCrashed
 	case CodeProtocol:
 		return ErrProtocol
+	case CodeType:
+		return fault.ErrType
 	default:
 		return nil
 	}

@@ -79,6 +79,7 @@ func TestTypedErrorRoundTrip(t *testing.T) {
 		fault.ErrCanceled,
 		fault.ErrMemBudget,
 		fault.ErrCrashed,
+		fault.ErrType,
 	}
 	for _, want := range sentinels {
 		wrapped := fmt.Errorf("query q6 on disk0: %w", want)
