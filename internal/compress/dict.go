@@ -84,6 +84,15 @@ type SymbolTable struct {
 	intern map[string]string
 }
 
+// Reset empties the table for its next reader, which may be another
+// statement's: every entry is cleared to the slice's full capacity and the
+// interned strings are dropped, so nothing the last reader decoded stays
+// pinned; the room for a block's symbols is kept.
+func (t *SymbolTable) Reset() {
+	clear(t.syms[:cap(t.syms)])
+	t.syms, t.intern = t.syms[:0], nil
+}
+
 // symbol is one entry of a block's dictionary: where its length prefix
 // lies in the block, and its string once a wanted cell has named it.
 type symbol struct {

@@ -96,7 +96,7 @@ func (db *DB) insertAt(at float64, name string, coerced [][]table.Value) *Deferr
 	if now := eng.Now(); t < now {
 		t = now
 	}
-	eng.At(t, fmt.Sprintf("insert@%s", name), func() {
+	eng.At(t, "insert", func() {
 		eng.Go("insert "+name, func(p *sim.Proc) {
 			acct := db.Attr.Begin(energy.Seconds(p.Now()))
 			d.acct = acct

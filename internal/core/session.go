@@ -440,7 +440,7 @@ func (db *DB) submitRows(r *Rows) {
 	eng := db.Srv.Eng
 	if r.at > eng.Now() {
 		r.pending = true
-		eng.At(r.at, fmt.Sprintf("submit%d", r.id), func() {
+		eng.At(r.at, "submit", func() {
 			r.pending = false
 			db.doSubmit(r)
 		})
@@ -518,7 +518,7 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 				// this one can. At the deadline the query's cancel flag
 				// trips and it stops at its next batch boundary,
 				// returning its grant when the process exits.
-				db.Srv.Eng.At(r.deadline, fmt.Sprintf("deadline%d", r.id), func() {
+				db.Srv.Eng.At(r.deadline, "deadline", func() {
 					if !r.done {
 						r.expired = true
 						r.cancel = true

@@ -20,6 +20,10 @@ const (
 // the wrong block. Here the old memory is overwritten with sentinels, to
 // its full capacity, and abandoned — the next block decodes into fresh
 // memory — so such a consumer reads poison, every time, whatever the data.
+// Abandoned means abandoned: nothing poisoned goes back to the recycler
+// (release finds the scratch empty), so under this build no scan ever
+// decodes into memory another scan has used, and a batch kept past Close
+// reads poison, never a later statement's rows.
 func (sc *scanScratch) retire() {
 	if sc.read != nil {
 		for _, v := range sc.read.Vecs {
@@ -28,8 +32,10 @@ func (sc *scanScratch) retire() {
 			poison(v.S, poisonString)
 		}
 	}
-	poison(sc.raw, poisonByte)
-	poison(sc.sel, poisonSel)
+	if sc.mem != nil {
+		poison(sc.mem.raw, poisonByte)
+		poison(sc.mem.sel, poisonSel)
+	}
 	*sc = scanScratch{}
 }
 

@@ -13,10 +13,14 @@ import (
 // TestScanPoisonsRetainedBatch keeps a scan's batch across Next on purpose
 // — the batch, one of its vectors, a slice of a vector's values and its
 // selection — and expects every one of them to read as poison afterwards,
-// while the batch the scan handed out for the new block is intact.
+// while the batch the scan handed out for the new block is intact. The
+// same holds across statements: a batch kept past Close reads poison after
+// another scan has run to its end, never that scan's rows — this build
+// abandons what it poisons, where the release build hands it to the next
+// scan.
 func TestScanPoisonsRetainedBatch(t *testing.T) {
 	tab := ordersLike(3000)
-	check := func(t *testing.T, r *rig, scan Operator, intCol, strCol int) {
+	check := func(t *testing.T, r *rig, scan, other Operator, intCol, strCol int) {
 		r.run(t, func(ctx *Ctx) {
 			if err := scan.Open(ctx); err != nil {
 				t.Error(err)
@@ -50,13 +54,55 @@ func TestScanPoisonsRetainedBatch(t *testing.T) {
 			if got := next.Vecs[intCol].I[0]; got == poisonWord {
 				t.Error("the live batch was poisoned")
 			}
-			liveInts := next.Vecs[intCol].I
+			liveInts, liveStrs := next.Vecs[intCol].I, next.Vecs[strCol].S
 			if err := scan.Close(ctx); err != nil {
 				t.Error(err)
 			}
 			if liveInts[0] != poisonWord {
 				t.Errorf("values kept across Close read %#x, want poison", liveInts[0])
 			}
+
+			// Another statement's scan, checked while each of its batches is
+			// live: that is when recycled memory would show its rows.
+			stillPoison := func(when string) {
+				for i, v := range liveInts {
+					if v != poisonWord {
+						t.Errorf("%s: int cell %d kept across Close reads %#x, want poison", when, i, v)
+						break
+					}
+				}
+				for i, v := range liveStrs {
+					if v != poisonString {
+						t.Errorf("%s: string cell %d kept across Close reads %q, want poison", when, i, v)
+						break
+					}
+				}
+				if keptSel[0] != poisonSel || keptInts[0] != poisonWord || keptStrs[0] != poisonString {
+					t.Errorf("%s: memory retired before Close stopped reading as poison", when)
+				}
+			}
+			if err := other.Open(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			for blocks := 0; ; blocks++ {
+				b, err := other.Next(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if b == nil {
+					if blocks != 3 {
+						t.Errorf("the other statement's scan saw %d blocks, want 3", blocks)
+					}
+					break
+				}
+				stillPoison("while another scan's batch is live")
+			}
+			if err := other.Close(ctx); err != nil {
+				t.Error(err)
+			}
+			stillPoison("after another scan has run")
 		})
 	}
 	pred := func() Pred { return &ColConst{Col: 0, Op: Gt, Val: table.IntVal(10)} }
@@ -67,7 +113,7 @@ func TestScanPoisonsRetainedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, r, NewColumnScan(st, []int{0, 1, 5}, []int{1, 2}, pred()), 0, 1)
+		check(t, r, NewColumnScan(st, []int{0, 1, 5}, []int{1, 2}, pred()), NewColumnScan(st, []int{0, 1, 5}, []int{1, 2}, pred()), 0, 1)
 	})
 	t.Run("row", func(t *testing.T) {
 		r := newRig(2)
@@ -75,7 +121,7 @@ func TestScanPoisonsRetainedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, r, NewRowScan(st, []int{1, 5}, pred()), 0, 1)
+		check(t, r, NewRowScan(st, []int{1, 5}, pred()), NewRowScan(st, []int{1, 5}, pred()), 0, 1)
 	})
 }
 

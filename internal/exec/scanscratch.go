@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"energydb/internal/compress"
 	"energydb/internal/table"
@@ -14,21 +15,87 @@ import (
 // expand into; per column, the dictionary symbols carried from block to
 // block; and the selection vector and output view handed downstream. All
 // of it dies at the scan's next Next, as the volcano contract says of any
-// batch. It belongs to one scan — fragments never share one — and is let
-// go at Close, so nothing of it outlives the statement.
+// batch. It belongs to one scan — fragments never share one. The batch
+// header, its Vectors and the view are the scan's own; everything sized by
+// the block is borrowed (mem) and handed back at Close, when the scan's
+// claim on it ends: the next scan to open, any statement's, decodes into
+// the same arrays.
 type scanScratch struct {
+	mem  *scanMem
 	read *table.Batch
-	raw  []byte
-	syms []compress.SymbolTable
-	sel  []int32
 	view *table.Batch
 }
 
-// batch returns the decode target over schema, sized for rows the first
-// time.
+// scanMem is the block-sized memory a scan borrows: decode arrays by
+// physical type, free for the taking by a scan over any schema, the byte
+// image, the selection vector and the per-column symbol tables. At rest it
+// pins nothing a statement decoded: string arrays are cleared and symbol
+// tables Reset on the way back.
+type scanMem struct {
+	ints   [][]int64
+	floats [][]float64
+	strs   [][]string
+	raw    []byte
+	sel    []int32
+	syms   []compress.SymbolTable // by column position
+}
+
+// scanMems recycles scan memory across statements, and across every
+// engine in the process. A sync.Pool needs no bound and no knob: a scan
+// that finds it empty allocates as scans always did, and the collector
+// reclaims what no scan has used for two cycles, so the live heap at rest
+// is what it was without it.
+var scanMems = sync.Pool{New: func() any { return new(scanMem) }}
+
+// borrowed returns the scan's block-sized memory, taking it from the
+// recycler the first time.
+func (sc *scanScratch) borrowed() *scanMem {
+	if sc.mem == nil {
+		sc.mem = scanMems.Get().(*scanMem)
+	}
+	return sc.mem
+}
+
+// take pops the array last given to free, or makes one of rows cells when
+// there is none. One too small for the block is regrown by the decode that
+// fills it, like any vector.
+func take[T any](free *[][]T, rows int) []T {
+	n := len(*free)
+	if n == 0 {
+		return make([]T, 0, rows)
+	}
+	a := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return a[:0]
+}
+
+// give hands a back to free; the two arrays a vector does not use are nil
+// and stay out of it.
+func give[T any](free *[][]T, a []T) {
+	if cap(a) > 0 {
+		*free = append(*free, a)
+	}
+}
+
+// batch returns the decode target over schema, its arrays sized for rows
+// where the recycler had none.
 func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 	if sc.read == nil {
-		sc.read = table.NewBatch(schema, rows)
+		m := sc.borrowed()
+		sc.read = &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(schema.Cols))}
+		for i, c := range schema.Cols {
+			v := &table.Vector{Type: c.Type}
+			switch c.Type.Physical() {
+			case table.PhysInt:
+				v.I = take(&m.ints, rows)
+			case table.PhysFloat:
+				v.F = take(&m.floats, rows)
+			default:
+				v.S = take(&m.strs, rows)
+			}
+			sc.read.Vecs[i] = v
+		}
 	}
 	return sc.read
 }
@@ -36,8 +103,9 @@ func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 // expand decodes blk through the codec's byte-level Decode into the byte
 // scratch, pre-sized from the block's recorded raw size.
 func (sc *scanScratch) expand(codec compress.Codec, blk *block) ([]byte, error) {
-	raw, err := codec.Decode(slices.Grow(sc.raw[:0], int(blk.rawSize)), blk.enc)
-	sc.raw = raw
+	m := sc.borrowed()
+	raw, err := codec.Decode(slices.Grow(m.raw[:0], int(blk.rawSize)), blk.enc)
+	m.raw = raw
 	return raw, err
 }
 
@@ -54,10 +122,11 @@ func (sc *scanScratch) column(i int, codec compress.Codec, blk *block, sel []int
 		v.I, err = dec.DecodeInt64s(v.I[:0], blk.enc)
 		got = len(v.I)
 	} else if dec, ok := codec.(compress.StringDecoder); ok && v.Type.Physical() == table.PhysString {
-		if sc.syms == nil { // a scan that reads no dictionary column needs none
-			sc.syms = make([]compress.SymbolTable, len(sc.read.Vecs))
+		m := sc.mem
+		if short := len(sc.read.Vecs) - len(m.syms); short > 0 { // a scan that reads no dictionary column needs none
+			m.syms = append(m.syms, make([]compress.SymbolTable, short)...)
 		}
-		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &sc.syms[i], sel)
+		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &m.syms[i], sel)
 		got = len(v.S)
 	} else {
 		var raw []byte
@@ -85,16 +154,35 @@ func (sc *scanScratch) size(i, n int) {
 	}
 }
 
-// release lets go of everything at Close.
+// release ends the scan's claim on its memory at Close: the borrowed
+// arrays go back to the recycler — string arrays cleared and symbol tables
+// Reset, so they pin no string this statement decoded — and the scratch is
+// left empty, so a second Close finds nothing to hand back. The checking
+// build's retire has poisoned and abandoned everything by then; it never
+// recycles.
 func (sc *scanScratch) release() {
 	sc.retire()
+	if m := sc.mem; m != nil {
+		if sc.read != nil {
+			for _, v := range sc.read.Vecs {
+				give(&m.ints, v.I)
+				give(&m.floats, v.F)
+				clear(v.S[:cap(v.S)])
+				give(&m.strs, v.S)
+			}
+		}
+		for i := range m.syms {
+			m.syms[i].Reset()
+		}
+		scanMems.Put(m)
+	}
 	*sc = scanScratch{}
 }
 
 // filter returns the rows of in that pred keeps, ascending, in the
 // scratch's selection vector.
 func (sc *scanScratch) filter(ctx *Ctx, in *table.Batch, pred Pred) []int32 {
-	sel := iotaSel(&sc.sel, in.Rows())
+	sel := iotaSel(&sc.borrowed().sel, in.Rows())
 	if pred != nil {
 		sel = pred.Eval(ctx, in, sel)
 	}

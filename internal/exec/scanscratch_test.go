@@ -175,17 +175,22 @@ func numericOnly(t *table.Table) *table.Table {
 	return out
 }
 
+// allCols is every column of st, as read and as emitted.
+func allCols(st *StoredTable) []int {
+	cols := make([]int, len(st.Tab.Schema.Cols))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
 func rowDecodeScan(tb testing.TB, li *table.Table, codec compress.Codec) *RowScan {
 	tb.Helper()
 	st, err := PlaceRowMajor(numericOnly(li), newRig(1).vol, 1, 8192, codec)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	emit := make([]int, len(st.Tab.Schema.Cols))
-	for i := range emit {
-		emit[i] = i
-	}
-	return NewRowScan(st, emit, nil)
+	return NewRowScan(st, allCols(st), nil)
 }
 
 // decodeEmit is a scan's Next once the block's pages are in, minus the

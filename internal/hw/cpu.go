@@ -12,6 +12,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 
 	"energydb/internal/energy"
 	"energydb/internal/sim"
@@ -56,11 +57,18 @@ type CPU struct {
 
 // NewCPU registers a CPU on the meter and returns it.
 func NewCPU(e *sim.Engine, m *energy.Meter, name string, spec CPUSpec) *CPU {
-	if spec.Cores <= 0 || spec.FreqHz <= 0 {
+	if spec.Cores <= 0 || !(spec.FreqHz > 0) || math.IsInf(spec.FreqHz, 0) {
 		panic(fmt.Sprintf("hw: invalid CPU spec %+v", spec))
 	}
 	if len(spec.PStates) == 0 {
 		spec.PStates = []PState{{Name: "P0", FreqScale: 1, PowerScale: 1}}
+	}
+	for _, ps := range spec.PStates {
+		// A zero or NaN frequency makes every Use at that point last
+		// forever, or for a time that is not a number.
+		if !(ps.FreqScale > 0) || math.IsInf(ps.FreqScale, 0) || !(ps.PowerScale >= 0) || math.IsInf(ps.PowerScale, 0) {
+			panic(fmt.Sprintf("hw: invalid P-state %+v in CPU spec %q: scales must be finite, frequency positive, power non-negative", ps, spec.Name))
+		}
 	}
 	c := &CPU{
 		eng:   e,
@@ -126,8 +134,8 @@ func (c *CPU) PState() int { return c.pstate }
 // Use executes the given number of cycles on one core, blocking the calling
 // process for cycles/frequency seconds of simulated time.
 func (c *CPU) Use(p *sim.Proc, cycles float64) {
-	if cycles < 0 {
-		panic("hw: negative CPU cycles")
+	if !(cycles >= 0) { // negative, or NaN, which no comparison catches
+		panic(fmt.Sprintf("hw: negative or NaN CPU cycles: %v", cycles))
 	}
 	if cycles == 0 {
 		return

@@ -111,6 +111,64 @@ func TestCPUInvalidPState(t *testing.T) {
 	}
 }
 
+// TestCPURejectsNonFinitePStates: FreqScale is documented "in (0, 1]", and
+// a P-state that breaks it turns into time that is not a number the first
+// time the governor lands on it — FreqScale 0 made Use sleep +Inf, the
+// clock followed, and every meter integral after it read Inf or NaN. The
+// spec is refused at construction instead.
+func TestCPURejectsNonFinitePStates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []PState{
+		{Name: "zero-freq", FreqScale: 0, PowerScale: 0.5},
+		{Name: "neg-freq", FreqScale: -0.5, PowerScale: 0.5},
+		{Name: "nan-freq", FreqScale: nan, PowerScale: 0.5},
+		{Name: "inf-freq", FreqScale: inf, PowerScale: 0.5},
+		{Name: "neg-power", FreqScale: 0.5, PowerScale: -1},
+		{Name: "nan-power", FreqScale: 0.5, PowerScale: nan},
+		{Name: "inf-power", FreqScale: 0.5, PowerScale: inf},
+	} {
+		func() {
+			e, m := newRig(t)
+			spec := ScanCPU2008()
+			spec.PStates = append(spec.PStates[:1:1], bad)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCPU accepted P-state %+v", bad)
+				}
+			}()
+			NewCPU(e, m, "cpu", spec)
+		}()
+	}
+	// The base frequency is held to the same rule.
+	for _, hz := range []float64{nan, inf} {
+		func() {
+			e, m := newRig(t)
+			spec := ScanCPU2008()
+			spec.FreqHz = hz
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCPU accepted FreqHz %v", hz)
+				}
+			}()
+			NewCPU(e, m, "cpu", spec)
+		}()
+	}
+	// A zero PowerScale is a legal (if optimistic) operating point.
+	e, m := newRig(t)
+	spec := ScanCPU2008()
+	spec.PStates = append(spec.PStates[:1:1], PState{Name: "free", FreqScale: 0.5, PowerScale: 0})
+	cpu := NewCPU(e, m, "cpu", spec)
+
+	// Cycles that are not a number never reach the clock either.
+	e.Go("q", func(p *sim.Proc) { cpu.Use(p, nan) })
+	defer func() {
+		if recover() == nil || e.Now() != 0 {
+			t.Errorf("Use(NaN) did not panic (now = %v)", e.Now())
+		}
+	}()
+	_ = e.Run()
+}
+
 func TestDiskSequentialVsRandom(t *testing.T) {
 	e, m := newRig(t)
 	spec := Cheetah15K()

@@ -10,12 +10,26 @@
 //
 // The kernel knows nothing about hardware or databases; devices in
 // internal/hw are built from Resource and timers.
+//
+// Parking and waking a process allocates nothing. A parked process has at
+// most one wake-up pending — the end of its Sleep, or the Signal, Broadcast
+// or grant that took it off a wait queue — so the wake-up rides on an event
+// embedded in its Proc, and scheduling a second one while the first is
+// pending is a kernel bug that panics with the process's name. Names (of
+// events, processes, conditions, mailboxes, resources) are diagnostics: the
+// kernel stores the strings it is given and formats a label only where a
+// panic or a deadlock report prints one. Times must be numbers: a NaN
+// compares false with everything and would break the heap order, and with
+// it the determinism guarantee, silently, and an infinite one ends the
+// clock, so At, After and Sleep refuse NaN and ±Inf as they refuse the
+// past — with a panic naming the event or the process.
 package sim
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -23,14 +37,25 @@ import (
 // no event left to wake them; match with errors.Is, not the message.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// event is a scheduled callback. Events with equal time fire in schedule
-// order (seq), which keeps the simulation deterministic.
+// event is a scheduled callback (fn, under a diagnostic name) or a
+// process's wake-up (p: the event is the one embedded in that Proc).
+// Events with equal time fire in schedule order (seq), which keeps the
+// simulation deterministic.
 type event struct {
-	t    float64
-	seq  int64
-	name string
-	fn   func()
-	idx  int
+	t      float64
+	seq    int64
+	name   string
+	fn     func()
+	p      *Proc
+	queued bool // a wake-up that is in the heap
+}
+
+// label names the event in a panic message.
+func (ev *event) label() string {
+	if ev.p != nil {
+		return fmt.Sprintf("wake-up of %s", ev.p.name)
+	}
+	return ev.name
 }
 
 type eventHeap []*event
@@ -42,16 +67,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -85,9 +102,15 @@ func NewEngine() *Engine {
 // Now reports the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at absolute time t (>= Now). The name is used in
-// diagnostics only.
+// finite reports whether x is a number a clock can hold: not NaN, not ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// At schedules fn to run at absolute time t (>= Now, and finite). The name
+// is used in diagnostics only.
 func (e *Engine) At(t float64, name string, fn func()) {
+	if !finite(t) {
+		panic(fmt.Sprintf("sim: scheduling %q at non-finite time %v", name, t))
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q in the past: %v < %v", name, t, e.now))
 	}
@@ -95,12 +118,35 @@ func (e *Engine) At(t float64, name string, fn func()) {
 	heap.Push(&e.queue, &event{t: t, seq: e.seq, name: name, fn: fn})
 }
 
-// After schedules fn to run d seconds from now. Negative d panics.
+// After schedules fn to run d seconds from now. A negative or non-finite d
+// panics.
 func (e *Engine) After(d float64, name string, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
+	if !finite(d) || d < 0 {
+		panic(fmt.Sprintf("sim: negative or non-finite delay %v for %q", d, name))
 	}
 	e.At(e.now+d, name, fn)
+}
+
+// wakeAfter schedules p to resume d seconds from now. It is the one place a
+// process wake-up is scheduled — the end of a Sleep, a new process's start,
+// a Signal, a Broadcast, a Resource grant — and it takes its seq at exactly
+// the point an After would, so a wake-up orders among the other events as
+// a callback that resumed p always did. The event is the one embedded in
+// p, so nothing is allocated.
+func (e *Engine) wakeAfter(d float64, p *Proc) {
+	if !finite(d) || d < 0 || !finite(e.now+d) {
+		panic(fmt.Sprintf("sim: negative or non-finite sleep %v in %q", d, p.name))
+	}
+	ev := &p.wakeup
+	if ev.queued {
+		if p.killed {
+			return // unwinding under Crash, which drops the whole queue when it is done
+		}
+		panic(fmt.Sprintf("sim: second wake-up scheduled for %q while one is pending", p.name))
+	}
+	e.seq++
+	ev.t, ev.seq, ev.queued = e.now+d, e.seq, true
+	heap.Push(&e.queue, ev)
 }
 
 // Pending reports the number of scheduled events.
@@ -153,9 +199,14 @@ func (e *Engine) RunUntil(t float64) error {
 func (e *Engine) step() {
 	ev := heap.Pop(&e.queue).(*event)
 	if ev.t < e.now {
-		panic(fmt.Sprintf("sim: time went backwards popping %q: %v < %v", ev.name, ev.t, e.now))
+		panic(fmt.Sprintf("sim: time went backwards popping %q: %v < %v", ev.label(), ev.t, e.now))
 	}
 	e.now = ev.t
+	if ev.p != nil {
+		ev.queued = false
+		e.wake(ev.p)
+		return
+	}
 	ev.fn()
 }
 
@@ -176,6 +227,7 @@ type Proc struct {
 	id       int64
 	name     string
 	resume   chan struct{}
+	wakeup   event // the one wake-up a parked process can have pending
 	panicked any
 	dead     bool
 	killed   bool
@@ -197,6 +249,7 @@ type killSentinel struct{}
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{eng: e, id: e.procSeq, name: name, resume: make(chan struct{})}
+	p.wakeup.p = p
 	if e.current != nil {
 		p.owner = e.current.owner
 	}
@@ -220,7 +273,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	e.After(0, "start:"+name, func() { e.wake(p) })
+	e.wakeAfter(0, p)
 	return p
 }
 
@@ -242,6 +295,9 @@ func (e *Engine) Crash() {
 	for _, p := range victims {
 		p.killed = true
 		e.wake(p) // park (or the spawn wrapper) sees killed and unwinds
+	}
+	for _, ev := range e.queue {
+		ev.queued = false
 	}
 	e.queue = nil
 }
@@ -301,13 +357,10 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now reports the current simulated time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// Sleep suspends the process for d seconds of simulated time.
+// Sleep suspends the process for d seconds of simulated time. A negative
+// or non-finite d panics.
 func (p *Proc) Sleep(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))
-	}
-	e := p.eng
-	e.After(d, "wake:"+p.name, func() { e.wake(p) })
+	p.eng.wakeAfter(d, p)
 	p.park()
 }
 

@@ -2,6 +2,49 @@ package sim
 
 import "fmt"
 
+// fifo is the queue behind every wait list and mailbox: a slice consumed
+// from the front. It zeroes each slot it dequeues (a dequeued item is not
+// pinned by the queue) and rewinds to the start of its backing array when
+// it runs empty — or, full with a consumed prefix, slides the live items
+// down — so a queue that is drained as fast as it is filled, like a scan's
+// credits/ready ping-pong, never grows.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// front returns the oldest item without dequeuing it; the queue must not
+// be empty.
+func (q *fifo[T]) front() T { return q.items[q.head] }
+
+// pop dequeues the oldest item; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+// reset drops every item.
+func (q *fifo[T]) reset() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
+}
+
 // Resource is a counted resource (CPU cores, a disk's single actuator, a
 // memory budget) with FIFO queueing. Acquire blocks the calling process
 // until the requested units are available; waiters are served strictly in
@@ -11,7 +54,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	waiters  fifo[resWaiter]
 
 	// onBusyChange, if set, is invoked whenever the number of busy units
 	// changes. Hardware models use it to adjust device power draw.
@@ -41,7 +84,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // Waiters reports the number of blocked acquisitions.
-func (r *Resource) Waiters() int { return len(r.waiters) }
+func (r *Resource) Waiters() int { return r.waiters.len() }
 
 // OnBusyChange registers a callback fired whenever InUse changes.
 func (r *Resource) OnBusyChange(fn func(inUse int)) { r.onBusyChange = fn }
@@ -54,11 +97,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 	// FIFO: even if units are free, queue behind existing waiters so a
 	// large request cannot be starved by a stream of small ones.
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.grant(n)
 		return
 	}
-	r.waiters = append(r.waiters, &resWaiter{p: p, n: n})
+	r.waiters.push(resWaiter{p: p, n: n})
 	p.park()
 }
 
@@ -67,7 +110,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: try-acquire %d of resource %q (capacity %d)", n, r.name, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.grant(n)
 		return true
 	}
@@ -90,7 +133,7 @@ func (r *Resource) Release(n int) {
 // to a quiescent state.
 func (r *Resource) Reset() {
 	r.inUse = 0
-	r.waiters = nil
+	r.waiters.reset()
 	r.notify()
 }
 
@@ -116,15 +159,14 @@ func (r *Resource) notify() {
 // are scheduled as zero-delay events so they interleave deterministically
 // with the releasing process.
 func (r *Resource) dispatch() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.len() > 0 {
+		w := r.waiters.front()
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.grant(w.n)
-		p := w.p
-		r.eng.After(0, "grant:"+r.name, func() { r.eng.wake(p) })
+		r.eng.wakeAfter(0, w.p)
 	}
 }
 
@@ -132,7 +174,7 @@ func (r *Resource) dispatch() {
 type Cond struct {
 	eng     *Engine
 	name    string
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewCond returns a condition variable.
@@ -142,73 +184,61 @@ func NewCond(e *Engine, name string) *Cond {
 
 // Wait suspends p until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park()
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.len() > 0 {
+		c.eng.wakeAfter(0, c.waiters.pop())
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.After(0, "signal:"+c.name, func() { c.eng.wake(p) })
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
-		p := p
-		c.eng.After(0, "broadcast:"+c.name, func() { c.eng.wake(p) })
+	for c.waiters.len() > 0 {
+		c.eng.wakeAfter(0, c.waiters.pop())
 	}
 }
 
 // Waiting reports the number of blocked processes.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return c.waiters.len() }
 
 // Mailbox is an unbounded FIFO queue connecting simulated processes;
 // Get blocks while the mailbox is empty.
 type Mailbox[T any] struct {
-	eng   *Engine
-	name  string
-	items []T
-	cond  *Cond
+	items fifo[T]
+	cond  Cond // named as the mailbox is
 }
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
-	return &Mailbox[T]{eng: e, name: name, cond: NewCond(e, "mbox:"+name)}
+	return &Mailbox[T]{cond: Cond{eng: e, name: name}}
 }
 
 // Put enqueues v and wakes one waiting consumer.
 func (m *Mailbox[T]) Put(v T) {
-	m.items = append(m.items, v)
+	m.items.push(v)
 	m.cond.Signal()
 }
 
 // Get dequeues the oldest item, blocking while the mailbox is empty.
 func (m *Mailbox[T]) Get(p *Proc) T {
-	for len(m.items) == 0 {
+	for m.items.len() == 0 {
 		m.cond.Wait(p)
 	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v
+	return m.items.pop()
 }
 
 // TryGet dequeues without blocking, reporting whether an item was present.
 func (m *Mailbox[T]) TryGet() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v, true
+	return m.items.pop(), true
 }
 
 // Len reports the queued item count.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,6 +54,117 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(5, "past", func() {})
+}
+
+// TestNonFiniteTimesRefused: NaN compares false with everything, so it
+// passed the "in the past" and "negative" guards and landed in the heap,
+// where it breaks the order every other guarantee rests on; +Inf passed
+// them too and, once popped, left the clock at +Inf for good. At, After
+// and Sleep refuse both (and -Inf) with a panic that names the event or
+// the process, and leave the queue as it was.
+func TestNonFiniteTimesRefused(t *testing.T) {
+	refused := func(what, name string, e *Engine, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Errorf("%s: accepted", what)
+			} else if !strings.Contains(fmt.Sprint(r), name) {
+				t.Errorf("%s: panic %q does not name %q", what, r, name)
+			}
+			if e.Pending() != 0 || e.Now() != 0 {
+				t.Errorf("%s: left %d events pending at now = %v", what, e.Pending(), e.Now())
+			}
+		}()
+		f()
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := NewEngine()
+		refused(fmt.Sprintf("At(%v)", x), "the-event", e, func() { e.At(x, "the-event", func() {}) })
+		refused(fmt.Sprintf("After(%v)", x), "the-event", e, func() { e.After(x, "the-event", func() {}) })
+		e.Go("the-sleeper", func(p *Proc) { p.Sleep(x) })
+		refused(fmt.Sprintf("Sleep(%v)", x), "the-sleeper", e, func() { _ = e.Run() })
+	}
+	e := NewEngine()
+	e.Go("the-sleeper", func(p *Proc) { p.Sleep(-1) })
+	refused("Sleep(-1)", "the-sleeper", e, func() { _ = e.Run() })
+}
+
+// TestSecondWakeupPanics: a parked process has one wake-up pending at
+// most; a kernel path that schedules another is a bug and says whose.
+func TestSecondWakeupPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Go("twice", func(p *Proc) {}) // its start is pending
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "twice") {
+			t.Fatalf("second wake-up: recovered %v, want a panic naming the process", r)
+		}
+	}()
+	e.wakeAfter(1, p)
+}
+
+// TestCrashVictimCleanupMaySleep: a victim's deferred cleanup that tries to
+// block is unwound again at its first park, as it always was — also now
+// that the Sleep it calls finds the victim's own wake-up still pending.
+func TestCrashVictimCleanupMaySleep(t *testing.T) {
+	e := NewEngine()
+	cleaned := 0
+	e.Go("victim", func(p *Proc) {
+		defer func() { cleaned++ }()
+		defer p.Sleep(1)
+		defer p.Sleep(1)
+		p.Sleep(100)
+	})
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	e.Crash()
+	if cleaned != 1 || e.Live() != 0 || e.Pending() != 0 {
+		t.Fatalf("cleaned %d, live %d, pending %d after the crash", cleaned, e.Live(), e.Pending())
+	}
+	woke := -1.0
+	e.Go("after", func(p *Proc) { p.Sleep(2); woke = p.Now() })
+	if err := e.Run(); err != nil || woke != 3 {
+		t.Fatalf("post-crash process woke at %v (err %v), want 3", woke, err)
+	}
+}
+
+// TestMailboxDoesNotPinOrGrow: a dequeued item is zeroed in the backing
+// array, and a mailbox drained as fast as it fills stays in the array it
+// first grew.
+func TestMailboxDoesNotPinOrGrow(t *testing.T) {
+	e := NewEngine()
+	mb := NewMailbox[*int](e, "box")
+	for round := 0; round < 100; round++ {
+		mb.Put(new(int))
+		mb.Put(new(int))
+		for mb.Len() > 0 {
+			if _, ok := mb.TryGet(); !ok {
+				t.Fatal("TryGet failed on a non-empty mailbox")
+			}
+		}
+	}
+	if c := cap(mb.items.items); c > 2 {
+		t.Errorf("backing array grew to %d slots for a queue never longer than 2", c)
+	}
+	for i, v := range mb.items.items[:cap(mb.items.items)] {
+		if v != nil {
+			t.Errorf("slot %d still holds a dequeued item", i)
+		}
+	}
+	// A queue that never runs empty slides down instead of creeping up.
+	q := NewMailbox[int](e, "backlog")
+	q.Put(-1)
+	for i := 0; i < 1000; i++ {
+		q.Put(i)
+		if v, _ := q.TryGet(); v != i-1 {
+			t.Fatalf("got %d, want %d", v, i-1)
+		}
+	}
+	if c := cap(q.items.items); c > 4 {
+		t.Errorf("backing array grew to %d slots for a queue never longer than 2", c)
+	}
 }
 
 func TestProcSleep(t *testing.T) {

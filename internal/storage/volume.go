@@ -67,6 +67,12 @@ type Volume struct {
 	hostBW   float64
 	hostLink *sim.Resource
 
+	// Diagnostic names for what a read starts, built once: the mailboxes
+	// and window of ReadPages, Scan and ReadRange and, per device, their
+	// reader processes.
+	rpName, scanName, scanWinName, rrName string
+	rpReader, scanReader, rrReader        []string
+
 	// MaxRunPages caps the pages coalesced into one device request during
 	// Scan (0 = window/4). Real 2008 controllers capped transfers at
 	// 64-256 KB per request; the cap fixes per-seek efficiency across
@@ -85,7 +91,14 @@ func NewVolume(name string, layout Layout, pageSize int64, devs []BlockDevice) *
 	if pageSize <= 0 {
 		panic("storage: page size must be positive")
 	}
-	return &Volume{name: name, devs: devs, pageSize: pageSize, layout: layout}
+	v := &Volume{name: name, devs: devs, pageSize: pageSize, layout: layout,
+		rpName: name + ":rp", scanName: name + ":scan", scanWinName: name + ":scanwin", rrName: name + ":rr"}
+	for d := range devs {
+		v.rpReader = append(v.rpReader, fmt.Sprintf("%s:rp%d", name, d))
+		v.scanReader = append(v.scanReader, fmt.Sprintf("%s:reader%d", name, d))
+		v.rrReader = append(v.rrReader, fmt.Sprintf("%s:rr%d", name, d))
+	}
+	return v
 }
 
 // Name reports the volume name.
@@ -194,7 +207,7 @@ func (v *Volume) ReadPages(p *sim.Proc, pages []int64) error {
 		return nil
 	}
 	eng := p.Engine()
-	done := sim.NewMailbox[error](eng, v.name+":rp")
+	done := sim.NewMailbox[error](eng, v.rpName)
 	stop := new(bool)
 	byDev := make([][]int64, len(v.devs))
 	seen := make(map[int64]struct{}, len(pages))
@@ -214,7 +227,7 @@ func (v *Volume) ReadPages(p *sim.Proc, pages []int64) error {
 		}
 		launched++
 		d, runs := d, coalesce(v, pgs)
-		eng.Go(fmt.Sprintf("%s:rp%d", v.name, d), func(rp *sim.Proc) {
+		eng.Go(v.rpReader[d], func(rp *sim.Proc) {
 			for _, r := range runs {
 				if *stop {
 					break
@@ -379,8 +392,8 @@ func (v *Volume) Scan(p *sim.Proc, start, end int64, window int, consume func(pa
 		window = 2 * len(v.devs)
 	}
 	eng := p.Engine()
-	tokens := sim.NewResource(eng, v.name+":scanwin", window)
-	done := sim.NewMailbox[scanMsg](eng, v.name+":scan")
+	tokens := sim.NewResource(eng, v.scanWinName, window)
+	done := sim.NewMailbox[scanMsg](eng, v.scanName)
 	stop := new(bool)
 
 	// Partition pages by owning device so each reader's accesses are
@@ -410,7 +423,7 @@ func (v *Volume) Scan(p *sim.Proc, start, end int64, window int, consume func(pa
 		}
 		launched++
 		d, pages := d, pages
-		eng.Go(fmt.Sprintf("%s:reader%d", v.name, d), func(rp *sim.Proc) {
+		eng.Go(v.scanReader[d], func(rp *sim.Proc) {
 			defer done.Put(scanMsg{exit: true})
 			i := 0
 			for i < len(pages) && !*stop {
@@ -478,7 +491,7 @@ func (v *Volume) ReadRange(p *sim.Proc, start, end int64) error {
 		return nil
 	}
 	eng := p.Engine()
-	done := sim.NewMailbox[error](eng, v.name+":rr")
+	done := sim.NewMailbox[error](eng, v.rrName)
 	stop := new(bool)
 	byDev := make([][]int64, len(v.devs))
 	for pg := start; pg < end; pg++ {
@@ -493,7 +506,7 @@ func (v *Volume) ReadRange(p *sim.Proc, start, end int64) error {
 		}
 		launched++
 		d, pages := d, pages
-		eng.Go(fmt.Sprintf("%s:rr%d", v.name, d), func(rp *sim.Proc) {
+		eng.Go(v.rrReader[d], func(rp *sim.Proc) {
 			for _, pg := range pages {
 				if *stop {
 					break
