@@ -1,8 +1,8 @@
 // Package energydb's benchmarks regenerate every figure and ablation of
 // the paper's evaluation (go test -bench=. -benchmem). Each benchmark
 // reports the experiment's headline metrics as custom benchmark units so
-// `go test -bench` output doubles as the results table; EXPERIMENTS.md
-// records paper-versus-measured values.
+// `go test -bench` output doubles as the results table; the shapes each
+// one must keep are asserted in internal/bench's tests.
 package energydb_test
 
 import (

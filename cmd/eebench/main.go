@@ -1,5 +1,5 @@
 // Command eebench regenerates every figure and ablation from the paper's
-// evaluation; see EXPERIMENTS.md for the expected shapes.
+// evaluation; internal/bench's tests assert the expected shapes.
 package main
 
 import (

@@ -36,14 +36,23 @@
 // and Attributed is the query's own share — the marginal energy its
 // processes charged on the devices plus an idle-floor share proportional
 // to its wall-clock overlap — which sums to the wall meter across all
-// concurrent queries by construction. DB.Exec remains the one-statement
-// convenience wrapper over a session, and DB.Drain runs every submitted
+// concurrent queries by construction.
+//
+// Every statement enters through one path — parsed once, bound, the
+// tables it reads placed — and every statement that takes simulated time
+// is billed to an account of its own. DB.Exec is that path for one
+// statement, run to completion: a SELECT as a one-statement session with
+// the engine drained, an INSERT as the commit DB.ExecAt schedules (a
+// process of its own, the WAL append inside it) pumped only until it is
+// durable, so work scheduled for later stays in the future; its Result
+// carries the commit's Attributed joules. DB.Drain runs every submitted
 // statement to completion for multi-stream drivers.
 //
 // The optimizer prices every plan in both seconds and joules; switch
 // Config.Objective to MinEnergy to make it optimise the paper's way.
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// paper-versus-measured results.
+// README.md walks through the surfaces, internal/exec/CONTRACT.md holds
+// the executor's and the statement lifecycle's rules, and the shapes of
+// the paper's figures are asserted in internal/bench's tests.
 package energydb
 
 import (

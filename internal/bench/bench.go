@@ -1,9 +1,8 @@
 // Package bench contains the experiment drivers that regenerate every
-// figure in the paper's evaluation plus the ablations DESIGN.md commits
-// to. Each RunX function is deterministic, returns a structured result,
-// and renders a text table shaped like the paper's series; acceptance
-// criteria live in the package tests and EXPERIMENTS.md records
-// paper-versus-measured values.
+// figure in the paper's evaluation plus the ablations. Each RunX function
+// is deterministic, returns a structured result, and renders a text table
+// shaped like the paper's series; acceptance criteria live in the package
+// tests.
 package bench
 
 import (

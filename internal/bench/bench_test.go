@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// These tests are the acceptance criteria from DESIGN.md §3: they assert
+// These tests are the reproduction's acceptance criteria: they assert
 // the *shape* of every reproduced figure and ablation, not absolute
 // numbers (our substrate is a simulator, not the authors' testbed).
 
@@ -82,7 +82,7 @@ func TestFigure1Shape(t *testing.T) {
 	}
 	// The efficiency-vs-performance tradeoff exists and points the right
 	// way (paper: +14% EE for -45% performance; our simulator's magnitudes
-	// differ, see EXPERIMENTS.md).
+	// differ).
 	if r.EEGainVsFastest() < 0.05 {
 		t.Fatalf("EE gain vs fastest = %.2f, want >= 0.05", r.EEGainVsFastest())
 	}

@@ -35,7 +35,7 @@ type Figure2Run struct {
 type Figure2Result struct {
 	Uncompressed Figure2Run
 	Compressed   Figure2Run
-	// Paper reference values for EXPERIMENTS.md comparisons.
+	// The paper's values, rendered beside ours.
 	PaperUncompressed Figure2Run
 	PaperCompressed   Figure2Run
 }

@@ -13,7 +13,6 @@ import (
 	"energydb/internal/compress"
 	"energydb/internal/energy"
 	"energydb/internal/exec"
-	"energydb/internal/fault"
 	"energydb/internal/hw"
 	"energydb/internal/opt"
 	"energydb/internal/sched"
@@ -140,15 +139,17 @@ type DB struct {
 	schemas     map[string]*table.Schema
 	mem         map[string]*table.Table // in-memory (unplaced or dirty) tables
 	dirty       map[string]bool
-	epochs      map[string]int64 // placement epoch per table, bumped by place()
-	durableRows map[string]int64 // rows covered by the last placement (the checkpoint)
-	inflight    map[int64]*Rows  // submitted-or-pending statements not yet finished
-	pvotes      map[int64]int    // per-query P-state votes (DVFS governor)
+	epochs      map[string]int64    // placement epoch per table, bumped by place()
+	durableRows map[string]int64    // rows covered by the last placement (the checkpoint)
+	inflight    map[int64]*Rows     // submitted-or-pending statements not yet finished
+	commits     map[int64]*Deferred // scheduled inserts not yet settled
+	pvotes      map[int64]int       // per-query P-state votes (DVFS governor)
 	fileSeq     int32
 	queries     int64
 	crashes     int64
 	nextSess    int64
 	nextQuery   int64
+	nextCommit  int64
 }
 
 // Open builds the simulated machine and an empty database on it.
@@ -234,6 +235,7 @@ func Open(cfg Config) (*DB, error) {
 		epochs:      map[string]int64{},
 		durableRows: map[string]int64{},
 		inflight:    map[int64]*Rows{},
+		commits:     map[int64]*Deferred{},
 		pvotes:      map[int64]int{},
 	}
 	if cfg.WALBatch > 0 {
@@ -349,81 +351,39 @@ func (db *DB) LoadTable(t *table.Table) error {
 
 // Insert appends rows to a table; they become visible to queries after
 // the next (re)placement, and are logged when a WAL is configured. It is
-// the synchronous path: with a WAL it spawns a commit process and drains
-// the engine, so it must not be called from event context — arrival-time
-// inserts go through ExecAt instead.
+// InsertAt for the present, waited for: the commit is scheduled now and
+// the simulation pumped until it is done — no further, so work scheduled
+// for later stays in the future. Like every pumping call it must not be
+// made from event context.
 func (db *DB) Insert(name string, rows [][]table.Value) error {
-	coerced, err := db.coerceInsert(name, rows)
+	d, err := db.InsertAt(0, name, rows)
 	if err != nil {
 		return err
 	}
-	if db.Log != nil {
-		committed := false
-		err := db.run("wal", func(p *sim.Proc) error {
-			if e := db.logInsert(p, name, coerced); e != nil {
-				return e
-			}
-			committed = true
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if !committed {
-			// The engine crashed while the commit was in flight.
-			return fmt.Errorf("core: insert into %q: %w", name, fault.ErrCrashed)
-		}
-	}
-	db.applyInsert(name, coerced)
-	return nil
+	return d.Err()
 }
 
-// coerceInsert validates and coerces a whole insert batch before any row
-// is appended: a type error on row k must not leave rows 0..k-1 visible.
-func (db *DB) coerceInsert(name string, rows [][]table.Value) ([][]table.Value, error) {
+// coerceInsert validates a whole insert and builds its batch under the
+// table's schema before anything is scheduled: a type error on row k must
+// not leave rows 0..k-1 visible.
+func (db *DB) coerceInsert(name string, rows [][]table.Value) (*table.Batch, error) {
 	s, ok := db.schemas[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown table %q", name)
 	}
-	coerced := make([][]table.Value, len(rows))
-	for ri, r := range rows {
+	b := table.NewBatch(s, len(rows))
+	for _, r := range rows {
 		if len(r) != len(s.Cols) {
 			return nil, fmt.Errorf("core: insert of %d values into %d columns", len(r), len(s.Cols))
 		}
-		cr := make([]table.Value, len(r))
 		for i, v := range r {
 			if v.Type.Physical() != s.Cols[i].Type.Physical() {
 				return nil, fmt.Errorf("core: column %q wants %v, got %v", s.Cols[i].Name, s.Cols[i].Type, v.Type)
 			}
-			v.Type = s.Cols[i].Type
-			cr[i] = v
 		}
-		coerced[ri] = cr
+		b.AppendRow(r...)
 	}
-	return coerced, nil
-}
-
-// logInsert makes a coerced insert durable from inside the committing
-// process p. Write-ahead: the record carries the real row data and the
-// table's current row count, so crash recovery can rebuild the table
-// from its placement checkpoint plus the log suffix; a failed or crashed
-// commit leaves no phantom rows behind.
-func (db *DB) logInsert(p *sim.Proc, name string, coerced [][]table.Value) error {
-	payload := encodeInsert(name, db.schemas[name], int64(db.mem[name].Rows()), coerced)
-	if _, e := db.Log.Append(p, payload); e != nil {
-		return fmt.Errorf("core: insert into %q not durable: %w", name, e)
-	}
-	return nil
-}
-
-// applyInsert appends a coerced batch and marks the table dirty for
-// re-placement on next use.
-func (db *DB) applyInsert(name string, coerced [][]table.Value) {
-	t := db.mem[name]
-	for _, r := range coerced {
-		t.AppendRow(r...)
-	}
-	db.dirty[name] = true
+	return b, nil
 }
 
 // place (re)places a table's variants on the data volume.
@@ -509,6 +469,13 @@ type Result struct {
 	RowCount int64          // rows produced (survives Rows.Discard)
 }
 
+// bill copies a settled energy account into the result.
+func (r *Result) bill(acct *energy.Account) {
+	r.Attributed = acct.Attributed()
+	r.Marginal = acct.Direct()
+	r.Shared = acct.Shared()
+}
+
 // Efficiency reports rows per joule — the paper's work/energy metric.
 func (r *Result) Efficiency() energy.Efficiency {
 	if r.Rows == nil {
@@ -517,73 +484,86 @@ func (r *Result) Efficiency() energy.Efficiency {
 	return energy.EfficiencyOf(float64(r.Rows.Rows()), r.Joules)
 }
 
-// Exec parses, plans and executes one SQL statement on the simulated
-// machine, advancing its clock and meter. It is the single-query
-// convenience path: a SELECT runs as a one-statement session — submitted
-// to the admission controller (which, on an otherwise idle box, grants it
-// every core), executed, and collected — so it carries the same
-// attributed energy account as session queries. Multi-stream drivers use
-// DB.Session directly; ExecAt schedules a non-SELECT at a future arrival
-// time instead of committing now; the network front door (internal/server)
-// exposes both over the wire.
+// prepared is a statement that has come through the front door; exactly
+// one of query, create and rows is set.
+type prepared struct {
+	query   *opt.Query    // SELECT: bound, every table it reads placed
+	explain bool          // the SELECT carried an EXPLAIN prefix
+	create  *table.Schema // CREATE
+	rows    *table.Batch  // INSERT: coerced to the schema of the table it names
+}
+
+// prepare is the one way SQL text enters the engine: parse, refuse what
+// the caller does not take (sessions take reads, ExecAt takes writes, Exec
+// takes both), then bind a SELECT and place the tables it reads, or
+// validate an INSERT against its table. Nothing is scheduled and no
+// simulated time passes.
+func (db *DB) prepare(text string, reads, writes bool) (p prepared, err error) {
+	st, err := sql.Parse(text)
+	if err != nil {
+		return p, err
+	}
+	switch {
+	case st.Select != nil && !reads:
+		return p, fmt.Errorf("core: this entry point takes CREATE or INSERT; a SELECT goes through a session (PREPARE/EXECUTE)")
+	case st.Select == nil && !writes:
+		return p, fmt.Errorf("core: only SELECT can be prepared or explained")
+	case st.Create != nil:
+		p.create = table.NewSchema(st.Create.Name, st.Create.Cols...)
+	case st.Insert != nil:
+		p.rows, err = db.coerceInsert(st.Insert.Table, st.Insert.Rows)
+	default:
+		p.explain = st.Explain
+		if p.query, err = sql.Bind(st.Select, db.Schema); err == nil {
+			err = db.placeDirty(p.query)
+		}
+	}
+	return p, err
+}
+
+// placeDirty places (or re-places) every table q reads whose contents
+// changed since its last placement.
+func (db *DB) placeDirty(q *opt.Query) error {
+	for _, a := range q.Tables {
+		if rel := q.Rels[a]; db.dirty[rel] {
+			if err := db.place(rel); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Exec runs one SQL statement to completion on the simulated machine,
+// advancing its clock and meter. It is the one-statement convenience over
+// the paths drivers use directly: a SELECT runs as a one-statement session
+// — submitted to the admission controller (which, on an otherwise idle
+// box, grants it every core), the engine drained, the rows collected; an
+// INSERT is the commit ExecAt schedules, pumped only until it is durable
+// and applied (work scheduled for later stays in the future), and like
+// the SELECT it comes back with its own energy account in the Result;
+// CREATE is catalog-only and EXPLAIN only plans. Multi-stream drivers use
+// DB.Session and ExecAt; the network front door (internal/server) exposes
+// both over the wire.
 func (db *DB) Exec(query string) (*Result, error) {
-	st, err := sql.Parse(query)
+	p, err := db.prepare(query, true, true)
 	if err != nil {
 		return nil, err
 	}
 	switch {
-	case st.Create != nil:
-		return &Result{}, db.CreateTable(table.NewSchema(st.Create.Name, st.Create.Cols...))
-	case st.Insert != nil:
-		return &Result{}, db.Insert(st.Insert.Table, st.Insert.Rows)
-	default:
-		return db.execSelect(st, query)
-	}
-}
-
-// Plan compiles a SELECT without executing it (EXPLAIN).
-func (db *DB) Plan(query string) (*opt.Plan, error) {
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if st.Select == nil {
-		return nil, fmt.Errorf("core: only SELECT can be explained")
-	}
-	q, err := db.bind(st.Select)
-	if err != nil {
-		return nil, err
-	}
-	return opt.Optimize(q, db.Catalog, db.Env, db.Objective)
-}
-
-func (db *DB) bind(sel *sql.SelectStmt) (*opt.Query, error) {
-	q, err := sql.Bind(sel, func(rel string) (*table.Schema, bool) {
-		s, ok := db.schemas[rel]
-		return s, ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Place (or re-place) every referenced table that changed.
-	for _, a := range q.Tables {
-		rel := q.Rels[a]
-		if db.dirty[rel] {
-			if err := db.place(rel); err != nil {
-				return nil, err
-			}
+	case p.create != nil:
+		return &Result{}, db.CreateTable(p.create)
+	case p.rows != nil:
+		d := db.insertAt(0, p.rows)
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
-	}
-	return q, nil
-}
-
-func (db *DB) execSelect(st *sql.Stmt, query string) (*Result, error) {
-	q, err := db.bind(st.Select)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		plan, err := opt.Optimize(q, db.Catalog, db.Env, db.Objective)
+		begun, ended := d.acct.Window()
+		res := &Result{Elapsed: ended - begun}
+		res.bill(d.acct)
+		return res, nil
+	case p.explain:
+		plan, err := db.explain(p.query)
 		if err != nil {
 			return nil, err
 		}
@@ -591,7 +571,7 @@ func (db *DB) execSelect(st *sql.Stmt, query string) (*Result, error) {
 	}
 	sess := db.Session()
 	defer sess.Close()
-	rows, err := newStmt(sess, query, q).Query()
+	rows, err := newStmt(sess, query, p.query).Query()
 	if err != nil {
 		return nil, err
 	}
@@ -601,6 +581,23 @@ func (db *DB) execSelect(st *sql.Stmt, query string) (*Result, error) {
 		return nil, err
 	}
 	return rows.Collect()
+}
+
+// Plan compiles a SELECT (with or without a leading EXPLAIN) without
+// executing it.
+func (db *DB) Plan(query string) (*opt.Plan, error) {
+	p, err := db.prepare(query, true, false)
+	if err != nil {
+		return nil, err
+	}
+	return db.explain(p.query)
+}
+
+// explain is EXPLAIN: the plan the optimizer picks for a bound SELECT
+// with the whole machine to itself (planFor prices against the admission
+// grant; this is the unloaded choice).
+func (db *DB) explain(q *opt.Query) (*opt.Plan, error) {
+	return opt.Optimize(q, db.Catalog, db.Env, db.Objective)
 }
 
 // NewCtx builds an execution context wired to this DB's hardware; the
@@ -615,18 +612,6 @@ func (db *DB) NewCtx(p *sim.Proc) *exec.Ctx {
 		ctx.PageRefetchJoules = perPage * db.Env.StorageWatt
 	}
 	return ctx
-}
-
-// run executes fn as a simulated process and drains the engine.
-func (db *DB) run(name string, fn func(p *sim.Proc) error) error {
-	var err error
-	db.Srv.Eng.Go(name, func(p *sim.Proc) {
-		err = fn(p)
-	})
-	if rerr := db.Srv.Eng.Run(); rerr != nil {
-		return rerr
-	}
-	return err
 }
 
 // Queries reports how many SELECTs have completed (via Exec or sessions).

@@ -1,15 +1,9 @@
 package core
 
-import (
-	"fmt"
-
-	"energydb/internal/opt"
-)
-
 // PlanCache shares prepared statements across sessions: two sessions
-// preparing the same SQL get Stmts backed by one bound query and one
-// planSet, so the second session reuses every physical plan the first
-// one compiled (per admission grant). The server front door keeps one
+// preparing the same SQL get Stmts backed by one planSet (the bound query
+// and its plans), so the second session reuses every physical plan the
+// first one compiled (per admission grant). The server front door keeps one
 // cache per tenant — plan reuse must not leak placement or statistics
 // across tenant boundaries, and a tenant's epoch-invalidated entries
 // must not evict a neighbour's.
@@ -23,21 +17,14 @@ import (
 // The simulation executes one event at a time, so the counters and map
 // need no locking.
 type PlanCache struct {
-	entries map[string]*sharedPrepared // by SQL text
+	entries map[string]*planSet // by SQL text
 	hits    int64
 	misses  int64
 }
 
-// sharedPrepared is the session-independent part of a prepared
-// statement: the bound query and its compiled-plan cache.
-type sharedPrepared struct {
-	query *opt.Query
-	ps    *planSet
-}
-
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: map[string]*sharedPrepared{}}
+	return &PlanCache{entries: map[string]*planSet{}}
 }
 
 // Stats reports how many PrepareCached calls reused an entry vs bound
@@ -54,18 +41,18 @@ func (s *Session) PrepareCached(c *PlanCache, query string) (*Stmt, error) {
 	if c == nil {
 		return s.Prepare(query)
 	}
-	if s.closed {
-		return nil, fmt.Errorf("core: session %d is closed", s.id)
+	if err := s.open(); err != nil {
+		return nil, err
 	}
-	if e, ok := c.entries[query]; ok {
+	if ps, ok := c.entries[query]; ok {
 		c.hits++
-		return &Stmt{sess: s, text: query, query: e.query, ps: e.ps}, nil
+		return &Stmt{sess: s, text: query, ps: ps}, nil
 	}
 	st, err := s.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
 	c.misses++
-	c.entries[query] = &sharedPrepared{query: st.query, ps: st.ps}
+	c.entries[query] = st.ps
 	return st, nil
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"energydb/internal/energy"
 	"energydb/internal/exec"
@@ -86,11 +87,8 @@ func (db *DB) crash(tornFrac float64) {
 	// submission (and left alone), not failed as crashed in flight. The
 	// dropped submit timers also left stale pending flags; clear them so
 	// the re-arm pass can schedule replacements.
-	ids := make([]int64, 0, len(db.inflight))
-	for id := range db.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	crashed := fmt.Errorf("core: engine crashed at %.6f: %w", now, fault.ErrCrashed)
+	ids := slices.Sorted(maps.Keys(db.inflight))
 	wasSubmitted := make(map[int64]bool, len(ids))
 	for _, id := range ids {
 		r := db.inflight[id]
@@ -109,9 +107,15 @@ func (db *DB) crash(tornFrac float64) {
 		if r.acct != nil && !r.acct.Closed() {
 			db.Attr.End(r.acct, energy.Seconds(now))
 		}
-		r.err = &exec.QueryError{Query: r.stmt.text, ID: r.id,
-			Err: fmt.Errorf("core: engine crashed at %.6f: %w", now, fault.ErrCrashed)}
+		r.err = &exec.QueryError{Query: r.stmt.text, ID: r.id, Err: crashed}
 		r.finish(now)
+	}
+	// An insert the crash caught — scheduled, or mid-commit with its
+	// account open — is not durable and not applied: it fails the same way,
+	// and its account closes here instead of absorbing idle-floor shares
+	// for the rest of the run.
+	for _, id := range slices.Sorted(maps.Keys(db.commits)) {
+		db.commits[id].settle(crashed, now)
 	}
 }
 
@@ -138,17 +142,12 @@ func (db *DB) recoverTables(img []byte) {
 		return
 	}
 	for _, rec := range db.Log.Recover(img) {
-		name, startRow, rows, err := decodeInsert(rec.Payload, db.schemas)
+		startRow, rows, err := decodeInsert(rec.Payload, db.schemas)
 		if err != nil {
 			continue // not an insert record (or schema drift): nothing to apply
 		}
-		t := db.mem[name]
-		if t == nil || startRow != int64(t.Rows()) {
-			continue // already inside the checkpoint prefix
+		if t := db.mem[rows.Schema.Name]; startRow == int64(t.Rows()) {
+			t.AppendBatch(rows) // else already inside the checkpoint prefix
 		}
-		for _, r := range rows {
-			t.AppendRow(r...)
-		}
-		db.dirty[name] = true
 	}
 }

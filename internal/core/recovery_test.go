@@ -30,8 +30,9 @@ func walDB(t *testing.T, retryMax int) *DB {
 	return db
 }
 
-// faultDB is smallDB with a pool too small to absorb a lineitem scan, so
-// queries keep hitting the (faultable) disks instead of cached pages.
+// faultDB is the four-disk box the device-fault tests script. Planned
+// scans read the volume directly (no planned scan goes through the buffer
+// pool), so every execution hits the faultable disks.
 func faultDB(t *testing.T, retryMax int) *DB {
 	t.Helper()
 	db, err := Open(Config{
@@ -39,7 +40,6 @@ func faultDB(t *testing.T, retryMax int) *DB {
 		Objective: opt.MinTime,
 		PageBytes: 16 << 10,
 		BlockRows: 4096,
-		PoolPages: 4,
 		RetryMax:  retryMax,
 	})
 	if err != nil {
@@ -304,7 +304,6 @@ func TestTransientRetrySucceeds(t *testing.T) {
 	db := faultDB(t, 3)
 	loadTinyTPCH(t, db, 0.002)
 	want := sumOrderkeys(t, db) // fault-free reference; also places the table
-	db.Pool.Reset()             // cached pages must not mask the device faults
 
 	// Arm one transient error on each data disk from "now": the next
 	// query's first read on each fails once, then the device recovers.
@@ -353,7 +352,6 @@ func TestTransientWithoutRetryIsTyped(t *testing.T) {
 	db := smallDB(t, opt.MinTime)
 	loadTinyTPCH(t, db, 0.002)
 	sumOrderkeys(t, db) // place the table before arming the fault
-	db.Pool.Reset()
 
 	now := db.Srv.Eng.Now()
 	for i, d := range db.Srv.Disks {
@@ -397,7 +395,6 @@ func TestDeadDeviceFailsQueries(t *testing.T) {
 	}
 	loadTinyTPCH(t, db, 0.002)
 	sumOrderkeys(t, db) // place the table before killing the device
-	db.Pool.Reset()
 
 	now := db.Srv.Eng.Now()
 	db.Srv.Disks[0].SetFault(fault.NewDeviceFault("disk0").FailAt(now))

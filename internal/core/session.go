@@ -10,7 +10,6 @@ import (
 	"energydb/internal/opt"
 	"energydb/internal/sched"
 	"energydb/internal/sim"
-	"energydb/internal/sql"
 	"energydb/internal/table"
 )
 
@@ -59,56 +58,42 @@ func (s *Session) Close() error {
 	return nil
 }
 
+// open refuses a closed session.
+func (s *Session) open() error {
+	if s.closed {
+		return fmt.Errorf("core: session %d is closed", s.id)
+	}
+	return nil
+}
+
 // Prepare parses and binds a SELECT for repeated execution. Binding
 // places any referenced tables whose contents changed. The physical plan
 // is chosen later, per execution, against the cores granted at admission.
 func (s *Session) Prepare(query string) (*Stmt, error) {
-	if s.closed {
-		return nil, fmt.Errorf("core: session %d is closed", s.id)
+	if err := s.open(); err != nil {
+		return nil, err
 	}
-	st, err := sql.Parse(query)
+	p, err := s.db.prepare(query, true, false)
 	if err != nil {
 		return nil, err
 	}
-	if st.Select == nil {
-		return nil, fmt.Errorf("core: only SELECT can be prepared")
-	}
-	q, err := s.db.bind(st.Select)
-	if err != nil {
-		return nil, err
-	}
-	return newStmt(s, query, q), nil
+	return newStmt(s, query, p.query), nil
 }
 
 // newStmt wraps a bound query; Prepare and the Exec wrapper share it.
 func newStmt(s *Session, text string, q *opt.Query) *Stmt {
-	return &Stmt{sess: s, text: text, query: q,
-		ps: &planSet{plans: map[int]*opt.Plan{}, epochs: map[string]int64{}}}
+	return &Stmt{sess: s, text: text,
+		ps: &planSet{query: q, plans: map[int]*opt.Plan{}, epochs: map[string]int64{}}}
 }
 
-// Explain plans a SELECT (with or without a leading EXPLAIN keyword)
-// without executing it and returns the chosen plan as rows of
-// opt.ExplainSchema — one row per operator with its DOP, the plan's
-// P-state, and predicted ms/J — so EXPLAIN output is wire-encodable
-// like any result. The plan is priced at the full machine (planFor's
-// per-grant pricing happens at admission; Explain shows the unloaded
-// choice, like DB.Plan).
+// Explain is DB.Plan with the chosen plan as rows of opt.ExplainSchema —
+// one row per operator with its DOP, the plan's P-state, and predicted
+// ms/J — so EXPLAIN output is wire-encodable like any result.
 func (s *Session) Explain(query string) (*table.Table, error) {
-	if s.closed {
-		return nil, fmt.Errorf("core: session %d is closed", s.id)
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
+	if err := s.open(); err != nil {
 		return nil, err
 	}
-	if st.Select == nil {
-		return nil, fmt.Errorf("core: only SELECT can be explained")
-	}
-	q, err := s.db.bind(st.Select)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := opt.Optimize(q, s.db.Catalog, s.db.Env, s.db.Objective)
+	plan, err := s.db.Plan(query)
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +101,7 @@ func (s *Session) Explain(query string) (*table.Table, error) {
 }
 
 // Query prepares and submits a statement in one call.
-func (s *Session) Query(query string) (*Rows, error) {
-	st, err := s.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	return st.Query()
-}
+func (s *Session) Query(query string) (*Rows, error) { return s.QueryAt(0, query) }
 
 // QueryAt prepares a statement and submits it at simulated time at (>= the
 // current clock), for drivers that model an arrival process.
@@ -141,17 +120,18 @@ func (s *Session) QueryAt(at float64, query string) (*Rows, error) {
 // produced by PrepareCached share one planSet across sessions, so any of
 // them re-executing under an already-seen grant reuses the plan.
 type Stmt struct {
-	sess  *Session
-	text  string
-	query *opt.Query
-	ps    *planSet
+	sess *Session
+	text string
+	ps   *planSet
 }
 
-// planSet is a statement's compiled-plan cache: one physical plan per
-// admission grant, all built against the same placement epochs. It is the
-// unit PrepareCached shares between sessions; the simulation runs one
-// event at a time, so no locking is needed.
+// planSet is the session-independent part of a prepared statement: the
+// bound query and its compiled-plan cache, one physical plan per admission
+// grant, all built against the same placement epochs. It is the unit
+// PrepareCached shares between sessions; the simulation runs one event at
+// a time, so no locking is needed.
 type planSet struct {
+	query  *opt.Query
 	plans  map[int]*opt.Plan // by granted cores
 	epochs map[string]int64  // placement epochs the cached plans were built on
 }
@@ -186,8 +166,8 @@ func (st *Stmt) QueryAtDeadline(at, deadline float64) (*Rows, error) {
 
 func (st *Stmt) queryAt(at, deadline float64) (*Rows, error) {
 	s := st.sess
-	if s.closed {
-		return nil, fmt.Errorf("core: session %d is closed", s.id)
+	if err := s.open(); err != nil {
+		return nil, err
 	}
 	db := s.db
 	db.nextQuery++
@@ -215,36 +195,34 @@ func (st *Stmt) queryAt(at, deadline float64) (*Rows, error) {
 // the plan cache — the budget differs per execution, so a budgeted plan
 // is never reusable.
 func (st *Stmt) planFor(granted int, budget float64) (*opt.Plan, error) {
-	db := st.sess.db
+	db, ps := st.sess.db, st.ps
+	if err := db.placeDirty(ps.query); err != nil {
+		return nil, err
+	}
 	stale := false
-	for _, a := range st.query.Tables {
-		rel := st.query.Rels[a]
-		if db.dirty[rel] {
-			if err := db.place(rel); err != nil {
-				return nil, err
-			}
-		}
-		if e := db.epochs[rel]; st.ps.epochs[rel] != e {
-			st.ps.epochs[rel] = e
+	for _, a := range ps.query.Tables {
+		rel := ps.query.Rels[a]
+		if e := db.epochs[rel]; ps.epochs[rel] != e {
+			ps.epochs[rel] = e
 			stale = true
 		}
 	}
 	if stale {
-		st.ps.plans = map[int]*opt.Plan{}
+		ps.plans = map[int]*opt.Plan{}
 	}
 	if budget <= 0 {
-		if p, ok := st.ps.plans[granted]; ok {
+		if p, ok := ps.plans[granted]; ok {
 			return p, nil
 		}
 	}
 	env := db.Env.Grant(granted)
 	env.TimeBudget = budget
-	p, err := opt.Optimize(st.query, db.Catalog, env, db.Objective)
+	p, err := opt.Optimize(ps.query, db.Catalog, env, db.Objective)
 	if err != nil {
 		return nil, err
 	}
 	if budget <= 0 {
-		st.ps.plans[granted] = p
+		ps.plans[granted] = p
 	}
 	return p, nil
 }
@@ -626,9 +604,7 @@ func (r *Rows) finish(now float64) {
 		RowCount: r.rowCount,
 	}
 	if r.acct != nil {
-		res.Attributed = r.acct.Attributed()
-		res.Marginal = r.acct.Direct()
-		res.Shared = r.acct.Shared()
+		res.bill(r.acct)
 	}
 	r.res = res
 	if r.err == nil && r.plan != nil {

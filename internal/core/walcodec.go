@@ -3,122 +3,55 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"energydb/internal/table"
 )
 
-// This file encodes insert batches into WAL record payloads and back.
-// A record is self-describing up to the schema: it names the table, the
-// row index the batch starts at (so replay can tell records already
-// covered by a placement checkpoint from ones that must be reapplied),
-// and the row values serialised by physical class. Decoding borrows the
-// column types from the live schema, which the catalog keeps — this
-// engine models data loss, not catalog loss.
+// A WAL insert record is a header over the rows in the engine's one row
+// byte form (table.EncodeRows — what a row-store page holds):
 //
-// layout:
+//	[u16 nameLen][name][u64 startRow][u32 nRows][u32 nCols][rows][zero padding]
 //
-//	[u16 nameLen][name][u64 startRow][u32 nRows][u32 nCols]
-//	then per row, per column:
-//	  PhysInt:   [u64 value]
-//	  PhysFloat: [u64 IEEE-754 bits]
-//	  PhysStr:   [u32 len][bytes]
-//
-// Payloads are zero-padded to walMinPayload so that tiny inserts still
-// pay a realistic minimum commit size on the log device; the counts
-// above make the padding self-delimiting.
+// startRow is the table's row count when the batch committed, so replay
+// can tell a record the placement checkpoint already covers from one it
+// must reapply. Column types come from the live schema, which the catalog
+// keeps — this engine models data loss, not catalog loss. Payloads are
+// zero-padded to walMinPayload so a tiny insert still pays a realistic
+// minimum commit on the log device; nRows delimits the padding.
 const walMinPayload = 64
 
-func encodeInsert(name string, s *table.Schema, startRow int64, rows [][]table.Value) []byte {
-	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(name)))
+func encodeInsert(startRow int64, rows *table.Batch) []byte {
+	name := rows.Schema.Name
+	buf := make([]byte, 0, max(walMinPayload, 2+len(name)+16+int(rows.ByteSize())))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(startRow))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Cols)))
-	for _, r := range rows {
-		for i, v := range r {
-			switch s.Cols[i].Type.Physical() {
-			case table.PhysInt:
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-			case table.PhysFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-			default:
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-				buf = append(buf, v.S...)
-			}
-		}
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows.Rows()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows.Vecs)))
+	buf = rows.EncodeRows(buf, 0, rows.Rows())
 	for len(buf) < walMinPayload {
 		buf = append(buf, 0)
 	}
 	return buf
 }
 
-func decodeInsert(payload []byte, schemas map[string]*table.Schema) (name string, startRow int64, rows [][]table.Value, err error) {
-	b := payload
-	take := func(n int) ([]byte, error) {
-		if len(b) < n {
-			return nil, fmt.Errorf("core: truncated wal insert record")
-		}
-		v := b[:n]
-		b = b[n:]
-		return v, nil
+// decodeInsert parses a record against the live schemas. The bytes are
+// untrusted (a log tail can hold anything a CRC happens to bless): nothing
+// is sized from a header field the payload cannot back.
+func decodeInsert(payload []byte, schemas map[string]*table.Schema) (startRow int64, rows *table.Batch, err error) {
+	if len(payload) < 2 || len(payload) < 2+int(binary.LittleEndian.Uint16(payload))+16 {
+		return 0, nil, fmt.Errorf("core: truncated wal insert record")
 	}
-	hdr, err := take(2)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	nb, err := take(int(binary.LittleEndian.Uint16(hdr)))
-	if err != nil {
-		return "", 0, nil, err
-	}
-	name = string(nb)
-	s, ok := schemas[name]
+	n := 2 + int(binary.LittleEndian.Uint16(payload)) // end of the name
+	s, ok := schemas[string(payload[2:n])]
 	if !ok {
-		return "", 0, nil, fmt.Errorf("core: wal insert into unknown table %q", name)
+		return 0, nil, fmt.Errorf("core: wal insert into unknown table %q", payload[2:n])
 	}
-	fixed, err := take(8 + 4 + 4)
-	if err != nil {
-		return "", 0, nil, err
+	hdr := payload[n : n+16]
+	if nCols := binary.LittleEndian.Uint32(hdr[12:]); int(nCols) != len(s.Cols) {
+		return 0, nil, fmt.Errorf("core: wal insert into %q has %d columns, schema has %d", s.Name, nCols, len(s.Cols))
 	}
-	startRow = int64(binary.LittleEndian.Uint64(fixed[0:8]))
-	nRows := int(binary.LittleEndian.Uint32(fixed[8:12]))
-	nCols := int(binary.LittleEndian.Uint32(fixed[12:16]))
-	if nCols != len(s.Cols) {
-		return "", 0, nil, fmt.Errorf("core: wal insert into %q has %d columns, schema has %d",
-			name, nCols, len(s.Cols))
-	}
-	rows = make([][]table.Value, 0, nRows)
-	for ri := 0; ri < nRows; ri++ {
-		r := make([]table.Value, nCols)
-		for i := 0; i < nCols; i++ {
-			ct := s.Cols[i].Type
-			switch ct.Physical() {
-			case table.PhysInt:
-				w, err := take(8)
-				if err != nil {
-					return "", 0, nil, err
-				}
-				r[i] = table.Value{Type: ct, I: int64(binary.LittleEndian.Uint64(w))}
-			case table.PhysFloat:
-				w, err := take(8)
-				if err != nil {
-					return "", 0, nil, err
-				}
-				r[i] = table.Value{Type: ct, F: math.Float64frombits(binary.LittleEndian.Uint64(w))}
-			default:
-				lw, err := take(4)
-				if err != nil {
-					return "", 0, nil, err
-				}
-				sw, err := take(int(binary.LittleEndian.Uint32(lw)))
-				if err != nil {
-					return "", 0, nil, err
-				}
-				r[i] = table.Value{Type: ct, S: string(sw)}
-			}
-		}
-		rows = append(rows, r)
-	}
-	return name, startRow, rows, nil
+	rows = table.NewBatch(s, 0)
+	_, err = table.DecodeRowsPrefixInto(rows, payload[n+16:], int(binary.LittleEndian.Uint32(hdr[8:])))
+	return int64(binary.LittleEndian.Uint64(hdr)), rows, err
 }

@@ -53,7 +53,6 @@ func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
 		Objective:   opt.MinTime,
 		PageBytes:   16 << 10,
 		BlockRows:   4096,
-		PoolPages:   16, // small pool: scans keep hitting the faultable disks
 		WALBatch:    1,
 		RetryMax:    2,
 		SchedPolicy: policy,

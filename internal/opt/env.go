@@ -92,7 +92,7 @@ type Env struct {
 	// DRAMWattPerByte is the holding power of operator working memory
 	// (hash tables, sort runs). Datasheet DRAM is ~1.3e-9 W/byte; the
 	// paper argues optimizers should treat memory as power-expensive, so
-	// experiments sweep this knob upward (see EXPERIMENTS.md E3).
+	// experiments sweep this knob upward (bench.RunJoinFlip).
 	DRAMWattPerByte float64
 
 	// EnergyMode selects marginal or idle-floor-aware pricing for the

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"energydb/internal/core"
-	"energydb/internal/sql"
 	"energydb/internal/wire"
 )
 
@@ -452,7 +451,28 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		return cn.exec(at, text)
+		// A non-SELECT statement: the engine parses it, runs a CREATE on the
+		// spot and schedules an INSERT's commit at time at (>= now), which is
+		// billed to the tenant from the handle that comes back — one already
+		// done took no simulated time and opened no account (a CREATE).
+		cn.srv.mu.Lock()
+		d, err := cn.srv.db.ExecAt(at, text)
+		if err == nil && !d.Done() {
+			b := cn.srv.bill(cn.tenant)
+			b.inserts = append(b.inserts, d)
+			if at <= cn.srv.db.Srv.Eng.Now() {
+				// Present-time statement: run it now (pumping only until it
+				// finishes, not draining scheduled future work) so the reply
+				// carries its real outcome. A future one is acked at once; its
+				// error surfaces at DRAIN, its joules on the bill regardless.
+				err = d.Err()
+			}
+		}
+		cn.srv.mu.Unlock()
+		if err != nil {
+			return cn.reply(wire.MsgOK, fail(nil, err))
+		}
+		return cn.reply(wire.MsgOK, ok(nil))
 
 	case wire.MsgExplain:
 		sid := r.U64()
@@ -491,40 +511,6 @@ func (cn *conn) handle(typ byte, body []byte) error {
 	default:
 		return fmt.Errorf("server: unknown frame type %d", typ)
 	}
-}
-
-// exec runs a non-SELECT statement: CREATE immediately, INSERT as a
-// scheduled commit at time at (>= now). A statement arriving for the
-// present is pumped to completion so the reply carries its real outcome;
-// a future one is acked immediately and its error surfaces at DRAIN (or
-// in the deferred handle's tenant bill regardless).
-func (cn *conn) exec(at float64, text string) error {
-	st, err := sql.Parse(text)
-	if err != nil {
-		return cn.reply(wire.MsgOK, fail(nil, err))
-	}
-	if st.Select != nil {
-		return cn.reply(wire.MsgOK, fail(nil,
-			fmt.Errorf("server: EXEC takes CREATE or INSERT; use PREPARE/EXECUTE for SELECT")))
-	}
-	cn.srv.mu.Lock()
-	d, err := cn.srv.db.ExecAt(at, text)
-	if err == nil {
-		if st.Insert != nil {
-			cn.srv.bill(cn.tenant).inserts = append(cn.srv.bill(cn.tenant).inserts, d)
-		}
-		if at <= cn.srv.db.Srv.Eng.Now() {
-			// Present-time statement: run it now (pumping only until it
-			// finishes, not draining scheduled future work) and report
-			// its real outcome.
-			err = d.Err()
-		}
-	}
-	cn.srv.mu.Unlock()
-	if err != nil {
-		return cn.reply(wire.MsgOK, fail(nil, err))
-	}
-	return cn.reply(wire.MsgOK, ok(nil))
 }
 
 // doneBody builds the MsgDone frame for a finished query: its error code

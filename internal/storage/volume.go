@@ -1,13 +1,10 @@
 // Package storage provides the block layer between the database engine and
 // the simulated devices: fixed-size pages mapped onto arrays of disks or
-// SSDs by striping (RAID-0) or rotating-parity RAID-5, a windowed parallel
-// scan that keeps every spindle busy, and an energy-oriented burst
-// prefetcher (Papathanasiou & Scott, USENIX'04 — cited in §4.2 of the
-// paper).
+// SSDs by striping (RAID-0) or rotating-parity RAID-5, and a windowed
+// parallel scan that keeps every spindle busy.
 //
 // The volume is a *timing* plane: it charges simulated device time and
-// tracks I/O statistics. Data bytes themselves live in the table layer;
-// DESIGN.md documents this substitution.
+// tracks I/O statistics. Data bytes themselves live in the table layer.
 package storage
 
 import (

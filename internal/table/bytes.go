@@ -8,15 +8,18 @@ import (
 	"slices"
 )
 
-// This file defines the wire encodings shared by the column store, the
+// This file defines the byte encodings shared by the column store, the
 // row store and the WAL:
 //
 //   - int-class values: 8-byte little-endian
 //   - float values:     8-byte little-endian of the IEEE bits
 //   - strings:          uvarint length + bytes
 //
-// Column encodings feed the compression codecs (which are byte
-// transformers); row encodings form slotted row-store pages.
+// Column encodings (EncodeBytes) feed the compression codecs, which are
+// byte transformers. The row encoding (EncodeRows) is both the slotted
+// row-store page payload and the body of a WAL insert record — core's
+// walcodec.go adds only a table/startRow/count header and padding — so
+// there is one typed-row byte form and one decoder for it to keep safe.
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -191,20 +194,34 @@ func DecodeRows(s *Schema, data []byte, n int) (*Batch, error) {
 }
 
 // DecodeRowsInto refills b in place with the n rows of b.Schema encoded in
-// data in the EncodeRows format. b's vectors are reused when large enough,
-// so whatever b held is overwritten; on error b is left empty. n is
-// checked against data before anything is sized from it.
+// data in the EncodeRows format, which must be all of data. b's vectors
+// are reused when large enough, so whatever b held is overwritten; on
+// error b is left empty. n is checked against data before anything is
+// sized from it.
 func DecodeRowsInto(b *Batch, data []byte, n int) error {
-	b.Reset()
-	if err := decodeRows(b, data, n); err != nil {
+	used, err := DecodeRowsPrefixInto(b, data, n)
+	if err == nil && used != len(data) {
 		b.Reset()
-		return err
+		err = fmt.Errorf("table: %d trailing bytes after %d rows", len(data)-used, n)
 	}
-	b.SetRows(n)
-	return nil
+	return err
 }
 
-func decodeRows(b *Batch, data []byte, n int) error {
+// DecodeRowsPrefixInto is DecodeRowsInto for rows that something else
+// follows (the WAL zero-pads short records): it reports how many bytes the
+// n rows took and leaves the rest of data unread.
+func DecodeRowsPrefixInto(b *Batch, data []byte, n int) (int, error) {
+	b.Reset()
+	used, err := decodeRows(b, data, n)
+	if err != nil {
+		b.Reset()
+		return 0, err
+	}
+	b.SetRows(n)
+	return used, nil
+}
+
+func decodeRows(b *Batch, data []byte, n int) (int, error) {
 	minRow := 0 // the fewest bytes one row can take
 	for _, v := range b.Vecs {
 		if v.Type.Physical() == PhysString {
@@ -214,7 +231,7 @@ func decodeRows(b *Batch, data []byte, n int) error {
 		}
 	}
 	if n < 0 || (minRow > 0 && n > len(data)/minRow) {
-		return fmt.Errorf("table: %d rows of at least %d bytes in %d bytes", n, minRow, len(data))
+		return 0, fmt.Errorf("table: %d rows of at least %d bytes in %d bytes", n, minRow, len(data))
 	}
 	for _, v := range b.Vecs {
 		switch v.Type.Physical() {
@@ -233,28 +250,25 @@ func decodeRows(b *Batch, data []byte, n int) error {
 			switch v.Type.Physical() {
 			case PhysInt:
 				if off+8 > len(data) {
-					return fmt.Errorf("table: truncated row %d col %d", r, ci)
+					return 0, fmt.Errorf("table: truncated row %d col %d", r, ci)
 				}
 				v.I[r] = int64(binary.LittleEndian.Uint64(data[off : off+8]))
 				off += 8
 			case PhysFloat:
 				if off+8 > len(data) {
-					return fmt.Errorf("table: truncated row %d col %d", r, ci)
+					return 0, fmt.Errorf("table: truncated row %d col %d", r, ci)
 				}
 				v.F[r] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
 				off += 8
 			default:
 				s, k, err := readString(data[off:])
 				if err != nil {
-					return fmt.Errorf("table: row %d col %d: %w", r, ci, err)
+					return 0, fmt.Errorf("table: row %d col %d: %w", r, ci, err)
 				}
 				v.S = append(v.S, s)
 				off += k
 			}
 		}
 	}
-	if off != len(data) {
-		return fmt.Errorf("table: %d trailing bytes after %d rows", len(data)-off, n)
-	}
-	return nil
+	return off, nil
 }

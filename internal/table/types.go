@@ -4,7 +4,7 @@
 // row-store page format.
 //
 // Data lives entirely in memory; the storage layer charges simulated I/O
-// time for the bytes these encodings produce (see DESIGN.md).
+// time for the bytes these encodings produce.
 package table
 
 import "fmt"

@@ -5,8 +5,8 @@
 //
 // The paper's Figure 1 runs the TPC-H *throughput test* at 300 GB scale on
 // a commercial system; we generate reduced scale factors (the simulator's
-// device constants are what carry the timing, see DESIGN.md) with the same
-// schema shapes and value distributions.
+// device constants are what carry the timing) with the same schema shapes
+// and value distributions.
 package tpch
 
 import "energydb/internal/table"
