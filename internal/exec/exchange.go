@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 
 	"energydb/internal/sim"
@@ -177,7 +176,7 @@ type fragRunner struct {
 // offered freed cores while it runs.
 func (r *fragRunner) start(ctx *Ctx, name string, frags Fragments, sink Sink) {
 	*r = fragRunner{ctx: ctx, name: name, frags: frags, sink: sink,
-		out: sim.NewMailbox[fragMsg](ctx.P.Engine(), name+":out")}
+		out: sim.NewMailbox[fragMsg](ctx.P.Engine(), name)}
 	r.startWorker(frags.first)
 	for _, frag := range frags.rest {
 		r.startWorker(frag)
@@ -195,7 +194,8 @@ func (r *fragRunner) startWorker(frag Operator) *sim.Proc {
 	r.started++
 	r.live++
 	r.sink.AddWorker(w)
-	return r.ctx.P.Engine().Go(fmt.Sprintf("%s:w%d", r.name, w), func(wp *sim.Proc) {
+	// Names are diagnostics: every worker of a set goes by the set's.
+	return r.ctx.P.Engine().Go(r.name, func(wp *sim.Proc) {
 		wctx := *r.ctx
 		wctx.P = wp
 		err := runFragment(&wctx, frag, w, r.sink, &r.stop)
@@ -279,10 +279,10 @@ func ParDo(ctx *Ctx, name string, n int, task func(i int, wctx *Ctx) error) erro
 		return task(0, ctx)
 	}
 	eng := ctx.P.Engine()
-	done := sim.NewMailbox[fragMsg](eng, name+":done")
+	done := sim.NewMailbox[fragMsg](eng, name)
 	for i := 0; i < n; i++ {
 		i := i
-		eng.Go(fmt.Sprintf("%s:p%d", name, i), func(wp *sim.Proc) {
+		eng.Go(name, func(wp *sim.Proc) {
 			wctx := *ctx
 			wctx.P = wp
 			done.Put(fragMsg{w: i, err: task(i, &wctx)})
@@ -320,17 +320,22 @@ func hashFloat64(f float64) uint32 {
 	return hashInt64(int64(math.Float64bits(f)))
 }
 
-// hashString is FNV-1a over the key bytes; the aggregation path applies it
-// to the collision-free binary group keys, so equal group tuples always
-// land in the same partition.
+// hashString is FNV-1a over the key bytes. The aggregation's merge
+// partitions by the same function over a group key's binary encoding
+// (aggTable.partHashes).
 func hashString(s string) uint32 {
-	h := uint32(2166136261)
+	h := uint32(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+		h = (h ^ uint32(s[i])) * fnvPrime
 	}
 	return h
 }
+
+// The 32-bit FNV-1a parameters.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
 
 // ceilPow2 rounds n up to the next power of two (minimum 1), so partition
 // routing can mask instead of divide.

@@ -2,7 +2,11 @@
 
 package exec
 
-import "math"
+import (
+	"math"
+
+	"energydb/internal/table"
+)
 
 // Sentinels a retired scan scratch is overwritten with.
 const (
@@ -26,17 +30,36 @@ const (
 // reads poison, never a later statement's rows.
 func (sc *scanScratch) retire() {
 	if sc.read != nil {
-		for _, v := range sc.read.Vecs {
-			poison(v.I, poisonWord)
-			poison(v.F, math.Float64frombits(poisonWord))
-			poison(v.S, poisonString)
-		}
+		poisonBatch(sc.read)
 	}
 	if sc.mem != nil {
 		poison(sc.mem.raw, poisonByte)
-		poison(sc.mem.sel, poisonSel)
 	}
+	poison(sc.sel, poisonSel)
 	*sc = scanScratch{}
+}
+
+// retire is the same hand-over for a Prober's gather memory, called at the
+// top of its Next and at Close: the batch it returned last and the match
+// vectors behind it are poisoned and abandoned, and the next batch is
+// gathered into fresh memory.
+func (p *Prober) retire() {
+	if p.out != nil {
+		poisonBatch(p.out)
+	}
+	poison(p.hash, poisonSel)
+	poison(p.bsel, poisonSel)
+	poison(p.psel, poisonSel)
+	p.mem, p.out, p.hash, p.bsel, p.psel = nil, nil, nil, nil, nil
+}
+
+// poisonBatch overwrites every vector of b, to its full capacity.
+func poisonBatch(b *table.Batch) {
+	for _, v := range b.Vecs {
+		poison(v.I, poisonWord)
+		poison(v.F, math.Float64frombits(poisonWord))
+		poison(v.S, poisonString)
+	}
 }
 
 // poisonUnselected is the checking version of the selection-driven scan's

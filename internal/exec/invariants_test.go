@@ -125,6 +125,62 @@ func TestScanPoisonsRetainedBatch(t *testing.T) {
 	})
 }
 
+// TestProberPoisonsRetainedBatch is the same hand-over check for the rows a
+// Prober gathers: its output batch kept across Next — the batch, a vector,
+// a slice of one — reads poison while the batch handed out for the next
+// probe batch is intact and lies in fresh memory, and what is kept across
+// Close reads poison after another join has run: this build abandons a
+// Prober's arrays where the release build hands them to the next.
+func TestProberPoisonsRetainedBatch(t *testing.T) {
+	orders := ordersLike(9000)
+	dim := joinFixture(9000)
+	join := func() Operator {
+		return NewHashJoin(&Values{Tab: dim}, &Values{Tab: orders, BatchRows: 1024}, 0, 0)
+	}
+	r := newRig(1)
+	r.run(t, func(ctx *Ctx) {
+		j := join()
+		if err := j.Open(ctx); err != nil {
+			t.Error(err)
+			return
+		}
+		kept, err := j.Next(ctx)
+		if err != nil || kept == nil {
+			t.Errorf("first batch: %v, err %v", kept, err)
+			return
+		}
+		keptVec, keptInts, keptStrs := kept.Vecs[0], kept.Vecs[0].I, kept.Vecs[1].S
+		first := keptInts[0]
+		next, err := j.Next(ctx)
+		if err != nil || next == nil {
+			t.Errorf("second batch: %v, err %v", next, err)
+			return
+		}
+		if next == kept || next.Vecs[0] == keptVec {
+			t.Error("under ee_invariants a Prober must gather every batch into fresh memory")
+		}
+		if keptInts[0] != poisonWord || keptVec.I[0] != poisonWord || keptStrs[0] != poisonString {
+			t.Errorf("the retained batch reads %#x, %q (the key was %d), want poison", keptInts[0], keptStrs[0], first)
+		}
+		if next.Vecs[0].I[0] == poisonWord || next.Vecs[1].S[0] != "t" {
+			t.Error("the live batch was poisoned")
+		}
+		liveInts, liveStrs := next.Vecs[0].I, next.Vecs[1].S
+		if err := j.Close(ctx); err != nil {
+			t.Error(err)
+		}
+		if n, err := RowCount(ctx, join()); err != nil || n != 2250 {
+			t.Errorf("another join: %d rows, err %v", n, err)
+		}
+		for i := range liveInts {
+			if liveInts[i] != poisonWord || liveStrs[i] != poisonString {
+				t.Errorf("cell %d kept across Close reads %#x, %q after another join has run, want poison", i, liveInts[i], liveStrs[i])
+				break
+			}
+		}
+	})
+}
+
 // TestScanPoisonsUnselectedCells arms the selection-driven scan's
 // "unspecified cells" rule: in the batch a filtered scan hands out, every
 // cell of a late column outside the selection reads as poison — whatever

@@ -102,46 +102,97 @@ func (bp *buildPartitioner) absorb(ctx *Ctx, b *table.Batch) {
 	}
 }
 
-// probeHT probes one typed hash table with the probe batch's key column,
-// honouring a selection vector when one rides on the batch (sel == nil
-// probes every physical row). Matching (build, probe) physical index
-// pairs are appended to bsel/psel.
-func probeHT[T comparable](ht map[T][]int32, key []T, sel, bsel, psel []int32) ([]int32, []int32) {
-	if sel == nil {
-		for r, x := range key {
-			for _, bi := range ht[x] {
-				bsel = append(bsel, bi)
-				psel = append(psel, int32(r))
+// hashJoinKeys fills hs[k] with the bits of the join hash of the k'th key
+// of kv — physical row sel[k] under a selection, row lo+k without — by the
+// functions that route rows to partitions, one typed loop per class so the
+// generic loops over the tables call nothing per row.
+func hashJoinKeys(hs []int32, kv *table.Vector, lo int, sel []int32) {
+	switch kv.Type.Physical() {
+	case table.PhysInt:
+		for k := range hs {
+			r := lo + k
+			if sel != nil {
+				r = int(sel[k])
 			}
+			hs[k] = int32(hashInt64(kv.I[r]))
 		}
-		return bsel, psel
-	}
-	for _, pi := range sel {
-		for _, bi := range ht[key[pi]] {
-			bsel = append(bsel, bi)
-			psel = append(psel, pi)
+	case table.PhysFloat:
+		for k := range hs {
+			r := lo + k
+			if sel != nil {
+				r = int(sel[k])
+			}
+			hs[k] = int32(hashFloat64(kv.F[r]))
+		}
+	default:
+		for k := range hs {
+			r := lo + k
+			if sel != nil {
+				r = int(sel[k])
+			}
+			hs[k] = int32(hashString(kv.S[r]))
 		}
 	}
-	return bsel, psel
 }
 
-// probePartHT routes every probe key to its partition — the same hash the
-// build side filed it under — and probes that partition's table.
-func probePartHT[T comparable](hts []map[T][]int32, hash func(T) uint32, mask uint32, key []T, sel, bsel, psel []int32) ([]int32, []int32) {
-	if sel == nil {
-		for r, x := range key {
-			for _, bi := range hts[hash(x)&mask][x] {
-				bsel = append(bsel, bi)
-				psel = append(psel, int32(r))
+// chainRows indexes build rows [lo, hi) — one partition's span of the key
+// column keys — into t and threads equal keys through next, which arrives
+// holding each row's hash in the row's own cell (hashJoinKeys) and leaves
+// holding the row's link. It walks the span backwards and heads each key's
+// chain with the row in hand, so the id the table ends up holding is the
+// key's first row and the chain behind it ascends. Equality is the key
+// type's ==, as a Go map's would be: -0.0 and +0.0 are one key, and a NaN,
+// equal to nothing, is left out — no probe could reach it.
+func chainRows[T comparable](t *keyTable, next []int32, keys []T, lo, hi int) {
+rows:
+	for r := hi - 1; r >= lo; r-- {
+		x, h := keys[r], uint32(next[r])
+		next[r] = 0
+		if x != x {
+			continue
+		}
+		for i, id := t.seek(t.home(h), h); ; i, id = t.seek(i+1, h) {
+			if id < 0 {
+				t.put(i, h, int32(r))
+				continue rows
+			}
+			if keys[id] == x {
+				next[r] = id
+				t.set(i, int32(r))
+				continue rows
 			}
 		}
-		return bsel, psel
 	}
-	for _, pi := range sel {
-		x := key[pi]
-		for _, bi := range hts[hash(x)&mask][x] {
-			bsel = append(bsel, bi)
-			psel = append(psel, pi)
+}
+
+// probeRows looks the probe keys up — the k'th is physical row sel[k] of
+// key, row k without a selection, and hashes to hs[k] — each in the table
+// of the partition its hash names, where the build side filed it. Matching
+// (build, probe) physical index pairs are appended to bsel/psel, a key's
+// build rows in ascending order.
+func probeRows[T comparable](bs *buildState, bkeys, key []T, hs, sel, bsel, psel []int32) ([]int32, []int32) {
+	mask, next := bs.nparts-1, bs.next
+	t := &bs.tabs[0] // the one table of an unpartitioned build: no row waits on its hash to find it
+	for k, hbits := range hs {
+		pi := int32(k)
+		if sel != nil {
+			pi = sel[k]
+		}
+		x, h := key[pi], uint32(hbits)
+		if mask != 0 {
+			t = &bs.tabs[h&mask]
+		}
+		for i, id := t.seek(t.home(h), h); id >= 0; i, id = t.seek(i+1, h) {
+			if bkeys[id] == x {
+				for {
+					bsel = append(bsel, id)
+					psel = append(psel, pi)
+					if id = next[id]; id == 0 {
+						break
+					}
+				}
+				break
+			}
 		}
 	}
 	return bsel, psel

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"energydb/internal/sim"
 	"energydb/internal/table"
 )
@@ -127,7 +125,7 @@ func (s *Parallel) Open(ctx *Ctx) error {
 
 // AddWorker implements Sink: worker w gets its acknowledgement channel.
 func (s *Parallel) AddWorker(w int) {
-	s.acks = append(s.acks, sim.NewMailbox[bool](s.run.ctx.P.Engine(), fmt.Sprintf("parallel:ack%d", w)))
+	s.acks = append(s.acks, sim.NewMailbox[bool](s.run.ctx.P.Engine(), "parallel:ack"))
 }
 
 // Absorb implements Sink: hand the batch to the consumer and park until it

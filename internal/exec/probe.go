@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"energydb/internal/fault"
 	"energydb/internal/sim"
@@ -14,14 +15,19 @@ import (
 // probe — stream against it concurrently.
 
 // buildState is the materialised, immutable result of a hash-join build:
-// the concatenated build-side batch plus the per-partition typed hash
-// tables over it. After runJoinBuild returns it is read-only, so probe
-// pipelines share it across simulated processes without copying.
+// the concatenated build-side batch and, over it, one keyTable per
+// partition plus one chain. A table's id is the first build row holding a
+// key; next[r] is the following row with the same key, 0 for none (a chain
+// ascends, so row 0 is never anyone's successor), which lists a key's rows
+// in ascending order — the order the rows were materialised in. The keys
+// themselves are not copied anywhere: equality reads buildB's key column.
+// After runJoinBuild returns the state is read-only, so probe pipelines
+// share it across simulated processes without copying.
 type buildState struct {
 	nparts uint32
-	htI    []map[int64][]int32 // per partition; values are global buildB rows
-	htF    []map[float64][]int32
-	htS    []map[string][]int32
+	tabs   []keyTable    // per partition; ids are global buildB rows
+	next   []int32       // per buildB row
+	key    *table.Vector // buildB's key column
 	buildB *table.Batch
 	bytes  int64
 }
@@ -90,41 +96,23 @@ func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
 			bs.bytes, ctx.MemBudgetBytes, fault.ErrMemBudget)
 	}
 
-	// Phase 3: build each partition's typed hash table over its row span,
-	// one process per partition (a single partition builds inline). Values
-	// are global buildB row indexes, so the probe and output paths are
-	// partition-agnostic.
-	kv := bs.buildB.Vecs[sb.Key]
-	phys := kv.Type.Physical()
-	switch phys {
-	case table.PhysInt:
-		bs.htI = make([]map[int64][]int32, nparts)
-	case table.PhysFloat:
-		bs.htF = make([]map[float64][]int32, nparts)
-	default:
-		bs.htS = make([]map[string][]int32, nparts)
-	}
+	// Phase 3: index each partition's row span, one process per partition
+	// (a single partition builds inline). Ids are global buildB row
+	// indexes, so the probe and output paths are partition-agnostic.
+	bs.key = bs.buildB.Vecs[sb.Key]
+	bs.tabs = make([]keyTable, nparts)
+	bs.next = make([]int32, bs.buildB.Rows())
 	err := ParDo(ctx, "hashjoin:tables", nparts, func(p int, _ *Ctx) error {
 		lo, hi := spans[p][0], spans[p][1]
-		switch phys {
+		bs.tabs[p] = newKeyTable(hi - lo)
+		hashJoinKeys(bs.next[lo:hi], bs.key, lo, nil)
+		switch bs.key.Type.Physical() {
 		case table.PhysInt:
-			ht := make(map[int64][]int32, hi-lo)
-			for i := lo; i < hi; i++ {
-				ht[kv.I[i]] = append(ht[kv.I[i]], int32(i))
-			}
-			bs.htI[p] = ht
+			chainRows(&bs.tabs[p], bs.next, bs.key.I, lo, hi)
 		case table.PhysFloat:
-			ht := make(map[float64][]int32, hi-lo)
-			for i := lo; i < hi; i++ {
-				ht[kv.F[i]] = append(ht[kv.F[i]], int32(i))
-			}
-			bs.htF[p] = ht
+			chainRows(&bs.tabs[p], bs.next, bs.key.F, lo, hi)
 		default:
-			ht := make(map[string][]int32, hi-lo)
-			for i := lo; i < hi; i++ {
-				ht[kv.S[i]] = append(ht[kv.S[i]], int32(i))
-			}
-			bs.htS[p] = ht
+			chainRows(&bs.tabs[p], bs.next, bs.key.S, lo, hi)
 		}
 		return nil
 	})
@@ -136,26 +124,18 @@ func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
 
 // probeInto probes one probe batch's key column against the tables,
 // honouring a selection riding on the batch, and appends matching
-// (build, probe) physical index pairs to bsel/psel.
-func (bs *buildState) probeInto(pb *table.Batch, probeKey int, bsel, psel []int32) ([]int32, []int32) {
+// (build, probe) physical index pairs to bsel/psel. hs is scratch for the
+// batch's key hashes, one per logical row.
+func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []int32) ([]int32, []int32) {
 	kv := pb.Vecs[probeKey]
-	mask := bs.nparts - 1
+	hashJoinKeys(hs, kv, 0, pb.Sel)
 	switch kv.Type.Physical() {
 	case table.PhysInt:
-		if bs.nparts == 1 {
-			return probeHT(bs.htI[0], kv.I, pb.Sel, bsel, psel)
-		}
-		return probePartHT(bs.htI, hashInt64, mask, kv.I, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.I, kv.I, hs, pb.Sel, bsel, psel)
 	case table.PhysFloat:
-		if bs.nparts == 1 {
-			return probeHT(bs.htF[0], kv.F, pb.Sel, bsel, psel)
-		}
-		return probePartHT(bs.htF, hashFloat64, mask, kv.F, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.F, kv.F, hs, pb.Sel, bsel, psel)
 	default:
-		if bs.nparts == 1 {
-			return probeHT(bs.htS[0], kv.S, pb.Sel, bsel, psel)
-		}
-		return probePartHT(bs.htS, hashString, mask, kv.S, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.S, kv.S, hs, pb.Sel, bsel, psel)
 	}
 }
 
@@ -238,10 +218,16 @@ type Prober struct {
 	In       Operator // probe pipeline
 	ProbeKey int      // column index in In's schema
 
-	schema     *table.Schema
-	bs         *buildState
-	bsel, psel []int32      // reusable match scratch
-	out        *table.Batch // reusable output batch
+	schema *table.Schema
+	bs     *buildState
+
+	// What a Prober refills per batch is borrowed, like a scan's decode
+	// memory, from its first probe batch to its Close: the probe keys'
+	// hashes, the matched (build, probe) row pairs, and — from the first
+	// batch that matches — the arrays the output batch is gathered into.
+	mem              *batchMem
+	hash, bsel, psel []int32
+	out              *table.Batch
 }
 
 // NewProber builds one probe pipeline over a shared build.
@@ -275,20 +261,28 @@ func (p *Prober) Open(ctx *Ctx) error {
 // side. The returned batch is valid until the following Next, per the
 // operator contract.
 func (p *Prober) Next(ctx *Ctx) (*table.Batch, error) {
+	p.retire() // the previous batch is dead from here on
 	for {
 		pb, err := p.In.Next(ctx)
 		if err != nil || pb == nil {
 			return nil, err
 		}
 		ctx.ChargeRows(pb.Rows(), ctx.Costs.HashProbeCyclesPerRow)
-		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.bsel[:0], p.psel[:0])
+		if p.mem == nil {
+			p.mem = batchMems.Get().(*batchMem)
+			p.hash = take(&p.mem.sels, pb.Rows())
+			p.bsel = take(&p.mem.sels, pb.Rows())
+			p.psel = take(&p.mem.sels, pb.Rows())
+		}
+		p.hash = slices.Grow(p.hash[:0], pb.Rows())[:pb.Rows()]
+		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.hash, p.bsel[:0], p.psel[:0])
 		p.bsel, p.psel = bsel, psel
 		if len(psel) == 0 {
 			continue
 		}
 		ctx.ChargeRows(len(psel), ctx.Costs.JoinOutputCyclesPerRow)
 		if p.out == nil {
-			p.out = table.NewBatch(p.schema, len(psel))
+			p.out = p.mem.batch(p.schema, len(psel))
 		}
 		p.out.Reset()
 		nb := len(p.bs.buildB.Vecs)
@@ -303,13 +297,26 @@ func (p *Prober) Next(ctx *Ctx) (*table.Batch, error) {
 	}
 }
 
-// Close implements Operator.
+// Close implements Operator. The Prober's claim on its borrowed memory
+// ends here: the arrays go back to the recycler, and a second Close finds
+// nothing to hand back. The checking build's retire has poisoned and
+// abandoned them by then; it never recycles.
 func (p *Prober) Close(ctx *Ctx) error {
 	err := p.In.Close(ctx)
 	if p.bs != nil {
 		p.SB.release()
 		p.bs = nil
 	}
-	p.out = nil
+	p.retire()
+	if m := p.mem; m != nil {
+		if p.out != nil {
+			m.reclaim(p.out)
+		}
+		give(&m.sels, p.hash)
+		give(&m.sels, p.bsel)
+		give(&m.sels, p.psel)
+		batchMems.Put(m)
+	}
+	p.mem, p.out, p.hash, p.bsel, p.psel = nil, nil, nil, nil, nil
 	return err
 }

@@ -172,6 +172,124 @@ func TestScanRecyclingIsInvisible(t *testing.T) {
 	})
 }
 
+// TestProberRecyclingIsInvisible is the same for the rows a join gathers:
+// a second statement's Prober gathers into the arrays the first one's
+// handed back at Close — by address — and the first statement's result,
+// cloned out batch by batch as a consumer must, is bit for bit what the
+// join of the tables says after the second has overwritten them. Strings
+// included: an output array goes back cleared and comes back refilled.
+func TestProberRecyclingIsInvisible(t *testing.T) {
+	orders := ordersLike(9000)
+	dim := joinFixture(9000) // d_key 1, 5, 9, …: a quarter of the order keys
+	probe := func(tab *table.Table) Operator {
+		return NewHashJoin(&Values{Tab: dim}, &Values{Tab: tab}, 0, 0)
+	}
+	// matches holds got to the join of dim with tab's rows from row lo on:
+	// every fourth order, the dimension's two columns in front.
+	matches := func(what string, got *table.Table, tab *table.Table, lo int) {
+		t.Helper()
+		i := 0
+		for r := lo; r < tab.Rows(); r++ {
+			if (tab.Column(0).I[r]-1)%4 != 0 {
+				continue
+			}
+			if i >= got.Rows() {
+				t.Errorf("%s: %d rows, the join has more", what, got.Rows())
+				return
+			}
+			if got.Column(0).I[i] != tab.Column(0).I[r] || got.Column(1).S[i] != "t" {
+				t.Errorf("%s: row %d carries dimension row (%d, %q) for order %d", what, i, got.Column(0).I[i], got.Column(1).S[i], tab.Column(0).I[r])
+				return
+			}
+			for c := range tab.Schema.Cols {
+				if !sameVector(got.Column(2+c).Slice(i, i+1), tab.Column(c).Slice(r, r+1)) {
+					t.Errorf("%s: row %d column %d differs from order %d", what, i, c, tab.Column(0).I[r])
+					return
+				}
+			}
+			i++
+		}
+		if i != got.Rows() {
+			t.Errorf("%s: %d rows, the join has %d", what, got.Rows(), i)
+		}
+	}
+	later := orders.Slice(4096, orders.Rows()).Clone() // another statement's rows
+	laterTab := table.NewTable(orders.Schema)
+	laterTab.AppendBatch(later)
+
+	r := newRig(1)
+	r.run(t, func(ctx *Ctx) {
+		reused := false
+		for try := 0; try < 40 && !reused; try++ { // a sync.Pool may drop what it is given
+			a, aArrays, err := drain(ctx, probe(orders), false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, bArrays, err := drain(ctx, probe(laterTab), false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reused = overlap(aArrays, bArrays)
+			matches("the first join's cloned rows after the second", a, orders, 0)
+			matches("the second join's rows", b, orders, 4096)
+		}
+		if !reused {
+			t.Error("a second Prober never gathered into an array the first had handed back")
+		}
+	})
+}
+
+// TestWarmProberAllocatesHeadersOnly is TestWarmScanAllocatesHeadersOnly
+// for the probe side: once the recycler is warm, a whole run of a Prober
+// — Open with its build of 16 rows, every Next over 64k probe rows that all
+// match, Close — allocates the batch header, its Vectors and the build's
+// few rows, not the output arrays and match vectors it used to buy per
+// statement: 4 096 rows × (3 × 8 + 16) bytes of columns and two index
+// vectors grown to 16 KB — 266 592 bytes at f425ea0, ≈ 2 100 here.
+func TestWarmProberAllocatesHeadersOnly(t *testing.T) {
+	probeT := benchInts(benchRows)
+	for i, k := range probeT.Column(1).I {
+		probeT.Column(1).I[i] = k % 16
+	}
+	bs := table.NewSchema("dim", table.Col("d_key", table.Int64), table.Col("d_name", table.String))
+	build := table.NewTable(bs)
+	for i := 0; i < 16; i++ {
+		build.AppendRow(table.IntVal(int64(i)), table.StrVal("dim"))
+	}
+	r := newRig(1)
+	r.run(t, func(ctx *Ctx) {
+		whole := func() (uint64, error) {
+			j := NewHashJoin(&Values{Tab: build}, &Values{Tab: probeT}, 0, 1)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			n, err := RowCount(ctx, j)
+			runtime.ReadMemStats(&m1)
+			if err == nil && n != benchRows {
+				err = fmt.Errorf("%d rows, want %d", n, benchRows)
+			}
+			return m1.TotalAlloc - m0.TotalAlloc, err
+		}
+		const warmProberBytes = 8 << 10
+		least := ^uint64(0)
+		for try := 0; try < 17 && (try < 2 || least >= warmProberBytes); try++ {
+			n, err := whole()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if try > 0 {
+				least = min(least, n)
+			}
+		}
+		t.Logf("%d bytes", least)
+		if least >= warmProberBytes {
+			t.Errorf("a warm Prober run allocates %d bytes, want under %d", least, warmProberBytes)
+		}
+	})
+}
+
 // TestScanDoubleCloseHandsBackOnce: Close is legal after Close (CONTRACT.md,
 // "every fragment is closed on every exit path"), and the second one finds
 // nothing to hand back — had it handed the same memory back again, the

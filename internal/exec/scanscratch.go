@@ -18,47 +18,49 @@ import (
 // batch. It belongs to one scan — fragments never share one. The batch
 // header, its Vectors and the view are the scan's own; everything sized by
 // the block is borrowed (mem) and handed back at Close, when the scan's
-// claim on it ends: the next scan to open, any statement's, decodes into
+// claim on it ends: the next operator to borrow, any statement's, fills
 // the same arrays.
 type scanScratch struct {
-	mem  *scanMem
+	mem  *batchMem
 	read *table.Batch
+	sel  []int32
 	view *table.Batch
 }
 
-// scanMem is the block-sized memory a scan borrows: decode arrays by
-// physical type, free for the taking by a scan over any schema, the byte
-// image, the selection vector and the per-column symbol tables. At rest it
-// pins nothing a statement decoded: string arrays are cleared and symbol
-// tables Reset on the way back.
-type scanMem struct {
+// batchMem is the batch-sized memory an operator borrows for the batches
+// it refills — a scan for the blocks it decodes, a Prober for the rows it
+// gathers: arrays by physical type and index vectors, free for the taking
+// whatever the schema, plus a scan's byte image and per-column symbol
+// tables. At rest it pins nothing a statement produced: string arrays are
+// cleared and symbol tables Reset on the way back.
+type batchMem struct {
 	ints   [][]int64
 	floats [][]float64
 	strs   [][]string
+	sels   [][]int32
 	raw    []byte
-	sel    []int32
 	syms   []compress.SymbolTable // by column position
 }
 
-// scanMems recycles scan memory across statements, and across every
-// engine in the process. A sync.Pool needs no bound and no knob: a scan
-// that finds it empty allocates as scans always did, and the collector
-// reclaims what no scan has used for two cycles, so the live heap at rest
-// is what it was without it.
-var scanMems = sync.Pool{New: func() any { return new(scanMem) }}
+// batchMems recycles batch memory across statements, and across every
+// engine in the process. A sync.Pool needs no bound and no knob: an
+// operator that finds it empty allocates as operators always did, and the
+// collector reclaims what none has used for two cycles, so the live heap
+// at rest is what it was without it.
+var batchMems = sync.Pool{New: func() any { return new(batchMem) }}
 
 // borrowed returns the scan's block-sized memory, taking it from the
 // recycler the first time.
-func (sc *scanScratch) borrowed() *scanMem {
+func (sc *scanScratch) borrowed() *batchMem {
 	if sc.mem == nil {
-		sc.mem = scanMems.Get().(*scanMem)
+		sc.mem = batchMems.Get().(*batchMem)
 	}
 	return sc.mem
 }
 
 // take pops the array last given to free, or makes one of rows cells when
-// there is none. One too small for the block is regrown by the decode that
-// fills it, like any vector.
+// there is none. One too small for the batch is regrown by whatever fills
+// it, like any vector.
 func take[T any](free *[][]T, rows int) []T {
 	n := len(*free)
 	if n == 0 {
@@ -78,24 +80,42 @@ func give[T any](free *[][]T, a []T) {
 	}
 }
 
+// batch returns an empty batch over schema whose header and Vectors are
+// the caller's and whose arrays are borrowed, sized for rows where the
+// recycler had none.
+func (m *batchMem) batch(schema *table.Schema, rows int) *table.Batch {
+	b := &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(schema.Cols))}
+	for i, c := range schema.Cols {
+		v := &table.Vector{Type: c.Type}
+		switch c.Type.Physical() {
+		case table.PhysInt:
+			v.I = take(&m.ints, rows)
+		case table.PhysFloat:
+			v.F = take(&m.floats, rows)
+		default:
+			v.S = take(&m.strs, rows)
+		}
+		b.Vecs[i] = v
+	}
+	return b
+}
+
+// reclaim takes the arrays of a batch made by batch back, string arrays
+// cleared so they pin no string the statement produced.
+func (m *batchMem) reclaim(b *table.Batch) {
+	for _, v := range b.Vecs {
+		give(&m.ints, v.I)
+		give(&m.floats, v.F)
+		clear(v.S[:cap(v.S)])
+		give(&m.strs, v.S)
+	}
+}
+
 // batch returns the decode target over schema, its arrays sized for rows
 // where the recycler had none.
 func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 	if sc.read == nil {
-		m := sc.borrowed()
-		sc.read = &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(schema.Cols))}
-		for i, c := range schema.Cols {
-			v := &table.Vector{Type: c.Type}
-			switch c.Type.Physical() {
-			case table.PhysInt:
-				v.I = take(&m.ints, rows)
-			case table.PhysFloat:
-				v.F = take(&m.floats, rows)
-			default:
-				v.S = take(&m.strs, rows)
-			}
-			sc.read.Vecs[i] = v
-		}
+		sc.read = sc.borrowed().batch(schema, rows)
 	}
 	return sc.read
 }
@@ -164,17 +184,13 @@ func (sc *scanScratch) release() {
 	sc.retire()
 	if m := sc.mem; m != nil {
 		if sc.read != nil {
-			for _, v := range sc.read.Vecs {
-				give(&m.ints, v.I)
-				give(&m.floats, v.F)
-				clear(v.S[:cap(v.S)])
-				give(&m.strs, v.S)
-			}
+			m.reclaim(sc.read)
 		}
+		give(&m.sels, sc.sel)
 		for i := range m.syms {
 			m.syms[i].Reset()
 		}
-		scanMems.Put(m)
+		batchMems.Put(m)
 	}
 	*sc = scanScratch{}
 }
@@ -182,7 +198,10 @@ func (sc *scanScratch) release() {
 // filter returns the rows of in that pred keeps, ascending, in the
 // scratch's selection vector.
 func (sc *scanScratch) filter(ctx *Ctx, in *table.Batch, pred Pred) []int32 {
-	sel := iotaSel(&sc.borrowed().sel, in.Rows())
+	if sc.sel == nil {
+		sc.sel = take(&sc.borrowed().sels, in.Rows())
+	}
+	sel := iotaSel(&sc.sel, in.Rows())
 	if pred != nil {
 		sel = pred.Eval(ctx, in, sel)
 	}
