@@ -219,6 +219,8 @@ func (r *fragRunner) widen(owner any, extra int) int {
 		if err != nil || frag == nil {
 			break
 		}
+		// The worker has not started yet, so its Proc is still its own (a
+		// Proc is valid only until its function returns: sim.Engine.Go).
 		r.startWorker(frag).SetOwner(owner)
 		accepted++
 	}

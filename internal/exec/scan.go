@@ -285,6 +285,7 @@ type RowScan struct {
 	Morsels *Morsels // shared block dispenser; nil = scan all blocks
 
 	schema  *table.Schema
+	unread  uint64 // bit i: source column i is read by neither Pred nor Emit
 	next    int
 	eof     bool
 	started bool
@@ -301,10 +302,19 @@ func NewRowScan(st *StoredTable, emit []int, pred Pred) *RowScan {
 		panic("exec: RowScan over non-row placement")
 	}
 	cols := make([]table.Column, len(emit))
+	var read uint64
 	for i, e := range emit {
 		cols[i] = st.Tab.Schema.Cols[e]
+		read |= 1 << uint(e)
 	}
-	return &RowScan{ST: st, Emit: emit, Pred: pred,
+	if pred != nil {
+		if m, ok := predCols(pred); ok {
+			read |= m
+		} else {
+			read = ^uint64(0)
+		}
+	}
+	return &RowScan{ST: st, Emit: emit, Pred: pred, unread: ^read,
 		schema: table.NewSchema(st.Tab.Schema.Name, cols...)}
 }
 
@@ -513,8 +523,9 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 }
 
 // decode refills the scan's scratch batch with the tuples of block bi.
-// It is host work only — no simulated time passes — so Next charges for it
-// afterwards.
+// The string cells of columns neither Pred nor Emit reads are parsed but
+// left "", which is host work saved, not simulated work: Next charges for
+// the whole block either way, afterwards.
 func (s *RowScan) decode(bi int) (*table.Batch, error) {
 	blk := &s.ST.rows[bi]
 	raw, err := s.scratch.expand(s.ST.RowCodec, blk)
@@ -522,7 +533,7 @@ func (s *RowScan) decode(bi int) (*table.Batch, error) {
 		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
 	}
 	full := s.scratch.batch(s.ST.Tab.Schema, blk.hi-blk.lo)
-	if err := table.DecodeRowsInto(full, raw, blk.hi-blk.lo); err != nil {
+	if err := table.DecodeRowsInto(full, raw, blk.hi-blk.lo, s.unread); err != nil {
 		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
 	}
 	return full, nil

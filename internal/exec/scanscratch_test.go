@@ -92,7 +92,7 @@ func TestScanDecodeMatchesGenericDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				full := rsc.batch(tab.Schema, blk.hi-blk.lo)
-				if err := table.DecodeRowsInto(full, raw, blk.hi-blk.lo); err != nil {
+				if err := table.DecodeRowsInto(full, raw, blk.hi-blk.lo, 0); err != nil {
 					t.Fatalf("%s rows under %s, block %d: %v", name, codec.Name(), b, err)
 				}
 				for ci := range tab.Schema.Cols {
@@ -246,5 +246,72 @@ func TestScanDecodeSteadyStateAllocs(t *testing.T) {
 	for _, codec := range []compress.Codec{compress.Raw, compress.LZ} {
 		scan := rowDecodeScan(t, li, codec)
 		steady("row/"+codec.Name(), scan.ST.NumBlocks(), func(b int) (*table.Batch, error) { return scan.decodeEmit(ctx, b) })
+	}
+}
+
+// opaquePred hides a predicate's type, so predCols cannot tell its columns.
+type opaquePred struct{ Pred }
+
+// TestRowScanLeavesUnreadStringsUnmade: a row scan parses, but does not
+// materialise, the string cells of the columns neither its predicate nor
+// its projection reads. Over lineitem, with three string columns, numbers
+// behind a numeric predicate decode without allocating; and every shape — strings emitted or filtered on, no
+// predicate, a predicate whose columns are unknown — emits exactly what the
+// same scan with every cell materialised does.
+func TestRowScanLeavesUnreadStringsUnmade(t *testing.T) {
+	li := tpch.Generate(0.002, 11).Tables["lineitem"]
+	st, err := PlaceRowMajor(li, newRig(1).vol, 1, 700, compress.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := benchCtx()
+	col := li.Schema.MustColIndex
+	third := func() Pred { return &ColConst{Col: col("l_linenumber"), Op: Eq, Val: table.IntVal(3)} }
+	for _, c := range []struct {
+		name string
+		emit []int
+		pred Pred
+	}{
+		{"numbers", []int{col("l_orderkey"), col("l_extendedprice")}, third()},
+		{"string emitted", []int{col("l_shipmode"), col("l_quantity")}, third()},
+		{"string filtered", []int{col("l_orderkey")}, &ColConst{Col: col("l_returnflag"), Op: Eq, Val: table.StrVal("R")}},
+		{"no predicate", []int{col("l_linestatus")}, nil},
+		{"opaque predicate", []int{col("l_orderkey")}, opaquePred{&ColConst{Col: col("l_linestatus"), Op: Eq, Val: table.StrVal("F")}}},
+	} {
+		scan := NewRowScan(st, c.emit, c.pred)
+		whole := NewRowScan(st, c.emit, c.pred)
+		whole.unread = 0
+		for b := range st.rows {
+			got, err := scan.decodeEmit(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := whole.decodeEmit(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = got.Clone(), want.Clone()
+			if got.Rows() != want.Rows() || got.Rows() == 0 {
+				t.Fatalf("%s, block %d: %d rows, want %d (> 0)", c.name, b, got.Rows(), want.Rows())
+			}
+			for i := range want.Vecs {
+				if !sameVector(got.Vecs[i], want.Vecs[i]) {
+					t.Fatalf("%s, block %d: column %d differs from the fully materialised scan", c.name, b, i)
+				}
+			}
+		}
+	}
+
+	scan := NewRowScan(st, []int{col("l_orderkey"), col("l_extendedprice")}, third())
+	pass := func() {
+		for b := range st.rows {
+			if _, err := scan.decodeEmit(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Errorf("%v allocs per pass over lineitem emitting numbers, want 0", allocs)
 	}
 }

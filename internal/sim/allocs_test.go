@@ -79,14 +79,15 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	}
 	pin("contended Resource.Use", e, steps(e, 2), 0)
 
-	// A process from Go to exit. b9566b0: 8; what is left is the Proc, its
+	// A process from Go to exit. b9566b0: 8; 51639a0: 5 (the Proc, its
 	// channel, the goroutine's closure, the deferred closure and the procs
-	// map slot.
+	// map slot). What is left is the record `go p.main()` starts its
+	// goroutine from: the Proc and its channel are a finished process's.
 	e = NewEngine()
 	pin("Engine.Go to exit", e, func() {
 		e.Go("p", func(*Proc) {})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-	}, 5)
+	}, 2)
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestCrashUnwindsEverything: a crash kills every live process — parked
@@ -92,5 +94,63 @@ func TestCrashFromProcessContextPanics(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGoNeverReusesVictims: Go never hands out the Proc of a process Crash
+// killed or that panicked — a wait queue or mailbox may still name those,
+// and a stale entry must not wake a stranger. No goroutine outlives its
+// process.
+func TestGoNeverReusesVictims(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine()
+	// A victim parked on a condition, one parked in a sleep and one not
+	// started yet.
+	c := NewCond(e, "c")
+	victims := []*Proc{
+		e.Go("waiter", func(p *Proc) { c.Wait(p) }),
+		e.Go("sleeper", func(p *Proc) { p.Sleep(10) }),
+	}
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	victims = append(victims, e.Go("unstarted", func(*Proc) {}))
+	e.Crash()
+
+	boom := e.Go("boom", func(*Proc) { panic("boom") })
+	func() {
+		defer func() { _ = recover() }()
+		_ = e.Run()
+	}()
+	victims = append(victims, boom)
+
+	c.Signal() // a stale entry: the dead waiter stays dead
+	for i := 0; i < 2*len(victims); i++ {
+		p := e.Go("later", func(*Proc) {})
+		for k, v := range victims {
+			if p == v {
+				t.Fatalf("Go handed out victim %d's Proc", k)
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Live() != 0 {
+		t.Fatalf("live = %d: %v", e.Live(), e.LiveNames())
+	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines waits for the goroutine count to come back to baseline:
+// a process's goroutine sends its last word to the engine just before it
+// returns, so it may still be on its way out when Run does.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines, %d before the engine started", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

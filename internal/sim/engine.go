@@ -23,6 +23,14 @@
 // it the determinism guarantee, silently, and an infinite one ends the
 // clock, so At, After and Sleep refuse NaN and ±Inf as they refuse the
 // past — with a panic naming the event or the process.
+//
+// Starting a process allocates only its goroutine's start record. Each
+// process runs on a goroutine of its own, which exits with it. A process
+// whose function returned normally hands its Proc back to the engine, and
+// a later Go reuses that Proc and its resume channel. So the *Proc that
+// Go returns is valid until the function returns, and not after. A process
+// that Crash killed, or that panicked, is never reused: a wait queue or a
+// mailbox may still name it.
 package sim
 
 import (
@@ -81,22 +89,20 @@ func (h *eventHeap) Pop() any {
 // Engine owns the virtual clock and the event queue.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     float64
-	queue   eventHeap
-	seq     int64
-	procSeq int64
-	yield   chan struct{} // a running process signals here when it parks or ends
-	procs   map[*Proc]struct{}
-	live    int
-	current *Proc // the process executing right now, nil in event context
+	now        float64
+	queue      eventHeap
+	seq        int64
+	procSeq    int64
+	yield      chan struct{} // a running process signals here when it parks or ends
+	head, tail *Proc         // the live processes, in spawn order
+	free       *Proc         // finished processes Go may reuse, linked through next
+	live       int
+	current    *Proc // the process executing right now, nil in event context
 }
 
 // NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Engine{yield: make(chan struct{})}
 }
 
 // Now reports the current simulated time in seconds.
@@ -212,7 +218,7 @@ func (e *Engine) step() {
 
 func (e *Engine) blockedNames() []string {
 	var names []string
-	for p := range e.procs {
+	for p := e.head; p != nil; p = p.next {
 		names = append(names, p.name)
 	}
 	sort.Strings(names)
@@ -223,24 +229,29 @@ func (e *Engine) blockedNames() []string {
 // deterministically by the engine. All blocking methods must be called from
 // the process's own goroutine.
 type Proc struct {
-	eng      *Engine
-	id       int64
-	name     string
-	resume   chan struct{}
-	wakeup   event // the one wake-up a parked process can have pending
-	panicked any
-	dead     bool
-	killed   bool
-	owner    any
+	eng        *Engine
+	id         int64
+	name       string
+	fn         func(p *Proc)
+	resume     chan struct{}
+	wakeup     event // the one wake-up a parked process can have pending
+	prev, next *Proc // the engine's live list; next also links its free list
+	panicked   any
+	dead       bool
+	killed     bool
+	owner      any
 }
 
 // killSentinel is the panic value used to unwind a killed process. The
-// spawn wrapper swallows it; any other panic still propagates.
+// process's exit swallows it; any other panic still propagates.
 type killSentinel struct{}
 
 // Go starts fn as a new simulated process at the current time.
 // fn begins executing when the engine next reaches the current instant in
 // the event order.
+//
+// The returned *Proc is valid until fn returns: after a normal return the
+// engine may hand the same Proc to a later Go (see the package doc).
 //
 // A process spawned from inside another process inherits the spawner's
 // owner tag (see SetOwner): helper processes a query fans out — exchange
@@ -248,53 +259,96 @@ type killSentinel struct{}
 // account without every spawn site having to thread it through.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{eng: e, id: e.procSeq, name: name, resume: make(chan struct{})}
+	p := e.free
+	if p != nil {
+		e.free = p.next
+		*p = Proc{resume: p.resume}
+	} else {
+		// One slot, so the engine can hand a process its first turn before
+		// the goroutine reaches its receive and then wait on yield at once.
+		// Unbuffered, a body that never parks would end while the engine
+		// was still on its way to yield, and its goroutine, parked on that
+		// send, would queue behind every later one instead of exiting.
+		p = &Proc{resume: make(chan struct{}, 1)}
+	}
+	p.eng, p.id, p.name, p.fn = e, e.procSeq, name, fn
 	p.wakeup.p = p
 	if e.current != nil {
 		p.owner = e.current.owner
 	}
 	e.live++
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, k := r.(killSentinel); !k {
-					p.panicked = r
-				}
-			}
-			p.dead = true
-			e.live--
-			delete(e.procs, p)
-			e.yield <- struct{}{}
-		}()
-		if p.killed {
-			return // killed before first scheduling: never run fn
-		}
-		fn(p)
-	}()
+	p.prev = e.tail
+	if e.tail != nil {
+		e.tail.next = p
+	} else {
+		e.head = p
+	}
+	e.tail = p
+	go p.main()
 	e.wakeAfter(0, p)
 	return p
+}
+
+// main is the process's goroutine: it waits for its first turn and runs
+// fn, unless a Crash killed the process before it started.
+func (p *Proc) main() {
+	<-p.resume
+	defer p.exit()
+	if !p.killed {
+		p.fn(p)
+	}
+}
+
+// exit ends the process and hands control back to the engine. It swallows
+// the kill sentinel and keeps any other panic for wake to re-raise. A
+// process that returned normally goes on the free list for Go to reuse;
+// nothing can name it any more.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, k := r.(killSentinel); !k {
+			p.panicked = r
+		}
+	}
+	e := p.eng
+	p.dead = true
+	e.live--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
+	if !p.killed && p.panicked == nil {
+		p.fn, p.owner = nil, nil
+		p.next, e.free = e.free, p
+	}
+	e.yield <- struct{}{}
 }
 
 // Crash models a whole-engine failure at the current instant: every live
 // process is unwound (its goroutine exits without running further user
 // code) and every pending event is dropped. The clock is preserved.
 // Processes are killed in spawn order so the unwind — and anything it
-// observes — is deterministic. Must not be called from process context;
-// call it from an event callback or between Run/Step calls.
+// observes — is deterministic. A process a victim's cleanup starts is not
+// a victim. Must not be called from process context; call it from an
+// event callback or between Run/Step calls.
 func (e *Engine) Crash() {
 	if e.current != nil {
 		panic("sim: Crash called from process context")
 	}
-	victims := make([]*Proc, 0, len(e.procs))
-	for p := range e.procs {
-		victims = append(victims, p)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
-	for _, p := range victims {
+	for p, last := e.head, e.tail; p != nil; {
+		next := p.next // p leaves the list as it unwinds
 		p.killed = true
-		e.wake(p) // park (or the spawn wrapper) sees killed and unwinds
+		e.wake(p) // park (or main) sees killed and unwinds
+		if p == last {
+			break
+		}
+		p = next
 	}
 	for _, ev := range e.queue {
 		ev.queued = false

@@ -64,6 +64,8 @@ type Volume struct {
 	hostBW   float64
 	hostLink *sim.Resource
 
+	free *readReq // ReadPages requests handed back for reuse
+
 	// Diagnostic names for what a read starts, built once: the mailboxes
 	// and window of ReadPages, Scan and ReadRange and, per device, their
 	// reader processes.
@@ -195,65 +197,75 @@ func (v *Volume) PageSpan(byteLo, byteHi int64) (pageLo, pageHi int64) {
 }
 
 // ReadPages reads an arbitrary set of pages with all devices working in
-// parallel (duplicates are read once). It returns when every reader has
-// finished — on a device error the remaining readers stop at their next
-// run boundary, every reader still exits, and the first error (in device
-// order) is returned.
+// parallel (duplicates are read once). Each device gets one vectored read
+// per run of consecutive pages, in the order the pages were given. It
+// returns when every reader has finished — on a device error the remaining
+// readers stop at their next run boundary, every reader still exits, and
+// the first error (in device order) is returned.
+//
+// The call's state — each device's runs and error, the mailbox its readers
+// report on, the stop flag — is a readReq taken from the volume's free list
+// and handed back on return, so a read allocates nothing but its readers'
+// goroutines. A caller that Crash unwinds (p.Killed()) leaves by a panic
+// out of done.Get, and its request is dropped, not handed back — which is
+// why no defer here may hand it back: its mailbox can still hold finished
+// readers' reports and the dead caller as a waiter, and a stale report
+// would end the next call on it early.
 func (v *Volume) ReadPages(p *sim.Proc, pages []int64) error {
 	if len(pages) == 0 {
 		return nil
 	}
 	eng := p.Engine()
-	done := sim.NewMailbox[error](eng, v.rpName)
-	stop := new(bool)
-	byDev := make([][]int64, len(v.devs))
-	seen := make(map[int64]struct{}, len(pages))
+	r := v.free
+	if r != nil {
+		v.free = r.next
+	} else {
+		r = v.newReadReq(eng)
+	}
 	for _, pg := range pages {
-		if _, dup := seen[pg]; dup {
-			continue
-		}
-		seen[pg] = struct{}{}
-		d, _ := v.locate(pg)
-		byDev[d] = append(byDev[d], pg)
+		r.file(pg)
 	}
 	launched := 0
-	errByDev := make([]error, len(v.devs))
-	for d, pgs := range byDev {
-		if len(pgs) == 0 {
-			continue
+	for d := range r.devs {
+		if dr := &r.devs[d]; len(dr.runs) > 0 {
+			launched++
+			eng.Go(v.rpReader[d], dr.read)
 		}
-		launched++
-		d, runs := d, coalesce(v, pgs)
-		eng.Go(v.rpReader[d], func(rp *sim.Proc) {
-			for _, r := range runs {
-				if *stop {
-					break
-				}
-				// One vectored read per contiguous run: the device seeks
-				// once and streams the whole run, exactly as a real
-				// scatter-gather scan request would.
-				if err := v.devs[d].Read(rp, r.off, r.bytes); err != nil {
-					errByDev[d] = err
-					break
-				}
-				v.hostTransfer(rp, r.bytes)
-				v.stats.PagesRead += r.bytes / v.pageSize
-				v.stats.BytesRead += r.bytes
-			}
-			done.Put(errByDev[d])
-		})
 	}
 	for i := 0; i < launched; i++ {
-		if err := done.Get(p); err != nil {
-			*stop = true
+		if err := r.done.Get(p); err != nil {
+			r.stop = true
 		}
 	}
-	for _, err := range errByDev {
-		if err != nil {
-			return err
+	var err error
+	for d := range r.devs {
+		dr := &r.devs[d]
+		if err == nil {
+			err = dr.err
 		}
+		dr.runs, dr.err = dr.runs[:0], nil
 	}
-	return nil
+	r.stop = false
+	r.next, v.free = v.free, r
+	return err
+}
+
+// readReq is one ReadPages call's state, recycled through Volume.free.
+type readReq struct {
+	v    *Volume
+	devs []devReads // one per device
+	done *sim.Mailbox[error]
+	stop bool     // a reader failed: the others stop at their next run
+	next *readReq // the volume's free list
+}
+
+// devReads is one device's share of a readReq.
+type devReads struct {
+	req  *readReq
+	dev  int
+	runs []devRun
+	err  error
+	read func(*sim.Proc) // run, bound once for every call that reuses the slot
 }
 
 type devRun struct {
@@ -261,19 +273,55 @@ type devRun struct {
 	bytes int64
 }
 
-// coalesce merges a device's page list (in logical-page order, which is
-// offset order per device) into contiguous runs.
-func coalesce(v *Volume, pgs []int64) []devRun {
-	var runs []devRun
-	for _, pg := range pgs {
-		_, off := v.locate(pg)
-		if n := len(runs); n > 0 && runs[n-1].off+runs[n-1].bytes == off {
-			runs[n-1].bytes += v.pageSize
-			continue
-		}
-		runs = append(runs, devRun{off: off, bytes: v.pageSize})
+func (v *Volume) newReadReq(eng *sim.Engine) *readReq {
+	r := &readReq{v: v, devs: make([]devReads, len(v.devs)), done: sim.NewMailbox[error](eng, v.rpName)}
+	for d := range r.devs {
+		dr := &r.devs[d]
+		dr.req, dr.dev = r, d
+		dr.read = dr.run
 	}
-	return runs
+	return r
+}
+
+// file adds page pg to its device's runs: it extends the last run when pg
+// is the device page right after it, and is dropped when a run already
+// holds it. A page lives on one device and the runs hold exactly the pages
+// filed, so that device's runs are all a duplicate needs comparing with.
+func (r *readReq) file(pg int64) {
+	v := r.v
+	d, off := v.locate(pg)
+	dr := &r.devs[d]
+	for _, run := range dr.runs {
+		if off >= run.off && off < run.off+run.bytes {
+			return
+		}
+	}
+	if n := len(dr.runs); n > 0 && dr.runs[n-1].off+dr.runs[n-1].bytes == off {
+		dr.runs[n-1].bytes += v.pageSize
+		return
+	}
+	dr.runs = append(dr.runs, devRun{off: off, bytes: v.pageSize})
+}
+
+// run is a device reader's body. One vectored read per run: the device
+// seeks once and streams the whole run, exactly as a real scatter-gather
+// scan request would.
+func (dr *devReads) run(rp *sim.Proc) {
+	r := dr.req
+	v := r.v
+	for _, run := range dr.runs {
+		if r.stop {
+			break
+		}
+		if err := v.devs[dr.dev].Read(rp, run.off, run.bytes); err != nil {
+			dr.err = err
+			break
+		}
+		v.hostTransfer(rp, run.bytes)
+		v.stats.PagesRead += run.bytes / v.pageSize
+		v.stats.BytesRead += run.bytes
+	}
+	r.done.Put(dr.err)
 }
 
 // locate maps a logical page to (device index, device byte offset).

@@ -151,12 +151,21 @@ var errCorruptString = errors.New("corrupt string")
 // readString parses one wire string from the front of src, returning it
 // and the bytes it took.
 func readString(src []byte) (string, int, error) {
+	start, end, err := strSpan(src)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(src[start:end]), end, nil
+}
+
+// strSpan parses the length prefix of the wire string at the front of src
+// and reports where its bytes start and end, checked against src.
+func strSpan(src []byte) (start, end int, err error) {
 	l, k := readUvarint(src)
 	if k <= 0 || l > uint64(len(src)-k) {
-		return "", 0, errCorruptString
+		return 0, 0, errCorruptString
 	}
-	end := k + int(l)
-	return string(src[k:end]), end, nil
+	return k, k + int(l), nil
 }
 
 // EncodeRows appends the row-major wire form of batch rows [lo, hi): each
@@ -187,7 +196,7 @@ func (b *Batch) EncodeRows(dst []byte, lo, hi int) []byte {
 // DecodeRows parses n rows in the EncodeRows format into a fresh batch.
 func DecodeRows(s *Schema, data []byte, n int) (*Batch, error) {
 	b := NewBatch(s, 0)
-	if err := DecodeRowsInto(b, data, n); err != nil {
+	if err := DecodeRowsInto(b, data, n, 0); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -198,8 +207,12 @@ func DecodeRows(s *Schema, data []byte, n int) (*Batch, error) {
 // are reused when large enough, so whatever b held is overwritten; on
 // error b is left empty. n is checked against data before anything is
 // sized from it.
-func DecodeRowsInto(b *Batch, data []byte, n int) error {
-	used, err := DecodeRowsPrefixInto(b, data, n)
+//
+// Bit i of skip names column i as one the caller will not read. If it is a
+// string column its cells are parsed and checked as every other column's,
+// but not materialised: each reads "". Other columns decode regardless.
+func DecodeRowsInto(b *Batch, data []byte, n int, skip uint64) error {
+	used, err := decodeRowsInto(b, data, n, skip)
 	if err == nil && used != len(data) {
 		b.Reset()
 		err = fmt.Errorf("table: %d trailing bytes after %d rows", len(data)-used, n)
@@ -207,12 +220,16 @@ func DecodeRowsInto(b *Batch, data []byte, n int) error {
 	return err
 }
 
-// DecodeRowsPrefixInto is DecodeRowsInto for rows that something else
-// follows (the WAL zero-pads short records): it reports how many bytes the
-// n rows took and leaves the rest of data unread.
+// DecodeRowsPrefixInto is DecodeRowsInto, skipping nothing, for rows that
+// something else follows (the WAL zero-pads short records): it reports how
+// many bytes the n rows took and leaves the rest of data unread.
 func DecodeRowsPrefixInto(b *Batch, data []byte, n int) (int, error) {
+	return decodeRowsInto(b, data, n, 0)
+}
+
+func decodeRowsInto(b *Batch, data []byte, n int, skip uint64) (int, error) {
 	b.Reset()
-	used, err := decodeRows(b, data, n)
+	used, err := decodeRows(b, data, n, skip)
 	if err != nil {
 		b.Reset()
 		return 0, err
@@ -221,7 +238,7 @@ func DecodeRowsPrefixInto(b *Batch, data []byte, n int) (int, error) {
 	return used, nil
 }
 
-func decodeRows(b *Batch, data []byte, n int) (int, error) {
+func decodeRows(b *Batch, data []byte, n int, skip uint64) (int, error) {
 	minRow := 0 // the fewest bytes one row can take
 	for _, v := range b.Vecs {
 		if v.Type.Physical() == PhysString {
@@ -261,12 +278,16 @@ func decodeRows(b *Batch, data []byte, n int) (int, error) {
 				v.F[r] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
 				off += 8
 			default:
-				s, k, err := readString(data[off:])
+				start, end, err := strSpan(data[off:])
 				if err != nil {
 					return 0, fmt.Errorf("table: row %d col %d: %w", r, ci, err)
 				}
+				s := ""
+				if skip>>uint(ci)&1 == 0 {
+					s = string(data[off+start : off+end])
+				}
 				v.S = append(v.S, s)
-				off += k
+				off += end
 			}
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"energydb/internal/fault"
 	"energydb/internal/table"
@@ -34,6 +35,11 @@ const Version = 1
 // MaxFrame bounds a frame's payload so a torn or hostile length prefix
 // cannot make the reader allocate unboundedly.
 const MaxFrame = 64 << 20
+
+// frameChunk is as far as ReadFrame trusts a length prefix ahead of the
+// bytes behind it: a longer payload is read into a buffer that at most
+// doubles per chunk, so a five-byte frame claiming MaxFrame costs 64 KiB.
+const frameChunk = 64 << 10
 
 // Message types. Client-to-server frames ask; server-to-client frames
 // answer. Every request gets exactly one terminal reply frame.
@@ -217,24 +223,35 @@ func WriteFrame(w io.Writer, typ byte, body []byte) error {
 // ReadFrame reads one frame. A torn length prefix, an oversized length,
 // or a body shorter than its prefix all return an error wrapping
 // ErrProtocol (or io.EOF/io.ErrUnexpectedEOF for a cleanly closed or
-// truncated stream).
+// truncated stream). What it allocates is bounded by the bytes that
+// arrived (see frameChunk), not by the length prefix.
 func ReadFrame(r io.Reader) (typ byte, body []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n == 0 {
 		return 0, nil, fmt.Errorf("wire: zero-length frame: %w", ErrProtocol)
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame: %w", n, ErrProtocol)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, 0, min(n, frameChunk))
+	for {
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if len(buf) == n {
+			return buf[0], buf[1:], nil
+		}
+		buf = slices.Grow(buf, min(n-len(buf), len(buf)))
 	}
-	return buf[0], buf[1:], nil
 }
 
 // Body encoding primitives: append-style writers and a cursor reader
@@ -403,8 +420,10 @@ func DecodeBatch(r *Reader) (*table.Batch, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if ncols > 4096 || nrows > MaxFrame {
-		return nil, fmt.Errorf("wire: implausible batch %d cols × %d rows: %w", ncols, nrows, ErrProtocol)
+	// A column takes at least 10 bytes: name length, type, width and
+	// payload length.
+	if ncols > 4096 || ncols > r.Rest()/10 || nrows > MaxFrame {
+		return nil, fmt.Errorf("wire: implausible batch %d cols × %d rows in %d bytes: %w", ncols, nrows, r.Rest(), ErrProtocol)
 	}
 	cols := make([]table.Column, 0, ncols)
 	vecs := make([]*table.Vector, 0, ncols)
@@ -527,8 +546,9 @@ func DecodeMeterReport(r *Reader) (MeterReport, error) {
 	if r.Err() != nil {
 		return m, r.Err()
 	}
-	if n > 1<<20 {
-		return m, fmt.Errorf("wire: implausible tenant count %d: %w", n, ErrProtocol)
+	// A tenant takes at least 25 bytes: name length and three 8-byte fields.
+	if n > 1<<20 || n > r.Rest()/25 {
+		return m, fmt.Errorf("wire: implausible tenant count %d in %d bytes: %w", n, r.Rest(), ErrProtocol)
 	}
 	for i := 0; i < n; i++ {
 		m.Tenants = append(m.Tenants, TenantBill{
