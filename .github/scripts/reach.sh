@@ -47,6 +47,9 @@ SELECT o_orderpriority, COUNT(*) AS n, MIN(o_clerk) AS first FROM orders GROUP B
 SELECT c.c_mktsegment, SUM(o.o_totalprice) AS spend FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey
   WHERE o.o_orderdate < DATE '1995-03-15' GROUP BY c.c_mktsegment ORDER BY spend DESC LIMIT 3;
 SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue FROM lineitem WHERE l_quantity < 24;
+SELECT n.n_name, r.r_name FROM nation n JOIN region r ON n.n_regionkey = r.r_regionkey;
+SELECT COUNT(*) AS n FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey WHERE o.o_totalprice < c.c_acctbal;
+EXPLAIN SELECT COUNT(*) AS n FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey WHERE o.o_totalprice < c.c_acctbal;
 EXPLAIN SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 25;
 SELECT c_name + 1 AS x FROM customer;
 SELECT nope FROM customer;

@@ -11,8 +11,10 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"text/tabwriter"
 
 	"energydb"
 	"energydb/internal/client"
@@ -129,7 +131,7 @@ func run(c *client.DB, sess *client.Session, stmt string) error {
 		if err != nil {
 			return err
 		}
-		printRows(b.Schema, func() (int, func(i int) []Value) { return b.Rows(), b.Row })
+		printRows(os.Stdout, b)
 		return nil
 	case "SELECT":
 		rows, err := sess.Query(stmt)
@@ -141,9 +143,7 @@ func run(c *client.DB, sess *client.Session, stmt string) error {
 			return err
 		}
 		if tab != nil {
-			printRows(tab.Schema, func() (int, func(i int) []Value) {
-				return tab.Rows(), func(i int) []Value { return tab.Slice(i, i+1).Row(0) }
-			})
+			printRows(os.Stdout, tab.Slice(0, tab.Rows()))
 		}
 		fmt.Printf("%d row(s) in %.4gs, %.4gJ attributed (%.4gJ marginal + %.4gJ idle share)\n",
 			res.RowCount, res.Elapsed, res.Attributed, res.Marginal, res.Shared)
@@ -157,27 +157,26 @@ func run(c *client.DB, sess *client.Session, stmt string) error {
 	}
 }
 
-// Value aliases the storage value type for the row printers.
-type Value = table.Value
-
-func printRows(schema *table.Schema, rows func() (int, func(i int) []Value)) {
-	for _, col := range schema.Cols {
-		fmt.Printf("%-18s", col.Name)
+// printRows writes the header and up to 25 rows of b as a table, each
+// column padded to its widest cell plus two spaces.
+func printRows(w io.Writer, b *table.Batch) {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	cells := make([]string, len(b.Schema.Cols))
+	for c, col := range b.Schema.Cols {
+		cells[c] = col.Name
 	}
-	fmt.Println()
-	n, row := rows()
-	shown := n
-	if shown > 25 {
-		shown = 25
-	}
+	fmt.Fprintln(tw, strings.Join(cells, "\t"))
+	n := b.Rows()
+	shown := min(n, 25)
 	for i := 0; i < shown; i++ {
-		for _, v := range row(i) {
-			fmt.Printf("%-18s", v.String())
+		for c, v := range b.Row(i) {
+			cells[c] = v.String()
 		}
-		fmt.Println()
+		fmt.Fprintln(tw, strings.Join(cells, "\t"))
 	}
+	tw.Flush()
 	if shown < n {
-		fmt.Printf("... (%d rows)\n", n)
+		fmt.Fprintf(w, "... (%d rows)\n", n)
 	}
 }
 

@@ -5,7 +5,7 @@
 // Research" (CIDR 2009).
 //
 // The engine is real (SQL front end, cost-based optimizer, vectorised
-// executor, compression, buffer pool, WAL); the hardware is a
+// executor, compression, admission control, WAL); the hardware is a
 // deterministic discrete-event simulation with calibrated 2008-era device
 // models, so every query returns joules alongside rows. Queries run
 // through sessions: a Session is one client's serial statement stream,

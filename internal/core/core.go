@@ -1,8 +1,8 @@
 // Package core assembles the paper's system: an energy-aware database
 // engine running on simulated, power-metered hardware. It wires the
-// device models, storage volumes, buffer pool, WAL, SQL front end and the
-// dual-objective optimizer into a single DB handle whose every query
-// returns an energy report alongside its rows.
+// device models, storage volumes, WAL, admission control, SQL front end
+// and the dual-objective optimizer into a single DB handle whose every
+// query returns an energy report alongside its rows.
 package core
 
 import (
@@ -47,11 +47,6 @@ type Config struct {
 	VolumeLayout storage.Layout
 	// BlockRows is the placement block size in rows (default 8192).
 	BlockRows int
-
-	// PoolPages sizes the buffer pool (default 1024 pages); PoolPolicy is
-	// "lru", "clock", "2q" or "energy" (default "lru").
-	PoolPages  int
-	PoolPolicy string
 
 	// Objective is what the optimizer minimises (default MinTime — the
 	// classical DBMS; switch to MinEnergy for the paper's proposal).
@@ -119,10 +114,14 @@ type Config struct {
 
 // DB is an open energy-aware database over one simulated server.
 type DB struct {
-	Srv  *hw.Server
-	Vol  *storage.Volume
+	Srv *hw.Server
+	Vol *storage.Volume
+	Log *wal.Log
+
+	// Pool is a page cache no scan reads through: every scan streams
+	// past it, so its counters stay 0. It is kept only because the eeperf
+	// benchmark reports them, and goes when eeperf stops reading it.
 	Pool *buffer.Pool
-	Log  *wal.Log
 
 	Catalog   *opt.Catalog
 	Env       *opt.Env
@@ -160,9 +159,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.BlockRows == 0 {
 		cfg.BlockRows = 8192
 	}
-	if cfg.PoolPages == 0 {
-		cfg.PoolPages = 1024
-	}
 	srv := hw.NewServer(cfg.Server)
 
 	var devs []storage.BlockDevice
@@ -191,23 +187,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	vol.MaxRunPages = cfg.IORunPages
 
-	var policy buffer.Policy
-	switch cfg.PoolPolicy {
-	case "", "lru":
-		policy = buffer.NewLRU()
-	case "clock":
-		policy = buffer.NewClock()
-	case "2q":
-		policy = buffer.NewTwoQ()
-	case "energy":
-		policy = buffer.NewEnergyAware()
-	default:
-		return nil, fmt.Errorf("core: unknown pool policy %q", cfg.PoolPolicy)
-	}
-	pool := buffer.NewPool(cfg.PoolPages, policy)
-	pool.PageBytes = cfg.PageBytes
-	pool.DRAM = srv.DRAM
-
 	var schedPol sched.Policy
 	switch cfg.SchedPolicy {
 	case "", "fifo":
@@ -223,7 +202,7 @@ func Open(cfg Config) (*DB, error) {
 	adm.ReGrant = cfg.ReGrant
 
 	db := &DB{
-		Srv: srv, Vol: vol, Pool: pool,
+		Srv: srv, Vol: vol, Pool: buffer.NewPool(1024, buffer.NewLRU()),
 		Catalog:     opt.NewCatalog(),
 		Objective:   cfg.Objective,
 		Adm:         adm,
@@ -605,12 +584,7 @@ func (db *DB) explain(q *opt.Query) (*opt.Plan, error) {
 func (db *DB) NewCtx(p *sim.Proc) *exec.Ctx {
 	ctx := exec.NewCtx(p, db.Srv.CPU)
 	ctx.DRAM = db.Srv.DRAM
-	ctx.Pool = db.Pool
 	ctx.Temp = db.Vol
-	if db.Env.StorageWatt > 0 && db.Env.ScanBW > 0 {
-		perPage := float64(db.cfg.PageBytes) / db.Env.ScanBW
-		ctx.PageRefetchJoules = perPage * db.Env.StorageWatt
-	}
 	return ctx
 }
 

@@ -39,7 +39,7 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Config{Server: hw.ServerSpec{Name: "empty", CPU: hw.ScanCPU2008()}}); err == nil {
 		t.Fatal("server without storage should fail")
 	}
-	if _, err := Open(Config{Server: hw.SmallServer(2), PoolPolicy: "mystery"}); err == nil {
+	if _, err := Open(Config{Server: hw.SmallServer(2), SchedPolicy: "mystery"}); err == nil {
 		t.Fatal("unknown policy should fail")
 	}
 }

@@ -36,7 +36,7 @@ func TestExplainRowsMatchParent(t *testing.T) {
 	}
 	var got strings.Builder
 	for _, obj := range []opt.Objective{opt.MinTime, opt.MinEnergy, opt.MinEDP} {
-		db := openParDB(t, obj, 8, 0, 1024)
+		db := openParDB(t, obj, 8, 1024)
 		seen := map[string]bool{}
 		for _, q := range tpch.ThroughputMix() {
 			if seen[q] {

@@ -19,13 +19,13 @@ import (
 // workers, WAL flushers — their goroutines exit through their cleanup
 // defers), drops every pending event, and resets the hardware models to
 // a quiescent state so held resources do not leak into the next epoch.
-// Volatile state — the buffer pool, partial results, the admission queue
-// — is gone; what survives is the data volume (placements) and the log
-// device's byte image, of which an in-flight flush contributes only a
-// torn prefix. Recovery truncates the log at the first torn or corrupt
-// record, rebuilds each table as checkpoint-prefix + replayed-suffix,
-// and fails every in-flight statement with a typed QueryError so clients
-// observe the crash instead of hanging.
+// Volatile state — partial results, the admission queue — is gone; what
+// survives is the data volume (placements) and the log device's byte
+// image, of which an in-flight flush contributes only a torn prefix.
+// Recovery truncates the log at the first torn or corrupt record, rebuilds
+// each table as checkpoint-prefix + replayed-suffix, and fails every
+// in-flight statement with a typed QueryError so clients observe the crash
+// instead of hanging.
 
 // CrashAt schedules a whole-engine crash at simulated time t. tornFrac
 // in [0,1] chooses how much of a WAL flush in flight at the crash
@@ -57,7 +57,7 @@ func (db *DB) crash(tornFrac float64) {
 
 	// Bring the hardware models back to a quiescent state: resources held
 	// or waited on by killed processes are forcibly returned, spindles
-	// settle at idle, and the (volatile) buffer pool empties.
+	// settle at idle.
 	for _, d := range db.Srv.Disks {
 		d.Reset()
 	}
@@ -66,7 +66,6 @@ func (db *DB) crash(tornFrac float64) {
 	}
 	db.Srv.CPU.Reset()
 	db.Vol.Reset()
-	db.Pool.Reset()
 	db.Adm.Reset()
 	// Dead queries can no longer vote for a P-state; back to nominal.
 	db.pvotes = map[int64]int{}

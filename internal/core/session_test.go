@@ -134,7 +134,7 @@ func maxPlanDop(p *opt.Plan) int {
 func TestAdmissionGrantsDOPFromFreeCores(t *testing.T) {
 	// Control: alone on an idle 8-core box the query takes every core and
 	// buys a parallel plan.
-	alone := openParDB(t, opt.MinTime, 8, 0, 4096)
+	alone := openParDB(t, opt.MinTime, 8, 4096)
 	rows, err := alone.Session().Query(sessAggQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestAdmissionGrantsDOPFromFreeCores(t *testing.T) {
 	// Mixed: three streams occupy the box (fair share: 2+2+2 of 8), then
 	// the same query arrives; only 2 cores are free, and both grant and
 	// plan DOP must respect that.
-	mixed := openParDB(t, opt.MinTime, 8, 0, 4096)
+	mixed := openParDB(t, opt.MinTime, 8, 4096)
 	var streams []*Rows
 	for s := 0; s < 3; s++ {
 		r, err := mixed.Session().Query(sessAggQuery)
@@ -255,7 +255,7 @@ func TestRowsEarlyClose(t *testing.T) {
 		"SELECT l_partkey FROM lineitem WHERE l_quantity > 1",
 		"SELECT l_partkey FROM lineitem WHERE l_quantity > 1 LIMIT 5",
 	} {
-		db := openParDB(t, opt.MinTime, 8, 0, 1024)
+		db := openParDB(t, opt.MinTime, 8, 1024)
 		rows, err := db.Session().Query(query)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRowsEarlyClose(t *testing.T) {
 // closed; those joules must fall back into the shared residual — not
 // vanish — so Σ attributed + unattributed still equals the meter.
 func TestEarlyCloseKeepsAttributionExact(t *testing.T) {
-	db := openParDB(t, opt.MinTime, 8, 0, 1024)
+	db := openParDB(t, opt.MinTime, 8, 1024)
 	rows, err := db.Session().Query("SELECT l_partkey FROM lineitem WHERE l_quantity > 1")
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestPreparedStmtSeesNewRows(t *testing.T) {
 // pool — staggered arrivals run concurrently instead of queueing behind
 // an idle grant.
 func TestSerialPlansReleaseGrant(t *testing.T) {
-	db := openParDB(t, opt.MinEnergy, 8, 0, 4096) // MinEnergy: plans stay serial
+	db := openParDB(t, opt.MinEnergy, 8, 4096) // MinEnergy: plans stay serial
 	const n = 4
 	var all []*Rows
 	for s := 0; s < n; s++ {

@@ -684,10 +684,3 @@ func (h *HashAgg) Close(ctx *Ctx) error {
 
 // GroupCount reports the number of groups after Open.
 func (h *HashAgg) GroupCount() int { return len(h.order) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,14 +5,13 @@
 //
 // Operators do real work on real data (codecs really decode, joins really
 // match) and *charge* that work to the simulated hardware: CPU cycles via
-// hw.CPU, page I/O via storage.Volume / buffer.Pool. Simulated elapsed
+// hw.CPU, page I/O via storage.Volume. Simulated elapsed
 // time and energy therefore reflect exactly the bytes moved and tuples
 // processed by the chosen plan — which is the mechanism behind both of the
 // paper's experiments.
 package exec
 
 import (
-	"energydb/internal/buffer"
 	"energydb/internal/hw"
 	"energydb/internal/sim"
 	"energydb/internal/storage"
@@ -54,18 +53,12 @@ type Ctx struct {
 	P     *sim.Proc
 	CPU   *hw.CPU
 	DRAM  *hw.DRAM        // optional: charged for working-set traffic
-	Pool  *buffer.Pool    // optional: row scans go through it when set
 	Temp  *storage.Volume // optional: spill target for external sort
 	Costs CostParams
 
 	// MemBudgetBytes caps operator working memory (hash tables, sort
 	// runs); 0 means unlimited. Exceeding it forces spills.
 	MemBudgetBytes int64
-
-	// PageRefetchJoules, when positive, is the estimated energy to re-read
-	// one page from the backing store; row scans forward it to energy-
-	// aware buffer policies.
-	PageRefetchJoules float64
 
 	// VectorSize is the preferred rows per batch for non-scan operators.
 	VectorSize int

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"energydb/internal/buffer"
 	"energydb/internal/compress"
 	"energydb/internal/energy"
 	"energydb/internal/hw"
@@ -158,77 +157,44 @@ func TestColumnScanReadsOnlyProjectedColumns(t *testing.T) {
 	}
 }
 
+// TestRowScanMatchesColumnScanResults: both layouts keep the same rows. A
+// row scan hands blocks over in I/O completion order, so the results are
+// compared in key order.
 func TestRowScanMatchesColumnScanResults(t *testing.T) {
 	tab := ordersLike(3000)
 	pred := func() Pred { return &ColConst{Col: 1, Op: Le, Val: table.IntVal(100)} }
-
-	rRow := newRig(2)
-	stRow, err := PlaceRowMajor(tab, rRow.vol, 1, 512, compress.Raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rowRes *table.Table
-	rRow.run(t, func(ctx *Ctx) {
-		rowRes, err = Collect(ctx, NewRowScan(stRow, []int{0, 1}, pred()))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-
-	rCol := newRig(2)
-	stCol, err := PlaceColumnMajor(tab, rCol.vol, 1, 512, rawCodecs(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var colRes *table.Table
-	rCol.run(t, func(ctx *Ctx) {
-		colRes, err = Collect(ctx, NewColumnScan(stCol, []int{0, 1}, []int{0, 1}, pred()))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-
-	if rowRes.Rows() != colRes.Rows() {
-		t.Fatalf("row scan %d rows, column scan %d rows", rowRes.Rows(), colRes.Rows())
-	}
-	for i := 0; i < rowRes.Rows(); i++ {
-		if rowRes.Column(0).I[i] != colRes.Column(0).I[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-}
-
-func TestRowScanUsesBufferPool(t *testing.T) {
-	r := newRig(2)
-	tab := ordersLike(2000)
-	st, err := PlaceRowMajor(tab, r.vol, 7, 512, compress.Raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := buffer.NewPool(1024, buffer.NewLRU())
-	r.eng.Go("query", func(p *sim.Proc) {
-		ctx := NewCtx(p, r.cpu)
-		ctx.Pool = pool
-		// Scan twice: second pass should be all hits.
-		for i := 0; i < 2; i++ {
-			if _, err := RowCount(ctx, NewRowScan(st, []int{0}, nil)); err != nil {
+	scan := func(place func(r *rig) Operator) *table.Table {
+		r := newRig(2)
+		op := place(r)
+		var got *table.Table
+		r.run(t, func(ctx *Ctx) {
+			batches, err := Run(ctx, op)
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			got = flattenSorted(t, op.Schema(), batches, 0)
+		})
+		return got
+	}
+	rowRes := scan(func(r *rig) Operator {
+		st, err := PlaceRowMajor(tab, r.vol, 1, 512, compress.Raw)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return NewRowScan(st, []int{0, 1}, pred())
 	})
-	if err := r.eng.Run(); err != nil {
-		t.Fatal(err)
+	colRes := scan(func(r *rig) Operator {
+		st, err := PlaceColumnMajor(tab, r.vol, 1, 512, rawCodecs(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewColumnScan(st, []int{0, 1}, []int{0, 1}, pred())
+	})
+	if rowRes.Rows() == 0 {
+		t.Fatal("the predicate keeps no row")
 	}
-	stats := pool.Stats()
-	// Every unique page misses exactly once (first pass); the second pass
-	// plus boundary pages shared between adjacent blocks are all hits.
-	if stats.Misses == 0 || stats.Hits <= stats.Misses {
-		t.Fatalf("pool stats = %+v, want hits > misses > 0", stats)
-	}
-	// Volume I/O only happened for the misses.
-	if r.vol.Stats().PagesRead != stats.Misses {
-		t.Fatalf("volume reads %d != misses %d", r.vol.Stats().PagesRead, stats.Misses)
-	}
+	tablesEqual(t, colRes, rowRes)
 }
 
 func TestCompressedScanFasterButHotterOnWeakStorage(t *testing.T) {
@@ -512,40 +478,6 @@ func TestLimitStopsEarlyAndCancelsScanIO(t *testing.T) {
 	if r.vol.Stats().BytesRead >= st.ColEncodedBytes(0) {
 		t.Fatalf("limit did not cancel the scan: read %d of %d bytes",
 			r.vol.Stats().BytesRead, st.ColEncodedBytes(0))
-	}
-}
-
-func TestOrPredicate(t *testing.T) {
-	tab := ordersLike(1000)
-	r := newRig(1)
-	var got int64
-	r.run(t, func(ctx *Ctx) {
-		p := &Or{Preds: []Pred{
-			&ColConst{Col: 0, Op: Le, Val: table.IntVal(5)},
-			&ColConst{Col: 0, Op: Gt, Val: table.IntVal(995)},
-		}}
-		f := &Filter{In: &Values{Tab: tab}, Pred: p}
-		var err error
-		got, err = RowCount(ctx, f)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if got != 10 {
-		t.Fatalf("or-pred rows = %d, want 10", got)
-	}
-}
-
-func TestNotPredicate(t *testing.T) {
-	tab := ordersLike(100)
-	r := newRig(1)
-	var got int64
-	r.run(t, func(ctx *Ctx) {
-		p := &Not{Pred: &ColConst{Col: 0, Op: Le, Val: table.IntVal(40)}}
-		got, _ = RowCount(ctx, &Filter{In: &Values{Tab: tab}, Pred: p})
-	})
-	if got != 60 {
-		t.Fatalf("not-pred rows = %d, want 60", got)
 	}
 }
 

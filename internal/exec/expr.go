@@ -210,90 +210,6 @@ func (p *And) String() string {
 	return s + ")"
 }
 
-// Or disjoins predicates.
-type Or struct {
-	Preds []Pred
-
-	keep []bool
-	tmp  []int32
-}
-
-// Eval implements Pred.
-func (p *Or) Eval(ctx *Ctx, b *table.Batch, sel []int32) []int32 {
-	if len(sel) == 0 {
-		return sel
-	}
-	n := b.PhysRows() // sel holds physical row indexes
-	if cap(p.keep) < n {
-		p.keep = make([]bool, n)
-	}
-	keep := p.keep[:n]
-	if cap(p.tmp) < len(sel) {
-		p.tmp = make([]int32, len(sel))
-	}
-	tmp := p.tmp
-	for _, q := range p.Preds {
-		for _, i := range q.Eval(ctx, b, tmp[:copy(tmp, sel)]) {
-			keep[i] = true
-		}
-	}
-	// Marked positions are a subset of sel, so clearing while compacting
-	// restores the all-false invariant in O(len(sel)), not O(rows).
-	out := sel[:0]
-	for _, i := range sel {
-		if keep[i] {
-			keep[i] = false
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (p *Or) String() string {
-	s := "("
-	for i, q := range p.Preds {
-		if i > 0 {
-			s += " OR "
-		}
-		s += q.String()
-	}
-	return s + ")"
-}
-
-// Not negates a predicate.
-type Not struct {
-	Pred Pred
-
-	tmp []int32
-}
-
-// Eval implements Pred.
-func (p *Not) Eval(ctx *Ctx, b *table.Batch, sel []int32) []int32 {
-	if len(sel) == 0 {
-		return sel
-	}
-	if cap(p.tmp) < len(sel) {
-		p.tmp = make([]int32, len(sel))
-	}
-	tmp := p.tmp
-	kept := p.Pred.Eval(ctx, b, tmp[:copy(tmp, sel)])
-	// Both sel and kept are ascending: emit sel minus kept with one merge.
-	out := sel[:0]
-	k := 0
-	for _, i := range sel {
-		for k < len(kept) && kept[k] < i {
-			k++
-		}
-		if k < len(kept) && kept[k] == i {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-func (p *Not) String() string { return "NOT " + p.Pred.String() }
-
 // Scalar is a per-row expression tree: a ColRef, a Const or an Arith.
 // A tree is plain immutable data — nothing in it evaluates or carries
 // scratch, so fragments may share one — and NewProject compiles it into
@@ -337,11 +253,3 @@ type Arith struct {
 func (e *Arith) String() string {
 	return fmt.Sprintf("(%s %v %s)", e.L, e.Op, e.R)
 }
-
-// TruePred matches every row (no per-row charge: it does no work).
-type TruePred struct{}
-
-// Eval implements Pred.
-func (TruePred) Eval(_ *Ctx, _ *table.Batch, sel []int32) []int32 { return sel }
-
-func (TruePred) String() string { return "true" }

@@ -122,22 +122,23 @@ func TestHashAggSumAvgOverStringYieldsZero(t *testing.T) {
 	}
 }
 
-// TestPredSelectionVectors exercises the selection-vector kernels through
-// And/Or/Not composition against a scalar reference evaluation.
+// TestPredSelectionVectors exercises the selection-vector kernels — int,
+// string and float, each narrowing the selection the one before it left —
+// through And composition against a scalar reference evaluation.
 func TestPredSelectionVectors(t *testing.T) {
 	tab := ordersLike(3000)
 	pred := &And{Preds: []Pred{
-		&Or{Preds: []Pred{
-			&ColConst{Col: 0, Op: Le, Val: table.IntVal(500)},
-			&ColConst{Col: 0, Op: Gt, Val: table.IntVal(2500)},
+		&ColConst{Col: 0, Op: Gt, Val: table.IntVal(500)},
+		&And{Preds: []Pred{
+			&ColConst{Col: 0, Op: Le, Val: table.IntVal(2500)},
+			&ColConst{Col: 2, Op: Ne, Val: table.StrVal("F")},
 		}},
-		&Not{Pred: &ColConst{Col: 2, Op: Eq, Val: table.StrVal("F")}},
 		&ColConst{Col: 3, Op: Ge, Val: table.FloatVal(30000)},
 	}}
 	want := 0
 	for i := 0; i < tab.Rows(); i++ {
 		k := tab.Column(0).I[i]
-		if (k <= 500 || k > 2500) && tab.Column(2).S[i] != "F" && tab.Column(3).F[i] >= 30000 {
+		if k > 500 && k <= 2500 && tab.Column(2).S[i] != "F" && tab.Column(3).F[i] >= 30000 {
 			want++
 		}
 	}

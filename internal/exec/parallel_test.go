@@ -275,16 +275,13 @@ func TestParallelRowScanMatchesSerial(t *testing.T) {
 		return got, r
 	}
 	serial, _ := collect(func(st *StoredTable) Operator {
-		rs := NewRowScan(st, []int{0, 3}, newPred())
-		rs.Window = 4
-		return rs
+		return NewRowScan(st, []int{0, 3}, newPred())
 	})
 	par, _ := collect(func(st *StoredTable) Operator {
 		q := NewMorsels(st.NumBlocks(), 2)
 		frags := make([]Operator, 4)
 		for i := range frags {
 			rs := NewRowScan(st, []int{0, 3}, newPred())
-			rs.Window = 2
 			rs.Morsels = q
 			frags[i] = rs
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"energydb/internal/buffer"
 	"energydb/internal/sim"
 	"energydb/internal/storage"
 	"energydb/internal/table"
@@ -25,10 +24,11 @@ import (
 // machine is charged for decoding every read column of every block either
 // way, before the predicate, so the model clock does not see it.
 //
-// I/O is pipelined: a background reader process fetches block b+1..b+W
-// while the consumer decodes and processes block b, so elapsed time tends
-// to max(I/O, CPU) — the overlap the paper's Figure 2 assumes ("by
-// overlapping disk with CPU time, the total time is 10 secs").
+// I/O is pipelined: a background reader process fetches the next
+// readAheadBlocks blocks while the consumer decodes and processes the
+// current one, so elapsed time tends to max(I/O, CPU) — the overlap the
+// paper's Figure 2 assumes ("by overlapping disk with CPU time, the total
+// time is 10 secs").
 //
 // A scan owns the whole table by default. When Morsels points at a shared
 // dispenser the scan is one fragment of a parallel scan: its reader claims
@@ -39,7 +39,6 @@ type ColumnScan struct {
 	ReadCols []int    // source column indexes fetched (projection ∪ predicate columns)
 	Emit     []int    // positions within ReadCols forming the output row
 	Pred     Pred     // evaluated over the ReadCols batch; nil = all rows
-	Window   int      // pipeline depth in blocks (default 2)
 	Morsels  *Morsels // shared block dispenser; nil = scan all blocks
 
 	schema  *table.Schema
@@ -53,6 +52,15 @@ type ColumnScan struct {
 	credits *sim.Mailbox[int]
 	scratch scanScratch // reusable decode memory, this scan's alone
 }
+
+// Reader pipeline depths. A whole-table row scan streams its extent
+// through Volume.Scan with streamPages pages in flight; a morsel reader —
+// every ColumnScan's, and a RowScan fragment's — keeps readAheadBlocks
+// blocks fetched ahead of its consumer.
+const (
+	streamPages     = 128
+	readAheadBlocks = 2
+)
 
 // blockMsg is one delivery from a scan reader process: a fetched block
 // index, an I/O error, or (b < 0, err == nil) end of stream.
@@ -112,24 +120,16 @@ func predCols(p Pred) (mask uint64, ok bool) {
 	case *ColCol:
 		return 1<<uint(p.Left) | 1<<uint(p.Right), true
 	case *And:
-		return predsCols(p.Preds)
-	case *Or:
-		return predsCols(p.Preds)
-	case *Not:
-		return predCols(p.Pred)
+		for _, q := range p.Preds {
+			m, ok := predCols(q)
+			if !ok {
+				return 0, false
+			}
+			mask |= m
+		}
+		return mask, true
 	}
 	return 0, false
-}
-
-func predsCols(ps []Pred) (mask uint64, ok bool) {
-	for _, q := range ps {
-		m, ok := predCols(q)
-		if !ok {
-			return 0, false
-		}
-		mask |= m
-	}
-	return mask, true
 }
 
 // Schema implements Operator.
@@ -158,7 +158,7 @@ func (s *ColumnScan) start(ctx *Ctx) {
 	// Fetch all projected columns' pages for each block in one parallel
 	// batch so every device works at once.
 	s.ready, s.credits = startMorselReader(ctx, "colscan:"+st.Tab.Schema.Name,
-		s.Window, st.Vol, morsels, &s.cancel,
+		st.Vol, morsels, &s.cancel,
 		func(b int, pages []int64) []int64 {
 			for _, ci := range s.ReadCols {
 				blk := st.cols[ci][b]
@@ -269,24 +269,22 @@ func (s *ColumnScan) Close(ctx *Ctx) error {
 // fetched (all columns travel together), blocks are decompressed and
 // parsed back into tuples, then filtered and projected.
 //
-// With Window > 0 the scan pipelines: a reader process prefetches up to
-// Window blocks ahead with all devices in parallel, bypassing the buffer
-// pool (big scans should not pollute it). With Window == 0 pages go one
-// at a time through ctx.Pool when present — the point-lookup path.
-//
-// When Morsels points at a shared dispenser the scan is one fragment of a
-// parallel scan (see Parallel): its reader claims block ranges from the
-// dispenser and prefetches them with a Window-deep credit pipeline.
+// I/O is pipelined: a reader process streams the table's whole extent
+// with streamPages pages in flight across every device, and hands the
+// consumer each block as its last page lands — blocks arrive in I/O
+// completion order, not placement order. When Morsels points at a shared
+// dispenser the scan is one fragment of a parallel scan (see Parallel):
+// its reader claims block ranges from the dispenser and keeps
+// readAheadBlocks of them fetched ahead, as a ColumnScan's does.
 type RowScan struct {
 	ST      *StoredTable
-	Emit    []int // source schema positions forming the output row
-	Pred    Pred  // evaluated over the full source batch; nil = all rows
-	Window  int
+	Emit    []int    // source schema positions forming the output row
+	Pred    Pred     // evaluated over the full source batch; nil = all rows
 	Morsels *Morsels // shared block dispenser; nil = scan all blocks
 
 	schema  *table.Schema
 	unread  uint64 // bit i: source column i is read by neither Pred nor Emit
-	next    int
+	next    int    // blocks delivered by the whole-table stream
 	eof     bool
 	started bool
 	cancel  bool
@@ -332,13 +330,11 @@ func (s *RowScan) Open(ctx *Ctx) error {
 }
 
 // startMorsels launches the fragment reader: it claims morsels from the
-// shared dispenser and prefetches their blocks under a Window-deep credit
-// pipeline, bypassing the buffer pool like the streaming reader.
+// shared dispenser and prefetches their blocks.
 func (s *RowScan) startMorsels(ctx *Ctx) {
-	s.started = true
 	st := s.ST
 	s.ready, s.credits = startMorselReader(ctx, "rowscan:"+st.Tab.Schema.Name,
-		s.Window, st.Vol, s.Morsels, &s.cancel,
+		st.Vol, s.Morsels, &s.cancel,
 		func(b int, pages []int64) []int64 {
 			blk := st.rows[b]
 			plo, phi := st.Vol.PageSpan(blk.byteLo, blk.byteHi)
@@ -350,24 +346,21 @@ func (s *RowScan) startMorsels(ctx *Ctx) {
 }
 
 // startMorselReader wires the fragment-reader pipeline shared by both
-// scans — a ready and a credits mailbox with window credits primed
-// (window <= 0 selects 2) and a reader process — and runs the protocol:
-// claim a morsel, gate each of its blocks on a pipeline credit, collect
-// the block's pages via pageList, fetch them in one vectored request and
-// announce the block on ready; when the dispenser runs dry a sentinel
-// (b < 0) marks end of stream. A device error is announced the same way
-// (b < 0 with err set) and ends the reader. The scan's cancel flag is
-// checked after every credit, so a closing consumer can always release a
-// parked reader with a single credit.
-func startMorselReader(ctx *Ctx, name string, window int, vol *storage.Volume, morsels *Morsels, cancel *bool, pageList func(b int, pages []int64) []int64) (ready *sim.Mailbox[blockMsg], credits *sim.Mailbox[int]) {
-	if window <= 0 {
-		window = 2
-	}
+// scans — a ready and a credits mailbox with readAheadBlocks credits
+// primed, and a reader process — and runs the protocol: claim a morsel,
+// gate each of its blocks on a pipeline credit, collect the block's pages
+// via pageList, fetch them in one vectored request and announce the block
+// on ready; when the dispenser runs dry a sentinel (b < 0) marks end of
+// stream. A device error is announced the same way (b < 0 with err set)
+// and ends the reader. The scan's cancel flag is checked after every
+// credit, so a closing consumer can always release a parked reader with a
+// single credit.
+func startMorselReader(ctx *Ctx, name string, vol *storage.Volume, morsels *Morsels, cancel *bool, pageList func(b int, pages []int64) []int64) (ready *sim.Mailbox[blockMsg], credits *sim.Mailbox[int]) {
 	eng := ctx.P.Engine()
 	// The reader process carries the table's name; its mailboxes need not.
 	ready = sim.NewMailbox[blockMsg](eng, "scan:ready")
 	credits = sim.NewMailbox[int](eng, "scan:credits")
-	for i := 0; i < window; i++ {
+	for range readAheadBlocks {
 		credits.Put(1)
 	}
 	eng.Go(name, func(rp *sim.Proc) {
@@ -395,14 +388,12 @@ func startMorselReader(ctx *Ctx, name string, window int, vol *storage.Volume, m
 	return ready, credits
 }
 
-func (s *RowScan) start(ctx *Ctx) {
-	s.started = true
+// startStream launches the whole-table reader, which announces each block
+// on ready when the last of its pages completes. The table has a block.
+func (s *RowScan) startStream(ctx *Ctx) {
 	eng := ctx.P.Engine()
 	s.ready = sim.NewMailbox[blockMsg](eng, "rowscan:ready")
 	st := s.ST
-	if len(st.rows) == 0 {
-		return
-	}
 	// Map every page of the table's extent to the blocks it completes
 	// (adjacent blocks share boundary pages).
 	firstPage, _ := st.Vol.PageSpan(st.rows[0].byteLo, st.rows[0].byteHi)
@@ -417,9 +408,8 @@ func (s *RowScan) start(ctx *Ctx) {
 			blocksOf[pg] = append(blocksOf[pg], b)
 		}
 	}
-	window := s.Window * 32 // pages in flight
 	eng.Go("rowscan:"+st.Tab.Schema.Name, func(rp *sim.Proc) {
-		err := st.Vol.Scan(rp, firstPage, lastPage, window, func(pg int64) {
+		err := st.Vol.Scan(rp, firstPage, lastPage, streamPages, func(pg int64) {
 			for _, b := range blocksOf[pg] {
 				remaining[b]--
 				if remaining[b] == 0 {
@@ -437,79 +427,34 @@ func (s *RowScan) start(ctx *Ctx) {
 func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 	s.scratch.retire() // the previous block's batch is dead from here on
 
-	var bi int // placement block index (errors name the on-disk block)
-	switch {
-	case s.Morsels != nil:
-		if s.eof {
-			return nil, nil
-		}
-		if !s.started {
+	// The stream sends no end-of-stream sentinel: it ends at the table's
+	// last block.
+	if s.eof || s.Morsels == nil && s.next >= len(s.ST.rows) {
+		return nil, nil
+	}
+	if !s.started {
+		s.started = true
+		if s.Morsels != nil {
 			s.startMorsels(ctx)
+		} else {
+			s.startStream(ctx)
 		}
-		m := s.ready.Get(ctx.P)
-		if m.err != nil {
-			s.eof = true
-			return nil, fmt.Errorf("exec: scan %s: %w", s.schema.Name, m.err)
-		}
-		bi = m.b
-		if bi < 0 {
-			s.eof = true
-			return nil, nil
-		}
+	}
+	m := s.ready.Get(ctx.P)
+	if m.err != nil {
+		s.eof = true
+		return nil, fmt.Errorf("exec: scan %s: %w", s.schema.Name, m.err)
+	}
+	bi := m.b // placement block index (errors name the on-disk block)
+	if bi < 0 {
+		s.eof = true
+		return nil, nil
+	}
+	if s.Morsels != nil {
 		s.credits.Put(1)
-		s.next++
-	case s.Window > 0:
-		if s.next >= len(s.ST.rows) {
-			return nil, nil
-		}
-		if !s.started {
-			s.start(ctx)
-		}
-		// Blocks arrive in I/O completion order; row order within the
-		// relation is not semantically meaningful.
-		m := s.ready.Get(ctx.P)
-		if m.err != nil {
-			s.eof = true
-			s.next = len(s.ST.rows)
-			return nil, fmt.Errorf("exec: scan %s: %w", s.schema.Name, m.err)
-		}
-		bi = m.b
-		s.next++
-	default:
-		if s.next >= len(s.ST.rows) {
-			return nil, nil
-		}
-		bi = s.next
-		s.next++
 	}
+	s.next++
 	blk := &s.ST.rows[bi]
-
-	if s.Morsels == nil && s.Window <= 0 {
-		// Unpipelined path: fetch pages through the pool when attached.
-		pageLo, pageHi := s.ST.Vol.PageSpan(blk.byteLo, blk.byteHi)
-		for pg := pageLo; pg < pageHi; pg++ {
-			if ctx.Pool != nil {
-				k := buffer.PageKey{File: s.ST.FileID, Page: pg}
-				err := ctx.Pool.Get(ctx.P, k, func(p *sim.Proc) error {
-					if err := s.ST.Vol.ReadPage(p, pg); err != nil {
-						return err
-					}
-					if ctx.PageRefetchJoules > 0 {
-						ctx.Pool.SetRefetchCost(k, ctx.PageRefetchJoules)
-					}
-					return nil
-				})
-				if err != nil {
-					return nil, fmt.Errorf("exec: scan %s: %w", s.schema.Name, err)
-				}
-				ctx.Pool.Unpin(k)
-			} else {
-				if err := s.ST.Vol.ReadPage(ctx.P, pg); err != nil {
-					return nil, fmt.Errorf("exec: scan %s: %w", s.schema.Name, err)
-				}
-			}
-		}
-	}
 
 	full, err := s.decode(bi)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -28,10 +29,10 @@ func TestLateColsMask(t *testing.T) {
 		{"no predicate", nil, 3, 0},
 		{"leaf", c(1), 3, 0b101},
 		{"col-col", &ColCol{Left: 0, Right: 2, Op: Lt}, 4, 0b1010},
-		{"and/or/not", &And{Preds: []Pred{c(0), &Or{Preds: []Pred{c(3), &Not{Pred: c(4)}}}}}, 6, 0b100110},
+		{"nested and", &And{Preds: []Pred{c(0), &And{Preds: []Pred{c(3), c(4)}}}}, 6, 0b100110},
 		{"every column read", &And{Preds: []Pred{c(0), c(1)}}, 2, 0},
-		{"unknown type", TruePred{}, 3, 0},
-		{"unknown type in a tree", &And{Preds: []Pred{c(0), TruePred{}}}, 3, 0},
+		{"unknown type", opaquePred{c(1)}, 3, 0},
+		{"unknown type in a tree", &And{Preds: []Pred{c(0), opaquePred{c(1)}}}, 3, 0},
 		{"64 columns", c(63), 64, 1<<63 - 1},
 		{"65 columns", c(0), 65, 0},
 	}
@@ -44,9 +45,11 @@ func TestLateColsMask(t *testing.T) {
 
 // keyPreds builds the predicate shapes of the differential test over batch
 // column 0, an int column holding keys: none, keeping no row, one key, about
-// 2 % of the rows, every row, and Or / Not trees built by hand (the SQL
-// dialect has neither). Each call returns fresh predicates: Or and Not
-// carry scratch.
+// 2 % of the rows in the middle and at the top, every row, all but a few
+// keys, and a conjunction whose second term keeps none of what its first
+// kept. Over keys in row order the ranges select one run of rows and "all
+// but a few" several; over shuffled keys every shape but none and all
+// scatters.
 func keyPreds(keys []int64) map[string]func() Pred {
 	sorted := slices.Clone(keys)
 	slices.Sort(sorted)
@@ -55,18 +58,37 @@ func keyPreds(keys []int64) map[string]func() Pred {
 	band := sorted[min(n-1, n/2+max(1, n/50))] // about 2 % of the rows above mid
 	k := func(op CmpOp, v int64) Pred { return &ColConst{Col: 0, Op: op, Val: table.IntVal(v)} }
 	return map[string]func() Pred{
-		"none":    func() Pred { return nil },
-		"keep0":   func() Pred { return k(Lt, lo) },
-		"onekey":  func() Pred { return k(Eq, mid) },
-		"band2pc": func() Pred { return &And{Preds: []Pred{k(Ge, mid), k(Lt, band)}} },
-		"all":     func() Pred { return k(Ge, lo) },
-		"or": func() Pred {
-			return &Or{Preds: []Pred{k(Eq, lo), k(Eq, hi), &And{Preds: []Pred{k(Ge, mid), k(Lt, band)}}}}
-		},
-		"not":     func() Pred { return &Not{Pred: k(Le, sorted[n-1-max(1, n/50)])} },
-		"not-or":  func() Pred { return &Not{Pred: &Or{Preds: []Pred{k(Lt, mid), k(Ge, band)}}} },
-		"or-none": func() Pred { return &Or{Preds: []Pred{k(Lt, lo), k(Gt, hi)}} },
+		"none":      func() Pred { return nil },
+		"keep0":     func() Pred { return k(Lt, lo) },
+		"onekey":    func() Pred { return k(Eq, mid) },
+		"band2pc":   func() Pred { return &And{Preds: []Pred{k(Ge, mid), k(Lt, band)}} },
+		"top2pc":    func() Pred { return k(Gt, sorted[n-1-max(1, n/50)]) },
+		"all":       func() Pred { return k(Ge, lo) },
+		"allbutfew": func() Pred { return &And{Preds: []Pred{k(Ne, lo), k(Ne, mid), k(Ne, hi)}} },
+		"and-none":  func() Pred { return &And{Preds: []Pred{k(Ge, mid), k(Lt, lo)}} },
 	}
+}
+
+// rankKeys rewrites tab's column 0 so that one range selects the rows keep
+// picks, whatever their pattern: the kept rows get keys 1..m in row order,
+// the others m+1..n. It returns m, so "key <= m" keeps exactly them.
+func rankKeys(tab *table.Table, keep func(row int) bool) int64 {
+	keys := tab.Column(0).I
+	var m int64
+	for i := range keys {
+		if keep(i) {
+			m++
+			keys[i] = m
+		}
+	}
+	next := m
+	for i := range keys {
+		if !keep(i) {
+			next++
+			keys[i] = next
+		}
+	}
+	return m
 }
 
 // drainScan runs scan to its end on a fresh process of r and returns the
@@ -118,8 +140,9 @@ func drainScan(t *testing.T, r *rig, scan *ColumnScan) *table.Table {
 // selection-driven scan: on every TPC-H table, with every column in turn
 // as the late column behind a predicate on the table's key, the rows
 // emitted equal those of the same scan with no late column — every column
-// decoded before the predicate, the scan as it was. Customer at SF 0.005
-// is a single block (the short-statement shape), lineitem several.
+// decoded before the predicate, the scan as it was. Each table runs twice,
+// with its keys in row order and then shuffled among its rows. Customer at
+// SF 0.005 is a single block (the short-statement shape), lineitem several.
 func TestScanSelectionDrivenMatchesFullDecode(t *testing.T) {
 	db := tpch.Generate(0.005, 2009)
 	if n := db.Tables["customer"].Rows(); n > 8192 {
@@ -128,46 +151,53 @@ func TestScanSelectionDrivenMatchesFullDecode(t *testing.T) {
 	if n := db.Tables["lineitem"].Rows(); n <= 2*8192 {
 		t.Fatalf("lineitem has %d rows: no longer several blocks", n)
 	}
-	for name, tab := range db.Tables {
-		r := newRig(2)
-		st, err := PlaceColumnMajor(tab, r.vol, 1, 8192, tpch.DefaultCodecs(tab.Schema))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for tname, tab := range db.Tables {
 		preds := keyPreds(tab.Column(0).I)
-		for ci, col := range tab.Schema.Cols {
-			read, emit := []int{0, ci}, []int{0, 1}
-			if ci == 0 {
-				read, emit = []int{0}, []int{0}
+		for _, order := range []string{"ordered", "shuffled"} {
+			if order == "shuffled" {
+				keys := tab.Column(0).I
+				rand.New(rand.NewSource(2009)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			}
-			for shape, mk := range preds {
-				driven := NewColumnScan(st, read, emit, mk())
-				if shape != "none" && ci != 0 && driven.late != 0b10 {
-					t.Fatalf("%s.%s/%s: late mask %#b, want column 1 late", name, col.Name, shape, driven.late)
+			name := tname + "/" + order
+			r := newRig(2)
+			st, err := PlaceColumnMajor(tab, r.vol, 1, 8192, tpch.DefaultCodecs(tab.Schema))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, col := range tab.Schema.Cols {
+				read, emit := []int{0, ci}, []int{0, 1}
+				if ci == 0 {
+					read, emit = []int{0}, []int{0}
 				}
-				full := NewColumnScan(st, read, emit, mk())
-				full.late = 0
-				got, want := drainScan(t, r, driven), drainScan(t, r, full)
-				if got.Rows() != want.Rows() {
-					t.Fatalf("%s.%s/%s: %d rows, decoding everything first gives %d", name, col.Name, shape, got.Rows(), want.Rows())
-				}
-				for c := range emit {
-					if !sameVector(got.Column(c), want.Column(c)) {
-						t.Fatalf("%s.%s/%s: column %d differs from decoding everything first", name, col.Name, shape, c)
+				for shape, mk := range preds {
+					driven := NewColumnScan(st, read, emit, mk())
+					if shape != "none" && ci != 0 && driven.late != 0b10 {
+						t.Fatalf("%s.%s/%s: late mask %#b, want column 1 late", name, col.Name, shape, driven.late)
 					}
-				}
-				switch shape {
-				case "none", "all":
-					if got.Rows() != tab.Rows() {
-						t.Fatalf("%s.%s/%s: %d rows of %d", name, col.Name, shape, got.Rows(), tab.Rows())
+					full := NewColumnScan(st, read, emit, mk())
+					full.late = 0
+					got, want := drainScan(t, r, driven), drainScan(t, r, full)
+					if got.Rows() != want.Rows() {
+						t.Fatalf("%s.%s/%s: %d rows, decoding everything first gives %d", name, col.Name, shape, got.Rows(), want.Rows())
 					}
-				case "keep0", "or-none":
-					if got.Rows() != 0 {
-						t.Fatalf("%s.%s/%s: %d rows, want none", name, col.Name, shape, got.Rows())
+					for c := range emit {
+						if !sameVector(got.Column(c), want.Column(c)) {
+							t.Fatalf("%s.%s/%s: column %d differs from decoding everything first", name, col.Name, shape, c)
+						}
 					}
-				default:
-					if got.Rows() == 0 || got.Rows() == tab.Rows() {
-						t.Fatalf("%s.%s/%s: %d rows of %d: the shape is meant to keep some", name, col.Name, shape, got.Rows(), tab.Rows())
+					switch shape {
+					case "none", "all":
+						if got.Rows() != tab.Rows() {
+							t.Fatalf("%s.%s/%s: %d rows of %d", name, col.Name, shape, got.Rows(), tab.Rows())
+						}
+					case "keep0", "and-none":
+						if got.Rows() != 0 {
+							t.Fatalf("%s.%s/%s: %d rows, want none", name, col.Name, shape, got.Rows())
+						}
+					default:
+						if got.Rows() == 0 || got.Rows() == tab.Rows() {
+							t.Fatalf("%s.%s/%s: %d rows of %d: the shape is meant to keep some", name, col.Name, shape, got.Rows(), tab.Rows())
+						}
 					}
 				}
 			}
@@ -263,6 +293,9 @@ func TestScanSelectionDrivenKeepsModelClock(t *testing.T) {
 // decodes it, and the statement succeeds with the intact table's result.
 func TestCorruptLateColumnBlock(t *testing.T) {
 	tab := ordersLike(6144)
+	// Block 1 holds rows 1024..2047. Its keys rank last, 5121..6144, so one
+	// range keeps every block but it.
+	outside := rankKeys(tab, func(row int) bool { return row < 1024 || row >= 2048 })
 	place := func(r *rig, corrupt bool) *StoredTable {
 		codecs := rawCodecs(7)
 		codecs[0], codecs[3], codecs[5] = compress.Delta, compress.LZ, compress.Dict
@@ -271,7 +304,6 @@ func TestCorruptLateColumnBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		if corrupt {
-			// Block 1 holds keys 1025..2048.
 			st.cols[3][1].enc = []byte{0xff, 0xff, 0xff}
 			st.cols[5][1].enc = []byte{0xD1, 0xff, 0xff, 0xff}
 		}
@@ -304,17 +336,16 @@ func TestCorruptLateColumnBlock(t *testing.T) {
 	for _, late := range []int{3, 5} {
 		name := tab.Schema.Cols[late].Name
 		// One surviving row inside the corrupt block.
-		if _, err := run(true, late, key(Eq, 1500)); !errors.Is(err, compress.ErrCorrupt) {
+		if _, err := run(true, late, key(Eq, 6000)); !errors.Is(err, compress.ErrCorrupt) {
 			t.Errorf("%s: a surviving row in the corrupt block: err = %v, want compress.ErrCorrupt", name, err)
 		}
-		// No surviving row inside it: keys outside 1025..2048.
-		outside := func() Pred { return &Or{Preds: []Pred{key(Le, 1024), key(Gt, 2048)}} }
-		got, err := run(true, late, outside())
+		// No surviving row inside it, and some in every other block.
+		got, err := run(true, late, key(Le, outside))
 		if err != nil {
 			t.Errorf("%s: no surviving row in the corrupt block: err = %v, want success", name, err)
 			continue
 		}
-		want, err := run(false, late, outside())
+		want, err := run(false, late, key(Le, outside))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -315,7 +315,7 @@ func TestScanDoubleCloseHandsBackOnce(t *testing.T) {
 		mk   func() Operator
 	}{
 		{"column", func() Operator { return NewColumnScan(col, all, all, pred()) }},
-		{"row", func() Operator { s := NewRowScan(row, all, pred()); s.Window = 4; return s }},
+		{"row", func() Operator { return NewRowScan(row, all, pred()) }},
 	} {
 		name, mk := layout.name, layout.mk
 		r.run(t, func(ctx *Ctx) {
@@ -423,9 +423,7 @@ func TestWarmScanAllocatesHeadersOnly(t *testing.T) {
 		}{
 			{"column", func() Operator { return NewColumnScan(col, read, emit, eq(0, sh.key)) }},
 			{"row", func() Operator {
-				s := NewRowScan(row, allCols(row), eq(num.Schema.MustColIndex(sh.cols[0]), sh.key))
-				s.Window = 4 // what the planner gives a serial row scan
-				return s
+				return NewRowScan(row, allCols(row), eq(num.Schema.MustColIndex(sh.cols[0]), sh.key))
 			}},
 		} {
 			layout, mk := l.name, l.mk

@@ -72,13 +72,6 @@ type Env struct {
 	CPUFreqHz float64
 	Cores     int
 
-	// MaxPipelineDOP caps the degree of parallelism the optimizer may buy
-	// for pipeline fragments above the scan (partitioned aggregation and
-	// hash-join builds); 0 leaves it bounded only by Cores. Scan-level
-	// parallelism is unaffected. Multi-stream drivers use it as a crude
-	// admission control until DOP is priced against free cores.
-	MaxPipelineDOP int
-
 	// ScanBW is the aggregate sequential bandwidth of the data volume
 	// (bytes/s); PageLatency the per-page fixed cost; PageBytes the page
 	// size.
@@ -120,9 +113,8 @@ type Env struct {
 // grant: every degree-of-parallelism sweep (scan morsels, partitioned
 // aggregation, partitioned join builds) is priced against the cores the
 // admission controller actually granted from the free pool, rather than
-// the machine's configured total. Cores acts as the configured ceiling;
-// MaxPipelineDOP, if set, still applies on top. A grant of one core
-// reproduces the serial plans exactly.
+// the machine's configured total. Cores acts as the configured ceiling. A
+// grant of one core reproduces the serial plans exactly.
 func (e *Env) Grant(cores int) *Env {
 	g := *e
 	if cores < 1 {

@@ -567,8 +567,7 @@ func aggQuery() *Query {
 // MinTime must fragment the whole scan→project→aggregate pipeline (agg
 // line carries dop=) while MinEnergy keeps the aggregation serial, and the
 // two plans must execute to identical results (integer aggregates only, so
-// equality is exact at any DOP). Capping Env.MaxPipelineDOP must pin the
-// aggregation serial without touching scan parallelism.
+// equality is exact at any DOP).
 func TestParallelAggDOPChoice(t *testing.T) {
 	w := newWorld(t, 40000, 50)
 	w.env.Cores = 8
@@ -596,16 +595,6 @@ func TestParallelAggDOPChoice(t *testing.T) {
 	if lean.Cost().Joules > fast.Cost().Joules {
 		t.Fatalf("MinEnergy plan hotter than MinTime plan: %v vs %v", lean.Cost(), fast.Cost())
 	}
-
-	w.env.MaxPipelineDOP = 1
-	capped, err := Optimize(aggQuery(), w.cat, w.env, MinTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aggDop.MatchString(capped.Explain()) {
-		t.Fatalf("MaxPipelineDOP=1 still fragmented the aggregation:\n%s", capped.Explain())
-	}
-	w.env.MaxPipelineDOP = 0
 
 	got := w.execute(t, fast)
 	want := w.execute(t, lean)

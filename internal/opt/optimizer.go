@@ -144,23 +144,12 @@ func (o *optimizer) run() (*Plan, error) {
 		root = &PFilter{In: root, Preds: o.resid, card: card, cost: cost}
 	}
 
-	// Aggregation or plain projection.
+	// Aggregation, then the SELECT list.
 	if o.q.HasAggs() {
-		var err error
-		root, err = o.buildAgg(root)
-		if err != nil {
-			return nil, err
-		}
-		root, err = o.buildFinalSelect(root)
-		if err != nil {
-			return nil, err
-		}
-	} else if len(o.q.Outputs) > 0 {
-		var err error
-		root, err = o.buildProject(root)
-		if err != nil {
-			return nil, err
-		}
+		root = o.buildAgg(root)
+	}
+	if len(o.q.Outputs) > 0 {
+		root = o.buildSelect(root)
 	}
 
 	// Order by, limit.
@@ -350,26 +339,6 @@ func (o *optimizer) dopCandidates(st *exec.StoredTable, readCols int) []int {
 	return append(dops, maxDop)
 }
 
-// pipelineDops is the DOP sweep for whole pipeline fragments above the
-// scan (partitioned aggregation, partitioned join builds): the scan's
-// candidates, additionally capped by Env.MaxPipelineDOP.
-func (o *optimizer) pipelineDops(st *exec.StoredTable, readCols int) []int {
-	dops := o.dopCandidates(st, readCols)
-	if lim := o.env.MaxPipelineDOP; lim > 0 {
-		capped := make([]int, 0, len(dops))
-		for _, d := range dops {
-			if d <= lim {
-				capped = append(capped, d)
-			}
-		}
-		if len(capped) == 0 {
-			capped = []int{1}
-		}
-		dops = capped
-	}
-	return dops
-}
-
 // scanWork is the decomposed cost of one table scan: I/O elapsed seconds,
 // single-core CPU seconds, and the storage energy — the pieces
 // pipeline-level parallelism recombines. CPU divides by DOP; I/O time and
@@ -405,7 +374,7 @@ func (o *optimizer) scanWork(st *exec.StoredTable, readCols []int, rows float64,
 		rawBytes = float64(st.RawBytes())
 		decodeCycles = rawBytes * (st.RowCodec.Cost().DecodeCyclesPerByte + env.Costs.RowParseCyclesPerByte)
 	}
-	pages := encBytes/float64(env.PageBytes) + float64(st.NumBlocks()*maxInt(1, len(readCols)))
+	pages := encBytes/float64(env.PageBytes) + float64(st.NumBlocks()*max(1, len(readCols)))
 	ioTime := encBytes/env.ScanBW + pages*env.PageLatency
 	cpuCycles := decodeCycles + rawBytes*env.Costs.ScanCyclesPerByte +
 		rows*float64(predTerms)*env.Costs.FilterCyclesPerRow
@@ -511,13 +480,6 @@ func (o *optimizer) scanCost(st *exec.StoredTable, readCols []int, rows float64,
 		Seconds: w.elapsed(0, dop) + startup,
 		Joules:  (w.cpuSecs+startup)*env.CPUWattPerCore + w.ioJoules,
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // colStats returns statistics for alias.col, or nil.
@@ -660,7 +622,7 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 			buildCPU := build.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
 			probeSecs := (probe.Card()*env.Costs.HashProbeCyclesPerRow +
 				outCard*env.Costs.JoinOutputCyclesPerRow) / env.CPUFreqHz
-			for _, dop := range o.pipelineDops(bs.Variant.ST, len(bs.Read)) {
+			for _, dop := range o.dopCandidates(bs.Variant.ST, len(bs.Read)) {
 				if dop <= 1 {
 					continue
 				}
@@ -691,7 +653,7 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 		buildCPUSecs := build.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
 		streamCPU := pw.extraCPU + (probe.Card()*env.Costs.HashProbeCyclesPerRow+
 			outCard*env.Costs.JoinOutputCyclesPerRow)/env.CPUFreqHz
-		for _, dop := range o.pipelineDops(pw.src.Variant.ST, len(pw.src.Read)) {
+		for _, dop := range o.dopCandidates(pw.src.Variant.ST, len(pw.src.Read)) {
 			if dop <= 1 {
 				continue
 			}
@@ -768,7 +730,7 @@ func (o *optimizer) ndvOf(c ColRef, node PhysNode) float64 {
 
 // buildAgg lowers GROUP BY + aggregates: a projection computes group keys
 // and aggregate arguments as columns, then a PAgg consumes them.
-func (o *optimizer) buildAgg(in PhysNode) (PhysNode, error) {
+func (o *optimizer) buildAgg(in PhysNode) PhysNode {
 	var exprs []*ExprIR
 	var names []string
 	var cols []ColRef
@@ -805,7 +767,7 @@ func (o *optimizer) buildAgg(in PhysNode) (PhysNode, error) {
 	proj := &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: projCost}
 
 	groups := math.Max(1, in.Card()/10) // crude group-count estimate
-	aggCycles := in.Card() * float64(maxInt(1, len(aggs))) * o.env.Costs.AggCyclesPerRow
+	aggCycles := in.Card() * float64(max(1, len(aggs))) * o.env.Costs.AggCyclesPerRow
 	mem := int64(groups * proj.RowBytes())
 	aggCost := projCost.Add(Cost{
 		Seconds:  aggCycles / o.env.CPUFreqHz,
@@ -832,8 +794,8 @@ func (o *optimizer) buildAgg(in PhysNode) (PhysNode, error) {
 	if pw, ok := o.pipelineWork(in); ok {
 		env := o.env
 		projCycles := in.Card() * float64(len(exprs)) * env.Costs.ProjectCyclesPerRow
-		foldCycles := groups * float64(maxInt(1, len(aggs))) * env.Costs.AggCyclesPerRow
-		for _, dop := range o.pipelineDops(pw.src.Variant.ST, len(pw.src.Read)) {
+		foldCycles := groups * float64(max(1, len(aggs))) * env.Costs.AggCyclesPerRow
+		for _, dop := range o.dopCandidates(pw.src.Variant.ST, len(pw.src.Read)) {
 			if dop <= 1 {
 				continue
 			}
@@ -854,12 +816,14 @@ func (o *optimizer) buildAgg(in PhysNode) (PhysNode, error) {
 			}
 		}
 	}
-	return best, nil
+	return best
 }
 
-// buildFinalSelect reorders the aggregate node's output (group columns
-// then aggregates) into the SELECT-list order the user asked for.
-func (o *optimizer) buildFinalSelect(in PhysNode) (PhysNode, error) {
+// buildSelect lowers the SELECT list over in. An aggregate output reads
+// the column the aggregate node named for it, so above a PAgg this also
+// reorders its output (group columns, then aggregates) into the order the
+// user asked for.
+func (o *optimizer) buildSelect(in PhysNode) PhysNode {
 	var exprs []*ExprIR
 	var names []string
 	var cols []ColRef
@@ -881,29 +845,5 @@ func (o *optimizer) buildFinalSelect(in PhysNode) (PhysNode, error) {
 		Seconds: in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz,
 		Joules:  in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz * o.env.CPUWattPerCore,
 	})
-	return &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: cost}, nil
-}
-
-// buildProject lowers the plain SELECT list.
-func (o *optimizer) buildProject(in PhysNode) (PhysNode, error) {
-	var exprs []*ExprIR
-	var names []string
-	var cols []ColRef
-	for i, out := range o.q.Outputs {
-		if out.Agg != nil {
-			return nil, fmt.Errorf("opt: aggregate in non-aggregate query")
-		}
-		exprs = append(exprs, out.Expr)
-		name := out.As
-		if name == "" {
-			name = fmt.Sprintf("col%d", i)
-		}
-		names = append(names, name)
-		cols = append(cols, ColRef{Col: name})
-	}
-	cost := in.Cost().Add(Cost{
-		Seconds: in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz,
-		Joules:  in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz * o.env.CPUWattPerCore,
-	})
-	return &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: cost}, nil
+	return &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: cost}
 }

@@ -202,10 +202,6 @@ func (s *PScan) scanOp(queue *exec.Morsels) (exec.Operator, error) {
 	}
 	rs := exec.NewRowScan(s.Variant.ST, emit, rowPred)
 	rs.Morsels = queue
-	rs.Window = 4 // planner scans are big: pipeline with readahead
-	if queue != nil {
-		rs.Window = 2 // per-fragment readahead; dop fragments stream at once
-	}
 	return rs, nil
 }
 

@@ -167,6 +167,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsDisjunctionAndNegation pins the premise of a WHERE clause
+// that is a conjunction of comparisons: the executor has no disjunction or
+// negation predicate, because no SQL text can ask for one. If the grammar
+// grows OR or NOT, this fails first: the predicate comes back with it.
+func TestParseRejectsDisjunctionAndNegation(t *testing.T) {
+	for _, src := range []string{
+		"SELECT a FROM t WHERE a = 1 OR b = 2",
+		"SELECT a FROM t WHERE NOT a = 1",
+		"SELECT a FROM t WHERE a = 1 AND NOT b = 2",
+	} {
+		if st, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error: an OR or NOT in WHERE needs a disjunction predicate in exec", src, st.Select)
+		}
+	}
+}
+
 func TestLexerNeverPanics(t *testing.T) {
 	f := func(src string) bool {
 		_, _ = Parse(src) // must not panic

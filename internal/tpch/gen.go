@@ -102,7 +102,7 @@ func Generate(sf float64, seed int64) *DB {
 		for j := 0; j < psPerPart; j++ {
 			partsupp.AppendRow(
 				table.IntVal(int64(i)),
-				table.IntVal(int64(1+(i+j*nPart/psPerPart)%maxInt(nSupp, 1))),
+				table.IntVal(int64(1+(i+j*nPart/psPerPart)%max(nSupp, 1))),
 				table.IntVal(int64(1+rng.Intn(9999))),
 				table.FloatVal(round2(1+rng.Float64()*999)),
 			)
@@ -133,8 +133,8 @@ func Generate(sf float64, seed int64) *DB {
 			}
 			lineitem.AppendRow(
 				table.IntVal(int64(i)),
-				table.IntVal(int64(1+rng.Intn(maxInt(nPart, 1)))),
-				table.IntVal(int64(1+rng.Intn(maxInt(nSupp, 1)))),
+				table.IntVal(int64(1+rng.Intn(max(nPart, 1)))),
+				table.IntVal(int64(1+rng.Intn(max(nSupp, 1)))),
 				table.IntVal(int64(ln)),
 				table.FloatVal(qty),
 				table.FloatVal(price),
@@ -149,7 +149,7 @@ func Generate(sf float64, seed int64) *DB {
 		}
 		orders.AppendRow(
 			table.IntVal(int64(i)),
-			table.IntVal(int64(1+rng.Intn(maxInt(nCust, 1)))),
+			table.IntVal(int64(1+rng.Intn(max(nCust, 1)))),
 			table.StrVal(statuses[rng.Intn(len(statuses))]),
 			table.FloatVal(round2(total)),
 			table.DateVal(odate),
@@ -168,13 +168,6 @@ func scaled(base int, sf float64) int {
 		n = 1
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func round2(f float64) float64 {
