@@ -5,7 +5,7 @@
 # workloads traced, every eebench experiment, an eesim day, the examples,
 # an eedb script under each objective — and lists the internal/ functions
 # whose coverage is 0.0 %. The list is a report, not a verdict: it is what a
-# deletion PR starts from (ROADMAP 3(g)), and nothing here fails a build.
+# deletion PR starts from (ROADMAP 4(b)), and nothing here fails a build.
 #
 #   bash .github/scripts/reach.sh [outdir]     # default ./reach-out
 #

@@ -53,8 +53,8 @@ func DefaultPolicyConfigs() []PolicyConfig {
 type PoliciesConfig struct {
 	SF         float64 // scale factor (default 0.02)
 	Deadlines  int     // deadline-carrying point queries (default 8)
-	Background int     // background analytic statements (default 24)
-	Slack      float64 // deadline = arrival + Slack × solo latency (default 8)
+	Background int     // background analytic statements (default 32)
+	Slack      float64 // deadline = arrival + Slack × solo latency (default 20)
 	Configs    []PolicyConfig
 }
 

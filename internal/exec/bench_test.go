@@ -444,9 +444,9 @@ func BenchmarkParallelHashAgg(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoinBuild measures the partitioned parallel hash-join
-// build (scan fragments → key partitioning → concurrent per-partition
-// table builds) plus a serial probe, at build DOP 1, 4 and 8.
+// BenchmarkParallelJoinBuild measures the hash-join build from a parallel
+// build-side scan (scan fragments → Parallel merge → the one table) plus a
+// serial probe, at build-scan DOP 1, 4 and 8.
 func BenchmarkParallelJoinBuild(b *testing.B) {
 	build := benchInts(benchRows) // build side: 64k rows, sequential keys
 	probeT := benchInts(1 << 12)  // small probe: the build is what's measured
@@ -464,7 +464,7 @@ func BenchmarkParallelJoinBuild(b *testing.B) {
 				eng.Go("query", func(p *sim.Proc) {
 					ctx := NewCtx(p, cpu)
 					frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, dop, 0)
-					j := partitionedJoin(frags, q, &Values{Tab: probeT}, 0, 0, dop)
+					j := parallelBuildJoin(frags, q, &Values{Tab: probeT}, 0, 0)
 					n, err := RowCount(ctx, j)
 					if err != nil {
 						b.Error(err)
@@ -547,7 +547,7 @@ func BenchmarkParallelProbe(b *testing.B) {
 				eng.Go("query", func(p *sim.Proc) {
 					ctx := NewCtx(p, cpu)
 					frags, q := colScanFrags(st, []int{0, 1}, []int{0, 1}, nil, dop, 0)
-					sb := NewSharedBuild(OneFragment(&Values{Tab: build}), 0, 1)
+					sb := NewSharedBuild(&Values{Tab: build}, 0)
 					for i := range frags {
 						frags[i] = NewProber(sb, frags[i], 0)
 					}

@@ -23,8 +23,8 @@ import (
 // Serial execution is the set of one fragment: it runs inline on the
 // caller's process and spawns nothing, exactly as ParDo does for n == 1,
 // so a serial plan and a DOP-1 plan are the same code, events and joules.
-// ParDo is plain task parallelism for the phases after a barrier
-// (partition-wise merges, per-partition hash-table builds).
+// ParDo is plain task parallelism for the phase after a barrier (the
+// aggregation's partition-wise merge).
 //
 // Ownership across an exchange boundary follows one rule (see CONTRACT.md):
 // a batch never crosses a process boundary while its producer may still
@@ -299,22 +299,20 @@ func ParDo(ctx *Ctx, name string, n int, task func(i int, wctx *Ctx) error) erro
 	return first
 }
 
-// The partitioning hashes below split key space across partitions for the
-// partitioned aggregation and join paths. They must be pure functions of
-// the key value: the probe side recomputes them to route lookups to the
-// partition the build side filed the key under.
+// The hashes below file join keys in the build's table, and the probe side
+// recomputes them to find the key there, so they must be pure functions of
+// the key value.
 
 // hashInt64 scrambles an int64 key (Fibonacci multiplicative hashing), so
-// dense sequential keys spread across partitions instead of striping.
+// dense sequential keys spread across the table instead of striping.
 func hashInt64(x int64) uint32 {
 	return uint32((uint64(x) * 0x9E3779B97F4A7C15) >> 32)
 }
 
 // hashFloat64 hashes a float64 key by its bit pattern, canonicalising
 // negative zero first: Go map equality treats +0.0 and -0.0 as the same
-// key, so they must land in the same partition or a partitioned probe
-// would miss matches the serial single-map join finds. (NaN keys never
-// match under map equality in either path.)
+// key, so they must hash alike or a probe carrying one would seek the
+// other's slot in vain. (NaN keys never match under map equality.)
 func hashFloat64(f float64) uint32 {
 	if f == 0 {
 		f = 0 // collapse -0.0 onto +0.0, matching map key equality

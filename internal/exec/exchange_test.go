@@ -13,8 +13,8 @@ import (
 
 // colScanFrags builds dop column-scan fragments sharing one morsel
 // dispenser, ready to wire under any exchange (Parallel merge, partitioned
-// agg, partitioned join build). newPred builds a fresh predicate per
-// fragment; nil means no predicate.
+// agg, a join build streamed through Parallel). newPred builds a fresh
+// predicate per fragment; nil means no predicate.
 func colScanFrags(st *StoredTable, readCols, emit []int, newPred func() Pred, dop, morselBlocks int) ([]Operator, *Morsels) {
 	q := NewMorsels(st.NumBlocks(), morselBlocks)
 	frags := make([]Operator, dop)
@@ -35,10 +35,11 @@ func partitionedAgg(frags []Operator, q *Morsels, groupBy []int, aggs []AggSpec)
 	return NewHashAgg(NewFragments(frags, q, nil), groupBy, aggs)
 }
 
-// partitionedJoin is the hash join whose build side runs as frags sharing
-// q, hash-partitioned partitions ways.
-func partitionedJoin(frags []Operator, q *Morsels, probe Operator, buildKey, probeKey, partitions int) *Prober {
-	return NewProber(NewSharedBuild(NewFragments(frags, q, nil), buildKey, partitions), probe, probeKey)
+// parallelBuildJoin is the hash join whose build side is frags sharing q,
+// streamed through Parallel into the one table: what a plan's build-side
+// scan at DOP > 1 compiles to.
+func parallelBuildJoin(frags []Operator, q *Morsels, probe Operator, buildKey, probeKey int) *Prober {
+	return NewProber(NewSharedBuild(NewFragments(frags, q, nil).Stream(), buildKey), probe, probeKey)
 }
 
 // anchor is what one pipeline shape measured at the commit before serial
@@ -413,9 +414,10 @@ func joinFixture(n int) *table.Table {
 	return d
 }
 
-// TestPartitionedJoinBuildMatchesSerial: the partitioned parallel build
-// must join exactly the serial HashJoin's rows at every DOP (row order may
-// differ: build rows regroup by partition, so compare sorted).
+// TestPartitionedJoinBuildMatchesSerial: a build side scanned in parallel
+// and streamed into the one table must join exactly the serial HashJoin's
+// rows at every DOP (row order may differ: build rows arrive in fragment
+// completion order, so compare sorted).
 func TestPartitionedJoinBuildMatchesSerial(t *testing.T) {
 	orders := ordersLike(16000)
 	dim := joinFixture(16000)
@@ -452,7 +454,7 @@ func TestPartitionedJoinBuildMatchesSerial(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, read, emit, nil, dop, 2)
-			j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, dop)
+			j := parallelBuildJoin(frags, q, &Values{Tab: dim}, 0, 0)
 			batches, err := Run(ctx, j)
 			if err != nil {
 				t.Error(err)
@@ -467,9 +469,10 @@ func TestPartitionedJoinBuildMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOneFragmentJoinBuildMatchesParent: one build fragment, one
-// partition reproduces the parent's serial HashJoin, output order
-// included; so does the sort above one scan.
+// TestOneFragmentJoinBuildMatchesParent: the build from one scan — the
+// serial scan, or a lone fragment claiming from a dispenser — reproduces
+// the parent's serial HashJoin, output order included; so does the sort
+// above one scan.
 func TestOneFragmentJoinBuildMatchesParent(t *testing.T) {
 	read, emit := []int{0, 3}, []int{0, 1}
 	dim := joinFixture(8000)
@@ -477,16 +480,16 @@ func TestOneFragmentJoinBuildMatchesParent(t *testing.T) {
 		return NewHashJoin(NewColumnScan(st, read, emit, nil), &Values{Tab: dim}, 0, 0)
 	})
 	checkAnchor(t, "joinbuild", "dispenser", 8000, func(st *StoredTable) Operator {
-		frags, q := colScanFrags(st, read, emit, nil, 1, 2)
-		return partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 1)
+		frags, _ := colScanFrags(st, read, emit, nil, 1, 2)
+		return NewHashJoin(frags[0], &Values{Tab: dim}, 0, 0)
 	})
 	checkAnchor(t, "sort", "serial", 8000, func(st *StoredTable) Operator {
 		return &Sort{In: NewColumnScan(st, read, emit, nil), Keys: []SortKey{{Col: 1, Desc: true}}}
 	})
 }
 
-// TestPartitionedJoinEmptyBuild: an empty build side joins to nothing and
-// leaves no live process at any DOP.
+// TestPartitionedJoinEmptyBuild: an empty build side scanned in parallel
+// joins to nothing and leaves no live process.
 func TestPartitionedJoinEmptyBuild(t *testing.T) {
 	empty := table.NewTable(ordersLike(0).Schema)
 	dim := joinFixture(1000)
@@ -497,7 +500,7 @@ func TestPartitionedJoinEmptyBuild(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0}, []int{0}, nil, 4, 2)
-		j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+		j := parallelBuildJoin(frags, q, &Values{Tab: dim}, 0, 0)
 		n, err := RowCount(ctx, j)
 		if err != nil {
 			t.Error(err)
@@ -512,8 +515,8 @@ func TestPartitionedJoinEmptyBuild(t *testing.T) {
 }
 
 // TestPartitionedJoinEarlyCloseUnderLimit: LIMIT above the join closes it
-// mid-probe; the build workers finished in Open and the probe holds no
-// processes, so the engine must drain clean.
+// mid-probe; the build-side scan workers finished in Open and the probe
+// holds no processes, so the engine must drain clean.
 func TestPartitionedJoinEarlyCloseUnderLimit(t *testing.T) {
 	orders := ordersLike(16000)
 	dim := joinFixture(16000)
@@ -524,7 +527,7 @@ func TestPartitionedJoinEarlyCloseUnderLimit(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := colScanFrags(st, []int{0, 3}, []int{0, 1}, nil, 4, 2)
-		j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+		j := parallelBuildJoin(frags, q, &Values{Tab: dim}, 0, 0)
 		n, err := RowCount(ctx, &Limit{In: j, N: 50})
 		if err != nil {
 			t.Error(err)
@@ -538,8 +541,9 @@ func TestPartitionedJoinEarlyCloseUnderLimit(t *testing.T) {
 	}
 }
 
-// TestPartitionedJoinDeterministic: repeated runs produce identical
-// timing, energy and (sorted) results.
+// TestPartitionedJoinDeterministic: repeated runs of a join whose build
+// side is scanned in parallel produce identical timing, energy and
+// (sorted) results.
 func TestPartitionedJoinDeterministic(t *testing.T) {
 	orders := ordersLike(12000)
 	dim := joinFixture(12000)
@@ -552,7 +556,7 @@ func TestPartitionedJoinDeterministic(t *testing.T) {
 		var got *table.Table
 		elapsed := r.run(t, func(ctx *Ctx) {
 			frags, q := colScanFrags(st, []int{0, 3}, []int{0, 1}, nil, 4, 2)
-			j := partitionedJoin(frags, q, &Values{Tab: dim}, 0, 0, 4)
+			j := parallelBuildJoin(frags, q, &Values{Tab: dim}, 0, 0)
 			batches, err := Run(ctx, j)
 			if err != nil {
 				t.Error(err)
@@ -571,13 +575,13 @@ func TestPartitionedJoinDeterministic(t *testing.T) {
 }
 
 // TestPartitionedJoinNegativeZeroKey: Go map equality treats +0.0 and
-// -0.0 as the same key, so the partition hash must collapse them too — a
-// partitioned build filing 0.0 must be found by a probe carrying -0.0,
-// exactly as the serial single-map join does.
+// -0.0 as the same key, so the join hash must collapse them too — a build
+// filing 0.0 must be found by a probe carrying -0.0, whether the build
+// side is one operator or fragments streamed into the table.
 func TestPartitionedJoinNegativeZeroKey(t *testing.T) {
 	negZeroHash := hashFloat64(math.Copysign(0, -1))
 	if hashFloat64(0) != negZeroHash {
-		t.Fatalf("hashFloat64(+0)=%#x != hashFloat64(-0)=%#x: ±0 must share a partition", hashFloat64(0), negZeroHash)
+		t.Fatalf("hashFloat64(+0)=%#x != hashFloat64(-0)=%#x: ±0 must share a slot", hashFloat64(0), negZeroHash)
 	}
 	fs := table.NewSchema("fkeys", table.Col("k", table.Float64), table.Col("v", table.Int64))
 	build := table.NewTable(fs)
@@ -607,14 +611,14 @@ func TestPartitionedJoinNegativeZeroKey(t *testing.T) {
 	})
 	// Values doesn't morsel, so fragments must cover disjoint row sets:
 	// one real fragment plus one over an empty table keeps the build rows
-	// exact while still exercising the multi-fragment, multi-partition path.
+	// exact while still exercising the multi-fragment build path.
 	par := count(func() *Prober {
 		empty := table.NewTable(fs)
 		frags := []Operator{&Values{Tab: build}, &Values{Tab: empty}}
-		return partitionedJoin(frags, nil, &Values{Tab: probe}, 0, 0, 4)
+		return parallelBuildJoin(frags, nil, &Values{Tab: probe}, 0, 0)
 	})
 	if serial != par {
-		t.Fatalf("partitioned join found %d rows, serial %d (±0.0 keys must match)", par, serial)
+		t.Fatalf("parallel-build join found %d rows, serial %d (±0.0 keys must match)", par, serial)
 	}
 	// Both must include the ±0.0 match: 64 diagonal matches + the zero-key
 	// cross matches (+0.0 build row also matches the probe's k=0 row, etc.).

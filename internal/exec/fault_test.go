@@ -30,7 +30,7 @@ func TestHashJoinMemBudgetTyped(t *testing.T) {
 		if !errors.Is(err, fault.ErrMemBudget) {
 			t.Errorf("error not typed ErrMemBudget: %v", err)
 		}
-		if j.bs != nil || j.SB.bs != nil || j.SB.locals != nil {
+		if j.bs != nil || j.SB.bs != nil {
 			t.Error("partial build state not freed after budget failure")
 		}
 	})

@@ -33,84 +33,17 @@ func joinSchema(name string, l, r *table.Schema) *table.Schema {
 // chunk of memory ... From a power perspective, these are expensive
 // operations and may tip the balance in favor of nested-loop join".
 func NewHashJoin(build, probe Operator, buildKey, probeKey int) *Prober {
-	return NewProber(NewSharedBuild(OneFragment(build), buildKey, 1), probe, probeKey)
-}
-
-// buildPartitioner routes build-side rows into per-partition materialised
-// row stores by the hash of their key — the same hash the probe side uses
-// to route lookups. One partition appends whole batches.
-type buildPartitioner struct {
-	key    int
-	nparts uint32
-	parts  []*table.Batch
-	bytes  int64
-	sel    [][]int32 // reusable per-partition row-index scratch
-}
-
-func newBuildPartitioner(schema *table.Schema, key int, nparts uint32) *buildPartitioner {
-	bp := &buildPartitioner{key: key, nparts: nparts,
-		parts: make([]*table.Batch, nparts), sel: make([][]int32, nparts)}
-	for p := range bp.parts {
-		bp.parts[p] = table.NewBatch(schema, 0)
-	}
-	return bp
-}
-
-// route appends sel[p] for every logical row of b, honouring a deferred
-// selection on the batch.
-func route[T comparable](keys []T, hash func(T) uint32, mask uint32, bsel []int32, n int, sel [][]int32) {
-	if bsel == nil {
-		for r := 0; r < n; r++ {
-			p := hash(keys[r]) & mask
-			sel[p] = append(sel[p], int32(r))
-		}
-		return
-	}
-	for _, r := range bsel {
-		p := hash(keys[r]) & mask
-		sel[p] = append(sel[p], r)
-	}
-}
-
-// absorb folds one build batch into the partitioned row stores, charging
-// the build work to the calling (worker's) process.
-func (bp *buildPartitioner) absorb(ctx *Ctx, b *table.Batch) {
-	ctx.ChargeRows(b.Rows(), ctx.Costs.HashBuildCyclesPerRow)
-	bp.bytes += b.ByteSize()
-	ctx.TouchDRAM(b.ByteSize())
-	if bp.nparts == 1 {
-		bp.parts[0].AppendBatch(b)
-		return
-	}
-	for p := range bp.sel {
-		bp.sel[p] = bp.sel[p][:0]
-	}
-	kv := b.Vecs[bp.key]
-	mask := bp.nparts - 1
-	switch kv.Type.Physical() {
-	case table.PhysInt:
-		route(kv.I, hashInt64, mask, b.Sel, b.Rows(), bp.sel)
-	case table.PhysFloat:
-		route(kv.F, hashFloat64, mask, b.Sel, b.Rows(), bp.sel)
-	default:
-		route(kv.S, hashString, mask, b.Sel, b.Rows(), bp.sel)
-	}
-	for p, sel := range bp.sel {
-		if len(sel) > 0 {
-			bp.parts[p].AppendGather(b, sel)
-		}
-	}
+	return NewProber(NewSharedBuild(build, buildKey), probe, probeKey)
 }
 
 // hashJoinKeys fills hs[k] with the bits of the join hash of the k'th key
-// of kv — physical row sel[k] under a selection, row lo+k without — by the
-// functions that route rows to partitions, one typed loop per class so the
-// generic loops over the tables call nothing per row.
-func hashJoinKeys(hs []int32, kv *table.Vector, lo int, sel []int32) {
+// of kv — physical row sel[k] under a selection, row k without — one typed
+// loop per class so the generic loops over the table call nothing per row.
+func hashJoinKeys(hs []int32, kv *table.Vector, sel []int32) {
 	switch kv.Type.Physical() {
 	case table.PhysInt:
 		for k := range hs {
-			r := lo + k
+			r := k
 			if sel != nil {
 				r = int(sel[k])
 			}
@@ -118,7 +51,7 @@ func hashJoinKeys(hs []int32, kv *table.Vector, lo int, sel []int32) {
 		}
 	case table.PhysFloat:
 		for k := range hs {
-			r := lo + k
+			r := k
 			if sel != nil {
 				r = int(sel[k])
 			}
@@ -126,7 +59,7 @@ func hashJoinKeys(hs []int32, kv *table.Vector, lo int, sel []int32) {
 		}
 	default:
 		for k := range hs {
-			r := lo + k
+			r := k
 			if sel != nil {
 				r = int(sel[k])
 			}
@@ -135,17 +68,17 @@ func hashJoinKeys(hs []int32, kv *table.Vector, lo int, sel []int32) {
 	}
 }
 
-// chainRows indexes build rows [lo, hi) — one partition's span of the key
-// column keys — into t and threads equal keys through next, which arrives
-// holding each row's hash in the row's own cell (hashJoinKeys) and leaves
-// holding the row's link. It walks the span backwards and heads each key's
-// chain with the row in hand, so the id the table ends up holding is the
-// key's first row and the chain behind it ascends. Equality is the key
-// type's ==, as a Go map's would be: -0.0 and +0.0 are one key, and a NaN,
-// equal to nothing, is left out — no probe could reach it.
-func chainRows[T comparable](t *keyTable, next []int32, keys []T, lo, hi int) {
+// chainRows indexes the build rows, whose keys are keys, into t and
+// threads equal keys through next, which arrives holding each row's hash in
+// the row's own cell (hashJoinKeys) and leaves holding the row's link. It
+// walks the rows backwards and heads each key's chain with the row in hand,
+// so the id the table ends up holding is the key's first row and the chain
+// behind it ascends. Equality is the key type's ==, as a Go map's would be:
+// -0.0 and +0.0 are one key, and a NaN, equal to nothing, is left out — no
+// probe could reach it.
+func chainRows[T comparable](t *keyTable, next []int32, keys []T) {
 rows:
-	for r := hi - 1; r >= lo; r-- {
+	for r := len(keys) - 1; r >= 0; r-- {
 		x, h := keys[r], uint32(next[r])
 		next[r] = 0
 		if x != x {
@@ -165,23 +98,18 @@ rows:
 	}
 }
 
-// probeRows looks the probe keys up — the k'th is physical row sel[k] of
-// key, row k without a selection, and hashes to hs[k] — each in the table
-// of the partition its hash names, where the build side filed it. Matching
-// (build, probe) physical index pairs are appended to bsel/psel, a key's
-// build rows in ascending order.
+// probeRows looks the probe keys up in the build's table — the k'th is
+// physical row sel[k] of key, row k without a selection, and hashes to
+// hs[k]. Matching (build, probe) physical index pairs are appended to
+// bsel/psel, a key's build rows in ascending order.
 func probeRows[T comparable](bs *buildState, bkeys, key []T, hs, sel, bsel, psel []int32) ([]int32, []int32) {
-	mask, next := bs.nparts-1, bs.next
-	t := &bs.tabs[0] // the one table of an unpartitioned build: no row waits on its hash to find it
+	t, next := &bs.tab, bs.next
 	for k, hbits := range hs {
 		pi := int32(k)
 		if sel != nil {
 			pi = sel[k]
 		}
 		x, h := key[pi], uint32(hbits)
-		if mask != 0 {
-			t = &bs.tabs[h&mask]
-		}
 		for i, id := t.seek(t.home(h), h); id >= 0; i, id = t.seek(i+1, h) {
 			if bkeys[id] == x {
 				for {

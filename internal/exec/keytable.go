@@ -61,9 +61,10 @@ func (t *keyTable) resize(slots int) {
 	}
 }
 
-// home is where the probe sequence of hash h starts: its top bits. The keys
-// of one join partition agree in the low bits of their hash — the partition
-// mask consumed those — and still spread over the whole table; and every
+// home is where the probe sequence of hash h starts: its top bits. The
+// groups of one aggregation merge partition agree in the low bits of their
+// hash — the partition mask consumed those — and still spread over the
+// whole table; and every
 // hash filed here ends in a multiply (hashInt64, mixKey, FNV-1a), which is
 // where a product's best-mixed bits are. Under hashInt64 a run of
 // consecutive keys, which is what a primary key is, lands evenly spaced.

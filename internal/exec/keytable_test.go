@@ -117,8 +117,8 @@ func checkTable(t *testing.T, kt *keyTable, ids int) {
 // encoding of the canonical cells does, first-seen, whether rows arrive
 // one batch at a time (so the table passes through every size) or under a
 // constant hash (every key in one probe sequence). The join must list, for
-// every key probed, the build rows a map[K][]int32 lists, ascending — at
-// one partition and at four, and under the constant hash.
+// every key probed, the build rows a map[K][]int32 lists, ascending —
+// under the real hash and under the constant one.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte("\x02\x04\x06\x02\x04\x08"), uint8(0), false)
 	f.Add([]byte("\x00\x02\x04\x06\x00\x02\x05\x05"), uint8(3), false)                     // one float column
@@ -176,59 +176,35 @@ func FuzzKeyTable(f *testing.F) {
 		}
 
 		// The join, on the first column: the stream is both sides.
-		for _, nparts := range []uint32{1, 4} {
-			if collide && nparts > 1 {
-				continue // a constant hash names one partition
-			}
-			switch kv := b.Vecs[0]; kv.Type.Physical() {
-			case table.PhysInt:
-				fuzzJoin(t, kv, kv.I, nparts, collide)
-			case table.PhysFloat:
-				fuzzJoin(t, kv, kv.F, nparts, collide)
-			default:
-				fuzzJoin(t, kv, kv.S, nparts, collide)
-			}
+		switch kv := b.Vecs[0]; kv.Type.Physical() {
+		case table.PhysInt:
+			fuzzJoin(t, kv, kv.I, collide)
+		case table.PhysFloat:
+			fuzzJoin(t, kv, kv.F, collide)
+		default:
+			fuzzJoin(t, kv, kv.S, collide)
 		}
 	})
 }
 
-// fuzzJoin builds the join's tables over keys the way runJoinBuild does —
-// rows ordered by partition, one table and one span of the chain each —
-// probes them with the same keys, and holds the matches to a Go map's.
-func fuzzJoin[T comparable](t *testing.T, kv *table.Vector, keys []T, nparts uint32, collide bool) {
+// fuzzJoin builds the join's table over keys the way runJoinBuild does,
+// probes it with the same keys, and holds the matches to a Go map's.
+func fuzzJoin[T comparable](t *testing.T, kv *table.Vector, keys []T, collide bool) {
 	hs := make([]int32, len(keys))
 	if collide {
 		for i := range hs {
 			hs[i] = 42
 		}
 	} else {
-		hashJoinKeys(hs, kv, 0, nil)
+		hashJoinKeys(hs, kv, nil)
 	}
-	mask := nparts - 1
-	var order []int32
-	spans := make([][2]int, nparts)
-	for p := range spans {
-		spans[p][0] = len(order)
-		for r, h := range hs {
-			if uint32(h)&mask == uint32(p) {
-				order = append(order, int32(r))
-			}
-		}
-		spans[p][1] = len(order)
-	}
-	bkeys := make([]T, len(order))
-	bs := &buildState{nparts: nparts, tabs: make([]keyTable, nparts), next: make([]int32, len(order))}
+	bs := &buildState{tab: newKeyTable(len(keys)), next: append([]int32(nil), hs...)}
 	want := map[T][]int32{}
-	for i, r := range order {
-		bkeys[i] = keys[r]
-		bs.next[i] = hs[r]
-		want[keys[r]] = append(want[keys[r]], int32(i))
+	for r, x := range keys {
+		want[x] = append(want[x], int32(r))
 	}
-	for p, span := range spans {
-		bs.tabs[p] = newKeyTable(span[1] - span[0])
-		chainRows(&bs.tabs[p], bs.next, bkeys, span[0], span[1])
-	}
-	bsel, psel := probeRows(bs, bkeys, keys, hs, nil, nil, nil)
+	chainRows(&bs.tab, bs.next, keys)
+	bsel, psel := probeRows(bs, keys, keys, hs, nil, nil, nil)
 	got := map[int32][]int32{}
 	for i, pi := range psel {
 		if i > 0 && pi < psel[i-1] {
@@ -238,7 +214,7 @@ func fuzzJoin[T comparable](t *testing.T, kv *table.Vector, keys []T, nparts uin
 	}
 	for pi, x := range keys {
 		if !reflect.DeepEqual(got[int32(pi)], want[x]) {
-			t.Fatalf("%d partitions: probe row %d (%v) matched build rows %v, a map says %v", nparts, pi, x, got[int32(pi)], want[x])
+			t.Fatalf("probe row %d (%v) matched build rows %v, a map says %v", pi, x, got[int32(pi)], want[x])
 		}
 	}
 }
@@ -369,16 +345,15 @@ func TestHashTablesAllocatePerTable(t *testing.T) {
 	keys := benchInts(n)
 	ctx := benchCtx()
 	build := testing.AllocsPerRun(3, func() {
-		sb := NewSharedBuild(OneFragment(&Values{Tab: keys}), 0, 1)
+		sb := NewSharedBuild(&Values{Tab: keys}, 0)
 		bs, err := sb.acquire(ctx)
 		if err != nil || bs.buildB.Rows() != n {
 			t.Errorf("build: %v, err %v", bs, err)
 		}
 		sb.release()
 	})
-	// 39 here, 65 831 at f425ea0: the row store adopts the one partition's
-	// rows (two columns grown by appending), and the index is two arrays,
-	// the table and the chain.
+	// 39 at 45d76d0, 65 831 at f425ea0: the row store is two columns grown
+	// by appending, and the index is two arrays, the table and the chain.
 	if build > 64 {
 		t.Errorf("a join build over %d distinct keys allocates %.0f objects, want O(log n)", n, build)
 	}

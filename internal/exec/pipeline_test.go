@@ -104,7 +104,7 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 // PJoin.BuildFragments produces.
 func proberFrags(st *StoredTable, dim *table.Table, readCols, emit []int, probeKey, dop, morselBlocks int) ([]Operator, *Morsels) {
 	frags, q := colScanFrags(st, readCols, emit, nil, dop, morselBlocks)
-	sb := NewSharedBuild(OneFragment(&Values{Tab: dim}), 0, 1)
+	sb := NewSharedBuild(&Values{Tab: dim}, 0)
 	for i := range frags {
 		frags[i] = NewProber(sb, frags[i], probeKey)
 	}
@@ -239,7 +239,7 @@ func TestParallelProbeFragmentError(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		q := NewMorsels(st.NumBlocks(), 2)
-		sb := NewSharedBuild(OneFragment(&Values{Tab: dim}), 0, 1)
+		sb := NewSharedBuild(&Values{Tab: dim}, 0)
 		bad := &errAfterOne{sch: table.NewSchema("orders", orders.Schema.Cols[0])}
 		frags := []Operator{NewProber(sb, bad, 0)}
 		for i := 0; i < 3; i++ {

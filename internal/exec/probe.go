@@ -15,120 +15,70 @@ import (
 // probe — stream against it concurrently.
 
 // buildState is the materialised, immutable result of a hash-join build:
-// the concatenated build-side batch and, over it, one keyTable per
-// partition plus one chain. A table's id is the first build row holding a
-// key; next[r] is the following row with the same key, 0 for none (a chain
-// ascends, so row 0 is never anyone's successor), which lists a key's rows
-// in ascending order — the order the rows were materialised in. The keys
-// themselves are not copied anywhere: equality reads buildB's key column.
-// After runJoinBuild returns the state is read-only, so probe pipelines
-// share it across simulated processes without copying.
+// the build-side rows in one batch and, over them, one keyTable plus one
+// chain. The table's id is the first build row holding a key; next[r] is
+// the following row with the same key, 0 for none (a chain ascends, so row
+// 0 is never anyone's successor), which lists a key's rows in ascending
+// order — the order the rows were materialised in. The keys themselves are
+// not copied anywhere: equality reads buildB's key column. After
+// runJoinBuild returns the state is read-only, so probe pipelines share it
+// across simulated processes without copying.
 type buildState struct {
-	nparts uint32
-	tabs   []keyTable    // per partition; ids are global buildB rows
+	tab    keyTable
 	next   []int32       // per buildB row
 	key    *table.Vector // buildB's key column
 	buildB *table.Batch
 	bytes  int64
 }
 
-// AddWorker implements Sink: build worker w hash-partitions its rows by
-// key into row stores of its own.
-func (sb *SharedBuild) AddWorker(w int) {
-	sb.locals = append(sb.locals, newBuildPartitioner(sb.Build.Schema(), sb.Key, sb.nparts()))
-}
+// AddWorker implements Sink: the build is one fragment, whose rows go to
+// the one row store.
+func (bs *buildState) AddWorker(int) {}
 
-// Absorb implements Sink.
-func (sb *SharedBuild) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
-	sb.locals[w].absorb(wctx, b)
+// Absorb implements Sink: it appends one build batch to the row store,
+// charging the build work to the build's process.
+func (bs *buildState) Absorb(_ int, wctx *Ctx, b *table.Batch) bool {
+	wctx.ChargeRows(b.Rows(), wctx.Costs.HashBuildCyclesPerRow)
+	bs.bytes += b.ByteSize()
+	wctx.TouchDRAM(b.ByteSize())
+	bs.buildB.AppendBatch(b)
 	return true
 }
 
-// nparts is the number of hash partitions, a power of two.
-func (sb *SharedBuild) nparts() uint32 {
-	if sb.Partitions > 1 {
-		return uint32(ceilPow2(sb.Partitions))
-	}
-	return 1
-}
-
-// runJoinBuild drains the build fragments under the barrier exchange into
-// per-worker partitioned row stores, then builds the per-partition typed
-// hash tables, one process per partition.
+// runJoinBuild drains the build side under the barrier exchange into one
+// row store, then indexes it into the one typed hash table.
 func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
-	nparts := int(sb.nparts())
-	bs := &buildState{nparts: uint32(nparts)}
-
-	// Phase 1: drain build pipelines into per-worker partitioned row stores.
-	sb.locals = sb.local0[:0]
-	defer func() { sb.locals, sb.local0[0] = nil, nil }()
-	if err := RunFragments(ctx, "hashjoin:build", sb.Build, sb); err != nil {
+	bs := &buildState{buildB: table.NewBatch(sb.Build.Schema(), 0)}
+	if err := RunFragments(ctx, "hashjoin:build", OneFragment(sb.Build), bs); err != nil {
 		return nil, err
-	}
-	locals := sb.locals
-
-	// Phase 2: concatenate the workers' shares of each partition (worker
-	// order within a partition, partitions in order) into one build batch,
-	// recording every partition's global row span. One worker with one
-	// partition adopts the materialised rows as-is — absorb already copied
-	// them once.
-	spans := make([][2]int, nparts)
-	if len(locals) == 1 && nparts == 1 {
-		bs.buildB = locals[0].parts[0]
-		locals[0].parts[0] = nil
-		spans[0] = [2]int{0, bs.buildB.Rows()}
-	} else {
-		bs.buildB = table.NewBatch(sb.Build.Schema(), 0)
-		for p := 0; p < nparts; p++ {
-			lo := bs.buildB.Rows()
-			for _, l := range locals {
-				bs.buildB.AppendBatch(l.parts[p])
-				l.parts[p] = nil
-			}
-			spans[p] = [2]int{lo, bs.buildB.Rows()}
-		}
-	}
-	for _, l := range locals {
-		bs.bytes += l.bytes
 	}
 	if ctx.MemBudgetBytes > 0 && bs.bytes > ctx.MemBudgetBytes {
 		return nil, fmt.Errorf("exec: hash join build side (%d bytes) exceeds memory budget (%d): %w",
 			bs.bytes, ctx.MemBudgetBytes, fault.ErrMemBudget)
 	}
-
-	// Phase 3: index each partition's row span, one process per partition
-	// (a single partition builds inline). Ids are global buildB row
-	// indexes, so the probe and output paths are partition-agnostic.
+	n := bs.buildB.Rows()
 	bs.key = bs.buildB.Vecs[sb.Key]
-	bs.tabs = make([]keyTable, nparts)
-	bs.next = make([]int32, bs.buildB.Rows())
-	err := ParDo(ctx, "hashjoin:tables", nparts, func(p int, _ *Ctx) error {
-		lo, hi := spans[p][0], spans[p][1]
-		bs.tabs[p] = newKeyTable(hi - lo)
-		hashJoinKeys(bs.next[lo:hi], bs.key, lo, nil)
-		switch bs.key.Type.Physical() {
-		case table.PhysInt:
-			chainRows(&bs.tabs[p], bs.next, bs.key.I, lo, hi)
-		case table.PhysFloat:
-			chainRows(&bs.tabs[p], bs.next, bs.key.F, lo, hi)
-		default:
-			chainRows(&bs.tabs[p], bs.next, bs.key.S, lo, hi)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	bs.tab = newKeyTable(n)
+	bs.next = make([]int32, n)
+	hashJoinKeys(bs.next, bs.key, nil)
+	switch bs.key.Type.Physical() {
+	case table.PhysInt:
+		chainRows(&bs.tab, bs.next, bs.key.I)
+	case table.PhysFloat:
+		chainRows(&bs.tab, bs.next, bs.key.F)
+	default:
+		chainRows(&bs.tab, bs.next, bs.key.S)
 	}
 	return bs, nil
 }
 
-// probeInto probes one probe batch's key column against the tables,
+// probeInto probes one probe batch's key column against the table,
 // honouring a selection riding on the batch, and appends matching
 // (build, probe) physical index pairs to bsel/psel. hs is scratch for the
 // batch's key hashes, one per logical row.
 func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []int32) ([]int32, []int32) {
 	kv := pb.Vecs[probeKey]
-	hashJoinKeys(hs, kv, 0, pb.Sel)
+	hashJoinKeys(hs, kv, pb.Sel)
 	switch kv.Type.Physical() {
 	case table.PhysInt:
 		return probeRows(bs, bs.key.I, kv.I, hs, pb.Sel, bsel, psel)
@@ -142,17 +92,14 @@ func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []
 // SharedBuild runs a hash-join build side exactly once per pipeline run on
 // behalf of any number of probe fragments (Prober). The first prober to
 // open runs the build in its own process — siblings opening concurrently
-// park on a condition until the tables exist — and the last prober to
+// park on a condition until the table exists — and the last prober to
 // close drops the state, so a re-opened pipeline (a nested-loop rescan)
-// rebuilds. A build compiled into several fragments runs them under the
-// barrier exchange, composing build- and probe-side parallelism.
+// rebuilds. The build side is one fragment — a parallel build-side scan is
+// the Parallel merge of its fragments — feeding the one table.
 type SharedBuild struct {
-	Build      Fragments // the build-side pipeline
-	Key        int       // build-key column in the build schema
-	Partitions int       // hash partitions, rounded up to a power of two; <= 1 builds one table
+	Build Operator // the build-side pipeline
+	Key   int      // build-key column in the build schema
 
-	locals   []*buildPartitioner  // per-worker row stores while the build runs
-	local0   [1]*buildPartitioner // backing for the first, so a serial build allocates no slice
 	bs       *buildState
 	building bool
 	cond     *sim.Cond // made when a second prober first has to wait
@@ -161,8 +108,8 @@ type SharedBuild struct {
 }
 
 // NewSharedBuild wraps a build side for its probers.
-func NewSharedBuild(build Fragments, key, partitions int) *SharedBuild {
-	return &SharedBuild{Build: build, Key: key, Partitions: partitions}
+func NewSharedBuild(build Operator, key int) *SharedBuild {
+	return &SharedBuild{Build: build, Key: key}
 }
 
 // Schema is the build side's schema.

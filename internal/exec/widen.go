@@ -19,9 +19,9 @@ type Widener struct {
 // whether it took the slot. The callback is offered free cores and
 // returns how many it accepted (0..extra), having already spawned that
 // many extra fragment workers. The widener holds at most one callback —
-// the outermost live exchange wins — so a nested exchange (a join build
-// running inside an aggregation fragment) is declined and runs at its
-// granted width.
+// the outermost live exchange wins — so a nested exchange (a build-side
+// scan's merge running inside an aggregation fragment) is declined and
+// runs at its granted width.
 func (w *Widener) Register(fn func(extra int) int) bool {
 	if w == nil || w.apply != nil {
 		return false

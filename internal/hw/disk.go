@@ -245,16 +245,6 @@ func (d *Disk) SpinDown() bool {
 	return true
 }
 
-// ReadServiceTime predicts the service time of a read without performing
-// it; the optimizer's time cost model uses this.
-func (d *Disk) ReadServiceTime(sequential bool, size int64) float64 {
-	t := float64(size) / d.spec.SeqReadBW
-	if !sequential {
-		t += d.spec.AvgSeek + d.spec.RotLatency
-	}
-	return t
-}
-
 // SSDSpec describes a flash solid-state drive. The paper's Figure 2 uses
 // three SSDs totalling 5 W — "an order of magnitude more energy efficient
 // than regular hard drives".
@@ -348,11 +338,6 @@ func (s *SSD) Write(p *sim.Proc, offset, size int64) error {
 	s.stats.BytesWrite += size
 	s.res.Release(1)
 	return nil
-}
-
-// ReadServiceTime predicts a read's service time.
-func (s *SSD) ReadServiceTime(size int64) float64 {
-	return s.spec.ReadLatency + float64(size)/s.spec.ReadBW
 }
 
 // Sync charges a flash write barrier (one request latency).

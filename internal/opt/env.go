@@ -110,9 +110,9 @@ type Env struct {
 }
 
 // Grant derives the per-query planning environment from an admission
-// grant: every degree-of-parallelism sweep (scan morsels, partitioned
-// aggregation, partitioned join builds) is priced against the cores the
-// admission controller actually granted from the free pool, rather than
+// grant: every degree-of-parallelism sweep (scans, fragmented probes,
+// partitioned aggregation) is priced against the cores the admission
+// controller actually granted from the free pool, rather than
 // the machine's configured total. Cores acts as the configured ceiling. A
 // grant of one core reproduces the serial plans exactly.
 func (e *Env) Grant(cores int) *Env {
@@ -144,19 +144,6 @@ type Cost struct {
 	// MemBytes is the peak working memory the plan holds (for reporting
 	// and for the DRAM holding-power term already folded into Joules).
 	MemBytes int64
-}
-
-// Score reduces a cost to the optimizer's comparison key under marginal
-// energy pricing. Env.Score is the environment-aware version.
-func (c Cost) Score(o Objective) float64 {
-	switch o {
-	case MinTime:
-		return c.Seconds
-	case MinEnergy:
-		return c.Joules
-	default:
-		return c.Joules * c.Seconds
-	}
 }
 
 // Score reduces a cost to the comparison key the optimizer minimises,

@@ -448,9 +448,9 @@ func TestAnalyzeStats(t *testing.T) {
 }
 
 func TestCostScore(t *testing.T) {
-	c := Cost{Seconds: 2, Joules: 10}
-	if c.Score(MinTime) != 2 || c.Score(MinEnergy) != 10 || c.Score(MinEDP) != 20 {
-		t.Fatalf("scores: %v %v %v", c.Score(MinTime), c.Score(MinEnergy), c.Score(MinEDP))
+	c, e := Cost{Seconds: 2, Joules: 10}, &Env{}
+	if e.Score(c, MinTime) != 2 || e.Score(c, MinEnergy) != 10 || e.Score(c, MinEDP) != 20 {
+		t.Fatalf("scores: %v %v %v", e.Score(c, MinTime), e.Score(c, MinEnergy), e.Score(c, MinEDP))
 	}
 	d := c.Add(Cost{Seconds: 1, Joules: 1, MemBytes: 5})
 	if d.Seconds != 3 || d.Joules != 11 || d.MemBytes != 5 {
@@ -522,8 +522,9 @@ func TestParallelScanDOPChoice(t *testing.T) {
 	}
 }
 
-// TestParallelScanCostModel pins the dop sweep arithmetic: elapsed
-// approaches max(io, cpu/dop) while joules only grow by startup overhead.
+// TestParallelScanCostModel pins the dop sweep arithmetic of a scan stage
+// (fragmented, as bestScan prices it): elapsed approaches max(io, cpu/dop)
+// while joules only grow by startup overhead.
 func TestParallelScanCostModel(t *testing.T) {
 	w := newWorld(t, 40000, 50)
 	w.env.Cores = 8
@@ -534,9 +535,12 @@ func TestParallelScanCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pl.Variants[0].ST
-	c1 := o.scanCost(st, []int{0, 2}, float64(pl.Stats.Rows), 1, 1)
-	c4 := o.scanCost(st, []int{0, 2}, float64(pl.Stats.Rows), 1, 4)
+	pw := pipeWork{scan: o.scanWork(pl.Variants[0].ST, []int{0, 2}, float64(pl.Stats.Rows), 1)}
+	price := func(dop int) Cost {
+		stream, busy := o.fragmented(pw, 0, 0, 1, dop)
+		return Cost{Seconds: stream, Joules: busy*o.env.CPUWattPerCore + pw.scan.ioJoules}
+	}
+	c1, c4 := price(1), price(4)
 	if c4.Seconds >= c1.Seconds {
 		t.Fatalf("dop=4 models no speedup: %v vs %v", c4, c1)
 	}
@@ -611,11 +615,10 @@ func TestParallelAggDOPChoice(t *testing.T) {
 	}
 }
 
-// TestParallelJoinBuildDOPChoice: MinTime must parallelise a hash join
-// rooted at scans — by fragmenting the build (build_dop=), the probe
-// pipeline (probe_dop=), or both — MinEnergy must not, and both plans
-// must join to the same multiset of rows.
-func TestParallelJoinBuildDOPChoice(t *testing.T) {
+// TestParallelProbeDOPChoice: MinTime must parallelise a hash join rooted
+// at scans by fragmenting the probe pipeline (probe_dop=), MinEnergy must
+// not, and both plans must join to the same multiset of rows.
+func TestParallelProbeDOPChoice(t *testing.T) {
 	w := newWorld(t, 40000, 50)
 	w.env.Cores = 8
 	w.env.ScanBW *= 8
@@ -639,14 +642,14 @@ func TestParallelJoinBuildDOPChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fast.Explain(), "build_dop=") && !strings.Contains(fast.Explain(), "probe_dop=") {
+	if !strings.Contains(fast.Explain(), "probe_dop=") {
 		t.Fatalf("MinTime kept the join serial on an 8-core env:\n%s", fast.Explain())
 	}
 	lean, err := Optimize(q(), w.cat, w.env, MinEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(lean.Explain(), "build_dop=") || strings.Contains(lean.Explain(), "probe_dop=") {
+	if strings.Contains(lean.Explain(), "probe_dop=") {
 		t.Fatalf("MinEnergy bought a parallel join:\n%s", lean.Explain())
 	}
 
@@ -660,6 +663,6 @@ func TestParallelJoinBuildDOPChoice(t *testing.T) {
 	gotN, gotK := count(w.execute(t, fast))
 	wantN, wantK := count(w.execute(t, lean))
 	if gotN != wantN || gotK != wantK {
-		t.Fatalf("parallel build result (%d, %v) != serial (%d, %v)", gotN, gotK, wantN, wantK)
+		t.Fatalf("parallel probe result (%d, %v) != serial (%d, %v)", gotN, gotK, wantN, wantK)
 	}
 }

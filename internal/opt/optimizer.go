@@ -107,11 +107,7 @@ func (o *optimizer) run() (*Plan, error) {
 	// Best scan per alias.
 	scans := make(map[string]PhysNode, len(o.aliases))
 	for _, a := range o.aliases {
-		s, err := o.bestScan(a)
-		if err != nil {
-			return nil, err
-		}
-		scans[a] = s
+		scans[a] = o.bestScan(a)
 	}
 
 	// Join order DP over alias subsets.
@@ -136,12 +132,8 @@ func (o *optimizer) run() (*Plan, error) {
 		for _, p := range o.resid {
 			sel *= predSelectivity(p, nil)
 		}
-		card := root.Card() * sel
-		cost := root.Cost().Add(Cost{
-			Seconds: root.Card() * float64(len(o.resid)) * o.env.Costs.FilterCyclesPerRow / o.env.CPUFreqHz,
-			Joules:  root.Card() * float64(len(o.resid)) * o.env.Costs.FilterCyclesPerRow / o.env.CPUFreqHz * o.env.CPUWattPerCore,
-		})
-		root = &PFilter{In: root, Preds: o.resid, card: card, cost: cost}
+		cost := root.Cost().Add(o.cpu(root.Card() * float64(len(o.resid)) * o.env.Costs.FilterCyclesPerRow))
+		root = &PFilter{In: root, Preds: o.resid, card: root.Card() * sel, cost: cost}
 	}
 
 	// Aggregation, then the SELECT list.
@@ -159,15 +151,11 @@ func (o *optimizer) run() (*Plan, error) {
 			keys[i] = exec.SortKey{Col: ob.Output, Desc: ob.Desc}
 		}
 		n := math.Max(root.Card(), 2)
-		cycles := n * math.Log2(n) * o.env.Costs.SortCyclesPerRowLog * float64(len(keys))
-		secs := cycles / o.env.CPUFreqHz
 		mem := int64(n * root.RowBytes())
-		c := root.Cost().Add(Cost{
-			Seconds:  secs,
-			Joules:   secs*o.env.CPUWattPerCore + float64(mem)*o.env.DRAMWattPerByte*secs,
-			MemBytes: mem,
-		})
-		root = &PSort{In: root, Keys: keys, cost: c}
+		c := o.cpu(n * math.Log2(n) * o.env.Costs.SortCyclesPerRowLog * float64(len(keys)))
+		c.Joules += float64(mem) * o.env.DRAMWattPerByte * c.Seconds
+		c.MemBytes = mem
+		root = &PSort{In: root, Keys: keys, cost: root.Cost().Add(c)}
 	}
 	if o.q.Limit >= 0 {
 		root = &PLimit{In: root, N: o.q.Limit}
@@ -263,21 +251,67 @@ func (o *optimizer) requiredCols(alias string) []string {
 }
 
 // parallelStartupCycles is the modelled per-extra-worker overhead of a
-// parallel scan (spawning the fragment process, morsel-queue traffic, the
-// merge hop). It is deliberately small but non-zero: under MinTime a
-// CPU-bound scan still wins big from parallelism, while under MinEnergy —
+// fragmented stage (spawning the fragment process, morsel-queue traffic,
+// the merge hop). It is deliberately small but non-zero: under MinTime a
+// CPU-bound stage still wins big from parallelism, while under MinEnergy —
 // where the marginal-joule account is otherwise flat in DOP (the same
 // core-seconds at the same watts) — the overhead makes the serial plan the
 // strictly cheapest, matching the paper's observation that parallelism
 // buys time, not marginal energy.
 const parallelStartupCycles = 200e3
 
+// cpu prices cycles of serial CPU work: one core busy for their duration.
+func (o *optimizer) cpu(cycles float64) Cost {
+	secs := cycles / o.env.CPUFreqHz
+	return Cost{Seconds: secs, Joules: secs * o.env.CPUWattPerCore}
+}
+
+// fragmented prices a stage that runs pw's pipeline dop-wide: the leaf
+// scan plus cpu seconds of per-row work fragmenting along with it, then
+// tail seconds once the stream ends, in waves process waves of dop-1 extra
+// workers that each pay parallelStartupCycles. Parallelism divides CPU
+// time across dop cores but not I/O time — the fragments share the
+// volume's bandwidth — so stream, the stage's elapsed seconds, approaches
+// max(io, cpu/dop); busy, its core-seconds, grows only by the start-up.
+func (o *optimizer) fragmented(pw pipeWork, cpu, tail float64, waves, dop int) (stream, busy float64) {
+	startup := float64(waves*(dop-1)) * parallelStartupCycles / o.env.CPUFreqHz
+	return pw.scan.elapsed(cpu, dop) + tail + startup, pw.scan.cpuSecs + cpu + startup
+}
+
+// widths lists the degrees of parallelism above one worth pricing for a
+// stage whose leaf scan is src: powers of two up to the core count (plus
+// the core count itself), capped by the morsel count — morsels are the
+// unit of work distribution, so a worker beyond ceil(blocks/morsel) can
+// never claim anything and is pure startup overhead the cpu/dop model
+// would wrongly credit. A count-only column scan reads nothing and stays
+// serial.
+func (o *optimizer) widths(src *PScan) []int {
+	st := src.Variant.ST
+	maxDop := min(o.env.Cores, (st.NumBlocks()+exec.DefaultMorselBlocks-1)/exec.DefaultMorselBlocks)
+	if maxDop <= 1 || (st.Layout == exec.ColumnMajor && len(src.Read) == 0) {
+		return nil
+	}
+	var dops []int
+	for d := 2; d < maxDop; d *= 2 {
+		dops = append(dops, d)
+	}
+	return append(dops, maxDop)
+}
+
 // bestScan picks the cheapest placement variant and degree of parallelism
 // for alias under the objective, with local predicates pushed down.
-func (o *optimizer) bestScan(alias string) (PhysNode, error) {
+func (o *optimizer) bestScan(alias string) PhysNode {
 	pl := o.place[alias]
 	needed := o.requiredCols(alias)
 	preds := o.local[alias]
+	sel := 1.0
+	for _, p := range preds {
+		sel *= predSelectivity(p, o.colStats(alias, p.Left.Col))
+	}
+	cols := make([]ColRef, len(needed))
+	for i, n := range needed {
+		cols[i] = ColRef{Table: alias, Col: n}
+	}
 
 	var best *PScan
 	var bestScore float64
@@ -292,51 +326,20 @@ func (o *optimizer) bestScan(alias string) (PhysNode, error) {
 		for i := range emit {
 			emit[i] = i
 		}
-		sel := 1.0
-		for _, p := range preds {
-			sel *= predSelectivity(p, o.colStats(alias, p.Left.Col))
-		}
-		card := float64(pl.Stats.Rows) * sel
-		for _, dop := range o.dopCandidates(v.ST, len(read)) {
-			cost := o.scanCost(v.ST, read, float64(pl.Stats.Rows), len(preds), dop)
-			cand := &PScan{
-				Alias: alias, Rel: o.q.Rels[alias], Variant: v,
-				Read: read, Emit: emit, Preds: preds, DOP: dop,
-				card: card, cost: cost,
-			}
-			cand.cols = make([]ColRef, len(needed))
-			for i, n := range needed {
-				cand.cols[i] = ColRef{Table: alias, Col: n}
-			}
-			if best == nil || o.env.Score(cost, o.obj) < bestScore {
-				best = cand
-				bestScore = o.env.Score(cost, o.obj)
+		base := PScan{Alias: alias, Rel: o.q.Rels[alias], Variant: v, Read: read, Emit: emit,
+			Preds: preds, cols: cols, card: float64(pl.Stats.Rows) * sel}
+		pw := pipeWork{scan: o.scanWork(v.ST, read, float64(pl.Stats.Rows), len(preds))}
+		for _, dop := range append([]int{1}, o.widths(&base)...) {
+			stream, busy := o.fragmented(pw, 0, 0, 1, dop)
+			cand := base
+			cand.DOP = dop
+			cand.cost = Cost{Seconds: stream, Joules: busy*o.env.CPUWattPerCore + pw.scan.ioJoules}
+			if s := o.env.Score(cand.cost, o.obj); best == nil || s < bestScore {
+				best, bestScore = &cand, s
 			}
 		}
 	}
-	return best, nil
-}
-
-// dopCandidates enumerates the degrees of parallelism worth pricing for a
-// scan: powers of two up to the core count (plus the core count itself),
-// capped by the morsel count — morsels are the unit of work distribution,
-// so a worker beyond ceil(blocks/morsel) can never claim anything and is
-// pure startup overhead the cpu/dop model would wrongly credit. Count-only
-// column scans read nothing and stay serial.
-func (o *optimizer) dopCandidates(st *exec.StoredTable, readCols int) []int {
-	maxDop := o.env.Cores
-	nm := (st.NumBlocks() + exec.DefaultMorselBlocks - 1) / exec.DefaultMorselBlocks
-	if nm < maxDop {
-		maxDop = nm
-	}
-	if maxDop <= 1 || (st.Layout == exec.ColumnMajor && readCols == 0) {
-		return []int{1}
-	}
-	dops := []int{1}
-	for d := 2; d < maxDop; d *= 2 {
-		dops = append(dops, d)
-	}
-	return append(dops, maxDop)
+	return best
 }
 
 // scanWork is the decomposed cost of one table scan: I/O elapsed seconds,
@@ -397,10 +400,10 @@ func (w scanWork) elapsed(extraCPUSecs float64, dop int) float64 {
 }
 
 // pipeWork is the decomposed cost of a fragmentable pipeline: the leaf
-// scan's io/cpu/joule split, the per-row CPU of the filter, project and
-// probe operators that fragment along with the scan, the serial prefix
-// that must complete before the pipeline streams (hash-join build
-// phases), and the hash-table working set held live while it does.
+// scan's io/cpu/joule split, the per-row CPU of the filter and probe
+// operators that fragment along with the scan, the serial prefix that must
+// complete before the pipeline streams (hash-join build phases), and the
+// hash-table working set held live while it does.
 type pipeWork struct {
 	scan     scanWork
 	extraCPU float64 // seconds of fragmented per-row work above the scan
@@ -409,14 +412,20 @@ type pipeWork struct {
 	src      *PScan  // the leaf scan; the DOP sweep bounds come from its table
 }
 
-// pipelineWork decomposes n's cost when its whole pipeline can fragment
-// end to end: a PScan leaf under any stack of PFilter, PProject and
-// hash-PJoin probe sides — the nodes that implement fragSource, each
-// pricing its own per-row CPU inside the fragmented pipeline (divided by
-// DOP alongside the scan) instead of as a serial tax above the exchange.
+// fragPriced is implemented by the nodes whose whole pipeline can fragment
+// end to end: a PScan leaf under any stack of PFilter and hash-PJoin probe
+// sides, each pricing its own per-row CPU inside the fragmented pipeline
+// (divided by DOP alongside the scan) instead of as a serial tax above the
+// exchange. ok=false means BuildFragments would not fragment it either.
+type fragPriced interface {
+	pipelineWork(o *optimizer) (pw pipeWork, ok bool)
+}
+
+// pipelineWork decomposes n's cost for the DOP sweep when its whole
+// pipeline can fragment end to end.
 func (o *optimizer) pipelineWork(n PhysNode) (pipeWork, bool) {
-	if fs, ok := n.(fragSource); ok {
-		return fs.pipelineWork(o)
+	if fp, ok := n.(fragPriced); ok {
+		return fp.pipelineWork(o)
 	}
 	return pipeWork{}, false
 }
@@ -428,13 +437,7 @@ func (s *PScan) pipelineWork(o *optimizer) (pipeWork, bool) {
 
 func (f *PFilter) pipelineWork(o *optimizer) (pipeWork, bool) {
 	pw, ok := o.pipelineWork(f.In)
-	pw.extraCPU += f.In.Card() * float64(len(f.Preds)) * o.env.Costs.FilterCyclesPerRow / o.env.CPUFreqHz
-	return pw, ok
-}
-
-func (p *PProject) pipelineWork(o *optimizer) (pipeWork, bool) {
-	pw, ok := o.pipelineWork(p.In)
-	pw.extraCPU += p.In.Card() * float64(len(p.Exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz
+	pw.extraCPU += o.cpu(f.In.Card() * float64(len(f.Preds)) * o.env.Costs.FilterCyclesPerRow).Seconds
 	return pw, ok
 }
 
@@ -447,39 +450,14 @@ func (j *PJoin) pipelineWork(o *optimizer) (pipeWork, bool) {
 	if !ok {
 		return pw, false
 	}
-	pw.extraCPU += (j.Right.Card()*env.Costs.HashProbeCyclesPerRow +
-		j.Card()*env.Costs.JoinOutputCyclesPerRow) / env.CPUFreqHz
+	pw.extraCPU += o.cpu(j.Right.Card()*env.Costs.HashProbeCyclesPerRow +
+		j.Card()*env.Costs.JoinOutputCyclesPerRow).Seconds
 	// The build side runs to completion before the probe streams: a
 	// serial prefix priced at the build input's own cost plus table
-	// insertion, with its tables resident for the rest of the pipeline.
-	bsecs := j.Left.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
-	pw.prefix = pw.prefix.Add(j.Left.Cost()).Add(Cost{
-		Seconds: bsecs, Joules: bsecs * env.CPUWattPerCore})
+	// insertion, with its table resident for the rest of the pipeline.
+	pw.prefix = pw.prefix.Add(j.Left.Cost()).Add(o.cpu(j.Left.Card() * env.Costs.HashBuildCyclesPerRow))
 	pw.memBytes += j.Left.Card() * j.Left.RowBytes()
 	return pw, true
-}
-
-// scanCost prices a dop-way scan of the given columns of st.
-//
-// Parallelism divides CPU time across dop cores but not I/O time — the
-// fragments share the same volume bandwidth — so elapsed time approaches
-// max(io, cpu/dop) while the joule account is unchanged: the same
-// core-seconds of work at the same active watts, plus a small startup
-// overhead per extra worker.
-func (o *optimizer) scanCost(st *exec.StoredTable, readCols []int, rows float64, predTerms, dop int) Cost {
-	if st.Layout == exec.ColumnMajor && len(readCols) == 0 {
-		return Cost{}
-	}
-	if dop < 1 {
-		dop = 1
-	}
-	env := o.env
-	w := o.scanWork(st, readCols, rows, predTerms)
-	startup := float64(dop-1) * parallelStartupCycles / env.CPUFreqHz
-	return Cost{
-		Seconds: w.elapsed(0, dop) + startup,
-		Joules:  (w.cpuSecs+startup)*env.CPUWattPerCore + w.ioJoules,
-	}
 }
 
 // colStats returns statistics for alias.col, or nil.
@@ -600,46 +578,14 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 	var out []PhysNode
 	mkHash := func(build, probe PhysNode, bi, pi int, cs []ColRef) {
 		buildMem := build.Card() * build.RowBytes()
-		cycles := build.Card()*env.Costs.HashBuildCyclesPerRow +
+		c := o.cpu(build.Card()*env.Costs.HashBuildCyclesPerRow +
 			probe.Card()*env.Costs.HashProbeCyclesPerRow +
-			outCard*env.Costs.JoinOutputCyclesPerRow
-		secs := cycles / env.CPUFreqHz
-		elapsed := build.Cost().Seconds + probe.Cost().Seconds + secs
-		c := build.Cost().Add(probe.Cost()).Add(Cost{
-			Seconds:  secs,
-			Joules:   secs*env.CPUWattPerCore + buildMem*env.DRAMWattPerByte*elapsed,
-			MemBytes: int64(buildMem),
-		})
-		out = append(out, &PJoin{Algo: "hash", Left: build, Right: probe,
-			LeftCol: bi, RightCol: pi, Pred: jp, cols: cs, card: outCard, cost: c})
-
-		// Partitioned parallel build: when the build side is a bare scan,
-		// the whole scan→partition→insert pipeline fragments dop-ways, so
-		// the build phase's elapsed time approaches max(io, cpu/dop) while
-		// its joules only grow by worker startup — the probe is unchanged.
-		if bs, ok := build.(*PScan); ok {
-			w := o.scanWork(bs.Variant.ST, bs.Read, float64(bs.Variant.ST.Tab.Rows()), len(bs.Preds))
-			buildCPU := build.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
-			probeSecs := (probe.Card()*env.Costs.HashProbeCyclesPerRow +
-				outCard*env.Costs.JoinOutputCyclesPerRow) / env.CPUFreqHz
-			for _, dop := range o.dopCandidates(bs.Variant.ST, len(bs.Read)) {
-				if dop <= 1 {
-					continue
-				}
-				startup := float64(dop-1) * parallelStartupCycles / env.CPUFreqHz
-				buildSecs := w.elapsed(buildCPU, dop) + startup
-				pelapsed := buildSecs + probe.Cost().Seconds + probeSecs
-				pc := probe.Cost().Add(Cost{
-					Seconds: buildSecs + probeSecs,
-					Joules: (w.cpuSecs+buildCPU+startup+probeSecs)*env.CPUWattPerCore +
-						w.ioJoules + buildMem*env.DRAMWattPerByte*pelapsed,
-					MemBytes: int64(buildMem),
-				})
-				out = append(out, &PJoin{Algo: "hash", Left: build, Right: probe,
-					LeftCol: bi, RightCol: pi, Pred: jp, BuildDOP: dop,
-					cols: cs, card: outCard, cost: pc})
-			}
-		}
+			outCard*env.Costs.JoinOutputCyclesPerRow)
+		elapsed := build.Cost().Seconds + probe.Cost().Seconds + c.Seconds
+		c.Joules += buildMem * env.DRAMWattPerByte * elapsed
+		c.MemBytes = int64(buildMem)
+		out = append(out, &PJoin{Algo: "hash", Left: build, Right: probe, LeftCol: bi, RightCol: pi,
+			Pred: jp, cols: cs, card: outCard, cost: build.Cost().Add(probe.Cost()).Add(c)})
 
 		// Fragmented probe: when the probe side fragments end to end, the
 		// probe pipeline plus probe and output CPU divides across dop cores
@@ -650,20 +596,15 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 		if !pok {
 			return
 		}
-		buildCPUSecs := build.Card() * env.Costs.HashBuildCyclesPerRow / env.CPUFreqHz
-		streamCPU := pw.extraCPU + (probe.Card()*env.Costs.HashProbeCyclesPerRow+
-			outCard*env.Costs.JoinOutputCyclesPerRow)/env.CPUFreqHz
-		for _, dop := range o.dopCandidates(pw.src.Variant.ST, len(pw.src.Read)) {
-			if dop <= 1 {
-				continue
-			}
-			startup := float64(dop-1) * parallelStartupCycles / env.CPUFreqHz
-			stream := pw.scan.elapsed(streamCPU, dop) + startup
-			pelapsed := build.Cost().Seconds + buildCPUSecs + pw.prefix.Seconds + stream
+		bc := o.cpu(build.Card() * env.Costs.HashBuildCyclesPerRow)
+		streamCPU := pw.extraCPU + o.cpu(probe.Card()*env.Costs.HashProbeCyclesPerRow+
+			outCard*env.Costs.JoinOutputCyclesPerRow).Seconds
+		for _, dop := range o.widths(pw.src) {
+			stream, busy := o.fragmented(pw, streamCPU, 0, 1, dop)
+			pelapsed := build.Cost().Seconds + bc.Seconds + pw.prefix.Seconds + stream
 			pj := build.Cost().Add(Cost{
-				Seconds: buildCPUSecs + pw.prefix.Seconds + stream,
-				Joules: buildCPUSecs*env.CPUWattPerCore + pw.prefix.Joules +
-					(pw.scan.cpuSecs+streamCPU+startup)*env.CPUWattPerCore + pw.scan.ioJoules +
+				Seconds: bc.Seconds + pw.prefix.Seconds + stream,
+				Joules: bc.Joules + pw.prefix.Joules + busy*env.CPUWattPerCore + pw.scan.ioJoules +
 					(buildMem+pw.memBytes)*env.DRAMWattPerByte*pelapsed,
 				MemBytes: int64(buildMem + pw.memBytes),
 			})
@@ -687,12 +628,11 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 	}
 	batches := math.Max(1, math.Ceil(outer.Card()/4096))
 	pairs := outer.Card() * inner.Card()
-	cycles := pairs*env.Costs.FilterCyclesPerRow + outCard*env.Costs.JoinOutputCyclesPerRow
-	secs := cycles / env.CPUFreqHz
+	nc := o.cpu(pairs*env.Costs.FilterCyclesPerRow + outCard*env.Costs.JoinOutputCyclesPerRow)
 	innerCost := inner.Cost()
 	c := outer.Cost().Add(Cost{
-		Seconds: innerCost.Seconds*batches + secs,
-		Joules:  innerCost.Joules*batches + secs*env.CPUWattPerCore,
+		Seconds: innerCost.Seconds*batches + nc.Seconds,
+		Joules:  innerCost.Joules*batches + nc.Joules,
 	})
 	out = append(out, &PJoin{Algo: "nl", Left: outer, Right: inner,
 		LeftCol: oc, RightCol: ic, Pred: jp, cols: ocols, card: outCard, cost: c})
@@ -760,59 +700,48 @@ func (o *optimizer) buildAgg(in PhysNode) PhysNode {
 		aggs = append(aggs, spec)
 		aggRefs = append(aggRefs, ColRef{Col: spec.As})
 	}
-	projCost := in.Cost().Add(Cost{
-		Seconds: in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz,
-		Joules:  in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz * o.env.CPUWattPerCore,
-	})
+	projCycles := in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow
+	projCost := in.Cost().Add(o.cpu(projCycles))
 	proj := &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: projCost}
 
 	groups := math.Max(1, in.Card()/10) // crude group-count estimate
 	aggCycles := in.Card() * float64(max(1, len(aggs))) * o.env.Costs.AggCyclesPerRow
 	mem := int64(groups * proj.RowBytes())
-	aggCost := projCost.Add(Cost{
-		Seconds:  aggCycles / o.env.CPUFreqHz,
-		Joules:   aggCycles / o.env.CPUFreqHz * o.env.CPUWattPerCore,
-		MemBytes: mem,
-	})
+	ac := o.cpu(aggCycles)
+	ac.MemBytes = mem
+	aggCost := projCost.Add(ac)
 	outCols := append(append([]ColRef{}, o.q.GroupBy...), aggRefs...)
 	best := &PAgg{In: proj, Group: groupPos, Aggs: aggs, AggRefs: aggRefs,
 		cols: outCols, card: groups, cost: aggCost}
 	bestScore := o.env.Score(aggCost, o.obj)
 
 	// Extend the DOP sweep to the whole pipeline: when the aggregation's
-	// input fragments end to end (a scan under any stack of filters,
-	// projections and hash-join probe sides — see pipelineWork), price
-	// fragmenting input+project+partial-agg dop-ways followed by a
-	// partition-wise parallel merge. Elapsed time approaches the serial
-	// prefix (join builds) plus max(io, pipelineCPU/dop) plus a merge term;
-	// joules stay flat in dop except for the dop× partial groups the merge
-	// folds and the per-worker startup overhead (two process waves:
-	// fragments, then merge workers), so MinTime buys parallel aggregation
-	// while MinEnergy keeps the serial plan — per operator, not just per
-	// scan. Filter and probe CPU is priced inside the fragments here, not
-	// as the serial tax the non-fragmented candidates carry.
+	// input fragments end to end (a scan under any stack of filters and
+	// hash-join probe sides — see fragPriced), price fragmenting
+	// input+project+partial-agg dop-ways followed by a partition-wise
+	// parallel merge. Elapsed time approaches the serial prefix (join
+	// builds) plus max(io, pipelineCPU/dop) plus a merge term; joules stay
+	// flat in dop except for the dop× partial groups the merge folds and the
+	// per-worker startup overhead (two process waves: fragments, then merge
+	// workers), so MinTime buys parallel aggregation while MinEnergy keeps
+	// the serial plan — per operator, not just per scan. Filter and probe
+	// CPU is priced inside the fragments here, not as the serial tax the
+	// non-fragmented candidates carry.
 	if pw, ok := o.pipelineWork(in); ok {
 		env := o.env
-		projCycles := in.Card() * float64(len(exprs)) * env.Costs.ProjectCyclesPerRow
 		foldCycles := groups * float64(max(1, len(aggs))) * env.Costs.AggCyclesPerRow
-		for _, dop := range o.dopCandidates(pw.src.Variant.ST, len(pw.src.Read)) {
-			if dop <= 1 {
-				continue
-			}
-			pipeCPU := pw.extraCPU + (projCycles+aggCycles)/env.CPUFreqHz
-			startup := float64(2*(dop-1)) * parallelStartupCycles / env.CPUFreqHz
-			mergeSecs := foldCycles / env.CPUFreqHz // dop merge workers fold dop partials in parallel
-			stream := pw.scan.elapsed(pipeCPU, dop) + mergeSecs + startup
-			secs := pw.prefix.Seconds + stream
-			joules := pw.prefix.Joules + (pw.scan.cpuSecs+pipeCPU+startup)*env.CPUWattPerCore +
-				pw.scan.ioJoules + float64(dop)*foldCycles/env.CPUFreqHz*env.CPUWattPerCore +
-				pw.memBytes*env.DRAMWattPerByte*stream
-			c := Cost{Seconds: secs, Joules: joules,
+		pipeCPU := pw.extraCPU + (projCycles+aggCycles)/env.CPUFreqHz
+		mergeSecs := foldCycles / env.CPUFreqHz // dop merge workers fold dop partials in parallel
+		for _, dop := range o.widths(pw.src) {
+			stream, busy := o.fragmented(pw, pipeCPU, mergeSecs, 2, dop)
+			c := Cost{Seconds: pw.prefix.Seconds + stream,
+				Joules: pw.prefix.Joules + busy*env.CPUWattPerCore + pw.scan.ioJoules +
+					float64(dop)*foldCycles/env.CPUFreqHz*env.CPUWattPerCore + pw.memBytes*env.DRAMWattPerByte*stream,
 				MemBytes: int64(dop)*mem + int64(pw.memBytes)}
-			if o.env.Score(c, o.obj) < bestScore {
+			if s := o.env.Score(c, o.obj); s < bestScore {
 				best = &PAgg{In: proj, Group: groupPos, Aggs: aggs, AggRefs: aggRefs,
 					DOP: dop, cols: outCols, card: groups, cost: c}
-				bestScore = o.env.Score(c, o.obj)
+				bestScore = s
 			}
 		}
 	}
@@ -841,9 +770,6 @@ func (o *optimizer) buildSelect(in PhysNode) PhysNode {
 		names = append(names, name)
 		cols = append(cols, ColRef{Col: name})
 	}
-	cost := in.Cost().Add(Cost{
-		Seconds: in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz,
-		Joules:  in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow / o.env.CPUFreqHz * o.env.CPUWattPerCore,
-	})
+	cost := in.Cost().Add(o.cpu(in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow))
 	return &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: cost}
 }

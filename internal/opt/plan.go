@@ -75,8 +75,8 @@ type PhysNode interface {
 	Children() []PhysNode
 	// describe is the node's one rendering for EXPLAIN: the operator name
 	// and detail are ExplainRows' first two columns, notes the
-	// annotations only Explain's text carries (cols=, dop=, build_dop=,
-	// probe_dop=), each with a leading space.
+	// annotations only Explain's text carries (cols=, dop=, probe_dop=),
+	// each with a leading space.
 	describe() (op, detail, notes string)
 }
 
@@ -92,18 +92,15 @@ func colIndex(cols []ColRef, c ColRef) int {
 
 // fragSource is implemented by physical nodes that can compile themselves
 // into dop parallel fragment pipelines sharing one morsel dispenser, so
-// exchange consumers — the Parallel streaming merge, aggregation and join
-// builds — can parallelise the whole pipeline above the scan rather than
-// just the scan itself: scans, filters, projections and hash-join probe
-// sides all fragment. Fewer fragments than dop come back when the input
-// cannot divide that far — down to the one-fragment set, which is the
-// node's serial operator tree.
+// exchange consumers — the Parallel streaming merge and the aggregation —
+// can parallelise the whole pipeline above the scan rather than just the
+// scan itself: scans, filters, projections and hash-join probe sides all
+// fragment. Fewer fragments than dop come back when the input cannot
+// divide that far — down to the one-fragment set, which is the node's
+// serial operator tree. (Which of them the optimizer prices as fragmented
+// is fragPriced's business.)
 type fragSource interface {
 	BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
-	// pipelineWork decomposes the node's cost for the DOP sweep when its
-	// whole pipeline fragments end to end; ok=false means BuildFragments
-	// would not fragment it either (see pipeWork).
-	pipelineWork(o *optimizer) (pw pipeWork, ok bool)
 }
 
 // buildFragments compiles n dop ways when it can fragment and dop asks
@@ -117,6 +114,16 @@ func buildFragments(ctx *exec.Ctx, n PhysNode, dop int) (exec.Fragments, error) 
 		return exec.Fragments{}, err
 	}
 	return exec.OneFragment(op), nil
+}
+
+// stream compiles n dop ways as one operator: the Parallel merge over its
+// fragments, or its serial tree when it does not divide.
+func stream(ctx *exec.Ctx, n fragSource, dop int) (exec.Operator, error) {
+	fr, err := n.BuildFragments(ctx, dop)
+	if err != nil {
+		return nil, err
+	}
+	return fr.Stream(), nil
 }
 
 // PScan scans one placement variant with pushed-down predicates, possibly
@@ -158,13 +165,7 @@ func (s *PScan) MaxDOP() int { return max(1, s.DOP) }
 
 // Build implements PhysNode: the scan's fragments under a Parallel merge,
 // or the serial scan itself when DOP (or the table) is too small to split.
-func (s *PScan) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	fr, err := s.BuildFragments(ctx, s.DOP)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Stream(), nil
-}
+func (s *PScan) Build(ctx *exec.Ctx) (exec.Operator, error) { return stream(ctx, s, s.DOP) }
 
 // scanOp constructs one scan over the variant with its own predicate
 // instance (predicates carry evaluation scratch): a fragment claiming
@@ -249,7 +250,6 @@ type PJoin struct {
 	LeftCol  int
 	RightCol int
 	Pred     PredIR // the equality predicate this join applies
-	BuildDOP int    // hash only: fragment the build pipeline this many ways; <= 1 serial
 	ProbeDOP int    // hash only: fragment the probe pipeline this many ways; <= 1 serial
 
 	cols []ColRef
@@ -270,49 +270,36 @@ func (j *PJoin) RowBytes() float64 { return j.Left.RowBytes() + j.Right.RowBytes
 func (j *PJoin) Cost() Cost { return j.cost }
 
 // MaxDOP implements PhysNode.
-func (j *PJoin) MaxDOP() int {
-	return max(j.BuildDOP, j.ProbeDOP, j.Left.MaxDOP(), j.Right.MaxDOP())
-}
+func (j *PJoin) MaxDOP() int { return max(j.ProbeDOP, j.Left.MaxDOP(), j.Right.MaxDOP()) }
 
 // Build implements PhysNode: the join's fragments (see BuildFragments)
 // under a Parallel merge, or the one serial join itself.
-func (j *PJoin) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	fr, err := j.BuildFragments(ctx, j.ProbeDOP)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Stream(), nil
-}
+func (j *PJoin) Build(ctx *exec.Ctx) (exec.Operator, error) { return stream(ctx, j, j.ProbeDOP) }
 
 // BuildFragments implements fragSource for the probe side of a hash join:
 // the probe pipeline fragments over its shared morsel dispenser and every
 // fragment probes one shared build state, run once by the first fragment
 // to open (exec.SharedBuild). Probe and join-output CPU thereby run inside
-// the fragments at the swept DOP. The build side composes: it compiles
-// BuildDOP ways, its fragments hash-partitioning rows by key so the
-// per-partition tables build concurrently and the probe routes through the
-// same partitioning. A nested-loop join does not fragment.
+// the fragments at the swept DOP. The build side is one operator into one
+// table; a build-side scan priced parallel streams its own fragments
+// through a Parallel merge into it. A nested-loop join does not fragment.
 func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	l, err := j.Left.Build(ctx)
+	if err != nil {
+		return exec.Fragments{}, err
+	}
 	if j.Algo != "hash" {
-		l, err := j.Left.Build(ctx)
-		if err != nil {
-			return exec.Fragments{}, err
-		}
 		r, err := j.Right.Build(ctx)
 		if err != nil {
 			return exec.Fragments{}, err
 		}
 		return exec.OneFragment(exec.NewNestedLoopJoin(l, r, j.LeftCol, j.RightCol)), nil
 	}
-	build, err := buildFragments(ctx, j.Left, j.BuildDOP)
-	if err != nil {
-		return exec.Fragments{}, err
-	}
 	probe, err := buildFragments(ctx, j.Right, dop)
 	if err != nil {
 		return exec.Fragments{}, err
 	}
-	sb := exec.NewSharedBuild(build, j.LeftCol, build.Len())
+	sb := exec.NewSharedBuild(l, j.LeftCol)
 	return probe.Map(func(in exec.Operator) (exec.Operator, error) {
 		return exec.NewProber(sb, in, j.RightCol), nil
 	})
@@ -323,7 +310,7 @@ func (j *PJoin) Children() []PhysNode { return []PhysNode{j.Left, j.Right} }
 
 func (j *PJoin) describe() (op, detail, notes string) {
 	return j.Algo + " join", fmt.Sprintf("on L.%d = R.%d rows≈%.0f", j.LeftCol, j.RightCol, j.card),
-		dopNote("build_dop", j.BuildDOP) + dopNote("probe_dop", j.ProbeDOP)
+		dopNote("probe_dop", j.ProbeDOP)
 }
 
 // PFilter applies residual predicates above a join.

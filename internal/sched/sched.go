@@ -25,7 +25,8 @@
 // completion*: when a job finishes and leaves cores free with nothing
 // queued, running jobs that registered a widen callback are offered the
 // freed cores in admission order, so a query admitted narrow on a busy
-// box can restart its pipeline wider once the box drains.
+// box widens its running exchange in place (exec.Widener) once the box
+// drains; a serial plan declines.
 package sched
 
 import (
@@ -372,9 +373,10 @@ func (a *Admission) dispatch() {
 // SetWiden registers a running ticket's widen callback. When a completion
 // leaves cores free and nothing queued (and ReGrant is enabled), the
 // callback is offered the free cores and returns how many it accepts —
-// typically after replanning at the wider grant and arranging a pipeline
-// restart. It must return between 0 and the offer; the controller
-// applies the acceptance to the ticket's grant. Pass nil to deregister.
+// the extra fragments its live exchange spawned against its morsel
+// dispenser (exec.Widener); a one-fragment plan accepts none. It must
+// return between 0 and the offer; the controller applies the acceptance
+// to the ticket's grant. Pass nil to deregister.
 func (a *Admission) SetWiden(t *Ticket, fn func(free int) int) { t.widen = fn }
 
 // Shrink returns part of a running job's grant to the free pool — a
