@@ -147,7 +147,7 @@ func TestExplainRowsMatchParent(t *testing.T) {
 								notes := explainNotes(plan)
 								fmt.Fprintf(&got, "%s/%d %s %v %v cores=%d budget=%gms | %s | %s\n",
 									rig.name, blockRows, q.name, obj, mode, cores, budget*1000, notes, rows)
-								for _, k := range []string{"scan:dop=", "agg:dop=", "probe_dop=", "pstate=P1", "build_dop="} {
+								for _, k := range []string{"scan:dop=", "agg:dop=", "probe_dop=", "pstate=P1"} {
 									if strings.Contains(notes, k) {
 										kinds[k]++
 									}
