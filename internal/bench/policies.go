@@ -69,7 +69,6 @@ type PolicyPoint struct {
 	AttributedJ float64 // Σ per-query attributed + unattributed floor
 	AttrGapJ    float64 // |AttributedJ − MeterJ|, absolute
 	MeanWaitS   float64 // mean admission queueing delay
-	Regrants    int64
 }
 
 // SLO reports the point's deadline compliance in [0, 1].
@@ -319,7 +318,6 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 		pt.AttributedJ = sum
 		pt.AttrGapJ = math.Abs(sum - pt.MeterJ)
 		pt.MeanWaitS = st.MeanWait()
-		pt.Regrants = st.Regrants
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
@@ -328,10 +326,10 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 // Render prints the scorecard table.
 func (r *PoliciesResult) Render() string {
 	t := NewTable(fmt.Sprintf("Admission policies × DVFS — mixed deadline + background workload (sf %g)", r.SF),
-		"config", "SLO", "background", "makespan(s)", "meter(J)", "Σ attributed(J)", "gap(J)", "mean wait(s)", "regrants")
+		"config", "SLO", "background", "makespan(s)", "meter(J)", "Σ attributed(J)", "gap(J)", "mean wait(s)")
 	for _, p := range r.Points {
 		t.Addf(p.Name, fmt.Sprintf("%d/%d", p.SLOMet, p.SLOTotal), p.Background,
-			p.Seconds, p.MeterJ, p.AttributedJ, p.AttrGapJ, p.MeanWaitS, p.Regrants)
+			p.Seconds, p.MeterJ, p.AttributedJ, p.AttrGapJ, p.MeanWaitS)
 	}
 	if base, ok := r.Point("fifo@P0"); ok {
 		if dvfs, ok := r.Point("edf+dvfs"); ok && base.MeterJ > 0 {

@@ -13,7 +13,6 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 )
 
@@ -21,7 +20,7 @@ import (
 // self-contained per block (no cross-block state), so blocks can be decoded
 // in any order.
 type Codec interface {
-	// Name is the registry key, e.g. "rle".
+	// Name identifies the codec in plans and diagnostics, e.g. "lz".
 	Name() string
 	// Encode appends the encoded form of src to dst and returns it.
 	Encode(dst, src []byte) []byte
@@ -97,34 +96,6 @@ func appendLE64s(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-var registry = map[string]Codec{}
-
-func register(c Codec) Codec {
-	if _, dup := registry[c.Name()]; dup {
-		panic("compress: duplicate codec " + c.Name())
-	}
-	registry[c.Name()] = c
-	return c
-}
-
-// ByName returns the registered codec with the given name.
-func ByName(name string) (Codec, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown codec %q", name)
-	}
-	return c, nil
-}
-
-// Names lists registered codec names (unordered).
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Ratio reports encoded/decoded size for src under c (1.0 = incompressible,
 // smaller is better).
 func Ratio(c Codec, src []byte) float64 {
@@ -136,7 +107,7 @@ func Ratio(c Codec, src []byte) float64 {
 }
 
 // Raw is the identity codec: the "uncompressed" configuration.
-var Raw Codec = register(rawCodec{})
+var Raw Codec = rawCodec{}
 
 type rawCodec struct{}
 

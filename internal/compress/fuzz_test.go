@@ -119,7 +119,7 @@ func lzDecodeReference(dst, src []byte) ([]byte, error) {
 	}
 }
 
-// FuzzCodecDecode holds every registered codec to the decode layer's
+// FuzzCodecDecode holds every codec to the decode layer's
 // contract on arbitrary bytes: Decode never panics and never exceeds
 // decodeBudget; Decode(Encode(x)) == x; decoding into a dirty destination
 // with room to spare — where LZ's fast token runs — gives what decoding
@@ -138,6 +138,11 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Add(c.Encode(nil, strs))
 		f.Add(c.Encode(nil, append(slices.Clone(ints), 1, 2, 3))) // a raw tail
 	}
+	// What the retired run-length codec made of the same three shapes:
+	// (length, byte) pairs, kept as inputs like the corpus's -rle entry.
+	f.Add([]byte("\x01\x03\a\x00\x01\x05\a\x00\x01\b\a\x00\x01\r\f\x00\x01\x01\x02\x00\x01\xf9\a\xff\x01\xf9\a\xff\x01\xf9\a\xff"))
+	f.Add([]byte("\x01\x01\x01F\x01\x01\x01O\x01\x01\x01F\x01\x00\x01\x05\x01T\x01R\x01U\x01C\x01K\x01\x01\x01F"))
+	f.Add([]byte("\x01\x03\a\x00\x01\x05\a\x00\x01\b\a\x00\x01\r\f\x00\x01\x01\x02\x00\x01\xf9\a\xff\x01\xf9\a\xff\x01\xf9\a\xff\x01\x01\x01\x02\x01\x03"))
 	f.Add(lzCutAfterLiterals)
 	f.Add(lzFastPastBudget)
 	f.Add(dictBadSkippedIndex)

@@ -2,57 +2,10 @@ package compress
 
 import "slices"
 
-// RLE is a byte-level run-length codec: the stream is a sequence of
-// (run length varint, value byte) pairs. Column-major integer data is full
-// of long zero runs (high-order bytes), which is why RLE is a classic
-// column-store codec despite its simplicity.
-var RLE Codec = register(rleCodec{})
-
-type rleCodec struct{}
-
-func (rleCodec) Name() string { return "rle" }
-
-func (rleCodec) Encode(dst, src []byte) []byte {
-	for i := 0; i < len(src); {
-		j := i + 1
-		for j < len(src) && src[j] == src[i] {
-			j++
-		}
-		dst = putUvarint(dst, uint64(j-i))
-		dst = append(dst, src[i])
-		i = j
-	}
-	return dst
-}
-
-func (rleCodec) Decode(dst, src []byte) ([]byte, error) {
-	budget := uint64(decodeBudget(len(src)))
-	for len(src) > 0 {
-		n, k := uvarint(src)
-		if k <= 0 || k == len(src) || n == 0 || n > budget {
-			return dst, ErrCorrupt
-		}
-		v := src[k]
-		src = src[k+1:]
-		budget -= n
-		start := len(dst)
-		dst = grow(dst, int(n))
-		run := dst[start:]
-		for i := range run {
-			run[i] = v
-		}
-	}
-	return dst, nil
-}
-
-func (rleCodec) Cost() CostModel {
-	return CostModel{EncodeCyclesPerByte: 1.5, DecodeCyclesPerByte: 0.8}
-}
-
 // Delta is an int64 delta + zigzag + varint codec for fixed-width 8-byte
 // little-endian integer streams (sorted keys compress to ~1 byte/value).
 // Inputs whose length is not a multiple of 8 keep a raw tail.
-var Delta Codec = register(deltaCodec{})
+var Delta Codec = deltaCodec{}
 
 type deltaCodec struct{}
 
@@ -161,7 +114,7 @@ func (deltaCodec) Cost() CostModel {
 
 // Bitpack frame-of-reference packs int64 streams: per 128-value frame it
 // stores the minimum and the bit width of offsets, then the packed bits.
-var Bitpack Codec = register(bitpackCodec{})
+var Bitpack Codec = bitpackCodec{}
 
 type bitpackCodec struct{}
 

@@ -14,7 +14,7 @@ import "encoding/binary"
 //	lits    litLen bytes
 //	matchLen uvarint   (0 means end of stream, no offset follows)
 //	offset  uvarint    (1..65535, distance back from current position)
-var LZ Codec = register(lzCodec{})
+var LZ Codec = lzCodec{}
 
 type lzCodec struct{}
 

@@ -76,13 +76,6 @@ type Config struct {
 	// running query planned for.
 	DVFS bool
 
-	// ReGrant lets a running query widen when a completion frees cores
-	// and nothing is queued: the freed cores are offered to the query's
-	// live exchange, which absorbs them in place by adding fragments
-	// against its morsel dispenser (results are unaffected, nothing is
-	// redone); a serial plan declines and the cores stay free.
-	ReGrant bool
-
 	// DRAMWattPerByte overrides the energy model's memory holding power;
 	// 0 keeps the datasheet-derived value.
 	DRAMWattPerByte float64
@@ -199,7 +192,6 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("core: unknown sched policy %q", cfg.SchedPolicy)
 	}
 	adm := sched.NewAdmissionPolicy(srv.Eng, srv.CPU.Cores(), 0, schedPol)
-	adm.ReGrant = cfg.ReGrant
 
 	db := &DB{
 		Srv: srv, Vol: vol, Pool: buffer.NewPool(1024, buffer.NewLRU()),
@@ -273,7 +265,7 @@ func (db *DB) buildEnv() *opt.Env {
 }
 
 // SchedStats returns a copy of the admission controller's counters
-// (mean wait, expirations, peak queue depth, re-grants, ...), so benches
+// (mean wait, expirations, peak queue depth, ...), so benches
 // and harnesses need not reach into scheduler internals.
 func (db *DB) SchedStats() sched.Stats { return db.Adm.Stats() }
 
@@ -475,8 +467,9 @@ type prepared struct {
 // prepare is the one way SQL text enters the engine: parse, refuse what
 // the caller does not take (sessions take reads, ExecAt takes writes, Exec
 // takes both), then bind a SELECT and place the tables it reads, or
-// validate an INSERT against its table. Nothing is scheduled and no
-// simulated time passes.
+// validate an INSERT against its table. A statement the entry point does
+// not take is refused as sql.ErrSyntax: its grammar is the entry point's.
+// Nothing is scheduled and no simulated time passes.
 func (db *DB) prepare(text string, reads, writes bool) (p prepared, err error) {
 	st, err := sql.Parse(text)
 	if err != nil {
@@ -484,9 +477,9 @@ func (db *DB) prepare(text string, reads, writes bool) (p prepared, err error) {
 	}
 	switch {
 	case st.Select != nil && !reads:
-		return p, fmt.Errorf("core: this entry point takes CREATE or INSERT; a SELECT goes through a session (PREPARE/EXECUTE)")
+		return p, fmt.Errorf("core: %w: this entry point takes CREATE or INSERT; a SELECT goes through a session (PREPARE/EXECUTE)", sql.ErrSyntax)
 	case st.Select == nil && !writes:
-		return p, fmt.Errorf("core: only SELECT can be prepared or explained")
+		return p, fmt.Errorf("core: %w: only SELECT can be prepared or explained", sql.ErrSyntax)
 	case st.Create != nil:
 		p.create = table.NewSchema(st.Create.Name, st.Create.Cols...)
 	case st.Insert != nil:

@@ -3,11 +3,15 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"energydb/internal/fault"
 	"energydb/internal/hw"
+	"energydb/internal/opt"
+	"energydb/internal/sql"
 	"energydb/internal/table"
+	"energydb/internal/tpch"
 )
 
 // TestExecInsertIsBilledAndLeavesTheFutureAlone: Exec of an INSERT on a
@@ -213,4 +217,82 @@ func TestFrontDoorTakesWhatItsCallerTakes(t *testing.T) {
 	if live := db.Srv.Eng.Live(); live != 0 || len(db.commits) != 0 {
 		t.Fatalf("%d live process(es), %d tracked commit(s) after refusals and EXPLAINs", live, len(db.commits))
 	}
+}
+
+// TestPlanRefusalsAreTyped pins which sentinel each kind of refusal
+// matches; FuzzSQL holds every refusal to one of them.
+func TestPlanRefusalsAreTyped(t *testing.T) {
+	db, err := Open(Config{Server: hw.SmallServer(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadTinyTPCH(t, db, 0.001)
+	for _, c := range []struct {
+		text string
+		want error
+	}{
+		{`SELECT n_name FROM nation WHERE n_name = 'x`, sql.ErrSyntax},
+		{`SELECT n_name FROM nation WHERE`, sql.ErrSyntax},
+		{`SELECT n_name FROM nation WHERE n_regionkey # 1`, sql.ErrSyntax},
+		{`SELECT COUNT(*) FROM lineitem WHERE l_shipdate < DATE '1994-13-01'`, sql.ErrSyntax},
+		{`INSERT INTO nation VALUES (1, 'X', 1, 'y')`, sql.ErrSyntax},
+		{`SELECT x FROM nowhere`, sql.ErrUnknownName},
+		{`SELECT z.n_name FROM nation n`, sql.ErrUnknownName},
+		{`SELECT n.nope FROM nation n`, sql.ErrUnknownName},
+		{`SELECT n_name FROM nation ORDER BY nope`, sql.ErrUnknownName},
+		{`SELECT n_name FROM nation a JOIN nation b ON a.n_nationkey = b.n_nationkey`, sql.ErrUnknownName},
+		{`SELECT *, COUNT(*) FROM nation`, sql.ErrType},
+		{`SELECT n_name, COUNT(*) FROM nation`, sql.ErrType},
+		{`SELECT SUM(n_name) FROM nation`, sql.ErrType},
+		{`SELECT COUNT(*) FROM nation n JOIN region n ON n.n_regionkey = n.r_regionkey`, sql.ErrDuplicateAlias},
+		{`SELECT COUNT(*) FROM nation, region`, opt.ErrUnsupported},
+	} {
+		if _, err := db.Plan(c.text); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.text, err, c.want)
+		}
+	}
+}
+
+// FuzzSQL: SQL text is the front door, and Plan — parse, bind, place,
+// optimize — is everything a statement goes through before it is
+// scheduled. Whatever the text, Plan must not panic, a nil error must come
+// with a plan, and a refusal must match one sentinel of a closed list with
+// errors.Is, so a caller (and the wire) can branch on the kind without
+// reading the message. The seeds are committed under testdata/fuzz.
+func FuzzSQL(f *testing.F) {
+	db, err := Open(Config{Server: hw.SmallServer(2)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	gen := tpch.Generate(0.001, 42)
+	names := make([]string, 0, len(gen.Tables))
+	for name, tab := range gen.Tables {
+		if err := db.LoadTable(tab); err != nil {
+			f.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	// Placed up front, so no input's Plan depends on what ran before it.
+	sort.Strings(names)
+	for _, name := range names {
+		if err := db.place(name); err != nil {
+			f.Fatal(err)
+		}
+	}
+	refusals := []error{sql.ErrSyntax, sql.ErrUnknownName, sql.ErrType, sql.ErrDuplicateAlias, opt.ErrUnsupported}
+	f.Fuzz(func(t *testing.T, text string) {
+		plan, err := db.Plan(text)
+		if err == nil {
+			if plan == nil {
+				t.Fatalf("%q: nil plan and nil error", text)
+			}
+			return
+		}
+		for _, s := range refusals {
+			if errors.Is(err, s) {
+				return
+			}
+		}
+		t.Fatalf("%q: refused with no sentinel: %v", text, err)
+	})
 }

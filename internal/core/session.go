@@ -255,7 +255,6 @@ type Rows struct {
 
 	err      error
 	plan     *opt.Plan
-	widener  *exec.Widener // live pipeline's in-place widening hook
 	schema   *table.Schema
 	acct     *energy.Account
 	batches  []*table.Batch
@@ -488,9 +487,6 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 			if db.cfg.DVFS {
 				db.votePState(r.id, plan.PState)
 			}
-			if db.cfg.ReGrant {
-				db.Adm.SetWiden(r.ticket, func(free int) int { return db.widenOffer(r, free) })
-			}
 			if r.deadline > 0 {
 				// The admission-side timer cannot touch a running job;
 				// this one can. At the deadline the query's cancel flag
@@ -527,9 +523,6 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 			if db.cfg.DVFS {
 				db.dropPState(r.id)
 			}
-			if db.cfg.ReGrant {
-				db.Adm.SetWiden(r.ticket, nil)
-			}
 		}
 	}
 	if r.expired && r.err == nil {
@@ -551,7 +544,6 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 // process outlives a failed statement.
 func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 	ctx := db.NewCtx(p)
-	r.widener = ctx.Widen
 	op, err := plan.Build(ctx)
 	if err != nil {
 		return err
@@ -575,20 +567,6 @@ func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 		err = cerr
 	}
 	return err
-}
-
-// widenOffer is the re-grant callback: a completion left free cores with
-// nothing queued, and the admission controller offers them to this
-// running query. A fragmented exchange absorbs them in place by spawning
-// extra fragments against its live morsel dispenser, so no work is redone
-// and the result is unchanged (fragments only change which worker claims
-// which morsel); a plan with no live exchange declines. It returns the
-// cores accepted; the controller moves them onto the ticket's grant.
-func (db *DB) widenOffer(r *Rows, free int) int {
-	if r.done || r.cancel || r.err != nil {
-		return 0
-	}
-	return r.widener.Offer(free)
 }
 
 // finish settles the query's Result and releases chained statements.

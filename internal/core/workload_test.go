@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,8 +9,7 @@ import (
 )
 
 // This file tests the workload-energy manager end to end: the
-// idle-floor-aware MinEnergy objective against the wall meter, and
-// re-grant pipeline widening against the narrow reference run.
+// idle-floor-aware MinEnergy objective against the wall meter.
 
 // TestIdleFloorAwareMinEnergyMatchesWallMeter is the acceptance check
 // that objective and meter finally agree. On the race-to-idle rig and
@@ -58,86 +56,6 @@ func TestIdleFloorAwareMinEnergyMatchesWallMeter(t *testing.T) {
 		t.Fatalf("idle-floor-aware plan metered %.4fJ >= marginal plan's %.4fJ", ja, jm)
 	}
 	t.Logf("marginal: %.4fJ (serial)  idle-floor-aware: %.4fJ (parallel, %.2fx)", jm, ja, ja/jm)
-}
-
-// regrantPair runs a long aggregation and a short count concurrently on
-// the 8-core rig (fair-share splits the box 4/4) and returns the long
-// query's result fingerprint, its elapsed seconds, and the re-grant
-// count. With ReGrant on, the short query's completion offers its cores
-// back and the aggregation widens mid-run: the live pipeline spawns
-// extra fragments against its morsel dispenser instead of restarting.
-func regrantPair(t *testing.T, regrant bool) (fp string, elapsed float64, regrants int64) {
-	t.Helper()
-	db, err := Open(Config{
-		Server:    parallelRig(),
-		Objective: opt.MinTime,
-		BlockRows: 1024, // enough morsels that an 8-core grant can out-fan a 4-core one
-		ReGrant:   regrant,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadTinyTPCH(t, db, 0.03)
-
-	s1, s2 := db.Session(), db.Session()
-	defer s1.Close()
-	defer s2.Close()
-	// The aggregates are exact in float64 (counts and sums of small
-	// integers), so a wider partitioning cannot perturb low-order bits;
-	// the predicate work keeps the pipeline CPU-bound enough that eight
-	// workers genuinely beat four.
-	long, err := s1.Query(`SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS q
-		FROM lineitem
-		WHERE l_quantity < 48 AND l_discount > 0.01 AND l_extendedprice < 80000 AND l_tax < 0.09
-		GROUP BY l_returnflag ORDER BY l_returnflag`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := s2.Query(`SELECT COUNT(*) AS n FROM orders`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := short.Result(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := long.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for i := 0; i < res.Rows.Rows(); i++ {
-		fmt.Fprintf(&b, "%s|%d|%.9f\n", res.Rows.Column(0).S[i],
-			res.Rows.Column(1).I[i], res.Rows.Column(2).F[i])
-	}
-	return b.String(), float64(res.Elapsed), db.SchedStats().Regrants
-}
-
-// TestReGrantWidensAndPreservesResults: the widened run must actually
-// widen (re-grants observed, and the extra fragments absorbed in place
-// must make the long query finish sooner than the narrow run) and
-// produce bit-identical rows to the narrow run.
-func TestReGrantWidensAndPreservesResults(t *testing.T) {
-	narrowFP, narrowElapsed, narrowRegrants := regrantPair(t, false)
-	wideFP, wideElapsed, wideRegrants := regrantPair(t, true)
-
-	if narrowRegrants != 0 {
-		t.Fatalf("ReGrant off but %d regrants recorded", narrowRegrants)
-	}
-	if wideRegrants == 0 {
-		t.Fatalf("ReGrant on but no widening happened (narrow %.5fs, wide %.5fs)",
-			narrowElapsed, wideElapsed)
-	}
-	if wideElapsed >= narrowElapsed {
-		t.Fatalf("widened run no faster: %.5fs vs %.5fs narrow", wideElapsed, narrowElapsed)
-	}
-	if wideFP != narrowFP {
-		t.Fatalf("re-grant changed the result:\nnarrow:\n%swide:\n%s", narrowFP, wideFP)
-	}
-	t.Logf("narrow %.5fs, widened %.5fs (%.2fx) after %d regrants; results bit-identical",
-		narrowElapsed, wideElapsed, narrowElapsed/wideElapsed, wideRegrants)
 }
 
 // TestDVFSGovernorActuatesPState: a DVFS-enabled MinEnergy query whose

@@ -508,7 +508,7 @@ func BenchmarkParallelFilterPipeline(b *testing.B) {
 						frags[i] = &Filter{In: frags[i],
 							Pred: &ColConst{Col: 1, Op: Lt, Val: table.IntVal(500)}}
 					}
-					agg := NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), nil,
+					agg := NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q))), nil,
 						[]AggSpec{{Func: Count, As: "n"}, {Func: Sum, Col: 1, As: "s"}})
 					if _, err := RowCount(ctx, agg); err != nil {
 						b.Error(err)
@@ -551,7 +551,7 @@ func BenchmarkParallelProbe(b *testing.B) {
 					for i := range frags {
 						frags[i] = NewProber(sb, frags[i], 0)
 					}
-					n, err := RowCount(ctx, NewParallel(NewFragments(frags, q, nil)))
+					n, err := RowCount(ctx, NewParallel(NewFragments(frags, q)))
 					if err != nil {
 						b.Error(err)
 					}

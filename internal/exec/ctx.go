@@ -62,17 +62,11 @@ type Ctx struct {
 
 	// VectorSize is the preferred rows per batch for non-scan operators.
 	VectorSize int
-
-	// Widen, when non-nil, lets a live fragmented exchange accept extra
-	// cores mid-pipeline (see Widener). Worker contexts copied from this
-	// one share it by pointer.
-	Widen *Widener
 }
 
 // NewCtx builds a context with default costs and vector size.
 func NewCtx(p *sim.Proc, cpu *hw.CPU) *Ctx {
-	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts(), VectorSize: 4096,
-		Widen: &Widener{}}
+	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts(), VectorSize: 4096}
 }
 
 // ChargeBytes charges byte-proportional CPU work.

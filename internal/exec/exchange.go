@@ -9,9 +9,8 @@ import (
 
 // This file is the exchange layer: it runs a pipeline compiled n ways —
 // a Fragments set — across simulated processes. One fragment runner owns
-// everything about the workers (start, stop, mid-run widening, error
-// fan-in); what differs between exchanges is only the Sink their batches
-// go to:
+// everything about the workers (start, stop, error fan-in); what differs
+// between exchanges is only the Sink their batches go to:
 //
 //   - a barrier sink (RunFragments) absorbs every batch inside the worker
 //     that produced it, and control returns when all fragments have
@@ -45,12 +44,6 @@ type Fragments struct {
 	// Queue is the morsel dispenser the fragments share; the exchange
 	// running the set resets it at the start of every run.
 	Queue *Morsels
-
-	// Spawn, when set, constructs one more fragment over Queue, so a
-	// re-grant can widen the running set (see Widener): the late fragment
-	// claims morsels from the same live dispenser and the result is
-	// unchanged — only more cores race through the remainder.
-	Spawn func() (Operator, error)
 }
 
 // OneFragment is the serial set: op alone, owning its whole input.
@@ -58,12 +51,12 @@ func OneFragment(op Operator) Fragments { return Fragments{first: op} }
 
 // NewFragments is the set of ops sharing queue. The fragments must
 // produce identical schemas and share no mutable state (predicate
-// scratch, fused kernels); spawn may be nil.
-func NewFragments(ops []Operator, queue *Morsels, spawn func() (Operator, error)) Fragments {
+// scratch, fused kernels).
+func NewFragments(ops []Operator, queue *Morsels) Fragments {
 	if len(ops) == 0 {
 		panic("exec: a fragment set needs at least one fragment")
 	}
-	return Fragments{first: ops[0], rest: ops[1:], Queue: queue, Spawn: spawn}
+	return Fragments{first: ops[0], rest: ops[1:], Queue: queue}
 }
 
 // Len is the number of fragments compiled into the set.
@@ -72,8 +65,7 @@ func (f Fragments) Len() int { return 1 + len(f.rest) }
 // Schema is the schema every fragment produces.
 func (f Fragments) Schema() *table.Schema { return f.first.Schema() }
 
-// Map puts wrap(fragment) in place of every fragment, and composes wrap
-// into Spawn so fragments added later run the same wrapped pipeline.
+// Map puts wrap(fragment) in place of every fragment.
 func (f Fragments) Map(wrap func(in Operator) (Operator, error)) (Fragments, error) {
 	var err error
 	if f.first, err = wrap(f.first); err != nil {
@@ -82,15 +74,6 @@ func (f Fragments) Map(wrap func(in Operator) (Operator, error)) (Fragments, err
 	for i, in := range f.rest {
 		if f.rest[i], err = wrap(in); err != nil {
 			return f, err
-		}
-	}
-	if inner := f.Spawn; inner != nil {
-		f.Spawn = func() (Operator, error) {
-			in, err := inner()
-			if err != nil || in == nil {
-				return nil, err
-			}
-			return wrap(in)
 		}
 	}
 	return f, nil
@@ -110,8 +93,7 @@ func (f Fragments) Stream() Operator {
 // Sink is where a running fragment set's batches go.
 type Sink interface {
 	// AddWorker prepares the sink's state for worker w before w starts.
-	// Workers are numbered from 0 in start order; a worker added by a
-	// widening offer arrives here from scheduler event context.
+	// Workers are numbered from 0 in start order.
 	AddWorker(w int)
 	// Absorb consumes one non-empty batch inside worker w's process, so
 	// CPU it charges lands on that worker's core. The batch is owned by the
@@ -159,43 +141,30 @@ type fragMsg struct {
 // Every worker reports its exit on out. The first failure trips stop,
 // which the others see at their next batch boundary.
 type fragRunner struct {
-	ctx        *Ctx
-	name       string
-	frags      Fragments
-	sink       Sink
-	out        *sim.Mailbox[fragMsg]
-	started    int // workers started so far: the next worker's index
-	live       int // workers that have not reported their exit
-	stop       bool
-	failed     error // first error in completion order
-	registered bool  // holding the Ctx.Widen slot
+	ctx    *Ctx
+	name   string
+	sink   Sink
+	out    *sim.Mailbox[fragMsg]
+	live   int // workers that have not reported their exit
+	stop   bool
+	failed error // first error in completion order
 }
 
-// start launches one worker per fragment. A set compiled more than one
-// way with a Spawn hook then takes the context's widening slot, to be
-// offered freed cores while it runs.
+// start launches one worker per fragment, numbered in set order.
 func (r *fragRunner) start(ctx *Ctx, name string, frags Fragments, sink Sink) {
-	*r = fragRunner{ctx: ctx, name: name, frags: frags, sink: sink,
+	*r = fragRunner{ctx: ctx, name: name, sink: sink,
 		out: sim.NewMailbox[fragMsg](ctx.P.Engine(), name)}
-	r.startWorker(frags.first)
-	for _, frag := range frags.rest {
-		r.startWorker(frag)
-	}
-	if frags.Len() > 1 && frags.Spawn != nil && frags.Queue != nil {
-		// Offers arrive from scheduler event context, so late workers take
-		// their attribution owner from the coordinator, captured here.
-		owner := ctx.P.Owner()
-		r.registered = ctx.Widen.Register(func(extra int) int { return r.widen(owner, extra) })
+	r.startWorker(0, frags.first)
+	for i, frag := range frags.rest {
+		r.startWorker(i+1, frag)
 	}
 }
 
-func (r *fragRunner) startWorker(frag Operator) *sim.Proc {
-	w := r.started
-	r.started++
+func (r *fragRunner) startWorker(w int, frag Operator) {
 	r.live++
 	r.sink.AddWorker(w)
 	// Names are diagnostics: every worker of a set goes by the set's.
-	return r.ctx.P.Engine().Go(r.name, func(wp *sim.Proc) {
+	r.ctx.P.Engine().Go(r.name, func(wp *sim.Proc) {
 		wctx := *r.ctx
 		wctx.P = wp
 		err := runFragment(&wctx, frag, w, r.sink, &r.stop)
@@ -204,27 +173,6 @@ func (r *fragRunner) startWorker(frag Operator) *sim.Proc {
 		}
 		r.out.Put(fragMsg{w: w, err: err, done: true})
 	})
-}
-
-// widen absorbs up to extra freed cores by spawning fragments against the
-// live dispenser. Offers are declined once the run is failing, finished or
-// the dispenser is drained — a late worker would only pay start-up cost to
-// find no morsels left. Results are unchanged by construction: fragment
-// count never affects them (see CONTRACT.md), widening only changes which
-// core drains which morsel.
-func (r *fragRunner) widen(owner any, extra int) int {
-	accepted := 0
-	for accepted < extra && !r.stop && r.live > 0 && r.frags.Queue.Remaining() > 0 {
-		frag, err := r.frags.Spawn()
-		if err != nil || frag == nil {
-			break
-		}
-		// The worker has not started yet, so its Proc is still its own (a
-		// Proc is valid only until its function returns: sim.Engine.Go).
-		r.startWorker(frag).SetOwner(owner)
-		accepted++
-	}
-	return accepted
 }
 
 // recv blocks for the next worker message, settling exits as they arrive.
@@ -237,14 +185,6 @@ func (r *fragRunner) recv(p *sim.Proc) fragMsg {
 		}
 	}
 	return m
-}
-
-// release gives the widening slot back; later offers are declined.
-func (r *fragRunner) release() {
-	if r.registered {
-		r.ctx.Widen.Deregister()
-		r.registered = false
-	}
 }
 
 // RunFragments is the barrier exchange: it runs every fragment of the set
@@ -262,12 +202,9 @@ func RunFragments(ctx *Ctx, name string, frags Fragments, sink Sink) error {
 	}
 	var r fragRunner
 	r.start(ctx, name, frags, sink)
-	// The coordinator is parked here whenever a widening offer can fire,
-	// so live only grows while there are still workers to wait for.
 	for r.live > 0 {
 		r.recv(ctx.P)
 	}
-	r.release()
 	return r.failed
 }
 

@@ -32,14 +32,14 @@ func colScanFrags(st *StoredTable, readCols, emit []int, newPred func() Pred, do
 
 // partitionedAgg is the aggregation over frags sharing q.
 func partitionedAgg(frags []Operator, q *Morsels, groupBy []int, aggs []AggSpec) *HashAgg {
-	return NewHashAgg(NewFragments(frags, q, nil), groupBy, aggs)
+	return NewHashAgg(NewFragments(frags, q), groupBy, aggs)
 }
 
 // parallelBuildJoin is the hash join whose build side is frags sharing q,
 // streamed through Parallel into the one table: what a plan's build-side
 // scan at DOP > 1 compiles to.
 func parallelBuildJoin(frags []Operator, q *Morsels, probe Operator, buildKey, probeKey int) *Prober {
-	return NewProber(NewSharedBuild(NewFragments(frags, q, nil).Stream(), buildKey), probe, probeKey)
+	return NewProber(NewSharedBuild(NewFragments(frags, q).Stream(), buildKey), probe, probeKey)
 }
 
 // anchor is what one pipeline shape measured at the commit before serial

@@ -88,38 +88,30 @@ func TestCorruptBlockUnderSerialBreaker(t *testing.T) {
 	}
 }
 
-// countingSink counts rows, records how many simulated processes were
-// alive while it absorbed, and offers the running set four more cores from
-// inside every Absorb.
+// countingSink counts rows and records how many simulated processes were
+// alive while it absorbed.
 type countingSink struct {
-	eng      *sim.Engine
-	workers  int
-	rows     int
-	live     int
-	accepted int
+	eng     *sim.Engine
+	workers int
+	rows    int
+	live    int
 }
 
 func (c *countingSink) AddWorker(w int) { c.workers++ }
 func (c *countingSink) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
 	c.rows += b.Rows()
 	c.live = c.eng.Live()
-	c.accepted += wctx.Widen.Offer(4)
 	return true
 }
 
 // TestOneFragmentRunsInline: the barrier exchange over a set of one
-// fragment spawns no process — the sink runs on the caller's — and
-// widening offers made while it runs are declined, Spawn hook or not.
+// fragment spawns no process — the sink runs on the caller's.
 func TestOneFragmentRunsInline(t *testing.T) {
 	tab := ordersLike(3000)
 	r := newRig(1)
 	sink := &countingSink{eng: r.eng}
-	spawned := 0
 	r.run(t, func(ctx *Ctx) {
-		frags := NewFragments([]Operator{&Values{Tab: tab, BatchRows: 512}}, NewMorsels(1, 1), func() (Operator, error) {
-			spawned++
-			return &Values{Tab: tab}, nil
-		})
+		frags := NewFragments([]Operator{&Values{Tab: tab, BatchRows: 512}}, NewMorsels(1, 1))
 		if err := RunFragments(ctx, "inline", frags, sink); err != nil {
 			t.Error(err)
 		}
@@ -129,8 +121,5 @@ func TestOneFragmentRunsInline(t *testing.T) {
 	}
 	if sink.live != 1 {
 		t.Fatalf("%d processes alive inside the sink, want the caller alone", sink.live)
-	}
-	if spawned != 0 || sink.accepted != 0 {
-		t.Fatalf("one-fragment set widened: %d spawned, %d cores accepted", spawned, sink.accepted)
 	}
 }

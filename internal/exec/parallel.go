@@ -67,15 +67,6 @@ func (m *Morsels) Claim() (lo, hi int, ok bool) {
 // Reset makes all blocks claimable again (for operator re-open).
 func (m *Morsels) Reset() { m.next = 0 }
 
-// Remaining reports how many blocks are still unclaimed — the widening
-// hook uses it to decline extra workers when the scan is nearly done.
-func (m *Morsels) Remaining() int {
-	if rem := m.total - m.next; rem > 0 {
-		return rem
-	}
-	return 0
-}
-
 // Parallel is the streaming sink of the exchange layer (see exchange.go):
 // the fragment runner's workers hand their batches to one consumer, which
 // merges them into a single stream in completion order.
@@ -187,7 +178,6 @@ func (s *Parallel) Close(ctx *Ctx) error {
 	if !s.started {
 		return nil
 	}
-	s.run.release()
 	s.cancelWorkers(ctx)
 	s.started = false
 	return s.run.failed

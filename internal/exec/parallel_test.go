@@ -54,7 +54,7 @@ func parallelColScan(st *StoredTable, readCols, emit []int, newPred func() Pred,
 		cs.Morsels = q
 		frags[i] = cs
 	}
-	return NewParallel(NewFragments(frags, q, nil))
+	return NewParallel(NewFragments(frags, q))
 }
 
 // sortByCol orders batches' rows by an int64 column for order-insensitive
@@ -285,7 +285,7 @@ func TestParallelRowScanMatchesSerial(t *testing.T) {
 			rs.Morsels = q
 			frags[i] = rs
 		}
-		return NewParallel(NewFragments(frags, q, nil))
+		return NewParallel(NewFragments(frags, q))
 	})
 	tablesEqual(t, serial, par)
 }
@@ -381,7 +381,7 @@ func TestParallelFragmentErrorFailsFast(t *testing.T) {
 			cs.Morsels = q
 			frags = append(frags, cs)
 		}
-		_, err := Run(ctx, NewParallel(NewFragments(frags, q, nil)))
+		_, err := Run(ctx, NewParallel(NewFragments(frags, q)))
 		if !errors.Is(err, errExploded) {
 			t.Errorf("err = %v, want fragment error", err)
 		}

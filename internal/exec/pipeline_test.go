@@ -8,11 +8,10 @@ import (
 )
 
 // This file tests the fragmented whole-pipeline shapes: Filter fragments
-// and hash-join Probers running under the Parallel merge, plus mid-run
-// widening of both exchange flavours. The serial operators are the
-// reference; DOP 1 must reproduce them bit for bit (a single fragment
-// drains morsels in serial order), and any DOP must reproduce the same
-// multiset of rows.
+// and hash-join Probers running under the Parallel merge. The serial
+// operators are the reference; DOP 1 must reproduce them bit for bit (a
+// single fragment drains morsels in serial order), and any DOP must
+// reproduce the same multiset of rows.
 
 // filterFrags builds dop Filter-over-scan fragments sharing one morsel
 // dispenser — the exec shape the optimizer's PFilter.BuildFragments
@@ -45,7 +44,7 @@ func TestOneFragmentFilterMatchesParent(t *testing.T) {
 	})
 	checkAnchor(t, "filter", "merge", 12000, func(st *StoredTable) Operator {
 		frags, q := filterFrags(st, read, emit, newPred, 1, 2)
-		return NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), []int{0}, specs)
+		return NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q))), []int{0}, specs)
 	})
 }
 
@@ -87,7 +86,7 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := filterFrags(st, read, emit, newPred, dop, 2)
-			got, err = Collect(ctx, NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q, nil))), groupBy, aggSpecsExact()))
+			got, err = Collect(ctx, NewHashAgg(OneFragment(NewParallel(NewFragments(frags, q))), groupBy, aggSpecsExact()))
 			if err != nil {
 				t.Error(err)
 			}
@@ -122,7 +121,7 @@ func TestOneFragmentProbeMatchesParent(t *testing.T) {
 	})
 	checkAnchor(t, "probe", "merge", 8000, func(st *StoredTable) Operator {
 		frags, q := proberFrags(st, dim, read, emit, 0, 1, 2)
-		return NewParallel(NewFragments(frags, q, nil))
+		return NewParallel(NewFragments(frags, q))
 	})
 }
 
@@ -163,7 +162,7 @@ func TestParallelProbeMatchesSerialAnyDOP(t *testing.T) {
 		var got *table.Table
 		r.run(t, func(ctx *Ctx) {
 			frags, q := proberFrags(st, dim, read, emit, 0, dop, 2)
-			par := NewParallel(NewFragments(frags, q, nil))
+			par := NewParallel(NewFragments(frags, q))
 			batches, err := Run(ctx, par)
 			if err != nil {
 				t.Error(err)
@@ -191,7 +190,7 @@ func TestParallelProbeChargesManyCores(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := proberFrags(st, dim, []int{0, 3}, []int{0, 1}, 0, 4, 2)
-		if _, err := RowCount(ctx, NewParallel(NewFragments(frags, q, nil))); err != nil {
+		if _, err := RowCount(ctx, NewParallel(NewFragments(frags, q))); err != nil {
 			t.Error(err)
 		}
 	})
@@ -213,7 +212,7 @@ func TestParallelProbeEarlyCloseUnderLimit(t *testing.T) {
 	}
 	r.run(t, func(ctx *Ctx) {
 		frags, q := proberFrags(st, dim, []int{0, 3}, []int{0, 1}, 0, 4, 2)
-		n, err := RowCount(ctx, &Limit{In: NewParallel(NewFragments(frags, q, nil)), N: 25})
+		n, err := RowCount(ctx, &Limit{In: NewParallel(NewFragments(frags, q)), N: 25})
 		if err != nil {
 			t.Error(err)
 		}
@@ -247,7 +246,7 @@ func TestParallelProbeFragmentError(t *testing.T) {
 			cs.Morsels = q
 			frags = append(frags, NewProber(sb, cs, 0))
 		}
-		_, err := Run(ctx, NewParallel(NewFragments(frags, q, nil)))
+		_, err := Run(ctx, NewParallel(NewFragments(frags, q)))
 		if !errors.Is(err, errExploded) {
 			t.Errorf("err = %v, want fragment error", err)
 		}
@@ -255,131 +254,4 @@ func TestParallelProbeFragmentError(t *testing.T) {
 	if live := r.eng.Live(); live != 0 {
 		t.Fatalf("%d processes still live after fragment error", live)
 	}
-}
-
-// TestParallelWidenMidStream: offering cores to a live Parallel merge
-// with a Spawn hook must add fragments against the live dispenser and
-// change nothing about the result — the widened run scans each block
-// exactly once, like the fixed-DOP run.
-func TestParallelWidenMidStream(t *testing.T) {
-	orders := ordersLike(20000)
-	read := []int{0, 3}
-	emit := []int{0, 1}
-
-	run := func(widenBy int) (*table.Table, int) {
-		r := newParRig(8, 3)
-		st, err := PlaceColumnMajor(orders, r.vol, 1, 512, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		accepted := 0
-		r.run(t, func(ctx *Ctx) {
-			frags, q := colScanFrags(st, read, emit, nil, 2, 2)
-			par := NewParallel(NewFragments(frags, q, func() (Operator, error) {
-				cs := NewColumnScan(st, read, emit, nil)
-				cs.Morsels = q
-				return cs, nil
-			}))
-			if err := par.Open(ctx); err != nil {
-				t.Error(err)
-				return
-			}
-			var batches []*table.Batch
-			for {
-				b, err := par.Next(ctx)
-				if err != nil {
-					t.Error(err)
-					break
-				}
-				if b == nil {
-					break
-				}
-				batches = append(batches, b.Clone())
-				if len(batches) == 1 && widenBy > 0 {
-					accepted = ctx.Widen.Offer(widenBy)
-				}
-			}
-			if err := par.Close(ctx); err != nil {
-				t.Error(err)
-			}
-			got = flattenSorted(t, par.Schema(), batches, 0)
-		})
-		if live := r.eng.Live(); live != 0 {
-			t.Fatalf("%d processes still live", live)
-		}
-		return got, accepted
-	}
-
-	fixed, _ := run(0)
-	widened, accepted := run(4)
-	if accepted == 0 {
-		t.Fatal("widening offer declined (dispenser drained too early?)")
-	}
-	tablesEqual(t, fixed, widened)
-	t.Logf("merge absorbed %d extra fragments mid-stream; results identical", accepted)
-}
-
-// TestPartitionedAggWidensMidRun: the property test for re-granting into
-// a running partitioned aggregation. A scheduler event fires mid-scan and
-// offers two more cores; the barrier exchange spawns extra fragments
-// against the live dispenser. The widened run must produce exactly the
-// fixed-DOP results (integer aggregates only: per-worker partials merge
-// in worker order, so float sums may legally differ) and finish no later.
-func TestPartitionedAggWidensMidRun(t *testing.T) {
-	tab := ordersLike(24000)
-	read := []int{0, 1, 2}
-	emit := []int{0, 1, 2}
-	groupBy := []int{2}
-	specs := []AggSpec{
-		{Func: Count, As: "n"},
-		{Func: Sum, Col: 1, As: "sum_cust"}, // int sum: exact at any split
-	}
-
-	run := func(widenAt float64, widenBy int) (*table.Table, float64, int) {
-		r := newParRig(8, 3)
-		st, err := PlaceColumnMajor(tab, r.vol, 1, 512, rawCodecs(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *table.Table
-		var widen *Widener
-		accepted := 0
-		if widenBy > 0 {
-			r.eng.At(widenAt, "regrant", func() {
-				if widen != nil {
-					accepted += widen.Offer(widenBy)
-				}
-			})
-		}
-		elapsed := r.run(t, func(ctx *Ctx) {
-			widen = ctx.Widen
-			frags, q := colScanFrags(st, read, emit, nil, 2, 2)
-			agg := NewHashAgg(NewFragments(frags, q, func() (Operator, error) {
-				cs := NewColumnScan(st, read, emit, nil)
-				cs.Morsels = q
-				return cs, nil
-			}), groupBy, specs)
-			got, err = Collect(ctx, agg)
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		if live := r.eng.Live(); live != 0 {
-			t.Fatalf("%d processes still live", live)
-		}
-		return got, elapsed, accepted
-	}
-
-	fixed, baseline, _ := run(0, 0)
-	widened, elapsed, accepted := run(baseline*0.3, 2)
-	if accepted == 0 {
-		t.Fatalf("mid-run offer at t=%.6f accepted nothing", baseline*0.3)
-	}
-	tablesEqual(t, fixed, widened)
-	if elapsed > baseline {
-		t.Fatalf("widened run slower: %.6fs vs %.6fs fixed", elapsed, baseline)
-	}
-	t.Logf("widened by %d at 30%% of %.6fs: %.6fs (%.2fx); results identical",
-		accepted, baseline, elapsed, baseline/elapsed)
 }

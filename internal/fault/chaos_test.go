@@ -43,10 +43,8 @@ const (
 // chaosDB opens the chaos rig and returns it with the joules attributed
 // to the warm-up placement queries — the attribution invariant sums over
 // every account ever opened, warm-up included. policy selects the
-// admission policy ("" = FIFO); regrant additionally lets completions
-// re-offer freed cores to running queries, stressing the pipeline
-// restart path under faults.
-func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
+// admission policy ("" = FIFO).
+func chaosDB(t *testing.T, policy string) (*core.DB, float64) {
 	t.Helper()
 	db, err := core.Open(core.Config{
 		Server:      hw.SmallServer(4),
@@ -56,7 +54,6 @@ func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
 		WALBatch:    1,
 		RetryMax:    2,
 		SchedPolicy: policy,
-		ReGrant:     regrant,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +89,7 @@ func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
 // crash instant for the seeded runs.
 func chaosReference(t *testing.T) (rows map[string]int64, elapsed map[string]float64) {
 	t.Helper()
-	db, _ := chaosDB(t, "", false)
+	db, _ := chaosDB(t, "")
 	rows = make(map[string]int64)
 	elapsed = make(map[string]float64)
 	for _, q := range tpch.ThroughputMix() {
@@ -120,9 +117,9 @@ type chaosQuery struct {
 // All randomness flows through the injector, so the run is a pure
 // function of (seed, crash, policy) and the fingerprint must be
 // bit-identical across repeats.
-func runChaos(t *testing.T, seed int64, crash bool, policy string, regrant bool, refRows map[string]int64, refElapsed map[string]float64) string {
+func runChaos(t *testing.T, seed int64, crash bool, policy string, refRows map[string]int64, refElapsed map[string]float64) string {
 	t.Helper()
-	db, warm := chaosDB(t, policy, regrant)
+	db, warm := chaosDB(t, policy)
 	inj := fault.NewInjector(seed)
 	rng := inj.Rand()
 
@@ -290,8 +287,8 @@ func runChaos(t *testing.T, seed int64, crash bool, policy string, regrant bool,
 // must be bit-identical.
 func TestChaosWorkload(t *testing.T) {
 	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, false, "", false, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, false, "", false, refRows, refElapsed)
+	fp1 := runChaos(t, *chaosSeed, false, "", refRows, refElapsed)
+	fp2 := runChaos(t, *chaosSeed, false, "", refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}
@@ -306,8 +303,8 @@ func TestChaosWorkload(t *testing.T) {
 // reproduces the reference answers, and the run stays deterministic.
 func TestChaosCrashRecovery(t *testing.T) {
 	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, true, "", false, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, true, "", false, refRows, refElapsed)
+	fp1 := runChaos(t, *chaosSeed, true, "", refRows, refElapsed)
+	fp2 := runChaos(t, *chaosSeed, true, "", refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}
@@ -316,14 +313,14 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosWorkloadEDF: the same seeded chaos mix under the EDF policy
-// with re-granting enabled — queue-jumping dispatch and mid-run pipeline
-// restarts must preserve every lifecycle invariant (typed outcomes, zero
-// leaked grants, exact attribution) and stay deterministic.
+// TestChaosWorkloadEDF: the same seeded chaos mix under the EDF policy —
+// queue-jumping dispatch must preserve every lifecycle invariant (typed
+// outcomes, zero leaked grants, exact attribution) and stay
+// deterministic.
 func TestChaosWorkloadEDF(t *testing.T) {
 	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, false, "edf", true, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, false, "edf", true, refRows, refElapsed)
+	fp1 := runChaos(t, *chaosSeed, false, "edf", refRows, refElapsed)
+	fp2 := runChaos(t, *chaosSeed, false, "edf", refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}

@@ -1,11 +1,18 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"energydb/internal/exec"
 )
+
+// ErrUnsupported is the sentinel Optimize wraps for a bound query no plan
+// family covers: a join graph with no equality predicate between two of
+// its parts (no cross products), or more tables than the join search
+// enumerates. Match with errors.Is, not the message.
+var ErrUnsupported = errors.New("unsupported query")
 
 // Optimize compiles a bound query into the cheapest physical plan under
 // the objective: access-path (placement variant) selection per table,
@@ -28,7 +35,7 @@ func Optimize(q *Query, cat *Catalog, env *Env, obj Objective) (*Plan, error) {
 		return nil, fmt.Errorf("opt: query has no tables")
 	}
 	if len(q.Tables) > 12 {
-		return nil, fmt.Errorf("opt: %d tables exceeds the 12-table DP limit", len(q.Tables))
+		return nil, fmt.Errorf("opt: %w: %d tables exceeds the 12-table DP limit", ErrUnsupported, len(q.Tables))
 	}
 	pstates := env.PStates
 	if len(pstates) == 0 {
@@ -549,7 +556,7 @@ func (o *optimizer) joinDP(scans map[string]PhysNode) (PhysNode, error) {
 	}
 	plan, ok := best[full]
 	if !ok {
-		return nil, fmt.Errorf("opt: join graph is disconnected (missing equality predicates)")
+		return nil, fmt.Errorf("opt: %w: join graph is disconnected (missing equality predicates)", ErrUnsupported)
 	}
 	return plan, nil
 }

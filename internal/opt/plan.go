@@ -222,16 +222,15 @@ func (s *PScan) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
 		return exec.OneFragment(op), nil
 	}
 	queue := exec.NewMorsels(nb, 0)
-	mk := func() (exec.Operator, error) { return s.scanOp(queue) }
 	frags := make([]exec.Operator, dop)
 	for i := range frags {
-		f, err := mk()
+		f, err := s.scanOp(queue)
 		if err != nil {
 			return exec.Fragments{}, err
 		}
 		frags[i] = f
 	}
-	return exec.NewFragments(frags, queue, mk), nil
+	return exec.NewFragments(frags, queue), nil
 }
 
 // Children implements PhysNode.

@@ -1,7 +1,7 @@
 package sched
 
 // This file holds the pluggable admission policies. The controller owns
-// the mechanics (queueing, windows, grants, re-grant offers); a Policy
+// the mechanics (queueing, windows, grants); a Policy
 // owns the decisions the paper's §4.2 says matter — *which* queued job
 // runs next and *how many* cores it gets:
 //

@@ -155,72 +155,6 @@ func TestEnergyAwarePrefersCompatibleTag(t *testing.T) {
 	}
 }
 
-// TestRegrantOffersFreedCores: with ReGrant enabled, a completion that
-// leaves the queue empty offers the freed cores to the running ticket's
-// widen callback, and the acceptance lands on its grant and the stats.
-func TestRegrantOffersFreedCores(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewAdmissionPolicy(eng, 8, 0, FIFO{})
-	a.ReGrant = true
-	var offered []int
-	var longTicket *Ticket
-	eng.At(0, "submit", func() {
-		longTicket = a.Submit("long", 8, func(p *sim.Proc, granted int) {
-			p.Sleep(10)
-		})
-		a.Submit("short", 8, func(p *sim.Proc, granted int) {
-			p.Sleep(1)
-		})
-	})
-	eng.At(0.5, "widen", func() {
-		// Register after dispatch so the grant split (4/4) is done.
-		a.SetWiden(longTicket, func(free int) int {
-			offered = append(offered, free)
-			return free // take everything
-		})
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(offered) != 1 || offered[0] != 4 {
-		t.Fatalf("offers = %v, want one offer of the short job's 4 cores", offered)
-	}
-	if longTicket.Granted != 8 {
-		t.Fatalf("granted after widen = %d, want 8", longTicket.Granted)
-	}
-	st := a.Stats()
-	if st.Regrants != 1 || st.RegrantCores != 4 {
-		t.Fatalf("regrant stats = %+v, want 1 offer / 4 cores", st)
-	}
-	if a.FreeCores() != 8 {
-		t.Fatalf("free = %d after drain, want 8", a.FreeCores())
-	}
-}
-
-// TestRegrantSkipsWhenQueueNonEmpty: queued work has first claim on freed
-// cores; no widen offer happens while anything waits.
-func TestRegrantSkipsWhenQueueNonEmpty(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewAdmissionPolicy(eng, 2, 0, FIFO{})
-	a.ReGrant = true
-	offers := 0
-	eng.At(0, "submit", func() {
-		tk := a.Submit("long", 1, func(p *sim.Proc, granted int) { p.Sleep(10) })
-		a.SetWiden(tk, func(free int) int { offers++; return free })
-		a.Submit("short", 1, func(p *sim.Proc, granted int) { p.Sleep(1) })
-		a.Submit("queued", 2, func(p *sim.Proc, granted int) { p.Sleep(1) })
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// short completes at t=1 with "queued" waiting: its core must go to
-	// the queue, not the widen callback. queued completes at t=2 with
-	// nothing waiting: that one is offered.
-	if offers != 1 {
-		t.Fatalf("offers = %d, want exactly 1 (after the queue drained)", offers)
-	}
-}
-
 // TestPolicyDeadlineExpiryStillEnforced: queue-jumping policies still
 // reject tickets whose deadline passed while queued.
 func TestPolicyDeadlineExpiryStillEnforced(t *testing.T) {
@@ -261,7 +195,6 @@ func TestAllPoliciesCompleteEverything(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			eng := sim.NewEngine()
 			a := NewAdmissionPolicy(eng, 4, 0, pol)
-			a.ReGrant = true
 			done := 0
 			arrivals := make([]float64, jobs)
 			for i := range arrivals {

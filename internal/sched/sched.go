@@ -21,12 +21,8 @@
 // Which queued job dispatches next, and how many cores it is granted, is
 // delegated to a pluggable Policy (policy.go): FIFO with fair-share
 // grants (the default), earliest-deadline-first, or the consolidating
-// energy-aware policy. The controller additionally supports *re-grant on
-// completion*: when a job finishes and leaves cores free with nothing
-// queued, running jobs that registered a widen callback are offered the
-// freed cores in admission order, so a query admitted narrow on a busy
-// box widens its running exchange in place (exec.Widener) once the box
-// drains; a serial plan declines.
+// energy-aware policy. A job's cores are set once, at dispatch; the only
+// later change is Shrink giving back what its chosen plan cannot occupy.
 package sched
 
 import (
@@ -47,7 +43,6 @@ type Ticket struct {
 
 	run       func(p *sim.Proc, granted int)
 	fail      func(err error)
-	widen     func(free int) int
 	submitted float64
 	admitted  float64
 	finished  float64
@@ -74,8 +69,11 @@ type Stats struct {
 	TotalLatency float64 // time between submission and completion
 	PeakActive   int     // most jobs running at once
 	PeakQueue    int     // deepest admission queue
-	Regrants     int64   // widen offers accepted by running jobs
-	RegrantCores int64   // cores handed out through accepted widen offers
+
+	// Regrants is always 0: jobs never gain cores after dispatch. It
+	// stays only because the eeperf harness still reports it as
+	// sched.regrants; it goes when that metric does.
+	Regrants int64
 }
 
 // MeanWait reports the average queueing delay added by admission.
@@ -107,10 +105,6 @@ type Admission struct {
 	// Window, when positive, holds arrivals for that many seconds from
 	// the first held job and releases them together (admission batching).
 	Window float64
-	// ReGrant enables widen offers: when a completion leaves cores free
-	// and the queue empty, running tickets that registered a widen
-	// callback are offered the freed cores in admission order.
-	ReGrant bool
 
 	policy   Policy
 	nextID   int64
@@ -121,7 +115,6 @@ type Admission struct {
 	running  []*Ticket // dispatched, not yet complete (admission order)
 	armed    bool      // a dispatch event is pending
 	windowed bool      // a window-release event is pending
-	offering bool      // a widen-offer event is pending
 	stats    Stats
 }
 
@@ -282,7 +275,6 @@ func (a *Admission) Reset() {
 	a.running = nil
 	a.armed = false
 	a.windowed = false
-	a.offering = false
 }
 
 // release moves the held window batch to the admission queue.
@@ -370,15 +362,6 @@ func (a *Admission) dispatch() {
 	}
 }
 
-// SetWiden registers a running ticket's widen callback. When a completion
-// leaves cores free and nothing queued (and ReGrant is enabled), the
-// callback is offered the free cores and returns how many it accepts —
-// the extra fragments its live exchange spawned against its morsel
-// dispenser (exec.Widener); a one-fragment plan accepts none. It must
-// return between 0 and the offer; the controller applies the acceptance
-// to the ticket's grant. Pass nil to deregister.
-func (a *Admission) SetWiden(t *Ticket, fn func(free int) int) { t.widen = fn }
-
 // Shrink returns part of a running job's grant to the free pool — a
 // query whose chosen plan uses fewer cores than it was granted gives the
 // remainder back as soon as the plan is known, so staggered arrivals are
@@ -398,13 +381,10 @@ func (a *Admission) Shrink(t *Ticket, to int) {
 	}
 }
 
-// complete returns a finished job's cores and admits waiting work. When
-// nothing is queued and re-grant is enabled, the freed cores are instead
-// offered to the jobs still running.
+// complete returns a finished job's cores and admits waiting work.
 func (a *Admission) complete(t *Ticket) {
 	t.finished = a.eng.Now()
 	t.running = false
-	t.widen = nil
 	a.free += t.Granted
 	a.active--
 	a.stats.Completed++
@@ -417,43 +397,5 @@ func (a *Admission) complete(t *Ticket) {
 	}
 	if len(a.queue) > 0 {
 		a.armDispatch()
-		return
-	}
-	if a.ReGrant && a.free > 0 && len(a.running) > 0 && !a.offering {
-		a.offering = true
-		a.eng.After(0, "sched-regrant", func() {
-			a.offering = false
-			a.offerWiden()
-		})
-	}
-}
-
-// offerWiden hands freed cores to running tickets in admission order.
-// Each widen callback sees the cores still free and accepts some prefix
-// of them; the controller moves the acceptance from the free pool onto
-// the ticket's grant. Offers are only made when the queue is empty —
-// queued work always has first claim on freed cores.
-func (a *Admission) offerWiden() {
-	if a.free <= 0 || len(a.queue) > 0 || len(a.holding) > 0 {
-		return
-	}
-	for _, t := range a.running {
-		if a.free <= 0 {
-			break
-		}
-		if t.widen == nil || !t.running {
-			continue
-		}
-		got := t.widen(a.free)
-		if got <= 0 {
-			continue
-		}
-		if got > a.free {
-			got = a.free
-		}
-		a.free -= got
-		t.Granted += got
-		a.stats.Regrants++
-		a.stats.RegrantCores += int64(got)
 	}
 }

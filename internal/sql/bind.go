@@ -14,9 +14,15 @@ import (
 // alias; match with errors.Is, not the message.
 var ErrDuplicateAlias = errors.New("sql: duplicate alias")
 
+// ErrUnknownName is the sentinel Bind wraps when a name does not resolve
+// to exactly one thing: an unknown table, alias, column or ORDER BY
+// output, or a column two FROM items both have.
+var ErrUnknownName = errors.New("unresolved name")
+
 // ErrType is the sentinel Bind wraps for every statement that does not
 // type-check: arithmetic or SUM/AVG over a string, a comparison across
-// physical classes, a literal a column cannot take. It is the engine-wide
+// physical classes, a literal a column cannot take, * beside aggregates,
+// an output that is neither aggregated nor grouped. It is the engine-wide
 // fault.ErrType, so errors.Is sees it on both sides of the wire.
 var ErrType = fault.ErrType
 
@@ -92,7 +98,7 @@ func (b *binder) run() (*opt.Query, error) {
 		switch {
 		case item.Star:
 			if hasAgg {
-				return nil, fmt.Errorf("sql: * cannot appear with aggregates")
+				return nil, fmt.Errorf("sql: %w: * cannot appear with aggregates", ErrType)
 			}
 			for _, a := range b.aliases {
 				for _, c := range b.schemas[a].Cols {
@@ -121,7 +127,7 @@ func (b *binder) run() (*opt.Query, error) {
 			}
 			if hasAgg {
 				if e.Col == nil || !groupSet[*e.Col] {
-					return nil, fmt.Errorf("sql: output %d must be an aggregate or a GROUP BY column", i+1)
+					return nil, fmt.Errorf("sql: %w: output %d must be an aggregate or a GROUP BY column", ErrType, i+1)
 				}
 			}
 			as := item.As
@@ -149,7 +155,7 @@ func (b *binder) run() (*opt.Query, error) {
 			}
 		}
 		if idx < 0 || idx >= len(q.Outputs) {
-			return nil, fmt.Errorf("sql: ORDER BY references unknown output %q", ob.Name)
+			return nil, fmt.Errorf("sql: %w: ORDER BY references unknown output %q", ErrUnknownName, ob.Name)
 		}
 		q.OrderBy = append(q.OrderBy, opt.OrderIR{Output: idx, Desc: ob.Desc})
 	}
@@ -162,7 +168,7 @@ func (b *binder) bindTables() error {
 	add := func(tr TableRef) error {
 		s, ok := b.lookup(tr.Name)
 		if !ok {
-			return fmt.Errorf("sql: unknown table %q", tr.Name)
+			return fmt.Errorf("sql: %w: unknown table %q", ErrUnknownName, tr.Name)
 		}
 		if _, dup := b.rels[tr.Alias]; dup {
 			return fmt.Errorf("%w %q", ErrDuplicateAlias, tr.Alias)
@@ -190,11 +196,11 @@ func (b *binder) resolve(c ColName) (opt.ColRef, table.Type, error) {
 	if c.Table != "" {
 		s, ok := b.schemas[c.Table]
 		if !ok {
-			return opt.ColRef{}, 0, fmt.Errorf("sql: unknown alias %q", c.Table)
+			return opt.ColRef{}, 0, fmt.Errorf("sql: %w: unknown alias %q", ErrUnknownName, c.Table)
 		}
 		i := s.ColIndex(c.Col)
 		if i < 0 {
-			return opt.ColRef{}, 0, fmt.Errorf("sql: table %q has no column %q", c.Table, c.Col)
+			return opt.ColRef{}, 0, fmt.Errorf("sql: %w: table %q has no column %q", ErrUnknownName, c.Table, c.Col)
 		}
 		return opt.ColRef{Table: c.Table, Col: c.Col}, s.Cols[i].Type, nil
 	}
@@ -210,11 +216,11 @@ func (b *binder) resolve(c ColName) (opt.ColRef, table.Type, error) {
 	}
 	switch matches {
 	case 0:
-		return opt.ColRef{}, 0, fmt.Errorf("sql: unknown column %q", c.Col)
+		return opt.ColRef{}, 0, fmt.Errorf("sql: %w: unknown column %q", ErrUnknownName, c.Col)
 	case 1:
 		return found, ft, nil
 	default:
-		return opt.ColRef{}, 0, fmt.Errorf("sql: ambiguous column %q", c.Col)
+		return opt.ColRef{}, 0, fmt.Errorf("sql: %w: ambiguous column %q", ErrUnknownName, c.Col)
 	}
 }
 

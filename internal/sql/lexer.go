@@ -121,7 +121,7 @@ func (l *lexer) lexNumber() error {
 		c := l.src[l.pos]
 		if c == '.' {
 			if seenDot {
-				return fmt.Errorf("sql: malformed number at byte %d", start)
+				return fmt.Errorf("sql: %w: malformed number at byte %d", ErrSyntax, start)
 			}
 			seenDot = true
 			l.pos++
@@ -159,7 +159,7 @@ func (l *lexer) lexString() error {
 		b.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("sql: unterminated string at byte %d", start)
+	return fmt.Errorf("sql: %w: unterminated string at byte %d", ErrSyntax, start)
 }
 
 func (l *lexer) lexSymbol() error {
@@ -183,5 +183,5 @@ func (l *lexer) lexSymbol() error {
 		l.pos++
 		return nil
 	}
-	return fmt.Errorf("sql: unexpected character %q at byte %d", c, l.pos)
+	return fmt.Errorf("sql: %w: unexpected character %q at byte %d", ErrSyntax, c, l.pos)
 }

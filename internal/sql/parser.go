@@ -1,12 +1,18 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
 
 	"energydb/internal/table"
 )
+
+// ErrSyntax is the sentinel every lexer and parser error wraps, and
+// ParseDate's: the text is not a statement of the dialect. Match with
+// errors.Is, not the message.
+var ErrSyntax = errors.New("syntax error")
 
 // Parse parses one SQL statement.
 func Parse(src string) (*Stmt, error) {
@@ -56,7 +62,7 @@ func (p *parser) expect(k tokKind, text string) (token, error) {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: %s (at byte %d)", fmt.Sprintf(format, args...), p.cur().pos)
+	return fmt.Errorf("sql: %w: %s (at byte %d)", ErrSyntax, fmt.Sprintf(format, args...), p.cur().pos)
 }
 
 func (p *parser) parseStmt() (*Stmt, error) {
@@ -397,7 +403,7 @@ func (p *parser) parseLiteral() (*table.Value, error) {
 		}
 		days, err := ParseDate(s.text)
 		if err != nil {
-			return nil, p.errf("%v", err)
+			return nil, p.errf("bad date %q", s.text)
 		}
 		v := table.DateVal(days)
 		return &v, nil
@@ -425,7 +431,7 @@ func (p *parser) parseLiteral() (*table.Value, error) {
 func ParseDate(s string) (int64, error) {
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
-		return 0, fmt.Errorf("sql: bad date %q", s)
+		return 0, fmt.Errorf("sql: %w: bad date %q", ErrSyntax, s)
 	}
 	return t.Unix() / 86400, nil
 }
