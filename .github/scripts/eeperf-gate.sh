@@ -15,6 +15,13 @@
 #      that last moved it × 1.02 (BENCHMARK.json's bound for both). A PR
 #      that lowers a count lowers its ceiling.
 # Host wall-clock numbers are not judged: this box is not the benchmark box.
+#
+# Then every experiment's printed numbers: `eebench -exp all` (E1–E8 and the
+# streams and policies tables, ≈ 25 s) must print
+# internal/bench/testdata/eebench.golden byte for byte. A change to an
+# experiment regenerates that golden
+#   go run ./cmd/eebench -exp all >internal/bench/testdata/eebench.golden
+# and says what moved and why, as a regenerated eeperf golden does.
 set -euo pipefail
 
 ceilings="$(cd "$(dirname "$0")/.." && pwd)/eeperf-ceilings.json"
@@ -51,4 +58,9 @@ for w in paper_streams analytic_lone wire_short tenant_mix; do
 		fi
 	done
 done
+
+if ! go run ./cmd/eebench -exp all | diff -u internal/bench/testdata/eebench.golden -; then
+	echo "::error::eebench -exp all differs from internal/bench/testdata/eebench.golden"
+	fail=1
+fi
 exit $fail

@@ -1,6 +1,6 @@
 // The §4.2 story: the admission controller consolidates work in time
 // (holding arrivals in a window so disks can spin down between bursts)
-// and the cluster layer consolidates it in space (packing tenants onto
+// and the cluster model consolidates it in space (packing tenants onto
 // fewer nodes so whole servers can power down).
 package main
 

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"energydb/internal/buffer"
-	"energydb/internal/cluster"
 	"energydb/internal/energy"
 	"energydb/internal/exec"
 	"energydb/internal/hw"
@@ -233,11 +231,11 @@ type BufferPolicyResult struct{ Points []BufferPolicyPoint }
 // disk and a scan set on flash under each policy; the energy-aware policy
 // should protect the expensive disk pages.
 func RunBufferPolicy() (*BufferPolicyResult, error) {
-	mk := map[string]func() buffer.Policy{
-		"lru":    buffer.NewLRU,
-		"clock":  buffer.NewClock,
-		"2q":     buffer.NewTwoQ,
-		"energy": buffer.NewEnergyAware,
+	mk := map[string]func() replacementPolicy{
+		"lru":    newLRU,
+		"clock":  newClock,
+		"2q":     newTwoQ,
+		"energy": newEnergyAware,
 	}
 	res := &BufferPolicyResult{}
 	for _, name := range []string{"lru", "clock", "2q", "energy"} {
@@ -247,7 +245,7 @@ func RunBufferPolicy() (*BufferPolicyResult, error) {
 		ssd := hw.NewSSD(eng, meter, "ssd", hw.FlashSSD2008())
 		diskVol := storage.NewVolume("dv", storage.Striped, 64<<10, []storage.BlockDevice{disk})
 		ssdVol := storage.NewVolume("sv", storage.Striped, 64<<10, []storage.BlockDevice{ssd})
-		pool := buffer.NewPool(64, mk[name]())
+		pool := newBufferPool(64, mk[name]())
 
 		spec := hw.Cheetah15K()
 		diskJ := (spec.AvgSeek + spec.RotLatency + 64e3/spec.SeqReadBW) * float64(spec.ActiveWatts)
@@ -257,7 +255,7 @@ func RunBufferPolicy() (*BufferPolicyResult, error) {
 		rng := rand.New(rand.NewSource(3))
 		eng.Go("trace", func(p *sim.Proc) {
 			get := func(file int32, page int64, vol *storage.Volume, joules float64) {
-				k := buffer.PageKey{File: file, Page: page}
+				k := pageKey{File: file, Page: page}
 				pool.Get(p, k, func(pp *sim.Proc) error {
 					vol.ReadPage(pp, page)
 					pool.SetRefetchCost(k, joules)
@@ -360,20 +358,20 @@ func (r *GroupCommitResult) Render() string {
 // E7 — §2.4: cluster consolidation.
 
 // ClusterResult compares placement policies on a diurnal tenant trace.
-type ClusterResult struct{ Results []cluster.Result }
+type ClusterResult struct{ Results []ClusterPoint }
 
 // RunCluster evaluates spread / consolidate / sticky on the same trace.
 func RunCluster() (*ClusterResult, error) {
-	cfg := cluster.Config{
+	cfg := clusterConfig{
 		Nodes: 10,
-		Spec: cluster.NodeSpec{
+		Spec: nodeSpec{
 			Cores: 8, IdleWatts: 200, PerCoreWatts: 12, OffWatts: 5,
 		},
 		EpochSeconds:      3600,
 		MigrationJPerByte: 30e-9,
 	}
 	rng := rand.New(rand.NewSource(21))
-	tenants := make([]cluster.Tenant, 16)
+	tenants := make([]clusterTenant, 16)
 	const epochs = 72
 	for i := range tenants {
 		load := make([]float64, epochs)
@@ -382,19 +380,19 @@ func RunCluster() (*ClusterResult, error) {
 			day := 0.5 + 0.45*math.Sin(2*math.Pi*float64(e)/24+phase)
 			load[e] = 0.2 + 1.8*day*rng.Float64()
 		}
-		tenants[i] = cluster.Tenant{
+		tenants[i] = clusterTenant{
 			Name:      fmt.Sprintf("tenant%02d", i),
 			DataBytes: int64(2+rng.Intn(30)) << 30,
 			Load:      load,
 		}
 	}
 	out := &ClusterResult{}
-	for _, pol := range []cluster.Policy{
-		cluster.Spread{},
-		cluster.Consolidate{Headroom: 0.1},
-		cluster.Sticky{Headroom: 0.1},
+	for _, pol := range []placementPolicy{
+		spreadPlacement{},
+		consolidatePlacement{Headroom: 0.1},
+		stickyPlacement{Headroom: 0.1},
 	} {
-		r, err := cluster.Evaluate(cfg, tenants, pol)
+		r, err := evaluateCluster(cfg, tenants, pol)
 		if err != nil {
 			return nil, err
 		}

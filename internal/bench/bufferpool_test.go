@@ -1,20 +1,27 @@
-package buffer
+package bench
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"energydb/internal/energy"
-	"energydb/internal/hw"
 	"energydb/internal/sim"
 )
 
-func key(page int64) PageKey { return PageKey{File: 1, Page: page} }
+func key(page int64) pageKey { return pageKey{File: 1, Page: page} }
+
+// contains reports whether k is resident.
+func (pl *bufferPool) contains(k pageKey) bool {
+	_, ok := pl.pages[k]
+	return ok
+}
+
+// len reports the resident page count.
+func (pl *bufferPool) len() int { return len(pl.pages) }
 
 // drive runs accesses through a pool inside a trivial simulation and
 // returns the miss count.
-func drive(t *testing.T, pl *Pool, accesses []int64) int64 {
+func drive(t *testing.T, pl *bufferPool, accesses []int64) int64 {
 	t.Helper()
 	e := sim.NewEngine()
 	e.Go("driver", func(p *sim.Proc) {
@@ -31,31 +38,31 @@ func drive(t *testing.T, pl *Pool, accesses []int64) int64 {
 }
 
 func TestHitMissAccounting(t *testing.T) {
-	pl := NewPool(2, NewLRU())
+	pl := newBufferPool(2, newLRU())
 	misses := drive(t, pl, []int64{1, 2, 1, 2, 1})
 	if misses != 2 {
 		t.Fatalf("misses = %d, want 2", misses)
 	}
 	st := pl.Stats()
-	if st.Hits != 3 || st.HitRate() != 0.6 {
+	if st.Hits != 3 || st.Misses != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	pl := NewPool(2, NewLRU())
+	pl := newBufferPool(2, newLRU())
 	drive(t, pl, []int64{1, 2, 3}) // evicts 1
-	if pl.Contains(key(1)) || !pl.Contains(key(2)) || !pl.Contains(key(3)) {
+	if pl.contains(key(1)) || !pl.contains(key(2)) || !pl.contains(key(3)) {
 		t.Fatalf("LRU evicted wrong page")
 	}
 	drive(t, pl, []int64{2, 4}) // touch 2, insert 4: evicts 3
-	if pl.Contains(key(3)) || !pl.Contains(key(2)) {
+	if pl.contains(key(3)) || !pl.contains(key(2)) {
 		t.Fatal("LRU recency not respected")
 	}
 }
 
 func TestPinPreventsEviction(t *testing.T) {
-	pl := NewPool(2, NewLRU())
+	pl := newBufferPool(2, newLRU())
 	e := sim.NewEngine()
 	e.Go("driver", func(p *sim.Proc) {
 		pl.Get(p, key(1), nil) // pinned
@@ -63,7 +70,7 @@ func TestPinPreventsEviction(t *testing.T) {
 		pl.Unpin(key(2))
 		pl.Get(p, key(3), nil) // must evict 2, not pinned 1
 		pl.Unpin(key(3))
-		if !pl.Contains(key(1)) || pl.Contains(key(2)) {
+		if !pl.contains(key(1)) || pl.contains(key(2)) {
 			t.Error("pinned page was evicted")
 		}
 		pl.Unpin(key(1))
@@ -74,16 +81,16 @@ func TestPinPreventsEviction(t *testing.T) {
 }
 
 func TestAllPinnedOverflow(t *testing.T) {
-	pl := NewPool(1, NewLRU())
+	pl := newBufferPool(1, newLRU())
 	e := sim.NewEngine()
 	e.Go("driver", func(p *sim.Proc) {
 		pl.Get(p, key(1), nil)
 		pl.Get(p, key(2), nil) // pool full of pins: transient frame
-		if pl.Len() != 2 {
-			t.Errorf("Len = %d, want 2 (transient overflow)", pl.Len())
+		if pl.len() != 2 {
+			t.Errorf("len = %d, want 2 (transient overflow)", pl.len())
 		}
 		pl.Unpin(key(2))
-		if pl.Contains(key(2)) {
+		if pl.contains(key(2)) {
 			t.Error("transient frame should leave on unpin")
 		}
 		pl.Unpin(key(1))
@@ -99,11 +106,11 @@ func TestUnpinWithoutPinPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPool(1, NewLRU()).Unpin(key(9))
+	newBufferPool(1, newLRU()).Unpin(key(9))
 }
 
 func TestLoadChargedOnlyOnMiss(t *testing.T) {
-	pl := NewPool(4, NewLRU())
+	pl := newBufferPool(4, newLRU())
 	e := sim.NewEngine()
 	loads := 0
 	e.Go("driver", func(p *sim.Proc) {
@@ -124,12 +131,12 @@ func TestClockSecondChance(t *testing.T) {
 	// After {1,2,3,4} on a 3-frame pool all reference bits are cleared by
 	// the eviction sweep. Touching 2 re-sets its bit, so the next victim
 	// must not be 2.
-	pl := NewPool(3, NewClock())
+	pl := newBufferPool(3, newClock())
 	drive(t, pl, []int64{1, 2, 3, 4, 2, 5})
-	if !pl.Contains(key(2)) {
+	if !pl.contains(key(2)) {
 		t.Fatal("clock evicted a page whose reference bit was set")
 	}
-	if !pl.Contains(key(5)) {
+	if !pl.contains(key(5)) {
 		t.Fatal("newly inserted page missing")
 	}
 }
@@ -138,8 +145,8 @@ func TestTwoQScanResistance(t *testing.T) {
 	// Hot pages are re-referenced (promoted to main); then a long one-shot
 	// scan passes through. 2Q must keep the hot set; LRU must lose it.
 	hot := []int64{1, 2, 3}
-	build := func(p Policy) *Pool {
-		pl := NewPool(6, p)
+	build := func(p replacementPolicy) *bufferPool {
+		pl := newBufferPool(6, p)
 		var trace []int64
 		trace = append(trace, hot...)
 		trace = append(trace, hot...) // re-reference: promote
@@ -149,16 +156,16 @@ func TestTwoQScanResistance(t *testing.T) {
 		drive(t, pl, trace)
 		return pl
 	}
-	twoq := build(NewTwoQ())
+	twoq := build(newTwoQ())
 	for _, h := range hot {
-		if !twoq.Contains(key(h)) {
+		if !twoq.contains(key(h)) {
 			t.Fatalf("2Q lost hot page %d to a scan", h)
 		}
 	}
-	lru := build(NewLRU())
+	lru := build(newLRU())
 	lost := 0
 	for _, h := range hot {
-		if !lru.Contains(key(h)) {
+		if !lru.contains(key(h)) {
 			lost++
 		}
 	}
@@ -168,8 +175,8 @@ func TestTwoQScanResistance(t *testing.T) {
 }
 
 func TestEnergyAwareKeepsExpensivePages(t *testing.T) {
-	pol := NewEnergyAware()
-	pl := NewPool(2, pol)
+	pol := newEnergyAware()
+	pl := newBufferPool(2, pol)
 	e := sim.NewEngine()
 	e.Go("driver", func(p *sim.Proc) {
 		pl.Get(p, key(1), nil) // disk page: expensive re-fetch
@@ -188,56 +195,19 @@ func TestEnergyAwareKeepsExpensivePages(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !pl.Contains(key(1)) {
+	if !pl.contains(key(1)) {
 		t.Fatal("energy-aware policy evicted the expensive disk page")
 	}
-	if pl.Contains(key(2)) {
+	if pl.contains(key(2)) {
 		t.Fatal("energy-aware policy kept the cheap flash page instead")
 	}
 }
 
 func TestEnergyAwareTieBreaksLRU(t *testing.T) {
-	pl := NewPool(2, NewEnergyAware())
+	pl := newBufferPool(2, newEnergyAware())
 	drive(t, pl, []int64{1, 2, 1, 3}) // equal (zero) costs: evict LRU = 2
-	if pl.Contains(key(2)) || !pl.Contains(key(1)) {
+	if pl.contains(key(2)) || !pl.contains(key(1)) {
 		t.Fatal("energy policy with equal costs should degrade to LRU")
-	}
-}
-
-func TestResizeWithDRAM(t *testing.T) {
-	e := sim.NewEngine()
-	m := energy.NewMeter()
-	dram := hw.NewDRAM(e, m, "dram", hw.DRAMSpec{
-		Name: "d", Ranks: 4, BytesPerRank: 1 << 20, WattsPerRank: 2, AccessJPerGiB: 0.5,
-	})
-	pl := NewPool(64, NewLRU())
-	pl.PageBytes = 64 << 10 // 64 KiB pages: 64 pages = 4 MiB = 4 ranks
-	pl.DRAM = dram
-	pl.Resize(64)
-	if dram.PoweredRanks() != 4 {
-		t.Fatalf("ranks = %d, want 4", dram.PoweredRanks())
-	}
-	pl.Resize(16) // 1 MiB = 1 rank
-	if dram.PoweredRanks() != 1 {
-		t.Fatalf("ranks after shrink = %d, want 1", dram.PoweredRanks())
-	}
-	if pl.Capacity() != 16 {
-		t.Fatalf("capacity = %d", pl.Capacity())
-	}
-}
-
-func TestResizeEvicts(t *testing.T) {
-	pl := NewPool(8, NewLRU())
-	drive(t, pl, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	pl.Resize(3)
-	if pl.Len() > 3 {
-		t.Fatalf("len after shrink = %d", pl.Len())
-	}
-	// Most recent pages survive.
-	for _, pg := range []int64{6, 7, 8} {
-		if !pl.Contains(key(pg)) {
-			t.Fatalf("page %d should have survived shrink", pg)
-		}
 	}
 }
 
@@ -245,11 +215,11 @@ func TestResizeEvicts(t *testing.T) {
 // exceeds capacity (after unpinning), hits+misses equals accesses, and a
 // resident page always hits.
 func TestPoolInvariants(t *testing.T) {
-	policies := map[string]func() Policy{
-		"lru":    NewLRU,
-		"clock":  NewClock,
-		"2q":     NewTwoQ,
-		"energy": NewEnergyAware,
+	policies := map[string]func() replacementPolicy{
+		"lru":    newLRU,
+		"clock":  newClock,
+		"2q":     newTwoQ,
+		"energy": newEnergyAware,
 	}
 	for name, mk := range policies {
 		mk := mk
@@ -257,7 +227,7 @@ func TestPoolInvariants(t *testing.T) {
 			f := func(seed int64, capLog uint8) bool {
 				capacity := 1 << (capLog % 5) // 1..16
 				rng := rand.New(rand.NewSource(seed))
-				pl := NewPool(capacity, mk())
+				pl := newBufferPool(capacity, mk())
 				n := rng.Intn(300) + 50
 				e := sim.NewEngine()
 				ok := true
@@ -265,7 +235,7 @@ func TestPoolInvariants(t *testing.T) {
 					for i := 0; i < n; i++ {
 						pg := int64(rng.Intn(40))
 						k := key(pg)
-						resident := pl.Contains(k)
+						resident := pl.contains(k)
 						before := pl.Stats()
 						pl.Get(p, k, nil)
 						after := pl.Stats()
@@ -273,7 +243,7 @@ func TestPoolInvariants(t *testing.T) {
 							ok = false
 						}
 						pl.Unpin(k)
-						if pl.Len() > capacity {
+						if pl.len() > capacity {
 							ok = false
 						}
 					}

@@ -1,4 +1,11 @@
-// Package cluster models cluster-level resource consolidation: placing
+package bench
+
+import (
+	"fmt"
+	"sort"
+)
+
+// This file is E7's model: cluster-level resource consolidation, placing
 // tenant workloads on as few servers as their load allows and powering
 // the rest down.
 //
@@ -6,19 +13,13 @@
 // migration and turning off servers to effect energy-proportionality
 // [TWM+08]" — non-proportional servers waste most of their idle power, so
 // a cluster of half-idle machines costs far more than a packed half-size
-// cluster. The model here is epoch-based and analytic: per epoch, a
-// placement policy assigns tenants to nodes, busy nodes draw idle +
-// per-core power, empty nodes are powered off, and re-assignments pay a
-// migration energy proportional to tenant state size.
-package cluster
+// cluster. The model is epoch-based and analytic: per epoch, a placement
+// policy assigns tenants to nodes, busy nodes draw idle + per-core power,
+// empty nodes are powered off, and re-assignments pay a migration energy
+// proportional to tenant state size.
 
-import (
-	"fmt"
-	"sort"
-)
-
-// NodeSpec is the power/capacity model of one server.
-type NodeSpec struct {
+// nodeSpec is the power/capacity model of one server.
+type nodeSpec struct {
 	Cores        float64 // capacity in cores
 	IdleWatts    float64 // powered but unloaded
 	PerCoreWatts float64 // marginal watts per busy core
@@ -26,37 +27,37 @@ type NodeSpec struct {
 }
 
 // Power reports a node's draw at the given core load.
-func (n NodeSpec) Power(load float64, poweredOn bool) float64 {
+func (n nodeSpec) Power(load float64, poweredOn bool) float64 {
 	if !poweredOn {
 		return n.OffWatts
 	}
 	return n.IdleWatts + n.PerCoreWatts*load
 }
 
-// Tenant is one hosted workload with a per-epoch core demand.
-type Tenant struct {
+// clusterTenant is one hosted workload with a per-epoch core demand.
+type clusterTenant struct {
 	Name      string
 	DataBytes int64     // state that must move on migration
 	Load      []float64 // cores demanded per epoch
 }
 
-// Policy assigns tenants to nodes each epoch. prev is the previous
-// assignment (nil on the first epoch); implementations return one node
-// index per tenant.
-type Policy interface {
+// placementPolicy assigns tenants to nodes each epoch. prev is the
+// previous assignment (nil on the first epoch); implementations return one
+// node index per tenant.
+type placementPolicy interface {
 	Name() string
-	Place(tenants []Tenant, epoch int, prev []int, nodes int, spec NodeSpec) []int
+	Place(tenants []clusterTenant, epoch int, prev []int, nodes int, spec nodeSpec) []int
 }
 
-// Spread statically round-robins tenants across all nodes — the
+// spreadPlacement statically round-robins tenants across all nodes — the
 // energy-oblivious baseline every load balancer implements.
-type Spread struct{}
+type spreadPlacement struct{}
 
-// Name implements Policy.
-func (Spread) Name() string { return "spread" }
+// Name implements placementPolicy.
+func (spreadPlacement) Name() string { return "spread" }
 
-// Place implements Policy.
-func (Spread) Place(tenants []Tenant, epoch int, prev []int, nodes int, spec NodeSpec) []int {
+// Place implements placementPolicy.
+func (spreadPlacement) Place(tenants []clusterTenant, epoch int, prev []int, nodes int, spec nodeSpec) []int {
 	out := make([]int, len(tenants))
 	for i := range tenants {
 		out[i] = i % nodes
@@ -64,19 +65,20 @@ func (Spread) Place(tenants []Tenant, epoch int, prev []int, nodes int, spec Nod
 	return out
 }
 
-// Consolidate packs tenants onto the fewest nodes each epoch using
-// first-fit decreasing on current load, leaving the rest powered down.
-type Consolidate struct {
+// consolidatePlacement packs tenants onto the fewest nodes each epoch
+// using first-fit decreasing on current load, leaving the rest powered
+// down.
+type consolidatePlacement struct {
 	// Headroom reserves a fraction of each node's capacity (0.1 = pack
 	// to 90%), protecting against load spikes between epochs.
 	Headroom float64
 }
 
-// Name implements Policy.
-func (c Consolidate) Name() string { return "consolidate" }
+// Name implements placementPolicy.
+func (c consolidatePlacement) Name() string { return "consolidate" }
 
-// Place implements Policy.
-func (c Consolidate) Place(tenants []Tenant, epoch int, prev []int, nodes int, spec NodeSpec) []int {
+// Place implements placementPolicy.
+func (c consolidatePlacement) Place(tenants []clusterTenant, epoch int, prev []int, nodes int, spec nodeSpec) []int {
 	cap := spec.Cores * (1 - c.Headroom)
 	order := make([]int, len(tenants))
 	for i := range order {
@@ -100,7 +102,7 @@ func (c Consolidate) Place(tenants []Tenant, epoch int, prev []int, nodes int, s
 		}
 		if !placed {
 			// Overload: put it on the least-loaded node and accept the
-			// capacity violation (counted by Evaluate).
+			// capacity violation (counted by evaluateCluster).
 			best := 0
 			for n := 1; n < nodes; n++ {
 				if used[n] < used[best] {
@@ -114,19 +116,20 @@ func (c Consolidate) Place(tenants []Tenant, epoch int, prev []int, nodes int, s
 	return out
 }
 
-// Sticky wraps Consolidate but keeps a tenant on its previous node when
-// that node still has room, trading packing quality for fewer migrations.
-type Sticky struct {
+// stickyPlacement wraps consolidatePlacement but keeps a tenant on its
+// previous node when that node still has room, trading packing quality for
+// fewer migrations.
+type stickyPlacement struct {
 	Headroom float64
 }
 
-// Name implements Policy.
-func (s Sticky) Name() string { return "sticky" }
+// Name implements placementPolicy.
+func (s stickyPlacement) Name() string { return "sticky" }
 
-// Place implements Policy.
-func (s Sticky) Place(tenants []Tenant, epoch int, prev []int, nodes int, spec NodeSpec) []int {
+// Place implements placementPolicy.
+func (s stickyPlacement) Place(tenants []clusterTenant, epoch int, prev []int, nodes int, spec nodeSpec) []int {
 	if prev == nil {
-		return Consolidate{Headroom: s.Headroom}.Place(tenants, epoch, prev, nodes, spec)
+		return consolidatePlacement{Headroom: s.Headroom}.Place(tenants, epoch, prev, nodes, spec)
 	}
 	cap := spec.Cores * (1 - s.Headroom)
 	used := make([]float64, nodes)
@@ -178,8 +181,8 @@ func (s Sticky) Place(tenants []Tenant, epoch int, prev []int, nodes int, spec N
 	return out
 }
 
-// Result summarises an evaluated policy run.
-type Result struct {
+// ClusterPoint summarises an evaluated policy run.
+type ClusterPoint struct {
 	Policy          string
 	TotalJoules     float64
 	MigrationJoules float64
@@ -188,40 +191,40 @@ type Result struct {
 	MeanNodesOn     float64 // average powered-on nodes per epoch
 }
 
-// Config describes the evaluated cluster.
-type Config struct {
+// clusterConfig describes the evaluated cluster.
+type clusterConfig struct {
 	Nodes        int
-	Spec         NodeSpec
+	Spec         nodeSpec
 	EpochSeconds float64
 	// MigrationJPerByte prices moving tenant state (network + source +
 	// destination work); 2008-era numbers are ~20-50 nJ/byte end to end.
 	MigrationJPerByte float64
 }
 
-// Evaluate replays the tenants' load trace under the policy and returns
-// the energy account.
-func Evaluate(cfg Config, tenants []Tenant, policy Policy) (Result, error) {
+// evaluateCluster replays the tenants' load trace under the policy and
+// returns the energy account.
+func evaluateCluster(cfg clusterConfig, tenants []clusterTenant, policy placementPolicy) (ClusterPoint, error) {
 	if cfg.Nodes <= 0 || len(tenants) == 0 {
-		return Result{}, fmt.Errorf("cluster: need nodes and tenants")
+		return ClusterPoint{}, fmt.Errorf("bench: need nodes and tenants")
 	}
 	epochs := len(tenants[0].Load)
 	for _, tn := range tenants {
 		if len(tn.Load) != epochs {
-			return Result{}, fmt.Errorf("cluster: tenant %q trace length %d != %d", tn.Name, len(tn.Load), epochs)
+			return ClusterPoint{}, fmt.Errorf("bench: tenant %q trace length %d != %d", tn.Name, len(tn.Load), epochs)
 		}
 	}
-	res := Result{Policy: policy.Name()}
+	res := ClusterPoint{Policy: policy.Name()}
 	var prev []int
 	var nodesOnSum int64
 	for e := 0; e < epochs; e++ {
 		asn := policy.Place(tenants, e, prev, cfg.Nodes, cfg.Spec)
 		if len(asn) != len(tenants) {
-			return Result{}, fmt.Errorf("cluster: policy %q returned %d assignments", policy.Name(), len(asn))
+			return ClusterPoint{}, fmt.Errorf("bench: policy %q returned %d assignments", policy.Name(), len(asn))
 		}
 		load := make([]float64, cfg.Nodes)
 		for ti, n := range asn {
 			if n < 0 || n >= cfg.Nodes {
-				return Result{}, fmt.Errorf("cluster: assignment to node %d", n)
+				return ClusterPoint{}, fmt.Errorf("bench: assignment to node %d", n)
 			}
 			load[n] += tenants[ti].Load[e]
 		}

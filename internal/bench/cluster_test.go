@@ -1,4 +1,4 @@
-package cluster
+package bench
 
 import (
 	"math"
@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-func testCfg() Config {
-	return Config{
+func testClusterCfg() clusterConfig {
+	return clusterConfig{
 		Nodes: 8,
-		Spec: NodeSpec{
+		Spec: nodeSpec{
 			Cores:        8,
 			IdleWatts:    200, // non-proportional 2008 server
 			PerCoreWatts: 12,
@@ -23,9 +23,9 @@ func testCfg() Config {
 
 // diurnalTenants builds tenants with a low/high daily cycle averaging
 // well under cluster capacity.
-func diurnalTenants(n, epochs int, seed int64) []Tenant {
+func diurnalTenants(n, epochs int, seed int64) []clusterTenant {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]Tenant, n)
+	out := make([]clusterTenant, n)
 	for i := range out {
 		load := make([]float64, epochs)
 		phase := rng.Float64() * 2 * math.Pi
@@ -33,7 +33,7 @@ func diurnalTenants(n, epochs int, seed int64) []Tenant {
 			day := 0.5 + 0.45*math.Sin(2*math.Pi*float64(e)/24+phase)
 			load[e] = 0.2 + 1.5*day*rng.Float64()
 		}
-		out[i] = Tenant{
+		out[i] = clusterTenant{
 			Name:      string(rune('A' + i)),
 			DataBytes: int64(1+rng.Intn(20)) << 30,
 			Load:      load,
@@ -43,13 +43,13 @@ func diurnalTenants(n, epochs int, seed int64) []Tenant {
 }
 
 func TestConsolidationBeatsSpread(t *testing.T) {
-	cfg := testCfg()
+	cfg := testClusterCfg()
 	tenants := diurnalTenants(12, 48, 1)
-	spread, err := Evaluate(cfg, tenants, Spread{})
+	spread, err := evaluateCluster(cfg, tenants, spreadPlacement{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := Evaluate(cfg, tenants, Consolidate{Headroom: 0.1})
+	cons, err := evaluateCluster(cfg, tenants, consolidatePlacement{Headroom: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,13 @@ func TestConsolidationBeatsSpread(t *testing.T) {
 }
 
 func TestStickyMigratesLess(t *testing.T) {
-	cfg := testCfg()
+	cfg := testClusterCfg()
 	tenants := diurnalTenants(12, 48, 2)
-	cons, err := Evaluate(cfg, tenants, Consolidate{Headroom: 0.1})
+	cons, err := evaluateCluster(cfg, tenants, consolidatePlacement{Headroom: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sticky, err := Evaluate(cfg, tenants, Sticky{Headroom: 0.1})
+	sticky, err := evaluateCluster(cfg, tenants, stickyPlacement{Headroom: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +84,15 @@ func TestStickyMigratesLess(t *testing.T) {
 }
 
 func TestMigrationCostCharged(t *testing.T) {
-	cfg := testCfg()
+	cfg := testClusterCfg()
 	cfg.MigrationJPerByte = 0
 	tenants := diurnalTenants(10, 24, 3)
-	free, err := Evaluate(cfg, tenants, Consolidate{Headroom: 0.1})
+	free, err := evaluateCluster(cfg, tenants, consolidatePlacement{Headroom: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MigrationJPerByte = 30e-9
-	paid, err := Evaluate(cfg, tenants, Consolidate{Headroom: 0.1})
+	paid, err := evaluateCluster(cfg, tenants, consolidatePlacement{Headroom: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMigrationCostCharged(t *testing.T) {
 }
 
 func TestSpreadNeverMigrates(t *testing.T) {
-	res, err := Evaluate(testCfg(), diurnalTenants(9, 24, 4), Spread{})
+	res, err := evaluateCluster(testClusterCfg(), diurnalTenants(9, 24, 4), spreadPlacement{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSpreadNeverMigrates(t *testing.T) {
 }
 
 func TestNodePower(t *testing.T) {
-	spec := testCfg().Spec
+	spec := testClusterCfg().Spec
 	if got := spec.Power(0, false); got != 5 {
 		t.Fatalf("off power = %v", got)
 	}
@@ -125,15 +125,15 @@ func TestNodePower(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	cfg := testCfg()
-	if _, err := Evaluate(cfg, nil, Spread{}); err == nil {
+	cfg := testClusterCfg()
+	if _, err := evaluateCluster(cfg, nil, spreadPlacement{}); err == nil {
 		t.Fatal("no tenants should error")
 	}
-	bad := []Tenant{
+	bad := []clusterTenant{
 		{Name: "a", Load: []float64{1, 2}},
 		{Name: "b", Load: []float64{1}},
 	}
-	if _, err := Evaluate(cfg, bad, Spread{}); err == nil {
+	if _, err := evaluateCluster(cfg, bad, spreadPlacement{}); err == nil {
 		t.Fatal("ragged traces should error")
 	}
 }
@@ -143,11 +143,11 @@ func TestEvaluateValidation(t *testing.T) {
 // light-load traces.
 func TestConsolidationDominatesUnderLightLoad(t *testing.T) {
 	f := func(seed int64) bool {
-		cfg := testCfg()
+		cfg := testClusterCfg()
 		cfg.MigrationJPerByte = 0
 		tenants := diurnalTenants(10, 24, seed)
-		spread, err1 := Evaluate(cfg, tenants, Spread{})
-		cons, err2 := Evaluate(cfg, tenants, Consolidate{Headroom: 0.1})
+		spread, err1 := evaluateCluster(cfg, tenants, spreadPlacement{})
+		cons, err2 := evaluateCluster(cfg, tenants, consolidatePlacement{Headroom: 0.1})
 		if err1 != nil || err2 != nil {
 			return false
 		}

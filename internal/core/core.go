@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"energydb/internal/buffer"
 	"energydb/internal/compress"
 	"energydb/internal/energy"
 	"energydb/internal/exec"
@@ -111,10 +110,11 @@ type DB struct {
 	Vol *storage.Volume
 	Log *wal.Log
 
-	// Pool is a page cache no scan reads through: every scan streams
-	// past it, so its counters stay 0. It is kept only because the eeperf
-	// benchmark reports them, and goes when eeperf stops reading it.
-	Pool *buffer.Pool
+	// Pool stands in for a page cache the engine does not have: every
+	// scan streams from the volume, so its counters are always 0. It
+	// stays only because the eeperf harness still reports them as
+	// buffer.*; it goes when those metrics do.
+	Pool Pool
 
 	Catalog   *opt.Catalog
 	Env       *opt.Env
@@ -143,6 +143,15 @@ type DB struct {
 	nextQuery   int64
 	nextCommit  int64
 }
+
+// PoolStats are the page-cache counters DB.Pool reports.
+type PoolStats struct{ Hits, Misses, Evictions int64 }
+
+// Pool is the type of DB.Pool, whose Stats are always zero.
+type Pool struct{}
+
+// Stats returns zero counters: no page is ever cached.
+func (Pool) Stats() PoolStats { return PoolStats{} }
 
 // Open builds the simulated machine and an empty database on it.
 func Open(cfg Config) (*DB, error) {
@@ -194,7 +203,7 @@ func Open(cfg Config) (*DB, error) {
 	adm := sched.NewAdmissionPolicy(srv.Eng, srv.CPU.Cores(), 0, schedPol)
 
 	db := &DB{
-		Srv: srv, Vol: vol, Pool: buffer.NewPool(1024, buffer.NewLRU()),
+		Srv: srv, Vol: vol,
 		Catalog:     opt.NewCatalog(),
 		Objective:   cfg.Objective,
 		Adm:         adm,
@@ -318,20 +327,6 @@ func (db *DB) LoadTable(t *table.Table) error {
 	db.mem[t.Schema.Name] = t
 	db.dirty[t.Schema.Name] = true
 	return nil
-}
-
-// Insert appends rows to a table; they become visible to queries after
-// the next (re)placement, and are logged when a WAL is configured. It is
-// InsertAt for the present, waited for: the commit is scheduled now and
-// the simulation pumped until it is done — no further, so work scheduled
-// for later stays in the future. Like every pumping call it must not be
-// made from event context.
-func (db *DB) Insert(name string, rows [][]table.Value) error {
-	d, err := db.InsertAt(0, name, rows)
-	if err != nil {
-		return err
-	}
-	return d.Err()
 }
 
 // coerceInsert validates a whole insert and builds its batch under the
@@ -510,10 +505,10 @@ func (db *DB) placeDirty(q *opt.Query) error {
 // advancing its clock and meter. It is the one-statement convenience over
 // the paths drivers use directly: a SELECT runs as a one-statement session
 // — submitted to the admission controller (which, on an otherwise idle
-// box, grants it every core), the engine drained, the rows collected; an
-// INSERT is the commit ExecAt schedules, pumped only until it is durable
-// and applied (work scheduled for later stays in the future), and like
-// the SELECT it comes back with its own energy account in the Result;
+// box, grants it every core) and pumped until its rows are collected; an
+// INSERT is the commit ExecAt schedules, pumped until it is durable and
+// applied. Either way work scheduled for later stays in the future, and
+// the statement comes back with its own energy account in the Result;
 // CREATE is catalog-only and EXPLAIN only plans. Multi-stream drivers use
 // DB.Session and ExecAt; the network front door (internal/server) exposes
 // both over the wire.
@@ -547,11 +542,6 @@ func (db *DB) Exec(query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Run the engine to completion (matching the pre-session Exec, which
-	// drained after every statement), then collect.
-	if err := db.Drain(); err != nil {
-		return nil, err
-	}
 	return rows.Collect()
 }
 
@@ -576,7 +566,6 @@ func (db *DB) explain(q *opt.Query) (*opt.Plan, error) {
 // benchmark drivers use it to run plans inside their own processes.
 func (db *DB) NewCtx(p *sim.Proc) *exec.Ctx {
 	ctx := exec.NewCtx(p, db.Srv.CPU)
-	ctx.DRAM = db.Srv.DRAM
 	ctx.Temp = db.Vol
 	return ctx
 }

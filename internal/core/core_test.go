@@ -252,12 +252,8 @@ func TestInsertAtomicOnTypeError(t *testing.T) {
 	db := smallDB(t, opt.MinTime)
 	mustExec(t, db, "CREATE TABLE t (a BIGINT, b DOUBLE)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 1.5)")
-	bad := [][]table.Value{
-		{table.IntVal(2), table.FloatVal(2.5)},
-		{table.IntVal(3), table.StrVal("oops")}, // type error on row 1
-		{table.IntVal(4), table.FloatVal(4.5)},
-	}
-	if err := db.Insert("t", bad); err == nil {
+	// A type error on row 1 of 3.
+	if _, err := db.Exec("INSERT INTO t VALUES (2, 2.5), (3, 'oops'), (4, 4.5)"); err == nil {
 		t.Fatal("mistyped batch should fail")
 	}
 	res := mustExec(t, db, "SELECT a FROM t")
@@ -265,10 +261,7 @@ func TestInsertAtomicOnTypeError(t *testing.T) {
 		t.Fatalf("failed insert left %d rows visible, want 1", res.Rows.Rows())
 	}
 	// Arity errors must be atomic too.
-	if err := db.Insert("t", [][]table.Value{
-		{table.IntVal(5), table.FloatVal(5.5)},
-		{table.IntVal(6)},
-	}); err == nil {
+	if _, err := db.Exec("INSERT INTO t VALUES (5, 5.5), (6)"); err == nil {
 		t.Fatal("wrong-arity batch should fail")
 	}
 	if res := mustExec(t, db, "SELECT a FROM t"); res.Rows.Rows() != 1 {
@@ -310,10 +303,10 @@ func TestErrorPaths(t *testing.T) {
 	if err := db.CreateTable(table.NewSchema("t", table.Col("a", table.Int64))); err == nil {
 		t.Fatal("duplicate create should fail")
 	}
-	if err := db.Insert("ghost", nil); err == nil {
+	if _, err := db.Exec("INSERT INTO ghost VALUES (1)"); err == nil {
 		t.Fatal("insert into unknown table should fail")
 	}
-	if err := db.Insert("t", [][]table.Value{{table.StrVal("x")}}); err == nil {
+	if _, err := db.Exec("INSERT INTO t VALUES ('x')"); err == nil {
 		t.Fatal("type mismatch insert should fail")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // commits one way only: as its own simulated process at its arrival time
 // — WAL append inside the process, rows visible after — billed to its own
 // energy account, so inserts show up in tenant bills like queries do.
-// The synchronous forms (DB.Insert, Exec of an INSERT) schedule the same
-// commit for now and pump until it is done.
+// The synchronous form, Exec of an INSERT, schedules the same commit for
+// now and pumps until it is done.
 
 // Deferred is a scheduled non-SELECT statement. Like Rows, it settles
 // when the simulation is pumped past its completion (Err, or DB.Drain).
@@ -68,16 +68,6 @@ func (db *DB) ExecAt(at float64, query string) (*Deferred, error) {
 		return &Deferred{db: db, done: true}, db.CreateTable(p.create)
 	}
 	return db.insertAt(at, p.rows), nil
-}
-
-// InsertAt schedules a validated row batch for commit at simulated time
-// at — the programmatic form of ExecAt's INSERT arm.
-func (db *DB) InsertAt(at float64, name string, rows [][]table.Value) (*Deferred, error) {
-	b, err := db.coerceInsert(name, rows)
-	if err != nil {
-		return nil, err
-	}
-	return db.insertAt(at, b), nil
 }
 
 // insertAt is the one INSERT commit. Write-ahead: the record carries the

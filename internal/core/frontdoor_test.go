@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"energydb/internal/hw"
 	"energydb/internal/opt"
 	"energydb/internal/sql"
-	"energydb/internal/table"
 	"energydb/internal/tpch"
 )
 
@@ -107,7 +107,7 @@ func TestLedgerClosesOverSynchronousInserts(t *testing.T) {
 	}
 }
 
-// TestInsertCaughtByCrash: a synchronous Insert whose commit is on the log
+// TestInsertCaughtByCrash: a synchronous INSERT whose commit is on the log
 // device when the engine crashes reports fault.ErrCrashed, leaves no
 // phantom row, closes its account at the crash instant (an open one would
 // keep absorbing idle-floor shares), and does not run the future to find
@@ -117,14 +117,12 @@ func TestInsertCaughtByCrash(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE kv (k BIGINT, v DOUBLE)"); err != nil {
 		t.Fatal(err)
 	}
-	row := func(k int64) [][]table.Value {
-		return [][]table.Value{{table.IntVal(k), table.FloatVal(0.5)}}
-	}
-	if err := db.Insert("kv", row(0)); err != nil { // pays the log disk's first seek
+	insert := func(k int) string { return fmt.Sprintf("INSERT INTO kv VALUES (%d, 0.5)", k) }
+	if _, err := db.Exec(insert(0)); err != nil { // pays the log disk's first seek
 		t.Fatal(err)
 	}
 	t0 := db.Srv.Eng.Now()
-	if err := db.Insert("kv", row(1)); err != nil {
+	if _, err := db.Exec(insert(1)); err != nil {
 		t.Fatal(err)
 	}
 	commit := db.Srv.Eng.Now() - t0
@@ -136,7 +134,7 @@ func TestInsertCaughtByCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CrashAt(db.Srv.Eng.Now()+commit/2, 0.5)
-	if err := db.Insert("kv", row(2)); !errors.Is(err, fault.ErrCrashed) {
+	if _, err := db.Exec(insert(2)); !errors.Is(err, fault.ErrCrashed) {
 		t.Fatalf("insert caught mid-commit: err = %v, want ErrCrashed", err)
 	}
 	if future.done || db.Srv.Eng.Now() >= 100 {
@@ -152,7 +150,7 @@ func TestInsertCaughtByCrash(t *testing.T) {
 		t.Fatalf("recovered %d rows, want the 2 committed before the crash", got)
 	}
 	// An insert the crash caught before its arrival time fails the same way.
-	d, err := db.InsertAt(db.Srv.Eng.Now()+50, "kv", row(3))
+	d, err := db.ExecAt(db.Srv.Eng.Now()+50, insert(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,6 @@ func TestTraceIntegration(t *testing.T) {
 	if got := tr.EnergyAt(12); math.Abs(float64(got)-310) > 1e-9 {
 		t.Fatalf("EnergyAt(12) = %v, want 310", got)
 	}
-	if tr.Peak() != 90 {
-		t.Fatalf("Peak = %v, want 90", tr.Peak())
-	}
 }
 
 func TestTracePanicsOnTimeTravel(t *testing.T) {

@@ -14,17 +14,15 @@ import (
 // Trace is not safe for concurrent use: the simulation engine guarantees
 // only one process runs at a time.
 type Trace struct {
-	name   string
-	lastT  Seconds
-	lastW  Watts
-	total  Joules
-	peak   Watts
-	busyAt Seconds // accumulated time at nonzero power
+	name  string
+	lastT Seconds
+	lastW Watts
+	total Joules
 }
 
 // NewTrace returns a trace starting at time 0 with power w0.
 func NewTrace(name string, w0 Watts) *Trace {
-	return &Trace{name: name, lastW: w0, peak: w0}
+	return &Trace{name: name, lastW: w0}
 }
 
 // Name reports the component name used in reports.
@@ -37,16 +35,9 @@ func (tr *Trace) Set(t Seconds, w Watts) {
 	if t < tr.lastT {
 		panic(fmt.Sprintf("energy: trace %q time went backwards: %v -> %v", tr.name, tr.lastT, t))
 	}
-	dt := t - tr.lastT
-	tr.total += Energy(tr.lastW, dt)
-	if tr.lastW > 0 {
-		tr.busyAt += dt
-	}
+	tr.total += Energy(tr.lastW, t-tr.lastT)
 	tr.lastT = t
 	tr.lastW = w
-	if w > tr.peak {
-		tr.peak = w
-	}
 }
 
 // Power reports the current power level.
@@ -59,9 +50,6 @@ func (tr *Trace) EnergyAt(t Seconds) Joules {
 	}
 	return tr.total + Energy(tr.lastW, t-tr.lastT)
 }
-
-// Peak reports the highest power level ever set.
-func (tr *Trace) Peak() Watts { return tr.peak }
 
 // Meter aggregates the traces of all components of a system and answers
 // whole-system energy questions. It is the simulated analogue of the wall

@@ -52,7 +52,6 @@ func DefaultCosts() CostParams {
 type Ctx struct {
 	P     *sim.Proc
 	CPU   *hw.CPU
-	DRAM  *hw.DRAM        // optional: charged for working-set traffic
 	Temp  *storage.Volume // optional: spill target for external sort
 	Costs CostParams
 
@@ -80,13 +79,5 @@ func (c *Ctx) ChargeBytes(n int64, cyclesPerByte float64) {
 func (c *Ctx) ChargeRows(n int, cyclesPerRow float64) {
 	if n > 0 {
 		c.CPU.Use(c.P, float64(n)*cyclesPerRow)
-	}
-}
-
-// TouchDRAM charges marginal memory access energy for n bytes, if a DRAM
-// device is attached.
-func (c *Ctx) TouchDRAM(n int64) {
-	if c.DRAM != nil && n > 0 {
-		c.DRAM.Access(n)
 	}
 }

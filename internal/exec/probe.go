@@ -40,7 +40,6 @@ func (bs *buildState) AddWorker(int) {}
 func (bs *buildState) Absorb(_ int, wctx *Ctx, b *table.Batch) bool {
 	wctx.ChargeRows(b.Rows(), wctx.Costs.HashBuildCyclesPerRow)
 	bs.bytes += b.ByteSize()
-	wctx.TouchDRAM(b.ByteSize())
 	bs.buildB.AppendBatch(b)
 	return true
 }

@@ -204,7 +204,6 @@ func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 	}
 	// Scanner work proper: predicate + projection over the logical bytes.
 	ctx.ChargeBytes(logicalBytes, ctx.Costs.ScanCyclesPerByte)
-	ctx.TouchDRAM(logicalBytes)
 	return s.emit(ctx, b, read)
 }
 
@@ -463,7 +462,6 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 	ctx.ChargeBytes(blk.rawSize, s.ST.RowCodec.Cost().DecodeCyclesPerByte)
 	// Row stores pay tuple-parsing cost on top of the scan work.
 	ctx.ChargeBytes(blk.rawSize, ctx.Costs.ScanCyclesPerByte+ctx.Costs.RowParseCyclesPerByte)
-	ctx.TouchDRAM(blk.rawSize)
 	return s.scratch.project(full, s.scratch.filter(ctx, full, s.Pred), s.Emit, s.schema), nil
 }
 

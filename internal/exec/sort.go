@@ -72,7 +72,6 @@ func (s *Sort) AddWorker(w int) {}
 // Absorb implements Sink: it materialises one input batch.
 func (s *Sort) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
 	s.bytes += b.ByteSize()
-	wctx.TouchDRAM(b.ByteSize())
 	s.out.AppendBatch(b)
 	return true
 }

@@ -87,11 +87,10 @@ func OpteronComplex() CPUSpec {
 // DDR2x64GiB models the DL785's 64 GB of DDR2 in 8 power-managed ranks.
 func DDR2x64GiB() DRAMSpec {
 	return DRAMSpec{
-		Name:          "ddr2-64g",
-		Ranks:         8,
-		BytesPerRank:  8 * GiB,
-		WattsPerRank:  8, // 64 W background for 64 GB
-		AccessJPerGiB: 0.5,
+		Name:         "ddr2-64g",
+		Ranks:        8,
+		BytesPerRank: 8 * GiB,
+		WattsPerRank: 8, // 64 W background for 64 GB
 	}
 }
 
@@ -141,11 +140,10 @@ func SmallServer(numDisks int) ServerSpec {
 			},
 		},
 		DRAM: DRAMSpec{
-			Name:          "ddr3-16g",
-			Ranks:         4,
-			BytesPerRank:  4 * GiB,
-			WattsPerRank:  3,
-			AccessJPerGiB: 0.5,
+			Name:         "ddr3-16g",
+			Ranks:        4,
+			BytesPerRank: 4 * GiB,
+			WattsPerRank: 3,
 		},
 		BaseWatts: 60,
 		Disk:      Cheetah15K(),

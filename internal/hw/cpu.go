@@ -1,6 +1,6 @@
 // Package hw models the hardware components the paper's experiments run on:
 // CPUs with P-states (DVFS) and idle states, 15K-RPM SCSI disks with spin
-// states, flash SSDs, DRAM with rank power-down, and whole servers.
+// states, flash SSDs, DRAM background power, and whole servers.
 //
 // Every device charges real simulated time for the work it is asked to do
 // and reports its piecewise-constant power draw to an energy.Meter, so the

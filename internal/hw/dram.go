@@ -4,98 +4,42 @@ import (
 	"fmt"
 
 	"energydb/internal/energy"
-	"energydb/internal/sim"
 )
 
 // DRAMSpec describes main memory. Background (refresh + standby) power is
-// proportional to the number of powered ranks; the paper (§4.3) observes
-// that "keeping a page in RAM will require energy, proportional to the time
-// the page is cached", which is exactly this term.
+// proportional to the number of ranks; the paper (§4.3) observes that
+// "keeping a page in RAM will require energy, proportional to the time the
+// page is cached", which is exactly this term.
 type DRAMSpec struct {
-	Name          string
-	Ranks         int // independently power-managed units
-	BytesPerRank  int64
-	WattsPerRank  energy.Watts  // background power of a powered rank
-	AccessJPerGiB energy.Joules // marginal energy per GiB moved
+	Name         string
+	Ranks        int // independently power-managed units
+	BytesPerRank int64
+	WattsPerRank energy.Watts // background power of a powered rank
 }
 
-// DRAM models memory background power with rank power-down, plus a marginal
-// access-energy term. Access energy costs no simulated time (memory
-// bandwidth is folded into CPU work), so it is tracked as a running total
-// and reported via AccessEnergy; the buffer manager's energy
-// cost model consumes it analytically.
+// DRAM models memory as constant background power on the meter. Its one
+// reader is the optimizer, which prices operator working memory at
+// HoldingPower watts per byte.
 type DRAM struct {
-	eng          *sim.Engine
-	spec         DRAMSpec
-	trace        *energy.Trace
-	poweredRanks int
-	accessEnergy energy.Joules
-	bytesMoved   int64
+	spec DRAMSpec
 }
 
 // NewDRAM registers memory on the meter with all ranks powered.
-func NewDRAM(e *sim.Engine, m *energy.Meter, name string, spec DRAMSpec) *DRAM {
+func NewDRAM(m *energy.Meter, name string, spec DRAMSpec) *DRAM {
 	if spec.Ranks <= 0 || spec.BytesPerRank <= 0 {
 		panic(fmt.Sprintf("hw: invalid DRAM spec %+v", spec))
 	}
-	d := &DRAM{
-		eng:          e,
-		spec:         spec,
-		poweredRanks: spec.Ranks,
-	}
-	d.trace = m.Register(name, d.backgroundPower())
+	d := &DRAM{spec: spec}
+	m.Register(name, d.backgroundPower())
 	return d
 }
 
 func (d *DRAM) backgroundPower() energy.Watts {
-	return energy.Watts(float64(d.spec.WattsPerRank) * float64(d.poweredRanks))
+	return energy.Watts(float64(d.spec.WattsPerRank) * float64(d.spec.Ranks))
 }
-
-// Spec returns the DRAM specification.
-func (d *DRAM) Spec() DRAMSpec { return d.spec }
-
-// TotalBytes reports installed capacity.
-func (d *DRAM) TotalBytes() int64 { return d.spec.BytesPerRank * int64(d.spec.Ranks) }
-
-// PoweredBytes reports the capacity of currently powered ranks.
-func (d *DRAM) PoweredBytes() int64 { return d.spec.BytesPerRank * int64(d.poweredRanks) }
-
-// PoweredRanks reports how many ranks are powered.
-func (d *DRAM) PoweredRanks() int { return d.poweredRanks }
-
-// SetPoweredRanks powers ranks up or down; at least one rank stays powered.
-// The buffer manager calls this after shrinking itself so unused memory
-// stops drawing refresh power (§4.2's "powering down unused hardware").
-func (d *DRAM) SetPoweredRanks(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > d.spec.Ranks {
-		n = d.spec.Ranks
-	}
-	d.poweredRanks = n
-	d.trace.Set(energy.Seconds(d.eng.Now()), d.backgroundPower())
-}
-
-// Access charges the marginal energy of moving n bytes through memory.
-// It costs no simulated time (bandwidth is folded into CPU work); the
-// energy is what matters for policy decisions.
-func (d *DRAM) Access(n int64) {
-	if n < 0 {
-		panic("hw: negative DRAM access")
-	}
-	d.bytesMoved += n
-	d.accessEnergy += energy.Joules(float64(n) / (1 << 30) * float64(d.spec.AccessJPerGiB))
-}
-
-// AccessEnergy reports accumulated marginal access energy.
-func (d *DRAM) AccessEnergy() energy.Joules { return d.accessEnergy }
-
-// BytesMoved reports total bytes charged through Access.
-func (d *DRAM) BytesMoved() int64 { return d.bytesMoved }
 
 // HoldingPower reports the background watts attributable to caching one
-// byte for one second, used by the energy-aware buffer policy: W/byte.
+// byte for one second: W/byte.
 func (d *DRAM) HoldingPower() float64 {
-	return float64(d.backgroundPower()) / float64(d.PoweredBytes())
+	return float64(d.backgroundPower()) / float64(d.spec.BytesPerRank*int64(d.spec.Ranks))
 }

@@ -43,8 +43,7 @@ func NewServer(spec ServerSpec) *Server {
 	return NewServerOn(eng, meter, spec)
 }
 
-// NewServerOn builds a server on an existing engine and meter so several
-// servers can share one simulation (see internal/cluster).
+// NewServerOn builds a server on an existing engine and meter.
 func NewServerOn(eng *sim.Engine, meter *energy.Meter, spec ServerSpec) *Server {
 	if spec.CoolingOverhead == 0 {
 		spec.CoolingOverhead = 1.0
@@ -60,7 +59,7 @@ func NewServerOn(eng *sim.Engine, meter *energy.Meter, spec ServerSpec) *Server 
 	}
 	s.CPU = NewCPU(eng, meter, prefix+"cpu", spec.CPU)
 	if spec.DRAM.Ranks > 0 {
-		s.DRAM = NewDRAM(eng, meter, prefix+"dram", spec.DRAM)
+		s.DRAM = NewDRAM(meter, prefix+"dram", spec.DRAM)
 	}
 	for i := 0; i < spec.NumDisks; i++ {
 		s.Disks = append(s.Disks, NewDisk(eng, meter, fmt.Sprintf("%sdisk%03d", prefix, i), spec.Disk))

@@ -13,8 +13,8 @@ package sched
 //     that the latency-vs-energy trade only exists per-query under load).
 //   - EnergyAware is EDF for deadline work plus consolidation for the
 //     rest: background (deadline-free) jobs are held while deadline work
-//     runs, released batched by compatibility tag (same statement —
-//     buffer-pool-warm scans), granted wide so DVFS-aware planning can go
+//     runs, then released preferring the compatibility tag (statement
+//     text) already running, granted wide so DVFS-aware planning can go
 //     wide-and-slow, and the grant can hold cores back as headroom so an
 //     arriving deadline query finds a free core instead of a saturated box.
 
@@ -115,10 +115,10 @@ func earliestDeadline(queue []*Ticket, deadlineOnly bool) int {
 
 // EnergyAware is the consolidating policy: deadline work runs EDF with
 // fair-share grants; background work is held while any deadline job is
-// queued or running, then released preferring the compatibility tag
-// already on the box (batching same-statement scans onto a warm buffer
-// pool), granted every free core beyond HoldFree so DVFS-aware planning
-// can choose wide-and-slow at a low P-state.
+// queued or running, then released preferring a job whose compatibility
+// tag matches one already running, and granted every free core beyond
+// HoldFree so DVFS-aware planning can choose wide-and-slow at a low
+// P-state.
 type EnergyAware struct {
 	// HoldFree cores are kept back from background grants: headroom so an
 	// arriving deadline query finds a free core (and the box can stay at
@@ -143,9 +143,10 @@ func (p EnergyAware) Select(now float64, queue, running []*Ticket, free, total i
 			return -1
 		}
 	}
-	// Prefer work compatible with what is already running: same tag means
-	// same statement, so its scan hits the pool pages the running copy
-	// just faulted in.
+	// Prefer a queued job whose tag (its statement text) matches a running
+	// one's. Scans share no pages, so the preference buys no joules; it
+	// only reorders the queue, which moves waits. Deleting it moves the
+	// policies experiment's model clock, so that waits for its own change.
 	for _, r := range running {
 		if r.Tag == "" {
 			continue
