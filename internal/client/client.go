@@ -20,11 +20,16 @@ import (
 	"energydb/internal/wire"
 )
 
-// DB is a connection to a server, authenticated as one tenant.
+// DB is a connection to a server, authenticated as one tenant. Every
+// request goes out and its reply is decoded under mu: a reply lives in
+// the connection's read buffer (wire.Conn) only until the next reply
+// arrives, so no call lets go of the lock while it still reads one.
 type DB struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	broken error // a protocol-level failure poisons the connection
+	wc     *wire.Conn
+	r      wire.Reader // decodes the reply in wc's read buffer
+	broken error       // a protocol-level failure poisons the connection
 }
 
 // Dial connects to a server's TCP address as the given tenant.
@@ -39,13 +44,12 @@ func Dial(addr, tenant string) (*DB, error) {
 // New performs the handshake over an existing connection (a TCP conn, or
 // one end of server.Pipe) and returns the driver handle.
 func New(conn net.Conn, tenant string) (*DB, error) {
-	db := &DB{conn: conn}
-	body := wire.AppendStr(wire.AppendU32(nil, wire.Version), tenant)
-	if err := wire.WriteFrame(conn, wire.MsgHello, body); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := db.expect(wire.MsgWelcome); err != nil {
+	db := &DB{conn: conn, wc: wire.NewConn(conn)}
+	// No other goroutine has db yet, so the handshake needs no lock.
+	_, err := db.roundTripLocked(wire.MsgHello, func(b []byte) []byte {
+		return wire.AppendStr(wire.AppendU32(b, wire.Version), tenant)
+	}, wire.MsgWelcome)
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -56,20 +60,33 @@ func New(conn net.Conn, tenant string) (*DB, error) {
 // running statement this connection owned.
 func (db *DB) Close() error { return db.conn.Close() }
 
-// roundTrip sends one request and reads its reply, which must be of type
-// want (or MsgOK carrying an error code, or MsgError). It returns a
-// reader positioned after the reply's code+msg prefix.
-func (db *DB) roundTrip(reqType byte, body []byte, want byte) (*wire.Reader, error) {
+// roundTrip sends one request, whose body build appends to the frame
+// (nil for an empty body), and reads its reply, which must be of type
+// want (or MsgOK carrying an error code, or MsgError). It returns the id
+// that leads the body of a MsgSessionOK, MsgPrepared or MsgExecuted
+// reply after its code+msg prefix, and 0 when want is MsgOK.
+func (db *DB) roundTrip(reqType byte, build func([]byte) []byte, want byte) (uint64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.roundTripLocked(reqType, body, want)
+	r, err := db.roundTripLocked(reqType, build, want)
+	if err != nil || want == wire.MsgOK {
+		return 0, err
+	}
+	id := r.U64()
+	return id, r.Err()
 }
 
-func (db *DB) roundTripLocked(reqType byte, body []byte, want byte) (*wire.Reader, error) {
+// roundTripLocked is roundTrip for a caller that holds mu and decodes the
+// reply itself, through the returned reader, before it unlocks.
+func (db *DB) roundTripLocked(reqType byte, build func([]byte) []byte, want byte) (*wire.Reader, error) {
 	if db.broken != nil {
 		return nil, db.broken
 	}
-	if err := wire.WriteFrame(db.conn, reqType, body); err != nil {
+	frame := db.wc.Begin(reqType)
+	if build != nil {
+		frame = build(frame)
+	}
+	if err := db.wc.Send(frame); err != nil {
 		db.broken = err
 		return nil, err
 	}
@@ -80,12 +97,13 @@ func (db *DB) roundTripLocked(reqType byte, body []byte, want byte) (*wire.Reade
 // server reply except MsgDone and MsgMeterReport starts with one; a
 // non-zero code comes back as the typed remote error.
 func (db *DB) expect(want byte) (*wire.Reader, error) {
-	typ, body, err := wire.ReadFrame(db.conn)
+	typ, body, err := db.wc.Read()
 	if err != nil {
 		db.broken = err
 		return nil, err
 	}
-	r := wire.NewReader(body)
+	r := &db.r
+	r.Reset(body)
 	switch typ {
 	case want, wire.MsgOK:
 		code := r.U32()
@@ -122,12 +140,8 @@ func (db *DB) expect(want byte) (*wire.Reader, error) {
 // Session opens a remote session: one serial statement stream, exactly
 // like core.DB.Session.
 func (db *DB) Session() (*Session, error) {
-	r, err := db.roundTrip(wire.MsgSessionOpen, nil, wire.MsgSessionOK)
+	sid, err := db.roundTrip(wire.MsgSessionOpen, nil, wire.MsgSessionOK)
 	if err != nil {
-		return nil, err
-	}
-	sid := r.U64()
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return &Session{db: db, id: sid}, nil
@@ -141,7 +155,9 @@ func (db *DB) Exec(sql string) error { return db.ExecAt(0, sql) }
 // present-time statement's reply carries its real outcome, a future
 // one's errors surface at Drain, mirroring core.DB.ExecAt.
 func (db *DB) ExecAt(at float64, sql string) error {
-	_, err := db.roundTrip(wire.MsgExec, wire.AppendStr(wire.AppendF64(nil, at), sql), wire.MsgOK)
+	_, err := db.roundTrip(wire.MsgExec, func(b []byte) []byte {
+		return wire.AppendStr(wire.AppendF64(b, at), sql)
+	}, wire.MsgOK)
 	return err
 }
 
@@ -160,11 +176,11 @@ func (db *DB) Meter() (wire.MeterReport, error) {
 	if db.broken != nil {
 		return wire.MeterReport{}, db.broken
 	}
-	if err := wire.WriteFrame(db.conn, wire.MsgMeter, nil); err != nil {
+	if err := db.wc.Send(db.wc.Begin(wire.MsgMeter)); err != nil {
 		db.broken = err
 		return wire.MeterReport{}, err
 	}
-	typ, body, err := wire.ReadFrame(db.conn)
+	typ, body, err := db.wc.Read()
 	if err != nil {
 		db.broken = err
 		return wire.MeterReport{}, err
@@ -172,7 +188,8 @@ func (db *DB) Meter() (wire.MeterReport, error) {
 	if typ != wire.MsgMeterReport {
 		return wire.MeterReport{}, fmt.Errorf("client: meter reply type %d: %w", typ, wire.ErrProtocol)
 	}
-	return wire.DecodeMeterReport(wire.NewReader(body))
+	db.r.Reset(body)
+	return wire.DecodeMeterReport(&db.r)
 }
 
 // Session is one remote serial statement stream.
@@ -188,19 +205,18 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	_, err := s.db.roundTrip(wire.MsgSessionClose, wire.AppendU64(nil, s.id), wire.MsgOK)
+	_, err := s.db.roundTrip(wire.MsgSessionClose, func(b []byte) []byte {
+		return wire.AppendU64(b, s.id)
+	}, wire.MsgOK)
 	return err
 }
 
 // Prepare binds a SELECT on the server for repeated execution.
 func (s *Session) Prepare(sql string) (*Stmt, error) {
-	body := wire.AppendStr(wire.AppendU64(nil, s.id), sql)
-	r, err := s.db.roundTrip(wire.MsgPrepare, body, wire.MsgPrepared)
+	id, err := s.db.roundTrip(wire.MsgPrepare, func(b []byte) []byte {
+		return wire.AppendStr(wire.AppendU64(b, s.id), sql)
+	}, wire.MsgPrepared)
 	if err != nil {
-		return nil, err
-	}
-	id := r.U64()
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return &Stmt{sess: s, id: id, text: sql}, nil
@@ -219,8 +235,11 @@ func (s *Session) Query(sql string) (*Rows, error) {
 // as a batch of opt.ExplainSchema rows (operator, detail, DOP, P-state,
 // predicted ms and joules).
 func (s *Session) Explain(sql string) (*table.Batch, error) {
-	body := wire.AppendStr(wire.AppendU64(nil, s.id), sql)
-	r, err := s.db.roundTrip(wire.MsgExplain, body, wire.MsgBatch)
+	s.db.mu.Lock()
+	defer s.db.mu.Unlock()
+	r, err := s.db.roundTripLocked(wire.MsgExplain, func(b []byte) []byte {
+		return wire.AppendStr(wire.AppendU64(b, s.id), sql)
+	}, wire.MsgBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -263,13 +282,10 @@ func (st *Stmt) QueryDiscard(at, deadline float64) (*Rows, error) {
 }
 
 func (st *Stmt) query(at, deadline float64, flags byte) (*Rows, error) {
-	body := wire.AppendF64(wire.AppendF64(append(wire.AppendU64(nil, st.id), flags), at), deadline)
-	r, err := st.sess.db.roundTrip(wire.MsgExecute, body, wire.MsgExecuted)
+	qid, err := st.sess.db.roundTrip(wire.MsgExecute, func(b []byte) []byte {
+		return wire.AppendF64(wire.AppendF64(append(wire.AppendU64(b, st.id), flags), at), deadline)
+	}, wire.MsgExecuted)
 	if err != nil {
-		return nil, err
-	}
-	qid := r.U64()
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return &Rows{db: st.sess.db, id: qid}, nil
@@ -300,16 +316,17 @@ func (r *Rows) Next() bool {
 		r.err, r.done = r.db.broken, true
 		return false
 	}
-	if err := wire.WriteFrame(r.db.conn, wire.MsgFetch, wire.AppendU64(nil, r.id)); err != nil {
+	if err := r.db.wc.Send(wire.AppendU64(r.db.wc.Begin(wire.MsgFetch), r.id)); err != nil {
 		r.db.broken, r.err, r.done = err, err, true
 		return false
 	}
-	typ, body, err := wire.ReadFrame(r.db.conn)
+	typ, body, err := r.db.wc.Read()
 	if err != nil {
 		r.db.broken, r.err, r.done = err, err, true
 		return false
 	}
-	br := wire.NewReader(body)
+	br := &r.db.r
+	br.Reset(body)
 	switch typ {
 	case wire.MsgBatch:
 		code := br.U32()
@@ -355,7 +372,10 @@ func (r *Rows) Close() error {
 		return r.err
 	}
 	r.closed = true
-	if _, cerr := r.db.roundTrip(wire.MsgCancel, wire.AppendU64(nil, r.id), wire.MsgOK); cerr != nil && r.err == nil {
+	_, cerr := r.db.roundTrip(wire.MsgCancel, func(b []byte) []byte {
+		return wire.AppendU64(b, r.id)
+	}, wire.MsgOK)
+	if cerr != nil && r.err == nil {
 		r.err = cerr
 	}
 	r.cur = nil

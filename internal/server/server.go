@@ -212,7 +212,8 @@ func (s *Server) PlanCacheStats() (hits, misses int64) {
 // srv.mu.
 type conn struct {
 	srv    *Server
-	rw     net.Conn
+	wc     *wire.Conn
+	r      wire.Reader // decodes the request in wc's read buffer
 	tenant string
 
 	sessions map[uint64]*core.Session
@@ -233,7 +234,7 @@ type stmtState struct {
 // own the goroutine.
 func (s *Server) ServeConn(c net.Conn) {
 	cn := &conn{
-		srv: s, rw: c,
+		srv: s, wc: wire.NewConn(c),
 		sessions: map[uint64]*core.Session{},
 		stmts:    map[uint64]*stmtState{},
 		queries:  map[uint64]*core.Rows{},
@@ -245,15 +246,14 @@ func (s *Server) ServeConn(c net.Conn) {
 		return
 	}
 	for {
-		typ, body, err := wire.ReadFrame(c)
+		typ, body, err := cn.wc.Read()
 		if err != nil {
 			return // EOF, torn frame, or closed conn: teardown handles state
 		}
 		if err := cn.handle(typ, body); err != nil {
 			// Protocol-level failure: report it if the pipe still works,
 			// then drop the connection.
-			_ = cn.reply(wire.MsgError, wire.AppendStr(
-				wire.AppendU32(nil, wire.CodeProtocol), err.Error()))
+			_ = cn.protocolError(err.Error())
 			return
 		}
 	}
@@ -276,11 +276,12 @@ func (cn *conn) teardown() {
 }
 
 func (cn *conn) handshake() error {
-	typ, body, err := wire.ReadFrame(cn.rw)
+	typ, body, err := cn.wc.Read()
 	if err != nil {
 		return err
 	}
-	r := wire.NewReader(body)
+	r := &cn.r
+	r.Reset(body)
 	if typ != wire.MsgHello {
 		return fmt.Errorf("server: first frame %d, want Hello", typ)
 	}
@@ -290,30 +291,32 @@ func (cn *conn) handshake() error {
 		return r.Err()
 	}
 	if ver != wire.Version {
-		_ = cn.reply(wire.MsgError, wire.AppendStr(wire.AppendU32(nil, wire.CodeProtocol),
-			fmt.Sprintf("server: protocol version %d, want %d", ver, wire.Version)))
+		_ = cn.protocolError(fmt.Sprintf("server: protocol version %d, want %d", ver, wire.Version))
 		return fmt.Errorf("server: version mismatch")
 	}
 	if tenant == "" {
 		tenant = "default"
 	}
 	cn.tenant = tenant
-	return cn.reply(wire.MsgWelcome, wire.AppendU32(ok(nil), wire.Version))
+	return cn.wc.Send(wire.AppendU32(cn.ok(wire.MsgWelcome), wire.Version))
 }
 
-// ok appends a success code and empty message — the standard reply
-// prefix.
-func ok(dst []byte) []byte {
-	return wire.AppendStr(wire.AppendU32(dst, wire.CodeOK), "")
+// ok begins a reply of type typ with a success code and empty message —
+// the standard reply prefix. The caller appends the rest of the body and
+// sends the frame with cn.wc.Send.
+func (cn *conn) ok(typ byte) []byte {
+	return wire.AppendStr(wire.AppendU32(cn.wc.Begin(typ), wire.CodeOK), "")
 }
 
-// fail appends err's code and message as a reply prefix.
-func fail(dst []byte, err error) []byte {
-	return wire.AppendStr(wire.AppendU32(dst, wire.CodeFor(err)), err.Error())
+// fail begins a reply of type typ carrying err's code and message.
+func (cn *conn) fail(typ byte, err error) []byte {
+	return wire.AppendStr(wire.AppendU32(cn.wc.Begin(typ), wire.CodeFor(err)), err.Error())
 }
 
-func (cn *conn) reply(typ byte, body []byte) error {
-	return wire.WriteFrame(cn.rw, typ, body)
+// protocolError sends the MsgError frame that precedes dropping the
+// connection.
+func (cn *conn) protocolError(msg string) error {
+	return cn.wc.Send(wire.AppendStr(wire.AppendU32(cn.wc.Begin(wire.MsgError), wire.CodeProtocol), msg))
 }
 
 // handle dispatches one request frame. A returned error is a protocol
@@ -321,7 +324,8 @@ func (cn *conn) reply(typ byte, body []byte) error {
 // connection; statement-level failures travel back as error codes in the
 // reply.
 func (cn *conn) handle(typ byte, body []byte) error {
-	r := wire.NewReader(body)
+	r := &cn.r
+	r.Reset(body)
 	switch typ {
 	case wire.MsgSessionOpen:
 		cn.srv.mu.Lock()
@@ -329,7 +333,7 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		cn.srv.mu.Unlock()
 		cn.nextID++
 		cn.sessions[cn.nextID] = sess
-		return cn.reply(wire.MsgSessionOK, wire.AppendU64(ok(nil), cn.nextID))
+		return cn.wc.Send(wire.AppendU64(cn.ok(wire.MsgSessionOK), cn.nextID))
 
 	case wire.MsgSessionClose:
 		sid := r.U64()
@@ -344,7 +348,7 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		_ = sess.Close()
 		cn.srv.mu.Unlock()
 		delete(cn.sessions, sid)
-		return cn.reply(wire.MsgOK, ok(nil))
+		return cn.wc.Send(cn.ok(wire.MsgOK))
 
 	case wire.MsgPrepare:
 		sid := r.U64()
@@ -360,11 +364,11 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		st, err := sess.PrepareCached(cn.srv.planCache(cn.tenant), text)
 		cn.srv.mu.Unlock()
 		if err != nil {
-			return cn.reply(wire.MsgPrepared, wire.AppendU64(fail(nil, err), 0))
+			return cn.wc.Send(wire.AppendU64(cn.fail(wire.MsgPrepared, err), 0))
 		}
 		cn.nextID++
 		cn.stmts[cn.nextID] = &stmtState{stmt: st, sess: sid}
-		return cn.reply(wire.MsgPrepared, wire.AppendU64(ok(nil), cn.nextID))
+		return cn.wc.Send(wire.AppendU64(cn.ok(wire.MsgPrepared), cn.nextID))
 
 	case wire.MsgExecute:
 		stid := r.U64()
@@ -388,11 +392,11 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		}
 		cn.srv.mu.Unlock()
 		if err != nil {
-			return cn.reply(wire.MsgExecuted, wire.AppendU64(fail(nil, err), 0))
+			return cn.wc.Send(wire.AppendU64(cn.fail(wire.MsgExecuted, err), 0))
 		}
 		cn.nextID++
 		cn.queries[cn.nextID] = rows
-		return cn.reply(wire.MsgExecuted, wire.AppendU64(ok(nil), cn.nextID))
+		return cn.wc.Send(wire.AppendU64(cn.ok(wire.MsgExecuted), cn.nextID))
 
 	case wire.MsgDiscard:
 		qid := r.U64()
@@ -406,7 +410,7 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		cn.srv.mu.Lock()
 		rows.Discard()
 		cn.srv.mu.Unlock()
-		return cn.reply(wire.MsgOK, ok(nil))
+		return cn.wc.Send(cn.ok(wire.MsgOK))
 
 	case wire.MsgFetch:
 		qid := r.U64()
@@ -418,17 +422,19 @@ func (cn *conn) handle(typ byte, body []byte) error {
 			return fmt.Errorf("server: fetch of unknown query %d", qid)
 		}
 		cn.srv.mu.Lock()
-		var body []byte
-		var reply byte
+		var frame []byte
 		if rows.Next() {
-			reply = wire.MsgBatch
-			body = wire.AppendBatch(ok(nil), rows.Batch())
+			frame = wire.AppendBatch(cn.ok(wire.MsgBatch), rows.Batch())
 		} else {
-			reply = wire.MsgDone
-			body = doneBody(rows)
+			// The stream is over: the done frame carries everything the
+			// client can still ask about, so the query is forgotten here.
+			// Its settled account stays on the tenant's bill.
+			frame = appendDone(cn.wc.Begin(wire.MsgDone), rows)
+			_ = rows.Close()
+			delete(cn.queries, qid)
 		}
 		cn.srv.mu.Unlock()
-		return cn.reply(reply, body)
+		return cn.wc.Send(frame)
 
 	case wire.MsgCancel:
 		qid := r.U64()
@@ -443,7 +449,7 @@ func (cn *conn) handle(typ byte, body []byte) error {
 			cn.srv.mu.Unlock()
 			delete(cn.queries, qid)
 		}
-		return cn.reply(wire.MsgOK, ok(nil))
+		return cn.wc.Send(cn.ok(wire.MsgOK))
 
 	case wire.MsgExec:
 		at := r.F64()
@@ -470,9 +476,9 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		}
 		cn.srv.mu.Unlock()
 		if err != nil {
-			return cn.reply(wire.MsgOK, fail(nil, err))
+			return cn.wc.Send(cn.fail(wire.MsgOK, err))
 		}
-		return cn.reply(wire.MsgOK, ok(nil))
+		return cn.wc.Send(cn.ok(wire.MsgOK))
 
 	case wire.MsgExplain:
 		sid := r.U64()
@@ -488,35 +494,35 @@ func (cn *conn) handle(typ byte, body []byte) error {
 		plan, err := sess.Explain(text)
 		cn.srv.mu.Unlock()
 		if err != nil {
-			return cn.reply(wire.MsgOK, fail(nil, err))
+			return cn.wc.Send(cn.fail(wire.MsgOK, err))
 		}
 		b := plan.Slice(0, plan.Rows())
-		return cn.reply(wire.MsgBatch, wire.AppendBatch(ok(nil), b))
+		return cn.wc.Send(wire.AppendBatch(cn.ok(wire.MsgBatch), b))
 
 	case wire.MsgDrain:
 		cn.srv.mu.Lock()
 		err := cn.srv.db.Drain()
 		cn.srv.mu.Unlock()
 		if err != nil {
-			return cn.reply(wire.MsgOK, fail(nil, err))
+			return cn.wc.Send(cn.fail(wire.MsgOK, err))
 		}
-		return cn.reply(wire.MsgOK, ok(nil))
+		return cn.wc.Send(cn.ok(wire.MsgOK))
 
 	case wire.MsgMeter:
 		cn.srv.mu.Lock()
 		m := cn.srv.meterReportLocked()
 		cn.srv.mu.Unlock()
-		return cn.reply(wire.MsgMeterReport, wire.AppendMeterReport(nil, m))
+		return cn.wc.Send(wire.AppendMeterReport(cn.wc.Begin(wire.MsgMeterReport), m))
 
 	default:
 		return fmt.Errorf("server: unknown frame type %d", typ)
 	}
 }
 
-// doneBody builds the MsgDone frame for a finished query: its error code
-// (CodeOK on success) and its settled stats. finish() always builds the
-// Result, so even a failed query reports elapsed/wait/attributed.
-func doneBody(rows *core.Rows) []byte {
+// appendDone appends the MsgDone body for a finished query: its error
+// code (CodeOK on success) and its settled stats. finish() always builds
+// the Result, so even a failed query reports elapsed/wait/attributed.
+func appendDone(dst []byte, rows *core.Rows) []byte {
 	var res wire.Result
 	if st := rows.Stats(); st != nil {
 		res = wire.Result{
@@ -535,5 +541,5 @@ func doneBody(rows *core.Rows) []byte {
 	if err := rows.Err(); err != nil {
 		code, msg = wire.CodeFor(err), err.Error()
 	}
-	return wire.AppendResult(nil, res, code, msg)
+	return wire.AppendResult(dst, res, code, msg)
 }

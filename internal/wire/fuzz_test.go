@@ -36,17 +36,30 @@ func sameBatch(a, b *table.Batch) bool {
 // bytes read as a frame, whose body is then decoded as a batch, a result
 // and a meter report, come back as errors — never a panic, and never an
 // allocation sized from a count the bytes do not back (a budget of 64
-// bytes per input byte plus 128 KiB for the whole decode). Every batch
-// that decodes is re-encoded with AppendBatch, framed, read and decoded
-// again, and must come back equal, byte for byte when encoded once more.
-// The committed corpus (testdata/fuzz/FuzzWireFrame) holds honest frames of
-// each kind, torn ones, and the hostile counts: a header claiming MaxFrame,
-// 4096 columns, a million tenants, rows past a column's bytes.
+// bytes per input byte plus 128 KiB for the whole decode). The bytes are
+// read through a Conn whose buffers already hold an earlier frame, so a
+// hostile length prefix meets a reused buffer, as it would on a live
+// connection. Every batch that decodes is re-encoded with AppendBatch,
+// framed, read and decoded again, and must come back equal, byte for byte
+// when encoded once more. The committed corpus
+// (testdata/fuzz/FuzzWireFrame) holds honest frames of each kind, torn
+// ones, and the hostile counts: a header claiming MaxFrame, 4096 columns,
+// a million tenants, rows past a column's bytes.
 func FuzzWireFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var in bytes.Buffer
+		c := NewConn(&in)
+		if err := c.Send(append(c.Begin(MsgOK), make([]byte, 64)...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Read(); err != nil {
+			t.Fatal(err)
+		}
+		in.Write(data)
+
 		budget := uint64(128<<10 + 64*len(data))
 		before := heapAllocated()
-		_, body, err := ReadFrame(bytes.NewReader(data))
+		_, body, err := c.Read()
 		if err != nil {
 			body = nil
 		}
@@ -61,11 +74,11 @@ func FuzzWireFrame(f *testing.F) {
 		}
 
 		enc := AppendBatch(nil, b)
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, MsgBatch, enc); err != nil {
+		in.Reset()
+		if err := c.Send(append(c.Begin(MsgBatch), enc...)); err != nil {
 			t.Fatal(err)
 		}
-		typ, body, err := ReadFrame(&buf)
+		typ, body, err := c.Read()
 		if err != nil || typ != MsgBatch || !bytes.Equal(body, enc) {
 			t.Fatalf("re-framed batch read back as type %d, %d bytes, err %v", typ, len(body), err)
 		}

@@ -15,6 +15,12 @@
 // float bits, and uvarint-length-prefixed strings. Every frame is a
 // complete request or reply; the protocol is strict request/response per
 // connection, so a reader never has to interleave streams.
+//
+// Each end of a connection frames through one Conn, which keeps its read
+// and write buffers across frames. A body returned by Conn.Read is valid
+// until the next Read: every decoder here copies what it keeps
+// (Reader.Str, DecodeBatch through table.DecodeVector), so only a raw
+// Reader.Bytes slice aliases the buffer.
 package wire
 
 import (
@@ -36,7 +42,7 @@ const Version = 1
 // cannot make the reader allocate unboundedly.
 const MaxFrame = 64 << 20
 
-// frameChunk is as far as ReadFrame trusts a length prefix ahead of the
+// frameChunk is as far as Conn.Read trusts a length prefix ahead of the
 // bytes behind it: a longer payload is read into a buffer that at most
 // doubles per chunk, so a five-byte frame claiming MaxFrame costs 64 KiB.
 const frameChunk = 64 << 10
@@ -72,7 +78,9 @@ const (
 	// MsgBatch carries one columnar result batch.
 	MsgBatch
 	// MsgDone terminates a result stream: the query's Result stats plus
-	// an error code when it failed.
+	// an error code when it failed. The server forgets the query id once
+	// it sends MsgDone: a later MsgFetch of it is a protocol error, a
+	// later MsgCancel just acks.
 	MsgDone
 	// MsgCancel cancels/closes a submitted query: qid → MsgOK. Safe on
 	// finished queries (it just releases server-side buffers).
@@ -201,45 +209,52 @@ func DecodeError(code uint32, msg string) error {
 	return &Error{Code: code, Msg: msg}
 }
 
-// WriteFrame writes one frame: length prefix, type byte, body.
-func WriteFrame(w io.Writer, typ byte, body []byte) error {
-	if len(body)+1 > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(body)+1)
-	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+// keepBuf is the most a Conn keeps of either buffer between frames: a
+// frame that needs more gets a buffer of its own, dropped with the frame,
+// so an idle connection pins at most 2 × keepBuf per end.
+const keepBuf = 4 << 10
+
+// Conn frames one end of a connection. It reads each frame into a buffer
+// it keeps, and builds each outgoing frame in a second kept buffer that
+// leaves in one Write. A Conn is not safe for concurrent use: its owner
+// serializes Read, Begin and Send.
+type Conn struct {
+	rw  io.ReadWriter
+	hdr [4]byte
+	in  []byte // the last frame read: type byte, then body
+	out []byte // the frame being built: length, type byte, body
 }
 
-// ReadFrame reads one frame. A torn length prefix, an oversized length,
-// or a body shorter than its prefix all return an error wrapping
-// ErrProtocol (or io.EOF/io.ErrUnexpectedEOF for a cleanly closed or
-// truncated stream). What it allocates is bounded by the bytes that
-// arrived (see frameChunk), not by the length prefix.
-func ReadFrame(r io.Reader) (typ byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// NewConn returns a Conn framing rw.
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+
+// Read reads one frame. The body it returns aliases the Conn's read
+// buffer and is valid until the next Read; decoders copy what they keep.
+// A torn length prefix, an oversized length, or a body shorter than its
+// prefix all return an error wrapping ErrProtocol (or
+// io.EOF/io.ErrUnexpectedEOF for a cleanly closed or truncated stream).
+// What it allocates is bounded by the bytes that arrived (see
+// frameChunk), not by the length prefix.
+func (c *Conn) Read() (typ byte, body []byte, err error) {
+	if _, err := io.ReadFull(c.rw, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(c.hdr[:]))
 	if n == 0 {
 		return 0, nil, fmt.Errorf("wire: zero-length frame: %w", ErrProtocol)
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame: %w", n, ErrProtocol)
 	}
-	buf := make([]byte, 0, min(n, frameChunk))
+	buf := c.in[:0]
+	if n > cap(buf) {
+		buf = make([]byte, 0, min(n, frameChunk))
+		if n <= keepBuf {
+			c.in = buf
+		}
+	}
 	for {
-		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		k, err := io.ReadFull(c.rw, buf[len(buf):min(cap(buf), n)])
 		buf = buf[:len(buf)+k]
 		if err == io.EOF && len(buf) > 0 {
 			err = io.ErrUnexpectedEOF
@@ -252,6 +267,28 @@ func ReadFrame(r io.Reader) (typ byte, body []byte, err error) {
 		}
 		buf = slices.Grow(buf, min(n-len(buf), len(buf)))
 	}
+}
+
+// Begin starts an outgoing frame of type typ in the Conn's write buffer
+// and returns it; the caller appends the body and hands the result to
+// Send. Begin discards any frame begun and not sent.
+func (c *Conn) Begin(typ byte) []byte {
+	return append(c.out[:0], 0, 0, 0, 0, typ)
+}
+
+// Send patches the length prefix of frame, which Begin started, and
+// writes it with one Write. A frame that grew past keepBuf is dropped
+// after it is written; the Conn keeps its earlier, smaller buffer.
+func (c *Conn) Send(frame []byte) error {
+	if len(frame)-4 > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(frame)-4)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	if cap(frame) <= keepBuf {
+		c.out = frame[:0]
+	}
+	_, err := c.rw.Write(frame)
+	return err
 }
 
 // Body encoding primitives: append-style writers and a cursor reader
@@ -297,6 +334,10 @@ type Reader struct {
 
 // NewReader returns a reader over body.
 func NewReader(body []byte) *Reader { return &Reader{b: body} }
+
+// Reset points r at body, clearing its offset and error, so one Reader
+// decodes frame after frame.
+func (r *Reader) Reset(body []byte) { *r = Reader{b: body} }
 
 // Err reports the first decode failure, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -390,9 +431,9 @@ func (r *Reader) Bytes(n int) []byte {
 
 // AppendBatch appends the columnar wire form of a batch: schema name,
 // column count, row count, then per column its name, type, declared
-// width, and the column's EncodeBytes payload. A batch carrying a
-// deferred selection is compacted first, so filtered-out rows never hit
-// the wire.
+// width, and the column's EncodeBytes payload, encoded in place behind
+// its length. A batch carrying a deferred selection is compacted first,
+// so filtered-out rows never hit the wire.
 func AppendBatch(dst []byte, b *table.Batch) []byte {
 	if b.Sel != nil {
 		b = b.Clone()
@@ -405,9 +446,9 @@ func AppendBatch(dst []byte, b *table.Batch) []byte {
 		dst = AppendStr(dst, c.Name)
 		dst = append(dst, byte(c.Type))
 		dst = AppendU32(dst, uint32(c.Width))
-		payload := v.EncodeBytes(nil, 0, v.Len())
-		dst = AppendU32(dst, uint32(len(payload)))
-		dst = append(dst, payload...)
+		at := len(dst)
+		dst = v.EncodeBytes(AppendU32(dst, 0), 0, v.Len())
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
 	return dst
 }

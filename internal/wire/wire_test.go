@@ -11,24 +11,36 @@ import (
 	"energydb/internal/table"
 )
 
+// readOnly returns a Conn that reads b and discards what it sends.
+func readOnly(b []byte) *Conn {
+	return NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(b), io.Discard})
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	c := NewConn(&buf)
 	body := AppendStr(AppendU64(nil, 42), "hello")
-	if err := WriteFrame(&buf, MsgPrepare, body); err != nil {
+	if err := c.Send(append(c.Begin(MsgPrepare), body...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, MsgOK, nil); err != nil {
+	if err := c.Send(c.Begin(MsgOK)); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	if want := 5 + len(body) + 5; buf.Len() != want {
+		t.Fatalf("two frames wrote %d bytes, want %d", buf.Len(), want)
+	}
+	typ, got, err := c.Read()
 	if err != nil || typ != MsgPrepare || !bytes.Equal(got, body) {
 		t.Fatalf("frame 1: typ=%d body=%v err=%v", typ, got, err)
 	}
-	typ, got, err = ReadFrame(&buf)
+	typ, got, err = c.Read()
 	if err != nil || typ != MsgOK || len(got) != 0 {
 		t.Fatalf("frame 2: typ=%d body=%v err=%v", typ, got, err)
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := c.Read(); err != io.EOF {
 		t.Fatalf("empty stream read = %v, want io.EOF", err)
 	}
 }
@@ -38,12 +50,13 @@ func TestFrameRoundTrip(t *testing.T) {
 // header or body — never a hang or a garbage decode.
 func TestTornFrames(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgBatch, AppendStr(nil, "payload")); err != nil {
+	c := NewConn(&buf)
+	if err := c.Send(AppendStr(c.Begin(MsgBatch), "payload")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(whole[:cut]))
+		_, _, err := readOnly(whole[:cut]).Read()
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", cut, len(whole))
 		}
@@ -56,15 +69,54 @@ func TestTornFrames(t *testing.T) {
 func TestFrameGuards(t *testing.T) {
 	// Oversized length prefix must be rejected before allocation.
 	hdr := AppendU32(nil, MaxFrame+1)
-	if _, _, err := ReadFrame(bytes.NewReader(append(hdr, 0))); !errors.Is(err, ErrProtocol) {
+	if _, _, err := readOnly(append(hdr, 0)).Read(); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized frame err = %v, want ErrProtocol", err)
 	}
 	// Zero-length frames carry no type byte.
-	if _, _, err := ReadFrame(bytes.NewReader(AppendU32(nil, 0))); !errors.Is(err, ErrProtocol) {
+	if _, _, err := readOnly(AppendU32(nil, 0)).Read(); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("zero frame err = %v, want ErrProtocol", err)
 	}
-	if err := WriteFrame(io.Discard, MsgBatch, make([]byte, MaxFrame)); err == nil {
-		t.Fatal("oversized write accepted")
+	// A frame whose body is MaxFrame bytes: with its type byte, one over.
+	var sent bytes.Buffer
+	if err := NewConn(&sent).Send(make([]byte, 5+MaxFrame)); err == nil || sent.Len() != 0 {
+		t.Fatalf("oversized send: err = %v, %d bytes written", err, sent.Len())
+	}
+}
+
+// TestConnSteadyStateAllocatesNothing pins the front door's frame path:
+// once a Conn's buffers have held one frame, building a Prepare-sized
+// request, sending it and reading it back allocates nothing. A frame
+// larger than keepBuf gets buffers of its own, so it does not stay pinned
+// in the Conn and leaves the steady state as it was.
+func TestConnSteadyStateAllocatesNothing(t *testing.T) {
+	c := NewConn(new(bytes.Buffer))
+	const text = "SELECT c_name, c_acctbal, c_mktsegment FROM customer WHERE c_custkey = 377"
+	roundTrip := func() {
+		if err := c.Send(AppendStr(AppendU64(c.Begin(MsgPrepare), 1), text)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, body, err := c.Read(); err != nil || typ != MsgPrepare || len(body) != 8+1+len(text) {
+			t.Fatalf("read back type %d, %d bytes, err %v", typ, len(body), err)
+		}
+	}
+	roundTrip() // the warm-up frame sizes both buffers
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("a steady-state round trip allocates %.1f times, want 0", n)
+	}
+
+	big := make([]byte, 4*keepBuf)
+	if err := c.Send(append(c.Begin(MsgBatch), big...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, body, err := c.Read(); err != nil || len(body) != len(big) {
+		t.Fatalf("big frame read back %d bytes, err %v", len(body), err)
+	}
+	if cap(c.in) > keepBuf || cap(c.out) > keepBuf {
+		t.Fatalf("a %d-byte frame stayed pinned: read buffer %d, write buffer %d bytes, keepBuf %d",
+			len(big), cap(c.in), cap(c.out), keepBuf)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("after a big frame a round trip allocates %.1f times, want 0", n)
 	}
 }
 
