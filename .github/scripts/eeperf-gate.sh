@@ -22,6 +22,14 @@
 # experiment regenerates that golden
 #   go run ./cmd/eebench -exp all >internal/bench/testdata/eebench.golden
 # and says what moved and why, as a regenerated eeperf golden does.
+#
+# Last, the tenant simulator's report: `eesim -tenants 4 -days 2` (two
+# diurnal days of four tenants over the wire, ≈ 2 s) must print
+# internal/bench/testdata/eesim.golden byte for byte, and exit 0 — it exits
+# 1 when Σ tenant bills + idle floor misses the wall meter by more than
+# 1e-6 J, which pipefail turns into a failed diff. A change to the
+# simulator regenerates that golden
+#   go run ./cmd/eesim -tenants 4 -days 2 >internal/bench/testdata/eesim.golden
 set -euo pipefail
 
 ceilings="$(cd "$(dirname "$0")/.." && pwd)/eeperf-ceilings.json"
@@ -61,6 +69,10 @@ done
 
 if ! go run ./cmd/eebench -exp all | diff -u internal/bench/testdata/eebench.golden -; then
 	echo "::error::eebench -exp all differs from internal/bench/testdata/eebench.golden"
+	fail=1
+fi
+if ! go run ./cmd/eesim -tenants 4 -days 2 | diff -u internal/bench/testdata/eesim.golden -; then
+	echo "::error::eesim -tenants 4 -days 2 differs from internal/bench/testdata/eesim.golden or its billing does not close"
 	fail=1
 fi
 exit $fail

@@ -1,9 +1,13 @@
 // Command eesim runs the multi-tenant diurnal workload simulator: N
 // tenants with sinusoidal arrival curves drive a mixed
 // interactive/analytic/insert workload through the server's wire
-// protocol (or the embedded Session API with -embedded), print the
-// per-tenant billing report, and write the latency/energy trajectory to
-// a JSON file for CI tracking.
+// protocol, print the per-tenant billing report, and write the
+// latency/energy trajectory to a JSON file for CI tracking.
+//
+//	go run ./cmd/eesim -tenants 4 -days 2 -out BENCH_workload.json
+//
+// Its stdout for -tenants 4 -days 2 is pinned in
+// internal/bench/testdata/eesim.golden.
 package main
 
 import (
@@ -23,21 +27,17 @@ func main() {
 	disks := flag.Int("disks", 0, "data disks on the small-server rig")
 	apd := flag.Float64("arrivals", 0, "mean statement arrivals per tenant-day")
 	deadline := flag.Float64("deadline", 0, "interactive latency budget, seconds")
-	abatch := flag.Float64("analytic-batch", 0, "batch window for analytic-join arrivals, seconds (0 = unbatched)")
-	embedded := flag.Bool("embedded", false, "drive the embedded Session API instead of the wire protocol")
 	out := flag.String("out", "", "write the trajectory JSON here (e.g. BENCH_workload.json)")
 	flag.Parse()
 
 	res, err := bench.RunWorkload(bench.WorkloadConfig{
-		Tenants:          *tenants,
-		Days:             *days,
-		SF:               *sf,
-		Seed:             *seed,
-		Disks:            *disks,
-		ArrivalsPerDay:   *apd,
-		DeadlineSec:      *deadline,
-		Remote:           !*embedded,
-		AnalyticBatchSec: *abatch,
+		Tenants:        *tenants,
+		Days:           *days,
+		SF:             *sf,
+		Seed:           *seed,
+		Disks:          *disks,
+		ArrivalsPerDay: *apd,
+		DeadlineSec:    *deadline,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eesim: %v\n", err)

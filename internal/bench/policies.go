@@ -110,7 +110,6 @@ func policyRig() hw.ServerSpec {
 			Name:          "xeon-8c",
 			Cores:         8,
 			FreqHz:        2.4e9,
-			CyclesPerByte: 3.2,
 			IdleWatts:     10,
 			ActivePerCore: 25,
 			PStates: []hw.PState{

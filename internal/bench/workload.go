@@ -12,17 +12,15 @@ import (
 	"energydb/internal/fault"
 	"energydb/internal/hw"
 	"energydb/internal/server"
-	"energydb/internal/table"
 	"energydb/internal/tpch"
-	"energydb/internal/wire"
 )
 
 // This file is the multi-tenant diurnal workload simulator: N tenants
 // with sinusoidal arrival curves (seeded jitter, per-tenant phase) drive
 // a mixed workload — deadline-bound interactive scans, analytic joins,
 // OLTP-ish inserts, and a daily report over the inserted data — through
-// either the embedded Session API or the full server/client wire
-// protocol, for a configurable number of simulated days. Per-tenant
+// the server/client wire protocol, one connection per tenant over
+// net.Pipe, for a configurable number of simulated days. Per-tenant
 // attributed joules roll up into a billing report whose tenant sums plus
 // the unattributed idle floor equal the wall meter (the PR 5 invariant,
 // extended across the wire), and the headline trajectory (p50/p99
@@ -31,8 +29,8 @@ import (
 //
 // The driver is deterministic: all arrivals are generated up front from
 // the seed, sorted, and submitted from one goroutine; the simulation
-// then drains. The same config run embedded and remote produces
-// bit-identical result rows (see TestWorkloadEmbeddedRemoteBitIdentity).
+// then drains. That the wire returns the embedded engine's rows and wall
+// meter bit for bit is server.TestEmbeddedRemoteBitIdentity's job.
 
 // Statement classes.
 const (
@@ -54,22 +52,6 @@ type WorkloadConfig struct {
 	ArrivalsPerDay float64
 	// DeadlineSec is the interactive class's latency budget (default 5).
 	DeadlineSec float64
-	// AnalyticBatchSec, when positive, quantises the analytic class's
-	// arrivals up to the next multiple of this window: the heavy join
-	// queries arrive in aligned bursts instead of spread across the
-	// diurnal curve, so the box races through a batch at high utilisation
-	// and sits at the idle floor between windows — the energy-proportional
-	// batching shape. Zero (the default) leaves arrivals un-batched.
-	// Batched arrivals that would land past the horizon are dropped.
-	AnalyticBatchSec float64
-	// Remote drives the workload through the wire protocol (a server and
-	// one client connection per tenant over net.Pipe); false drives the
-	// embedded Session API directly. Same statements either way.
-	Remote bool
-	// CollectRows keeps every query's result rows and fingerprints them
-	// (bit-identity tests); the default discards analytic/interactive
-	// results server-side and keeps only counts and energy.
-	CollectRows bool
 }
 
 func (c *WorkloadConfig) defaults() {
@@ -150,12 +132,6 @@ func genArrivals(cfg WorkloadConfig) []arrival {
 			default:
 				a.class = classAnalytic
 				a.sql = tpch.Q3
-				if cfg.AnalyticBatchSec > 0 {
-					a.at = math.Ceil(at/cfg.AnalyticBatchSec) * cfg.AnalyticBatchSec
-					if a.at >= horizon {
-						continue
-					}
-				}
 			}
 			all = append(all, a)
 		}
@@ -180,134 +156,18 @@ func genArrivals(cfg WorkloadConfig) []arrival {
 	return all
 }
 
-// frontend abstracts the two execution paths. One implementation drives
-// core directly; the other speaks the wire protocol through the client
-// driver, one connection per tenant.
-type frontend interface {
-	execAt(tenant int, at float64, sql string) error
-	// queryAt submits a SELECT on the tenant's session and returns a
-	// handle settled at drain time.
-	queryAt(tenant int, at, deadline float64, sql string, discard bool) (wquery, error)
-	drain() error
-	// ledger returns (now, meterJ, unattributedJ, per-tenant attributed).
-	// The attributed slice is indexed by tenant and includes inserts.
-	ledger() (now, meterJ, unattrJ float64, tenants []float64, err error)
-	close()
-}
-
-// wquery is a settled statement handle: stats, typed error, optional
-// rows.
-type wquery interface {
-	result() (wire.Result, error)
-	collect() (*table.Table, error)
-}
-
-// --- embedded frontend ---
-
-type embFrontend struct {
-	db       *core.DB
-	sessions []*core.Session
-	queries  [][]*core.Rows
-	inserts  [][]*core.Deferred
-}
-
-func newEmbFrontend(db *core.DB, tenants int) *embFrontend {
-	f := &embFrontend{db: db,
-		queries: make([][]*core.Rows, tenants),
-		inserts: make([][]*core.Deferred, tenants)}
-	for i := 0; i < tenants; i++ {
-		f.sessions = append(f.sessions, db.Session())
-	}
-	return f
-}
-
-func (f *embFrontend) execAt(tenant int, at float64, sql string) error {
-	d, err := f.db.ExecAt(at, sql)
-	if err != nil {
-		return err
-	}
-	f.inserts[tenant] = append(f.inserts[tenant], d)
-	return nil
-}
-
-func (f *embFrontend) queryAt(tenant int, at, deadline float64, sql string, discard bool) (wquery, error) {
-	st, err := f.sessions[tenant].Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := st.QueryAtDeadline(at, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if discard {
-		rows.Discard()
-	}
-	f.queries[tenant] = append(f.queries[tenant], rows)
-	return &embQuery{rows: rows}, nil
-}
-
-func (f *embFrontend) drain() error { return f.db.Drain() }
-
-func (f *embFrontend) ledger() (float64, float64, float64, []float64, error) {
-	meterJ, unattrJ := f.db.Ledger()
-	tenants := make([]float64, len(f.sessions))
-	for t := range tenants {
-		for _, r := range f.queries[t] {
-			tenants[t] += float64(r.Attributed())
-		}
-		for _, d := range f.inserts[t] {
-			tenants[t] += float64(d.Attributed())
-		}
-	}
-	return f.db.Srv.Eng.Now(), float64(meterJ), float64(unattrJ), tenants, nil
-}
-
-func (f *embFrontend) close() {
-	for _, s := range f.sessions {
-		s.Close()
-	}
-}
-
-type embQuery struct{ rows *core.Rows }
-
-func (q *embQuery) result() (wire.Result, error) {
-	err := q.rows.Err()
-	var res wire.Result
-	if st := q.rows.Stats(); st != nil {
-		res = wire.Result{
-			Elapsed:    float64(st.Elapsed),
-			Joules:     float64(st.Joules),
-			Attributed: float64(st.Attributed),
-			Marginal:   float64(st.Marginal),
-			Shared:     float64(st.Shared),
-			Wait:       float64(st.Wait),
-			Granted:    int64(st.Granted),
-			RowCount:   st.RowCount,
-			Retries:    int64(q.rows.Retries()),
-		}
-	}
-	return res, err
-}
-
-func (q *embQuery) collect() (*table.Table, error) {
-	res, err := q.rows.Collect()
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-// --- remote frontend (wire protocol over net.Pipe) ---
-
-type remFrontend struct {
+// frontend is the simulator's one front door: a server over the engine,
+// one client connection and session per tenant over net.Pipe, and a
+// non-tenant admin connection for the schema, the drain and the meter.
+type frontend struct {
 	srv      *server.Server
 	conns    []*client.DB
 	sessions []*client.Session
-	system   *client.DB // non-tenant admin conn (schema, drain, meter)
+	system   *client.DB
 }
 
-func newRemFrontend(db *core.DB, tenants int) (*remFrontend, error) {
-	f := &remFrontend{srv: server.New(db)}
+func newFrontend(db *core.DB, tenants int) (*frontend, error) {
+	f := &frontend{srv: server.New(db)}
 	sys, err := client.New(f.srv.Pipe(), "system")
 	if err != nil {
 		return nil, err
@@ -332,30 +192,20 @@ func newRemFrontend(db *core.DB, tenants int) (*remFrontend, error) {
 
 func tenantName(i int) string { return fmt.Sprintf("tenant%02d", i) }
 
-func (f *remFrontend) execAt(tenant int, at float64, sql string) error {
-	return f.conns[tenant].ExecAt(at, sql)
-}
-
-func (f *remFrontend) queryAt(tenant int, at, deadline float64, sql string, discard bool) (wquery, error) {
+// queryAt submits a SELECT on the tenant's session at simulated time at;
+// the server discards its rows and keeps the counts and energy, which the
+// handle reports once the simulation has drained.
+func (f *frontend) queryAt(tenant int, at, deadline float64, sql string) (*client.Rows, error) {
 	st, err := f.sessions[tenant].Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	var rows *client.Rows
-	if discard {
-		rows, err = st.QueryDiscard(at, deadline)
-	} else {
-		rows, err = st.QueryAtDeadline(at, deadline)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &remQuery{rows: rows}, nil
+	return st.QueryDiscard(at, deadline)
 }
 
-func (f *remFrontend) drain() error { return f.system.Drain() }
-
-func (f *remFrontend) ledger() (float64, float64, float64, []float64, error) {
+// ledger returns (now, meterJ, unattributedJ, per-tenant attributed). The
+// attributed slice is indexed by tenant and includes inserts.
+func (f *frontend) ledger() (float64, float64, float64, []float64, error) {
 	m, err := f.system.Meter()
 	if err != nil {
 		return 0, 0, 0, nil, err
@@ -371,7 +221,7 @@ func (f *remFrontend) ledger() (float64, float64, float64, []float64, error) {
 	return m.Now, m.MeterJ, m.UnattributedJ, tenants, nil
 }
 
-func (f *remFrontend) close() {
+func (f *frontend) close() {
 	for _, c := range f.conns {
 		c.Close()
 	}
@@ -381,22 +231,12 @@ func (f *remFrontend) close() {
 	f.srv.Close()
 }
 
-type remQuery struct{ rows *client.Rows }
-
-func (q *remQuery) result() (wire.Result, error) { return q.rows.Result() }
-
-func (q *remQuery) collect() (*table.Table, error) {
-	t, _, err := q.rows.Collect()
-	return t, err
-}
-
 // --- the simulator ---
 
 // ClassStat aggregates one statement class.
 type ClassStat struct {
 	Class           string  `json:"class"`
 	Count           int64   `json:"count"`
-	Errors          int64   `json:"errors"` // non-deadline failures
 	DeadlineMisses  int64   `json:"deadline_misses"`
 	DeadlineHitRate float64 `json:"deadline_hit_rate"` // 1 for classes without deadlines
 	P50Ms           float64 `json:"p50_ms"`
@@ -412,14 +252,12 @@ type TenantReport struct {
 	AttributedJ    float64 `json:"attributed_joules"`
 }
 
-// WorkloadResult is the simulator's outcome: the billing report, the
-// headline latency/energy trajectory, and (optionally) result
-// fingerprints for bit-identity comparison.
+// WorkloadResult is the simulator's outcome: the billing report and the
+// headline latency/energy trajectory.
 type WorkloadResult struct {
 	Tenants int     `json:"tenants"`
 	Days    float64 `json:"days"`
 	Seed    int64   `json:"seed"`
-	Remote  bool    `json:"remote"`
 
 	Seconds        float64 `json:"simulated_seconds"`
 	Statements     int64   `json:"statements"`
@@ -435,8 +273,6 @@ type WorkloadResult struct {
 
 	Classes []ClassStat    `json:"classes"`
 	Bills   []TenantReport `json:"bills"`
-
-	Fingerprints []string `json:"-"` // per-query result rows, when collected
 }
 
 // AttributionError reports the absolute gap between the wall meter and
@@ -461,71 +297,59 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		}
 	}
 
-	var fe frontend
-	if cfg.Remote {
-		f, err := newRemFrontend(db, cfg.Tenants)
-		if err != nil {
-			return nil, err
-		}
-		fe = f
-	} else {
-		fe = newEmbFrontend(db, cfg.Tenants)
+	fe, err := newFrontend(db, cfg.Tenants)
+	if err != nil {
+		return nil, err
 	}
 	defer fe.close()
 
-	if err := fe.execAt(0, 0, `CREATE TABLE events (tenant BIGINT, day BIGINT, v DOUBLE)`); err != nil {
+	if err := fe.system.Exec(`CREATE TABLE events (tenant BIGINT, day BIGINT, v DOUBLE)`); err != nil {
 		return nil, err
 	}
 
 	arrivals := genArrivals(cfg)
-	type pending struct {
-		arrival
-		q wquery
-	}
-	var pend []pending
-	for _, a := range arrivals {
-		switch a.class {
-		case classInsert:
-			if err := fe.execAt(a.tenant, a.at, a.sql); err != nil {
-				return nil, fmt.Errorf("bench: tenant %d insert at %.0fs: %w", a.tenant, a.at, err)
-			}
-		default:
-			deadline := 0.0
-			if a.class == classInteractive {
-				deadline = a.at + cfg.DeadlineSec
-			}
-			q, err := fe.queryAt(a.tenant, a.at, deadline, a.sql, !cfg.CollectRows)
-			if err != nil {
-				return nil, fmt.Errorf("bench: tenant %d %s at %.0fs: %w", a.tenant, a.class, a.at, err)
-			}
-			pend = append(pend, pending{arrival: a, q: q})
-		}
-	}
-	if err := fe.drain(); err != nil {
-		return nil, err
-	}
-
-	res := &WorkloadResult{
-		Tenants: cfg.Tenants, Days: cfg.Days, Seed: cfg.Seed, Remote: cfg.Remote,
-		Statements: int64(len(arrivals)),
-	}
-	stats := map[string]*classAgg{}
 	bills := make([]TenantReport, cfg.Tenants)
 	for t := range bills {
 		bills[t].Tenant = tenantName(t)
 	}
+	type pending struct {
+		arrival
+		q *client.Rows
+	}
+	var pend []pending
+	var inserts int64
+	for _, a := range arrivals {
+		if a.class == classInsert {
+			if err := fe.conns[a.tenant].ExecAt(a.at, a.sql); err != nil {
+				return nil, fmt.Errorf("bench: tenant %d insert at %.0fs: %w", a.tenant, a.at, err)
+			}
+			bills[a.tenant].Statements++
+			inserts++
+			continue
+		}
+		deadline := 0.0
+		if a.class == classInteractive {
+			deadline = a.at + cfg.DeadlineSec
+		}
+		q, err := fe.queryAt(a.tenant, a.at, deadline, a.sql)
+		if err != nil {
+			return nil, fmt.Errorf("bench: tenant %d %s at %.0fs: %w", a.tenant, a.class, a.at, err)
+		}
+		pend = append(pend, pending{arrival: a, q: q})
+	}
+	if err := fe.system.Drain(); err != nil {
+		return nil, err
+	}
+
+	res := &WorkloadResult{
+		Tenants: cfg.Tenants, Days: cfg.Days, Seed: cfg.Seed,
+		Statements: int64(len(arrivals)),
+	}
+	stats := map[string]*classAgg{}
 	var sumQueryJ float64
 	var selects int64
 	for _, p := range pend {
-		// Collect rows before reading stats: the client driver's Result
-		// consumes any remaining batches while draining the stream.
-		var fp string
-		if cfg.CollectRows {
-			if tab, cerr := p.q.collect(); cerr == nil {
-				fp = FingerprintTable(tab)
-			}
-		}
-		r, err := p.q.result()
+		r, err := p.q.Result()
 		agg := stats[p.class]
 		if agg == nil {
 			agg = &classAgg{}
@@ -544,17 +368,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			bills[p.tenant].DeadlineMisses++
 			agg.joules += r.Attributed // a missed query's joules still count
 		default:
-			agg.errors++
 			return nil, fmt.Errorf("bench: tenant %d %s at %.0fs failed: %w",
 				p.tenant, p.class, p.at, err)
-		}
-		if cfg.CollectRows && err == nil {
-			res.Fingerprints = append(res.Fingerprints, fp)
-		}
-	}
-	for t := range arrivals {
-		if arrivals[t].class == classInsert {
-			bills[arrivals[t].tenant].Statements++
 		}
 	}
 
@@ -577,22 +392,21 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		res.JoulesPerQuery = sumQueryJ / float64(selects)
 	}
 
-	for _, class := range []string{classInteractive, classAnalytic, classReport, classInsert} {
+	for _, class := range []string{classInteractive, classAnalytic, classReport} {
 		agg := stats[class]
 		if agg == nil {
 			continue
 		}
 		cs := ClassStat{
-			Class: class, Count: agg.count, Errors: agg.errors,
-			DeadlineMisses: agg.misses,
-			P50Ms:          percentile(agg.latencies, 0.50),
-			P99Ms:          percentile(agg.latencies, 0.99),
+			Class: class, Count: agg.count, DeadlineMisses: agg.misses,
+			P50Ms: percentile(agg.latencies, 0.50),
+			P99Ms: percentile(agg.latencies, 0.99),
 		}
 		cs.DeadlineHitRate = 1
 		if class == classInteractive && agg.count > 0 {
 			cs.DeadlineHitRate = 1 - float64(agg.misses)/float64(agg.count)
 		}
-		if n := agg.count - agg.misses - agg.errors; n > 0 {
+		if n := agg.count - agg.misses; n > 0 {
 			cs.JoulesPerQuery = agg.joules / float64(n)
 		}
 		res.Classes = append(res.Classes, cs)
@@ -601,21 +415,15 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			res.P50Ms, res.P99Ms = cs.P50Ms, cs.P99Ms
 		}
 	}
-	// Insert arrivals have no wquery; count them as a class.
-	var inserts int64
-	for _, a := range arrivals {
-		if a.class == classInsert {
-			inserts++
-		}
-	}
+	// Inserts return no rows handle; count them as a class.
 	res.Classes = append(res.Classes, ClassStat{Class: classInsert, Count: inserts, DeadlineHitRate: 1})
 	return res, nil
 }
 
 type classAgg struct {
-	count, errors, misses int64
-	latencies             []float64
-	joules                float64
+	count, misses int64
+	latencies     []float64
+	joules        float64
 }
 
 // percentile returns the p-quantile of xs (nearest-rank), 0 when empty.
@@ -635,42 +443,10 @@ func percentile(xs []float64, p float64) float64 {
 	return s[i]
 }
 
-// FingerprintTable renders a result table with full float bits, the
-// bit-identity yardstick shared by the workload and wire tests.
-func FingerprintTable(tab *table.Table) string {
-	if tab == nil {
-		return "<nil>"
-	}
-	var b []byte
-	for _, c := range tab.Schema.Cols {
-		b = append(b, fmt.Sprintf("%s:%d|", c.Name, c.Type)...)
-	}
-	b = append(b, '\n')
-	for i := 0; i < tab.Rows(); i++ {
-		for c := range tab.Schema.Cols {
-			v := tab.Column(c)
-			switch {
-			case v.I != nil:
-				b = append(b, fmt.Sprintf("%d|", v.I[i])...)
-			case v.F != nil:
-				b = append(b, fmt.Sprintf("%x|", math.Float64bits(v.F[i]))...)
-			default:
-				b = append(b, fmt.Sprintf("%s|", v.S[i])...)
-			}
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
 // Render prints the billing report and trajectory.
 func (r *WorkloadResult) Render() string {
-	mode := "embedded"
-	if r.Remote {
-		mode = "wire protocol"
-	}
-	t := NewTable(fmt.Sprintf("Diurnal multi-tenant workload — %d tenants × %.3g days via %s (seed %d)",
-		r.Tenants, r.Days, mode, r.Seed),
+	t := NewTable(fmt.Sprintf("Diurnal multi-tenant workload — %d tenants × %.3g days via wire protocol (seed %d)",
+		r.Tenants, r.Days, r.Seed),
 		"tenant", "statements", "deadline misses", "attributed(J)")
 	for _, b := range r.Bills {
 		t.Addf(b.Tenant, b.Statements, b.DeadlineMisses, b.AttributedJ)

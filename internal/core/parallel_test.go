@@ -23,7 +23,6 @@ func parallelRig() hw.ServerSpec {
 			Name:          "xeon-8c",
 			Cores:         8,
 			FreqHz:        2.4e9,
-			CyclesPerByte: 3.2,
 			IdleWatts:     40,
 			ActivePerCore: 15,
 		},

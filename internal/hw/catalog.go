@@ -56,7 +56,6 @@ func ScanCPU2008() CPUSpec {
 		Name:          "scan-cpu",
 		Cores:         1,
 		FreqHz:        2.4e9,
-		CyclesPerByte: 3.2,
 		IdleWatts:     0,
 		ActivePerCore: 90,
 		PStates: []PState{
@@ -74,7 +73,6 @@ func OpteronComplex() CPUSpec {
 		Name:          "opteron-8x4",
 		Cores:         32,
 		FreqHz:        2.2e9,
-		CyclesPerByte: 3.0,
 		IdleWatts:     200, // 8 sockets idling
 		ActivePerCore: 9,   // +288 W with all 32 cores busy
 		PStates: []PState{
@@ -131,7 +129,6 @@ func SmallServer(numDisks int) ServerSpec {
 			Name:          "xeon-8c",
 			Cores:         8,
 			FreqHz:        2.5e9,
-			CyclesPerByte: 3.0,
 			IdleWatts:     40,
 			ActivePerCore: 11,
 			PStates: []PState{

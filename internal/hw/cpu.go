@@ -33,7 +33,6 @@ type CPUSpec struct {
 	Name          string
 	Cores         int
 	FreqHz        float64      // per-core frequency at the top P-state
-	CyclesPerByte float64      // default charge for memcpy-class work
 	IdleWatts     energy.Watts // package idle power (C-state floor)
 	ActivePerCore energy.Watts // additional power per busy core at top P-state
 	PStates       []PState     // sorted fastest first; index 0 must be {1,1}
@@ -157,11 +156,6 @@ func chargeOwner(p *sim.Proc, j float64) {
 	if c, ok := p.Owner().(energy.Charger); ok {
 		c.ChargeJoules(energy.Joules(j))
 	}
-}
-
-// UseBytes charges byte-proportional work at the spec's CyclesPerByte rate.
-func (c *CPU) UseBytes(p *sim.Proc, bytes int64) {
-	c.Use(p, float64(bytes)*c.spec.CyclesPerByte)
 }
 
 // PeakBusyCores reports the most cores observed simultaneously busy since

@@ -135,16 +135,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// MeterReport settles the energy ledger and builds the per-tenant bill:
-// each tenant's attributed joules summed over every statement it ever
-// submitted, the unattributed idle floor, and the wall meter they add up
-// to. Tenants are sorted for deterministic output.
-func (s *Server) MeterReport() wire.MeterReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.meterReportLocked()
-}
-
+// meterReportLocked settles the energy ledger and builds the per-tenant
+// bill: each tenant's attributed joules summed over every statement it
+// ever submitted, the unattributed idle floor, and the wall meter they add
+// up to. Tenants are sorted for deterministic output. The caller holds
+// s.mu.
 func (s *Server) meterReportLocked() wire.MeterReport {
 	meterJ, unattrJ := s.db.Ledger()
 	m := wire.MeterReport{

@@ -31,7 +31,7 @@ func rig() hw.ServerSpec {
 		Name: "srv-rig",
 		CPU: hw.CPUSpec{
 			Name: "xeon-8c", Cores: 8, FreqHz: 2.4e9,
-			CyclesPerByte: 3.2, IdleWatts: 40, ActivePerCore: 15,
+			IdleWatts: 40, ActivePerCore: 15,
 		},
 		NumSSDs: 4,
 		SSD:     ssd,
@@ -80,16 +80,33 @@ func fingerprint(tab *table.Table) string {
 	return b.String()
 }
 
-// runEmbedded executes the TPC-H mix through the embedded Session API
-// and returns per-query fingerprints.
-func runEmbedded(t *testing.T, sf float64) []string {
+// After the TPC-H mix both doors run the diurnal workload simulator's
+// statement kinds: a CREATE, an INSERT dated past the end of the mix, a
+// report over the inserted rows and a query with a deadline it meets.
+const (
+	tailAt       = 3600.0 // simulated seconds
+	tailCreate   = `CREATE TABLE events (tenant BIGINT, day BIGINT, v DOUBLE)`
+	tailInsert   = `INSERT INTO events VALUES (0, 1, 12.5), (1, 1, 0.25), (0, 2, 99.125)`
+	tailReport   = `SELECT day, COUNT(*) AS n, SUM(v) AS sv FROM events GROUP BY day ORDER BY day`
+	tailDeadline = `SELECT COUNT(*) AS n, SUM(l_extendedprice) AS s
+		FROM lineitem WHERE l_quantity < 24 AND l_discount > 0.01`
+)
+
+// runEmbedded executes the TPC-H mix and the tail through the embedded
+// Session API and returns per-query fingerprints and the wall meter after
+// the drain.
+func runEmbedded(t *testing.T, sf float64) ([]string, float64) {
 	t.Helper()
 	db := openTPCH(t, sf)
 	sess := db.Session()
 	defer sess.Close()
 	var fps []string
-	for _, q := range tpch.ThroughputMix() {
-		rows, err := sess.Query(q)
+	collect := func(q string, at, deadline float64) {
+		st, err := sess.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := st.QueryAtDeadline(at, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,12 +116,34 @@ func runEmbedded(t *testing.T, sf float64) []string {
 		}
 		fps = append(fps, fingerprint(res.Rows))
 	}
-	return fps
+	for _, q := range tpch.ThroughputMix() {
+		collect(q, 0, 0)
+	}
+	if _, err := db.ExecAt(0, tailCreate); err != nil {
+		t.Fatal(err)
+	}
+	if now := db.Srv.Eng.Now(); now >= tailAt {
+		t.Fatalf("the mix ran to %.1f s, past the insert dated %.0f s", now, tailAt)
+	}
+	ins, err := db.ExecAt(tailAt, tailInsert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect(tailReport, tailAt+1, 0)
+	collect(tailDeadline, tailAt+2, tailAt+7)
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ins.Err(); err != nil {
+		t.Fatal(err)
+	}
+	meterJ, _ := db.Ledger()
+	return fps, float64(meterJ)
 }
 
-// runRemote executes the same mix through the wire protocol over a
-// net.Pipe connection and returns per-query fingerprints.
-func runRemote(t *testing.T, sf float64) []string {
+// runRemote executes the same statements through the wire protocol over a
+// net.Pipe connection.
+func runRemote(t *testing.T, sf float64) ([]string, float64) {
 	t.Helper()
 	db := openTPCH(t, sf)
 	srv := server.New(db)
@@ -120,8 +159,12 @@ func runRemote(t *testing.T, sf float64) []string {
 	}
 	defer sess.Close()
 	var fps []string
-	for _, q := range tpch.ThroughputMix() {
-		rows, err := sess.Query(q)
+	collect := func(q string, at, deadline float64) {
+		st, err := sess.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := st.QueryAtDeadline(at, deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,20 +174,50 @@ func runRemote(t *testing.T, sf float64) []string {
 		}
 		fps = append(fps, fingerprint(tab))
 	}
-	return fps
+	for _, q := range tpch.ThroughputMix() {
+		collect(q, 0, 0)
+	}
+	if err := c.ExecAt(0, tailCreate); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ExecAt(tailAt, tailInsert); err != nil {
+		t.Fatal(err)
+	}
+	collect(tailReport, tailAt+1, 0)
+	collect(tailDeadline, tailAt+2, tailAt+7)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Meter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps, m.MeterJ
 }
 
 // TestEmbeddedRemoteBitIdentity is the tentpole acceptance test: the
-// TPC-H throughput mix produces bit-identical rows embedded and through
-// the server/client driver.
+// TPC-H throughput mix, then a CREATE, a future-dated INSERT, a report
+// over its rows and a deadline-bearing query, produce bit-identical rows
+// embedded and through the server/client driver, and the same wall meter
+// to the bit.
 func TestEmbeddedRemoteBitIdentity(t *testing.T) {
-	emb := runEmbedded(t, 0.01)
-	rem := runRemote(t, 0.01)
+	emb, embJ := runEmbedded(t, 0.01)
+	rem, remJ := runRemote(t, 0.01)
+	names := append(tpch.ThroughputMix(), tailReport, tailDeadline)
+	if len(emb) != len(names) || len(rem) != len(names) {
+		t.Fatalf("%d queries embedded, %d remote, want %d", len(emb), len(rem), len(names))
+	}
 	for i := range emb {
 		if emb[i] != rem[i] {
 			t.Fatalf("query %d (%s...) differs embedded vs remote:\nembedded:\n%s\nremote:\n%s",
-				i, tpch.ThroughputMix()[i][:40], emb[i], rem[i])
+				i, names[i][:40], emb[i], rem[i])
 		}
+	}
+	if !strings.Contains(emb[len(emb)-2], "\n1|2|") || !strings.Contains(emb[len(emb)-2], "\n2|1|") {
+		t.Fatalf("the report does not see the inserted rows:\n%s", emb[len(emb)-2])
+	}
+	if math.Float64bits(embJ) != math.Float64bits(remJ) {
+		t.Fatalf("wall meter differs: embedded %.9f J, remote %.9f J", embJ, remJ)
 	}
 }
 

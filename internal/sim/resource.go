@@ -83,9 +83,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse reports the currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiters reports the number of blocked acquisitions.
-func (r *Resource) Waiters() int { return r.waiters.len() }
-
 // OnBusyChange registers a callback fired whenever InUse changes.
 func (r *Resource) OnBusyChange(fn func(inUse int)) { r.onBusyChange = fn }
 
