@@ -14,7 +14,7 @@ import (
 // BenchmarkFigure1 reproduces the TPC-H disk-count sweep (Figure 1).
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunFigure1(bench.Figure1Config{})
+		r, err := bench.RunFigure1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func BenchmarkFigure1(b *testing.B) {
 // attribution ledger (Σ per-query attributed joules vs the wall meter).
 func BenchmarkConcurrentStreams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunStreams(bench.StreamsConfig{Streams: 8})
+		r, err := bench.RunStreams(bench.StreamsConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkConcurrentStreams(b *testing.B) {
 // SLO compliance and attributed whole-server joules.
 func BenchmarkPolicyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunPolicies(bench.PoliciesConfig{})
+		r, err := bench.RunPolicies()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkPolicyComparison(b *testing.B) {
 // BenchmarkFigure2 reproduces the compressed-vs-raw scan (Figure 2).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunFigure2(bench.Figure2Config{})
+		r, err := bench.RunFigure2()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: f1, f2, streams, policies, joinflip, consolidate, buffer, wal, cluster, ep, all")
-	sf := flag.Float64("sf", 0, "TPC-H scale factor override (f1/f2)")
 	flag.Parse()
 
 	run := func(name string, fn func() (interface{ Render() string }, error)) {
@@ -28,16 +27,16 @@ func main() {
 	}
 
 	run("f1", func() (interface{ Render() string }, error) {
-		return bench.RunFigure1(bench.Figure1Config{SF: *sf})
+		return bench.RunFigure1()
 	})
 	run("f2", func() (interface{ Render() string }, error) {
-		return bench.RunFigure2(bench.Figure2Config{SF: *sf})
+		return bench.RunFigure2()
 	})
 	run("streams", func() (interface{ Render() string }, error) {
-		return bench.RunStreams(bench.StreamsConfig{SF: *sf})
+		return bench.RunStreams(bench.StreamsConfig{})
 	})
 	run("policies", func() (interface{ Render() string }, error) {
-		return bench.RunPolicies(bench.PoliciesConfig{})
+		return bench.RunPolicies()
 	})
 	run("joinflip", func() (interface{ Render() string }, error) { return bench.RunJoinFlip() })
 	run("consolidate", func() (interface{ Render() string }, error) { return bench.RunConsolidation() })

@@ -22,23 +22,10 @@ import (
 func main() {
 	tenants := flag.Int("tenants", 4, "number of tenants")
 	days := flag.Float64("days", 2, "simulated days")
-	sf := flag.Float64("sf", 0, "TPC-H scale factor for the analytic tables")
-	seed := flag.Int64("seed", 0, "arrival-process seed")
-	disks := flag.Int("disks", 0, "data disks on the small-server rig")
-	apd := flag.Float64("arrivals", 0, "mean statement arrivals per tenant-day")
-	deadline := flag.Float64("deadline", 0, "interactive latency budget, seconds")
 	out := flag.String("out", "", "write the trajectory JSON here (e.g. BENCH_workload.json)")
 	flag.Parse()
 
-	res, err := bench.RunWorkload(bench.WorkloadConfig{
-		Tenants:        *tenants,
-		Days:           *days,
-		SF:             *sf,
-		Seed:           *seed,
-		Disks:          *disks,
-		ArrivalsPerDay: *apd,
-		DeadlineSec:    *deadline,
-	})
+	res, err := bench.RunWorkload(bench.WorkloadConfig{Tenants: *tenants, Days: *days})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eesim: %v\n", err)
 		os.Exit(1)

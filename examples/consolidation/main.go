@@ -1,7 +1,7 @@
-// The §4.2 story: the admission controller consolidates work in time
-// (holding arrivals in a window so disks can spin down between bursts)
-// and the cluster model consolidates it in space (packing tenants onto
-// fewer nodes so whole servers can power down).
+// The §4.2 story: a batching window in front of the admission controller
+// consolidates work in time (holding arrivals so disks can spin down
+// between bursts) and the cluster model consolidates it in space
+// (packing tenants onto fewer nodes so whole servers can power down).
 package main
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 func main() {
-	res, err := bench.RunFigure2(bench.Figure2Config{SF: 0.05})
+	res, err := bench.RunFigure2()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func main() {
 	// Act 1: eight concurrent sessions on one small server — per-query
 	// energy attribution under admission-controlled concurrency.
-	st, err := bench.RunStreams(bench.StreamsConfig{Streams: 8})
+	st, err := bench.RunStreams(bench.StreamsConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func main() {
 	fmt.Println()
 
 	// Act 2: the Figure 1 disk-count sweep, 24 such streams per point.
-	res, err := bench.RunFigure1(bench.Figure1Config{SF: 0.03})
+	res, err := bench.RunFigure1()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -170,23 +170,43 @@ type ConsolidationPoint struct {
 type ConsolidationResult struct{ Points []ConsolidationPoint }
 
 // RunConsolidation submits sparse scan jobs against a spin-down-capable
-// disk under several admission windows (the Admission controller's
-// batching mode, two job slots).
+// disk under several batching windows. The experiment owns its window:
+// the first arrival it holds arms a timer that, window seconds later,
+// submits every held job at once to a plain two-slot admission
+// controller, consolidating activity so the gaps between bursts grow
+// long enough for the disk to spin down — at the cost of latency, which
+// each job measures from its own arrival.
 func RunConsolidation() (*ConsolidationResult, error) {
+	const jobs = 60
 	res := &ConsolidationResult{}
 	for _, window := range []float64{0, 30, 90, 180} {
 		eng := sim.NewEngine()
 		meter := energy.NewMeter()
 		d := hw.NewDisk(eng, meter, "d0", hw.Cheetah15K())
 		d.SpinDownAfter = 15
-		adm := sched.NewAdmission(eng, 2, window)
+		adm := sched.NewAdmission(eng, 2, nil)
+		var held []sched.Job
+		var latency float64
 		rng := rand.New(rand.NewSource(11))
 		at := 0.0
-		for i := 0; i < 60; i++ {
+		for i := 0; i < jobs; i++ {
 			at += 4 + rng.Float64()*8
 			off := int64(i%40) * 50 * 1e6
 			eng.At(at, "arrival", func() {
-				adm.Submit("scan", 1, func(p *sim.Proc, granted int) { d.Read(p, off, 4*1e6) })
+				arrived := eng.Now()
+				job := sched.Job{Name: "scan", Want: 1, Run: func(p *sim.Proc, granted int) {
+					d.Read(p, off, 4*1e6)
+					latency += p.Now() - arrived
+				}}
+				held = append(held, job)
+				if len(held) == 1 {
+					eng.After(window, "window", func() {
+						for _, j := range held {
+							adm.Submit(j)
+						}
+						held = held[:0]
+					})
+				}
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -196,7 +216,7 @@ func RunConsolidation() (*ConsolidationResult, error) {
 			WindowSec:   window,
 			DiskJoules:  float64(meter.ComponentEnergy("d0", energy.Seconds(eng.Now()))),
 			SpinDowns:   d.Stats().SpinDowns,
-			MeanLatency: adm.Stats().MeanLatency(),
+			MeanLatency: latency / jobs,
 		})
 	}
 	return res, nil

@@ -10,7 +10,7 @@ import (
 // numbers (our substrate is a simulator, not the authors' testbed).
 
 func TestFigure2Shape(t *testing.T) {
-	r, err := RunFigure2(Figure2Config{})
+	r, err := RunFigure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFigure1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-engine sweep")
 	}
-	r, err := RunFigure1(Figure1Config{SF: 0.03})
+	r, err := RunFigure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +162,10 @@ func TestConsolidationShape(t *testing.T) {
 		// Batching costs latency...
 		if p.MeanLatency <= base.MeanLatency {
 			t.Fatalf("window %v did not raise latency", p.WindowSec)
+		}
+		// ...opens gaps long enough for the disk to spin down...
+		if p.SpinDowns <= base.SpinDowns {
+			t.Fatalf("window %v spun down %d times, window 0 %d", p.WindowSec, p.SpinDowns, base.SpinDowns)
 		}
 		if p.DiskJoules < best.DiskJoules {
 			best = p

@@ -11,17 +11,6 @@ import (
 	"energydb/internal/tpch"
 )
 
-// Figure1Config parameterises the paper's diminishing-returns experiment:
-// the TPC-H throughput test on a DL785-class server while the database is
-// re-partitioned across different numbers of disks.
-type Figure1Config struct {
-	SF         float64 // scale factor (default 0.03)
-	DiskCounts []int   // default {36, 66, 108, 204}, as in the paper
-	Streams    int     // concurrent query clients (default 8)
-	Rounds     int     // passes through the mix per stream (default 1)
-	Seed       int64
-}
-
 // Figure1Point is one disk-count configuration's measurement.
 type Figure1Point struct {
 	Disks      int
@@ -70,29 +59,17 @@ func (r *Figure1Result) PerfDropVsFastest() float64 {
 	return 1 - r.Fastest().Seconds/r.Best().Seconds
 }
 
-// RunFigure1 sweeps the disk counts, running the full engine (SQL →
-// optimizer → executor) on the simulated DL785 for each configuration.
-func RunFigure1(cfg Figure1Config) (*Figure1Result, error) {
-	if cfg.SF == 0 {
-		cfg.SF = 0.03
-	}
-	if len(cfg.DiskCounts) == 0 {
-		cfg.DiskCounts = []int{36, 66, 108, 204}
-	}
-	if cfg.Streams == 0 {
-		cfg.Streams = 24
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 2009
-	}
-	gen := tpch.Generate(cfg.SF, cfg.Seed)
-
+// RunFigure1 is the paper's diminishing-returns experiment: the TPC-H
+// throughput test — 24 concurrent streams, one pass through the mix each,
+// over SF 0.03 generated with seed 2009 — on the simulated DL785 while
+// the database is re-partitioned across 36, 66, 108 and 204 disks, as in
+// the paper. Each configuration runs the full engine (SQL → optimizer →
+// executor).
+func RunFigure1() (*Figure1Result, error) {
+	gen := tpch.Generate(0.03, 2009)
 	res := &Figure1Result{}
-	for _, n := range cfg.DiskCounts {
-		pt, err := runThroughputPoint(gen, n, cfg.Streams, cfg.Rounds)
+	for _, n := range []int{36, 66, 108, 204} {
+		pt, err := runThroughputPoint(gen, n)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %d disks: %w", n, err)
 		}
@@ -107,7 +84,7 @@ func RunFigure1(cfg Figure1Config) (*Figure1Result, error) {
 }
 
 // runThroughputPoint runs the throughput test once on an N-disk DL785.
-func runThroughputPoint(gen *tpch.DB, disks, streams, rounds int) (Figure1Point, error) {
+func runThroughputPoint(gen *tpch.DB, disks int) (Figure1Point, error) {
 	db, err := core.Open(core.Config{
 		Server:       hw.DL785(disks),
 		VolumeLayout: storage.RAID5,
@@ -141,7 +118,7 @@ func runThroughputPoint(gen *tpch.DB, disks, streams, rounds int) (Figure1Point,
 	// is one core, reproducing the audited 2008 system's serial per-query
 	// plans without pinning Env.Cores, while the tail of the run (fewer
 	// live streams) is free to plan wider.
-	all, err := submitStreams(db, tpch.ThroughputMix(), streams, rounds)
+	all, err := submitStreams(db, tpch.ThroughputMix(), 24)
 	if err != nil {
 		return Figure1Point{}, err
 	}

@@ -13,14 +13,6 @@ import (
 	"energydb/internal/tpch"
 )
 
-// Figure2Config parameterises the paper's scan experiment: a relational
-// scan of ORDERS projecting five of seven attributes on one 90 W CPU and
-// three flash SSDs totalling 5 W, uncompressed versus compressed.
-type Figure2Config struct {
-	SF   float64 // TPC-H scale factor (default 0.05)
-	Seed int64
-}
-
 // Figure2Run is one configuration's measurements.
 type Figure2Run struct {
 	Name       string
@@ -50,15 +42,12 @@ func (r *Figure2Result) EnergyRatio() float64 {
 	return r.Compressed.Joules / r.Uncompressed.Joules
 }
 
-// RunFigure2 executes both configurations of the scan experiment.
-func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
-	if cfg.SF == 0 {
-		cfg.SF = 0.05
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 2009
-	}
-	gen := tpch.Generate(cfg.SF, cfg.Seed)
+// RunFigure2 is the paper's scan experiment: a relational scan of ORDERS
+// (SF 0.05, seed 2009) projecting five of seven attributes on one 90 W
+// CPU and three flash SSDs totalling 5 W, run uncompressed and
+// compressed.
+func RunFigure2() (*Figure2Result, error) {
+	gen := tpch.Generate(0.05, 2009)
 	orders := gen.Tables["orders"]
 
 	run := func(name string, codec compress.Codec) (Figure2Run, error) {

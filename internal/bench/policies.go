@@ -49,15 +49,6 @@ func DefaultPolicyConfigs() []PolicyConfig {
 	}
 }
 
-// PoliciesConfig parameterises the experiment.
-type PoliciesConfig struct {
-	SF         float64 // scale factor (default 0.02)
-	Deadlines  int     // deadline-carrying point queries (default 8)
-	Background int     // background analytic statements (default 32)
-	Slack      float64 // deadline = arrival + Slack × solo latency (default 20)
-	Configs    []PolicyConfig
-}
-
 // PolicyPoint is one configuration's scorecard.
 type PolicyPoint struct {
 	Name        string
@@ -175,28 +166,22 @@ func openPolicyDB(cfg PolicyConfig, sf float64) (*core.DB, float64, error) {
 	return db, warm, nil
 }
 
-// RunPolicies runs the comparison.
-func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
-	if cfg.SF == 0 {
-		cfg.SF = 0.02
-	}
-	if cfg.Deadlines == 0 {
-		cfg.Deadlines = 8
-	}
-	if cfg.Background == 0 {
-		cfg.Background = 32
-	}
-	if cfg.Slack == 0 {
-		cfg.Slack = 20
-	}
-	if cfg.Configs == nil {
-		cfg.Configs = DefaultPolicyConfigs()
-	}
+// RunPolicies runs the comparison over DefaultPolicyConfigs at SF 0.02:
+// 8 deadline-carrying point queries, each due 20 × its solo latency after
+// arrival, among 32 background analytic statements.
+func RunPolicies() (*PoliciesResult, error) {
+	const (
+		sf        = 0.02
+		dlQueries = 8
+		bgStmts   = 32
+		slackX    = 20 // deadline = arrival + slackX × solo latency
+	)
+	configs := DefaultPolicyConfigs()
 
 	// Calibrate on the baseline configuration: solo latencies size the
 	// deadlines and the arrival schedule, identically for every policy so
 	// the SLO comparison is apples to apples.
-	cal, _, err := openPolicyDB(cfg.Configs[0], cfg.SF)
+	cal, _, err := openPolicyDB(configs[0], sf)
 	if err != nil {
 		return nil, err
 	}
@@ -220,12 +205,12 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 	// Two thirds of the background statements are heavy (svc core-seconds
 	// each), one third light (~a tenth of that); the makespan estimate is
 	// the demanded core-seconds over the core count, plus the ramp-in.
-	makespan := svc * 0.7 * float64(cfg.Background) / 8
-	slack := cfg.Slack * soloDL
+	makespan := svc * 0.7 * float64(bgStmts) / 8
+	slack := slackX * soloDL
 
-	res := &PoliciesResult{SF: cfg.SF}
-	for _, pc := range cfg.Configs {
-		db, warm, err := openPolicyDB(pc, cfg.SF)
+	res := &PoliciesResult{SF: sf}
+	for _, pc := range configs {
+		db, warm, err := openPolicyDB(pc, sf)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +239,7 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 			sessions[j] = bgSess{heavy: heavy, light: light}
 		}
 		var background []*core.Rows
-		for i := 0; i < cfg.Background; i++ {
+		for i := 0; i < bgStmts; i++ {
 			j := i % bgSessions
 			// Each session opens at its own phase (an irrational-ratio
 			// stagger, so completions never re-synchronize into waves);
@@ -280,8 +265,8 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 			return nil, err
 		}
 		var deadline []*core.Rows
-		for i := 0; i < cfg.Deadlines; i++ {
-			at := start + makespan*(0.3+0.5*float64(i)/float64(cfg.Deadlines))
+		for i := 0; i < dlQueries; i++ {
+			at := start + makespan*(0.3+0.5*float64(i)/float64(dlQueries))
 			rows, err := dlStmt.QueryAtDeadline(at, at+slack)
 			if err != nil {
 				return nil, err
@@ -294,7 +279,7 @@ func RunPolicies(cfg PoliciesConfig) (*PoliciesResult, error) {
 			return nil, err
 		}
 
-		pt := PolicyPoint{Name: pc.Name, SLOTotal: cfg.Deadlines}
+		pt := PolicyPoint{Name: pc.Name, SLOTotal: dlQueries}
 		sum := warm
 		for _, rows := range background {
 			if err := rows.Err(); err != nil {

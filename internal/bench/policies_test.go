@@ -8,7 +8,7 @@ import "testing"
 // joules, and every configuration's per-query attribution must telescope
 // to its wall meter.
 func TestPoliciesShape(t *testing.T) {
-	res, err := RunPolicies(PoliciesConfig{})
+	res, err := RunPolicies()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,11 @@ type streamRows struct {
 }
 
 // submitStreams is the shared multi-stream driver loop (RunStreams,
-// RunFigure1): one session per stream, the mix prepared once per session,
-// rounds rotated submissions per stream, rows discarded (throughput
-// tests want counts and energy accounts, not materialised results). The
-// caller drains and reads each Rows' Result.
-func submitStreams(db *core.DB, mix []string, streams, rounds int) ([]streamRows, error) {
+// RunFigure1): one session per stream, the mix prepared once per session
+// and submitted once, rotated per stream, rows discarded (throughput tests
+// want counts and energy accounts, not materialised results). The caller
+// drains and reads each Rows' Result.
+func submitStreams(db *core.DB, mix []string, streams int) ([]streamRows, error) {
 	var all []streamRows
 	for s := 0; s < streams; s++ {
 		sess := db.Session()
@@ -44,15 +44,13 @@ func submitStreams(db *core.DB, mix []string, streams, rounds int) ([]streamRows
 			}
 			stmts[i] = st
 		}
-		for r := 0; r < rounds; r++ {
-			for qi := range stmts {
-				rows, err := stmts[(qi+s)%len(stmts)].Query() // rotate per stream
-				if err != nil {
-					return nil, err
-				}
-				rows.Discard()
-				all = append(all, streamRows{Stream: s, Rows: rows})
+		for qi := range stmts {
+			rows, err := stmts[(qi+s)%len(stmts)].Query() // rotate per stream
+			if err != nil {
+				return nil, err
 			}
+			rows.Discard()
+			all = append(all, streamRows{Stream: s, Rows: rows})
 		}
 	}
 	return all, nil
@@ -60,11 +58,7 @@ func submitStreams(db *core.DB, mix []string, streams, rounds int) ([]streamRows
 
 // StreamsConfig parameterises the concurrent-streams experiment.
 type StreamsConfig struct {
-	SF      float64 // scale factor (default 0.01)
-	Streams int     // concurrent sessions (default 8)
-	Rounds  int     // passes through the mix per stream (default 1)
-	Disks   int     // SmallServer disk count (default 4)
-	Seed    int64
+	SF float64 // scale factor (default 0.01)
 }
 
 // StreamStat is one session's aggregate.
@@ -96,37 +90,27 @@ func (r *StreamsResult) AttributionError() float64 {
 	return math.Abs(r.AttributedJ-r.MeterJ) / r.MeterJ
 }
 
-// RunStreams runs the experiment.
+// RunStreams runs the experiment: 8 sessions, one pass through the mix
+// each, on a 4-disk SmallServer over TPC-H generated with seed 2009.
 func RunStreams(cfg StreamsConfig) (*StreamsResult, error) {
+	const streams = 8
 	if cfg.SF == 0 {
 		cfg.SF = 0.01
 	}
-	if cfg.Streams == 0 {
-		cfg.Streams = 8
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 1
-	}
-	if cfg.Disks == 0 {
-		cfg.Disks = 4
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 2009
-	}
 	db, err := core.Open(core.Config{
-		Server:    hw.SmallServer(cfg.Disks),
+		Server:    hw.SmallServer(4),
 		Objective: opt.MinTime,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tpch.Generate(cfg.SF, cfg.Seed).Tables {
+	for _, t := range tpch.Generate(cfg.SF, 2009).Tables {
 		if err := db.LoadTable(t); err != nil {
 			return nil, err
 		}
 	}
 
-	all, err := submitStreams(db, tpch.ThroughputMix(), cfg.Streams, cfg.Rounds)
+	all, err := submitStreams(db, tpch.ThroughputMix(), streams)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +119,7 @@ func RunStreams(cfg StreamsConfig) (*StreamsResult, error) {
 	}
 
 	res := &StreamsResult{
-		Streams:   make([]StreamStat, cfg.Streams),
+		Streams:   make([]StreamStat, streams),
 		Seconds:   db.Srv.Eng.Now(),
 		MeterJ:    float64(db.Srv.Meter.TotalEnergy(energy.Seconds(db.Srv.Eng.Now()))),
 		Admission: db.SchedStats(),

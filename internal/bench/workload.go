@@ -40,18 +40,16 @@ const (
 	classReport      = "report"      // daily aggregate over events
 )
 
-// WorkloadConfig parameterises the simulator.
+// WorkloadConfig parameterises the simulator. The rig is fixed: a
+// 2-disk SmallServer (the last disk takes the WAL) over SF 0.005 TPC-H
+// tables, and interactive statements carry a 5 s latency budget.
 type WorkloadConfig struct {
 	Tenants int     // default 4
 	Days    float64 // simulated days (default 2)
-	SF      float64 // TPC-H scale factor for the analytic tables (default 0.005)
 	Seed    int64   // arrival-process seed (default 2009)
-	Disks   int     // SmallServer disk count (default 2; last one takes the WAL)
 	// ArrivalsPerDay is each tenant's mean statement arrivals per
 	// simulated day before diurnal modulation (default 48).
 	ArrivalsPerDay float64
-	// DeadlineSec is the interactive class's latency budget (default 5).
-	DeadlineSec float64
 }
 
 func (c *WorkloadConfig) defaults() {
@@ -61,20 +59,11 @@ func (c *WorkloadConfig) defaults() {
 	if c.Days == 0 {
 		c.Days = 2
 	}
-	if c.SF == 0 {
-		c.SF = 0.005
-	}
 	if c.Seed == 0 {
 		c.Seed = 2009
 	}
-	if c.Disks == 0 {
-		c.Disks = 2
-	}
 	if c.ArrivalsPerDay == 0 {
 		c.ArrivalsPerDay = 48
-	}
-	if c.DeadlineSec == 0 {
-		c.DeadlineSec = 5
 	}
 }
 
@@ -285,13 +274,13 @@ func (r *WorkloadResult) AttributionError() float64 {
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.defaults()
 	db, err := core.Open(core.Config{
-		Server:   hw.SmallServer(cfg.Disks),
+		Server:   hw.SmallServer(2),
 		WALBatch: 1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tpch.Generate(cfg.SF, cfg.Seed).Tables {
+	for _, t := range tpch.Generate(0.005, cfg.Seed).Tables {
 		if err := db.LoadTable(t); err != nil {
 			return nil, err
 		}
@@ -329,7 +318,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		}
 		deadline := 0.0
 		if a.class == classInteractive {
-			deadline = a.at + cfg.DeadlineSec
+			deadline = a.at + 5
 		}
 		q, err := fe.queryAt(a.tenant, a.at, deadline, a.sql)
 		if err != nil {

@@ -75,10 +75,6 @@ type Config struct {
 	// running query planned for.
 	DVFS bool
 
-	// DRAMWattPerByte overrides the energy model's memory holding power;
-	// 0 keeps the datasheet-derived value.
-	DRAMWattPerByte float64
-
 	// WALBatch enables a group-commit log on the last device with the
 	// given batching factor (0 disables the WAL).
 	WALBatch int
@@ -200,7 +196,7 @@ func Open(cfg Config) (*DB, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown sched policy %q", cfg.SchedPolicy)
 	}
-	adm := sched.NewAdmissionPolicy(srv.Eng, srv.CPU.Cores(), 0, schedPol)
+	adm := sched.NewAdmission(srv.Eng, srv.CPU.Cores(), schedPol)
 
 	db := &DB{
 		Srv: srv, Vol: vol,
@@ -258,9 +254,6 @@ func (db *DB) buildEnv() *opt.Env {
 		env.DRAMWattPerByte = db.Srv.DRAM.HoldingPower()
 	} else {
 		env.DRAMWattPerByte = 1.3e-9
-	}
-	if db.cfg.DRAMWattPerByte > 0 {
-		env.DRAMWattPerByte = db.cfg.DRAMWattPerByte
 	}
 	env.EnergyMode = db.cfg.EnergyMode
 	env.IdleWatts = float64(db.Srv.IdlePower())

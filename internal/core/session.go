@@ -436,7 +436,7 @@ func (db *DB) doSubmit(r *Rows) {
 	r.submitted = true
 	r.submitT = db.Srv.Eng.Now()
 	r.startE = db.Srv.Meter.TotalEnergy(energy.Seconds(r.submitT))
-	r.ticket = db.Adm.SubmitJob(sched.Job{
+	r.ticket = db.Adm.Submit(sched.Job{
 		Name:     fmt.Sprintf("query%d", r.id),
 		Want:     db.Env.Cores,
 		Deadline: r.deadline,

@@ -90,15 +90,14 @@ func (a *Attributor) SettledThrough() Seconds { return a.lastT }
 func (a *Attributor) Settle(t Seconds) { a.settle(t) }
 
 // settle distributes the interval [lastT, t): each account keeps what its
-// processes were charged directly (scaled by the meter's cooling/PSU
-// overhead, since the meter reading includes it), and the residual —
-// meter delta minus direct charges — splits equally among the accounts
-// active over the interval. Direct charges land when a device operation
-// completes, so an operation straddling a settlement is smeared one
-// interval late; the telescoped sum is unaffected.
+// processes were charged directly, and the residual — meter delta minus
+// direct charges — splits equally among the accounts active over the
+// interval. Direct charges land when a device operation completes, so an
+// operation straddling a settlement is smeared one interval late; the
+// telescoped sum is unaffected.
 func (a *Attributor) settle(t Seconds) {
 	total := a.meter.TotalEnergy(t)
-	dDirect := Joules(float64(a.direct-a.lastDirect) * a.meter.Overhead)
+	dDirect := a.direct - a.lastDirect
 	residual := total - a.lastTotal - dDirect
 	if len(a.active) == 0 {
 		a.unattributed += residual
@@ -118,7 +117,7 @@ func (a *Attributor) settle(t Seconds) {
 // residual (the idle floor).
 type Account struct {
 	at     *Attributor
-	direct Joules // raw, before the meter's overhead factor
+	direct Joules
 	shared Joules
 	begun  Seconds
 	ended  Seconds
@@ -140,11 +139,8 @@ func (acct *Account) ChargeJoules(j Joules) {
 }
 
 // Direct reports the marginal energy charged by this query's own
-// processes, scaled by the meter's overhead factor (the meter reading the
-// attribution must sum to includes it).
-func (acct *Account) Direct() Joules {
-	return Joules(float64(acct.direct) * acct.at.meter.Overhead)
-}
+// processes.
+func (acct *Account) Direct() Joules { return acct.direct }
 
 // Shared reports this query's accumulated residual (idle-floor) share.
 func (acct *Account) Shared() Joules { return acct.shared }

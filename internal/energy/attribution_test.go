@@ -58,23 +58,3 @@ func TestAttributionIdleGapsUnattributed(t *testing.T) {
 		t.Fatalf("sum %v != meter %v", sum, total)
 	}
 }
-
-// TestAttributionOverheadScaling: with a cooling overhead on the meter,
-// direct charges scale by it so the sum still matches the (scaled) meter.
-func TestAttributionOverheadScaling(t *testing.T) {
-	m := NewMeter()
-	m.Overhead = 1.5
-	m.Register("dev", 10)
-	at := NewAttributor(m)
-
-	a := at.Begin(0)
-	a.ChargeJoules(20)
-	at.End(a, 10)
-
-	if got := float64(a.Direct()); math.Abs(got-30) > 1e-12 {
-		t.Fatalf("direct = %v, want 30 (20 raw x 1.5 overhead)", got)
-	}
-	if got, total := float64(a.Attributed()), float64(m.TotalEnergy(10)); math.Abs(got-total) > 1e-12 {
-		t.Fatalf("attributed %v != meter %v", got, total)
-	}
-}

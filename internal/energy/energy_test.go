@@ -118,20 +118,8 @@ func TestMeterAggregation(t *testing.T) {
 
 	// This is exactly the paper's Figure 2 uncompressed-scan arithmetic:
 	// 90W x 3.2s + 5W x 10s = 338 J.
-	if got := m.RawEnergy(10); math.Abs(float64(got)-338) > 1e-9 {
-		t.Fatalf("RawEnergy = %v, want 338", got)
-	}
-}
-
-func TestMeterOverhead(t *testing.T) {
-	m := NewMeter()
-	m.Register("cpu", 100)
-	m.Overhead = 1.5 // 0.5W cooling per watt [PBS+03]
-	if got := m.TotalEnergy(10); math.Abs(float64(got)-1500) > 1e-9 {
-		t.Fatalf("TotalEnergy with overhead = %v, want 1500", got)
-	}
-	if got := m.TotalPower(); math.Abs(float64(got)-150) > 1e-9 {
-		t.Fatalf("TotalPower with overhead = %v, want 150", got)
+	if got := m.TotalEnergy(10); math.Abs(float64(got)-338) > 1e-9 {
+		t.Fatalf("TotalEnergy = %v, want 338", got)
 	}
 }
 

@@ -57,15 +57,11 @@ func (tr *Trace) EnergyAt(t Seconds) Joules {
 type Meter struct {
 	traces []*Trace
 	byName map[string]*Trace
-	// Overhead multiplies component energy in TotalEnergy to model power
-	// delivery and cooling: the paper cites 0.5–1 W of cooling per server
-	// watt [PBS+03]. 1.0 means no overhead.
-	Overhead float64
 }
 
-// NewMeter returns an empty meter with no cooling/PSU overhead.
+// NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{byName: make(map[string]*Trace), Overhead: 1.0}
+	return &Meter{byName: make(map[string]*Trace)}
 }
 
 // Register creates (or returns the existing) trace for a named component
@@ -92,9 +88,8 @@ func (m *Meter) ComponentEnergy(name string, t Seconds) Joules {
 	return tr.EnergyAt(t)
 }
 
-// RawEnergy is the sum of all component energies through t, with no
-// overhead factor applied.
-func (m *Meter) RawEnergy(t Seconds) Joules {
+// TotalEnergy is the sum of all component energies through t.
+func (m *Meter) TotalEnergy(t Seconds) Joules {
 	var sum Joules
 	for _, tr := range m.traces {
 		sum += tr.EnergyAt(t)
@@ -102,18 +97,13 @@ func (m *Meter) RawEnergy(t Seconds) Joules {
 	return sum
 }
 
-// TotalEnergy is RawEnergy scaled by the cooling/PSU overhead factor.
-func (m *Meter) TotalEnergy(t Seconds) Joules {
-	return Joules(float64(m.RawEnergy(t)) * m.Overhead)
-}
-
-// TotalPower is the instantaneous whole-system power (with overhead).
+// TotalPower is the instantaneous whole-system power.
 func (m *Meter) TotalPower() Watts {
 	var sum Watts
 	for _, tr := range m.traces {
 		sum += tr.Power()
 	}
-	return Watts(float64(sum) * m.Overhead)
+	return sum
 }
 
 // Breakdown returns per-component energy through t, sorted by descending
@@ -146,6 +136,6 @@ func (m *Meter) Report(t Seconds) string {
 	for _, c := range m.Breakdown(t) {
 		fmt.Fprintf(&b, "%-24s %14s %10s\n", c.Name, c.Energy, c.Power)
 	}
-	fmt.Fprintf(&b, "%-24s %14s %10s\n", "TOTAL (incl. overhead)", m.TotalEnergy(t), m.TotalPower())
+	fmt.Fprintf(&b, "%-24s %14s %10s\n", "TOTAL", m.TotalEnergy(t), m.TotalPower())
 	return b.String()
 }

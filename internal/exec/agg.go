@@ -615,7 +615,7 @@ func (h *HashAgg) Next(ctx *Ctx) (*table.Batch, error) {
 		}
 		return nil, nil
 	}
-	hi := h.next + ctx.VectorSize
+	hi := h.next + vectorSize
 	if hi > len(h.order) {
 		hi = len(h.order)
 	}

@@ -21,7 +21,7 @@ import (
 func benchCtx() *Ctx {
 	eng := sim.NewEngine()
 	cpu := hw.NewCPU(eng, energy.NewMeter(), "cpu", hw.ScanCPU2008())
-	return &Ctx{CPU: cpu, Costs: CostParams{}, VectorSize: 4096}
+	return &Ctx{CPU: cpu, Costs: CostParams{}}
 }
 
 // benchInts builds an n-row table of two int64 columns: a sequential key

@@ -58,14 +58,15 @@ type Ctx struct {
 	// MemBudgetBytes caps operator working memory (hash tables, sort
 	// runs); 0 means unlimited. Exceeding it forces spills.
 	MemBudgetBytes int64
-
-	// VectorSize is the preferred rows per batch for non-scan operators.
-	VectorSize int
 }
 
-// NewCtx builds a context with default costs and vector size.
+// vectorSize is the rows per batch that non-scan operators emitting a
+// materialised result (sort, aggregation) hand downstream.
+const vectorSize = 4096
+
+// NewCtx builds a context with default costs.
 func NewCtx(p *sim.Proc, cpu *hw.CPU) *Ctx {
-	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts(), VectorSize: 4096}
+	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts()}
 }
 
 // ChargeBytes charges byte-proportional CPU work.

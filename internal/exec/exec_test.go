@@ -383,9 +383,10 @@ func TestSortSpillsChargeTempIO(t *testing.T) {
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Every spilled page is written once and read back once to merge.
 	st := r.vol.Stats()
-	if st.PagesWritten == 0 || st.PagesRead == 0 {
-		t.Fatalf("spill I/O not charged: %+v", st)
+	if st.PagesWritten == 0 || st.PagesRead != st.PagesWritten {
+		t.Fatalf("spill I/O not charged page for page: %+v", st)
 	}
 }
 

@@ -17,9 +17,10 @@ type SortKey struct {
 // Sort materialises its input and emits it ordered by the keys. When the
 // materialised input exceeds ctx.MemBudgetBytes and a spill volume is
 // attached, it behaves as an external sort: runs of budget size are
-// charged as writes to the spill volume and read back once during the
-// merge (the data-plane sort itself happens in memory; the timing plane
-// pays the real I/O an external sort would).
+// charged as writes to the spill volume and read back once, in one
+// multi-device ReadPages, during the merge (the data-plane sort itself
+// happens in memory; the timing plane pays the real I/O an external sort
+// would).
 //
 // The comparison sort runs over an index permutation with one typed
 // comparator per key closing over the raw column slice — no per-compare
@@ -124,12 +125,14 @@ func (s *Sort) Open(ctx *Ctx) error {
 		runs := int((s.bytes + ctx.MemBudgetBytes - 1) / ctx.MemBudgetBytes)
 		s.Spills = runs
 		firstPage, pages := ctx.Temp.AllocBytes(s.bytes)
-		for pg := firstPage; pg < firstPage+pages; pg++ {
-			if err := ctx.Temp.WritePage(ctx.P, pg); err != nil {
+		spilled := make([]int64, pages)
+		for i := range spilled {
+			spilled[i] = firstPage + int64(i)
+			if err := ctx.Temp.WritePage(ctx.P, spilled[i]); err != nil {
 				return fmt.Errorf("exec: sort spill: %w", err)
 			}
 		}
-		if err := ctx.Temp.ReadRange(ctx.P, firstPage, firstPage+pages); err != nil {
+		if err := ctx.Temp.ReadPages(ctx.P, spilled); err != nil {
 			return fmt.Errorf("exec: sort spill: %w", err)
 		}
 		// Merge cost: one more comparison pass.
@@ -143,7 +146,7 @@ func (s *Sort) Next(ctx *Ctx) (*table.Batch, error) {
 	if s.next >= s.out.Rows() {
 		return nil, nil
 	}
-	hi := s.next + ctx.VectorSize
+	hi := s.next + vectorSize
 	if hi > s.out.Rows() {
 		hi = s.out.Rows()
 	}

@@ -95,16 +95,16 @@ func DDR2x64GiB() DRAMSpec {
 // DL785 returns the Figure 1 server: the audited-TPC-H-like HP ProLiant
 // DL785 with a configurable number of SCSI disks (the paper sweeps 36, 66,
 // 108, 204). BaseWatts covers chassis, fans, PSU losses and SAS
-// controllers.
+// controllers; cooling is not modelled, as the paper's figures meter
+// server power only.
 func DL785(numDisks int) ServerSpec {
 	return ServerSpec{
-		Name:            "dl785",
-		CPU:             OpteronComplex(),
-		DRAM:            DDR2x64GiB(),
-		BaseWatts:       180,
-		Disk:            Cheetah15K(),
-		NumDisks:        numDisks,
-		CoolingOverhead: 1.0, // the paper's figures meter server power only
+		Name:      "dl785",
+		CPU:       OpteronComplex(),
+		DRAM:      DDR2x64GiB(),
+		BaseWatts: 180,
+		Disk:      Cheetah15K(),
+		NumDisks:  numDisks,
 	}
 }
 

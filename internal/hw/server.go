@@ -18,10 +18,6 @@ type ServerSpec struct {
 	NumDisks int
 	SSD      SSDSpec
 	NumSSDs  int
-
-	// CoolingOverhead multiplies total energy to account for cooling: the
-	// paper cites 0.5–1 W of cooling per server watt [PBS+03]. 1.0 = none.
-	CoolingOverhead float64
 }
 
 // Server is a simulated machine: one engine-attached CPU complex, DRAM,
@@ -45,10 +41,6 @@ func NewServer(spec ServerSpec) *Server {
 
 // NewServerOn builds a server on an existing engine and meter.
 func NewServerOn(eng *sim.Engine, meter *energy.Meter, spec ServerSpec) *Server {
-	if spec.CoolingOverhead == 0 {
-		spec.CoolingOverhead = 1.0
-	}
-	meter.Overhead = spec.CoolingOverhead
 	s := &Server{Spec: spec, Eng: eng, Meter: meter}
 	prefix := spec.Name
 	if prefix != "" {
@@ -70,13 +62,12 @@ func NewServerOn(eng *sim.Engine, meter *energy.Meter, spec ServerSpec) *Server 
 	return s
 }
 
-// Energy reports whole-server energy (including cooling overhead) through
-// the current simulated time.
+// Energy reports whole-server energy through the current simulated time.
 func (s *Server) Energy() energy.Joules {
 	return s.Meter.TotalEnergy(energy.Seconds(s.Eng.Now()))
 }
 
-// Power reports instantaneous whole-server power (including overhead).
+// Power reports instantaneous whole-server power.
 func (s *Server) Power() energy.Watts { return s.Meter.TotalPower() }
 
 // IdlePower reports the modelled power draw with every component idle
@@ -88,7 +79,7 @@ func (s *Server) IdlePower() energy.Watts {
 	}
 	w += energy.Watts(float64(s.Spec.Disk.IdleWatts) * float64(s.Spec.NumDisks))
 	w += energy.Watts(float64(s.Spec.SSD.IdleWatts) * float64(s.Spec.NumSSDs))
-	return energy.Watts(float64(w) * s.Spec.CoolingOverhead)
+	return w
 }
 
 // PeakPower reports the modelled power with every component fully active.
@@ -100,7 +91,7 @@ func (s *Server) PeakPower() energy.Watts {
 	}
 	w += energy.Watts(float64(s.Spec.Disk.ActiveWatts) * float64(s.Spec.NumDisks))
 	w += energy.Watts(float64(s.Spec.SSD.ActiveWatts) * float64(s.Spec.NumSSDs))
-	return energy.Watts(float64(w) * s.Spec.CoolingOverhead)
+	return w
 }
 
 // DynamicRange reports the Barroso–Hölzle dynamic power range of the server

@@ -19,14 +19,14 @@ func TestEDFNeverInvertsDeadlines(t *testing.T) {
 		jobs := int(n%12) + 2
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
-		a := NewAdmissionPolicy(eng, 1, 0, EDF{})
+		a := NewAdmission(eng, 1, EDF{})
 		var order []int // job index in dispatch order
 		deadlines := make([]float64, jobs)
 		eng.At(0, "submit", func() {
 			for i := 0; i < jobs; i++ {
 				i := i
 				deadlines[i] = 1000 + rng.Float64()*1000
-				a.SubmitJob(Job{Name: "job", Want: 1, Deadline: deadlines[i],
+				a.Submit(Job{Name: "job", Want: 1, Deadline: deadlines[i],
 					Run: func(p *sim.Proc, granted int) {
 						order = append(order, i)
 						p.Sleep(1)
@@ -55,7 +55,7 @@ func TestEDFNeverInvertsDeadlines(t *testing.T) {
 // arrival order.
 func TestEDFTiesBreakFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmissionPolicy(eng, 1, 0, EDF{})
+	a := NewAdmission(eng, 1, EDF{})
 	var order []int
 	eng.At(0, "submit", func() {
 		for i := 0; i < 4; i++ {
@@ -64,7 +64,7 @@ func TestEDFTiesBreakFIFO(t *testing.T) {
 			if i >= 2 {
 				d = 500 // ...and two with the same deadline
 			}
-			a.SubmitJob(Job{Name: "job", Want: 1, Deadline: d,
+			a.Submit(Job{Name: "job", Want: 1, Deadline: d,
 				Run: func(p *sim.Proc, granted int) {
 					order = append(order, i)
 					p.Sleep(1)
@@ -90,7 +90,7 @@ func TestEDFTiesBreakFIFO(t *testing.T) {
 // headroom.
 func TestEnergyAwareHoldsBackgroundUnderDeadlineWork(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmissionPolicy(eng, 8, 0, EnergyAware{HoldFree: 2})
+	a := NewAdmission(eng, 8, EnergyAware{HoldFree: 2})
 	type start struct {
 		name    string
 		at      float64
@@ -104,9 +104,9 @@ func TestEnergyAwareHoldsBackgroundUnderDeadlineWork(t *testing.T) {
 		}
 	}
 	eng.At(0, "submit", func() {
-		a.SubmitJob(Job{Name: "dl", Want: 8, Deadline: 100, Run: run("dl", 5)})
-		a.SubmitJob(Job{Name: "bgA", Want: 8, Tag: "A", Run: run("bgA", 3)})
-		a.SubmitJob(Job{Name: "bgB", Want: 8, Tag: "B", Run: run("bgB", 3)})
+		a.Submit(Job{Name: "dl", Want: 8, Deadline: 100, Run: run("dl", 5)})
+		a.Submit(Job{Name: "bgA", Want: 8, Tag: "A", Run: run("bgA", 3)})
+		a.Submit(Job{Name: "bgB", Want: 8, Tag: "B", Run: run("bgB", 3)})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestEnergyAwareHoldsBackgroundUnderDeadlineWork(t *testing.T) {
 // queued and one tag already running, the matching tag dispatches first.
 func TestEnergyAwarePrefersCompatibleTag(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmissionPolicy(eng, 4, 0, EnergyAware{})
+	a := NewAdmission(eng, 4, EnergyAware{})
 	var order []string
 	run := func(name string, dur float64) func(p *sim.Proc, granted int) {
 		return func(p *sim.Proc, granted int) {
@@ -138,13 +138,13 @@ func TestEnergyAwarePrefersCompatibleTag(t *testing.T) {
 		}
 	}
 	eng.At(0, "submit", func() {
-		a.SubmitJob(Job{Name: "a1", Want: 3, Tag: "A", Run: run("a1", 4)})
+		a.Submit(Job{Name: "a1", Want: 3, Tag: "A", Run: run("a1", 4)})
 	})
 	eng.At(1, "submit", func() {
 		// One core is free while a1 runs. B arrives first but A matches
 		// the running tag.
-		a.SubmitJob(Job{Name: "b1", Want: 1, Tag: "B", Run: run("b1", 1)})
-		a.SubmitJob(Job{Name: "a2", Want: 1, Tag: "A", Run: run("a2", 1)})
+		a.Submit(Job{Name: "b1", Want: 1, Tag: "B", Run: run("b1", 1)})
+		a.Submit(Job{Name: "a2", Want: 1, Tag: "A", Run: run("a2", 1)})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -160,16 +160,16 @@ func TestEnergyAwarePrefersCompatibleTag(t *testing.T) {
 func TestPolicyDeadlineExpiryStillEnforced(t *testing.T) {
 	for _, pol := range []Policy{FIFO{}, EDF{}, EnergyAware{}} {
 		eng := sim.NewEngine()
-		a := NewAdmissionPolicy(eng, 1, 0, pol)
+		a := NewAdmission(eng, 1, pol)
 		var failed error
 		ran := false
 		eng.At(0, "submit", func() {
-			a.Submit("hog", 1, func(p *sim.Proc, granted int) { p.Sleep(10) })
+			a.Submit(Job{Name: "hog", Want: 1, Run: func(p *sim.Proc, granted int) { p.Sleep(10) }})
 		})
 		eng.At(1, "submit", func() {
 			// The hog holds the only core until t=10; even queue-jumping
 			// policies cannot run this before its t=5 deadline.
-			a.SubmitJob(Job{Name: "late", Want: 1, Deadline: 5,
+			a.Submit(Job{Name: "late", Want: 1, Deadline: 5,
 				Run:  func(p *sim.Proc, granted int) { ran = true },
 				Fail: func(err error) { failed = err }})
 		})
@@ -194,7 +194,7 @@ func TestAllPoliciesCompleteEverything(t *testing.T) {
 		for _, pol := range []Policy{FIFO{}, EDF{}, EnergyAware{HoldFree: 1}} {
 			rng := rand.New(rand.NewSource(seed))
 			eng := sim.NewEngine()
-			a := NewAdmissionPolicy(eng, 4, 0, pol)
+			a := NewAdmission(eng, 4, pol)
 			done := 0
 			arrivals := make([]float64, jobs)
 			for i := range arrivals {
@@ -209,7 +209,7 @@ func TestAllPoliciesCompleteEverything(t *testing.T) {
 				}
 				tag := string(rune('A' + rng.Intn(2)))
 				eng.At(at, "submit", func() {
-					a.SubmitJob(Job{Name: "job", Want: 1 + rng.Intn(4), Deadline: d, Tag: tag,
+					a.Submit(Job{Name: "job", Want: 1 + rng.Intn(4), Deadline: d, Tag: tag,
 						Run: func(p *sim.Proc, granted int) {
 							p.Sleep(0.5)
 							done++

@@ -1,5 +1,5 @@
 // Package sched is the workload manager: concurrency-aware admission
-// control with optional time-batching.
+// control.
 //
 // §4.2 of the paper argues the big energy levers are workload-level —
 // deciding *when* work runs and *how much hardware* it may occupy, across
@@ -13,16 +13,14 @@
 //     parallelism coexist without oversubscribing the cost model's
 //     assumptions. When no core is free, arrivals queue FIFO.
 //
-//   - Batching (grown out of the earlier Batcher). A nonzero Window holds
-//     arrivals for that many seconds from the first held job and releases
-//     them together, consolidating activity so the gaps between bursts
-//     grow long enough for disks to spin down — at the cost of latency.
-//
 // Which queued job dispatches next, and how many cores it is granted, is
 // delegated to a pluggable Policy (policy.go): FIFO with fair-share
 // grants (the default), earliest-deadline-first, or the consolidating
 // energy-aware policy. A job's cores are set once, at dispatch; the only
 // later change is Shrink giving back what its chosen plan cannot occupy.
+// Holding arrivals back to batch them in time is the caller's business:
+// E4 (bench.RunConsolidation) keeps its own window in front of a plain
+// controller.
 package sched
 
 import (
@@ -37,7 +35,7 @@ type Ticket struct {
 	ID       int64
 	Name     string
 	Want     int     // cores requested (clamped to [1, TotalCores])
-	Granted  int     // cores granted at admission; 0 while held or queued
+	Granted  int     // cores granted at admission; 0 while queued
 	Deadline float64 // absolute engine time; 0 = none
 	Tag      string  // compatibility tag for consolidating policies; "" = untagged
 
@@ -45,7 +43,6 @@ type Ticket struct {
 	fail      func(err error)
 	submitted float64
 	admitted  float64
-	finished  float64
 	canceled  bool
 	running   bool
 }
@@ -53,22 +50,16 @@ type Ticket struct {
 // Wait reports the delay between submission and admission.
 func (t *Ticket) Wait() float64 { return t.admitted - t.submitted }
 
-// Running reports whether the ticket's job has been dispatched and has
-// not yet completed.
-func (t *Ticket) Running() bool { return t.running }
-
 // Stats summarises the controller's history.
 type Stats struct {
-	Submitted    int64
-	Completed    int64   // jobs that ran to completion (never canceled/expired ones)
-	Canceled     int64   // jobs dequeued by Cancel before ever running
-	Expired      int64   // jobs rejected because their deadline passed while queued
-	Batches      int64   // window releases (window > 0 only)
-	Waited       int64   // jobs admitted strictly later than submitted
-	TotalWait    float64 // time between submission and admission
-	TotalLatency float64 // time between submission and completion
-	PeakActive   int     // most jobs running at once
-	PeakQueue    int     // deepest admission queue
+	Submitted  int64
+	Completed  int64   // jobs that ran to completion (never canceled/expired ones)
+	Canceled   int64   // jobs dequeued by Cancel before ever running
+	Expired    int64   // jobs rejected because their deadline passed while queued
+	Waited     int64   // jobs admitted strictly later than submitted
+	TotalWait  float64 // time between submission and admission
+	PeakActive int     // most jobs running at once
+	PeakQueue  int     // deepest admission queue
 
 	// Regrants is always 0: jobs never gain cores after dispatch. It
 	// stays only because the eeperf harness still reports it as
@@ -84,14 +75,6 @@ func (s Stats) MeanWait() float64 {
 	return s.TotalWait / float64(s.Completed)
 }
 
-// MeanLatency reports the average submission-to-completion time.
-func (s Stats) MeanLatency() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return s.TotalLatency / float64(s.Completed)
-}
-
 // Admission is the engine-resident admission controller. It is not safe
 // for use outside the owning engine's single-threaded discipline; Submit
 // may be called from event context, from a process, or from ordinary code
@@ -102,45 +85,31 @@ type Admission struct {
 	// TotalCores is the capacity grants are drawn from (the server's
 	// simulated cores).
 	TotalCores int
-	// Window, when positive, holds arrivals for that many seconds from
-	// the first held job and releases them together (admission batching).
-	Window float64
 
-	policy   Policy
-	nextID   int64
-	free     int
-	active   int
-	holding  []*Ticket // waiting for the window to close
-	queue    []*Ticket // released, waiting for a free core
-	running  []*Ticket // dispatched, not yet complete (admission order)
-	armed    bool      // a dispatch event is pending
-	windowed bool      // a window-release event is pending
-	stats    Stats
+	policy  Policy
+	nextID  int64
+	free    int
+	active  int
+	queue   []*Ticket // waiting for a free core
+	running []*Ticket // dispatched, not yet complete (admission order)
+	armed   bool      // a dispatch event is pending
+	stats   Stats
 }
 
-// NewAdmission returns a controller over cores simulated cores using the
-// FIFO fair-share policy.
-func NewAdmission(eng *sim.Engine, cores int, window float64) *Admission {
-	return NewAdmissionPolicy(eng, cores, window, FIFO{})
-}
-
-// NewAdmissionPolicy returns a controller dispatching under the given
-// policy.
-func NewAdmissionPolicy(eng *sim.Engine, cores int, window float64, pol Policy) *Admission {
+// NewAdmission returns a controller over cores simulated cores
+// dispatching under pol; nil means the FIFO fair-share policy.
+func NewAdmission(eng *sim.Engine, cores int, pol Policy) *Admission {
 	if cores < 1 {
 		panic(fmt.Sprintf("sched: %d cores", cores))
 	}
 	if pol == nil {
 		pol = FIFO{}
 	}
-	return &Admission{eng: eng, TotalCores: cores, Window: window, policy: pol, free: cores}
+	return &Admission{eng: eng, TotalCores: cores, policy: pol, free: cores}
 }
 
 // Stats returns a copy of the counters.
 func (a *Admission) Stats() Stats { return a.stats }
-
-// Policy returns the dispatch policy in force.
-func (a *Admission) Policy() Policy { return a.policy }
 
 // Active reports how many admitted jobs are currently running.
 func (a *Admission) Active() int { return a.active }
@@ -148,13 +117,10 @@ func (a *Admission) Active() int { return a.active }
 // FreeCores reports the cores not granted to any running job.
 func (a *Admission) FreeCores() int { return a.free }
 
-// Queued reports jobs released from the window but not yet admitted.
-func (a *Admission) Queued() int { return len(a.queue) }
-
-// Job describes a submission with the full lifecycle surface: an
-// optional absolute deadline and an optional failure callback invoked
-// (in event context) if the job is rejected before it ever runs —
-// because its deadline passed while it was queued or held.
+// Job describes a submission: the cores it wants, an optional absolute
+// deadline and an optional failure callback invoked (in event context) if
+// the job is rejected before it ever runs — because its deadline passed
+// while it was queued.
 type Job struct {
 	Name     string
 	Want     int     // cores requested (clamped to [1, TotalCores])
@@ -164,21 +130,14 @@ type Job struct {
 	Fail     func(err error)
 }
 
-// Submit offers a job wanting up to want cores. The job starts when the
-// window (if any) closes and a core is free; run receives its own
-// simulated process and the number of cores granted. Submit returns the
-// ticket, whose Granted field is filled at admission.
-func (a *Admission) Submit(name string, want int, run func(p *sim.Proc, granted int)) *Ticket {
-	return a.SubmitJob(Job{Name: name, Want: want, Run: run})
-}
-
-// SubmitJob is Submit with deadline and failure-callback support. A job
-// whose deadline passes while it is still queued or held never runs: it
-// leaves the queue, counts as Expired (not Completed), and its Fail
-// callback fires with fault.ErrDeadlineExceeded. Deadline enforcement
-// for *running* jobs belongs to the session layer, which owns the
-// query's cancel flag.
-func (a *Admission) SubmitJob(j Job) *Ticket {
+// Submit offers a job. It starts when a core is free; Run receives its
+// own simulated process and the number of cores granted. Submit returns
+// the ticket, whose Granted field is filled at admission. A job whose
+// deadline passes while it is still queued never runs: it leaves the
+// queue, counts as Expired (not Completed), and its Fail callback fires
+// with fault.ErrDeadlineExceeded. Deadline enforcement for *running* jobs
+// belongs to the session layer, which owns the query's cancel flag.
+func (a *Admission) Submit(j Job) *Ticket {
 	a.nextID++
 	want := j.Want
 	if want < 1 {
@@ -197,14 +156,6 @@ func (a *Admission) SubmitJob(j Job) *Ticket {
 		}
 		a.eng.At(at, "sched-deadline", func() { a.expire(t) })
 	}
-	if a.Window > 0 {
-		a.holding = append(a.holding, t)
-		if !a.windowed {
-			a.windowed = true
-			a.eng.After(a.Window, "sched-window", func() { a.release() })
-		}
-		return t
-	}
 	a.queue = append(a.queue, t)
 	if len(a.queue) > a.stats.PeakQueue {
 		a.stats.PeakQueue = len(a.queue)
@@ -213,8 +164,8 @@ func (a *Admission) SubmitJob(j Job) *Ticket {
 	return t
 }
 
-// Cancel removes a ticket that has not started running from the queue
-// (or the window hold), reporting whether it was dequeued. A canceled
+// Cancel removes a ticket that has not started running from the queue,
+// reporting whether it was dequeued. A canceled
 // ticket never dispatches and is not counted as completed. Canceling a
 // running or finished ticket reports false and does nothing — running
 // work is stopped through the job's own cancellation path.
@@ -246,7 +197,7 @@ func (a *Admission) expire(t *Ticket) {
 	}
 }
 
-// remove deletes t from the queue or the window hold, reporting success.
+// remove deletes t from the queue, reporting success.
 func (a *Admission) remove(t *Ticket) bool {
 	for i, q := range a.queue {
 		if q == t {
@@ -254,42 +205,19 @@ func (a *Admission) remove(t *Ticket) bool {
 			return true
 		}
 	}
-	for i, h := range a.holding {
-		if h == t {
-			a.holding = append(a.holding[:i], a.holding[i+1:]...)
-			return true
-		}
-	}
 	return false
 }
 
 // Reset forcibly returns the controller to an empty, all-cores-free
-// state after Engine.Crash has unwound every running job. Queued and
-// held tickets are dropped without callbacks — the crash path fails
-// their owners directly.
+// state after Engine.Crash has unwound every running job. Queued
+// tickets are dropped without callbacks — the crash path fails their
+// owners directly.
 func (a *Admission) Reset() {
 	a.free = a.TotalCores
 	a.active = 0
 	a.queue = nil
-	a.holding = nil
 	a.running = nil
 	a.armed = false
-	a.windowed = false
-}
-
-// release moves the held window batch to the admission queue.
-func (a *Admission) release() {
-	a.windowed = false
-	if len(a.holding) == 0 {
-		return
-	}
-	a.stats.Batches++
-	a.queue = append(a.queue, a.holding...)
-	a.holding = nil
-	if len(a.queue) > a.stats.PeakQueue {
-		a.stats.PeakQueue = len(a.queue)
-	}
-	a.dispatch()
 }
 
 // armDispatch schedules one dispatch at the current instant, so all
@@ -383,12 +311,10 @@ func (a *Admission) Shrink(t *Ticket, to int) {
 
 // complete returns a finished job's cores and admits waiting work.
 func (a *Admission) complete(t *Ticket) {
-	t.finished = a.eng.Now()
 	t.running = false
 	a.free += t.Granted
 	a.active--
 	a.stats.Completed++
-	a.stats.TotalLatency += t.finished - t.submitted
 	for i, r := range a.running {
 		if r == t {
 			a.running = append(a.running[:i], a.running[i+1:]...)

@@ -6,21 +6,19 @@ import (
 	"testing"
 	"testing/quick"
 
-	"energydb/internal/energy"
-	"energydb/internal/hw"
 	"energydb/internal/sim"
 )
 
 func TestImmediateAdmission(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmission(eng, 2, 0)
+	a := NewAdmission(eng, 2, nil)
 	done := 0
 	eng.At(0, "submit", func() {
 		for i := 0; i < 4; i++ {
-			a.Submit("job", 1, func(p *sim.Proc, granted int) {
+			a.Submit(Job{Name: "job", Want: 1, Run: func(p *sim.Proc, granted int) {
 				p.Sleep(1)
 				done++
-			})
+			}})
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -38,49 +36,20 @@ func TestImmediateAdmission(t *testing.T) {
 	}
 }
 
-func TestWindowCollectsBatch(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewAdmission(eng, 4, 10)
-	var starts []float64
-	for i := 0; i < 5; i++ {
-		at := float64(i) // arrivals at t=0..4, window closes at t=10
-		eng.At(at, "submit", func() {
-			a.Submit("job", 1, func(p *sim.Proc, granted int) {
-				starts = append(starts, p.Now())
-			})
-		})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats().Batches != 1 {
-		t.Fatalf("batches = %d, want 1", a.Stats().Batches)
-	}
-	for _, s := range starts {
-		if s < 10 {
-			t.Fatalf("job started at %v, before the window closed", s)
-		}
-	}
-	if w := a.Stats().MeanWait(); w < 6 || w > 10 {
-		t.Fatalf("mean wait = %v, want ~8", w)
-	}
-}
-
 func TestSlotParallelism(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmission(eng, 3, 0.1)
+	a := NewAdmission(eng, 3, nil)
 	eng.At(0, "submit", func() {
 		for i := 0; i < 6; i++ {
-			a.Submit("job", 1, func(p *sim.Proc, granted int) { p.Sleep(5) })
+			a.Submit(Job{Name: "job", Want: 1, Run: func(p *sim.Proc, granted int) { p.Sleep(5) }})
 		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 6 jobs of 5s on 3 cores = 2 waves of 5s, after the 0.1s window.
-	want := 0.1 + 10
-	if eng.Now() != want {
-		t.Fatalf("makespan = %v, want %v", eng.Now(), want)
+	// 6 jobs of 5s on 3 cores = 2 waves of 5s.
+	if eng.Now() != 10 {
+		t.Fatalf("makespan = %v, want 10", eng.Now())
 	}
 	if a.Stats().PeakActive != 3 {
 		t.Fatalf("peak active = %d, want 3", a.Stats().PeakActive)
@@ -92,20 +61,20 @@ func TestSlotParallelism(t *testing.T) {
 // late arrival is granted only from what is free.
 func TestFairShareGrants(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmission(eng, 8, 0)
+	a := NewAdmission(eng, 8, nil)
 	var lone, late *Ticket
 	var crowd []*Ticket
 	eng.At(0, "lone", func() {
-		lone = a.Submit("lone", 8, func(p *sim.Proc, granted int) { p.Sleep(1) })
+		lone = a.Submit(Job{Name: "lone", Want: 8, Run: func(p *sim.Proc, granted int) { p.Sleep(1) }})
 	})
 	eng.At(2, "crowd", func() {
 		for i := 0; i < 4; i++ {
 			d := 5 + float64(i) // staggered completions at t=7..10
-			crowd = append(crowd, a.Submit("crowd", 8, func(p *sim.Proc, granted int) { p.Sleep(d) }))
+			crowd = append(crowd, a.Submit(Job{Name: "crowd", Want: 8, Run: func(p *sim.Proc, granted int) { p.Sleep(d) }}))
 		}
 	})
 	eng.At(3, "late", func() {
-		late = a.Submit("late", 8, func(p *sim.Proc, granted int) { p.Sleep(1) })
+		late = a.Submit(Job{Name: "late", Want: 8, Run: func(p *sim.Proc, granted int) { p.Sleep(1) }})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -137,16 +106,16 @@ func TestFairShareGrants(t *testing.T) {
 // core granted once, the surplus queues and runs in submission order.
 func TestSaturationQueuesFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewAdmission(eng, 2, 0)
+	a := NewAdmission(eng, 2, nil)
 	var order []int
 	tickets := make([]*Ticket, 5)
 	eng.At(0, "submit", func() {
 		for i := 0; i < 5; i++ {
 			i := i
-			tickets[i] = a.Submit(fmt.Sprintf("j%d", i), 2, func(p *sim.Proc, granted int) {
+			tickets[i] = a.Submit(Job{Name: fmt.Sprintf("j%d", i), Want: 2, Run: func(p *sim.Proc, granted int) {
 				order = append(order, i)
 				p.Sleep(1)
-			})
+			}})
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -172,79 +141,23 @@ func TestSaturationQueuesFIFO(t *testing.T) {
 	}
 }
 
-func TestBatchingEnablesSpinDown(t *testing.T) {
-	// The E4 effect in miniature: sparse arrivals touching a disk. With
-	// no batching the disk never idles long enough to spin down; with a
-	// 60s window the bursts leave long gaps.
-	run := func(window float64) (spins int64, joules float64) {
-		eng := sim.NewEngine()
-		m := energy.NewMeter()
-		d := hw.NewDisk(eng, m, "d", hw.Cheetah15K())
-		d.SpinDownAfter = 15
-		a := NewAdmission(eng, 1, window)
-		rng := rand.New(rand.NewSource(4))
-		at := 0.0
-		for i := 0; i < 40; i++ {
-			at += 5 + rng.Float64()*5 // one query every ~7.5s for ~5 min
-			off := int64(i) * 100 * 1e6
-			eng.At(at, "arrival", func() {
-				a.Submit("read", 1, func(p *sim.Proc, granted int) {
-					d.Read(p, off, 2*1e6)
-				})
-			})
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return d.Stats().SpinDowns, float64(m.ComponentEnergy("d", energy.Seconds(eng.Now())))
-	}
-	trickleSpins, _ := run(0)
-	burstSpins, _ := run(60)
-	if trickleSpins > 1 { // at most the trailing timer
-		t.Fatalf("trickle admission spun down %d times", trickleSpins)
-	}
-	if burstSpins < 3 {
-		t.Fatalf("batched admission only spun down %d times", burstSpins)
-	}
-}
-
-func TestBatchingLatencyCost(t *testing.T) {
-	run := func(window float64) float64 {
-		eng := sim.NewEngine()
-		a := NewAdmission(eng, 1, window)
-		for i := 0; i < 10; i++ {
-			at := float64(i)
-			eng.At(at, "a", func() {
-				a.Submit("job", 1, func(p *sim.Proc, granted int) { p.Sleep(0.1) })
-			})
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return a.Stats().MeanLatency()
-	}
-	if l0, l30 := run(0), run(30); l30 <= l0 {
-		t.Fatalf("batching should cost latency: window0=%v window30=%v", l0, l30)
-	}
-}
-
 func TestBadCoresPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewAdmission(sim.NewEngine(), 0, 1)
+	NewAdmission(sim.NewEngine(), 0, nil)
 }
 
 // Property: every submitted job completes exactly once with a grant in
-// [1, cores], regardless of window, core count and arrival pattern, and
-// the controller ends drained.
+// [1, cores], regardless of core count and arrival pattern, and the
+// controller ends drained.
 func TestAllJobsComplete(t *testing.T) {
-	f := func(seed int64, windowTenths, cores uint8) bool {
+	f := func(seed int64, cores uint8) bool {
 		eng := sim.NewEngine()
 		nc := int(cores%4) + 1
-		a := NewAdmission(eng, nc, float64(windowTenths%50)/10)
+		a := NewAdmission(eng, nc, nil)
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(40) + 1
 		runs := make([]int, n)
@@ -254,11 +167,11 @@ func TestAllJobsComplete(t *testing.T) {
 			at := rng.Float64() * 20
 			want := rng.Intn(6) + 1
 			eng.At(at, fmt.Sprintf("a%d", i), func() {
-				a.Submit(fmt.Sprintf("j%d", i), want, func(p *sim.Proc, granted int) {
+				a.Submit(Job{Name: fmt.Sprintf("j%d", i), Want: want, Run: func(p *sim.Proc, granted int) {
 					p.Sleep(rng.Float64() * 0.5)
 					runs[i]++
 					grants[i] = granted
-				})
+				}})
 			})
 		}
 		if err := eng.Run(); err != nil {

@@ -67,10 +67,10 @@ type Volume struct {
 	free *readReq // ReadPages requests handed back for reuse
 
 	// Diagnostic names for what a read starts, built once: the mailboxes
-	// and window of ReadPages, Scan and ReadRange and, per device, their
-	// reader processes.
-	rpName, scanName, scanWinName, rrName string
-	rpReader, scanReader, rrReader        []string
+	// and window of ReadPages and Scan and, per device, their reader
+	// processes.
+	rpName, scanName, scanWinName string
+	rpReader, scanReader          []string
 
 	// MaxRunPages caps the pages coalesced into one device request during
 	// Scan (0 = window/4). Real 2008 controllers capped transfers at
@@ -91,11 +91,10 @@ func NewVolume(name string, layout Layout, pageSize int64, devs []BlockDevice) *
 		panic("storage: page size must be positive")
 	}
 	v := &Volume{name: name, devs: devs, pageSize: pageSize, layout: layout,
-		rpName: name + ":rp", scanName: name + ":scan", scanWinName: name + ":scanwin", rrName: name + ":rr"}
+		rpName: name + ":rp", scanName: name + ":scan", scanWinName: name + ":scanwin"}
 	for d := range devs {
 		v.rpReader = append(v.rpReader, fmt.Sprintf("%s:rp%d", name, d))
 		v.scanReader = append(v.scanReader, fmt.Sprintf("%s:reader%d", name, d))
-		v.rrReader = append(v.rrReader, fmt.Sprintf("%s:rr%d", name, d))
 	}
 	return v
 }
@@ -524,59 +523,4 @@ func (v *Volume) Scan(p *sim.Proc, start, end int64, window int, consume func(pa
 		}
 	}
 	return firstErr
-}
-
-// ReadRange reads pages [start, end) with all devices working in parallel
-// and returns when every reader has finished. It is Scan without a
-// consumer: the caller blocks for max-over-devices time instead of sum.
-// On a device error the remaining readers stop at their next page and the
-// first error (in device order) is returned.
-func (v *Volume) ReadRange(p *sim.Proc, start, end int64) error {
-	if start >= end {
-		return nil
-	}
-	eng := p.Engine()
-	done := sim.NewMailbox[error](eng, v.rrName)
-	stop := new(bool)
-	byDev := make([][]int64, len(v.devs))
-	for pg := start; pg < end; pg++ {
-		d, _ := v.locate(pg)
-		byDev[d] = append(byDev[d], pg)
-	}
-	launched := 0
-	errByDev := make([]error, len(v.devs))
-	for d, pages := range byDev {
-		if len(pages) == 0 {
-			continue
-		}
-		launched++
-		d, pages := d, pages
-		eng.Go(v.rrReader[d], func(rp *sim.Proc) {
-			for _, pg := range pages {
-				if *stop {
-					break
-				}
-				_, off := v.locate(pg)
-				if err := v.devs[d].Read(rp, off, v.pageSize); err != nil {
-					errByDev[d] = err
-					break
-				}
-				v.hostTransfer(rp, v.pageSize)
-				v.stats.PagesRead++
-				v.stats.BytesRead += v.pageSize
-			}
-			done.Put(errByDev[d])
-		})
-	}
-	for i := 0; i < launched; i++ {
-		if err := done.Get(p); err != nil {
-			*stop = true
-		}
-	}
-	for _, err := range errByDev {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
