@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"energydb/internal/core"
 	"energydb/internal/energy"
@@ -64,16 +65,26 @@ func (r *Figure1Result) PerfDropVsFastest() float64 {
 // over SF 0.03 generated with seed 2009 — on the simulated DL785 while
 // the database is re-partitioned across 36, 66, 108 and 204 disks, as in
 // the paper. Each configuration runs the full engine (SQL → optimizer →
-// executor).
+// executor) on its own goroutine with its own engine; they share only the
+// generated tables, which nothing writes.
 func RunFigure1() (*Figure1Result, error) {
 	gen := tpch.Generate(0.03, 2009)
-	res := &Figure1Result{}
-	for _, n := range []int{36, 66, 108, 204} {
-		pt, err := runThroughputPoint(gen, n)
+	disks := []int{36, 66, 108, 204}
+	res := &Figure1Result{Points: make([]Figure1Point, len(disks))}
+	errs := make([]error, len(disks))
+	var wg sync.WaitGroup
+	for i, n := range disks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res.Points[i], errs[i] = runThroughputPoint(gen, n)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("bench: %d disks: %w", n, err)
+			return nil, fmt.Errorf("bench: %d disks: %w", disks[i], err)
 		}
-		res.Points = append(res.Points, pt)
 	}
 	for i, p := range res.Points {
 		if p.Efficiency > res.Points[res.BestIdx].Efficiency {

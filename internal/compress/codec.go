@@ -57,6 +57,13 @@ type StringDecoder interface {
 	DecodeStrings(dst []string, src []byte, tab *SymbolTable, sel []int32) ([]string, error)
 }
 
+// StringEncoder is the mirror of StringDecoder, implemented by the codecs
+// whose blocks are string streams (Dict): EncodeStrings appends to dst the
+// block Encode makes of vals' length-prefixed image, without the image.
+type StringEncoder interface {
+	EncodeStrings(dst []byte, vals []string) []byte
+}
+
 // CostModel gives the cycles charged per byte. Encode cost is per input
 // (uncompressed) byte; decode cost is per output (uncompressed) byte, so
 // both scale with the logical data size regardless of the achieved ratio.

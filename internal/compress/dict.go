@@ -37,28 +37,41 @@ func parseStrings(src []byte) (vals [][]byte, ok bool) {
 	return vals, true
 }
 
-func (dictCodec) Encode(dst, src []byte) []byte {
+// Encode parses src as a string column's image and builds its dictionary
+// through EncodeStrings.
+func (c dictCodec) Encode(dst, src []byte) []byte {
 	vals, ok := parseStrings(src)
-	if ok {
-		// A stream with a padded (non-canonical) length prefix parses, but
-		// would not come back byte for byte: it is stored verbatim too.
-		size := 0
-		for _, v := range vals {
-			size += uvarintLen(uint64(len(v))) + len(v)
-		}
-		ok = size == len(src)
+	// The values as substrings of one copy of the image (a padded prefix
+	// only moves a value later, so none reaches past it).
+	img, strs, off := string(src), make([]string, len(vals)), 0
+	for i, v := range vals {
+		off += uvarintLen(uint64(len(v)))
+		strs[i] = img[off : off+len(v)]
+		off += len(v)
 	}
-	if !ok {
-		dst = append(dst, rawMarker)
-		return append(dst, src...)
+	// A stream with a padded (non-canonical) length prefix parses, but
+	// would not come back byte for byte: it is stored verbatim too.
+	if !ok || off != len(src) {
+		return append(append(dst, rawMarker), src...)
 	}
-	index := map[string]int{}
+	return c.EncodeStrings(dst, strs)
+}
+
+// EncodeStrings implements StringEncoder. It holds Dict's dictionary
+// builder: the block's distinct strings in order of first occurrence, then
+// one symbol index per value.
+func (dictCodec) EncodeStrings(dst []byte, vals []string) []byte {
+	index := map[string]int32{}
 	var symbols []string
-	for _, v := range vals {
-		if _, seen := index[string(v)]; !seen {
-			index[string(v)] = len(symbols)
-			symbols = append(symbols, string(v))
+	ids := make([]int32, len(vals))
+	for i, v := range vals {
+		id, seen := index[v]
+		if !seen {
+			id = int32(len(symbols))
+			index[v] = id
+			symbols = append(symbols, v)
 		}
+		ids[i] = id
 	}
 	dst = append(dst, dictMarker)
 	dst = putUvarint(dst, uint64(len(symbols)))
@@ -67,8 +80,8 @@ func (dictCodec) Encode(dst, src []byte) []byte {
 		dst = append(dst, s...)
 	}
 	dst = putUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = putUvarint(dst, uint64(index[string(v)]))
+	for _, id := range ids {
+		dst = putUvarint(dst, uint64(id))
 	}
 	return dst
 }

@@ -126,7 +126,9 @@ func lzDecodeReference(dst, src []byte) ([]byte, error) {
 // into nil does, and for LZ what the reference loop does; and a typed entry
 // point yields exactly the values Decode followed by table.DecodeVector
 // would, also when appending to a dirty, reused destination and, for
-// strings, under any selection.
+// strings, under any selection. On the encode side, Dict's string entry
+// builds what Encode builds from the same values' image, for the values
+// the input parses as and for those it decodes to.
 func FuzzCodecDecode(f *testing.F) {
 	f.Add(lzWrappedOffset)
 	f.Add(dictHugeSymCount)
@@ -147,6 +149,13 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add(lzFastPastBudget)
 	f.Add(dictBadSkippedIndex)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if vals, ok := parseStrings(data); ok {
+			strs := make([]string, len(vals))
+			for i, v := range vals {
+				strs[i] = string(v)
+			}
+			checkEncodeStrings(t, strs)
+		}
 		for _, c := range allCodecs() {
 			out, err := c.Decode(nil, data)
 			if len(out) > decodeBudget(len(data)) {
@@ -246,6 +255,16 @@ func checkStrings(t *testing.T, name string, dec StringDecoder, data, out []byte
 	}
 	if !slices.Equal(got[1:], want.S) {
 		t.Fatalf("%s: DecodeStrings values differ from Decode+DecodeVector", name)
+	}
+	checkEncodeStrings(t, want.S)
+}
+
+// checkEncodeStrings holds Dict's EncodeStrings of vals to Dict.Encode of
+// their image, both appending to the same prefix.
+func checkEncodeStrings(t *testing.T, vals []string) {
+	got := Dict.(StringEncoder).EncodeStrings([]byte("pre"), vals)
+	if want := Dict.Encode([]byte("pre"), stringStream(vals...)); !bytes.Equal(got, want) {
+		t.Fatalf("dict: EncodeStrings of %d values = %x, Encode of their image = %x", len(vals), got, want)
 	}
 }
 

@@ -60,7 +60,9 @@ type StoredTable struct {
 
 // PlaceColumnMajor encodes t column-by-column in blocks of blockRows rows,
 // compresses each block with the column's codec, and allocates contiguous
-// volume pages per column.
+// volume pages per column. A Raw block is its image, written straight into
+// a slice of its size; a StringEncoder (Dict) encodes a string column's
+// values with no image; other codecs encode the image, kept block to block.
 func PlaceColumnMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRows int, codecs []compress.Codec) (*StoredTable, error) {
 	if len(codecs) != len(t.Schema.Cols) {
 		return nil, fmt.Errorf("exec: %d codecs for %d columns", len(codecs), len(t.Schema.Cols))
@@ -75,28 +77,42 @@ func PlaceColumnMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRo
 	}
 	n := t.Rows()
 	var raw, buf []byte // wire image and encoder output, reused block to block
-	for ci := range t.Schema.Cols {
+	for ci, codec := range codecs {
 		v := t.Column(ci)
+		strs, isStrs := codec.(compress.StringEncoder)
 		for lo := 0; lo < n; lo += blockRows {
 			hi := lo + blockRows
 			if hi > n {
 				hi = n
 			}
-			raw = v.EncodeBytes(slices.Grow(raw[:0], int(v.ByteSize(lo, hi))), lo, hi)
-			buf = codecs[ci].Encode(buf[:0], raw)
-			enc := slices.Clone(buf) // the block keeps exactly its bytes
-			off := vol.AllocExtent(int64(len(enc)))
-			st.cols[ci] = append(st.cols[ci], block{
-				lo: lo, hi: hi, enc: enc, rawSize: int64(len(raw)),
-				byteLo: off, byteHi: off + int64(len(enc)),
-			})
+			rawSize := v.ByteSize(lo, hi)
+			var enc []byte
+			switch {
+			case codec == compress.Raw:
+				enc = v.EncodeBytes(make([]byte, 0, rawSize), lo, hi)
+			case isStrs && v.Type.Physical() == table.PhysString:
+				buf = strs.EncodeStrings(buf[:0], v.S[lo:hi])
+				enc = slices.Clone(buf)
+			default:
+				raw = v.EncodeBytes(slices.Grow(raw[:0], int(rawSize)), lo, hi)
+				buf = codec.Encode(buf[:0], raw)
+				enc = slices.Clone(buf)
+			}
+			st.cols[ci] = append(st.cols[ci], st.place(lo, hi, enc, rawSize))
 		}
 	}
 	return st, nil
 }
 
+// place maps a block's encoded bytes, exactly sized, to the next extent.
+func (st *StoredTable) place(lo, hi int, enc []byte, rawSize int64) block {
+	off := st.Vol.AllocExtent(int64(len(enc)))
+	return block{lo: lo, hi: hi, enc: enc, rawSize: rawSize, byteLo: off, byteHi: off + int64(len(enc))}
+}
+
 // PlaceRowMajor encodes t row-by-row in blocks of blockRows rows,
-// compresses each block with codec, and allocates contiguous pages.
+// compresses each block with codec, and allocates contiguous pages. A Raw
+// block is its row image, written straight into a slice of its size.
 func PlaceRowMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRows int, codec compress.Codec) (*StoredTable, error) {
 	if blockRows <= 0 {
 		return nil, fmt.Errorf("exec: blockRows = %d", blockRows)
@@ -116,14 +132,16 @@ func PlaceRowMajor(t *table.Table, vol *storage.Volume, fileID int32, blockRows 
 			hi = n
 		}
 		b := t.Slice(lo, hi)
-		raw = b.EncodeRows(slices.Grow(raw[:0], int(b.ByteSize())), 0, b.Rows())
-		buf = codec.Encode(buf[:0], raw)
-		enc := slices.Clone(buf) // the block keeps exactly its bytes
-		off := vol.AllocExtent(int64(len(enc)))
-		st.rows = append(st.rows, block{
-			lo: lo, hi: hi, enc: enc, rawSize: int64(len(raw)),
-			byteLo: off, byteHi: off + int64(len(enc)),
-		})
+		rawSize := b.ByteSize()
+		var enc []byte
+		if codec == compress.Raw {
+			enc = b.EncodeRows(make([]byte, 0, rawSize), 0, b.Rows())
+		} else {
+			raw = b.EncodeRows(slices.Grow(raw[:0], int(rawSize)), 0, b.Rows())
+			buf = codec.Encode(buf[:0], raw)
+			enc = slices.Clone(buf)
+		}
+		st.rows = append(st.rows, st.place(lo, hi, enc, rawSize))
 	}
 	return st, nil
 }

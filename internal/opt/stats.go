@@ -12,6 +12,11 @@
 package opt
 
 import (
+	"cmp"
+	"hash/maphash"
+	"math"
+	"math/bits"
+
 	"energydb/internal/table"
 )
 
@@ -29,58 +34,80 @@ type TableStats struct {
 }
 
 // Analyze computes exact statistics over an in-memory table (the simulated
-// analogue of ANALYZE; exact because the data plane is in memory anyway).
+// analogue of ANALYZE; exact because the data plane is in memory anyway),
+// reading the typed column slices.
 func Analyze(t *table.Table) *TableStats {
 	n := t.Rows()
 	st := &TableStats{Rows: int64(n), Cols: make([]ColStats, len(t.Schema.Cols))}
+	// An open-addressing set at most half full, shared by the columns.
+	slots := make([]int32, 1<<bits.Len(uint(2*n)))
 	for ci := range t.Schema.Cols {
-		v := t.Column(ci)
-		cs := ColStats{}
-		switch v.Type.Physical() {
+		switch v := t.Column(ci); v.Type.Physical() {
 		case table.PhysInt:
-			seen := make(map[int64]struct{})
-			for i, x := range v.I {
-				seen[x] = struct{}{}
-				val := table.Value{Type: v.Type, I: x}
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
-				}
-			}
-			cs.NDV = int64(len(seen))
+			st.Cols[ci] = columnStats(slots, v.I, hashInt, func(x int64) table.Value { return table.Value{Type: v.Type, I: x} })
 		case table.PhysFloat:
-			seen := make(map[float64]struct{})
-			for i, x := range v.F {
-				seen[x] = struct{}{}
-				val := table.FloatVal(x)
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
-				}
-			}
-			cs.NDV = int64(len(seen))
+			st.Cols[ci] = columnStats(slots, v.F, hashFloat, table.FloatVal)
 		default:
-			seen := make(map[string]struct{})
-			for i, x := range v.S {
-				seen[x] = struct{}{}
-				val := table.StrVal(x)
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
-				}
-			}
-			cs.NDV = int64(len(seen))
+			st.Cols[ci] = columnStats(slots, v.S, hashString, table.StrVal)
 		}
-		if cs.NDV == 0 {
-			cs.NDV = 1
-		}
-		st.Cols[ci] = cs
 	}
 	return st
 }
+
+// columnStats computes one column's statistics. Min and Max are the first
+// least and greatest keys by < and > (the builtins would return any NaN):
+// a leading NaN is both and a later one is passed over, a known defect
+// kept because plans are priced with these statistics. NDV is exact, with
+// a Go map's equality (±0 is one float, each NaN counts once), over slots:
+// an open-addressing table holding 1 + the row of each key filed, so that
+// every value of the type can be a key.
+func columnStats[K cmp.Ordered](slots []int32, keys []K, hash func(K) uint64, box func(K) table.Value) ColStats {
+	if len(keys) == 0 {
+		return ColStats{NDV: 1}
+	}
+	clear(slots)
+	shift, mask := 64-bits.Len(uint(len(slots)-1)), len(slots)-1
+	lo, hi, ndv := keys[0], keys[0], int64(0)
+	for _, k := range keys[1:] {
+		if k < lo {
+			lo = k
+		} else if k > hi {
+			hi = k
+		}
+	}
+	for i, k := range keys {
+		if k != k {
+			// A NaN equals no filed key, so it would be filed anew anyway;
+			// counting it here keeps NaNs from probing one growing cluster.
+			ndv++
+			continue
+		}
+		for h := int(hash(k) >> shift); ; h = (h + 1) & mask {
+			if at := slots[h]; at == 0 {
+				slots[h] = int32(i + 1)
+				ndv++
+				break
+			} else if keys[at-1] == k {
+				break
+			}
+		}
+	}
+	return ColStats{NDV: ndv, Min: box(lo), Max: box(hi)}
+}
+
+// fibonacci spreads a 64-bit image over the top bits columnStats reads.
+const fibonacci = 0x9E3779B97F4A7C15
+
+func hashInt(x int64) uint64 { return uint64(x) * fibonacci }
+
+func hashFloat(x float64) uint64 {
+	if x == 0 {
+		x = 0 // −0 hashes as +0, the value it equals
+	}
+	return math.Float64bits(x) * fibonacci
+}
+
+// stringSeed decides where a string is filed, never whether two are equal.
+var stringSeed = maphash.MakeSeed()
+
+func hashString(x string) uint64 { return maphash.String(stringSeed, x) }

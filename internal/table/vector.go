@@ -390,6 +390,17 @@ func (t *Table) Rows() int { return t.rows }
 // Column returns the i'th column vector (shared, not copied).
 func (t *Table) Column(i int) *Vector { return t.cols[i] }
 
+// Grow copies every column into one of capacity exactly its length plus
+// n: a loader that knows its row count sizes each column once instead of
+// growing it by copies, and Grow(0) trims each to its length.
+func (t *Table) Grow(n int) {
+	for _, v := range t.cols {
+		g := NewVector(v.Type, v.Len()+n)
+		g.AppendSlice(v, 0, v.Len())
+		*v = *g
+	}
+}
+
 // AppendRow adds one tuple.
 func (t *Table) AppendRow(vals ...Value) {
 	if len(vals) != len(t.cols) {

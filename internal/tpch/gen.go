@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"energydb/internal/compress"
@@ -37,7 +38,8 @@ type DB struct {
 }
 
 // Generate builds a deterministic TPC-H database at the given scale
-// factor. The same (sf, seed) always yields identical data.
+// factor. The same (sf, seed) always yields identical data. Every column
+// is exactly sized: its capacity is its row count.
 func Generate(sf float64, seed int64) *DB {
 	if sf <= 0 {
 		panic(fmt.Sprintf("tpch: scale factor %v", sf))
@@ -47,12 +49,14 @@ func Generate(sf float64, seed int64) *DB {
 
 	// region, nation: fixed.
 	region := table.NewTable(Region())
+	region.Grow(len(regions))
 	for i, r := range regions {
 		region.AppendRow(table.IntVal(int64(i)), table.StrVal(r))
 	}
 	db.Tables["region"] = region
 
 	nation := table.NewTable(Nation())
+	nation.Grow(len(nations))
 	for i, n := range nations {
 		nation.AppendRow(table.IntVal(int64(i)), table.StrVal(n), table.IntVal(int64(i%len(regions))))
 	}
@@ -60,6 +64,7 @@ func Generate(sf float64, seed int64) *DB {
 
 	nSupp := scaled(suppliersPerSF, sf)
 	supplier := table.NewTable(Supplier())
+	supplier.Grow(nSupp)
 	for i := 1; i <= nSupp; i++ {
 		supplier.AppendRow(
 			table.IntVal(int64(i)),
@@ -72,6 +77,7 @@ func Generate(sf float64, seed int64) *DB {
 
 	nCust := scaled(customersPerSF, sf)
 	customer := table.NewTable(Customer())
+	customer.Grow(nCust)
 	for i := 1; i <= nCust; i++ {
 		customer.AppendRow(
 			table.IntVal(int64(i)),
@@ -85,6 +91,7 @@ func Generate(sf float64, seed int64) *DB {
 
 	nPart := scaled(partsPerSF, sf)
 	part := table.NewTable(Part())
+	part.Grow(nPart)
 	for i := 1; i <= nPart; i++ {
 		part.AppendRow(
 			table.IntVal(int64(i)),
@@ -98,6 +105,7 @@ func Generate(sf float64, seed int64) *DB {
 	db.Tables["part"] = part
 
 	partsupp := table.NewTable(PartSupp())
+	partsupp.Grow(nPart * psPerPart)
 	for i := 1; i <= nPart; i++ {
 		for j := 0; j < psPerPart; j++ {
 			partsupp.AppendRow(
@@ -112,7 +120,11 @@ func Generate(sf float64, seed int64) *DB {
 
 	nOrders := scaled(ordersPerSF, sf)
 	orders := table.NewTable(Orders())
+	orders.Grow(nOrders)
+	// The RNG draws each order's lines from 1..maxLines: lineitem reserves
+	// the mean plus four standard deviations, and is trimmed at the end.
 	lineitem := table.NewTable(Lineitem())
+	lineitem.Grow(nOrders*(1+maxLines)/2 + int(8*math.Sqrt(float64(nOrders))))
 	statuses := []string{"F", "O", "P"}
 	flags := []string{"A", "N", "R"}
 	for i := 1; i <= nOrders; i++ {
@@ -158,6 +170,7 @@ func Generate(sf float64, seed int64) *DB {
 		)
 	}
 	db.Tables["orders"] = orders
+	lineitem.Grow(0)
 	db.Tables["lineitem"] = lineitem
 	return db
 }
