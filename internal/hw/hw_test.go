@@ -1,11 +1,15 @@
 package hw
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"energydb/internal/energy"
+	"energydb/internal/fault"
 	"energydb/internal/sim"
 )
 
@@ -425,5 +429,131 @@ func TestDiskEnergyBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlashRequestsPinned drives one flash device through every path a
+// request can take — a first, a sequential and a far read, a write, a
+// sync, a read a transient fault refuses, a read limp mode stretches, two
+// processes contending, and a crash with one request queued — and pins
+// the clock, the device's metered joules and the joules charged to the
+// owning account after each step, bit for bit. It runs the catalog drive
+// (active and idle watts equal, so nothing is charged to the owner) and
+// one drawing more when busy, so the marginal charge is pinned as well.
+func TestFlashRequestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		active energy.Watts
+		want   [][3]uint64
+	}{
+		{active: 5.0 / 3, want: [][3]uint64{
+			{0x3f700d943d394673, 0x3f7ac14c660a2015, 0x0},
+			{0x3f800d943d394673, 0x3f8ac14c660a2015, 0x0},
+			{0x3f8d1cdbd8d94a8a, 0x3f9842b734b51374, 0x0},
+			{0x3f951611ba3ca750, 0x3fa192641b328b6e, 0x0},
+			{0x3f9842b734b51372, 0x3fa43798abec3ae0, 0x0},
+			{0x3f9b5525cc426351, 0x3fa6c6f4d4e1fd6f, 0x0},
+			{0x3fa060fe47991bc5, 0x3fab4c527754839e, 0x0},
+			{0x3fade72e77e28fac, 0x3fb8eb5163e777ba, 0x0},
+			{0x3fbbc06408be14a3, 0x3fc720535c9e6688, 0x0},
+			{0x3fbcc13d4c91a90a, 0x3fc7f65dbfceb788, 0x0},
+		}},
+		{active: 4, want: [][3]uint64{
+			{0x3f700d943d394673, 0x3f81c52461df182a, 0x3f6191f8bb68207a},
+			{0x3f800d943d394673, 0x3f91c52461df182a, 0x3f7191f8bb68207a},
+			{0x3f8d1cdbd8d94a8a, 0x3fa25c58c66ab2fc, 0x3f88ebf4b040a50a},
+			{0x3f951611ba3ca750, 0x3fabd61f5be5d9e3, 0x3f94877681669cec},
+			{0x3f9842b734b51372, 0x3fae99e94ab1d4f8, 0x3f94c4a13d8b3433},
+			{0x3f9b5525cc426351, 0x3fb094a2b9d3cbc4, 0x3f94c4a13d8b3433},
+			{0x3fa060fe47991bc5, 0x3fb436b8f9b13166, 0x3f9a423ef81bbe59},
+			{0x3fade72e77e28fac, 0x3fc7a18cad220c9a, 0x3fb657c7f65ca179},
+			{0x3fbbc06408be14a3, 0x3fd89d93235dd31a, 0x3fb657c7f65ca179},
+			{0x3fbcc13d4c91a90a, 0x3fd92bbc466ccbdb, 0x3fb6e457bc37e27d},
+		}},
+	} {
+		e, m := newRig(t)
+		spec := FlashSSD2008()
+		spec.ActiveWatts = tc.active
+		d := NewSSD(e, m, "flash", spec)
+		acct := energy.NewAttributor(m).Begin(0)
+
+		var got [][3]uint64
+		rec := func() {
+			now := e.Now()
+			got = append(got, [3]uint64{
+				math.Float64bits(now),
+				math.Float64bits(float64(m.ComponentEnergy("flash", energy.Seconds(now)))),
+				math.Float64bits(float64(acct.Direct())),
+			})
+		}
+		run := func(name string, fn func(p *sim.Proc)) {
+			e.Go(name, func(p *sim.Proc) {
+				p.SetOwner(acct)
+				fn(p)
+			})
+		}
+		must := func(err error) {
+			if err != nil {
+				t.Errorf("request failed: %v", err)
+			}
+		}
+		step := func(fn func(p *sim.Proc)) {
+			run("io", func(p *sim.Proc) {
+				p.Sleep(0.003) // an idle gap before every step
+				fn(p)
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			rec()
+		}
+
+		step(func(p *sim.Proc) { must(d.Read(p, 0, 64<<10)) })
+		step(func(p *sim.Proc) { must(d.Read(p, 64<<10, 64<<10)) })
+		step(func(p *sim.Proc) { must(d.Read(p, 20*GiB, 256<<10)) })
+		step(func(p *sim.Proc) { must(d.Write(p, 3*GiB, 128<<10)) })
+		step(func(p *sim.Proc) { must(d.Sync(p)) })
+		f := fault.NewDeviceFault("flash")
+		d.SetFault(f)
+		step(func(p *sim.Proc) {
+			f.TransientAt(p.Now(), 1)
+			if err := d.Read(p, 0, 64<<10); !fault.IsTransient(err) {
+				t.Errorf("read under a transient fault: %v", err)
+			}
+		})
+		step(func(p *sim.Proc) {
+			f.LimpAt(p.Now(), 2.5)
+			must(d.Read(p, 64<<10, 64<<10))
+		})
+		d.SetFault(nil)
+
+		// Two processes contend: the second queues behind the first.
+		for _, off := range []int64{0, 8 * GiB} {
+			run("contend", func(p *sim.Proc) { must(d.Read(p, off, 1<<20)) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		rec()
+
+		// A crash mid-request, with a second request queued behind it.
+		start := e.Now()
+		for _, off := range []int64{0, 4 * GiB} {
+			run("victim", func(p *sim.Proc) { _ = d.Read(p, off, 8<<20) })
+		}
+		if err := e.RunUntil(start + 0.05); err != nil {
+			t.Fatal(err)
+		}
+		e.Crash()
+		d.Reset()
+		rec()
+		step(func(p *sim.Proc) { must(d.Read(p, 0, 64<<10)) })
+
+		if !reflect.DeepEqual(got, tc.want) {
+			var b strings.Builder
+			for _, g := range got {
+				fmt.Fprintf(&b, "\t{%#x, %#x, %#x},\n", g[0], g[1], g[2])
+			}
+			t.Errorf("active %v: (now, device joules, owner joules) bits moved; got\n%s", tc.active, b.String())
+		}
 	}
 }
