@@ -44,7 +44,7 @@ func RunJoinFlip() (*JoinFlipResult, error) {
 	meter := energy.NewMeter()
 	devs := make([]storage.BlockDevice, 3)
 	for i := range devs {
-		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	vol := storage.NewVolume("data", storage.Striped, 16<<10, devs)
 
@@ -75,7 +75,7 @@ func RunJoinFlip() (*JoinFlipResult, error) {
 	ssd := hw.FlashSSD2008()
 	baseEnv := opt.Env{
 		CPUFreqHz: 2.4e9, Cores: 1,
-		ScanBW: 3 * ssd.ReadBW, PageLatency: ssd.ReadLatency, PageBytes: 16 << 10,
+		ScanBW: 3 * ssd.SeqReadBW, PageLatency: ssd.Latency, PageBytes: 16 << 10,
 		CPUWattPerCore: 90, StorageWatt: 5,
 		Costs: exec.DefaultCosts(),
 	}
@@ -262,7 +262,7 @@ func RunBufferPolicy() (*BufferPolicyResult, error) {
 		eng := sim.NewEngine()
 		meter := energy.NewMeter()
 		disk := hw.NewDisk(eng, meter, "disk", hw.Cheetah15K())
-		ssd := hw.NewSSD(eng, meter, "ssd", hw.FlashSSD2008())
+		ssd := hw.NewDisk(eng, meter, "ssd", hw.FlashSSD2008())
 		diskVol := storage.NewVolume("dv", storage.Striped, 64<<10, []storage.BlockDevice{disk})
 		ssdVol := storage.NewVolume("sv", storage.Striped, 64<<10, []storage.BlockDevice{ssd})
 		pool := newBufferPool(64, mk[name]())
@@ -270,7 +270,7 @@ func RunBufferPolicy() (*BufferPolicyResult, error) {
 		spec := hw.Cheetah15K()
 		diskJ := (spec.AvgSeek + spec.RotLatency + 64e3/spec.SeqReadBW) * float64(spec.ActiveWatts)
 		ssdSpec := hw.FlashSSD2008()
-		ssdJ := (ssdSpec.ReadLatency + 64e3/ssdSpec.ReadBW) * float64(ssdSpec.ActiveWatts)
+		ssdJ := (ssdSpec.Latency + 64e3/ssdSpec.SeqReadBW) * float64(ssdSpec.ActiveWatts)
 
 		rng := rand.New(rand.NewSource(3))
 		eng.Go("trace", func(p *sim.Proc) {

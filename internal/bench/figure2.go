@@ -52,9 +52,9 @@ func RunFigure2() (*Figure2Result, error) {
 
 	run := func(name string, codec compress.Codec) (Figure2Run, error) {
 		srv := hw.NewServer(hw.ScanRig())
-		devs := make([]storage.BlockDevice, len(srv.SSDs))
-		for i, s := range srv.SSDs {
-			devs[i] = s
+		devs := make([]storage.BlockDevice, len(srv.Disks))
+		for i, d := range srv.Disks {
+			devs[i] = d
 		}
 		vol := storage.NewVolume("data", storage.Striped, 64<<10, devs)
 		codecs := make([]compress.Codec, len(orders.Schema.Cols))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"energydb/internal/core"
 	"energydb/internal/hw"
@@ -93,8 +94,8 @@ func (r *PoliciesResult) Point(name string) (PolicyPoint, bool) {
 // joules (and the idle-floor-honest objective can see that it does).
 func policyRig() hw.ServerSpec {
 	ssd := hw.FlashSSD2008()
-	ssd.ReadBW *= 24 // NVMe-class striped array: scans go CPU-bound
-	ssd.ReadLatency /= 100
+	ssd.SeqReadBW *= 24 // NVMe-class striped array: scans go CPU-bound
+	ssd.Latency /= 100
 	return hw.ServerSpec{
 		Name: "policy-rig",
 		CPU: hw.CPUSpec{
@@ -108,8 +109,8 @@ func policyRig() hw.ServerSpec {
 				{Name: "P1", FreqScale: 0.7, PowerScale: 0.4},
 			},
 		},
-		NumSSDs: 4,
-		SSD:     ssd,
+		Disk:     ssd,
+		NumDisks: 4,
 	}
 }
 
@@ -133,7 +134,7 @@ const (
 // openPolicyDB opens the rig under one configuration and places every
 // table (count-only probes, as the chaos harness does), returning the
 // warm-up joules so attribution sums over every account ever opened.
-func openPolicyDB(cfg PolicyConfig, sf float64) (*core.DB, float64, error) {
+func openPolicyDB(cfg PolicyConfig, gen *tpch.DB) (*core.DB, float64, error) {
 	db, err := core.Open(core.Config{
 		Server:      policyRig(),
 		Objective:   cfg.Objective,
@@ -146,7 +147,6 @@ func openPolicyDB(cfg PolicyConfig, sf float64) (*core.DB, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	gen := tpch.Generate(sf, 42)
 	names := make([]string, 0, len(gen.Tables))
 	for name := range gen.Tables {
 		names = append(names, name)
@@ -168,20 +168,21 @@ func openPolicyDB(cfg PolicyConfig, sf float64) (*core.DB, float64, error) {
 
 // RunPolicies runs the comparison over DefaultPolicyConfigs at SF 0.02:
 // 8 deadline-carrying point queries, each due 20 × its solo latency after
-// arrival, among 32 background analytic statements.
+// arrival, among 32 background analytic statements. After the
+// calibration run, each configuration runs on its own goroutine with its
+// own engine; they share only the generated tables, which nothing writes.
 func RunPolicies() (*PoliciesResult, error) {
 	const (
-		sf        = 0.02
-		dlQueries = 8
-		bgStmts   = 32
-		slackX    = 20 // deadline = arrival + slackX × solo latency
+		sf     = 0.02
+		slackX = 20 // deadline = arrival + slackX × solo latency
 	)
 	configs := DefaultPolicyConfigs()
+	gen := tpch.Generate(sf, 42)
 
 	// Calibrate on the baseline configuration: solo latencies size the
 	// deadlines and the arrival schedule, identically for every policy so
 	// the SLO comparison is apples to apples.
-	cal, _, err := openPolicyDB(configs[0], sf)
+	cal, _, err := openPolicyDB(configs[0], gen)
 	if err != nil {
 		return nil, err
 	}
@@ -202,109 +203,132 @@ func RunPolicies() (*PoliciesResult, error) {
 	// and roughly eight more waiting: a standing queue, the regime where
 	// the dispatch policy and not spare capacity decides who runs next.
 	svc := soloBG * float64(bgRes.Plan.MaxDOP())
+	slack := slackX * soloDL
+
+	res := &PoliciesResult{SF: sf, Points: make([]PolicyPoint, len(configs))}
+	errs := make([]error, len(configs))
+	var wg sync.WaitGroup
+	for i, pc := range configs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res.Points[i], errs[i] = runPolicyPoint(pc, gen, svc, slack)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// runPolicyPoint runs the mixed workload under one configuration:
+// background statements over 16 sessions staggered by svc, and deadline
+// queries each due slack seconds after it arrives.
+func runPolicyPoint(pc PolicyConfig, gen *tpch.DB, svc, slack float64) (PolicyPoint, error) {
+	const (
+		dlQueries = 8
+		bgStmts   = 32
+	)
 	// Two thirds of the background statements are heavy (svc core-seconds
 	// each), one third light (~a tenth of that); the makespan estimate is
 	// the demanded core-seconds over the core count, plus the ramp-in.
 	makespan := svc * 0.7 * float64(bgStmts) / 8
-	slack := slackX * soloDL
-
-	res := &PoliciesResult{SF: sf}
-	for _, pc := range configs {
-		db, warm, err := openPolicyDB(pc, sf)
-		if err != nil {
-			return nil, err
-		}
-		start := db.Srv.Eng.Now()
-
-		// Background load: statements round-robin over the sessions, each
-		// session's arrivals staggered by a fraction of svc so completions
-		// spread out instead of releasing in synchronized waves. A session
-		// runs its statements serially, so the sessions — not the
-		// statement count — bound concurrent claimants.
-		const bgSessions = 16
-		type bgSess struct {
-			heavy, light *core.Stmt
-		}
-		sessions := make([]bgSess, bgSessions)
-		for j := range sessions {
-			sess := db.Session()
-			heavy, err := sess.Prepare(policyBackgroundQuery)
-			if err != nil {
-				return nil, err
-			}
-			light, err := sess.Prepare(policyBackgroundLight)
-			if err != nil {
-				return nil, err
-			}
-			sessions[j] = bgSess{heavy: heavy, light: light}
-		}
-		var background []*core.Rows
-		for i := 0; i < bgStmts; i++ {
-			j := i % bgSessions
-			// Each session opens at its own phase (an irrational-ratio
-			// stagger, so completions never re-synchronize into waves);
-			// its later statements run back to back behind the first.
-			at := start + svc*0.046*float64(j)
-			st := sessions[j].heavy
-			if i%3 == 2 {
-				st = sessions[j].light
-			}
-			rows, err := st.QueryAt(at)
-			if err != nil {
-				return nil, err
-			}
-			rows.Discard()
-			background = append(background, rows)
-		}
-
-		// Deadline stream: arrivals spread across the first half of the
-		// backlog's busy period, each with the same absolute slack.
-		dlSess := db.Session()
-		dlStmt, err := dlSess.Prepare(policyDeadlineQuery)
-		if err != nil {
-			return nil, err
-		}
-		var deadline []*core.Rows
-		for i := 0; i < dlQueries; i++ {
-			at := start + makespan*(0.3+0.5*float64(i)/float64(dlQueries))
-			rows, err := dlStmt.QueryAtDeadline(at, at+slack)
-			if err != nil {
-				return nil, err
-			}
-			rows.Discard()
-			deadline = append(deadline, rows)
-		}
-
-		if err := db.Drain(); err != nil {
-			return nil, err
-		}
-
-		pt := PolicyPoint{Name: pc.Name, SLOTotal: dlQueries}
-		sum := warm
-		for _, rows := range background {
-			if err := rows.Err(); err != nil {
-				return nil, fmt.Errorf("bench: %s background: %w", pc.Name, err)
-			}
-			pt.Background++
-			sum += float64(rows.Attributed())
-		}
-		for _, rows := range deadline {
-			if rows.Err() == nil {
-				pt.SLOMet++
-			}
-			sum += float64(rows.Attributed())
-		}
-		sum += float64(db.Attr.Unattributed())
-
-		st := db.SchedStats()
-		pt.Seconds = db.Srv.Eng.Now() - start
-		pt.MeterJ = float64(db.Srv.Meter.TotalEnergy(db.Attr.SettledThrough()))
-		pt.AttributedJ = sum
-		pt.AttrGapJ = math.Abs(sum - pt.MeterJ)
-		pt.MeanWaitS = st.MeanWait()
-		res.Points = append(res.Points, pt)
+	db, warm, err := openPolicyDB(pc, gen)
+	if err != nil {
+		return PolicyPoint{}, err
 	}
-	return res, nil
+	start := db.Srv.Eng.Now()
+
+	// Background load: statements round-robin over the sessions, each
+	// session's arrivals staggered by a fraction of svc so completions
+	// spread out instead of releasing in synchronized waves. A session
+	// runs its statements serially, so the sessions — not the statement
+	// count — bound concurrent claimants.
+	const bgSessions = 16
+	type bgSess struct {
+		heavy, light *core.Stmt
+	}
+	sessions := make([]bgSess, bgSessions)
+	for j := range sessions {
+		sess := db.Session()
+		heavy, err := sess.Prepare(policyBackgroundQuery)
+		if err != nil {
+			return PolicyPoint{}, err
+		}
+		light, err := sess.Prepare(policyBackgroundLight)
+		if err != nil {
+			return PolicyPoint{}, err
+		}
+		sessions[j] = bgSess{heavy: heavy, light: light}
+	}
+	var background []*core.Rows
+	for i := 0; i < bgStmts; i++ {
+		j := i % bgSessions
+		// Each session opens at its own phase (an irrational-ratio
+		// stagger, so completions never re-synchronize into waves); its
+		// later statements run back to back behind the first.
+		at := start + svc*0.046*float64(j)
+		st := sessions[j].heavy
+		if i%3 == 2 {
+			st = sessions[j].light
+		}
+		rows, err := st.QueryAt(at)
+		if err != nil {
+			return PolicyPoint{}, err
+		}
+		rows.Discard()
+		background = append(background, rows)
+	}
+
+	// Deadline stream: arrivals spread across the first half of the
+	// backlog's busy period, each with the same absolute slack.
+	dlSess := db.Session()
+	dlStmt, err := dlSess.Prepare(policyDeadlineQuery)
+	if err != nil {
+		return PolicyPoint{}, err
+	}
+	var deadline []*core.Rows
+	for i := 0; i < dlQueries; i++ {
+		at := start + makespan*(0.3+0.5*float64(i)/float64(dlQueries))
+		rows, err := dlStmt.QueryAtDeadline(at, at+slack)
+		if err != nil {
+			return PolicyPoint{}, err
+		}
+		rows.Discard()
+		deadline = append(deadline, rows)
+	}
+
+	if err := db.Drain(); err != nil {
+		return PolicyPoint{}, err
+	}
+
+	pt := PolicyPoint{Name: pc.Name, SLOTotal: dlQueries}
+	sum := warm
+	for _, rows := range background {
+		if err := rows.Err(); err != nil {
+			return PolicyPoint{}, fmt.Errorf("bench: %s background: %w", pc.Name, err)
+		}
+		pt.Background++
+		sum += float64(rows.Attributed())
+	}
+	for _, rows := range deadline {
+		if rows.Err() == nil {
+			pt.SLOMet++
+		}
+		sum += float64(rows.Attributed())
+	}
+	sum += float64(db.Attr.Unattributed())
+
+	st := db.SchedStats()
+	pt.Seconds = db.Srv.Eng.Now() - start
+	pt.MeterJ = float64(db.Srv.Meter.TotalEnergy(db.Attr.SettledThrough()))
+	pt.AttributedJ = sum
+	pt.AttrGapJ = math.Abs(sum - pt.MeterJ)
+	pt.MeanWaitS = st.MeanWait()
+	return pt, nil
 }
 
 // Render prints the scorecard table.

@@ -159,20 +159,14 @@ func Open(cfg Config) (*DB, error) {
 	}
 	srv := hw.NewServer(cfg.Server)
 
-	var devs []storage.BlockDevice
-	var logDev storage.BlockDevice
-	switch {
-	case len(srv.SSDs) > 0:
-		for _, s := range srv.SSDs {
-			devs = append(devs, s)
-		}
-	case len(srv.Disks) > 0:
-		for _, d := range srv.Disks {
-			devs = append(devs, d)
-		}
-	default:
+	if len(srv.Disks) == 0 {
 		return nil, fmt.Errorf("core: server %q has no storage devices", cfg.Server.Name)
 	}
+	devs := make([]storage.BlockDevice, len(srv.Disks))
+	for i, d := range srv.Disks {
+		devs[i] = d
+	}
+	var logDev storage.BlockDevice
 	if cfg.WALBatch > 0 {
 		logDev = devs[len(devs)-1]
 		if len(devs) > 1 {
@@ -236,22 +230,19 @@ func (db *DB) buildEnv() *opt.Env {
 		CPUWattPerCore: float64(spec.CPU.ActivePerCore),
 		Costs:          exec.DefaultCosts(),
 	}
-	if len(db.Srv.SSDs) > 0 {
-		s := spec.SSD
-		env.ScanBW = s.ReadBW * float64(db.Vol.Devices())
-		env.PageLatency = s.ReadLatency
-		env.StorageWatt = float64(s.ActiveWatts-s.IdleWatts) * float64(db.Vol.Devices())
-		if env.StorageWatt <= 0 {
-			env.StorageWatt = float64(s.ActiveWatts) * float64(db.Vol.Devices())
-		}
-	} else {
-		d := spec.Disk
-		env.ScanBW = d.SeqReadBW * float64(db.Vol.Devices()) * 0.85 // stripe efficiency
-		env.PageLatency = (d.AvgSeek + d.RotLatency) / 16           // amortised across a run
-		env.StorageWatt = float64(d.ActiveWatts-d.IdleWatts) * float64(db.Vol.Devices())
+	d, n := spec.Disk, float64(db.Vol.Devices())
+	stripe := 1.0 // flash loses nothing between stripe units
+	if d.AvgSeek+d.RotLatency > 0 {
+		stripe = 0.85 // a disk repositions between them
 	}
-	if db.Srv.DRAM != nil {
-		env.DRAMWattPerByte = db.Srv.DRAM.HoldingPower()
+	env.ScanBW = d.SeqReadBW * n * stripe
+	env.PageLatency = d.Latency + (d.AvgSeek+d.RotLatency)/16 // positioning amortised across a run
+	env.StorageWatt = float64(d.ActiveWatts-d.IdleWatts) * n
+	if env.StorageWatt <= 0 { // flash whose busy and idle draw are one figure
+		env.StorageWatt = float64(d.ActiveWatts) * n
+	}
+	if spec.DRAM.Ranks > 0 {
+		env.DRAMWattPerByte = spec.DRAM.HoldingPower()
 	} else {
 		env.DRAMWattPerByte = 1.3e-9
 	}

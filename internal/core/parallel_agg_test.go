@@ -19,9 +19,9 @@ var planAggDop = regexp.MustCompile(`(?m)^\s*agg .*dop=`)
 // Amdahl gap PR 4 closes would be invisible.
 func pipelineRig() hw.ServerSpec {
 	spec := parallelRig()
-	ssd := spec.SSD
-	ssd.ReadBW *= 4
-	spec.SSD = ssd
+	ssd := spec.Disk
+	ssd.SeqReadBW *= 4
+	spec.Disk = ssd
 	return spec
 }
 

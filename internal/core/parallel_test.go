@@ -15,8 +15,8 @@ import (
 // you are paying for is to keep more cores busy and finish sooner.
 func parallelRig() hw.ServerSpec {
 	ssd := hw.FlashSSD2008()
-	ssd.ReadBW *= 6        // ~480 MB/s per device
-	ssd.ReadLatency /= 100 // deep NVMe-style queueing
+	ssd.SeqReadBW *= 6 // ~480 MB/s per device
+	ssd.Latency /= 100 // deep NVMe-style queueing
 	return hw.ServerSpec{
 		Name: "par-rig",
 		CPU: hw.CPUSpec{
@@ -26,8 +26,8 @@ func parallelRig() hw.ServerSpec {
 			IdleWatts:     40,
 			ActivePerCore: 15,
 		},
-		NumSSDs: 4,
-		SSD:     ssd,
+		Disk:     ssd,
+		NumDisks: 4,
 	}
 }
 

@@ -61,9 +61,6 @@ func (db *DB) crash(tornFrac float64) {
 	for _, d := range db.Srv.Disks {
 		d.Reset()
 	}
-	for _, s := range db.Srv.SSDs {
-		s.Reset()
-	}
 	db.Srv.CPU.Reset()
 	db.Vol.Reset()
 	db.Adm.Reset()

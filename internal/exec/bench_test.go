@@ -330,7 +330,7 @@ func benchScan(b *testing.B, tab *table.Table, dop int) float64 {
 	cpu := hw.NewCPU(eng, meter, "cpu", spec)
 	devs := make([]storage.BlockDevice, 3)
 	for i := range devs {
-		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	vol := storage.NewVolume("vol", storage.Striped, 16<<10, devs)
 	st, err := PlaceColumnMajor(tab, vol, 1, 4096, rawCodecs(len(tab.Schema.Cols)))
@@ -392,7 +392,7 @@ func benchPipelineRig() (*sim.Engine, *hw.CPU, *storage.Volume) {
 	cpu := hw.NewCPU(eng, meter, "cpu", spec)
 	devs := make([]storage.BlockDevice, 3)
 	for i := range devs {
-		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	return eng, cpu, storage.NewVolume("vol", storage.Striped, 16<<10, devs)
 }

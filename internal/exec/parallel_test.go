@@ -32,7 +32,7 @@ func newParRig(cores, nSSD int) *rig {
 	cpu := hw.NewCPU(eng, meter, "cpu", multiCoreCPU2008(cores))
 	devs := make([]storage.BlockDevice, nSSD)
 	for i := range devs {
-		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	vol := storage.NewVolume("vol", storage.Striped, 16<<10, devs)
 	return &rig{eng: eng, meter: meter, cpu: cpu, vol: vol}

@@ -32,16 +32,18 @@ func Cheetah15K() DiskSpec {
 }
 
 // FlashSSD2008 models one of the three flash drives in the paper's scan
-// experiment (Figure 2). The three together draw 5 W, so each is ~1.67 W;
-// the paper's arithmetic charges the same 5 W for the whole query, so idle
-// and active power are set equal.
-func FlashSSD2008() SSDSpec {
-	return SSDSpec{
+// experiment (Figure 2). It is a DiskSpec with no seek and no rotation,
+// only a fixed per-request Latency, and it never spins down. The three
+// together draw 5 W, so each is ~1.67 W; the paper's arithmetic charges
+// the same 5 W for the whole query, so idle and active power are set
+// equal.
+func FlashSSD2008() DiskSpec {
+	return DiskSpec{
 		Name:          "flash2008",
 		CapacityBytes: 32 * GiB,
-		ReadBW:        80 * MB,
-		WriteBW:       40 * MB,
-		ReadLatency:   0.0001,
+		SeqReadBW:     80 * MB,
+		SeqWriteBW:    40 * MB,
+		Latency:       0.0001,
 		ActiveWatts:   5.0 / 3,
 		IdleWatts:     5.0 / 3,
 	}
@@ -113,10 +115,10 @@ func DL785(numDisks int) ServerSpec {
 // energy arithmetic includes neither.
 func ScanRig() ServerSpec {
 	return ServerSpec{
-		Name:    "scanrig",
-		CPU:     ScanCPU2008(),
-		NumSSDs: 3,
-		SSD:     FlashSSD2008(),
+		Name:     "scanrig",
+		CPU:      ScanCPU2008(),
+		Disk:     FlashSSD2008(),
+		NumDisks: 3,
 	}
 }
 

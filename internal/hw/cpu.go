@@ -1,6 +1,7 @@
 // Package hw models the hardware components the paper's experiments run on:
-// CPUs with P-states (DVFS) and idle states, 15K-RPM SCSI disks with spin
-// states, flash SSDs, DRAM background power, and whole servers.
+// CPUs with P-states (DVFS) and idle states, storage devices (15K-RPM SCSI
+// disks with spin states, and flash SSDs as disks with no seek and no
+// rotation), DRAM background power, and whole servers.
 //
 // Every device charges real simulated time for the work it is asked to do
 // and reports its piecewise-constant power draw to an energy.Meter, so the
@@ -180,9 +181,6 @@ func (c *CPU) Utilization() float64 {
 	}
 	return c.BusyCoreSeconds() / (now * float64(c.spec.Cores))
 }
-
-// Resource exposes the underlying core resource (for schedulers).
-func (c *CPU) Resource() *sim.Resource { return c.res }
 
 // Reset returns every core to the free pool after Engine.Crash has
 // unwound the processes that held them; the power trace drops to idle at

@@ -37,12 +37,15 @@ func (s SpinState) String() string {
 	}
 }
 
-// DiskSpec describes a rotating disk model.
+// DiskSpec describes a storage device: a rotating disk, or a flash drive,
+// which is a DiskSpec with no seek, no rotation and a fixed per-request
+// Latency (and whose spin states no caller ever uses).
 type DiskSpec struct {
 	Name          string
 	CapacityBytes int64
 	SeqReadBW     float64 // bytes/s sustained sequential read
 	SeqWriteBW    float64 // bytes/s sustained sequential write
+	Latency       float64 // s, fixed overhead of every request (0 for a disk)
 	AvgSeek       float64 // s, average seek
 	RotLatency    float64 // s, average rotational latency (half a revolution)
 
@@ -59,14 +62,14 @@ type DiskStats struct {
 	Writes     int64
 	BytesRead  int64
 	BytesWrite int64
-	Seeks      int64
+	Seeks      int64 // non-sequential requests (free on flash)
 	SpinUps    int64
 	SpinDowns  int64
 }
 
-// Disk is a simulated rotating disk: one actuator (sim.Resource of
-// capacity 1), a seek/rotate/transfer service-time model, spin states with
-// an optional idle spin-down policy, and power accounting.
+// Disk is a simulated storage device: one actuator (sim.Resource of
+// capacity 1), a latency/seek/rotate/transfer service-time model, spin
+// states with an optional idle spin-down policy, and power accounting.
 type Disk struct {
 	eng   *sim.Engine
 	spec  DiskSpec
@@ -132,8 +135,9 @@ func (d *Disk) Reset() {
 }
 
 // Read performs a read of size bytes at offset, blocking the calling
-// process for the modelled service time. Sequential reads (offset equal to
-// the end of the previous access) skip the seek and rotational delay.
+// process for the modelled service time: the fixed Latency, the seek and
+// rotational delay unless the read is sequential (offset equal to the end
+// of the previous access), and the transfer.
 // It fails with a typed fault error if a fault script says so.
 func (d *Disk) Read(p *sim.Proc, offset, size int64) error {
 	return d.access(p, offset, size, false)
@@ -167,7 +171,7 @@ func (d *Disk) access(p *sim.Proc, offset, size int64, write bool) error {
 	}
 	d.setState(SpinActive, d.spec.ActiveWatts)
 
-	service := 0.0
+	service := d.spec.Latency
 	if offset != d.nextOffset {
 		service += d.spec.AvgSeek + d.spec.RotLatency
 		d.stats.Seeks++
@@ -211,10 +215,10 @@ func (d *Disk) armSpinDown() {
 	})
 }
 
-// Sync charges the cost of a synchronous barrier after a write: even a
-// sequential append must wait on average half a rotation for the commit
-// sector to come around (plus cache flush). Group commit exists to
-// amortise exactly this cost.
+// Sync charges the cost of a synchronous barrier after a write: one
+// request Latency, plus, on a disk, half a rotation on average for the
+// commit sector to come around — even after a sequential append. Group
+// commit exists to amortise exactly this cost.
 func (d *Disk) Sync(p *sim.Proc) error {
 	d.res.Acquire(p, 1)
 	d.idleGen++
@@ -224,132 +228,11 @@ func (d *Disk) Sync(p *sim.Proc) error {
 		return err
 	}
 	d.setState(SpinActive, d.spec.ActiveWatts)
-	service := d.fault.Stretch(p.Now(), d.spec.RotLatency)
+	service := d.fault.Stretch(p.Now(), d.spec.Latency+d.spec.RotLatency)
 	p.Sleep(service)
 	chargeOwner(p, float64(d.spec.ActiveWatts-d.spec.IdleWatts)*service)
 	d.setState(SpinIdle, d.spec.IdleWatts)
 	d.armSpinDown()
 	d.res.Release(1)
-	return nil
-}
-
-// SpinDown forces the disk to standby immediately if it is idle.
-// It reports whether the transition happened.
-func (d *Disk) SpinDown() bool {
-	if d.state != SpinIdle || d.res.InUse() != 0 {
-		return false
-	}
-	d.idleGen++
-	d.stats.SpinDowns++
-	d.setState(SpinStandby, d.spec.StandbyWatts)
-	return true
-}
-
-// SSDSpec describes a flash solid-state drive. The paper's Figure 2 uses
-// three SSDs totalling 5 W — "an order of magnitude more energy efficient
-// than regular hard drives".
-type SSDSpec struct {
-	Name          string
-	CapacityBytes int64
-	ReadBW        float64 // bytes/s
-	WriteBW       float64 // bytes/s
-	ReadLatency   float64 // s, per-request fixed overhead
-	ActiveWatts   energy.Watts
-	IdleWatts     energy.Watts
-}
-
-// SSD is a simulated flash drive: no seeks, no spin states.
-type SSD struct {
-	eng   *sim.Engine
-	spec  SSDSpec
-	res   *sim.Resource
-	trace *energy.Trace
-	stats DiskStats
-	fault *fault.DeviceFault
-}
-
-// NewSSD registers an SSD on the meter.
-func NewSSD(e *sim.Engine, m *energy.Meter, name string, spec SSDSpec) *SSD {
-	if spec.ReadBW <= 0 || spec.WriteBW <= 0 {
-		panic(fmt.Sprintf("hw: invalid SSD spec %+v", spec))
-	}
-	s := &SSD{
-		eng:   e,
-		spec:  spec,
-		res:   sim.NewResource(e, name, 1),
-		trace: m.Register(name, spec.IdleWatts),
-	}
-	s.res.OnBusyChange(func(n int) {
-		w := spec.IdleWatts
-		if n > 0 {
-			w = spec.ActiveWatts
-		}
-		s.trace.Set(energy.Seconds(e.Now()), w)
-	})
-	return s
-}
-
-// Spec returns the SSD specification.
-func (s *SSD) Spec() SSDSpec { return s.spec }
-
-// Stats returns a copy of the SSD's counters.
-func (s *SSD) Stats() DiskStats { return s.stats }
-
-// SetFault attaches a scripted fault schedule; nil clears it.
-func (s *SSD) SetFault(f *fault.DeviceFault) { s.fault = f }
-
-// Reset returns the SSD to a quiescent state after Engine.Crash.
-func (s *SSD) Reset() { s.res.Reset() }
-
-// Read performs a read of size bytes (offset is irrelevant to timing on
-// flash but kept for interface symmetry).
-func (s *SSD) Read(p *sim.Proc, offset, size int64) error {
-	if size <= 0 {
-		panic(fmt.Sprintf("hw: ssd %s read of %d bytes", s.spec.Name, size))
-	}
-	s.res.Acquire(p, 1)
-	if err := s.fault.Check(p.Now()); err != nil {
-		s.res.Release(1)
-		return err
-	}
-	service := s.fault.Stretch(p.Now(), s.spec.ReadLatency+float64(size)/s.spec.ReadBW)
-	p.Sleep(service)
-	chargeOwner(p, float64(s.spec.ActiveWatts-s.spec.IdleWatts)*service)
-	s.stats.Reads++
-	s.stats.BytesRead += size
-	s.res.Release(1)
-	return nil
-}
-
-// Write performs a write of size bytes.
-func (s *SSD) Write(p *sim.Proc, offset, size int64) error {
-	if size <= 0 {
-		panic(fmt.Sprintf("hw: ssd %s write of %d bytes", s.spec.Name, size))
-	}
-	s.res.Acquire(p, 1)
-	if err := s.fault.Check(p.Now()); err != nil {
-		s.res.Release(1)
-		return err
-	}
-	service := s.fault.Stretch(p.Now(), s.spec.ReadLatency+float64(size)/s.spec.WriteBW)
-	p.Sleep(service)
-	chargeOwner(p, float64(s.spec.ActiveWatts-s.spec.IdleWatts)*service)
-	s.stats.Writes++
-	s.stats.BytesWrite += size
-	s.res.Release(1)
-	return nil
-}
-
-// Sync charges a flash write barrier (one request latency).
-func (s *SSD) Sync(p *sim.Proc) error {
-	s.res.Acquire(p, 1)
-	if err := s.fault.Check(p.Now()); err != nil {
-		s.res.Release(1)
-		return err
-	}
-	service := s.fault.Stretch(p.Now(), s.spec.ReadLatency)
-	p.Sleep(service)
-	chargeOwner(p, float64(s.spec.ActiveWatts-s.spec.IdleWatts)*service)
-	s.res.Release(1)
 	return nil
 }

@@ -1,15 +1,13 @@
 package hw
 
-import (
-	"fmt"
-
-	"energydb/internal/energy"
-)
+import "energydb/internal/energy"
 
 // DRAMSpec describes main memory. Background (refresh + standby) power is
 // proportional to the number of ranks; the paper (§4.3) observes that
 // "keeping a page in RAM will require energy, proportional to the time the
-// page is cached", which is exactly this term.
+// page is cached", which is exactly this term. A server models memory as
+// that constant background power on its meter; a spec with no ranks means
+// no memory is modelled.
 type DRAMSpec struct {
 	Name         string
 	Ranks        int // independently power-managed units
@@ -17,29 +15,18 @@ type DRAMSpec struct {
 	WattsPerRank energy.Watts // background power of a powered rank
 }
 
-// DRAM models memory as constant background power on the meter. Its one
-// reader is the optimizer, which prices operator working memory at
-// HoldingPower watts per byte.
-type DRAM struct {
-	spec DRAMSpec
-}
-
-// NewDRAM registers memory on the meter with all ranks powered.
-func NewDRAM(m *energy.Meter, name string, spec DRAMSpec) *DRAM {
-	if spec.Ranks <= 0 || spec.BytesPerRank <= 0 {
-		panic(fmt.Sprintf("hw: invalid DRAM spec %+v", spec))
+// backgroundWatts reports the power of every rank powered, 0 when no
+// memory is modelled.
+func (s DRAMSpec) backgroundWatts() energy.Watts {
+	if s.Ranks <= 0 {
+		return 0
 	}
-	d := &DRAM{spec: spec}
-	m.Register(name, d.backgroundPower())
-	return d
-}
-
-func (d *DRAM) backgroundPower() energy.Watts {
-	return energy.Watts(float64(d.spec.WattsPerRank) * float64(d.spec.Ranks))
+	return energy.Watts(float64(s.WattsPerRank) * float64(s.Ranks))
 }
 
 // HoldingPower reports the background watts attributable to caching one
-// byte for one second: W/byte.
-func (d *DRAM) HoldingPower() float64 {
-	return float64(d.backgroundPower()) / float64(d.spec.BytesPerRank*int64(d.spec.Ranks))
+// byte for one second: W/byte. The optimizer prices operator working
+// memory at this rate.
+func (s DRAMSpec) HoldingPower() float64 {
+	return float64(s.backgroundWatts()) / float64(s.BytesPerRank*int64(s.Ranks))
 }

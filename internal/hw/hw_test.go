@@ -280,30 +280,17 @@ func TestDiskIdleTimerCancelledByIO(t *testing.T) {
 	}
 }
 
-func TestForcedSpinDown(t *testing.T) {
-	e, m := newRig(t)
-	d := NewDisk(e, m, "d0", Cheetah15K())
-	if !d.SpinDown() {
-		t.Fatal("SpinDown on idle disk should succeed")
-	}
-	if d.SpinDown() {
-		t.Fatal("SpinDown on standby disk should fail")
-	}
-	_ = e
-	_ = m
-}
-
 func TestSSDReadWrite(t *testing.T) {
 	e, m := newRig(t)
 	spec := FlashSSD2008()
-	s := NewSSD(e, m, "ssd", spec)
+	s := NewDisk(e, m, "ssd", spec)
 	e.Go("io", func(p *sim.Proc) {
 		s.Read(p, 0, 80*MB) // exactly 1s + latency
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := 1 + spec.ReadLatency
+	want := 1 + spec.Latency
 	if math.Abs(e.Now()-want) > 1e-9 {
 		t.Fatalf("ssd read took %v, want %v", e.Now(), want)
 	}
@@ -313,25 +300,24 @@ func TestSSDReadWrite(t *testing.T) {
 }
 
 func TestDRAMBackgroundPower(t *testing.T) {
-	e, m := newRig(t)
 	spec := DDR2x64GiB()
-	d := NewDRAM(m, "dram", spec)
-	e.Go("idle", func(p *sim.Proc) { p.Sleep(20) })
-	if err := e.Run(); err != nil {
+	srv := NewServer(ServerSpec{Name: "mem", CPU: ScanCPU2008(), DRAM: spec})
+	srv.Eng.Go("idle", func(p *sim.Proc) { p.Sleep(20) })
+	if err := srv.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// 20 s at 8 ranks × 8 W, whatever the workload.
-	if got := m.ComponentEnergy("dram", energy.Seconds(20)); math.Abs(float64(got)-1280) > 1e-6 {
+	if got := srv.Meter.ComponentEnergy("mem/dram", energy.Seconds(20)); math.Abs(float64(got)-1280) > 1e-6 {
 		t.Fatalf("dram energy = %v, want 1280", got)
 	}
-	if got, want := d.HoldingPower(), 64.0/float64(64*GiB); got != want {
+	if got, want := spec.HoldingPower(), 64.0/float64(64*GiB); got != want {
 		t.Fatalf("holding power = %v W/byte, want %v", got, want)
 	}
 }
 
 func TestServerComposition(t *testing.T) {
 	srv := NewServer(DL785(36))
-	if len(srv.Disks) != 36 || srv.CPU == nil || srv.DRAM == nil {
+	if len(srv.Disks) != 36 || srv.CPU == nil || srv.Meter.Trace("dl785/dram") == nil {
 		t.Fatalf("bad composition: %d disks", len(srv.Disks))
 	}
 	idle := srv.IdlePower()
@@ -376,7 +362,7 @@ func TestSSDTransferTimeLinearity(t *testing.T) {
 		total := int64(70 * MB)
 		e := sim.NewEngine()
 		m := energy.NewMeter()
-		s := NewSSD(e, m, "ssd", FlashSSD2008())
+		s := NewDisk(e, m, "ssd", FlashSSD2008())
 		e.Go("io", func(p *sim.Proc) {
 			chunk := total / int64(n)
 			rem := total
@@ -392,8 +378,8 @@ func TestSSDTransferTimeLinearity(t *testing.T) {
 		if err := e.Run(); err != nil {
 			return false
 		}
-		pure := e.Now() - float64(n)*s.Spec().ReadLatency
-		want := float64(total) / s.Spec().ReadBW
+		pure := e.Now() - float64(n)*s.Spec().Latency
+		want := float64(total) / s.Spec().SeqReadBW
 		return math.Abs(pure-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -464,7 +450,9 @@ func TestFlashRequestsPinned(t *testing.T) {
 			{0x3f951611ba3ca750, 0x3fabd61f5be5d9e3, 0x3f94877681669cec},
 			{0x3f9842b734b51372, 0x3fae99e94ab1d4f8, 0x3f94c4a13d8b3433},
 			{0x3f9b5525cc426351, 0x3fb094a2b9d3cbc4, 0x3f94c4a13d8b3433},
-			{0x3fa060fe47991bc5, 0x3fb436b8f9b13166, 0x3f9a423ef81bbe59},
+			// A refused request leaves the meter alone, so the idle
+			// stretch around it is integrated as one term.
+			{0x3fa060fe47991bc5, 0x3fb436b8f9b13165, 0x3f9a423ef81bbe59},
 			{0x3fade72e77e28fac, 0x3fc7a18cad220c9a, 0x3fb657c7f65ca179},
 			{0x3fbbc06408be14a3, 0x3fd89d93235dd31a, 0x3fb657c7f65ca179},
 			{0x3fbcc13d4c91a90a, 0x3fd92bbc466ccbdb, 0x3fb6e457bc37e27d},
@@ -473,7 +461,7 @@ func TestFlashRequestsPinned(t *testing.T) {
 		e, m := newRig(t)
 		spec := FlashSSD2008()
 		spec.ActiveWatts = tc.active
-		d := NewSSD(e, m, "flash", spec)
+		d := NewDisk(e, m, "flash", spec)
 		acct := energy.NewAttributor(m).Begin(0)
 
 		var got [][3]uint64

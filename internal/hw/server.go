@@ -14,22 +14,18 @@ type ServerSpec struct {
 	DRAM      DRAMSpec
 	BaseWatts energy.Watts // chassis, fans, PSU fixed losses (always drawn)
 
-	Disk     DiskSpec
+	Disk     DiskSpec // a rotating disk or a flash drive
 	NumDisks int
-	SSD      SSDSpec
-	NumSSDs  int
 }
 
-// Server is a simulated machine: one engine-attached CPU complex, DRAM,
-// and arrays of disks and SSDs, all metered.
+// Server is a simulated machine: one engine-attached CPU complex, DRAM
+// background power and an array of storage devices, all metered.
 type Server struct {
 	Spec  ServerSpec
 	Eng   *sim.Engine
 	Meter *energy.Meter
 	CPU   *CPU
-	DRAM  *DRAM
 	Disks []*Disk
-	SSDs  []*SSD
 }
 
 // NewServer builds a server with a fresh simulation engine and meter.
@@ -51,47 +47,30 @@ func NewServerOn(eng *sim.Engine, meter *energy.Meter, spec ServerSpec) *Server 
 	}
 	s.CPU = NewCPU(eng, meter, prefix+"cpu", spec.CPU)
 	if spec.DRAM.Ranks > 0 {
-		s.DRAM = NewDRAM(meter, prefix+"dram", spec.DRAM)
+		if spec.DRAM.BytesPerRank <= 0 {
+			panic(fmt.Sprintf("hw: invalid DRAM spec %+v", spec.DRAM))
+		}
+		meter.Register(prefix+"dram", spec.DRAM.backgroundWatts())
 	}
 	for i := 0; i < spec.NumDisks; i++ {
 		s.Disks = append(s.Disks, NewDisk(eng, meter, fmt.Sprintf("%sdisk%03d", prefix, i), spec.Disk))
 	}
-	for i := 0; i < spec.NumSSDs; i++ {
-		s.SSDs = append(s.SSDs, NewSSD(eng, meter, fmt.Sprintf("%sssd%d", prefix, i), spec.SSD))
-	}
 	return s
 }
-
-// Energy reports whole-server energy through the current simulated time.
-func (s *Server) Energy() energy.Joules {
-	return s.Meter.TotalEnergy(energy.Seconds(s.Eng.Now()))
-}
-
-// Power reports instantaneous whole-server power.
-func (s *Server) Power() energy.Watts { return s.Meter.TotalPower() }
 
 // IdlePower reports the modelled power draw with every component idle
 // (disks spinning). Useful for dynamic-range and proportionality metrics.
 func (s *Server) IdlePower() energy.Watts {
-	w := s.Spec.BaseWatts + s.Spec.CPU.IdleWatts
-	if s.DRAM != nil {
-		w += energy.Watts(float64(s.Spec.DRAM.WattsPerRank) * float64(s.Spec.DRAM.Ranks))
-	}
-	w += energy.Watts(float64(s.Spec.Disk.IdleWatts) * float64(s.Spec.NumDisks))
-	w += energy.Watts(float64(s.Spec.SSD.IdleWatts) * float64(s.Spec.NumSSDs))
-	return w
+	w := s.Spec.BaseWatts + s.Spec.CPU.IdleWatts + s.Spec.DRAM.backgroundWatts()
+	return w + energy.Watts(float64(s.Spec.Disk.IdleWatts)*float64(s.Spec.NumDisks))
 }
 
 // PeakPower reports the modelled power with every component fully active.
 func (s *Server) PeakPower() energy.Watts {
 	w := s.Spec.BaseWatts + s.Spec.CPU.IdleWatts +
-		energy.Watts(float64(s.Spec.CPU.ActivePerCore)*float64(s.Spec.CPU.Cores))
-	if s.DRAM != nil {
-		w += energy.Watts(float64(s.Spec.DRAM.WattsPerRank) * float64(s.Spec.DRAM.Ranks))
-	}
-	w += energy.Watts(float64(s.Spec.Disk.ActiveWatts) * float64(s.Spec.NumDisks))
-	w += energy.Watts(float64(s.Spec.SSD.ActiveWatts) * float64(s.Spec.NumSSDs))
-	return w
+		energy.Watts(float64(s.Spec.CPU.ActivePerCore)*float64(s.Spec.CPU.Cores)) +
+		s.Spec.DRAM.backgroundWatts()
+	return w + energy.Watts(float64(s.Spec.Disk.ActiveWatts)*float64(s.Spec.NumDisks))
 }
 
 // DynamicRange reports the Barroso–Hölzle dynamic power range of the server

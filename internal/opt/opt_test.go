@@ -35,7 +35,7 @@ func newWorld(t *testing.T, factRows, dimRows int) *testWorld {
 	cpu := hw.NewCPU(eng, meter, "cpu", hw.ScanCPU2008())
 	devs := make([]storage.BlockDevice, 3)
 	for i := range devs {
-		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	vol := storage.NewVolume("vol", storage.Striped, 16<<10, devs)
 
@@ -78,8 +78,8 @@ func newWorld(t *testing.T, factRows, dimRows int) *testWorld {
 	env := &Env{
 		CPUFreqHz:       2.4e9,
 		Cores:           1,
-		ScanBW:          3 * spec.ReadBW,
-		PageLatency:     spec.ReadLatency,
+		ScanBW:          3 * spec.SeqReadBW,
+		PageLatency:     spec.Latency,
 		PageBytes:       16 << 10,
 		CPUWattPerCore:  90,
 		StorageWatt:     5,

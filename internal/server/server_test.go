@@ -25,16 +25,16 @@ import (
 // wide — the same shape core's parallel tests use.
 func rig() hw.ServerSpec {
 	ssd := hw.FlashSSD2008()
-	ssd.ReadBW *= 6
-	ssd.ReadLatency /= 100
+	ssd.SeqReadBW *= 6
+	ssd.Latency /= 100
 	return hw.ServerSpec{
 		Name: "srv-rig",
 		CPU: hw.CPUSpec{
 			Name: "xeon-8c", Cores: 8, FreqHz: 2.4e9,
 			IdleWatts: 40, ActivePerCore: 15,
 		},
-		NumSSDs: 4,
-		SSD:     ssd,
+		Disk:     ssd,
+		NumDisks: 4,
 	}
 }
 

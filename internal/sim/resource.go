@@ -77,9 +77,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name reports the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity reports the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse reports the currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 

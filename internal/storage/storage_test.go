@@ -16,7 +16,7 @@ const testPage = 256 << 10 // 256 KiB
 func ssdArray(e *sim.Engine, m *energy.Meter, n int) []BlockDevice {
 	devs := make([]BlockDevice, n)
 	for i := range devs {
-		devs[i] = hw.NewSSD(e, m, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
+		devs[i] = hw.NewDisk(e, m, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	return devs
 }
@@ -97,7 +97,7 @@ func TestReadPageTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := hw.FlashSSD2008()
-	want := spec.ReadLatency + float64(testPage)/spec.ReadBW
+	want := spec.Latency + float64(testPage)/spec.SeqReadBW
 	if math.Abs(e.Now()-want) > 1e-9 {
 		t.Fatalf("page read took %v, want %v", e.Now(), want)
 	}
@@ -180,7 +180,7 @@ func TestScanOverlapsCPUWithIO(t *testing.T) {
 	cpu := hw.NewCPU(e, m, "cpu", hw.ScanCPU2008())
 	v := NewVolume("v", Striped, testPage, ssdArray(e, m, 3))
 	const n = 60
-	perPageIO := float64(testPage) / hw.FlashSSD2008().ReadBW // per device
+	perPageIO := float64(testPage) / hw.FlashSSD2008().SeqReadBW // per device
 	ioTime := float64(n) / 3 * perPageIO
 	cpuPerPage := ioTime / n * 1.5 // CPU is the bottleneck at 1.5x IO rate
 	e.Go("scan", func(p *sim.Proc) {

@@ -1,6 +1,6 @@
 // Package storage provides the block layer between the database engine and
 // the simulated devices: fixed-size pages mapped onto arrays of disks or
-// SSDs by striping (RAID-0) or rotating-parity RAID-5, and a windowed
+// flash drives by striping (RAID-0) or rotating-parity RAID-5, and a windowed
 // parallel scan that keeps every spindle busy.
 //
 // The volume is a *timing* plane: it charges simulated device time and
@@ -13,10 +13,10 @@ import (
 	"energydb/internal/sim"
 )
 
-// BlockDevice is the device contract volumes build on; hw.Disk and hw.SSD
-// implement it. Errors are typed against the internal/fault taxonomy
-// (ErrDeviceFailed, ErrTransientIO) and propagate unchanged through the
-// volume to the execution layer.
+// BlockDevice is the device contract volumes build on; hw.Disk, which
+// models both rotating disks and flash, implements it. Errors are typed
+// against the internal/fault taxonomy (ErrDeviceFailed, ErrTransientIO)
+// and propagate unchanged through the volume to the execution layer.
 type BlockDevice interface {
 	Read(p *sim.Proc, offset, size int64) error
 	Write(p *sim.Proc, offset, size int64) error

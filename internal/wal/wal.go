@@ -44,8 +44,8 @@ func (s Stats) MeanLatency() float64 {
 	return s.TotalLatency / float64(s.Commits)
 }
 
-// Syncer is a device supporting synchronous write barriers; hw.Disk and
-// hw.SSD implement it.
+// Syncer is a device supporting synchronous write barriers; hw.Disk (a
+// rotating disk or a flash drive) implements it.
 type Syncer interface {
 	Sync(p *sim.Proc) error
 }
