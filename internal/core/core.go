@@ -313,29 +313,6 @@ func (db *DB) LoadTable(t *table.Table) error {
 	return nil
 }
 
-// coerceInsert validates a whole insert and builds its batch under the
-// table's schema before anything is scheduled: a type error on row k must
-// not leave rows 0..k-1 visible.
-func (db *DB) coerceInsert(name string, rows [][]table.Value) (*table.Batch, error) {
-	s, ok := db.schemas[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown table %q", name)
-	}
-	b := table.NewBatch(s, len(rows))
-	for _, r := range rows {
-		if len(r) != len(s.Cols) {
-			return nil, fmt.Errorf("core: insert of %d values into %d columns", len(r), len(s.Cols))
-		}
-		for i, v := range r {
-			if v.Type.Physical() != s.Cols[i].Type.Physical() {
-				return nil, fmt.Errorf("core: column %q wants %v, got %v", s.Cols[i].Name, s.Cols[i].Type, v.Type)
-			}
-		}
-		b.AppendRow(r...)
-	}
-	return b, nil
-}
-
 // place (re)places a table's variants on the data volume.
 func (db *DB) place(name string) error {
 	t := db.mem[name]
@@ -440,13 +417,13 @@ type prepared struct {
 	query   *opt.Query    // SELECT: bound, every table it reads placed
 	explain bool          // the SELECT carried an EXPLAIN prefix
 	create  *table.Schema // CREATE
-	rows    *table.Batch  // INSERT: coerced to the schema of the table it names
+	rows    *table.Batch  // INSERT: bound to the schema of the table it names
 }
 
 // prepare is the one way SQL text enters the engine: parse, refuse what
 // the caller does not take (sessions take reads, ExecAt takes writes, Exec
-// takes both), then bind a SELECT and place the tables it reads, or
-// validate an INSERT against its table. A statement the entry point does
+// takes both), then bind a SELECT and place the tables it reads, or bind
+// an INSERT against its table. A statement the entry point does
 // not take is refused as sql.ErrSyntax: its grammar is the entry point's.
 // Nothing is scheduled and no simulated time passes.
 func (db *DB) prepare(text string, reads, writes bool) (p prepared, err error) {
@@ -462,7 +439,7 @@ func (db *DB) prepare(text string, reads, writes bool) (p prepared, err error) {
 	case st.Create != nil:
 		p.create = table.NewSchema(st.Create.Name, st.Create.Cols...)
 	case st.Insert != nil:
-		p.rows, err = db.coerceInsert(st.Insert.Table, st.Insert.Rows)
+		p.rows, err = sql.BindInsert(st.Insert, db.Schema)
 	default:
 		p.explain = st.Explain
 		if p.query, err = sql.Bind(st.Select, db.Schema); err == nil {

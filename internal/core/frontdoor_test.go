@@ -249,6 +249,20 @@ func TestPlanRefusalsAreTyped(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", c.text, err, c.want)
 		}
 	}
+	// Exec takes INSERT and refuses a bad one with the same sentinels.
+	for _, c := range []struct {
+		text string
+		want error
+	}{
+		{`INSERT INTO nowhere VALUES (1)`, sql.ErrUnknownName},
+		{`INSERT INTO nation VALUES (1, 'X')`, sql.ErrType},
+		{`INSERT INTO nation VALUES (1.5, 'X', 1)`, sql.ErrType},
+		{`INSERT INTO nation VALUES (1, 2, 1)`, sql.ErrType},
+	} {
+		if _, err := db.Exec(c.text); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.text, err, c.want)
+		}
+	}
 }
 
 // FuzzSQL: SQL text is the front door, and Plan — parse, bind, place,

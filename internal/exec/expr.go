@@ -243,8 +243,7 @@ func (o ArithOp) String() string {
 	return [...]string{"+", "-", "*", "/"}[o]
 }
 
-// Arith combines two numeric scalars. Integer-class operands promote to
-// float64 when mixed with floats; Div always produces float64.
+// Arith combines two numeric scalars; ArithType gives its result type.
 type Arith struct {
 	Op   ArithOp
 	L, R Scalar

@@ -13,10 +13,10 @@ import (
 // child's vector, a bare constant is a vector filled once and resliced
 // per batch, and an arithmetic tree is a single typed kernel — a flat
 // postorder register program that runs one pass per instruction over
-// kernel-owned register banks and touches only selected rows. Div and
-// int/float mixes go float64, integer ops wrap, division by zero yields
-// zero, and every element sees the operations in tree order. A string
-// operand of an arithmetic node is a compile error.
+// kernel-owned register banks and touches only selected rows. ArithType
+// types each node (Div and int/float mixes go float64), integer ops wrap,
+// division by zero yields zero, and every element sees the operations in
+// tree order. A node ArithType refuses is a compile error.
 
 // fuseArgKind says where an instruction operand comes from.
 type fuseArgKind uint8
@@ -112,23 +112,38 @@ func (c *fuseCompiler) compile(e Scalar) (fuseArg, table.Type, error) {
 		if err != nil {
 			return fuseArg{}, 0, err
 		}
-		if lt.Physical() == table.PhysString || rt.Physical() == table.PhysString {
-			return fuseArg{}, 0, fmt.Errorf("exec: %w: %v %v %v in %v", fault.ErrType, lt, v.Op, rt, v)
+		t, err := ArithType(v.Op, lt, rt)
+		if err != nil {
+			return fuseArg{}, 0, fmt.Errorf("exec: %w in %v", err, v)
 		}
 		// Child registers die here; the stack discipline frees them
 		// before the destination is allocated, so a chain reuses one
 		// register per class instead of one per node.
 		c.free(l)
 		c.free(r)
-		float := v.Op == Div || l.float || r.float
+		float := t == table.Float64
 		dst := c.alloc(float)
 		c.prog = append(c.prog, fuseInstr{op: v.Op, float: float, dst: dst, l: l, r: r})
-		if float {
-			lt = table.Float64
-		}
-		return fuseArg{kind: fuseReg, idx: dst, float: float}, lt, nil
+		return fuseArg{kind: fuseReg, idx: dst, float: float}, t, nil
 	}
 	return fuseArg{}, 0, fmt.Errorf("exec: cannot compile scalar %T", e)
+}
+
+// ArithType is the type of l op r, for the binder and this compiler
+// alike: a string operand, or DECIMAL beside DATE, is a type error; Div
+// and any float operand give float64; integer arithmetic with a DECIMAL
+// operand is DECIMAL, otherwise it keeps its left operand's type.
+func ArithType(op ArithOp, l, r table.Type) (table.Type, error) {
+	switch {
+	case l == table.String || r == table.String,
+		l == table.Decimal && r == table.Date, l == table.Date && r == table.Decimal:
+		return 0, fmt.Errorf("%w: %v %v %v", fault.ErrType, l, op, r)
+	case op == Div || l == table.Float64 || r == table.Float64:
+		return table.Float64, nil
+	case r == table.Decimal:
+		return r, nil
+	}
+	return l, nil
 }
 
 func (c *fuseCompiler) free(a fuseArg) {

@@ -16,8 +16,9 @@ import (
 
 // refEval is the reference the compiled kernel is held to: e over one row
 // of boxed values, node at a time, by the promotion rule in words — Div
-// and int/float mixes are float64, integer arithmetic wraps and keeps its
-// left operand's type, division by zero is zero.
+// and int/float mixes are float64, integer arithmetic wraps and is
+// DECIMAL beside a DECIMAL operand, else keeps its left operand's type,
+// division by zero is zero.
 func refEval(e Scalar, row []table.Value) table.Value {
 	switch v := e.(type) {
 	case *ColRef:
@@ -47,7 +48,11 @@ func refEval(e Scalar, row []table.Value) table.Value {
 		}
 		return table.FloatVal(x / y)
 	}
-	return table.Value{Type: l.Type, I: [...]int64{l.I + r.I, l.I - r.I, l.I * r.I}[a.Op]}
+	typ := l.Type
+	if r.Type == table.Decimal {
+		typ = r.Type
+	}
+	return table.Value{Type: typ, I: [...]int64{l.I + r.I, l.I - r.I, l.I * r.I}[a.Op]}
 }
 
 // arithNodes counts the Arith nodes of e: what a batch is charged for.

@@ -270,7 +270,8 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 // TestTypeErrorOverTheWire: a statement that does not type-check — the
 // string arithmetic that panicked the whole server at 9d264a0, SUM and AVG
 // of a string that answered garbage — comes back from Prepare as an error
-// frame the client classifies with errors.Is(err, sql.ErrType); the
+// frame the client classifies with errors.Is(err, sql.ErrType), and so
+// does an INSERT that does not type-check or has the wrong arity; the
 // tenant's connection stays usable, another tenant's statement on another
 // connection completes, and the drain is clean.
 func TestTypeErrorOverTheWire(t *testing.T) {
@@ -304,6 +305,15 @@ func TestTypeErrorOverTheWire(t *testing.T) {
 		}
 		if _, err := sessA.Query(q); !errors.Is(err, sql.ErrType) {
 			t.Errorf("Query(%q): error %v, want sql.ErrType", q, err)
+		}
+	}
+	for _, q := range []string{
+		"INSERT INTO nation VALUES (1.5, 'X', 1)",
+		"INSERT INTO nation VALUES (1, 2, 1)",
+		"INSERT INTO nation VALUES (1, 'X')",
+	} {
+		if err := a.Exec(q); !errors.Is(err, sql.ErrType) {
+			t.Errorf("Exec(%q): error %v, want sql.ErrType", q, err)
 		}
 	}
 	for _, sess := range []*client.Session{sessB, sessA} {

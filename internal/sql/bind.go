@@ -3,6 +3,9 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"energydb/internal/exec"
 	"energydb/internal/fault"
@@ -19,11 +22,13 @@ var ErrDuplicateAlias = errors.New("sql: duplicate alias")
 // output, or a column two FROM items both have.
 var ErrUnknownName = errors.New("unresolved name")
 
-// ErrType is the sentinel Bind wraps for every statement that does not
-// type-check: arithmetic or SUM/AVG over a string, a comparison across
-// physical classes, a literal a column cannot take, * beside aggregates,
-// an output that is neither aggregated nor grouped. It is the engine-wide
-// fault.ErrType, so errors.Is sees it on both sides of the wire.
+// ErrType is the sentinel Bind and BindInsert wrap for every statement
+// that does not type-check: arithmetic or SUM/AVG over a string, DECIMAL
+// beside DATE, a column comparison or join across physical classes or of
+// DECIMAL with INT or DATE, a literal a column cannot take (in an INSERT
+// also a fractional one into INT or DATE, or one outside int64), an INSERT
+// row of the wrong arity, * beside aggregates, an output neither
+// aggregated nor grouped. It is fault.ErrType, seen on both wire ends.
 var ErrType = fault.ErrType
 
 // SchemaLookup resolves a relation name to its schema.
@@ -34,6 +39,31 @@ type SchemaLookup func(rel string) (*table.Schema, bool)
 func Bind(sel *SelectStmt, lookup SchemaLookup) (*opt.Query, error) {
 	b := &binder{sel: sel, lookup: lookup}
 	return b.run()
+}
+
+// BindInsert types an INSERT's values for its table by the typing rule and
+// builds the batch it appends; nothing is scheduled yet, so a refusal on
+// row k leaves rows 0..k-1 unwritten.
+func BindInsert(ins *InsertStmt, lookup SchemaLookup) (*table.Batch, error) {
+	s, ok := lookup(ins.Table)
+	if !ok {
+		return nil, fmt.Errorf("sql: %w: unknown table %q", ErrUnknownName, ins.Table)
+	}
+	b := table.NewBatch(s, len(ins.Rows))
+	for _, r := range ins.Rows {
+		if len(r) != len(s.Cols) {
+			return nil, fmt.Errorf("sql: %w: insert of %d values into %d columns", ErrType, len(r), len(s.Cols))
+		}
+		for i, v := range r {
+			c, d, err := typeLit(v, s.Cols[i].Type)
+			if err != nil || d != 0 && c.Type != table.Decimal {
+				return nil, fmt.Errorf("sql: %w: column %q cannot hold %v", ErrType, s.Cols[i].Name, v)
+			}
+			b.Vecs[i].Append(c)
+		}
+	}
+	b.SetRows(len(ins.Rows))
+	return b, nil
 }
 
 type binder struct {
@@ -56,23 +86,16 @@ func (b *binder) run() (*opt.Query, error) {
 	}
 
 	// WHERE and JOIN ... ON conjuncts.
+	var err error
 	for _, w := range b.sel.Where {
-		p, err := b.bindPred(w)
-		if err != nil {
+		if q.Preds, err = b.bindPred(q.Preds, w); err != nil {
 			return nil, err
 		}
-		q.Preds = append(q.Preds, *p)
 	}
-	for _, j := range b.sel.Joins {
-		l, _, err := b.resolve(j.Left)
-		if err != nil {
+	for i, j := range b.sel.Joins {
+		if q.Preds, err = b.bindPred(q.Preds, WherePred{Left: j.Left, Op: "=", Right: &b.sel.Joins[i].Right}); err != nil {
 			return nil, err
 		}
-		r, _, err := b.resolve(j.Right)
-		if err != nil {
-			return nil, err
-		}
-		q.Preds = append(q.Preds, opt.PredIR{Left: l, Op: exec.Eq, Right: r, IsJoin: true})
 	}
 
 	// GROUP BY first (outputs validate against it).
@@ -87,12 +110,7 @@ func (b *binder) run() (*opt.Query, error) {
 	}
 
 	// Select list.
-	hasAgg := false
-	for _, item := range b.sel.Items {
-		if item.Agg != nil {
-			hasAgg = true
-		}
-	}
+	hasAgg := slices.ContainsFunc(b.sel.Items, func(it SelectItem) bool { return it.Agg != nil })
 	aggIdx := 0
 	for i, item := range b.sel.Items {
 		switch {
@@ -125,10 +143,8 @@ func (b *binder) run() (*opt.Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			if hasAgg {
-				if e.Col == nil || !groupSet[*e.Col] {
-					return nil, fmt.Errorf("sql: %w: output %d must be an aggregate or a GROUP BY column", ErrType, i+1)
-				}
+			if hasAgg && (e.Col == nil || !groupSet[*e.Col]) {
+				return nil, fmt.Errorf("sql: %w: output %d must be an aggregate or a GROUP BY column", ErrType, i+1)
 			}
 			as := item.As
 			if as == "" && e.Col != nil {
@@ -224,84 +240,116 @@ func (b *binder) resolve(c ColName) (opt.ColRef, table.Type, error) {
 	}
 }
 
-func cmpOpOf(s string) (exec.CmpOp, error) {
-	switch s {
-	case "=":
-		return exec.Eq, nil
-	case "<>":
-		return exec.Ne, nil
-	case "<":
-		return exec.Lt, nil
-	case "<=":
-		return exec.Le, nil
-	case ">":
-		return exec.Gt, nil
-	case ">=":
-		return exec.Ge, nil
-	default:
-		return 0, fmt.Errorf("sql: unknown operator %q", s)
-	}
-}
+// The dialect's operators and aggregates, by the executor's names.
+var (
+	cmpOps   = map[string]exec.CmpOp{"=": exec.Eq, "<>": exec.Ne, "<": exec.Lt, "<=": exec.Le, ">": exec.Gt, ">=": exec.Ge}
+	arithOps = map[string]exec.ArithOp{"+": exec.Add, "-": exec.Sub, "*": exec.Mul, "/": exec.Div}
+	aggFuncs = map[string]exec.AggFunc{"COUNT": exec.Count, "SUM": exec.Sum, "MIN": exec.Min, "MAX": exec.Max, "AVG": exec.Avg}
+)
 
-func (b *binder) bindPred(w WherePred) (*opt.PredIR, error) {
-	op, err := cmpOpOf(w.Op)
-	if err != nil {
-		return nil, err
+// bindPred appends w's conjuncts to dst: one, or for a literal the column
+// cannot hold none (<>) or two (=).
+func (b *binder) bindPred(dst []opt.PredIR, w WherePred) ([]opt.PredIR, error) {
+	op, ok := cmpOps[w.Op]
+	if !ok {
+		return dst, fmt.Errorf("sql: unknown operator %q", w.Op)
 	}
 	l, lt, err := b.resolve(w.Left)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if w.Right != nil {
 		r, rt, err := b.resolve(*w.Right)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if lt.Physical() != rt.Physical() {
-			return nil, fmt.Errorf("sql: %w: cannot compare %v with %v", ErrType, lt, rt)
+		if lt.Physical() != rt.Physical() || (lt == table.Decimal) != (rt == table.Decimal) {
+			return dst, fmt.Errorf("sql: %w: cannot compare %v with %v", ErrType, lt, rt)
 		}
-		return &opt.PredIR{Left: l, Op: op, Right: r, IsJoin: true}, nil
+		return append(dst, opt.PredIR{Left: l, Op: op, Right: r, IsJoin: true}), nil
 	}
-	v, err := coerce(*w.Lit, lt)
-	if err != nil {
-		return nil, err
+	c, d, err := typeLit(*w.Lit, lt)
+	if err != nil && d == 0 {
+		return dst, err
 	}
-	return &opt.PredIR{Left: l, Op: op, Val: v}, nil
+	if d == 0 {
+		return append(dst, opt.PredIR{Left: l, Op: op, Val: c}), nil
+	}
+	// The literal lies between c and c+d: keep what lies on the op's side.
+	above, below := exec.Gt, exec.Le
+	if d < 0 {
+		above, below = exec.Ge, exec.Lt
+	}
+	if op == exec.Gt || op == exec.Ge || op == exec.Eq {
+		dst = append(dst, opt.PredIR{Left: l, Op: above, Val: c})
+	}
+	if op == exec.Lt || op == exec.Le || op == exec.Eq {
+		dst = append(dst, opt.PredIR{Left: l, Op: below, Val: c})
+	}
+	return dst, nil
 }
 
-// coerce adapts a literal to a column's type (int literals compare against
-// float columns, decimals are scaled, etc.).
-func coerce(v table.Value, target table.Type) (table.Value, error) {
-	if v.Type.Physical() == target.Physical() {
-		v.Type = target
-		return v, nil
-	}
+// The typing rule, stated once. A literal means the decimal it is written
+// as (a float: its shortest decimal form); typeLit types it for a column.
+//   - INSERT: an integer literal into DECIMAL means whole units (29 is
+//     29.00) and a fractional one rounds to the nearest cent, half away
+//     from zero as math.Round does; a fractional literal into INT or DATE,
+//     or one outside int64 once scaled, is refused with ErrType; an integer
+//     literal into DOUBLE converts.
+//   - Comparison: when the column cannot hold the literal exactly, < and >=
+//     round it up to the column's unit, > and <= round it down, = matches
+//     no row (> floor AND < ceil) and <> drops out; a literal outside int64
+//     makes each operator match all rows or none.
+//   - Arithmetic: +, -, SUM, MIN and MAX on DECIMAL stay decimal, an INT
+//     operand beside it scaled ×100 (exec.ArithType types the node); a
+//     DECIMAL that meets *, /, AVG or a float is lowered to col / 100.0.
+//     DECIMAL beside DATE, and a column comparison or join of DECIMAL with
+//     INT or DATE, is refused.
+
+// typeLit types literal v for a column of type t: c is the column value
+// nearest v and d the sign of v - c, 0 when c is v. An error with d != 0
+// means v lies outside int64 on side d, and c is the int64 end there.
+func typeLit(v table.Value, t table.Type) (c table.Value, d int, err error) {
+	var s string
 	switch {
-	case target.Physical() == table.PhysFloat && v.Type.Physical() == table.PhysInt:
-		return table.FloatVal(float64(v.I)), nil
-	case target == table.Decimal && v.Type == table.Float64:
-		return table.DecimalVal(int64(v.F * 100)), nil
-	case target.Physical() == table.PhysInt && v.Type == table.Float64:
-		return table.Value{Type: target, I: int64(v.F)}, nil
+	case v.Type == t || v.Type.Physical() == t.Physical() && t != table.Decimal:
+		v.Type = t
+		return v, 0, nil
+	case t == table.Float64 && v.Type == table.Int64:
+		return table.FloatVal(float64(v.I)), 0, nil
+	case t.Physical() == table.PhysInt && v.Type == table.Float64:
+		s = strconv.FormatFloat(v.F, 'f', -1, 64)
+	case t == table.Decimal && v.Type == table.Int64:
+		s = strconv.FormatInt(v.I, 10)
 	default:
-		return v, fmt.Errorf("sql: %w: cannot use %v literal for %v column", ErrType, v.Type, target)
+		return v, 0, fmt.Errorf("sql: %w: cannot use %v literal for %v column", ErrType, v.Type, t)
 	}
+	step := 1
+	if s[0] == '-' {
+		step = -1
+	}
+	whole, frac, _ := strings.Cut(s, ".")
+	if t == table.Decimal {
+		frac += "00"
+		whole, frac = whole+frac[:2], frac[2:]
+	}
+	c = table.Value{Type: t}
+	c.I, err = strconv.ParseInt(whole, 10, 64) // the int64 end on a range error
+	switch frac = strings.TrimRight(frac, "0"); {
+	case err != nil:
+		return c, step, fmt.Errorf("sql: %w: %v is outside a %v column", ErrType, v, t)
+	case frac == "":
+		return c, 0, nil
+	case frac[0] >= '5': // a fraction is left only below 2^53: no wrap
+		c.I += int64(step)
+		return c, -step, nil
+	}
+	return c, step, nil
 }
 
 func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
-	var fn exec.AggFunc
-	switch a.Func {
-	case "COUNT":
-		fn = exec.Count
-	case "SUM":
-		fn = exec.Sum
-	case "MIN":
-		fn = exec.Min
-	case "MAX":
-		fn = exec.Max
-	case "AVG":
-		fn = exec.Avg
-	default:
+	fn, ok := aggFuncs[a.Func]
+	if !ok {
 		return nil, fmt.Errorf("sql: unknown aggregate %q", a.Func)
 	}
 	out := &opt.AggIR{Func: fn}
@@ -313,6 +361,9 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 		if (fn == exec.Sum || fn == exec.Avg) && t.Physical() == table.PhysString {
 			return nil, fmt.Errorf("sql: %w: %s of a %v", ErrType, a.Func, t)
 		}
+		if fn == exec.Avg {
+			e = lower(e, t, true)
+		}
 		out.Arg = e
 	} else if fn != exec.Count {
 		return nil, fmt.Errorf("sql: %s(*) is not valid", a.Func)
@@ -320,9 +371,8 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 	return out, nil
 }
 
-// bindExpr resolves a scalar expression and reports its type, by the
-// executor's promotion rule: / and int-float mixes are float64, integer
-// arithmetic keeps its left operand's type. Arithmetic is numeric only.
+// bindExpr resolves a scalar expression and reports its type, by
+// exec.ArithType and the DECIMAL lowerings of the typing rule.
 func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 	switch {
 	case e.Col != nil:
@@ -343,25 +393,34 @@ func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		var op exec.ArithOp
-		switch e.Op {
-		case "+":
-			op = exec.Add
-		case "-":
-			op = exec.Sub
-		case "*":
-			op = exec.Mul
-		case "/":
-			op = exec.Div
-		default:
+		op, ok := arithOps[e.Op]
+		if !ok {
 			return nil, 0, fmt.Errorf("sql: unknown arithmetic operator %q", e.Op)
 		}
-		if lt.Physical() == table.PhysString || rt.Physical() == table.PhysString {
-			return nil, 0, fmt.Errorf("sql: %w: %v %s %v", ErrType, lt, e.Op, rt)
+		t, err := exec.ArithType(op, lt, rt)
+		if err != nil {
+			return nil, 0, fmt.Errorf("sql: %w", err)
 		}
-		if op == exec.Div || lt.Physical() == table.PhysFloat || rt.Physical() == table.PhysFloat {
-			lt = table.Float64
+		if lt == table.Decimal || rt == table.Decimal {
+			if op == exec.Mul {
+				t = table.Float64
+			}
+			l, r = lower(l, lt, t == table.Float64), lower(r, rt, t == table.Float64)
 		}
-		return &opt.ExprIR{Op: op, L: l, R: r}, lt, nil
+		return &opt.ExprIR{Op: op, L: l, R: r}, t, nil
 	}
+}
+
+// lower applies the typing rule's DECIMAL lowerings to an operand e of
+// type t: a DECIMAL in float arithmetic becomes e / 100.0, an INT in
+// decimal arithmetic e * 100.
+func lower(e *opt.ExprIR, t table.Type, float bool) *opt.ExprIR {
+	k, op := table.IntVal(100), exec.Mul
+	switch {
+	case float && t == table.Decimal:
+		k, op = table.FloatVal(100), exec.Div
+	case float || t != table.Int64:
+		return e
+	}
+	return &opt.ExprIR{Op: op, L: e, R: &opt.ExprIR{Const: &k}}
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,6 +96,10 @@ func TestValueString(t *testing.T) {
 		{IntVal(42), "42"},
 		{DecimalVal(1234), "12.34"},
 		{DecimalVal(-250), "-2.50"},
+		{DecimalVal(-29), "-0.29"},
+		{DecimalVal(-129), "-1.29"},
+		{DecimalVal(0), "0.00"},
+		{DecimalVal(math.MinInt64), "-92233720368547758.08"},
 		{StrVal("hi"), "hi"},
 		{FloatVal(2.5), "2.5"},
 		{DateVal(0), "0"},

@@ -22,7 +22,10 @@ const (
 	// Date is a day count since 1970-01-01, stored as an int64.
 	Date
 	// Decimal is a fixed-point value scaled by 100 (cents), stored as an
-	// int64 — the TPC-H money type.
+	// int64 — the TPC-H money type. By SQL's typing rule (internal/sql)
+	// an integer literal is whole units and a fraction rounds to the cent
+	// (INSERT) or to the operator's side (WHERE); +, -, SUM, MIN and MAX
+	// stay decimal, while *, /, AVG or a float see float64 units.
 	Decimal
 )
 
@@ -121,7 +124,11 @@ func (v Value) String() string {
 	case Int64, Date:
 		return fmt.Sprintf("%d", v.I)
 	case Decimal:
-		return fmt.Sprintf("%d.%02d", v.I/100, abs64(v.I%100))
+		sign, c := "", uint64(v.I)
+		if v.I < 0 {
+			sign, c = "-", -c // exact for math.MinInt64 too
+		}
+		return fmt.Sprintf("%s%d.%02d", sign, c/100, c%100)
 	case Float64:
 		return fmt.Sprintf("%g", v.F)
 	case String:
@@ -129,11 +136,4 @@ func (v Value) String() string {
 	default:
 		return fmt.Sprintf("Value(%v)", v.Type)
 	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
