@@ -40,7 +40,7 @@ func (p *Plan) ExplainRows() *table.Table {
 		out.AppendRow(
 			table.StrVal(strings.Repeat("  ", depth)+op),
 			table.StrVal(detail),
-			table.IntVal(int64(n.MaxDOP())),
+			table.IntVal(int64(maxDOP(n))),
 			table.StrVal(ps),
 			table.FloatVal(c.Seconds*1000),
 			table.FloatVal(c.Joules),

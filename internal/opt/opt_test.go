@@ -225,28 +225,18 @@ func TestAccessPathFlipsWithObjective(t *testing.T) {
 	}
 }
 
+// findScanVariant reports the placement variant of the first scan under n,
+// in pre-order, or "" when the plan has none.
 func findScanVariant(n PhysNode) string {
-	switch v := n.(type) {
-	case *PScan:
-		return v.Variant.Name
-	case *PJoin:
-		if s := findScanVariant(v.Left); s != "" {
-			return s
-		}
-		return findScanVariant(v.Right)
-	case *PFilter:
-		return findScanVariant(v.In)
-	case *PProject:
-		return findScanVariant(v.In)
-	case *PAgg:
-		return findScanVariant(v.In)
-	case *PSort:
-		return findScanVariant(v.In)
-	case *PLimit:
-		return findScanVariant(v.In)
-	default:
-		return ""
+	if s, ok := n.(*PScan); ok {
+		return s.Variant.Name
 	}
+	for _, c := range n.Children() {
+		if v := findScanVariant(c); v != "" {
+			return v
+		}
+	}
+	return ""
 }
 
 func TestJoinPlanCorrectness(t *testing.T) {
@@ -334,23 +324,18 @@ func TestJoinAlgorithmFlipsWithMemoryPower(t *testing.T) {
 	}
 }
 
+// findJoinAlgo reports the algorithm of the first join under n, in
+// pre-order, or "" when the plan has none.
 func findJoinAlgo(n PhysNode) string {
-	switch v := n.(type) {
-	case *PJoin:
-		return v.Algo
-	case *PFilter:
-		return findJoinAlgo(v.In)
-	case *PProject:
-		return findJoinAlgo(v.In)
-	case *PAgg:
-		return findJoinAlgo(v.In)
-	case *PSort:
-		return findJoinAlgo(v.In)
-	case *PLimit:
-		return findJoinAlgo(v.In)
-	default:
-		return ""
+	if j, ok := n.(*PJoin); ok {
+		return j.Algo
 	}
+	for _, c := range n.Children() {
+		if algo := findJoinAlgo(c); algo != "" {
+			return algo
+		}
+	}
+	return ""
 }
 
 func TestAggregationPlan(t *testing.T) {

@@ -140,7 +140,9 @@ func (o *optimizer) run() (*Plan, error) {
 			sel *= predSelectivity(p, nil)
 		}
 		cost := root.Cost().Add(o.cpu(root.Card() * float64(len(o.resid)) * o.env.Costs.FilterCyclesPerRow))
-		root = &PFilter{In: root, Preds: o.resid, card: root.Card() * sel, cost: cost}
+		f := &PFilter{props: over(root), in: [1]PhysNode{root}, Preds: o.resid}
+		f.card, f.cost = root.Card()*sel, cost
+		root = f
 	}
 
 	// Aggregation, then the SELECT list.
@@ -162,10 +164,14 @@ func (o *optimizer) run() (*Plan, error) {
 		c := o.cpu(n * math.Log2(n) * o.env.Costs.SortCyclesPerRowLog * float64(len(keys)))
 		c.Joules += float64(mem) * o.env.DRAMWattPerByte * c.Seconds
 		c.MemBytes = mem
-		root = &PSort{In: root, Keys: keys, cost: root.Cost().Add(c)}
+		s := &PSort{props: over(root), in: [1]PhysNode{root}, Keys: keys}
+		s.cost = root.Cost().Add(c)
+		root = s
 	}
 	if o.q.Limit >= 0 {
-		root = &PLimit{In: root, N: o.q.Limit}
+		l := &PLimit{props: over(root), in: [1]PhysNode{root}, N: o.q.Limit}
+		l.card = math.Min(float64(l.N), root.Card())
+		root = l
 	}
 	return &Plan{Root: root, Objective: o.obj}, nil
 }
@@ -333,13 +339,17 @@ func (o *optimizer) bestScan(alias string) PhysNode {
 		for i := range emit {
 			emit[i] = i
 		}
-		base := PScan{Alias: alias, Rel: o.q.Rels[alias], Variant: v, Read: read, Emit: emit,
-			Preds: preds, cols: cols, card: float64(pl.Stats.Rows) * sel}
+		var width float64
+		for _, e := range emit {
+			width += float64(schema.Cols[read[e]].Width)
+		}
+		base := PScan{props: props{cols: cols, card: float64(pl.Stats.Rows) * sel, rowBytes: width},
+			Alias: alias, Variant: v, Read: read, Emit: emit, Preds: preds}
 		pw := pipeWork{scan: o.scanWork(v.ST, read, float64(pl.Stats.Rows), len(preds))}
 		for _, dop := range append([]int{1}, o.widths(&base)...) {
 			stream, busy := o.fragmented(pw, 0, 0, 1, dop)
 			cand := base
-			cand.DOP = dop
+			cand.dop = dop
 			cand.cost = Cost{Seconds: stream, Joules: busy*o.env.CPUWattPerCore + pw.scan.ioJoules}
 			if s := o.env.Score(cand.cost, o.obj); best == nil || s < bestScore {
 				best, bestScore = &cand, s
@@ -423,7 +433,7 @@ type pipeWork struct {
 // end to end: a PScan leaf under any stack of PFilter and hash-PJoin probe
 // sides, each pricing its own per-row CPU inside the fragmented pipeline
 // (divided by DOP alongside the scan) instead of as a serial tax above the
-// exchange. ok=false means BuildFragments would not fragment it either.
+// exchange. ok=false means fragments would not divide it either.
 type fragPriced interface {
 	pipelineWork(o *optimizer) (pw pipeWork, ok bool)
 }
@@ -443,8 +453,8 @@ func (s *PScan) pipelineWork(o *optimizer) (pipeWork, bool) {
 }
 
 func (f *PFilter) pipelineWork(o *optimizer) (pipeWork, bool) {
-	pw, ok := o.pipelineWork(f.In)
-	pw.extraCPU += o.cpu(f.In.Card() * float64(len(f.Preds)) * o.env.Costs.FilterCyclesPerRow).Seconds
+	pw, ok := o.pipelineWork(f.in[0])
+	pw.extraCPU += o.cpu(f.in[0].Card() * float64(len(f.Preds)) * o.env.Costs.FilterCyclesPerRow).Seconds
 	return pw, ok
 }
 
@@ -453,17 +463,18 @@ func (j *PJoin) pipelineWork(o *optimizer) (pipeWork, bool) {
 	if j.Algo != "hash" {
 		return pipeWork{}, false
 	}
-	pw, ok := o.pipelineWork(j.Right)
+	build, probe := j.in[0], j.in[1]
+	pw, ok := o.pipelineWork(probe)
 	if !ok {
 		return pw, false
 	}
-	pw.extraCPU += o.cpu(j.Right.Card()*env.Costs.HashProbeCyclesPerRow +
+	pw.extraCPU += o.cpu(probe.Card()*env.Costs.HashProbeCyclesPerRow +
 		j.Card()*env.Costs.JoinOutputCyclesPerRow).Seconds
 	// The build side runs to completion before the probe streams: a
 	// serial prefix priced at the build input's own cost plus table
 	// insertion, with its table resident for the rest of the pipeline.
-	pw.prefix = pw.prefix.Add(j.Left.Cost()).Add(o.cpu(j.Left.Card() * env.Costs.HashBuildCyclesPerRow))
-	pw.memBytes += j.Left.Card() * j.Left.RowBytes()
+	pw.prefix = pw.prefix.Add(build.Cost()).Add(o.cpu(build.Card() * env.Costs.HashBuildCyclesPerRow))
+	pw.memBytes += build.Card() * build.RowBytes()
 	return pw, true
 }
 
@@ -591,8 +602,10 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 		elapsed := build.Cost().Seconds + probe.Cost().Seconds + c.Seconds
 		c.Joules += buildMem * env.DRAMWattPerByte * elapsed
 		c.MemBytes = int64(buildMem)
-		out = append(out, &PJoin{Algo: "hash", Left: build, Right: probe, LeftCol: bi, RightCol: pi,
-			Pred: jp, cols: cs, card: outCard, cost: build.Cost().Add(probe.Cost()).Add(c)})
+		joined := props{cols: cs, card: outCard, rowBytes: build.RowBytes() + probe.RowBytes()}
+		serial := &PJoin{props: joined, Algo: "hash", in: [2]PhysNode{build, probe}, LeftCol: bi, RightCol: pi, Pred: jp}
+		serial.cost = build.Cost().Add(probe.Cost()).Add(c)
+		out = append(out, serial)
 
 		// Fragmented probe: when the probe side fragments end to end, the
 		// probe pipeline plus probe and output CPU divides across dop cores
@@ -615,9 +628,9 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 					(buildMem+pw.memBytes)*env.DRAMWattPerByte*pelapsed,
 				MemBytes: int64(buildMem + pw.memBytes),
 			})
-			out = append(out, &PJoin{Algo: "hash", Left: build, Right: probe,
-				LeftCol: bi, RightCol: pi, Pred: jp, ProbeDOP: dop,
-				cols: cs, card: outCard, cost: pj})
+			par := *serial
+			par.cost, par.dop = pj, dop
+			out = append(out, &par)
 		}
 	}
 	mkHash(l, r, li, ri, cols)
@@ -641,8 +654,8 @@ func (o *optimizer) joinCandidates(l, r PhysNode, lc, rc ColRef, jp PredIR) []Ph
 		Seconds: innerCost.Seconds*batches + nc.Seconds,
 		Joules:  innerCost.Joules*batches + nc.Joules,
 	})
-	out = append(out, &PJoin{Algo: "nl", Left: outer, Right: inner,
-		LeftCol: oc, RightCol: ic, Pred: jp, cols: ocols, card: outCard, cost: c})
+	out = append(out, &PJoin{props: props{cols: ocols, card: outCard, rowBytes: outer.RowBytes() + inner.RowBytes(), cost: c},
+		Algo: "nl", in: [2]PhysNode{outer, inner}, LeftCol: oc, RightCol: ic, Pred: jp})
 	return out
 }
 
@@ -709,18 +722,18 @@ func (o *optimizer) buildAgg(in PhysNode) PhysNode {
 	}
 	projCycles := in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow
 	projCost := in.Cost().Add(o.cpu(projCycles))
-	proj := &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: projCost}
+	proj := &PProject{props: props{cols: cols, card: in.Card(), rowBytes: float64(8 * len(exprs)), cost: projCost},
+		in: [1]PhysNode{in}, Exprs: exprs, Names: names}
 
 	groups := math.Max(1, in.Card()/10) // crude group-count estimate
 	aggCycles := in.Card() * float64(max(1, len(aggs))) * o.env.Costs.AggCyclesPerRow
 	mem := int64(groups * proj.RowBytes())
 	ac := o.cpu(aggCycles)
 	ac.MemBytes = mem
-	aggCost := projCost.Add(ac)
 	outCols := append(append([]ColRef{}, o.q.GroupBy...), aggRefs...)
-	best := &PAgg{In: proj, Group: groupPos, Aggs: aggs, AggRefs: aggRefs,
-		cols: outCols, card: groups, cost: aggCost}
-	bestScore := o.env.Score(aggCost, o.obj)
+	best := &PAgg{props: props{cols: outCols, card: groups, rowBytes: float64(8 * (len(groupPos) + len(aggs))), cost: projCost.Add(ac)},
+		in: [1]PhysNode{proj}, Group: groupPos, Aggs: aggs}
+	bestScore := o.env.Score(best.cost, o.obj)
 
 	// Extend the DOP sweep to the whole pipeline: when the aggregation's
 	// input fragments end to end (a scan under any stack of filters and
@@ -746,9 +759,9 @@ func (o *optimizer) buildAgg(in PhysNode) PhysNode {
 					float64(dop)*foldCycles/env.CPUFreqHz*env.CPUWattPerCore + pw.memBytes*env.DRAMWattPerByte*stream,
 				MemBytes: int64(dop)*mem + int64(pw.memBytes)}
 			if s := o.env.Score(c, o.obj); s < bestScore {
-				best = &PAgg{In: proj, Group: groupPos, Aggs: aggs, AggRefs: aggRefs,
-					DOP: dop, cols: outCols, card: groups, cost: c}
-				bestScore = s
+				par := *best
+				par.cost, par.dop = c, dop
+				best, bestScore = &par, s
 			}
 		}
 	}
@@ -778,5 +791,6 @@ func (o *optimizer) buildSelect(in PhysNode) PhysNode {
 		cols = append(cols, ColRef{Col: name})
 	}
 	cost := in.Cost().Add(o.cpu(in.Card() * float64(len(exprs)) * o.env.Costs.ProjectCyclesPerRow))
-	return &PProject{In: in, Exprs: exprs, Names: names, cols: cols, cost: cost}
+	return &PProject{props: props{cols: cols, card: in.Card(), rowBytes: float64(8 * len(exprs)), cost: cost},
+		in: [1]PhysNode{in}, Exprs: exprs, Names: names}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -56,28 +55,90 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// PhysNode is a node of a physical plan: it knows its output columns, its
-// estimated cardinality, its cumulative dual cost, and how to build the
-// executable operator tree.
+// PhysNode is a node of a physical plan. What the optimizer computed when
+// it built the node — output columns, cardinality, row width, cumulative
+// dual cost and the node's own degree of parallelism — sits in the props
+// every node type embeds, so each type adds only its inputs, its rendering
+// and how it compiles.
 type PhysNode interface {
 	Columns() []ColRef
 	Card() float64
 	RowBytes() float64
 	Cost() Cost
-	// MaxDOP reports the widest degree of parallelism this subtree will
-	// use — the cores it can actually occupy at once. Admission returns
-	// the unused remainder of a query's grant once the plan is chosen, so
-	// an under-report here would oversubscribe the free pool.
-	MaxDOP() int
-	Build(ctx *exec.Ctx) (exec.Operator, error)
 	// Children lists the node's inputs in the order EXPLAIN shows them;
-	// every walk over a plan goes through it.
+	// every walk over a plan goes through it. The slice is the node's own
+	// (a walk allocates nothing): read it, never write it.
 	Children() []PhysNode
 	// describe is the node's one rendering for EXPLAIN: the operator name
 	// and detail are ExplainRows' first two columns, notes the
 	// annotations only Explain's text carries (cols=, dop=, probe_dop=),
 	// each with a leading space.
 	describe() (op, detail, notes string)
+	// fragments is the node's one compile path. dop > 1 asks for that many
+	// fragment pipelines sharing one morsel dispenser, so an exchange
+	// consumer — the Parallel streaming merge or the aggregation — runs
+	// the whole pipeline above the scan in every worker: scans, filters,
+	// projections and hash-join probe sides divide, and fewer fragments
+	// come back when the input cannot divide that far. dop <= 1 asks for
+	// one fragment that runs at the node's own DOP inside it. A node that
+	// does not divide returns that one fragment either way.
+	fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
+	base() *props
+}
+
+// props is what the optimizer computes for a node when it builds it. dop
+// is the node's own degree of parallelism, <= 1 serial: the fragments of
+// a scan, of a hash join's probe pipeline, or of an aggregation's input.
+type props struct {
+	cols     []ColRef
+	card     float64
+	rowBytes float64
+	cost     Cost
+	dop      int
+}
+
+// Columns is the node's output.
+func (p *props) Columns() []ColRef { return p.cols }
+
+// Card is the node's estimated cardinality.
+func (p *props) Card() float64 { return p.card }
+
+// RowBytes is the node's estimated output row width.
+func (p *props) RowBytes() float64 { return p.rowBytes }
+
+// Cost is the node's cumulative dual cost, its inputs included.
+func (p *props) Cost() Cost { return p.cost }
+
+func (p *props) base() *props { return p }
+
+// over is the props of a node that passes in's rows through: its columns,
+// cardinality, width and cost, until the node sets its own.
+func over(in PhysNode) props {
+	return props{cols: in.Columns(), card: in.Card(), rowBytes: in.RowBytes(), cost: in.Cost()}
+}
+
+// maxDOP is the widest degree of parallelism n's subtree uses — the cores
+// it can occupy at once. Admission returns the unused remainder of a
+// query's grant once the plan is chosen, so an under-report here would
+// oversubscribe the free pool.
+func maxDOP(n PhysNode) int {
+	d := max(1, n.base().dop)
+	for _, c := range n.Children() {
+		d = max(d, maxDOP(c))
+	}
+	return d
+}
+
+// operator compiles n to one operator: its one fragment at its own DOP.
+func operator(ctx *exec.Ctx, n PhysNode) (exec.Operator, error) {
+	fr, err := n.fragments(ctx, 1)
+	return fr.Stream(), err
+}
+
+// streamed is the fragment set fr as one fragment: the Parallel merge over
+// its fragments, or its only fragment.
+func streamed(fr exec.Fragments, err error) (exec.Fragments, error) {
+	return exec.OneFragment(fr.Stream()), err
 }
 
 // colIndex locates a ColRef in a node's output, or -1.
@@ -90,82 +151,16 @@ func colIndex(cols []ColRef, c ColRef) int {
 	return -1
 }
 
-// fragSource is implemented by physical nodes that can compile themselves
-// into dop parallel fragment pipelines sharing one morsel dispenser, so
-// exchange consumers — the Parallel streaming merge and the aggregation —
-// can parallelise the whole pipeline above the scan rather than just the
-// scan itself: scans, filters, projections and hash-join probe sides all
-// fragment. Fewer fragments than dop come back when the input cannot
-// divide that far — down to the one-fragment set, which is the node's
-// serial operator tree. (Which of them the optimizer prices as fragmented
-// is fragPriced's business.)
-type fragSource interface {
-	BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error)
-}
-
-// buildFragments compiles n dop ways when it can fragment and dop asks
-// for it, and otherwise into the one-fragment set of its serial tree.
-func buildFragments(ctx *exec.Ctx, n PhysNode, dop int) (exec.Fragments, error) {
-	if fs, ok := n.(fragSource); ok && dop > 1 {
-		return fs.BuildFragments(ctx, dop)
-	}
-	op, err := n.Build(ctx)
-	if err != nil {
-		return exec.Fragments{}, err
-	}
-	return exec.OneFragment(op), nil
-}
-
-// stream compiles n dop ways as one operator: the Parallel merge over its
-// fragments, or its serial tree when it does not divide.
-func stream(ctx *exec.Ctx, n fragSource, dop int) (exec.Operator, error) {
-	fr, err := n.BuildFragments(ctx, dop)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Stream(), nil
-}
-
 // PScan scans one placement variant with pushed-down predicates, possibly
-// as a DOP-way parallel morsel-driven scan.
+// as a parallel morsel-driven scan.
 type PScan struct {
+	props
 	Alias   string
-	Rel     string
 	Variant Variant
 	Read    []int // source schema column indexes fetched
 	Emit    []int // positions within Read forming the output
 	Preds   []PredIR
-	DOP     int // degree of parallelism; <= 1 builds the serial scan
-
-	cols []ColRef
-	card float64
-	cost Cost
 }
-
-// Columns implements PhysNode.
-func (s *PScan) Columns() []ColRef { return s.cols }
-
-// Card implements PhysNode.
-func (s *PScan) Card() float64 { return s.card }
-
-// RowBytes implements PhysNode.
-func (s *PScan) RowBytes() float64 {
-	var w float64
-	for _, e := range s.Emit {
-		w += float64(s.Variant.ST.Tab.Schema.Cols[s.Read[e]].Width)
-	}
-	return w
-}
-
-// Cost implements PhysNode.
-func (s *PScan) Cost() Cost { return s.cost }
-
-// MaxDOP implements PhysNode.
-func (s *PScan) MaxDOP() int { return max(1, s.DOP) }
-
-// Build implements PhysNode: the scan's fragments under a Parallel merge,
-// or the serial scan itself when DOP (or the table) is too small to split.
-func (s *PScan) Build(ctx *exec.Ctx) (exec.Operator, error) { return stream(ctx, s, s.DOP) }
 
 // scanOp constructs one scan over the variant with its own predicate
 // instance (predicates carry evaluation scratch): a fragment claiming
@@ -206,20 +201,18 @@ func (s *PScan) scanOp(queue *exec.Morsels) (exec.Operator, error) {
 	return rs, nil
 }
 
-// BuildFragments implements fragSource: up to dop scan fragments sharing
-// one fresh morsel dispenser. The caller owns wiring them under an
-// exchange, which resets the dispenser on re-open.
-func (s *PScan) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
-	nb := s.Variant.ST.NumBlocks()
-	if dop > nb {
-		dop = nb
+// fragments implements PhysNode: up to dop scan fragments sharing one
+// fresh morsel dispenser, which the exchange running them resets on
+// re-open, or the serial scan when dop — or the table — is too small to
+// split.
+func (s *PScan) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	if dop <= 1 && s.dop > 1 {
+		return streamed(s.fragments(ctx, s.dop))
 	}
-	if dop <= 1 {
+	nb := s.Variant.ST.NumBlocks()
+	if dop = min(dop, nb); dop <= 1 {
 		op, err := s.scanOp(nil)
-		if err != nil {
-			return exec.Fragments{}, err
-		}
-		return exec.OneFragment(op), nil
+		return exec.OneFragment(op), err
 	}
 	queue := exec.NewMorsels(nb, 0)
 	frags := make([]exec.Operator, dop)
@@ -238,63 +231,43 @@ func (s *PScan) Children() []PhysNode { return nil }
 
 func (s *PScan) describe() (op, detail, notes string) {
 	detail = fmt.Sprintf("%s (%s) rows≈%.0f%s", s.Alias, s.Variant.Name, s.card, predList(s.Preds))
-	return "scan", detail, fmt.Sprintf(" cols=%d", len(s.Emit)) + dopNote("dop", s.DOP)
+	return "scan", detail, fmt.Sprintf(" cols=%d", len(s.Emit)) + dopNote("dop", s.dop)
 }
 
-// PJoin is a binary join (hash or block nested-loop).
+// PJoin is a binary join (hash or block nested-loop). A hash join's own
+// DOP fragments its probe pipeline.
 type PJoin struct {
-	Algo     string   // "hash" or "nl"
-	Left     PhysNode // build (hash) or outer (nl)
-	Right    PhysNode // probe (hash) or inner (nl)
+	props
+	Algo     string      // "hash" or "nl"
+	in       [2]PhysNode // build (hash) or outer (nl), then probe (hash) or inner (nl)
 	LeftCol  int
 	RightCol int
 	Pred     PredIR // the equality predicate this join applies
-	ProbeDOP int    // hash only: fragment the probe pipeline this many ways; <= 1 serial
-
-	cols []ColRef
-	card float64
-	cost Cost
 }
 
-// Columns implements PhysNode.
-func (j *PJoin) Columns() []ColRef { return j.cols }
-
-// Card implements PhysNode.
-func (j *PJoin) Card() float64 { return j.card }
-
-// RowBytes implements PhysNode.
-func (j *PJoin) RowBytes() float64 { return j.Left.RowBytes() + j.Right.RowBytes() }
-
-// Cost implements PhysNode.
-func (j *PJoin) Cost() Cost { return j.cost }
-
-// MaxDOP implements PhysNode.
-func (j *PJoin) MaxDOP() int { return max(j.ProbeDOP, j.Left.MaxDOP(), j.Right.MaxDOP()) }
-
-// Build implements PhysNode: the join's fragments (see BuildFragments)
-// under a Parallel merge, or the one serial join itself.
-func (j *PJoin) Build(ctx *exec.Ctx) (exec.Operator, error) { return stream(ctx, j, j.ProbeDOP) }
-
-// BuildFragments implements fragSource for the probe side of a hash join:
-// the probe pipeline fragments over its shared morsel dispenser and every
+// fragments implements PhysNode for the probe side of a hash join: the
+// probe pipeline fragments over its shared morsel dispenser and every
 // fragment probes one shared build state, run once by the first fragment
 // to open (exec.SharedBuild). Probe and join-output CPU thereby run inside
-// the fragments at the swept DOP. The build side is one operator into one
-// table; a build-side scan priced parallel streams its own fragments
-// through a Parallel merge into it. A nested-loop join does not fragment.
-func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
-	l, err := j.Left.Build(ctx)
+// the fragments. The build side is one operator into one table; a
+// build-side scan priced parallel streams its own fragments through a
+// Parallel merge into it. A nested-loop join does not divide.
+func (j *PJoin) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	if dop <= 1 && j.dop > 1 {
+		return streamed(j.fragments(ctx, j.dop))
+	}
+	l, err := operator(ctx, j.in[0])
 	if err != nil {
 		return exec.Fragments{}, err
 	}
 	if j.Algo != "hash" {
-		r, err := j.Right.Build(ctx)
+		r, err := operator(ctx, j.in[1])
 		if err != nil {
 			return exec.Fragments{}, err
 		}
 		return exec.OneFragment(exec.NewNestedLoopJoin(l, r, j.LeftCol, j.RightCol)), nil
 	}
-	probe, err := buildFragments(ctx, j.Right, dop)
+	probe, err := j.in[1].fragments(ctx, dop)
 	if err != nil {
 		return exec.Fragments{}, err
 	}
@@ -305,77 +278,47 @@ func (j *PJoin) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
 }
 
 // Children implements PhysNode.
-func (j *PJoin) Children() []PhysNode { return []PhysNode{j.Left, j.Right} }
+func (j *PJoin) Children() []PhysNode { return j.in[:] }
 
 func (j *PJoin) describe() (op, detail, notes string) {
 	return j.Algo + " join", fmt.Sprintf("on L.%d = R.%d rows≈%.0f", j.LeftCol, j.RightCol, j.card),
-		dopNote("probe_dop", j.ProbeDOP)
+		dopNote("probe_dop", j.dop)
 }
 
 // PFilter applies residual predicates above a join.
 type PFilter struct {
-	In    PhysNode
+	props
+	in    [1]PhysNode
 	Preds []PredIR
-
-	card float64
-	cost Cost
 }
 
-// Columns implements PhysNode.
-func (f *PFilter) Columns() []ColRef { return f.In.Columns() }
-
-// Card implements PhysNode.
-func (f *PFilter) Card() float64 { return f.card }
-
-// RowBytes implements PhysNode.
-func (f *PFilter) RowBytes() float64 { return f.In.RowBytes() }
-
-// Cost implements PhysNode.
-func (f *PFilter) Cost() Cost { return f.cost }
-
-// MaxDOP implements PhysNode.
-func (f *PFilter) MaxDOP() int { return f.In.MaxDOP() }
-
-// Build implements PhysNode.
-func (f *PFilter) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	in, err := f.In.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return f.wrap(in)
-}
-
-// wrap puts this filter over one input operator with a fresh predicate
-// instance (predicates carry evaluation scratch, so fragments must not
-// share one).
-func (f *PFilter) wrap(in exec.Operator) (exec.Operator, error) {
-	cols := f.In.Columns()
-	pred, err := lowerPreds(f.Preds, func(c ColRef) (int, error) {
-		if i := colIndex(cols, c); i >= 0 {
-			return i, nil
-		}
-		return 0, fmt.Errorf("opt: residual column %v not in scope", c)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &exec.Filter{In: in, Pred: pred}, nil
-}
-
-// BuildFragments implements fragSource: every fragment of the child
-// pipeline gets its own Filter with a fresh predicate instance, so the
-// residual filter's per-row CPU runs inside the fragments at the swept
-// DOP instead of as a serial stage above the exchange.
-func (f *PFilter) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
-	fr, err := buildFragments(ctx, f.In, dop)
+// fragments implements PhysNode: every fragment of the input gets its own
+// Filter with a fresh predicate instance (predicates carry evaluation
+// scratch, so fragments must not share one), so the residual filter's
+// per-row CPU runs inside the fragments instead of as a serial stage above
+// the exchange.
+func (f *PFilter) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	fr, err := f.in[0].fragments(ctx, dop)
 	if err != nil {
 		return fr, err
 	}
-	return fr.Map(f.wrap)
+	cols := f.in[0].Columns()
+	return fr.Map(func(in exec.Operator) (exec.Operator, error) {
+		pred, err := lowerPreds(f.Preds, func(c ColRef) (int, error) {
+			if i := colIndex(cols, c); i >= 0 {
+				return i, nil
+			}
+			return 0, fmt.Errorf("opt: residual column %v not in scope", c)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &exec.Filter{In: in, Pred: pred}, nil
+	})
 }
 
 // Children implements PhysNode.
-func (f *PFilter) Children() []PhysNode { return []PhysNode{f.In} }
+func (f *PFilter) Children() []PhysNode { return f.in[:] }
 
 func (f *PFilter) describe() (op, detail, notes string) {
 	return "filter", fmt.Sprintf("rows≈%.0f%s", f.card, predList(f.Preds)), ""
@@ -383,80 +326,35 @@ func (f *PFilter) describe() (op, detail, notes string) {
 
 // PProject evaluates scalar expressions.
 type PProject struct {
-	In    PhysNode
+	props
+	in    [1]PhysNode
 	Exprs []*ExprIR
 	Names []string
-
-	cols []ColRef
-	cost Cost
 }
 
-// Columns implements PhysNode.
-func (p *PProject) Columns() []ColRef { return p.cols }
-
-// Card implements PhysNode.
-func (p *PProject) Card() float64 { return p.In.Card() }
-
-// RowBytes implements PhysNode.
-func (p *PProject) RowBytes() float64 { return float64(8 * len(p.Exprs)) }
-
-// Cost implements PhysNode.
-func (p *PProject) Cost() Cost { return p.cost }
-
-// MaxDOP implements PhysNode.
-func (p *PProject) MaxDOP() int { return p.In.MaxDOP() }
-
-// Build implements PhysNode.
-func (p *PProject) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	in, err := p.In.Build(ctx)
+// fragments implements PhysNode: every fragment of the input gets its own
+// projection, so the whole scan→project pipeline runs inside every worker.
+// A lowered scalar tree is immutable, so one set serves every fragment:
+// each fragment's Project compiles its own kernels from it.
+func (p *PProject) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	fr, err := p.in[0].fragments(ctx, dop)
 	if err != nil {
-		return nil, err
+		return fr, err
 	}
-	exprs, err := p.scalars()
-	if err != nil {
-		return nil, err
-	}
-	return p.wrap(in, exprs)
-}
-
-// scalars lowers the projection's expressions to executor trees. A tree
-// is immutable, so one set serves every fragment: each fragment's
-// Project compiles its own kernels from it.
-func (p *PProject) scalars() ([]exec.Scalar, error) {
-	cols := p.In.Columns()
+	cols := p.in[0].Columns()
 	exprs := make([]exec.Scalar, len(p.Exprs))
 	for i, e := range p.Exprs {
-		ex, err := buildScalar(e, cols)
+		if exprs[i], err = buildScalar(e, cols); err != nil {
+			return fr, err
+		}
+	}
+	return fr.Map(func(in exec.Operator) (exec.Operator, error) {
+		proj, err := exec.NewProject(in, exprs, p.Names)
 		if err != nil {
 			return nil, err
 		}
-		exprs[i] = ex
-	}
-	return exprs, nil
-}
-
-// wrap puts this projection over one input operator.
-func (p *PProject) wrap(in exec.Operator, exprs []exec.Scalar) (exec.Operator, error) {
-	proj, err := exec.NewProject(in, exprs, p.Names)
-	if err != nil {
-		return nil, err
-	}
-	return proj, nil
-}
-
-// BuildFragments implements fragSource: the child's fragments each get
-// their own copy of the projection, so the whole scan→project pipeline
-// runs inside every worker.
-func (p *PProject) BuildFragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
-	fr, err := buildFragments(ctx, p.In, dop)
-	if err != nil {
-		return fr, err
-	}
-	exprs, err := p.scalars()
-	if err != nil {
-		return fr, err
-	}
-	return fr.Map(func(in exec.Operator) (exec.Operator, error) { return p.wrap(in, exprs) })
+		return proj, nil
+	})
 }
 
 // buildScalar lowers one ExprIR to an executor tree over cols.
@@ -513,93 +411,57 @@ func lowerPreds(preds []PredIR, pos func(ColRef) (int, error)) (exec.Pred, error
 }
 
 // Children implements PhysNode.
-func (p *PProject) Children() []PhysNode { return []PhysNode{p.In} }
+func (p *PProject) Children() []PhysNode { return p.in[:] }
 
 func (p *PProject) describe() (op, detail, notes string) {
 	return "project", fmt.Sprintf("%d exprs", len(p.Exprs)), ""
 }
 
-// PAgg groups and aggregates.
+// PAgg groups and aggregates. Its own DOP fragments its input pipeline
+// under the aggregation's barrier exchange.
 type PAgg struct {
-	In      PhysNode
-	Group   []int // child positions
-	Aggs    []exec.AggSpec
-	AggRefs []ColRef // output refs for aggregate columns
-	DOP     int      // fragment the input pipeline this many ways; <= 1 serial
-
-	cols []ColRef
-	card float64
-	cost Cost
+	props
+	in    [1]PhysNode
+	Group []int // child positions
+	Aggs  []exec.AggSpec
 }
 
-// Columns implements PhysNode.
-func (a *PAgg) Columns() []ColRef { return a.cols }
-
-// Card implements PhysNode.
-func (a *PAgg) Card() float64 { return a.card }
-
-// RowBytes implements PhysNode.
-func (a *PAgg) RowBytes() float64 { return float64(8 * (len(a.Group) + len(a.Aggs))) }
-
-// Cost implements PhysNode.
-func (a *PAgg) Cost() Cost { return a.cost }
-
-// MaxDOP implements PhysNode.
-func (a *PAgg) MaxDOP() int { return max(a.DOP, a.In.MaxDOP()) }
-
-// Build implements PhysNode: the input pipeline compiles DOP ways under
-// the aggregation's barrier exchange (per-fragment partial tables,
-// partition-wise merge); DOP <= 1, or an input that cannot fragment, is
-// the one-fragment set.
-func (a *PAgg) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	in, err := buildFragments(ctx, a.In, a.DOP)
+// fragments implements PhysNode: the input pipeline compiles at the
+// aggregation's DOP (per-fragment partial tables, partition-wise merge);
+// a DOP <= 1, or an input that cannot divide, is the one-fragment set.
+func (a *PAgg) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	in, err := a.in[0].fragments(ctx, a.dop)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
-	return exec.NewHashAgg(in, a.Group, a.Aggs), nil
+	return exec.OneFragment(exec.NewHashAgg(in, a.Group, a.Aggs)), nil
 }
 
 // Children implements PhysNode.
-func (a *PAgg) Children() []PhysNode { return []PhysNode{a.In} }
+func (a *PAgg) Children() []PhysNode { return a.in[:] }
 
 func (a *PAgg) describe() (op, detail, notes string) {
-	return "agg", fmt.Sprintf("groups≈%.0f aggs=%d", a.card, len(a.Aggs)), dopNote("dop", a.DOP)
+	return "agg", fmt.Sprintf("groups≈%.0f aggs=%d", a.card, len(a.Aggs)), dopNote("dop", a.dop)
 }
 
 // PSort orders rows.
 type PSort struct {
-	In   PhysNode
+	props
+	in   [1]PhysNode
 	Keys []exec.SortKey
-
-	cost Cost
 }
 
-// Columns implements PhysNode.
-func (s *PSort) Columns() []ColRef { return s.In.Columns() }
-
-// Card implements PhysNode.
-func (s *PSort) Card() float64 { return s.In.Card() }
-
-// RowBytes implements PhysNode.
-func (s *PSort) RowBytes() float64 { return s.In.RowBytes() }
-
-// Cost implements PhysNode.
-func (s *PSort) Cost() Cost { return s.cost }
-
-// MaxDOP implements PhysNode.
-func (s *PSort) MaxDOP() int { return s.In.MaxDOP() }
-
-// Build implements PhysNode.
-func (s *PSort) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	in, err := s.In.Build(ctx)
+// fragments implements PhysNode.
+func (s *PSort) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	in, err := operator(ctx, s.in[0])
 	if err != nil {
-		return nil, err
+		return exec.Fragments{}, err
 	}
-	return &exec.Sort{In: in, Keys: s.Keys}, nil
+	return exec.OneFragment(&exec.Sort{In: in, Keys: s.Keys}), nil
 }
 
 // Children implements PhysNode.
-func (s *PSort) Children() []PhysNode { return []PhysNode{s.In} }
+func (s *PSort) Children() []PhysNode { return s.in[:] }
 
 func (s *PSort) describe() (op, detail, notes string) {
 	return "sort", fmt.Sprintf("keys=%d", len(s.Keys)), ""
@@ -607,36 +469,22 @@ func (s *PSort) describe() (op, detail, notes string) {
 
 // PLimit truncates output.
 type PLimit struct {
-	In PhysNode
+	props
+	in [1]PhysNode
 	N  int64
 }
 
-// Columns implements PhysNode.
-func (l *PLimit) Columns() []ColRef { return l.In.Columns() }
-
-// Card implements PhysNode.
-func (l *PLimit) Card() float64 { return math.Min(float64(l.N), l.In.Card()) }
-
-// RowBytes implements PhysNode.
-func (l *PLimit) RowBytes() float64 { return l.In.RowBytes() }
-
-// Cost implements PhysNode.
-func (l *PLimit) Cost() Cost { return l.In.Cost() }
-
-// MaxDOP implements PhysNode.
-func (l *PLimit) MaxDOP() int { return l.In.MaxDOP() }
-
-// Build implements PhysNode.
-func (l *PLimit) Build(ctx *exec.Ctx) (exec.Operator, error) {
-	in, err := l.In.Build(ctx)
+// fragments implements PhysNode.
+func (l *PLimit) fragments(ctx *exec.Ctx, dop int) (exec.Fragments, error) {
+	in, err := operator(ctx, l.in[0])
 	if err != nil {
-		return nil, err
+		return exec.Fragments{}, err
 	}
-	return &exec.Limit{In: in, N: l.N}, nil
+	return exec.OneFragment(&exec.Limit{In: in, N: l.N}), nil
 }
 
 // Children implements PhysNode.
-func (l *PLimit) Children() []PhysNode { return []PhysNode{l.In} }
+func (l *PLimit) Children() []PhysNode { return l.in[:] }
 
 func (l *PLimit) describe() (op, detail, notes string) {
 	return "limit", fmt.Sprintf("%d", l.N), ""
@@ -673,14 +521,15 @@ type Plan struct {
 // Cost reports the plan's dual cost.
 func (p *Plan) Cost() Cost { return p.Root.Cost() }
 
-// Build constructs the executable operator tree.
-func (p *Plan) Build(ctx *exec.Ctx) (exec.Operator, error) { return p.Root.Build(ctx) }
+// Build compiles the plan to its executable operator tree: the root's
+// one-fragment set, streamed.
+func (p *Plan) Build(ctx *exec.Ctx) (exec.Operator, error) { return operator(ctx, p.Root) }
 
 // MaxDOP reports the widest degree of parallelism any operator of the
 // plan will use — the cores the plan can actually occupy at once. The
 // admission controller returns the unused remainder of a query's grant to
 // the free pool once the plan is chosen.
-func (p *Plan) MaxDOP() int { return p.Root.MaxDOP() }
+func (p *Plan) MaxDOP() int { return maxDOP(p.Root) }
 
 // walk visits n's subtree in pre-order, depth counted from n: the one
 // traversal both EXPLAIN renderings are made from.
