@@ -60,6 +60,20 @@ var typingCases = []struct {
 	{stmt: `INSERT INTO m VALUES (3, 29, 1), (4, -0.29, -0.5), (5, 1.145, 0)`},
 	{stmt: `SELECT id, price, f FROM m WHERE id >= 3 ORDER BY id`,
 		rows: [][]table.Value{{iv(3), dv(2900), fv(1)}, {iv(4), dv(-29), fv(-0.5)}, {iv(5), dv(115), fv(0)}}},
+	{stmt: `SELECT id, 1 - price AS x FROM m WHERE id <= 2 ORDER BY id`, rows: [][]table.Value{{iv(1), dv(71)}, {iv(2), dv(-15)}}},
+	{stmt: `SELECT price + 92233720368547759 AS x FROM m`, err: sql.ErrType},
+	{stmt: `SELECT price - 92233720368547759 AS x FROM m`, err: sql.ErrType},
+	{stmt: `SELECT id FROM m WHERE id < DATE '1970-01-03'`, err: sql.ErrType},
+	{stmt: `CREATE TABLE md (id INT, d DATE)`},
+	{stmt: `INSERT INTO md VALUES (1, DATE '1970-01-02'), (3, DATE '1969-12-31')`},
+	{stmt: `INSERT INTO md VALUES (2, 5)`, err: sql.ErrType},
+	{stmt: `INSERT INTO md VALUES (DATE '1970-01-01', DATE '1970-01-01')`, err: sql.ErrType},
+	{stmt: `SELECT id + d AS x FROM md`, err: sql.ErrType},
+	{stmt: `SELECT d - 1 AS x FROM md`, err: sql.ErrType},
+	{stmt: `SELECT id FROM md WHERE d = id`, err: sql.ErrType},
+	{stmt: `SELECT id FROM md WHERE d < 1`, err: sql.ErrType},
+	{stmt: `SELECT id, d FROM md WHERE d < DATE '1970-01-03' ORDER BY id`,
+		rows: [][]table.Value{{iv(1), table.DateVal(1)}, {iv(3), table.DateVal(-1)}}},
 }
 
 func iv(v int64) table.Value   { return table.IntVal(v) }

@@ -130,13 +130,13 @@ func (c *fuseCompiler) compile(e Scalar) (fuseArg, table.Type, error) {
 }
 
 // ArithType is the type of l op r, for the binder and this compiler
-// alike: a string operand, or DECIMAL beside DATE, is a type error; Div
-// and any float operand give float64; integer arithmetic with a DECIMAL
-// operand is DECIMAL, otherwise it keeps its left operand's type.
+// alike: a string operand, or a DATE beside an INT or a DECIMAL, is a type
+// error; Div and any float operand give float64; integer arithmetic with a
+// DECIMAL operand is DECIMAL, otherwise it keeps its left operand's type.
 func ArithType(op ArithOp, l, r table.Type) (table.Type, error) {
 	switch {
 	case l == table.String || r == table.String,
-		l == table.Decimal && r == table.Date, l == table.Date && r == table.Decimal:
+		(l == table.Date) != (r == table.Date) && l.Physical() == r.Physical():
 		return 0, fmt.Errorf("%w: %v %v %v", fault.ErrType, l, op, r)
 	case op == Div || l == table.Float64 || r == table.Float64:
 		return table.Float64, nil

@@ -23,10 +23,11 @@ var ErrDuplicateAlias = errors.New("sql: duplicate alias")
 var ErrUnknownName = errors.New("unresolved name")
 
 // ErrType is the sentinel Bind and BindInsert wrap for every statement
-// that does not type-check: arithmetic or SUM/AVG over a string, DECIMAL
-// beside DATE, a column comparison or join across physical classes or of
-// DECIMAL with INT or DATE, a literal a column cannot take (in an INSERT
-// also a fractional one into INT or DATE, or one outside int64), an INSERT
+// that does not type-check: arithmetic or SUM/AVG over a string, DATE
+// beside INT or DECIMAL, a column comparison or join across physical
+// classes or between two of INT, DECIMAL and DATE, a literal a column
+// cannot take (in an INSERT also a fractional one into INT, or one outside
+// int64; beside a DECIMAL an integer whose cents leave int64), an INSERT
 // row of the wrong arity, * beside aggregates, an output neither
 // aggregated nor grouped. It is fault.ErrType, seen on both wire ends.
 var ErrType = fault.ErrType
@@ -263,7 +264,8 @@ func (b *binder) bindPred(dst []opt.PredIR, w WherePred) ([]opt.PredIR, error) {
 		if err != nil {
 			return dst, err
 		}
-		if lt.Physical() != rt.Physical() || (lt == table.Decimal) != (rt == table.Decimal) {
+		if lt.Physical() != rt.Physical() || (lt == table.Decimal) != (rt == table.Decimal) ||
+			(lt == table.Date) != (rt == table.Date) {
 			return dst, fmt.Errorf("sql: %w: cannot compare %v with %v", ErrType, lt, rt)
 		}
 		return append(dst, opt.PredIR{Left: l, Op: op, Right: r, IsJoin: true}), nil
@@ -291,20 +293,23 @@ func (b *binder) bindPred(dst []opt.PredIR, w WherePred) ([]opt.PredIR, error) {
 
 // The typing rule, stated once. A literal means the decimal it is written
 // as (a float: its shortest decimal form); typeLit types it for a column.
+// DATE is a class of its own: only a DATE literal meets a DATE column, and
+// a DATE literal meets no other column.
 //   - INSERT: an integer literal into DECIMAL means whole units (29 is
 //     29.00) and a fractional one rounds to the nearest cent, half away
-//     from zero as math.Round does; a fractional literal into INT or DATE,
-//     or one outside int64 once scaled, is refused with ErrType; an integer
+//     from zero as math.Round does; a fractional literal into INT, or one
+//     outside int64 once scaled, is refused with ErrType; an integer
 //     literal into DOUBLE converts.
 //   - Comparison: when the column cannot hold the literal exactly, < and >=
 //     round it up to the column's unit, > and <= round it down, = matches
 //     no row (> floor AND < ceil) and <> drops out; a literal outside int64
 //     makes each operator match all rows or none.
 //   - Arithmetic: +, -, SUM, MIN and MAX on DECIMAL stay decimal, an INT
-//     operand beside it scaled ×100 (exec.ArithType types the node); a
-//     DECIMAL that meets *, /, AVG or a float is lowered to col / 100.0.
-//     DECIMAL beside DATE, and a column comparison or join of DECIMAL with
-//     INT or DATE, is refused.
+//     operand beside it scaled ×100 (exec.ArithType types the node); an
+//     integer literal is scaled here, at bind time, and refused when its
+//     cents leave int64. A DECIMAL that meets *, /, AVG or a float is
+//     lowered to col / 100.0. DATE beside INT or DECIMAL, and a column
+//     comparison or join between two of INT, DECIMAL and DATE, is refused.
 
 // typeLit types literal v for a column of type t: c is the column value
 // nearest v and d the sign of v - c, 0 when c is v. An error with d != 0
@@ -312,6 +317,8 @@ func (b *binder) bindPred(dst []opt.PredIR, w WherePred) ([]opt.PredIR, error) {
 func typeLit(v table.Value, t table.Type) (c table.Value, d int, err error) {
 	var s string
 	switch {
+	case (v.Type == table.Date) != (t == table.Date):
+		return v, 0, fmt.Errorf("sql: %w: cannot use %v literal for %v column", ErrType, v.Type, t)
 	case v.Type == t || v.Type.Physical() == t.Physical() && t != table.Decimal:
 		v.Type = t
 		return v, 0, nil
@@ -362,7 +369,7 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 			return nil, fmt.Errorf("sql: %w: %s of a %v", ErrType, a.Func, t)
 		}
 		if fn == exec.Avg {
-			e = lower(e, t, true)
+			e, _ = lower(e, t, true) // a float lowering refuses nothing
 		}
 		out.Arg = e
 	} else if fn != exec.Count {
@@ -405,7 +412,12 @@ func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 			if op == exec.Mul {
 				t = table.Float64
 			}
-			l, r = lower(l, lt, t == table.Float64), lower(r, rt, t == table.Float64)
+			if l, err = lower(l, lt, t == table.Float64); err == nil {
+				r, err = lower(r, rt, t == table.Float64)
+			}
+			if err != nil {
+				return nil, 0, err
+			}
 		}
 		return &opt.ExprIR{Op: op, L: l, R: r}, t, nil
 	}
@@ -413,14 +425,21 @@ func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 
 // lower applies the typing rule's DECIMAL lowerings to an operand e of
 // type t: a DECIMAL in float arithmetic becomes e / 100.0, an INT in
-// decimal arithmetic e * 100.
-func lower(e *opt.ExprIR, t table.Type, float bool) *opt.ExprIR {
+// decimal arithmetic e * 100 — an integer literal its cents, refused when
+// they leave int64.
+func lower(e *opt.ExprIR, t table.Type, float bool) (*opt.ExprIR, error) {
 	k, op := table.IntVal(100), exec.Mul
 	switch {
 	case float && t == table.Decimal:
 		k, op = table.FloatVal(100), exec.Div
 	case float || t != table.Int64:
-		return e
+		return e, nil
+	case e.Const != nil:
+		c := table.DecimalVal(e.Const.I * 100)
+		if c.I/100 != e.Const.I {
+			return nil, fmt.Errorf("sql: %w: %v is outside a decimal", ErrType, *e.Const)
+		}
+		return &opt.ExprIR{Const: &c}, nil
 	}
-	return &opt.ExprIR{Op: op, L: e, R: &opt.ExprIR{Const: &k}}
+	return &opt.ExprIR{Op: op, L: e, R: &opt.ExprIR{Const: &k}}, nil
 }

@@ -291,9 +291,9 @@ func TestBindAggExprArgument(t *testing.T) {
 
 // TestBindTypeErrors: every statement that does not type-check is refused
 // at bind with the one sentinel — arithmetic and SUM/AVG over strings (at
-// 9d264a0 these bound, and the first two panicked the executor) beside the
-// two checks that already existed — while strings stay legal wherever they
-// are only carried or compared.
+// 9d264a0 these bound, and the first two panicked the executor), DATE
+// beside INT, and the checks that already existed — while strings stay
+// legal wherever they are only carried or compared.
 func TestBindTypeErrors(t *testing.T) {
 	for _, src := range []string{
 		"SELECT c_name + 1 AS x FROM customer",
@@ -304,6 +304,8 @@ func TestBindTypeErrors(t *testing.T) {
 		"SELECT SUM(o_totalprice / o_orderpriority) AS s FROM orders",
 		"SELECT o_orderkey FROM orders WHERE o_orderkey = o_orderpriority",
 		"SELECT o_orderkey FROM orders WHERE o_orderpriority = 5",
+		"SELECT o_orderdate - 1 AS d FROM orders",
+		"SELECT o_orderkey FROM orders WHERE o_orderdate = o_custkey",
 	} {
 		if _, err := Bind(mustBind(t, src), testSchemas()); !errors.Is(err, ErrType) {
 			t.Errorf("Bind(%q): error %v, want ErrType", src, err)
@@ -312,7 +314,7 @@ func TestBindTypeErrors(t *testing.T) {
 	for _, src := range []string{
 		"SELECT c_name, 'x' AS tag, c_custkey + 1 AS next FROM customer",
 		"SELECT MIN(c_name) AS lo, MAX(c_name) AS hi, COUNT(c_name) AS n FROM customer",
-		"SELECT SUM(o_orderdate - 1) AS s, AVG(o_custkey / 2) AS a FROM orders",
+		"SELECT SUM(o_custkey - 1) AS s, AVG(o_custkey / 2) AS a FROM orders",
 	} {
 		if _, err := Bind(mustBind(t, src), testSchemas()); err != nil {
 			t.Errorf("Bind(%q): %v", src, err)
