@@ -14,7 +14,7 @@ import (
 // reproduce the same multiset of rows.
 
 // filterFrags builds dop Filter-over-scan fragments sharing one morsel
-// dispenser — the exec shape the optimizer's PFilter.BuildFragments
+// dispenser — the exec shape the optimizer's PFilter.fragments
 // produces. Each fragment gets fresh predicate scratch (fragments run
 // concurrently and must not share mutable state).
 func filterFrags(st *StoredTable, readCols, emit []int, newPred func() Pred, dop, morselBlocks int) ([]Operator, *Morsels) {
@@ -100,7 +100,7 @@ func TestParallelFilterMatchesSerialAnyDOP(t *testing.T) {
 
 // proberFrags builds dop Probers over scan fragments sharing one morsel
 // dispenser, all probing one shared build of dim — the exec shape
-// PJoin.BuildFragments produces.
+// PJoin.fragments produces.
 func proberFrags(st *StoredTable, dim *table.Table, readCols, emit []int, probeKey, dop, morselBlocks int) ([]Operator, *Morsels) {
 	frags, q := colScanFrags(st, readCols, emit, nil, dop, morselBlocks)
 	sb := NewSharedBuild(&Values{Tab: dim}, 0)

@@ -109,6 +109,7 @@ func (p *props) RowBytes() float64 { return p.rowBytes }
 // Cost is the node's cumulative dual cost, its inputs included.
 func (p *props) Cost() Cost { return p.cost }
 
+// base is the props of the node that embeds them.
 func (p *props) base() *props { return p }
 
 // over is the props of a node that passes in's rows through: its columns,
