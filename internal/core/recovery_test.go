@@ -456,10 +456,10 @@ func TestCorruptBlockFailsOnlyItsStatement(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad := false
-		for _, rel := range db.Catalog.Names() {
+		for _, rel := range db.Tables() {
 			pl, err := db.Catalog.Get(rel)
 			if err != nil {
-				t.Fatal(err)
+				continue // not placed: the statement does not read it
 			}
 			for _, v := range pl.Variants {
 				codecs := make([]compress.Codec, len(v.ST.Codecs))

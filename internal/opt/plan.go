@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"energydb/internal/exec"
@@ -42,17 +41,6 @@ func (c *Catalog) Get(name string) (*Placement, error) {
 		return nil, fmt.Errorf("opt: unknown relation %q", name)
 	}
 	return p, nil
-}
-
-// Names lists registered relations, sorted: callers emit the list (plan
-// diagnostics, catalogs in explain output), so map order must not leak.
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.rels))
-	for n := range c.rels {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PhysNode is a node of a physical plan. What the optimizer computed when
