@@ -78,6 +78,22 @@ var oracleEdges = []struct{ name, query string }{
 	{"self_join_strings", `SELECT e1.k, e2.k AS k2 FROM e e1, e e2 WHERE e1.s = e2.s`},
 }
 
+// orderEdges are edges of the one order of floats and of GROUP BY, one of
+// them joined into filter_under_agg's shape so that MIN and MAX over a NaN
+// also merge across fragments. They run after typingCases: a statement's
+// clock line depends on the database clock it starts at, so the corpus
+// grows at its end and the lines before stay put.
+var orderEdges = []struct{ name, query string }{
+	{"float_order", `SELECT k, f FROM e ORDER BY f, k`},
+	{"float_order_desc", `SELECT k, f FROM e ORDER BY f DESC, k`},
+	{"float_extrema_nan_first", `SELECT MIN(f) AS lo, MAX(f) AS hi FROM e WHERE k >= 3`},
+	{"fragmented_nan_extrema", `SELECT o_orderpriority, COUNT(*) AS n, SUM(l_quantity) AS q, SUM(l_extendedprice) AS p,
+		AVG(l_discount) AS d, MIN(f) AS lo, MAX(f) AS hi FROM lineitem, orders, e
+		WHERE l_orderkey = o_orderkey AND l_linenumber = k AND l_extendedprice < o_totalprice GROUP BY o_orderpriority`},
+	{"group_without_agg", `SELECT s FROM e GROUP BY s`},
+	{"ungrouped_output", `SELECT k FROM e GROUP BY s`},
+}
+
 // oracleStmt is one statement of the oracle's corpus.
 type oracleStmt struct{ name, query string }
 
@@ -91,6 +107,9 @@ func oracleCorpus() []oracleStmt {
 	}
 	for i, c := range typingCases {
 		out = append(out, oracleStmt{fmt.Sprintf("typing/%02d", i), c.stmt})
+	}
+	for _, q := range orderEdges {
+		out = append(out, oracleStmt{"edge/" + q.name, q.query})
 	}
 	return out
 }

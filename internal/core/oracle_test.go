@@ -30,17 +30,20 @@ import (
 //     fraction to the cent half away from zero, takes into INT only an
 //     integral value, and refuses what leaves int64.
 //   - Two columns compare or join only when their types are equal.
-//   - Floats compare by Go's operators, so a NaN matches only <>. As a
-//     GROUP BY key ±0 is one key and every NaN one key; NaN sorts last.
+//   - In WHERE and joins floats compare by Go's operators, so a NaN
+//     matches only <>. Everywhere else they are ranked: as numbers, ±0 one
+//     value, and a NaN after every number and equal to every NaN. So ±0 is
+//     one GROUP BY key and every NaN another, ORDER BY puts a NaN last (first
+//     under DESC), MAX over a NaN is NaN and MIN is NaN only over NaNs alone.
 //   - DECIMAL is whole cents. +, - and SUM, MIN, MAX keep it, an INT operand
 //     scaled ×100 (a literal refused when its cents leave int64); *, /, AVG
 //     or a float operand work in float units, cents / 100. INT / INT is a
 //     float. DATE meets neither INT nor DECIMAL in arithmetic; strings take
 //     none.
 //   - COUNT counts rows, an integer SUM wraps like int64, AVG is a float,
-//     and a global aggregate over no rows is each type's zero. GROUP BY
-//     groups only beside an aggregate, and every other output must then be
-//     a grouped column.
+//     and a global aggregate over no rows is each type's zero. With an
+//     aggregate or a GROUP BY every output is one value per group, so each
+//     output that is not an aggregate must be a grouped column.
 //   - SELECT *, and FROM items no equality ties together, are outside it.
 type oracle map[string]*table.Table
 
@@ -120,8 +123,9 @@ func stored(v table.Value, t table.Type, out *table.Value) bool {
 	return litOK(v.Type, t)
 }
 
-// order compares a and b of one class: -1, 0 or +1, and 2 when a NaN
-// leaves them unordered. rank makes it total, a NaN after every number.
+// order compares a and b of one class as WHERE does: -1, 0 or +1, and 2
+// when a NaN leaves them unordered. rank makes it total, a NaN after every
+// number, for ORDER BY, MIN and MAX.
 func order(a, b table.Value) int {
 	switch {
 	case a.Type == table.String:
@@ -259,7 +263,7 @@ func (s oScope) agg(a *sql.AggCall) (func([]oRow) table.Value, error) {
 		for i, row := range g {
 			v := e.ev(row)
 			sum.I, sum.F = sum.I+v.I, sum.F+units(v)
-			if i == 0 || a.Func == "MIN" && order(v, ext) == -1 || a.Func == "MAX" && order(v, ext) == 1 {
+			if i == 0 || a.Func == "MIN" && rank(v, ext) < 0 || a.Func == "MAX" && rank(v, ext) > 0 {
 				ext = v
 			}
 		}
@@ -285,7 +289,7 @@ func cell(row oRow, i int) (v table.Value) {
 
 // query runs a SELECT. Its FROM items join in order, each through a Go map
 // on its first equality with the items before it; then WHERE filters and,
-// beside an aggregate, GROUP BY groups.
+// with an aggregate or a GROUP BY, rows group.
 func (o oracle) query(sel *sql.SelectStmt) ([]oRow, error) {
 	refs, where := slices.Clone(sel.From), slices.Clone(sel.Where)
 	for _, j := range sel.Joins {
@@ -317,6 +321,7 @@ func (o oracle) query(sel *sql.SelectStmt) ([]oRow, error) {
 		}
 	}
 	hasAgg := slices.ContainsFunc(sel.Items, func(it sql.SelectItem) bool { return it.Agg != nil })
+	grouped := hasAgg || len(group) > 0
 	outs, names := make([]func([]oRow) table.Value, len(sel.Items)), make([]string, len(sel.Items))
 	for i, it := range sel.Items {
 		var err error
@@ -328,7 +333,7 @@ func (o oracle) query(sel *sql.SelectStmt) ([]oRow, error) {
 				c, _ = s.resolve(*it.Expr.Col)
 				names[i] = cmp.Or(it.As, s[c].Name)
 			}
-			if hasAgg && !slices.Contains(group, c) {
+			if grouped && !slices.Contains(group, c) {
 				err = cmp.Or(err, sql.ErrType)
 			}
 			outs[i] = func(g []oRow) table.Value { return e.ev(g[0]) }
@@ -372,7 +377,7 @@ func (o oracle) query(sel *sql.SelectStmt) ([]oRow, error) {
 	at := map[string]int{}
 	for _, row := range rows {
 		k := strconv.Itoa(len(groups))
-		if hasAgg {
+		if grouped {
 			k = ""
 			for _, c := range group {
 				v := row[c]

@@ -31,10 +31,11 @@ type AggSpec struct {
 	As   string
 }
 
-// HashAgg groups rows by the GroupBy columns and computes aggregates. The
-// output schema is the group columns followed by one column per spec.
-// Output order is deterministic (sorted by group key values, a NaN after
-// every number) so results are reproducible at any degree of parallelism.
+// HashAgg groups rows by the GroupBy columns and computes aggregates (none,
+// for a GROUP BY alone). The output schema is the group columns followed by
+// one column per spec. Output order is deterministic (sorted by group key
+// values in table.Compare's order) and MIN/MAX take the extremum in the same
+// order, so results are reproducible at any degree of parallelism.
 //
 // The input is a fragment set run under the barrier exchange: every
 // fragment aggregates its share into a table of its own (HashAgg is the
@@ -212,20 +213,6 @@ func resolveKey(v *table.Vector) keyCol {
 	return keyCol{phys: v.Type.Physical(), i: v.I, f: v.F, s: v.S}
 }
 
-// A float cell enters a group key in canonical form: -0.0 as +0.0 and every
-// NaN as one NaN. Grouping is then by the equality the join already uses
-// for ±0 (hashFloat64), all NaNs are one group rather than a group per bit
-// pattern, and no two stored keys compare equal.
-func canonFloat(f float64) float64 {
-	if f == 0 {
-		return 0
-	}
-	if f != f {
-		return math.NaN()
-	}
-	return f
-}
-
 // mixKey folds the 64 bits of one key cell into the running hash h of the
 // cells before it, with one multiply. From h == 0 it is hashInt64.
 func mixKey(h uint32, cell uint64) uint32 {
@@ -255,7 +242,7 @@ func hashKeys(hs []int32, cols []keyCol, sel []int32) {
 				if sel != nil {
 					r = int(sel[k])
 				}
-				hs[k] = int32(mixKey(uint32(h), math.Float64bits(canonFloat(c.f[r]))))
+				hs[k] = int32(mixKey(uint32(h), math.Float64bits(table.CanonFloat(c.f[r]))))
 			}
 		default:
 			for k, h := range hs {
@@ -357,7 +344,7 @@ func (t *aggTable) newGroup(cols []keyCol, r int) int32 {
 		case table.PhysInt:
 			k.I = append(k.I, c.i[r])
 		case table.PhysFloat:
-			k.F = append(k.F, canonFloat(c.f[r]))
+			k.F = append(k.F, table.CanonFloat(c.f[r]))
 		default:
 			k.S = append(k.S, c.s[r])
 		}
@@ -450,33 +437,23 @@ func (t *aggTable) concat(src *aggTable) {
 	}
 }
 
-// cmpKeys orders groups a and b by their key cells, column by column. The
-// order is total — a NaN sorts after every number — and two groups never
-// tie: their keys differ, and stored floats are canonical.
+// cmpKeys orders groups a and b by their key cells, column by column, in
+// table.Compare's order. Two groups never tie: their keys differ, and
+// stored floats are canonical.
 func (t *aggTable) cmpKeys(a, b int32) int {
 	for ci := range t.keys {
 		var c int
 		switch k := &t.keys[ci]; k.Type.Physical() {
 		case table.PhysInt:
-			c = cmpOrd(k.I[a], k.I[b])
+			c = table.Compare(k.I[a], k.I[b])
 		case table.PhysFloat:
-			x, y := k.F[a], k.F[b]
-			if c = cmpOrd(x, y); x != x || y != y {
-				c = cmpOrd(btoi(x != x), btoi(y != y))
-			}
+			c = table.Compare(k.F[a], k.F[b])
 		default:
-			c = cmpOrd(k.S[a], k.S[b])
+			c = table.Compare(k.S[a], k.S[b])
 		}
 		if c != 0 {
 			return c
 		}
-	}
-	return 0
-}
-
-func btoi(b bool) int64 {
-	if b {
-		return 1
 	}
 	return 0
 }
@@ -564,11 +541,13 @@ func updateExt[T int64 | float64 | string](ext []T, seen []bool, wantMax bool, v
 	}
 }
 
-// foldExt folds x into group gid's extremum.
+// foldExt folds x into group gid's extremum, in table.Compare's order: a
+// NaN is the greatest value, so MAX over one is NaN and MIN passes it over
+// unless every value is NaN, whatever order rows and fragments arrive in.
 func foldExt[T int64 | float64 | string](ext []T, seen []bool, wantMax bool, gid int32, x T) {
 	if !seen[gid] {
 		ext[gid], seen[gid] = x, true
-	} else if wantMax && x > ext[gid] || !wantMax && x < ext[gid] {
+	} else if c := table.Compare(x, ext[gid]); wantMax && c > 0 || !wantMax && c < 0 {
 		ext[gid] = x
 	}
 }

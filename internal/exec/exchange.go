@@ -246,15 +246,11 @@ func hashInt64(x int64) uint32 {
 	return uint32((uint64(x) * 0x9E3779B97F4A7C15) >> 32)
 }
 
-// hashFloat64 hashes a float64 key by its bit pattern, canonicalising
-// negative zero first: Go map equality treats +0.0 and -0.0 as the same
-// key, so they must hash alike or a probe carrying one would seek the
-// other's slot in vain. (NaN keys never match under map equality.)
+// hashFloat64 hashes a float64 key by the bits of its canonical form
+// (table.CanonFloat), so +0.0 and -0.0, which join as equal, hash alike and
+// a probe carrying one finds the other's slot. (A NaN key matches nothing.)
 func hashFloat64(f float64) uint32 {
-	if f == 0 {
-		f = 0 // collapse -0.0 onto +0.0, matching map key equality
-	}
-	return hashInt64(int64(math.Float64bits(f)))
+	return hashInt64(int64(math.Float64bits(table.CanonFloat(f))))
 }
 
 // hashString is FNV-1a over the key bytes. The aggregation's merge

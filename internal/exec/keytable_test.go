@@ -22,7 +22,7 @@ func oldEncoding(b *table.Batch, cols []int, r int) string {
 		case table.PhysInt:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I[r]))
 		case table.PhysFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(canonFloat(v.F[r])))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(table.CanonFloat(v.F[r])))
 		default:
 			buf = binary.AppendUvarint(buf, uint64(len(v.S[r])))
 			buf = append(buf, v.S[r]...)

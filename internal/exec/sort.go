@@ -25,7 +25,7 @@ type SortKey struct {
 // The comparison sort runs over an index permutation with one typed
 // comparator per key closing over the raw column slice — no per-compare
 // Value boxing — and the sorted order is materialised with one
-// batch-level gather.
+// batch-level gather. Keys order by table.Compare, ties keep input order.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
@@ -41,29 +41,19 @@ type Sort struct {
 func (s *Sort) Schema() *table.Schema { return s.In.Schema() }
 
 // keyCmp returns an ascending three-way comparator over rows a, b of the
-// key column, specialised to the column's physical class.
+// key column, specialised to the column's physical class, in table.Compare's
+// order: a NaN sorts after every number, so first under DESC.
 func keyCmp(v *table.Vector) func(a, b int32) int {
 	switch v.Type.Physical() {
 	case table.PhysInt:
 		col := v.I
-		return func(a, b int32) int { return cmpOrd(col[a], col[b]) }
+		return func(a, b int32) int { return table.Compare(col[a], col[b]) }
 	case table.PhysFloat:
 		col := v.F
-		return func(a, b int32) int { return cmpOrd(col[a], col[b]) }
+		return func(a, b int32) int { return table.Compare(col[a], col[b]) }
 	default:
 		col := v.S
-		return func(a, b int32) int { return cmpOrd(col[a], col[b]) }
-	}
-}
-
-func cmpOrd[T int64 | float64 | string](x, y T) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	default:
-		return 0
+		return func(a, b int32) int { return table.Compare(col[a], col[b]) }
 	}
 }
 

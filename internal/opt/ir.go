@@ -79,7 +79,7 @@ type AggIR struct {
 
 // OutputIR is one SELECT-list item: either a plain expression or an
 // aggregate (mixing is resolved by the binder: plain columns must appear
-// in GROUP BY when aggregates are present).
+// in GROUP BY when aggregates or a GROUP BY are present).
 type OutputIR struct {
 	Expr *ExprIR
 	Agg  *AggIR

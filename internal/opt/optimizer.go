@@ -145,8 +145,8 @@ func (o *optimizer) run() (*Plan, error) {
 		root = f
 	}
 
-	// Aggregation, then the SELECT list.
-	if o.q.HasAggs() {
+	// Aggregation (GROUP BY alone groups too), then the SELECT list.
+	if o.q.HasAggs() || len(o.q.GroupBy) > 0 {
 		root = o.buildAgg(root)
 	}
 	if len(o.q.Outputs) > 0 {

@@ -12,7 +12,6 @@
 package opt
 
 import (
-	"cmp"
 	"hash/maphash"
 	"math"
 	"math/bits"
@@ -23,8 +22,6 @@ import (
 // ColStats summarises one column for cardinality estimation.
 type ColStats struct {
 	NDV int64 // number of distinct values
-	Min table.Value
-	Max table.Value
 }
 
 // TableStats summarises a relation.
@@ -44,42 +41,30 @@ func Analyze(t *table.Table) *TableStats {
 	for ci := range t.Schema.Cols {
 		switch v := t.Column(ci); v.Type.Physical() {
 		case table.PhysInt:
-			st.Cols[ci] = columnStats(slots, v.I, hashInt, func(x int64) table.Value { return table.Value{Type: v.Type, I: x} })
+			st.Cols[ci] = columnStats(slots, v.I, hashInt)
 		case table.PhysFloat:
-			st.Cols[ci] = columnStats(slots, v.F, hashFloat, table.FloatVal)
+			st.Cols[ci] = columnStats(slots, v.F, hashFloat)
 		default:
-			st.Cols[ci] = columnStats(slots, v.S, hashString, table.StrVal)
+			st.Cols[ci] = columnStats(slots, v.S, hashString)
 		}
 	}
 	return st
 }
 
-// columnStats computes one column's statistics. Min and Max are the first
-// least and greatest keys by < and > (the builtins would return any NaN):
-// a leading NaN is both and a later one is passed over, a known defect
-// kept because plans are priced with these statistics. NDV is exact, with
-// a Go map's equality (±0 is one float, each NaN counts once), over slots:
-// an open-addressing table holding 1 + the row of each key filed, so that
-// every value of the type can be a key.
-func columnStats[K cmp.Ordered](slots []int32, keys []K, hash func(K) uint64, box func(K) table.Value) ColStats {
+// columnStats computes one column's statistics. NDV is exact, with the
+// equality grouping uses (±0 is one float, and so is every NaN), over
+// slots: an open-addressing table holding 1 + the row of each key filed,
+// so that every value of the type can be a key.
+func columnStats[K int64 | float64 | string](slots []int32, keys []K, hash func(K) uint64) ColStats {
 	if len(keys) == 0 {
 		return ColStats{NDV: 1}
 	}
 	clear(slots)
 	shift, mask := 64-bits.Len(uint(len(slots)-1)), len(slots)-1
-	lo, hi, ndv := keys[0], keys[0], int64(0)
-	for _, k := range keys[1:] {
-		if k < lo {
-			lo = k
-		} else if k > hi {
-			hi = k
-		}
-	}
+	ndv, nan := int64(0), int64(0)
 	for i, k := range keys {
 		if k != k {
-			// A NaN equals no filed key, so it would be filed anew anyway;
-			// counting it here keeps NaNs from probing one growing cluster.
-			ndv++
+			nan = 1 // a NaN equals no filed key, so it is counted here
 			continue
 		}
 		for h := int(hash(k) >> shift); ; h = (h + 1) & mask {
@@ -92,7 +77,7 @@ func columnStats[K cmp.Ordered](slots []int32, keys []K, hash func(K) uint64, bo
 			}
 		}
 	}
-	return ColStats{NDV: ndv, Min: box(lo), Max: box(hi)}
+	return ColStats{NDV: ndv + nan}
 }
 
 // fibonacci spreads a 64-bit image over the top bits columnStats reads.
@@ -100,12 +85,7 @@ const fibonacci = 0x9E3779B97F4A7C15
 
 func hashInt(x int64) uint64 { return uint64(x) * fibonacci }
 
-func hashFloat(x float64) uint64 {
-	if x == 0 {
-		x = 0 // −0 hashes as +0, the value it equals
-	}
-	return math.Float64bits(x) * fibonacci
-}
+func hashFloat(x float64) uint64 { return math.Float64bits(table.CanonFloat(x)) * fibonacci }
 
 // stringSeed decides where a string is filed, never whether two are equal.
 var stringSeed = maphash.MakeSeed()

@@ -11,71 +11,42 @@ import (
 	"energydb/internal/tpch"
 )
 
-// analyzeBoxed is Analyze as it was before it worked on the typed slices:
-// every value boxed into a table.Value for Compare, and NDV counted by a Go
-// map. It is the reference TestAnalyzeMatchesBoxed and FuzzAnalyze hold
-// Analyze to, quirks included: a leading NaN pins Min and Max, a later one
-// is passed over, ±0 is one value and every NaN is its own.
+// analyzeBoxed is the reference TestAnalyzeMatchesBoxed and FuzzAnalyze
+// hold Analyze to: NDV counted by a Go map, whose equality makes ±0 one
+// value, with every NaN counted as one value more, as grouping makes it.
 func analyzeBoxed(t *table.Table) *TableStats {
 	n := t.Rows()
 	st := &TableStats{Rows: int64(n), Cols: make([]ColStats, len(t.Schema.Cols))}
 	for ci := range t.Schema.Cols {
 		v := t.Column(ci)
-		cs := ColStats{}
+		var distinct int
 		switch v.Type.Physical() {
 		case table.PhysInt:
 			seen := make(map[int64]struct{})
-			for i, x := range v.I {
+			for _, x := range v.I {
 				seen[x] = struct{}{}
-				val := table.Value{Type: v.Type, I: x}
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
-				}
 			}
-			cs.NDV = int64(len(seen))
+			distinct = len(seen)
 		case table.PhysFloat:
-			seen := make(map[float64]struct{})
-			for i, x := range v.F {
-				seen[x] = struct{}{}
-				val := table.FloatVal(x)
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
+			seen, nan := make(map[float64]struct{}), 0
+			for _, x := range v.F {
+				if math.IsNaN(x) {
+					nan = 1
+				} else {
+					seen[x] = struct{}{}
 				}
 			}
-			cs.NDV = int64(len(seen))
+			distinct = len(seen) + nan
 		default:
 			seen := make(map[string]struct{})
-			for i, x := range v.S {
+			for _, x := range v.S {
 				seen[x] = struct{}{}
-				val := table.StrVal(x)
-				if i == 0 || val.Compare(cs.Min) < 0 {
-					cs.Min = val
-				}
-				if i == 0 || val.Compare(cs.Max) > 0 {
-					cs.Max = val
-				}
 			}
-			cs.NDV = int64(len(seen))
+			distinct = len(seen)
 		}
-		if cs.NDV == 0 {
-			cs.NDV = 1
-		}
-		st.Cols[ci] = cs
+		st.Cols[ci] = ColStats{NDV: int64(max(distinct, 1))}
 	}
 	return st
-}
-
-// sameValue compares two statistics values bit for bit: NaN equals NaN,
-// and −0 is not +0.
-func sameValue(a, b table.Value) bool {
-	return a.Type == b.Type && a.I == b.I && a.S == b.S &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // checkAnalyze fails t unless Analyze(tab) equals analyzeBoxed(tab).
@@ -86,10 +57,8 @@ func checkAnalyze(t *testing.T, tab *table.Table) {
 		t.Fatalf("%s: %d rows, %d columns; want %d, %d", tab.Schema.Name, got.Rows, len(got.Cols), want.Rows, len(want.Cols))
 	}
 	for i, g := range got.Cols {
-		w := want.Cols[i]
-		if g.NDV != w.NDV || !sameValue(g.Min, w.Min) || !sameValue(g.Max, w.Max) {
-			t.Fatalf("%s.%s: NDV %d, min %+v, max %+v; want %d, %+v, %+v",
-				tab.Schema.Name, tab.Schema.Cols[i].Name, g.NDV, g.Min, g.Max, w.NDV, w.Min, w.Max)
+		if w := want.Cols[i]; g.NDV != w.NDV {
+			t.Fatalf("%s.%s: NDV %d, want %d", tab.Schema.Name, tab.Schema.Cols[i].Name, g.NDV, w.NDV)
 		}
 	}
 }
@@ -159,17 +128,10 @@ func TestAnalyzeMatchesBoxed(t *testing.T) {
 			table.StrVal(strs[i]), table.DateVal(ints[len(ints)-1-i]))
 	}
 	checkAnalyze(t, adv)
-	// The reference's quirks, by hand: a leading NaN pins Min and Max, a
-	// later NaN is passed over, ±0 is one value and every NaN is its own.
+	// By hand: ±0 is one value and so is every NaN.
 	st := Analyze(adv)
-	if st.Cols[0].NDV != 5 || st.Cols[1].NDV != 7 || st.Cols[2].NDV != 5 {
-		t.Errorf("adversarial: NDV %d/%d/%d, want 5/7/5", st.Cols[0].NDV, st.Cols[1].NDV, st.Cols[2].NDV)
-	}
-	if f := st.Cols[1]; !math.IsNaN(f.Min.F) || !math.IsNaN(f.Max.F) {
-		t.Errorf("leading NaN: min/max %v/%v, want NaN/NaN", f.Min.F, f.Max.F)
-	}
-	if z := st.Cols[2]; z.Min.F != -3 || z.Max.F != 2 {
-		t.Errorf("later NaN: min/max %v/%v, want -3/2", z.Min.F, z.Max.F)
+	if st.Cols[0].NDV != 5 || st.Cols[1].NDV != 5 || st.Cols[2].NDV != 4 {
+		t.Errorf("adversarial: NDV %d/%d/%d, want 5/5/4", st.Cols[0].NDV, st.Cols[1].NDV, st.Cols[2].NDV)
 	}
 
 	checkAnalyze(t, table.NewTable(s))

@@ -28,8 +28,9 @@ var ErrUnknownName = errors.New("unresolved name")
 // classes or between two of INT, DECIMAL and DATE, a literal a column
 // cannot take (in an INSERT also a fractional one into INT, or one outside
 // int64; beside a DECIMAL an integer whose cents leave int64), an INSERT
-// row of the wrong arity, * beside aggregates, an output neither
-// aggregated nor grouped. It is fault.ErrType, seen on both wire ends.
+// row of the wrong arity, * beside aggregates or GROUP BY, an output
+// neither aggregated nor grouped where either is present. It is
+// fault.ErrType, seen on both wire ends.
 var ErrType = fault.ErrType
 
 // SchemaLookup resolves a relation name to its schema.
@@ -110,14 +111,15 @@ func (b *binder) run() (*opt.Query, error) {
 		groupSet[c] = true
 	}
 
-	// Select list.
-	hasAgg := slices.ContainsFunc(b.sel.Items, func(it SelectItem) bool { return it.Agg != nil })
+	// Select list. With an aggregate or a GROUP BY, each output is one
+	// value per group.
+	grouped := len(q.GroupBy) > 0 || slices.ContainsFunc(b.sel.Items, func(it SelectItem) bool { return it.Agg != nil })
 	aggIdx := 0
 	for i, item := range b.sel.Items {
 		switch {
 		case item.Star:
-			if hasAgg {
-				return nil, fmt.Errorf("sql: %w: * cannot appear with aggregates", ErrType)
+			if grouped {
+				return nil, fmt.Errorf("sql: %w: * cannot appear with aggregates or GROUP BY", ErrType)
 			}
 			for _, a := range b.aliases {
 				for _, c := range b.schemas[a].Cols {
@@ -144,7 +146,7 @@ func (b *binder) run() (*opt.Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			if hasAgg && (e.Col == nil || !groupSet[*e.Col]) {
+			if grouped && (e.Col == nil || !groupSet[*e.Col]) {
 				return nil, fmt.Errorf("sql: %w: output %d must be an aggregate or a GROUP BY column", ErrType, i+1)
 			}
 			as := item.As

@@ -306,6 +306,8 @@ func TestBindTypeErrors(t *testing.T) {
 		"SELECT o_orderkey FROM orders WHERE o_orderpriority = 5",
 		"SELECT o_orderdate - 1 AS d FROM orders",
 		"SELECT o_orderkey FROM orders WHERE o_orderdate = o_custkey",
+		"SELECT o_orderkey FROM orders GROUP BY o_orderpriority",
+		"SELECT * FROM orders GROUP BY o_orderpriority",
 	} {
 		if _, err := Bind(mustBind(t, src), testSchemas()); !errors.Is(err, ErrType) {
 			t.Errorf("Bind(%q): error %v, want ErrType", src, err)
@@ -315,6 +317,7 @@ func TestBindTypeErrors(t *testing.T) {
 		"SELECT c_name, 'x' AS tag, c_custkey + 1 AS next FROM customer",
 		"SELECT MIN(c_name) AS lo, MAX(c_name) AS hi, COUNT(c_name) AS n FROM customer",
 		"SELECT SUM(o_custkey - 1) AS s, AVG(o_custkey / 2) AS a FROM orders",
+		"SELECT o_orderpriority FROM orders GROUP BY o_orderpriority",
 	} {
 		if _, err := Bind(mustBind(t, src), testSchemas()); err != nil {
 			t.Errorf("Bind(%q): %v", src, err)

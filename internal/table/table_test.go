@@ -60,6 +60,8 @@ func TestMustColIndexPanics(t *testing.T) {
 }
 
 func TestValueCompare(t *testing.T) {
+	nan, otherNaN := math.NaN(), math.Float64frombits(0xfff0000000000abc)
+	negZero, subnormal := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	tests := []struct {
 		a, b Value
 		want int
@@ -71,10 +73,36 @@ func TestValueCompare(t *testing.T) {
 		{StrVal("a"), StrVal("b"), -1},
 		{DateVal(100), IntVal(100), 0},    // same physical class
 		{DecimalVal(250), IntVal(200), 1}, // same physical class
+		{FloatVal(negZero), FloatVal(0), 0},
+		{FloatVal(nan), FloatVal(otherNaN), 0},
+		{FloatVal(nan), FloatVal(math.Inf(1)), 1},
+		{FloatVal(math.Inf(-1)), FloatVal(otherNaN), -1},
+		{FloatVal(math.Inf(-1)), FloatVal(-math.MaxFloat64), -1},
+		{FloatVal(0), FloatVal(subnormal), -1},
+		{FloatVal(-subnormal), FloatVal(negZero), -1},
 	}
 	for _, tc := range tests {
 		if got := tc.a.Compare(tc.b); got != tc.want {
 			t.Errorf("%v.Compare(%v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+
+	// Over every triple of the awkward floats the order is a strict weak
+	// order: antisymmetric, and a ≤ b ≤ c gives a ≤ c, strictly when either
+	// step is strict.
+	floats := []float64{nan, otherNaN, negZero, 0, subnormal, -subnormal, math.Inf(1), math.Inf(-1), 1.5, -1.5}
+	for _, a := range floats {
+		for _, b := range floats {
+			ab := FloatVal(a).Compare(FloatVal(b))
+			if ba := FloatVal(b).Compare(FloatVal(a)); ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			for _, c := range floats {
+				bc, ac := FloatVal(b).Compare(FloatVal(c)), FloatVal(a).Compare(FloatVal(c))
+				if ab <= 0 && bc <= 0 && ac != min(ab, bc) {
+					t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, c, bc, a, c, ac)
+				}
+			}
 		}
 	}
 }

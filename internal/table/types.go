@@ -7,7 +7,10 @@
 // time for the bytes these encodings produce.
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Type is a column's logical type.
 type Type int
@@ -85,9 +88,9 @@ func StrVal(v string) Value        { return Value{Type: String, S: v} }
 func DateVal(days int64) Value     { return Value{Type: Date, I: days} }
 func DecimalVal(cents int64) Value { return Value{Type: Decimal, I: cents} }
 
-// Compare orders two values of the same physical class: -1, 0 or +1.
-// Comparing values of different physical classes panics; the binder
-// prevents that in well-typed plans.
+// Compare orders two values of the same physical class in the cell order
+// the function Compare defines: -1, 0 or +1. Comparing values of different
+// physical classes panics; the binder prevents that in well-typed plans.
 func (v Value) Compare(w Value) int {
 	pa, pb := v.Type.Physical(), w.Type.Physical()
 	if pa != pb {
@@ -95,28 +98,44 @@ func (v Value) Compare(w Value) int {
 	}
 	switch pa {
 	case PhysInt:
-		switch {
-		case v.I < w.I:
-			return -1
-		case v.I > w.I:
-			return 1
-		}
+		return Compare(v.I, w.I)
 	case PhysFloat:
-		switch {
-		case v.F < w.F:
-			return -1
-		case v.F > w.F:
-			return 1
-		}
-	case PhysString:
-		switch {
-		case v.S < w.S:
-			return -1
-		case v.S > w.S:
-			return 1
-		}
+		return Compare(v.F, w.F)
 	}
-	return 0
+	return Compare(v.S, w.S)
+}
+
+// Compare is the one order of cells: -1, 0 or +1. Ints and strings order
+// as Go's operators do. Floats order as IEEE numbers, −0 equal to +0, with
+// a NaN after every number and equal to every NaN, so the order is total
+// and a sort, a group's output order and MIN/MAX all see the same one
+// (PostgreSQL orders NaN the same way). WHERE and join equality do not use
+// it: there a NaN matches only <>.
+func Compare[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b || a != a && b != b: // equal, or two NaNs
+		return 0
+	case a != a:
+		return 1
+	}
+	return -1
+}
+
+// CanonFloat is a float cell in canonical key form: −0 as +0 and every NaN
+// as one NaN, so that cells Compare calls equal have equal bits and hash
+// alike.
+func CanonFloat(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	if f != f {
+		return math.NaN()
+	}
+	return f
 }
 
 func (v Value) String() string {
