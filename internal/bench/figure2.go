@@ -76,6 +76,7 @@ func RunFigure2() (*Figure2Result, error) {
 			ctx := exec.NewCtx(p, srv.CPU)
 			scan := exec.NewColumnScan(st, read, emit, pred)
 			_, scanErr = exec.RowCount(ctx, scan)
+			ctx.Release()
 		})
 		if err := srv.Eng.Run(); err != nil {
 			return Figure2Run{}, err

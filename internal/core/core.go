@@ -135,6 +135,7 @@ type DB struct {
 	fileSeq     int32
 	queries     int64
 	crashes     int64
+	batches     exec.Memory // the batch memory the engine's statements share
 	nextSess    int64
 	nextQuery   int64
 	nextCommit  int64
@@ -528,6 +529,7 @@ func (db *DB) explain(q *opt.Query) (*opt.Plan, error) {
 func (db *DB) NewCtx(p *sim.Proc) *exec.Ctx {
 	ctx := exec.NewCtx(p, db.Srv.CPU)
 	ctx.Temp = db.Vol
+	ctx.Mem = &db.batches
 	return ctx
 }
 

@@ -295,8 +295,9 @@ func sameRows(got *table.Table, want []oRow, ordered bool) string {
 	return ""
 }
 
-// sameValue is value equality with a float tolerance: NaN equals NaN, and
-// other floats agree to 1e-9 relative.
+// sameValue is value equality with a float tolerance: NaN equals NaN, an
+// infinity only the same infinity, and other floats agree to 1e-9
+// relative.
 func sameValue(a, b table.Value) bool {
 	switch {
 	case a.Type != b.Type:
@@ -305,6 +306,8 @@ func sameValue(a, b table.Value) bool {
 		return a.I == b.I && a.S == b.S
 	case a.F != a.F || b.F != b.F:
 		return a.F != a.F && b.F != b.F
+	case math.IsInf(a.F, 0) || math.IsInf(b.F, 0):
+		return a.F == b.F
 	}
 	return a.F == b.F || math.Abs(a.F-b.F) <= 1e-9*max(math.Abs(a.F), math.Abs(b.F))
 }

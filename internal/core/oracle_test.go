@@ -39,7 +39,9 @@ import (
 //     scaled ×100 (a literal refused when its cents leave int64); *, /, AVG
 //     or a float operand work in float units, cents / 100. INT / INT is a
 //     float. DATE meets neither INT nor DECIMAL in arithmetic; strings take
-//     none.
+//     none. A division by zero (±0) yields 0, not an infinity or a NaN —
+//     the engine's documented rule (exec's fuse.go); whether SQL should
+//     refuse it instead is an open question, not the oracle's to settle.
 //   - COUNT counts rows, an integer SUM wraps like int64, AVG is a float,
 //     and a global aggregate over no rows is each type's zero. With an
 //     aggregate or a GROUP BY every output is one value per group, so each
@@ -224,6 +226,10 @@ func arith[T int64 | float64](op string, x, y T) T {
 		return x - y
 	case "*":
 		return x * y
+	case "/":
+		if y == 0 {
+			return 0
+		}
 	}
 	return x / y
 }

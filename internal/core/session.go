@@ -544,6 +544,7 @@ func (db *DB) runQuery(p *sim.Proc, r *Rows, granted int) {
 // process outlives a failed statement.
 func (db *DB) executeRows(p *sim.Proc, r *Rows, plan *opt.Plan) error {
 	ctx := db.NewCtx(p)
+	defer ctx.Release()
 	op, err := plan.Build(ctx)
 	if err != nil {
 		return err

@@ -51,6 +51,12 @@ type AggSpec struct {
 // its key cells, equality comparing cell against cell. Nothing on the
 // per-row path formats, boxes or allocates, and the output is gathered
 // from the key vectors, not boxed row by row.
+//
+// Everything the aggregation materialises is borrowed from the recycler
+// (mem) at Open, like a scan's decode memory: every table's per-group
+// arrays and slots, the output order and the one batch Next refills. The
+// workers' tables go back as soon as they are merged; the result, the
+// order and the output batch at Close, where the operator's claim ends.
 type HashAgg struct {
 	Frags   Fragments // the input pipeline
 	GroupBy []int
@@ -62,6 +68,8 @@ type HashAgg struct {
 	tab    *aggTable    // merged result after Open
 	order  []int32      // group ids in output order
 	next   int
+	mem    *batchMem
+	out    *table.Batch // refilled by every Next
 }
 
 // aggSchema derives the output schema: group columns then aggregates.
@@ -103,7 +111,7 @@ func (h *HashAgg) Schema() *table.Schema { return h.schema }
 
 // AddWorker implements Sink: worker w aggregates into a table of its own.
 func (h *HashAgg) AddWorker(w int) {
-	h.locals = append(h.locals, newAggTable(h.Frags.Schema(), h.GroupBy, h.Aggs))
+	h.locals = append(h.locals, newAggTable(h.Frags.Schema(), h.GroupBy, h.Aggs, h.mem))
 }
 
 // Absorb implements Sink.
@@ -114,21 +122,27 @@ func (h *HashAgg) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
 
 // Open implements Operator: it drains the input under the barrier
 // exchange, merges the partial tables partition-wise, and fixes the
-// output order.
+// output order. The partial tables go back to the recycler once merged;
+// a failed Open hands back everything it borrowed.
 func (h *HashAgg) Open(ctx *Ctx) error {
+	h.release()
 	h.next = 0
-	h.order = nil
-	h.tab = nil
+	h.mem = ctx.borrow()
 	h.locals = h.local0[:0]
 	err := RunFragments(ctx, "hashagg", h.Frags, h)
 	if err == nil {
 		h.tab, err = mergePartitioned(ctx, h.Frags.Schema(), h.GroupBy, h.Aggs, h.locals)
+	} else {
+		for _, t := range h.locals {
+			t.release()
+		}
 	}
 	h.locals, h.local0[0] = nil, nil
 	if err != nil {
+		h.release()
 		return err
 	}
-	h.order = make([]int32, h.tab.groups())
+	h.order = takeLen(&h.mem.sels, h.tab.groups())
 	for i := range h.order {
 		h.order[i] = int32(i)
 	}
@@ -141,25 +155,37 @@ func (h *HashAgg) Open(ctx *Ctx) error {
 // disjoint partitions, one merge process per partition folds every worker's share
 // of its partition (charging its own core), and the disjoint results
 // concatenate. A single partial table needs no merge and is used as-is.
+// The partial tables go back to the recycler as soon as they are merged,
+// and the partitions once concatenated into the first.
 func mergePartitioned(ctx *Ctx, ins *table.Schema, groupBy []int, specs []AggSpec, locals []*aggTable) (*aggTable, error) {
 	if len(locals) == 1 {
 		return locals[0], nil
 	}
 	nparts := uint32(ceilPow2(len(locals)))
 	parts := make([]*aggTable, nparts)
-	if err := ParDo(ctx, "aggmerge", int(nparts), func(p int, wctx *Ctx) error {
-		t := newAggTable(ins, groupBy, specs)
+	err := ParDo(ctx, "aggmerge", int(nparts), func(p int, wctx *Ctx) error {
+		t := newAggTable(ins, groupBy, specs, wctx.borrow())
 		for _, src := range locals {
 			t.mergeFrom(wctx, src, uint32(p), nparts)
 		}
 		parts[p] = t
 		return nil
-	}); err != nil {
+	})
+	for _, t := range locals {
+		t.release()
+	}
+	if err != nil {
+		for _, p := range parts {
+			if p != nil {
+				p.release()
+			}
+		}
 		return nil, err
 	}
 	out := parts[0]
 	for _, p := range parts[1:] {
 		out.concat(p)
+		p.release()
 	}
 	return out, nil
 }
@@ -167,21 +193,27 @@ func mergePartitioned(ctx *Ctx, ins *table.Schema, groupBy []int, specs []AggSpe
 // aggTable is one worker's (or, after the merge, the whole operator's)
 // grouping state, columnar and indexed by group id: the typed key cells,
 // the row counts and the per-spec aggregates, plus the index that finds a
-// key's group. Ids are handed out in first-seen order.
+// key's group. Ids are handed out in first-seen order. Every per-group
+// array, the index's slots and the per-batch vectors are borrowed from the
+// operator's batchMem (mem) and grown through it, room for groups made
+// ahead (reserve) so that a new group appends in place; release hands them
+// back. The table headers are the table's own.
 type aggTable struct {
 	groupBy []int
 	specs   []AggSpec
+	mem     *batchMem
+	room    int            // groups every per-group array has room for
 	index   keyTable       // key hash -> group id
 	keys    []table.Vector // per group column: the groups' key cells
 	counts  []int64        // per group: row count
 	aggs    []aggCol       // per spec: columnar state
-	parts   []uint32       // per group, filled by partHashes: the hash that partitions a merge
+	parts   []int32        // per group, filled by partHashes: the bits of the hash that partitions a merge
 	gids    []int32        // reused per-batch group-id vector
 	keyCols []keyCol       // reused per-batch resolved group columns
 }
 
-func newAggTable(ins *table.Schema, groupBy []int, specs []AggSpec) *aggTable {
-	t := &aggTable{groupBy: groupBy, specs: specs, index: newKeyTable(0),
+func newAggTable(ins *table.Schema, groupBy []int, specs []AggSpec, m *batchMem) *aggTable {
+	t := &aggTable{groupBy: groupBy, specs: specs, mem: m, index: newKeyTable(0, m),
 		keys: make([]table.Vector, len(groupBy)), aggs: make([]aggCol, len(specs)),
 		keyCols: make([]keyCol, len(groupBy))}
 	for i, g := range groupBy {
@@ -198,6 +230,36 @@ func newAggTable(ins *table.Schema, groupBy []int, specs []AggSpec) *aggTable {
 
 // groups is the number of groups in the table.
 func (t *aggTable) groups() int { return len(t.counts) }
+
+// reserve gives every per-group array room for n more groups, through the
+// recycler.
+func (t *aggTable) reserve(n int) {
+	for ci := range t.keys {
+		t.mem.extend(&t.keys[ci], n)
+	}
+	t.counts = grow(&t.mem.ints, t.counts, n)
+	for ai := range t.aggs {
+		t.aggs[ai].reserve(t.mem, n)
+	}
+	t.room = t.groups() + n
+}
+
+// release hands every array the table borrowed back; the table is dead
+// after it.
+func (t *aggTable) release() {
+	m := t.mem
+	for ci := range t.keys {
+		m.giveVec(&t.keys[ci])
+	}
+	give(&m.ints, t.counts)
+	for ai := range t.aggs {
+		t.aggs[ai].release(m)
+	}
+	give(&m.sels, t.parts)
+	give(&m.sels, t.gids)
+	t.index.release()
+	*t = aggTable{}
+}
 
 // keyCol is a column of candidate keys — a batch's group column, or
 // another table's key vector — with its physical class and raw slice
@@ -280,10 +342,7 @@ func (t *aggTable) absorb(ctx *Ctx, b *table.Batch) {
 func (t *aggTable) assignGroups(b *table.Batch) {
 	n := b.Rows()
 	sel := b.Sel
-	if cap(t.gids) < n {
-		t.gids = make([]int32, n)
-	}
-	t.gids = t.gids[:n]
+	t.gids = room(&t.mem.sels, t.gids, n)[:n]
 	for ci, g := range t.groupBy {
 		t.keyCols[ci] = resolveKey(b.Vecs[g])
 	}
@@ -336,9 +395,13 @@ func (t *aggTable) sameKey(gid int32, cols []keyCol, r int) bool {
 	return true
 }
 
-// newGroup appends a group with the key in row r of cols and zero state.
+// newGroup appends a group with the key in row r of cols and zero state,
+// first doubling the room for groups when there is none left.
 func (t *aggTable) newGroup(cols []keyCol, r int) int32 {
 	gid := int32(len(t.counts))
+	if int(gid) == t.room {
+		t.reserve(max(1, int(gid)))
+	}
 	for ci := range cols {
 		switch c, k := &cols[ci], &t.keys[ci]; c.phys {
 		case table.PhysInt:
@@ -363,7 +426,8 @@ func (t *aggTable) newGroup(cols []keyCol, r int) int32 {
 // so every merge process folds the groups it always did and the model
 // clock has not moved. The encoding itself is never built. Hashes are
 // computed once per group and kept: every merge process reads them.
-func (t *aggTable) partHashes() []uint32 {
+func (t *aggTable) partHashes() []int32 {
+	t.parts = grow(&t.mem.sels, t.parts, t.groups()-len(t.parts))
 	for g := len(t.parts); g < t.groups(); g++ {
 		h := uint32(fnvOffset)
 		for ci := range t.keys {
@@ -384,7 +448,7 @@ func (t *aggTable) partHashes() []uint32 {
 				}
 			}
 		}
-		t.parts = append(t.parts, h)
+		t.parts = append(t.parts, int32(h))
 	}
 	return t.parts
 }
@@ -410,7 +474,8 @@ func (t *aggTable) mergeFrom(ctx *Ctx, src *aggTable, part, nparts uint32) {
 	for ci := range src.keys {
 		t.keyCols[ci] = resolveKey(&src.keys[ci])
 	}
-	for sg, h := range src.partHashes() {
+	for sg, bits := range src.partHashes() {
+		h := uint32(bits)
 		if h&mask != part {
 			continue
 		}
@@ -428,6 +493,7 @@ func (t *aggTable) mergeFrom(ctx *Ctx, src *aggTable, part, nparts uint32) {
 // hold different partitions), so ids simply shift by t's group count. The
 // result is for reading out: its index is not kept up.
 func (t *aggTable) concat(src *aggTable) {
+	t.reserve(src.groups())
 	for ci := range t.keys {
 		t.keys[ci].AppendSlice(&src.keys[ci], 0, src.groups())
 	}
@@ -473,6 +539,36 @@ type aggCol struct {
 	extF []float64
 	extS []string
 	seen []bool // Min/Max: the group has an extremum
+}
+
+// reserve gives the state room for n more groups, through m.
+func (c *aggCol) reserve(m *batchMem, n int) {
+	switch {
+	case c.fn == Sum && c.phys == table.PhysInt:
+		c.sumI = grow(&m.ints, c.sumI, n)
+	case (c.fn == Sum || c.fn == Avg) && c.phys != table.PhysString:
+		c.sumF = grow(&m.floats, c.sumF, n)
+	case c.fn == Min || c.fn == Max:
+		switch c.phys {
+		case table.PhysInt:
+			c.extI = grow(&m.ints, c.extI, n)
+		case table.PhysFloat:
+			c.extF = grow(&m.floats, c.extF, n)
+		default:
+			c.extS = grow(&m.strs, c.extS, n)
+		}
+		c.seen = grow(&m.bools, c.seen, n)
+	}
+}
+
+// release hands the state's arrays back to m.
+func (c *aggCol) release(m *batchMem) {
+	give(&m.ints, c.sumI)
+	give(&m.floats, c.sumF)
+	give(&m.ints, c.extI)
+	give(&m.floats, c.extF)
+	give(&m.strs, c.extS)
+	give(&m.bools, c.seen)
 }
 
 func (c *aggCol) grow() {
@@ -587,18 +683,16 @@ func (h *HashAgg) Next(ctx *Ctx) (*table.Batch, error) {
 		// No input rows and no grouping: emit the global aggregate row.
 		if h.next == 0 && len(h.GroupBy) == 0 && len(h.order) == 0 {
 			h.next = 1
-			b := table.NewBatch(h.schema, 1)
-			h.appendEmptyRow(b)
-			b.SetRows(1)
-			return b, nil
+			h.out = h.mem.refill(h.out, h.schema, 1)
+			h.appendEmptyRow(h.out)
+			h.out.SetRows(1)
+			return h.out, nil
 		}
 		return nil, nil
 	}
-	hi := h.next + vectorSize
-	if hi > len(h.order) {
-		hi = len(h.order)
-	}
-	b := table.NewBatch(h.schema, hi-h.next)
+	hi := min(h.next+vectorSize, len(h.order))
+	h.out = h.mem.refill(h.out, h.schema, hi-h.next)
+	b := h.out
 	gids := h.order[h.next:hi]
 	for i := range h.tab.keys {
 		b.Vecs[i].AppendGather(&h.tab.keys[i], gids)
@@ -654,12 +748,26 @@ func (h *HashAgg) appendEmptyRow(b *table.Batch) {
 	}
 }
 
-// Close implements Operator.
+// Close implements Operator: the aggregation's claim on its memory ends.
 func (h *HashAgg) Close(ctx *Ctx) error {
-	h.tab = nil
-	h.order = nil
+	h.release()
 	return nil
 }
 
-// GroupCount reports the number of groups after Open.
-func (h *HashAgg) GroupCount() int { return len(h.order) }
+// release hands the result table, the order and the output batch back to
+// the recycler — under ee_invariants, poisons and abandons them — and
+// leaves nothing for a second call to hand back.
+func (h *HashAgg) release() {
+	m := h.mem
+	if m == nil {
+		return
+	}
+	if h.tab != nil {
+		h.tab.release()
+	}
+	give(&m.sels, h.order)
+	if h.out != nil {
+		m.reclaim(h.out)
+	}
+	h.mem, h.tab, h.order, h.out = nil, nil, nil, nil
+}

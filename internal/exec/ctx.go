@@ -58,15 +58,77 @@ type Ctx struct {
 	// MemBudgetBytes caps operator working memory (hash tables, sort
 	// runs); 0 means unlimited. Exceeding it forces spills.
 	MemBudgetBytes int64
+
+	// Mem is the batch memory the statement's operators borrow from,
+	// shared with the other statements of its engine; nil gives the
+	// statement memory of its own.
+	Mem *Memory
+
+	stmt      *Ctx // the statement's own Ctx, of which a fragment's is a copy
+	borrowing bool // on stmt: the statement has borrowed from Mem
+}
+
+// Memory is the recycler (batchMem, scanscratch.go) that the statements of
+// one engine borrow from while any of them runs: the first statement to
+// borrow takes one from the process-wide pool, and the last to end
+// (Ctx.Release) hands it back, so an idle engine pins none of it. A
+// statement's operators take arrays from it and hand them back at their
+// Close, for the statement's later operators and the engine's other
+// statements to refill; the engine runs one simulated process at a time,
+// which is what lets them share it without a lock. The zero value is
+// ready for use.
+type Memory struct {
+	mem   *batchMem
+	users int // statements that have borrowed and not ended
 }
 
 // vectorSize is the rows per batch that non-scan operators emitting a
 // materialised result (sort, aggregation) hand downstream.
 const vectorSize = 4096
 
-// NewCtx builds a context with default costs.
+// NewCtx builds a context with default costs, for one statement.
 func NewCtx(p *sim.Proc, cpu *hw.CPU) *Ctx {
-	return &Ctx{P: p, CPU: cpu, Costs: DefaultCosts()}
+	c := &Ctx{P: p, CPU: cpu, Costs: DefaultCosts()}
+	c.stmt = c
+	return c
+}
+
+// Release ends the statement. Once no other statement of the engine is
+// borrowing, the recycler — to which every operator has handed its arrays
+// back by its Close — goes back to the process-wide pool, for any engine
+// to take. Call it on the statement's Ctx once the operator tree is
+// closed; no operator may run on it, or on a copy of it, after.
+func (c *Ctx) Release() {
+	s := c.stmt
+	if s == nil || !s.borrowing {
+		return
+	}
+	s.borrowing = false
+	m := s.Mem
+	if m.users--; m.users == 0 {
+		batchMems.Put(m.mem)
+		m.mem = nil
+	}
+}
+
+// borrow returns the recycler the statement borrows from, taking one from
+// the process-wide pool if no statement of the engine holds it. A Ctx not
+// made by NewCtx is its own statement.
+func (c *Ctx) borrow() *batchMem {
+	if c.stmt == nil {
+		c.stmt = c
+	}
+	s := c.stmt
+	if !s.borrowing {
+		s.borrowing = true
+		if s.Mem == nil {
+			s.Mem = new(Memory)
+		}
+		if s.Mem.users++; s.Mem.mem == nil {
+			s.Mem.mem = batchMems.Get().(*batchMem)
+		}
+	}
+	return s.Mem.mem
 }
 
 // ChargeBytes charges byte-proportional CPU work.

@@ -39,6 +39,7 @@ func (r *rig) run(t *testing.T, fn func(ctx *Ctx)) float64 {
 	r.eng.Go("query", func(p *sim.Proc) {
 		ctx := NewCtx(p, r.cpu)
 		fn(ctx)
+		ctx.Release()
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)

@@ -50,9 +50,11 @@ type FusedExpr struct {
 	k   *kernel // nil for a bare column
 }
 
-// kernel is what evaluating a constant or an arithmetic tree needs. It
-// owns the memory its result lives in, so a result is valid until the
-// kernel's next EvalInto and a kernel belongs to one fragment.
+// kernel is what evaluating a constant or an arithmetic tree needs. Its
+// result lives in the kernel's memory — registers borrowed from the
+// evaluating operator's batchMem, or the constant's own cells — so a
+// result is valid until the kernel's next EvalInto and a kernel belongs to
+// one fragment.
 type kernel struct {
 	val   table.Value // the constant, when prog is empty
 	prog  []fuseInstr
@@ -244,7 +246,10 @@ func (k *kernel) resolveI(a fuseArg, b *table.Batch) iOpd {
 // incoming Batch.Sel composes onto the output unchanged; deselected
 // positions hold stale register values that no selection-honouring
 // consumer reads — and it never reads a deselected input cell either.
-func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
+// The registers and the identity selection are borrowed from m, the
+// evaluating operator's memory, at the first batch, regrown through it for
+// a larger one, and handed back by release.
+func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch, m *batchMem) *table.Vector {
 	k := e.k
 	if k == nil {
 		return b.Vecs[e.col]
@@ -264,19 +269,14 @@ func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
 	ctx.ChargeRows(b.Rows(), float64(len(k.prog))*ctx.Costs.ProjectCyclesPerRow)
 	sel := b.Sel
 	if sel == nil {
+		k.iota = room(&m.sels, k.iota, n)
 		sel = iotaSel(&k.iota, n)
 	}
 	for i := range k.regsI {
-		if cap(k.regsI[i]) < n {
-			k.regsI[i] = make([]int64, n)
-		}
-		k.regsI[i] = k.regsI[i][:n]
+		k.regsI[i] = room(&m.ints, k.regsI[i], n)[:n]
 	}
 	for i := range k.regsF {
-		if cap(k.regsF[i]) < n {
-			k.regsF[i] = make([]float64, n)
-		}
-		k.regsF[i] = k.regsF[i][:n]
+		k.regsF[i] = room(&m.floats, k.regsF[i], n)[:n]
 	}
 	for i := range k.prog {
 		ins := &k.prog[i]
@@ -294,6 +294,26 @@ func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
 		k.out.I = k.regsI[last.dst]
 	}
 	return &k.out
+}
+
+// release hands the expression's registers and identity selection back
+// to m.
+func (e *FusedExpr) release(m *batchMem) {
+	k := e.k
+	if k == nil {
+		return
+	}
+	for i := range k.regsI {
+		give(&m.ints, k.regsI[i])
+		k.regsI[i] = nil
+	}
+	for i := range k.regsF {
+		give(&m.floats, k.regsF[i])
+		k.regsF[i] = nil
+	}
+	give(&m.sels, k.iota)
+	k.iota = nil
+	k.out.I, k.out.F = nil, nil
 }
 
 // constCells returns n cells of c. The cells are written once, when s

@@ -123,11 +123,12 @@ func TestFusedExprMatchesReference(t *testing.T) {
 		inputs = append(inputs, input{b, nil, all}, input{b, dense, dense}, input{b, sparse, sparse}, input{b, all[:0], nil})
 	}
 	r := newRig(1)
+	mem := new(batchMem)
 	// check holds one evaluation to the reference; it runs on the query
 	// process, so it reports instead of failing the test from there.
 	check := func(ctx *Ctx, e Scalar, k *FusedExpr, typ table.Type, b *table.Batch, rows []int32) error {
 		before := r.cpu.TotalCycles()
-		got := k.EvalInto(ctx, b)
+		got := k.EvalInto(ctx, b, mem)
 		charged := r.cpu.TotalCycles() - before
 		if want := float64(len(rows)) * float64(arithNodes(e)) * ctx.Costs.ProjectCyclesPerRow; charged != want {
 			return fmt.Errorf("charged %v cycles, want %v", charged, want)

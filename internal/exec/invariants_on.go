@@ -32,9 +32,7 @@ func (sc *scanScratch) retire() {
 	if sc.read != nil {
 		poisonBatch(sc.read)
 	}
-	if sc.mem != nil {
-		poison(sc.mem.raw, poisonByte)
-	}
+	poison(sc.raw, poisonByte)
 	poison(sc.sel, poisonSel)
 	*sc = scanScratch{}
 }
@@ -51,6 +49,40 @@ func (p *Prober) retire() {
 	poison(p.bsel, poisonSel)
 	poison(p.psel, poisonSel)
 	p.mem, p.out, p.hash, p.bsel, p.psel = nil, nil, nil, nil, nil
+}
+
+// give is the checking version of handing an array back to the recycler:
+// a is poisoned to its full capacity and dropped, never recycled. Whoever
+// kept a view of it reads poison, and take finds nothing another operator
+// — or the same one — has used.
+func give[T any](_ *[][]T, a []T) {
+	switch s := any(a).(type) {
+	case []int64:
+		poison(s, poisonWord)
+	case []float64:
+		poison(s, math.Float64frombits(poisonWord))
+	case []string:
+		poison(s, poisonString)
+	case []int32:
+		poison(s, poisonSel)
+	case []byte:
+		poison(s, poisonByte)
+	case []bool:
+		poison(s, true)
+	case []keySlot:
+		poison(s, keySlot{ref: poisonSel, hash: poisonSel})
+	}
+}
+
+// refill is the checking version of readying an output batch for the next
+// batch: the one out held is dead, so its arrays are poisoned and
+// abandoned, and the next batch — header, Vectors and arrays — is fresh,
+// so a kept batch, vector or slice of one reads poison.
+func (m *batchMem) refill(out *table.Batch, schema *table.Schema, rows int) *table.Batch {
+	if out != nil {
+		poisonBatch(out)
+	}
+	return m.batch(schema, rows)
 }
 
 // poisonBatch overwrites every vector of b, to its full capacity.

@@ -3,6 +3,8 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -259,6 +261,126 @@ func TestScanPoisonsUnselectedCells(t *testing.T) {
 		}
 		if err := scan.Close(ctx); err != nil {
 			t.Error(err)
+		}
+	})
+}
+
+// poisoned reports the first cell of h's arrays, to their full capacity,
+// that does not read poison.
+func (h *held) poisoned() error {
+	return errors.Join(
+		allPoison(h.ints, int64(poisonWord)),
+		allPoison(h.floats, math.Float64frombits(poisonWord)),
+		allPoison(h.strs, poisonString),
+		allPoison(h.sels, int32(poisonSel)),
+		allPoison(h.bools, true),
+		allPoison(h.slots, keySlot{ref: poisonSel, hash: poisonSel}))
+}
+
+func allPoison[T comparable](arrays [][]T, p T) error {
+	for i, a := range arrays {
+		for j, x := range a[:cap(a)] {
+			if x != p {
+				return fmt.Errorf("%T array %d, cell %d of %d reads %v", a, i, j, cap(a), x)
+			}
+		}
+	}
+	return nil
+}
+
+// TestMaterialisingPoisonsWhatItHandsBack: under ee_invariants an operator
+// that borrows what it materialises recycles nothing. Every array it held —
+// the hash-join build's row store, chain and slots, the aggregation's
+// tables, order and output arrays, the sort's store, permutation and output
+// arrays, the projection's registers — reads poison to its full capacity
+// once the operator is closed; and the aggregation's and the sort's output
+// batch kept across Next — the batch, a vector, a slice of one — reads
+// poison while the batch handed out next is intact and in fresh memory.
+func TestMaterialisingPoisonsWhatItHandsBack(t *testing.T) {
+	tab := ordersLike(9000)
+	for _, b := range borrowers() {
+		r := newRig(1)
+		r.run(t, func(ctx *Ctx) {
+			op := b.plan(tab)
+			if err := op.Open(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			var h held
+			b.held(op, &h)
+			kept, err := op.Next(ctx)
+			if err != nil || kept == nil {
+				t.Errorf("%s: first batch %v, err %v", b.name, kept, err)
+				return
+			}
+			b.held(op, &h)
+			keptVec, keptCells := kept.Vecs[0], kept.Vecs[0].I
+			next, err := op.Next(ctx)
+			if err != nil || next == nil {
+				t.Errorf("%s: second batch %v, err %v", b.name, next, err)
+				return
+			}
+			if b.name == "aggregation" || b.name == "sort" {
+				if next == kept || next.Vecs[0] == keptVec {
+					t.Errorf("%s: under ee_invariants every output batch must be refilled into fresh memory", b.name)
+				}
+				if keptCells[0] != poisonWord || keptVec.I[0] != poisonWord {
+					t.Errorf("%s: the retained batch reads %#x, want poison", b.name, keptCells[0])
+				}
+				if next.Vecs[0].I[0] == poisonWord {
+					t.Errorf("%s: the live batch was poisoned", b.name)
+				}
+			}
+			for batch := next; batch != nil && err == nil; batch, err = op.Next(ctx) {
+				b.held(op, &h)
+			}
+			if err != nil {
+				t.Errorf("%s: %v", b.name, err)
+			}
+			if err := op.Close(ctx); err != nil {
+				t.Error(err)
+			}
+			if err := h.poisoned(); err != nil {
+				t.Errorf("%s: after Close, %v", b.name, err)
+			}
+		})
+	}
+}
+
+// TestAggregationPoisonsMergedTables: the per-worker tables of a fragmented
+// aggregation go back as soon as they are merged — under ee_invariants,
+// poisoned before the merged result is read out.
+func TestAggregationPoisonsMergedTables(t *testing.T) {
+	tab := ordersLike(3000)
+	in := halves(tab)
+	specs := []AggSpec{{Func: Sum, Col: 3}, {Func: Min, Col: 5}}
+	r := newRig(1)
+	r.run(t, func(ctx *Ctx) {
+		m := ctx.borrow()
+		var h held
+		var locals []*aggTable
+		for _, part := range in {
+			l := newAggTable(tab.Schema, []int{1}, specs, m)
+			l.absorb(ctx, part.Slice(0, part.Rows()))
+			locals = append(locals, l)
+			h.vec(&l.keys[0])
+			h.ints = append(h.ints, l.counts)
+			h.floats = append(h.floats, l.aggs[0].sumF)
+			h.strs = append(h.strs, l.aggs[1].extS)
+			h.bools = append(h.bools, l.aggs[1].seen)
+			h.sels = append(h.sels, l.gids)
+			h.slots = append(h.slots, l.index.slots)
+		}
+		res, err := mergePartitioned(ctx, tab.Schema, []int{1}, specs, locals)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := h.poisoned(); err != nil {
+			t.Errorf("after the merge, a worker's table: %v", err)
+		}
+		if res.groups() == 0 || res.keys[0].I[0] == poisonWord {
+			t.Errorf("the merged table (%d groups) reads poison", res.groups())
 		}
 	})
 }

@@ -26,16 +26,6 @@ func joinSchema(name string, l, r *table.Schema) *table.Schema {
 	return table.NewSchema(name, cols...)
 }
 
-// NewHashJoin is the hash equi-join of two operators on single key
-// columns: a Prober streaming probe against the SharedBuild of build (see
-// probe.go). It is fast but holds the whole build relation in memory — the
-// power-hungry choice §4.1 calls out: hash join "relies on using a large
-// chunk of memory ... From a power perspective, these are expensive
-// operations and may tip the balance in favor of nested-loop join".
-func NewHashJoin(build, probe Operator, buildKey, probeKey int) *Prober {
-	return NewProber(NewSharedBuild(build, buildKey), probe, probeKey)
-}
-
 // hashJoinKeys fills hs[k] with the bits of the join hash of the k'th key
 // of kv — physical row sel[k] under a selection, row k without — one typed
 // loop per class so the generic loops over the table call nothing per row.

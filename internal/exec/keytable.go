@@ -8,8 +8,9 @@ package exec
 // filed under the same 32-bit hash, which it stores beside each id, so a
 // slot of another key is passed over without touching any key memory and
 // growth re-files ids without asking the owner for a hash again. Slots are
-// one flat array: a table costs O(log n) allocations for n keys (one when
-// the owner knows n), and no key costs an object of its own.
+// one flat array, borrowed from the owner's batchMem and handed back at
+// release, like every array an operator materialises into: no key costs an
+// object of its own, and a warm table costs no allocation.
 //
 // A lookup walks the probe sequence with seek:
 //
@@ -24,10 +25,11 @@ package exec
 //
 // The zero value is not usable; newKeyTable sizes one.
 type keyTable struct {
-	slots []keySlot // power-of-two length, linear probing
-	mask  uint32    // len(slots) - 1
-	shift uint8     // 32 - log2(len(slots))
-	n     int       // occupied slots
+	slots []keySlot    // power-of-two length, linear probing
+	mask  uint32       // len(slots) - 1
+	shift uint8        // 32 - log2(len(slots))
+	n     int          // occupied slots
+	free  *[][]keySlot // where slots come from and go back to
 }
 
 // keySlot is one slot: ref is the id plus one, so that zeroed memory is an
@@ -41,19 +43,27 @@ type keySlot struct {
 // four-group aggregations of the TPC-H streams never outgrow.
 const keyTableMinSlots = 8
 
-// newKeyTable returns a table that takes n ids before it grows.
-func newKeyTable(n int) keyTable {
+// newKeyTable returns a table that takes n ids before it grows, its slots
+// borrowed from m.
+func newKeyTable(n int, m *batchMem) keyTable {
 	slots := keyTableMinSlots
 	for slots < 2*n {
 		slots <<= 1
 	}
-	var t keyTable
+	t := keyTable{free: &m.slots}
 	t.resize(slots)
 	return t
 }
 
+// release hands the slots back; the table is empty and unusable after it.
+func (t *keyTable) release() {
+	give(t.free, t.slots)
+	t.slots = nil
+}
+
 func (t *keyTable) resize(slots int) {
-	t.slots = make([]keySlot, slots)
+	t.slots = takeLen(t.free, slots)
+	clear(t.slots)
 	t.mask = uint32(slots - 1)
 	t.shift = 32
 	for s := slots; s > 1; s >>= 1 {
@@ -101,6 +111,7 @@ func (t *keyTable) put(i, h uint32, id int32) {
 				t.slots[j] = s
 			}
 		}
+		give(t.free, old)
 	}
 }
 

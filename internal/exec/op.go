@@ -33,29 +33,6 @@ type Operator interface {
 	Close(ctx *Ctx) error
 }
 
-// Run drains op and returns all produced batches; it is the main entry
-// point for tests and for queries that materialise their full result.
-func Run(ctx *Ctx, op Operator) ([]*table.Batch, error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var out []*table.Batch
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			_ = op.Close(ctx)
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if b.Rows() > 0 {
-			out = append(out, b.Clone()) // operators may reuse batch buffers
-		}
-	}
-	return out, op.Close(ctx)
-}
-
 // Collect drains op into a single table for convenient inspection.
 func Collect(ctx *Ctx, op Operator) (*table.Table, error) {
 	if err := op.Open(ctx); err != nil {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"energydb/internal/fault"
 	"energydb/internal/sim"
@@ -22,13 +21,16 @@ import (
 // order — the order the rows were materialised in. The keys themselves are
 // not copied anywhere: equality reads buildB's key column. After
 // runJoinBuild returns the state is read-only, so probe pipelines share it
-// across simulated processes without copying.
+// across simulated processes without copying. The row store's arrays, the
+// chain and the table's slots are borrowed (mem) and handed back when the
+// last prober releases the state (SharedBuild.release) or the build fails.
 type buildState struct {
 	tab    keyTable
 	next   []int32       // per buildB row
 	key    *table.Vector // buildB's key column
 	buildB *table.Batch
 	bytes  int64
+	mem    *batchMem
 }
 
 // AddWorker implements Sink: the build is one fragment, whose rows go to
@@ -40,25 +42,40 @@ func (bs *buildState) AddWorker(int) {}
 func (bs *buildState) Absorb(_ int, wctx *Ctx, b *table.Batch) bool {
 	wctx.ChargeRows(b.Rows(), wctx.Costs.HashBuildCyclesPerRow)
 	bs.bytes += b.ByteSize()
-	bs.buildB.AppendBatch(b)
+	bs.mem.store(bs.buildB, b)
 	return true
 }
 
+// release hands the state's memory back to the recycler: the row store's
+// arrays, the chain and the table's slots. Under ee_invariants they are
+// poisoned and abandoned instead.
+func (bs *buildState) release() {
+	m := bs.mem
+	m.reclaim(bs.buildB)
+	give(&m.sels, bs.next)
+	bs.tab.release()
+	*bs = buildState{}
+}
+
 // runJoinBuild drains the build side under the barrier exchange into one
-// row store, then indexes it into the one typed hash table.
+// row store, then indexes it into the one typed hash table. A failed build
+// hands its memory back before it returns.
 func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
-	bs := &buildState{buildB: table.NewBatch(sb.Build.Schema(), 0)}
-	if err := RunFragments(ctx, "hashjoin:build", OneFragment(sb.Build), bs); err != nil {
-		return nil, err
-	}
-	if ctx.MemBudgetBytes > 0 && bs.bytes > ctx.MemBudgetBytes {
-		return nil, fmt.Errorf("exec: hash join build side (%d bytes) exceeds memory budget (%d): %w",
+	m := ctx.borrow()
+	bs := &buildState{mem: m, buildB: m.batch(sb.Build.Schema(), 0)}
+	err := RunFragments(ctx, "hashjoin:build", OneFragment(sb.Build), bs)
+	if err == nil && ctx.MemBudgetBytes > 0 && bs.bytes > ctx.MemBudgetBytes {
+		err = fmt.Errorf("exec: hash join build side (%d bytes) exceeds memory budget (%d): %w",
 			bs.bytes, ctx.MemBudgetBytes, fault.ErrMemBudget)
+	}
+	if err != nil {
+		bs.release()
+		return nil, err
 	}
 	n := bs.buildB.Rows()
 	bs.key = bs.buildB.Vecs[sb.Key]
-	bs.tab = newKeyTable(n)
-	bs.next = make([]int32, n)
+	bs.tab = newKeyTable(n, m)
+	bs.next = takeLen(&m.sels, n)
 	hashJoinKeys(bs.next, bs.key, nil)
 	switch bs.key.Type.Physical() {
 	case table.PhysInt:
@@ -89,7 +106,12 @@ func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []
 }
 
 // SharedBuild runs a hash-join build side exactly once per pipeline run on
-// behalf of any number of probe fragments (Prober). The first prober to
+// behalf of any number of probe fragments (Prober). The hash join is fast
+// but holds the whole build relation in memory — the power-hungry choice
+// §4.1 calls out: hash join "relies on using a large chunk of memory ...
+// From a power perspective, these are expensive operations and may tip the
+// balance in favor of nested-loop join". That chunk is borrowed from the
+// recycler, not bought per statement (buildState). The first prober to
 // open runs the build in its own process — siblings opening concurrently
 // park on a condition until the table exists — and the last prober to
 // close drops the state, so a re-opened pipeline (a nested-loop rescan)
@@ -143,10 +165,16 @@ func (sb *SharedBuild) acquire(ctx *Ctx) (*buildState, error) {
 	return sb.bs, nil
 }
 
-// release drops one prober's reference; the last one out frees the build
-// state so a rescan rebuilds (and an aborted run does not pin it).
+// release drops one prober's reference. The build's claim on its memory
+// ends with the last one out: the state's arrays go back to the recycler
+// (buildState.release) and the state is dropped, so a rescan rebuilds and
+// an aborted run does not pin it. No prober reads the state after its own
+// release: what it handed out was gathered out of the row store.
 func (sb *SharedBuild) release() {
 	if sb.opens--; sb.opens <= 0 {
+		if sb.bs != nil {
+			sb.bs.release()
+		}
 		sb.opens = 0
 		sb.bs = nil
 		sb.err = nil
@@ -215,22 +243,18 @@ func (p *Prober) Next(ctx *Ctx) (*table.Batch, error) {
 		}
 		ctx.ChargeRows(pb.Rows(), ctx.Costs.HashProbeCyclesPerRow)
 		if p.mem == nil {
-			p.mem = batchMems.Get().(*batchMem)
-			p.hash = take(&p.mem.sels, pb.Rows())
+			p.mem = ctx.borrow()
 			p.bsel = take(&p.mem.sels, pb.Rows())
 			p.psel = take(&p.mem.sels, pb.Rows())
 		}
-		p.hash = slices.Grow(p.hash[:0], pb.Rows())[:pb.Rows()]
+		p.hash = room(&p.mem.sels, p.hash, pb.Rows())[:pb.Rows()]
 		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.hash, p.bsel[:0], p.psel[:0])
 		p.bsel, p.psel = bsel, psel
 		if len(psel) == 0 {
 			continue
 		}
 		ctx.ChargeRows(len(psel), ctx.Costs.JoinOutputCyclesPerRow)
-		if p.out == nil {
-			p.out = p.mem.batch(p.schema, len(psel))
-		}
-		p.out.Reset()
+		p.out = p.mem.refill(p.out, p.schema, len(psel))
 		nb := len(p.bs.buildB.Vecs)
 		for c, v := range p.bs.buildB.Vecs {
 			p.out.Vecs[c].AppendGather(v, bsel)
@@ -261,7 +285,6 @@ func (p *Prober) Close(ctx *Ctx) error {
 		give(&m.sels, p.hash)
 		give(&m.sels, p.bsel)
 		give(&m.sels, p.psel)
-		batchMems.Put(m)
 	}
 	p.mem, p.out, p.hash, p.bsel, p.psel = nil, nil, nil, nil, nil
 	return err

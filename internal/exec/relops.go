@@ -68,13 +68,16 @@ func (f *Filter) Next(ctx *Ctx) (*table.Batch, error) {
 // Close implements Operator.
 func (f *Filter) Close(ctx *Ctx) error { return f.In.Close(ctx) }
 
-// Project evaluates scalar expressions into a new batch.
+// Project evaluates scalar expressions into a new batch. Its kernels'
+// registers are borrowed (mem) from the first batch to Close, where the
+// projection's claim on them ends.
 type Project struct {
 	In Operator
 
 	schema *table.Schema
 	exprs  []FusedExpr
 	out    *table.Batch // reused output batch header
+	mem    *batchMem
 }
 
 // NewProject builds a projection of in; names label the output columns.
@@ -116,10 +119,11 @@ func (p *Project) Next(ctx *Ctx) (*table.Batch, error) {
 	}
 	if p.out == nil {
 		p.out = &table.Batch{Schema: p.schema, Vecs: make([]*table.Vector, len(p.exprs))}
+		p.mem = ctx.borrow()
 	}
 	out := p.out
 	for i := range p.exprs {
-		out.Vecs[i] = p.exprs[i].EvalInto(ctx, b)
+		out.Vecs[i] = p.exprs[i].EvalInto(ctx, b, p.mem)
 	}
 	if b.Sel != nil && len(p.exprs) > 0 {
 		out.SetSel(b.Sel)
@@ -129,9 +133,16 @@ func (p *Project) Next(ctx *Ctx) (*table.Batch, error) {
 	return out, nil
 }
 
-// Close implements Operator.
+// Close implements Operator: the registers go back to the recycler —
+// under ee_invariants, poisoned and abandoned — and a second Close finds
+// nothing to hand back.
 func (p *Project) Close(ctx *Ctx) error {
-	p.out = nil
+	if m := p.mem; m != nil {
+		for i := range p.exprs {
+			p.exprs[i].release(m)
+		}
+	}
+	p.out, p.mem = nil, nil
 	return p.In.Close(ctx)
 }
 
@@ -173,52 +184,3 @@ func (l *Limit) Next(ctx *Ctx) (*table.Batch, error) {
 
 // Close implements Operator.
 func (l *Limit) Close(ctx *Ctx) error { return l.In.Close(ctx) }
-
-// Values is a leaf operator over an in-memory table (no storage charge):
-// used for tests, INSERT sources and tiny dimension tables. It reuses one
-// view batch across Next calls, re-pointing its vectors at the table.
-type Values struct {
-	Tab       *table.Table
-	BatchRows int
-
-	next int
-	view *table.Batch
-}
-
-// Schema implements Operator.
-func (v *Values) Schema() *table.Schema { return v.Tab.Schema }
-
-// Open implements Operator.
-func (v *Values) Open(ctx *Ctx) error {
-	v.next = 0
-	if v.BatchRows <= 0 {
-		v.BatchRows = 4096
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (v *Values) Next(ctx *Ctx) (*table.Batch, error) {
-	if v.next >= v.Tab.Rows() {
-		return nil, nil
-	}
-	hi := v.next + v.BatchRows
-	if hi > v.Tab.Rows() {
-		hi = v.Tab.Rows()
-	}
-	if v.view == nil {
-		v.view = &table.Batch{Schema: v.Tab.Schema, Vecs: make([]*table.Vector, len(v.Tab.Schema.Cols))}
-		for i := range v.view.Vecs {
-			v.view.Vecs[i] = &table.Vector{}
-		}
-	}
-	for i := range v.view.Vecs {
-		v.Tab.Column(i).SliceInto(v.view.Vecs[i], v.next, hi)
-	}
-	v.view.SetRows(hi - v.next)
-	v.next = hi
-	return v.view, nil
-}
-
-// Close implements Operator.
-func (v *Values) Close(ctx *Ctx) error { return nil }

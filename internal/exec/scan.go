@@ -174,6 +174,7 @@ func (s *ColumnScan) start(ctx *Ctx) {
 // Next implements Operator.
 func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 	s.scratch.retire() // the previous block's batch is dead from here on
+	s.scratch.claim(ctx)
 	if s.eof {
 		return nil, nil
 	}
@@ -425,6 +426,7 @@ func (s *RowScan) startStream(ctx *Ctx) {
 // Next implements Operator.
 func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 	s.scratch.retire() // the previous block's batch is dead from here on
+	s.scratch.claim(ctx)
 
 	// The stream sends no end-of-stream sentinel: it ends at the table's
 	// last block.

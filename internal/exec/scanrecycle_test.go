@@ -89,8 +89,10 @@ func sameRows(t *testing.T, what string, got *table.Batch, want *table.Table, lo
 
 // TestScanRecyclingIsInvisible: a scan decodes into the arrays an earlier
 // scan — of another table, for another statement — handed back, and no
-// result can tell. Rows cloned out of scan A are bit for bit what they
-// were after scan B has decoded orders into A's arrays; a batch of scan C,
+// result can tell. Rows cloned out of scan A, over orders, are bit for bit
+// what they were after scan B has decoded customer into A's arrays (take
+// hands a block the smallest array that holds it, so B, whose one block is
+// shorter than A's, is the one to reuse); a batch of scan C,
 // held mid-stream as a consumer may until C's next Next, is untouched by
 // scans D and E, which open, run and close in the meantime on the same
 // goroutine — where the recycler would hand them C's memory first, had C
@@ -118,22 +120,22 @@ func TestScanRecyclingIsInvisible(t *testing.T) {
 		// empties it, so reuse is certain only over a few tries.
 		reused := false
 		for try := 0; try < 40 && !reused; try++ {
-			a, aArrays, err := drain(ctx, fullScan(customer), false)
+			a, aArrays, err := drain(ctx, fullScan(orders), false)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			b, bArrays, err := drain(ctx, fullScan(orders), false)
+			b, bArrays, err := drain(ctx, fullScan(customer), false)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			reused = overlap(aArrays, bArrays)
-			whole("scan A's cloned rows after scan B", a, customer)
-			whole("scan B's rows", b, orders)
+			whole("scan A's cloned rows after scan B", a, orders)
+			whole("scan B's rows", b, customer)
 		}
 		if !reused {
-			t.Error("a scan over orders never decoded into an array the customer scan before it had handed back")
+			t.Error("a scan over customer never decoded into an array the orders scan before it had handed back")
 		}
 
 		c := fullScan(orders)
@@ -474,5 +476,149 @@ func TestWarmScanAllocatesHeadersOnly(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// drainHeld opens op, made by b, runs it to its end and closes it,
+// returning the rows it produced, cloned batch by batch, and every array it
+// held borrowed — after Open and after each Next.
+func drainHeld(ctx *Ctx, b borrower, op Operator) (*table.Table, []unsafe.Pointer, error) {
+	if err := op.Open(ctx); err != nil {
+		return nil, nil, err
+	}
+	var h held
+	b.held(op, &h)
+	out := table.NewTable(op.Schema())
+	for {
+		batch, err := op.Next(ctx)
+		if err != nil {
+			_ = op.Close(ctx)
+			return nil, nil, err
+		}
+		if batch == nil {
+			return out, h.pointers(), op.Close(ctx)
+		}
+		b.held(op, &h)
+		out.AppendBatch(batch.Clone())
+	}
+}
+
+// sameTables reports whether a and b hold the same rows, bit for bit.
+func sameTables(a, b *table.Table) bool {
+	if a.Rows() != b.Rows() {
+		return false
+	}
+	for c := range a.Schema.Cols {
+		if !sameVector(a.Column(c), b.Column(c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMaterialisingRecyclingIsInvisible is TestProberRecyclingIsInvisible
+// for every operator that borrows what it materialises or refills — the
+// hash-join build, the aggregation (its per-worker, partition and result
+// tables, order and output batch), the sort (its store, permutation and
+// output batch) and the projection's registers: a second statement's
+// instance works in arrays the first one's handed back, by address, and
+// both statements' rows, cloned batch by batch, are bit for bit what each
+// gave on its first run, run after run.
+func TestMaterialisingRecyclingIsInvisible(t *testing.T) {
+	tabs := []*table.Table{ordersLike(9000), ordersLike(6000)}
+	for _, b := range borrowers() {
+		r := newRig(1)
+		r.run(t, func(ctx *Ctx) {
+			var want [2]*table.Table
+			reused := false
+			for try := 0; try < 40 && !reused; try++ { // a sync.Pool may drop what it is given
+				var where [2][]unsafe.Pointer
+				for i, tab := range tabs {
+					got, w, err := drainHeld(ctx, b, b.plan(tab))
+					if err != nil {
+						t.Errorf("%s: %v", b.name, err)
+						return
+					}
+					if want[i] == nil {
+						want[i] = got
+					} else if !sameTables(got, want[i]) {
+						t.Errorf("%s, statement %d, run %d: the rows differ from its first run's", b.name, i, try)
+					}
+					where[i] = w
+				}
+				reused = overlap(where[0], where[1])
+			}
+			if !reused {
+				t.Errorf("%s: the second statement never worked in an array the first had handed back", b.name)
+			}
+		})
+	}
+}
+
+// TestMaterialisingDoubleCloseHandsBackOnce is
+// TestScanDoubleCloseHandsBackOnce for every borrower: one run to its
+// first batch and closed twice hands its memory back once, so two opened
+// after it, each run to its first batch, hold no array in common, and
+// neither holds one array twice.
+func TestMaterialisingDoubleCloseHandsBackOnce(t *testing.T) {
+	tab := ordersLike(9000)
+	for _, b := range borrowers() {
+		r := newRig(1)
+		r.run(t, func(ctx *Ctx) {
+			// first opens op and returns where its first batch lies and
+			// what it holds borrowed, each array once.
+			first := func(op Operator) (map[unsafe.Pointer]bool, error) {
+				if err := op.Open(ctx); err != nil {
+					return nil, err
+				}
+				batch, err := op.Next(ctx)
+				if err == nil && batch == nil {
+					err = fmt.Errorf("no first batch")
+				}
+				if err != nil {
+					return nil, err
+				}
+				var h held
+				b.held(op, &h)
+				set := map[unsafe.Pointer]bool{}
+				for _, p := range h.pointers() {
+					if set[p] {
+						return nil, fmt.Errorf("array %p is held twice", p)
+					}
+					set[p] = true
+				}
+				for _, p := range arrays(batch) {
+					set[p] = true
+				}
+				return set, nil
+			}
+			for round := 0; round < 8; round++ {
+				x, y, z := b.plan(tab), b.plan(tab), b.plan(tab)
+				_, err := first(x)
+				for i := 0; i < 2 && err == nil; i++ {
+					err = x.Close(ctx)
+				}
+				var sets [2]map[unsafe.Pointer]bool
+				for i, op := range []Operator{y, z} {
+					if err == nil {
+						sets[i], err = first(op)
+					}
+				}
+				if err != nil {
+					t.Errorf("%s: %v", b.name, err)
+					return
+				}
+				for p := range sets[0] {
+					if sets[1][p] {
+						t.Errorf("%s, round %d: array %p is lent out twice among two open operators", b.name, round, p)
+					}
+				}
+				for _, op := range []Operator{y, z} {
+					if err := op.Close(ctx); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		})
 	}
 }

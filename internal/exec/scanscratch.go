@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"energydb/internal/compress"
@@ -17,67 +16,115 @@ import (
 // of it dies at the scan's next Next, as the volcano contract says of any
 // batch. It belongs to one scan — fragments never share one. The batch
 // header, its Vectors and the view are the scan's own; everything sized by
-// the block is borrowed (mem) and handed back at Close, when the scan's
-// claim on it ends: the next operator to borrow, any statement's, fills
-// the same arrays.
+// the block is borrowed from the recycler (mem) and handed back at Close,
+// when the scan's claim on it ends: the next operator to borrow fills the
+// same arrays.
 type scanScratch struct {
 	mem  *batchMem
 	read *table.Batch
+	raw  []byte
+	syms []compress.SymbolTable // by column position
 	sel  []int32
 	view *table.Batch
 }
 
-// batchMem is the batch-sized memory an operator borrows for the batches
-// it refills — a scan for the blocks it decodes, a Prober for the rows it
-// gathers: arrays by physical type and index vectors, free for the taking
-// whatever the schema, plus a scan's byte image and per-column symbol
-// tables. At rest it pins nothing a statement produced: string arrays are
-// cleared and symbol tables Reset on the way back.
+// batchMem is the recycler: the batch-sized memory operators borrow for
+// what they refill or materialise — a scan for the blocks it decodes, a
+// Prober for the rows it gathers, a join build, an aggregation or a sort
+// for the rows and groups it keeps, a projection for its kernels'
+// registers. It holds free arrays by element type, for the taking whatever
+// the schema: an operator takes arrays as it needs them and hands them
+// back when its claim ends, and the next borrower — the same statement's
+// or another's — refills them. The statements of one engine share one
+// (Memory, ctx.go) while any of them runs. At rest it pins nothing a
+// statement produced: string arrays are cleared and symbol tables Reset
+// on the way back.
 type batchMem struct {
-	ints   [][]int64
-	floats [][]float64
-	strs   [][]string
-	sels   [][]int32
-	raw    []byte
-	syms   []compress.SymbolTable // by column position
+	ints    [][]int64
+	floats  [][]float64
+	strs    [][]string
+	sels    [][]int32
+	bools   [][]bool
+	slots   [][]keySlot
+	bytes   [][]byte
+	symtabs [][]compress.SymbolTable
 }
 
-// batchMems recycles batch memory across statements, and across every
-// engine in the process. A sync.Pool needs no bound and no knob: an
-// operator that finds it empty allocates as operators always did, and the
-// collector reclaims what none has used for two cycles, so the live heap
-// at rest is what it was without it.
+// batchMems keeps the batch memory of engines with no statement running,
+// for any engine in the process to take. A sync.Pool needs no bound and no
+// knob: an engine that finds it empty allocates as operators always did,
+// and the collector reclaims what none has used for two cycles, so the
+// live heap at rest is what it was without it.
 var batchMems = sync.Pool{New: func() any { return new(batchMem) }}
 
-// borrowed returns the scan's block-sized memory, taking it from the
-// recycler the first time.
-func (sc *scanScratch) borrowed() *batchMem {
+// claim takes the memory the scan borrows from, at its first block (and,
+// under ee_invariants, at every block).
+func (sc *scanScratch) claim(ctx *Ctx) {
 	if sc.mem == nil {
-		sc.mem = batchMems.Get().(*batchMem)
+		sc.mem = ctx.borrow()
 	}
-	return sc.mem
 }
 
-// take pops the array last given to free, or makes one of rows cells when
-// there is none. One too small for the batch is regrown by whatever fills
-// it, like any vector.
+// take hands out the smallest free array that holds rows cells, or the
+// largest one when none does — so the array a build store grew to does not
+// go to a scan block while the store regrows a small one — or makes one
+// when free is empty, its capacity rows rounded up to a power of two, so
+// that it serves the next, slightly larger request as well. One too small
+// for the batch is regrown by whatever fills it, like any vector.
 func take[T any](free *[][]T, rows int) []T {
-	n := len(*free)
-	if n == 0 {
+	l := *free
+	if len(l) == 0 {
+		if rows > 0 {
+			rows = ceilPow2(rows)
+		}
 		return make([]T, 0, rows)
 	}
-	a := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
+	best := 0
+	for i := 1; i < len(l); i++ {
+		if c, b := cap(l[i]), cap(l[best]); b < rows && c > b || c >= rows && c < b {
+			best = i
+		}
+	}
+	a, last := l[best], len(l)-1
+	l[best], l[last] = l[last], nil
+	*free = l[:last]
 	return a[:0]
 }
 
-// give hands a back to free; the two arrays a vector does not use are nil
-// and stay out of it.
-func give[T any](free *[][]T, a []T) {
-	if cap(a) > 0 {
-		*free = append(*free, a)
+// takeLen is take for a caller that needs all n cells at once: an array
+// too small for them goes back, and one of n cells is made, its capacity
+// rounded up as take's is.
+func takeLen[T any](free *[][]T, n int) []T {
+	a := take(free, n)
+	if cap(a) < n {
+		give(free, a)
+		a = make([]T, n, ceilPow2(n))
 	}
+	return a[:n]
+}
+
+// room returns a emptied, with room for n cells: a itself when it holds
+// them, else an array from free that does, a going back to free.
+func room[T any](free *[][]T, a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:0]
+	}
+	b := takeLen(free, n)[:0]
+	give(free, a)
+	return b
+}
+
+// grow returns a with room for n more cells. When it has none, a's cells
+// move to an array from free that holds them and n more — at least twice
+// a's capacity, as append would grow it — and a goes back to free: an
+// operator that materialises grows through the recycler, not past it.
+func grow[T any](free *[][]T, a []T, n int) []T {
+	if cap(a)-len(a) >= n {
+		return a
+	}
+	b := append(takeLen(free, max(len(a)+n, 2*cap(a)))[:0], a...)
+	give(free, a)
+	return b
 }
 
 // batch returns an empty batch over schema whose header and Vectors are
@@ -85,8 +132,10 @@ func give[T any](free *[][]T, a []T) {
 // recycler had none.
 func (m *batchMem) batch(schema *table.Schema, rows int) *table.Batch {
 	b := &table.Batch{Schema: schema, Vecs: make([]*table.Vector, len(schema.Cols))}
+	vecs := make([]table.Vector, len(schema.Cols))
 	for i, c := range schema.Cols {
-		v := &table.Vector{Type: c.Type}
+		v := &vecs[i]
+		v.Type = c.Type
 		switch c.Type.Physical() {
 		case table.PhysInt:
 			v.I = take(&m.ints, rows)
@@ -100,22 +149,61 @@ func (m *batchMem) batch(schema *table.Schema, rows int) *table.Batch {
 	return b
 }
 
-// reclaim takes the arrays of a batch made by batch back, string arrays
-// cleared so they pin no string the statement produced.
+// reclaim takes the arrays of a batch made by batch back.
 func (m *batchMem) reclaim(b *table.Batch) {
 	for _, v := range b.Vecs {
-		give(&m.ints, v.I)
-		give(&m.floats, v.F)
-		clear(v.S[:cap(v.S)])
-		give(&m.strs, v.S)
+		m.giveVec(v)
 	}
+}
+
+// giveVec hands v's array back, and v lets go of it: a header some
+// operator still holds — a filter's view of a scan batch — pins nothing.
+func (m *batchMem) giveVec(v *table.Vector) {
+	give(&m.ints, v.I)
+	give(&m.floats, v.F)
+	give(&m.strs, v.S)
+	v.I, v.F, v.S = nil, nil, nil
+}
+
+// extend gives v room for n more cells, regrowing through m.
+func (m *batchMem) extend(v *table.Vector, n int) {
+	switch v.Type.Physical() {
+	case table.PhysInt:
+		v.I = grow(&m.ints, v.I, n)
+	case table.PhysFloat:
+		v.F = grow(&m.floats, v.F, n)
+	default:
+		v.S = grow(&m.strs, v.S, n)
+	}
+}
+
+// fit empties v with room for n cells: in its own array when that holds
+// them, else in one from m, v's old array going back.
+func (m *batchMem) fit(v *table.Vector, n int) {
+	switch v.Type.Physical() {
+	case table.PhysInt:
+		v.I = room(&m.ints, v.I, n)
+	case table.PhysFloat:
+		v.F = room(&m.floats, v.F, n)
+	default:
+		v.S = room(&m.strs, v.S, n)
+	}
+}
+
+// store materialises src's rows at the end of dst, made by batch, growing
+// dst's arrays through m.
+func (m *batchMem) store(dst, src *table.Batch) {
+	for _, v := range dst.Vecs {
+		m.extend(v, src.Rows())
+	}
+	dst.AppendBatch(src)
 }
 
 // batch returns the decode target over schema, its arrays sized for rows
 // where the recycler had none.
 func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 	if sc.read == nil {
-		sc.read = sc.borrowed().batch(schema, rows)
+		sc.read = sc.mem.batch(schema, rows)
 	}
 	return sc.read
 }
@@ -123,9 +211,8 @@ func (sc *scanScratch) batch(schema *table.Schema, rows int) *table.Batch {
 // expand decodes blk through the codec's byte-level Decode into the byte
 // scratch, pre-sized from the block's recorded raw size.
 func (sc *scanScratch) expand(codec compress.Codec, blk *block) ([]byte, error) {
-	m := sc.borrowed()
-	raw, err := codec.Decode(slices.Grow(m.raw[:0], int(blk.rawSize)), blk.enc)
-	m.raw = raw
+	raw, err := codec.Decode(room(&sc.mem.bytes, sc.raw, int(blk.rawSize)), blk.enc)
+	sc.raw = raw
 	return raw, err
 }
 
@@ -138,15 +225,15 @@ func (sc *scanScratch) column(i int, codec compress.Codec, blk *block, sel []int
 	v, n := sc.read.Vecs[i], blk.hi-blk.lo
 	got := n
 	var err error
+	sc.mem.fit(v, n)
 	if dec, ok := codec.(compress.Int64Decoder); ok && v.Type.Physical() == table.PhysInt {
 		v.I, err = dec.DecodeInt64s(v.I[:0], blk.enc)
 		got = len(v.I)
 	} else if dec, ok := codec.(compress.StringDecoder); ok && v.Type.Physical() == table.PhysString {
-		m := sc.mem
-		if short := len(sc.read.Vecs) - len(m.syms); short > 0 { // a scan that reads no dictionary column needs none
-			m.syms = append(m.syms, make([]compress.SymbolTable, short)...)
+		if sc.syms == nil { // a scan that reads no dictionary column needs none
+			sc.syms = takeLen(&sc.mem.symtabs, len(sc.read.Vecs))
 		}
-		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &m.syms[i], sel)
+		v.S, err = dec.DecodeStrings(v.S[:0], blk.enc, &sc.syms[i], sel)
 		got = len(v.S)
 	} else {
 		var raw []byte
@@ -164,33 +251,36 @@ func (sc *scanScratch) column(i int, codec compress.Codec, blk *block, sel []int
 // they hold whatever the backing array did. Every vector of a batch has
 // the block's row count, decoded or not.
 func (sc *scanScratch) size(i, n int) {
-	switch v := sc.read.Vecs[i]; v.Type.Physical() {
+	v := sc.read.Vecs[i]
+	sc.mem.fit(v, n)
+	switch v.Type.Physical() {
 	case table.PhysInt:
-		v.I = slices.Grow(v.I[:0], n)[:n]
+		v.I = v.I[:n]
 	case table.PhysFloat:
-		v.F = slices.Grow(v.F[:0], n)[:n]
+		v.F = v.F[:n]
 	default:
-		v.S = slices.Grow(v.S[:0], n)[:n]
+		v.S = v.S[:n]
 	}
 }
 
 // release ends the scan's claim on its memory at Close: the borrowed
-// arrays go back to the recycler — string arrays cleared and symbol tables
-// Reset, so they pin no string this statement decoded — and the scratch is
-// left empty, so a second Close finds nothing to hand back. The checking
-// build's retire has poisoned and abandoned everything by then; it never
-// recycles.
+// arrays go back to the recycler — string arrays cleared (give) and symbol
+// tables Reset, so they pin no string this statement decoded — and the
+// scratch is left empty, so a second Close finds nothing to hand back. The
+// checking build's retire has poisoned and abandoned everything by then;
+// it never recycles.
 func (sc *scanScratch) release() {
 	sc.retire()
 	if m := sc.mem; m != nil {
 		if sc.read != nil {
 			m.reclaim(sc.read)
 		}
-		give(&m.sels, sc.sel)
-		for i := range m.syms {
-			m.syms[i].Reset()
+		give(&m.bytes, sc.raw)
+		for i := range sc.syms {
+			sc.syms[i].Reset()
 		}
-		batchMems.Put(m)
+		give(&m.symtabs, sc.syms)
+		give(&m.sels, sc.sel)
 	}
 	*sc = scanScratch{}
 }
@@ -199,7 +289,7 @@ func (sc *scanScratch) release() {
 // scratch's selection vector.
 func (sc *scanScratch) filter(ctx *Ctx, in *table.Batch, pred Pred) []int32 {
 	if sc.sel == nil {
-		sc.sel = take(&sc.borrowed().sels, in.Rows())
+		sc.sel = take(&sc.mem.sels, in.Rows())
 	}
 	sel := iotaSel(&sc.sel, in.Rows())
 	if pred != nil {

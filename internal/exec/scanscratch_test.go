@@ -44,7 +44,7 @@ func TestScanDecodeMatchesGenericDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sc scanScratch
+			sc := scanScratch{mem: new(batchMem)}
 			sc.batch(tab.Schema, blockRows)
 			for b := 0; b < st.NumBlocks(); b++ {
 				for ci, col := range tab.Schema.Cols {
@@ -71,7 +71,7 @@ func TestScanDecodeMatchesGenericDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rsc scanScratch
+			rsc := scanScratch{mem: new(batchMem)}
 			for b := range rst.rows {
 				blk := &rst.rows[b]
 				raw, err := rsc.expand(codec, blk)
@@ -184,6 +184,7 @@ func rowDecodeScan(tb testing.TB, li *table.Table, codec compress.Codec) *RowSca
 // charges (which park the process): decode into the scratch, then filter
 // and project.
 func (s *ColumnScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
+	s.scratch.claim(ctx)
 	read, err := s.decode(b, s.late, nil)
 	if err != nil {
 		return nil, err
@@ -192,6 +193,7 @@ func (s *ColumnScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
 }
 
 func (s *RowScan) decodeEmit(ctx *Ctx, b int) (*table.Batch, error) {
+	s.scratch.claim(ctx)
 	full, err := s.decode(b)
 	if err != nil {
 		return nil, err

@@ -24,14 +24,22 @@ type SortKey struct {
 //
 // The comparison sort runs over an index permutation with one typed
 // comparator per key closing over the raw column slice — no per-compare
-// Value boxing — and the sorted order is materialised with one
-// batch-level gather. Keys order by table.Compare, ties keep input order.
+// Value boxing — and Next gathers each output batch through the
+// permutation: the input is copied once, into the store. Keys order by
+// table.Compare, ties keep input order.
+//
+// The store's arrays, the permutation and the one output batch Next
+// refills are borrowed from the recycler (mem) from Open to Close, where
+// the sort's claim on them ends.
 type Sort struct {
 	In   Operator
 	Keys []SortKey
 
-	out   *table.Batch
-	bytes int64 // materialised input size of the last Open
+	mem   *batchMem
+	store *table.Batch // the materialised input
+	perm  []int32      // store rows in output order
+	out   *table.Batch // refilled by every Next
+	bytes int64        // materialised input size of the last Open
 	next  int
 	// Spills reports how many runs were spilled during the last Open.
 	Spills int
@@ -63,42 +71,53 @@ func (s *Sort) AddWorker(w int) {}
 // Absorb implements Sink: it materialises one input batch.
 func (s *Sort) Absorb(w int, wctx *Ctx, b *table.Batch) bool {
 	s.bytes += b.ByteSize()
-	s.out.AppendBatch(b)
+	s.mem.store(s.store, b)
 	return true
 }
 
 // Open implements Operator: it drains the input under the barrier exchange
-// and fully sorts it.
+// and fully sorts it. A failed Open hands back everything it borrowed.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.out = table.NewBatch(s.In.Schema(), 0)
+	s.release()
+	s.mem = ctx.borrow()
+	s.store = s.mem.batch(s.In.Schema(), 0)
 	s.bytes = 0
 	s.next = 0
 	s.Spills = 0
+	err := s.sort(ctx)
+	if err != nil {
+		s.release()
+	}
+	return err
+}
+
+// sort materialises the input into the store and orders the permutation.
+func (s *Sort) sort(ctx *Ctx) error {
 	if err := RunFragments(ctx, "sort", OneFragment(s.In), s); err != nil {
 		return err
 	}
 
-	n := s.out.Rows()
+	n := s.store.Rows()
+	s.perm = takeLen(&s.mem.sels, n)
+	for i := range s.perm {
+		s.perm[i] = int32(i)
+	}
 	if n > 1 {
 		// Comparison sort cost: n log2 n per key column.
 		logN := math.Log2(float64(n))
 		ctx.ChargeRows(n, ctx.Costs.SortCyclesPerRowLog*logN*float64(len(s.Keys)))
 		cmps := make([]func(a, b int32) int, len(s.Keys))
 		for i, k := range s.Keys {
-			cmps[i] = keyCmp(s.out.Vecs[k.Col])
+			cmps[i] = keyCmp(s.store.Vecs[k.Col])
 			if k.Desc {
 				asc := cmps[i]
 				cmps[i] = func(a, b int32) int { return -asc(a, b) }
 			}
 		}
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
 		if len(cmps) == 1 {
-			slices.SortStableFunc(perm, cmps[0])
+			slices.SortStableFunc(s.perm, cmps[0])
 		} else {
-			slices.SortStableFunc(perm, func(a, b int32) int {
+			slices.SortStableFunc(s.perm, func(a, b int32) int {
 				for _, cmp := range cmps {
 					if c := cmp(a, b); c != 0 {
 						return c
@@ -107,7 +126,6 @@ func (s *Sort) Open(ctx *Ctx) error {
 				return 0
 			})
 		}
-		s.out = s.out.Gather(perm)
 	}
 
 	// External-sort spill charge: write all runs, read them back to merge.
@@ -131,22 +149,37 @@ func (s *Sort) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator: it gathers the next stretch of the
+// permutation into the output batch.
 func (s *Sort) Next(ctx *Ctx) (*table.Batch, error) {
-	if s.next >= s.out.Rows() {
+	if s.next >= len(s.perm) {
 		return nil, nil
 	}
-	hi := s.next + vectorSize
-	if hi > s.out.Rows() {
-		hi = s.out.Rows()
-	}
-	b := s.out.Slice(s.next, hi)
+	hi := min(s.next+vectorSize, len(s.perm))
+	s.out = s.mem.refill(s.out, s.store.Schema, hi-s.next)
+	s.out.AppendGather(s.store, s.perm[s.next:hi])
 	s.next = hi
-	return b, nil
+	return s.out, nil
 }
 
-// Close implements Operator.
+// Close implements Operator: the sort's claim on its memory ends.
 func (s *Sort) Close(ctx *Ctx) error {
-	s.out = nil
+	s.release()
 	return nil
+}
+
+// release hands the store, the permutation and the output batch back to
+// the recycler — under ee_invariants, poisons and abandons them — and
+// leaves nothing for a second call to hand back.
+func (s *Sort) release() {
+	m := s.mem
+	if m == nil {
+		return
+	}
+	m.reclaim(s.store)
+	give(&m.sels, s.perm)
+	if s.out != nil {
+		m.reclaim(s.out)
+	}
+	s.mem, s.store, s.perm, s.out = nil, nil, nil, nil
 }

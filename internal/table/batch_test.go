@@ -64,9 +64,14 @@ func TestVectorAppendSlicePhysMismatchPanics(t *testing.T) {
 func TestBatchGather(t *testing.T) {
 	b := mixedBatch(8)
 	want := rowsOf(b)
+	gather := func(sel []int32) *Batch {
+		g := NewBatch(b.Schema, 0)
+		g.AppendGather(b, sel)
+		return g
+	}
 
 	// Empty selection.
-	empty := b.Gather(nil)
+	empty := gather(nil)
 	if empty.Rows() != 0 {
 		t.Fatalf("empty gather rows = %d", empty.Rows())
 	}
@@ -75,14 +80,14 @@ func TestBatchGather(t *testing.T) {
 	}
 
 	// Full selection is the identity.
-	full := b.Gather([]int32{0, 1, 2, 3, 4, 5, 6, 7})
+	full := gather([]int32{0, 1, 2, 3, 4, 5, 6, 7})
 	if !reflect.DeepEqual(rowsOf(full), want) {
 		t.Fatal("full gather changed rows")
 	}
 
 	// Mixed selection with repeats and reordering.
 	sel := []int32{7, 0, 3, 3}
-	g := b.Gather(sel)
+	g := gather(sel)
 	if g.Rows() != 4 {
 		t.Fatalf("gather rows = %d", g.Rows())
 	}
@@ -182,8 +187,9 @@ func TestZeroColumnBatch(t *testing.T) {
 		t.Fatalf("AppendBatch rows = %d, want 14", acc.Rows())
 	}
 
-	// Gather and Slice keep working on the empty column set.
-	if g := b.Gather([]int32{0, 2, 4}); g.Rows() != 3 || len(g.Vecs) != 0 {
+	// AppendGather and Slice keep working on the empty column set.
+	g := NewBatch(s, 0)
+	if g.AppendGather(b, []int32{0, 2, 4}); g.Rows() != 3 || len(g.Vecs) != 0 {
 		t.Fatalf("gather: rows=%d vecs=%d", g.Rows(), len(g.Vecs))
 	}
 	if v := b.Slice(2, 6); v.Rows() != 4 {
@@ -259,28 +265,6 @@ func TestBatchSelection(t *testing.T) {
 	b.SetRows(8)
 	if b.Sel != nil || b.Rows() != 8 {
 		t.Fatalf("SetRows did not clear selection: sel=%v rows=%d", b.Sel, b.Rows())
-	}
-}
-
-func TestVectorAppendN(t *testing.T) {
-	for _, tc := range []struct {
-		v Value
-		n int
-	}{
-		{IntVal(7), 5},
-		{FloatVal(2.5), 3},
-		{StrVal("k"), 4},
-	} {
-		vec := NewVector(tc.v.Type, 0)
-		vec.AppendN(tc.v, tc.n)
-		if vec.Len() != tc.n {
-			t.Fatalf("%v: len = %d, want %d", tc.v, vec.Len(), tc.n)
-		}
-		for i := 0; i < tc.n; i++ {
-			if vec.Value(i) != tc.v {
-				t.Fatalf("%v: element %d = %v", tc.v, i, vec.Value(i))
-			}
-		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a typed column of values. Exactly one of the backing slices is
 // used, selected by the type's physical class.
@@ -52,27 +55,6 @@ func (v *Vector) Append(val Value) {
 	}
 }
 
-// AppendN appends n copies of val.
-func (v *Vector) AppendN(val Value, n int) {
-	if val.Type.Physical() != v.Type.Physical() {
-		panic(fmt.Sprintf("table: appending %v to %v vector", val.Type, v.Type))
-	}
-	switch v.Type.Physical() {
-	case PhysInt:
-		for i := 0; i < n; i++ {
-			v.I = append(v.I, val.I)
-		}
-	case PhysFloat:
-		for i := 0; i < n; i++ {
-			v.F = append(v.F, val.F)
-		}
-	default:
-		for i := 0; i < n; i++ {
-			v.S = append(v.S, val.S)
-		}
-	}
-}
-
 // AppendSlice bulk-appends elements [lo, hi) of src, which must share v's
 // physical class. It is a single per-column copy, not hi-lo boxed appends.
 func (v *Vector) AppendSlice(src *Vector, lo, hi int) {
@@ -89,25 +71,31 @@ func (v *Vector) AppendSlice(src *Vector, lo, hi int) {
 	}
 }
 
-// AppendGather appends src's elements at the positions in sel, in order.
+// AppendGather appends src's elements at the positions in sel, in order,
+// growing v once for all of them.
 func (v *Vector) AppendGather(src *Vector, sel []int32) {
 	if src.Type.Physical() != v.Type.Physical() {
 		panic(fmt.Sprintf("table: gathering %v into %v vector", src.Type, v.Type))
 	}
 	switch v.Type.Physical() {
 	case PhysInt:
-		for _, i := range sel {
-			v.I = append(v.I, src.I[i])
-		}
+		v.I = gather(v.I, src.I, sel)
 	case PhysFloat:
-		for _, i := range sel {
-			v.F = append(v.F, src.F[i])
-		}
+		v.F = gather(v.F, src.F, sel)
 	default:
-		for _, i := range sel {
-			v.S = append(v.S, src.S[i])
-		}
+		v.S = gather(v.S, src.S, sel)
 	}
+}
+
+// gather appends src's elements at the positions in sel to dst.
+func gather[T any](dst, src []T, sel []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	out := dst[n:]
+	for k, i := range sel {
+		out[k] = src[i]
+	}
+	return dst
 }
 
 // Reset truncates the vector to zero length, keeping its capacity.
@@ -298,15 +286,6 @@ func (b *Batch) AppendGather(src *Batch, sel []int32) {
 	b.rows += len(sel)
 }
 
-// Gather returns a new batch holding the rows at the physical positions
-// in sel. Gathering a zero-column batch yields a zero-column batch of
-// len(sel) rows.
-func (b *Batch) Gather(sel []int32) *Batch {
-	out := NewBatch(b.Schema, len(sel))
-	out.AppendGather(b, sel)
-	return out
-}
-
 // Slice returns a batch viewing logical rows [lo, hi) without copying.
 func (b *Batch) Slice(lo, hi int) *Batch {
 	out := &Batch{Schema: b.Schema, Vecs: make([]*Vector, len(b.Vecs)), rows: hi - lo}
@@ -437,13 +416,4 @@ func (t *Table) Slice(lo, hi int) *Batch {
 		b.Vecs[i] = c.Slice(lo, hi)
 	}
 	return b
-}
-
-// ByteSize reports the wire size of the whole table.
-func (t *Table) ByteSize() int64 {
-	var n int64
-	for _, c := range t.cols {
-		n += c.ByteSize(0, c.Len())
-	}
-	return n
 }
