@@ -19,17 +19,26 @@ var (
 	dictHugeSymCount = []byte{0xD1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 )
 
-// Three inputs that only the paths new with selection-driven decode get
-// wrong when one of their checks is dropped: an LZ stream cut off right
-// after an 8-byte literal run (a fast token must not read its headers past
-// the input), an LZ stream whose general token stops 8 bytes short of the
-// decode budget and is followed by 16-byte fast tokens (which must honour
-// the budget too), and a dictionary block whose middle cell names a symbol
-// that does not exist (it is corrupt also when no selected cell is near).
+// Inputs aimed at the checks of LZ's fast token, each of which a fast token
+// that dropped or loosened that check would decode wrongly or panic on:
+// lzCutAfterLiterals is a stream cut after the literal run of its second
+// token, whose first token starts 15 bytes from the end — one byte short of
+// the input window; lzFastPastBudget is a stream whose general first token
+// stops 23 bytes short of the decode budget and is followed by a 24-byte
+// fast token — one byte short of the output window — and a small token and
+// the end marker, so that it decodes without error past the budget unless
+// the fast token honours it; lzFastBeforeStart is a fast token whose match
+// starts one byte before the stream's output; and lzFastCloseMatch, which
+// is not corrupt, is a fast-shaped token with a distance below 8, which two
+// 8-byte moves would copy wrongly. dictBadSkippedIndex is a dictionary
+// block whose middle cell names a symbol that does not exist (it is corrupt
+// also when no selected cell is near).
 var (
-	lzCutAfterLiterals = []byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}
-	lzFastPastBudget   = append(putUvarint([]byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}, 1<<20-16),
-		8, 0, 16, 8, 0, 16, 8, 0, 16, 8, 0, 16, 8, 0, 0)
+	lzCutAfterLiterals = []byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 16, 8, 3, 'i', 'j', 'k'}
+	lzFastPastBudget   = append(putUvarint([]byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}, 1<<20-31),
+		8, 8, 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 16, 8, 0, 4, 8, 0, 0)
+	lzFastBeforeStart   = []byte{8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 4, 9, 0, 4, 8, 0, 0}
+	lzFastCloseMatch    = []byte{3, 'a', 'b', 'c', 9, 3, 8, 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 16, 8, 0, 0}
 	dictBadSkippedIndex = []byte{dictMarker, 1, 1, 'a', 3, 0, 5, 0}
 )
 
@@ -40,7 +49,8 @@ func TestDecodeCrashersReturnErrCorrupt(t *testing.T) {
 	if _, err := Dict.Decode(nil, dictHugeSymCount); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Dict.Decode of a huge symbol count: err = %v, want ErrCorrupt", err)
 	}
-	for name, in := range map[string][]byte{"cut after its literals": lzCutAfterLiterals, "past its budget": lzFastPastBudget} {
+	for name, in := range map[string][]byte{"cut after its literals": lzCutAfterLiterals, "past its budget": lzFastPastBudget,
+		"matching before its start": lzFastBeforeStart} {
 		if _, err := LZ.Decode(make([]byte, 0, 2<<20), in); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("LZ.Decode of a stream %s, with room to spare: err = %v, want ErrCorrupt", name, err)
 		}
@@ -147,6 +157,8 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte("\x01\x03\a\x00\x01\x05\a\x00\x01\b\a\x00\x01\r\f\x00\x01\x01\x02\x00\x01\xf9\a\xff\x01\xf9\a\xff\x01\xf9\a\xff\x01\x01\x01\x02\x01\x03"))
 	f.Add(lzCutAfterLiterals)
 	f.Add(lzFastPastBudget)
+	f.Add(lzFastBeforeStart)
+	f.Add(lzFastCloseMatch)
 	f.Add(dictBadSkippedIndex)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if vals, ok := parseStrings(data); ok {

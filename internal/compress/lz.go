@@ -69,16 +69,62 @@ func (lzCodec) Encode(dst, src []byte) []byte {
 // The fast token of Decode: every header a single byte (the offset one or
 // two), a literal run of at most lzFastLit bytes and a match of at most
 // lzFastMatch bytes from at least 8 bytes back — what a column of floats
-// compresses to, one token per value or so. Such a token is decoded with
-// three fixed-size moves; lzFastSrc is the most input that reads (length,
-// 8 literal bytes, length, two offset bytes) and lzFastDst the most output
-// it writes.
+// compresses to, one token per value or so.
+//
+// Such a token is decoded inside three fixed windows, each an array
+// pointer over a slice: lzFastSrc bytes of input from the token's first
+// byte (it reads at most 12: length, 8 literal bytes, length, two offset
+// bytes), lzFastDst bytes of output from the first position it writes (8
+// literal bytes, then 16 match bytes from wherever the run ends), and
+// lzFastMatch bytes at the match's source. Taking a window is its one
+// bounds check — every index inside it is constant or provably below its
+// size — and the loop's two limits, taken once per pass, keep the input
+// and the output window whole, so that no check fails on a sound stream.
+// The literal and match moves are always 8 and 16 bytes; the next token's
+// moves overwrite the excess. The header is read without a branch: a
+// second offset byte counts only when the first's top bit is set, and one
+// whose own top bit is set leaves the offset at 1<<14 or more, which the
+// range test refuses; lengths and distances are range-tested unsigned. A
+// token outside the fast ranges is the general token's, which starts over
+// from its first byte. The loop is a function of its own so that its
+// state stays in registers.
 const (
 	lzFastLit   = 8
 	lzFastMatch = 16
-	lzFastSrc   = 1 + lzFastLit + 1 + 2
+	lzFastSrc   = 16
 	lzFastDst   = lzFastLit + lzFastMatch
 )
+
+// lzFastTokens decodes fast tokens from src[s:] into buf at d for as long
+// as it finds them and a whole window of each fits — buf ends at the
+// decode budget — and returns where it stopped. The match source never
+// precedes base, where the stream's output begins.
+func lzFastTokens(buf, src []byte, base, d, s int) (int, int) {
+	dmax, smax := len(buf)-lzFastDst, len(src)-lzFastSrc
+	for d <= dmax && s <= smax {
+		in := (*[lzFastSrc]byte)(src[s : s+lzFastSrc : s+lzFastSrc])
+		lit := int(in[0])
+		if lit > lzFastLit {
+			break
+		}
+		mlen, b1, b2 := int(in[lit+1]), int(in[lit+2]), int(in[lit+3])
+		two := b1 >> 7
+		off, e := b1&0x7f|b2<<7*two, d+lit
+		if uint(mlen-1) >= lzFastMatch || uint(off-8) >= 1<<14-8 || off > e-base {
+			break
+		}
+		out := (*[lzFastDst]byte)(buf[d : d+lzFastDst : d+lzFastDst])
+		binary.LittleEndian.PutUint64(out[:], binary.LittleEndian.Uint64(in[1:]))
+		// At a distance of 8 or more two 8-byte moves copy what a byte by
+		// byte copy would, overlapping or not: each reads only bytes
+		// already final.
+		m := (*[lzFastMatch]byte)(buf[e-off : e-off+lzFastMatch : e-off+lzFastMatch])
+		binary.LittleEndian.PutUint64(out[lit:lit+8:lit+8], binary.LittleEndian.Uint64(m[:]))
+		binary.LittleEndian.PutUint64(out[lit+8:lit+16:lit+16], binary.LittleEndian.Uint64(m[8:]))
+		d, s = e+mlen, s+lit+3+two
+	}
+	return d, s
+}
 
 func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 	base := len(dst)
@@ -87,30 +133,7 @@ func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 	// the input left.
 	buf, d, s := dst[:cap(dst)], len(dst), 0
 	for {
-		if s+lzFastSrc <= len(src) && d+lzFastDst <= len(buf) && d-base+lzFastDst <= budget && src[s] <= lzFastLit {
-			// Move 8 literal bytes whatever the run's length: the match
-			// overwrites the excess.
-			binary.LittleEndian.PutUint64(buf[d:], binary.LittleEndian.Uint64(src[s+1:]))
-			e, p := d+int(src[s]), s+1+int(src[s])
-			mlen, off := int(src[p]), int(src[p+1])
-			p += 2
-			if off >= 0x80 {
-				// A third offset byte leaves off at 1<<14 or more.
-				off = off&0x7f | int(src[p])<<7
-				p++
-			}
-			if 0 < mlen && mlen <= lzFastMatch && 8 <= off && off < 1<<14 && off <= e-base {
-				// At this distance two 8-byte moves copy what a byte by
-				// byte copy would, overlapping or not.
-				binary.LittleEndian.PutUint64(buf[e:], binary.LittleEndian.Uint64(buf[e-off:]))
-				binary.LittleEndian.PutUint64(buf[e+8:], binary.LittleEndian.Uint64(buf[e-off+8:]))
-				d, s = e+mlen, p
-				continue
-			}
-			// Anything else — the end marker, a multi-byte header, a long
-			// or close match, a bad offset — is the general token's, which
-			// starts over from the token's first byte.
-		}
+		d, s = lzFastTokens(buf[:min(len(buf), base+budget)], src, base, d, s)
 		dst, in := buf[:d], src[s:]
 		produced := uint64(d - base)
 		litLen, k := uvarint(in)

@@ -79,10 +79,13 @@ func halves(tab *table.Table) [2]*table.Table {
 
 // borrowers are the operators that borrow what they materialise: the
 // hash-join build (ordersLike rows by o_orderkey, probed by every fourth
-// key), a two-fragment aggregation grouping by the unique o_orderkey — so
+// key), a self-join on o_custkey, whose probe rows match about four build
+// rows each, so that the Prober's match vectors outgrow a probe batch, a
+// two-fragment aggregation grouping by the unique o_orderkey — so
 // per-worker tables are merged, and more than one output batch is refilled
-// — a two-key sort, and a projection computing one float and one int
-// register.
+// — a two-key sort, a projection computing one float and one int
+// register, and a filter over a projection keeping about half of each
+// batch.
 func borrowers() []borrower {
 	dim := joinFixture(9000)
 	return []borrower{
@@ -93,6 +96,15 @@ func borrowers() []borrower {
 				h.batch(bs.buildB)
 				h.sels = append(h.sels, bs.next)
 				h.slots = append(h.slots, bs.tab.slots)
+			}
+		}},
+		{"many-match probe", func(tab *table.Table) Operator {
+			return NewHashJoin(&Values{Tab: tab}, &Values{Tab: tab, BatchRows: 1024}, 1, 1)
+		}, func(op Operator, h *held) {
+			p := op.(*Prober)
+			h.sels = append(h.sels, p.hash, p.bsel, p.psel)
+			if p.out != nil {
+				h.batch(p.out)
 			}
 		}},
 		{"aggregation", func(tab *table.Table) Operator {
@@ -144,6 +156,24 @@ func borrowers() []borrower {
 		}, func(op Operator, h *held) {
 			for _, e := range op.(*Project).exprs {
 				h.ints = append(h.ints, e.k.regsI...)
+				h.floats = append(h.floats, e.k.regsF...)
+				h.sels = append(h.sels, e.k.iota)
+			}
+		}},
+		{"filter", func(tab *table.Table) Operator {
+			// Over a projection, so that the batches it passes on lie in
+			// borrowed registers, not in tab.
+			p, err := NewProject(&Values{Tab: tab, BatchRows: 1024}, []Scalar{
+				&Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}},
+			}, []string{"twice"})
+			if err != nil {
+				panic(err)
+			}
+			return &Filter{In: p, Pred: &ColConst{Col: 0, Op: Lt, Val: table.FloatVal(100000)}}
+		}, func(op Operator, h *held) {
+			f := op.(*Filter)
+			h.sels = append(h.sels, f.sel)
+			for _, e := range f.In.(*Project).exprs {
 				h.floats = append(h.floats, e.k.regsF...)
 				h.sels = append(h.sels, e.k.iota)
 			}

@@ -40,7 +40,8 @@ func (o CmpOp) String() string {
 
 // Pred is a vectorised predicate. Eval filters the selection vector sel —
 // ascending row indexes into b — in place and returns the surviving
-// prefix (aliasing sel's backing array). Leaves charge CPU for every
+// prefix (aliasing sel's backing array); the cells of sel past that prefix
+// are unspecified afterwards. Leaves charge CPU for every
 // selected row they inspect, so later conjuncts after a selective one
 // both run and cost less.
 type Pred interface {
@@ -50,92 +51,93 @@ type Pred interface {
 
 // filterConst is the typed selection kernel for column-vs-constant
 // comparisons: the operator and constant are hoisted out of the loop, and
-// survivors are compacted into the front of sel.
+// survivors are compacted into the front of sel. The loops do not branch
+// on the comparison: every row is written at the survivors' end, which
+// then moves past it only if it passed — so a predicate that keeps about
+// half the rows costs no mispredictions. Comparisons are IEEE's: a NaN
+// matches only <>.
 func filterConst[T int64 | float64 | string](op CmpOp, col []T, c T, sel []int32) []int32 {
-	out := sel[:0]
+	n := 0
 	switch op {
 	case Eq:
 		for _, i := range sel {
-			if col[i] == c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] == c)
 		}
 	case Ne:
 		for _, i := range sel {
-			if col[i] != c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] != c)
 		}
 	case Lt:
 		for _, i := range sel {
-			if col[i] < c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] < c)
 		}
 	case Le:
 		for _, i := range sel {
-			if col[i] <= c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] <= c)
 		}
 	case Gt:
 		for _, i := range sel {
-			if col[i] > c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] > c)
 		}
 	default:
 		for _, i := range sel {
-			if col[i] >= c {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(col[i] >= c)
 		}
 	}
-	return out
+	return sel[:n]
 }
 
-// filterColCol is the typed kernel for column-vs-column comparisons.
+// filterColCol is the typed kernel for column-vs-column comparisons,
+// branch-free as filterConst is.
 func filterColCol[T int64 | float64 | string](op CmpOp, l, r []T, sel []int32) []int32 {
-	out := sel[:0]
+	n := 0
 	switch op {
 	case Eq:
 		for _, i := range sel {
-			if l[i] == r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] == r[i])
 		}
 	case Ne:
 		for _, i := range sel {
-			if l[i] != r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] != r[i])
 		}
 	case Lt:
 		for _, i := range sel {
-			if l[i] < r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] < r[i])
 		}
 	case Le:
 		for _, i := range sel {
-			if l[i] <= r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] <= r[i])
 		}
 	case Gt:
 		for _, i := range sel {
-			if l[i] > r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] > r[i])
 		}
 	default:
 		for _, i := range sel {
-			if l[i] >= r[i] {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(l[i] >= r[i])
 		}
 	}
-	return out
+	return sel[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ColConst compares a column against a constant.

@@ -269,8 +269,7 @@ func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch, m *batchMem) *table.Vecto
 	ctx.ChargeRows(b.Rows(), float64(len(k.prog))*ctx.Costs.ProjectCyclesPerRow)
 	sel := b.Sel
 	if sel == nil {
-		k.iota = room(&m.sels, k.iota, n)
-		sel = iotaSel(&k.iota, n)
+		sel = iotaSel(&m.sels, &k.iota, n)
 	}
 	for i := range k.regsI {
 		k.regsI[i] = room(&m.ints, k.regsI[i], n)[:n]

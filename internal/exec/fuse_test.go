@@ -115,7 +115,7 @@ func TestFusedExprMatchesReference(t *testing.T) {
 	var inputs []input
 	for _, n := range []int{511, 8192, 1} {
 		b := fuseBatch(rng, n)
-		all := iotaSel(new([]int32), n)
+		all := iotaSel(new([][]int32), new([]int32), n)
 		pick := func(p float64) []int32 {
 			return slices.DeleteFunc(slices.Clone(all), func(int32) bool { return rng.Float64() >= p })
 		}

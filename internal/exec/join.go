@@ -91,8 +91,9 @@ rows:
 // probeRows looks the probe keys up in the build's table — the k'th is
 // physical row sel[k] of key, row k without a selection, and hashes to
 // hs[k]. Matching (build, probe) physical index pairs are appended to
-// bsel/psel, a key's build rows in ascending order.
-func probeRows[T comparable](bs *buildState, bkeys, key []T, hs, sel, bsel, psel []int32) ([]int32, []int32) {
+// bsel/psel, a key's build rows in ascending order; a full one grows
+// through free, the outgrown array going back to it.
+func probeRows[T comparable](bs *buildState, bkeys, key []T, hs, sel, bsel, psel []int32, free *[][]int32) ([]int32, []int32) {
 	t, next := &bs.tab, bs.next
 	for k, hbits := range hs {
 		pi := int32(k)
@@ -103,6 +104,9 @@ func probeRows[T comparable](bs *buildState, bkeys, key []T, hs, sel, bsel, psel
 		for i, id := t.seek(t.home(h), h); id >= 0; i, id = t.seek(i+1, h) {
 			if bkeys[id] == x {
 				for {
+					if len(bsel) == cap(bsel) || len(psel) == cap(psel) {
+						bsel, psel = grow(free, bsel, 1), grow(free, psel, 1)
+					}
 					bsel = append(bsel, id)
 					psel = append(psel, pi)
 					if id = next[id]; id == 0 {

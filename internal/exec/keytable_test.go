@@ -204,7 +204,7 @@ func fuzzJoin[T comparable](t *testing.T, kv *table.Vector, keys []T, collide bo
 		want[x] = append(want[x], int32(r))
 	}
 	chainRows(&bs.tab, bs.next, keys)
-	bsel, psel := probeRows(bs, keys, keys, hs, nil, nil, nil)
+	bsel, psel := probeRows(bs, keys, keys, hs, nil, nil, nil, new([][]int32))
 	got := map[int32][]int32{}
 	for i, pi := range psel {
 		if i > 0 && pi < psel[i-1] {

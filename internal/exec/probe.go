@@ -90,18 +90,18 @@ func (sb *SharedBuild) runJoinBuild(ctx *Ctx) (*buildState, error) {
 
 // probeInto probes one probe batch's key column against the table,
 // honouring a selection riding on the batch, and appends matching
-// (build, probe) physical index pairs to bsel/psel. hs is scratch for the
-// batch's key hashes, one per logical row.
-func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []int32) ([]int32, []int32) {
+// (build, probe) physical index pairs to bsel/psel, growing them through
+// free. hs is scratch for the batch's key hashes, one per logical row.
+func (bs *buildState) probeInto(pb *table.Batch, probeKey int, hs, bsel, psel []int32, free *[][]int32) ([]int32, []int32) {
 	kv := pb.Vecs[probeKey]
 	hashJoinKeys(hs, kv, pb.Sel)
 	switch kv.Type.Physical() {
 	case table.PhysInt:
-		return probeRows(bs, bs.key.I, kv.I, hs, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.I, kv.I, hs, pb.Sel, bsel, psel, free)
 	case table.PhysFloat:
-		return probeRows(bs, bs.key.F, kv.F, hs, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.F, kv.F, hs, pb.Sel, bsel, psel, free)
 	default:
-		return probeRows(bs, bs.key.S, kv.S, hs, pb.Sel, bsel, psel)
+		return probeRows(bs, bs.key.S, kv.S, hs, pb.Sel, bsel, psel, free)
 	}
 }
 
@@ -248,7 +248,7 @@ func (p *Prober) Next(ctx *Ctx) (*table.Batch, error) {
 			p.psel = take(&p.mem.sels, pb.Rows())
 		}
 		p.hash = room(&p.mem.sels, p.hash, pb.Rows())[:pb.Rows()]
-		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.hash, p.bsel[:0], p.psel[:0])
+		bsel, psel := p.bs.probeInto(pb, p.ProbeKey, p.hash, p.bsel[:0], p.psel[:0], &p.mem.sels)
 		p.bsel, p.psel = bsel, psel
 		if len(psel) == 0 {
 			continue

@@ -11,11 +11,13 @@ import (
 // partial survivors are NOT gathered — the surviving selection vector
 // rides on a reused view batch sharing the child's vectors, and chains of
 // filters compose their selections in place, deferring the one compaction
-// to the consumer's materialisation boundary.
+// to the consumer's materialisation boundary. The selection vector is
+// borrowed (mem) from the first batch to Close.
 type Filter struct {
 	In   Operator
 	Pred Pred
 
+	mem  *batchMem
 	sel  []int32
 	view *table.Batch
 }
@@ -34,18 +36,19 @@ func (f *Filter) Next(ctx *Ctx) (*table.Batch, error) {
 			return nil, err
 		}
 		n := b.Rows()
+		if f.mem == nil {
+			f.mem = ctx.borrow()
+		}
 		// Start from the child's selection when it carries one (copied into
 		// our scratch: Eval compacts in place and must not corrupt the
 		// child's batch), else from the identity.
 		var sel []int32
 		if b.Sel != nil {
-			if cap(f.sel) < n {
-				f.sel = make([]int32, n)
-			}
-			sel = f.sel[:n]
+			f.sel = room(&f.mem.sels, f.sel, n)[:n]
+			sel = f.sel
 			copy(sel, b.Sel)
 		} else {
-			sel = iotaSel(&f.sel, n)
+			sel = iotaSel(&f.mem.sels, &f.sel, n)
 		}
 		if f.Pred != nil {
 			sel = f.Pred.Eval(ctx, b, sel)
@@ -65,8 +68,15 @@ func (f *Filter) Next(ctx *Ctx) (*table.Batch, error) {
 	}
 }
 
-// Close implements Operator.
-func (f *Filter) Close(ctx *Ctx) error { return f.In.Close(ctx) }
+// Close implements Operator: the selection vector goes back to the
+// recycler, and a second Close finds nothing to hand back.
+func (f *Filter) Close(ctx *Ctx) error {
+	if f.mem != nil {
+		give(&f.mem.sels, f.sel)
+	}
+	f.mem, f.sel = nil, nil
+	return f.In.Close(ctx)
+}
 
 // Project evaluates scalar expressions into a new batch. Its kernels'
 // registers are borrowed (mem) from the first batch to Close, where the

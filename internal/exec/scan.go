@@ -504,15 +504,12 @@ func (s *RowScan) Close(ctx *Ctx) error {
 	return nil
 }
 
-// iotaSel returns scratch resized to [0, 1, ..., n-1], growing its backing
-// array only when needed so steady-state filtering allocates nothing.
-func iotaSel(scratch *[]int32, n int) []int32 {
-	s := *scratch
-	if cap(s) < n {
-		s = make([]int32, n)
-		*scratch = s
-	}
-	s = s[:n]
+// iotaSel returns scratch resized to [0, 1, ..., n-1]. An array too small
+// for n cells is swapped for one from free that holds them (room), the
+// outgrown one going back: a warm recycler makes no selection.
+func iotaSel(free *[][]int32, scratch *[]int32, n int) []int32 {
+	s := room(free, *scratch, n)[:n]
+	*scratch = s
 	for i := range s {
 		s[i] = int32(i)
 	}

@@ -288,10 +288,7 @@ func (sc *scanScratch) release() {
 // filter returns the rows of in that pred keeps, ascending, in the
 // scratch's selection vector.
 func (sc *scanScratch) filter(ctx *Ctx, in *table.Batch, pred Pred) []int32 {
-	if sc.sel == nil {
-		sc.sel = take(&sc.mem.sels, in.Rows())
-	}
-	sel := iotaSel(&sc.sel, in.Rows())
+	sel := iotaSel(&sc.mem.sels, &sc.sel, in.Rows())
 	if pred != nil {
 		sel = pred.Eval(ctx, in, sel)
 	}
